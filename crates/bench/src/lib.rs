@@ -1,15 +1,14 @@
 //! # chimera-bench
 //!
 //! The experiment harness: one function per paper figure/table, shared by
-//! the `fig11`/`fig12`/`fig13`/`fig14`/`table1`/`table2`/`table3` binaries
-//! and the micro-benches (see [`harness`]). Every function prints the same
-//! rows or series the paper reports (shape, not absolute silicon numbers —
-//! see EXPERIMENTS.md).
+//! the `fig11`/`fig12`/`fig13`/`fig14`/`table1`/`table2`/`table3` binaries.
+//! Every function prints the same rows or series the paper reports (shape,
+//! not absolute silicon numbers — see EXPERIMENTS.md). Wall-clock numbers
+//! are not measured here: `bench/` (`pipeline_e2e`) is the one instrument
+//! for those.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod harness;
 
 use chimera::{
     empty_patch_with, measure, measure_or_fam_probe, prepare_process, run_variant, FamResult,
@@ -44,7 +43,7 @@ impl Scale {
         }
     }
 
-    /// Quick scale (seconds; used by smoke tests and Criterion wrappers).
+    /// Quick scale (seconds; `--quick` and the smoke tests).
     pub fn quick() -> Scale {
         Scale {
             size_scale: 1.0 / 512.0,

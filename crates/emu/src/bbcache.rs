@@ -202,7 +202,7 @@ impl Slot {
 /// The per-CPU basic-block decode cache.
 ///
 /// Blocks are shared via [`Arc`] (not `Rc`) so [`crate::Cpu`] stays `Send`
-/// — the kernel's `ThreadedPool` moves CPUs across OS threads.
+/// — the many-hart kernel's `FiberPool` steps CPUs on worker OS threads.
 #[derive(Debug, Clone, Default)]
 pub struct BlockCache {
     map: HashMap<(u64, ExtSet), u32>,

@@ -29,7 +29,7 @@
 //! architecturally transparent: traps, results, `ExecStats` and trace
 //! counters are identical across [`ExecMode::Reference`],
 //! [`ExecMode::Interpreter`] and [`ExecMode::Engine`] (the differential
-//! suite asserts it; `exec_engine` in `chimera-bench` gates the speedup).
+//! suite asserts it).
 //!
 //! The hottest tier is the host-code JIT ([`ExecMode::Jit`]): block
 //! bodies past a deterministic hotness threshold are template-compiled
@@ -64,8 +64,8 @@ pub use jit::jit_available;
 pub use mem::{Access, AccessHints, DirtySpan, MasterImage, MemFault, Memory, Region, RegionHint};
 pub use pool::{boot_pooled, MemoryPool, PoolStats};
 pub use runner::{
-    boot, boot_with_stack, run_binary, run_binary_mode, run_binary_on, run_binary_traced,
-    run_binary_with, run_cpu, sys, BareRun, BareYield, RunError, RunResult,
+    boot, boot_with_stack, run_binary, run_binary_mode, run_binary_on, run_binary_traced, run_cpu,
+    sys, BareRun, BareYield, RunError, RunResult,
 };
 // Re-exported so emulator users can construct tracers without a separate
 // chimera-trace dependency line.

@@ -8,7 +8,7 @@
 //! from the master on release. This is the memfd/pooling-allocator idea
 //! from wasmtime applied to the region-granular memory model: spawn cost
 //! is proportional to *dirt*, never to image size, which is what makes
-//! churn-heavy many-guest scenarios (the `process_churn` gate) viable.
+//! churn-heavy many-guest scenarios (`pipeline_e2e`'s `hetero_churn`) viable.
 
 use crate::cpu::Cpu;
 use crate::mem::{MasterImage, Memory};

@@ -107,57 +107,35 @@ pub fn run_binary(binary: &Binary, fuel: u64) -> Result<RunResult, RunError> {
 /// lack extensions the binary uses — then the run errs with an illegal
 /// instruction trap, as FAM would).
 pub fn run_binary_on(binary: &Binary, profile: ExtSet, fuel: u64) -> Result<RunResult, RunError> {
-    run_binary_with(binary, profile, fuel, true)
-}
-
-/// Like [`run_binary_on`], with explicit control over the basic-block
-/// decode cache. `decode_cache: true` runs the default front end (the
-/// micro-op engine); `false` runs the reference per-instruction
-/// interpreter. Results (including cycle accounting) are identical either
-/// way — the differential suite asserts it. For the full three-way mode
-/// choice use [`run_binary_mode`].
-pub fn run_binary_with(
-    binary: &Binary,
-    profile: ExtSet,
-    fuel: u64,
-    decode_cache: bool,
-) -> Result<RunResult, RunError> {
-    let mode = if decode_cache {
-        ExecMode::Engine
-    } else {
-        ExecMode::Reference
-    };
-    run_binary_mode(binary, profile, fuel, mode)
+    run_binary_mode(binary, profile, fuel, ExecMode::Engine)
 }
 
 /// Like [`run_binary_on`], with an explicit execution front end (see
 /// [`ExecMode`]). All modes are bit-identical in results; they differ only
-/// in wall-clock speed (`exec_engine` in `chimera-bench` gates the ratio).
+/// in wall-clock speed.
 pub fn run_binary_mode(
     binary: &Binary,
     profile: ExtSet,
     fuel: u64,
     mode: ExecMode,
 ) -> Result<RunResult, RunError> {
-    let (mut cpu, mut mem) = boot(binary, profile);
-    cpu.set_mode(mode);
-    run_cpu(&mut cpu, &mut mem, fuel)
+    run_binary_traced(binary, profile, fuel, mode, &Tracer::disabled())
 }
 
-/// Like [`run_binary_with`], with a [`Tracer`] handle attached to the CPU.
+/// Like [`run_binary_mode`], with a [`Tracer`] handle attached to the CPU.
 ///
 /// Tracing is transparent: results (exit code, stdout, stats, registers)
-/// are bit-identical to the untraced run — `trace_overhead` and the
-/// differential suite assert it.
+/// are bit-identical to the untraced run — the differential suite
+/// asserts it.
 pub fn run_binary_traced(
     binary: &Binary,
     profile: ExtSet,
     fuel: u64,
-    decode_cache: bool,
+    mode: ExecMode,
     tracer: &Tracer,
 ) -> Result<RunResult, RunError> {
     let (mut cpu, mut mem) = boot(binary, profile);
-    cpu.cache.enabled = decode_cache;
+    cpu.set_mode(mode);
     cpu.tracer = tracer.clone();
     run_cpu(&mut cpu, &mut mem, fuel)
 }

@@ -12,8 +12,8 @@
 //! holding the same multiset of events pop identically regardless of
 //! insertion order or of how many host workers produced them. That single
 //! property is what makes N-hart runs bit-identical across host worker
-//! counts (`sched_properties.rs` asserts it directly; the `many_hart`
-//! gate asserts the end-to-end consequence).
+//! counts (`sched_properties.rs` asserts it directly; `tests/many_hart.rs`
+//! asserts the end-to-end consequence).
 
 use std::collections::BTreeMap;
 

@@ -32,7 +32,7 @@ pub use runtime::{
 };
 pub use sched::{
     simulate_work_stealing, simulate_work_stealing_traced, FiberPool, Pool, SimMachine, SimResult,
-    TaskCost, ThreadedPool,
+    TaskCost,
 };
 // Re-exported so kernel users can construct tracers without a separate
 // chimera-trace dependency line.

@@ -20,8 +20,8 @@
 //! Which host worker ran a hart, and in what real-time order, therefore
 //! cannot influence anything: the run — final architectural state, stats,
 //! stdout, fault counters, trace streams — is **bit-identical across
-//! every worker count, including 1**. The `many_hart` bench gate asserts
-//! this for 64- and 256-hart heterogeneous scenarios at 1/2/4/8 workers.
+//! every worker count, including 1**. `tests/many_hart.rs` asserts this
+//! for 16- and 64-hart heterogeneous scenarios at 1/2/4/8 workers.
 //!
 //! Blocking (`sys::WFI`) uses a pending-wake latch: an event delivered to
 //! a *running* hart latches, and the hart's next WFI consumes the latch

@@ -2,12 +2,12 @@
 //!
 //! A [`ProcessPool`] keeps one [`MemoryPool`] per registered [`Variant`],
 //! keyed by the variant binary's content key. [`ProcessPool::spawn`] is the
-//! fast path the `process_churn` gate measures: acquire a copy-on-write
+//! fast path `pipeline_e2e`'s `hetero_churn` measures: acquire a copy-on-write
 //! slot (or a recycled one whose dirt was already restored), point a fresh
 //! CPU at the master's entry, done — O(µs), independent of image size.
 //! [`ProcessPool::recycle`] returns a slot after its guest exits, restoring
 //! only the spans the run dirtied and emitting
-//! [`TraceEvent::SlotRecycled`] so the trace-overhead gate can reconcile
+//! [`TraceEvent::SlotRecycled`] so `tests/trace_coverage.rs` can reconcile
 //! recycles exactly against the `pool.slots_recycled` counter.
 //!
 //! The master image mirrors what [`crate::Process::load`] maps for the

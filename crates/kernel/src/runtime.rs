@@ -21,7 +21,7 @@
 //!   to the scheduler as a migration request.
 
 use chimera_emu::{Access, Cpu, Memory, Stop, Trap};
-use chimera_isa::{decode, ExtSet, Inst, XReg};
+use chimera_isa::{decode, Decoded, Inst, XReg};
 use chimera_rewrite::emitter::BlockEmitter;
 use chimera_rewrite::translate::Translator;
 use chimera_rewrite::{ebreak_patch, emit_site_translation, FaultTable, Mode, RegenInfo};
@@ -257,15 +257,16 @@ impl KernelRunner {
                 // address (P1 + 4) in gp before jumping into the data
                 // segment.
                 cpu.stats.cycles += cpu.cost.trap;
-                let Some(fht) = self.tables.fht.clone() else {
+                let Some(fht) = &self.tables.fht else {
                     return TrapDisposition::Fatal(format!("fetch fault: {fault}"));
                 };
                 let fault_addr = cpu.hart.gp().wrapping_sub(4);
+                let abi_gp = fht.abi_gp;
                 if let Some(&redirect) = fht.redirects.get(&fault_addr) {
                     self.counters.smile_faults += 1;
                     self.trace_smile_recovery(cpu, fault_addr, redirect);
                     // Restore gp and redirect (§4.3).
-                    cpu.hart.set_x(XReg::GP, fht.abi_gp);
+                    cpu.hart.set_x(XReg::GP, abi_gp);
                     cpu.hart.pc = redirect;
                     TrapDisposition::Resume
                 } else {
@@ -279,13 +280,13 @@ impl KernelRunner {
             }
             Trap::Illegal { pc, raw } => {
                 cpu.stats.cycles += cpu.cost.trap;
-                let fht = self.tables.fht.clone();
-                // 1. P2/P3/padding or relocation slot: redirect via table.
-                if let Some(fht) = &fht {
+                if let Some(fht) = &self.tables.fht {
+                    // 1. P2/P3/padding or relocation slot: redirect via table.
                     if let Some(&redirect) = fht.redirects.get(&pc) {
+                        let abi_gp = fht.abi_gp;
                         self.counters.smile_faults += 1;
                         self.trace_smile_recovery(cpu, pc, redirect);
-                        cpu.hart.set_x(XReg::GP, fht.abi_gp);
+                        cpu.hart.set_x(XReg::GP, abi_gp);
                         cpu.hart.pc = redirect;
                         return TrapDisposition::Resume;
                     }
@@ -299,20 +300,14 @@ impl KernelRunner {
                 //    translator context, else migration (FAM).
                 match decode(raw) {
                     Ok(d) if !d.inst.runnable_on(cpu.profile) => {
-                        if let Some(fht) = &fht {
-                            if let Some(block) =
-                                self.lazy_rewrite(pc, d.inst, d.len, fht, cpu.profile, mem)
-                            {
-                                self.counters.lazy_rewrites += 1;
-                                self.tracer.record(
-                                    cpu.stats.cycles,
-                                    TraceEvent::LazyRewrite { pc, block },
-                                );
-                                self.tracer.count("kernel.lazy_rewrites", 1);
-                                // Resume at the same pc: it now traps into
-                                // the freshly built block.
-                                return TrapDisposition::Resume;
-                            }
+                        if let Some(block) = self.lazy_rewrite(pc, d, mem) {
+                            self.counters.lazy_rewrites += 1;
+                            self.tracer
+                                .record(cpu.stats.cycles, TraceEvent::LazyRewrite { pc, block });
+                            self.tracer.count("kernel.lazy_rewrites", 1);
+                            // Resume at the same pc: it now traps into
+                            // the freshly built block.
+                            return TrapDisposition::Resume;
                         }
                         TrapDisposition::Migrate { pc }
                     }
@@ -373,30 +368,22 @@ impl KernelRunner {
     /// append the block after the target section, patch the site with a
     /// trap entry, and let execution re-trap into it. Returns the address
     /// of the freshly emitted block.
-    fn lazy_rewrite(
-        &mut self,
-        pc: u64,
-        inst: Inst,
-        len: u8,
-        fht: &FaultTable,
-        _profile: ExtSet,
-        mem: &mut Memory,
-    ) -> Option<u64> {
+    fn lazy_rewrite(&mut self, pc: u64, site: Decoded, mem: &mut Memory) -> Option<u64> {
+        // No table, no translator context: the caller migrates instead.
+        let fht = self.tables.fht.as_ref()?;
+        let (spill_base, abi_gp) = (fht.spill_base, fht.abi_gp);
         // Grow region: right after the target section (the loader maps the
         // section with slack; see `Process::load`).
-        let cursor = self
-            .lazy_cursor
-            .get_or_insert(fht.target_range.1)
-            .to_owned();
+        let cursor = *self.lazy_cursor.get_or_insert(fht.target_range.1);
         // The same translate/emit primitive the static pipeline uses for
         // its site units (gp restore + downgrade), so lazily built blocks
         // can never diverge from statically built ones.
-        let mut translator = Translator::new(fht.spill_base, fht.abi_gp);
+        let mut translator = Translator::new(spill_base, abi_gp);
         let mut em = BlockEmitter::new(cursor);
-        if emit_site_translation(&inst, Mode::Downgrade, &mut translator, &mut em).is_err() {
+        if emit_site_translation(&site.inst, Mode::Downgrade, &mut translator, &mut em).is_err() {
             return None;
         }
-        let resume = pc + len as u64;
+        let resume = pc + site.len as u64;
         // Exit: a register trampoline cannot be chosen lazily without
         // liveness; use a trap exit (rare path, already lazy).
         let exit_at = em.addr();
@@ -407,7 +394,7 @@ impl KernelRunner {
         }
         self.lazy_cursor = Some(cursor + bytes.len() as u64);
         // Patch the site with the pipeline's in-place trap entry.
-        if mem.poke_code(pc, &ebreak_patch(len)).is_err() {
+        if mem.poke_code(pc, &ebreak_patch(site.len)).is_err() {
             return None;
         }
         self.lazy_entries.insert(pc, cursor);

@@ -1,7 +1,5 @@
 //! Task scheduling across ISAX cores (§6.1's methodology).
 //!
-//! Two schedulers are provided:
-//!
 //! * [`simulate_work_stealing`] — a deterministic discrete-event simulator
 //!   of the paper's policy: a base-core pool and an extension-core pool,
 //!   each task initially queued on its preferred pool, idle workers
@@ -10,14 +8,14 @@
 //!   distinct task/core/system combination by the bench harness), so the
 //!   simulation reproduces queueing dynamics without re-emulating thousands
 //!   of identical tasks.
-//! * [`ThreadedPool`] — a real work-stealing executor on OS threads
-//!   (two mutex-protected deques, one per core class), used by the examples
-//!   and integration tests to run emulated tasks genuinely concurrently.
+//! * [`FiberPool`] — the logical host workers the many-hart kernel
+//!   (`crate::ManyHartKernel`) steps its hart fibers on, one
+//!   barrier-synchronous round at a time.
 
 use chimera_trace::{TraceEvent, Tracer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Which pool a core (or task) belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,137 +245,6 @@ pub fn simulate_work_stealing_traced(
     result
 }
 
-/// A real work-stealing thread pool over two core classes, executing
-/// closures (each closure typically runs one emulated task to completion).
-pub struct ThreadedPool {
-    queue_base: Arc<Mutex<VecDeque<Job>>>,
-    queue_ext: Arc<Mutex<VecDeque<Job>>>,
-    results: Arc<Mutex<Vec<(usize, u64)>>>,
-    remaining: Arc<AtomicUsize>,
-    base_workers: usize,
-    ext_workers: usize,
-    tracer: Tracer,
-}
-
-type Job = Box<dyn FnOnce(Pool) -> u64 + Send>;
-
-impl ThreadedPool {
-    /// Creates a pool with the given worker counts.
-    pub fn new(base_workers: usize, ext_workers: usize) -> Self {
-        ThreadedPool::with_tracer(base_workers, ext_workers, Tracer::disabled())
-    }
-
-    /// Creates a pool that emits [`TraceEvent::TaskScheduled`] (task id =
-    /// completion index, timestamp = the job's simulated cycles) and a
-    /// successful [`TraceEvent::StealAttempt`] per cross-pool steal.
-    /// Idle-spin probe misses are *not* recorded (they would flood the
-    /// trace while workers wait), only steals that dequeued work.
-    pub fn with_tracer(base_workers: usize, ext_workers: usize, tracer: Tracer) -> Self {
-        ThreadedPool {
-            queue_base: Arc::new(Mutex::new(VecDeque::new())),
-            queue_ext: Arc::new(Mutex::new(VecDeque::new())),
-            results: Arc::new(Mutex::new(Vec::new())),
-            remaining: Arc::new(AtomicUsize::new(0)),
-            base_workers,
-            ext_workers,
-            tracer,
-        }
-    }
-
-    /// Queues a job on its preferred pool. The job receives the pool of the
-    /// worker that actually ran it (so it can pick the right binary
-    /// variant) and returns its simulated cycle count.
-    pub fn spawn(&self, prefers: Pool, job: impl FnOnce(Pool) -> u64 + Send + 'static) {
-        self.remaining.fetch_add(1, Ordering::SeqCst);
-        let q = match prefers {
-            Pool::Base => &self.queue_base,
-            Pool::Ext => &self.queue_ext,
-        };
-        q.lock().expect("queue poisoned").push_back(Box::new(job));
-    }
-
-    /// Runs all queued jobs to completion; returns per-job
-    /// `(job_index, cycles)` in completion order.
-    pub fn run(self) -> Vec<(usize, u64)> {
-        let mut handles = Vec::new();
-        let seq = Arc::new(AtomicUsize::new(0));
-        for wid in 0..self.base_workers + self.ext_workers {
-            let pool = if wid < self.base_workers {
-                Pool::Base
-            } else {
-                Pool::Ext
-            };
-            let own = match pool {
-                Pool::Base => Arc::clone(&self.queue_base),
-                Pool::Ext => Arc::clone(&self.queue_ext),
-            };
-            let other = match pool {
-                Pool::Base => Arc::clone(&self.queue_ext),
-                Pool::Ext => Arc::clone(&self.queue_base),
-            };
-            let results = Arc::clone(&self.results);
-            let remaining = Arc::clone(&self.remaining);
-            let seq = Arc::clone(&seq);
-            let tracer = self.tracer.clone();
-            handles.push(std::thread::spawn(move || loop {
-                if remaining.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                // Own pool first, then steal from the other. The own-queue
-                // guard must drop before the other queue is locked: base and
-                // ext workers lock in opposite orders, so holding both
-                // ABBA-deadlocks two workers idling concurrently.
-                let job = own.lock().expect("queue poisoned").pop_front();
-                let mut stolen = false;
-                let job = job.or_else(|| {
-                    let j = other.lock().expect("queue poisoned").pop_front();
-                    stolen = j.is_some();
-                    j
-                });
-                match job {
-                    Some(j) => {
-                        if stolen {
-                            tracer.record(
-                                0,
-                                TraceEvent::StealAttempt {
-                                    worker: wid as u64,
-                                    from_ext: pool == Pool::Base,
-                                    success: true,
-                                },
-                            );
-                            tracer.count("pool.steals", 1);
-                        }
-                        let cycles = j(pool);
-                        let idx = seq.fetch_add(1, Ordering::SeqCst);
-                        tracer.record(
-                            cycles,
-                            TraceEvent::TaskScheduled {
-                                task: idx as u64,
-                                on_ext: pool == Pool::Ext,
-                                stolen,
-                            },
-                        );
-                        tracer.count("pool.tasks_run", 1);
-                        results
-                            .lock()
-                            .expect("results poisoned")
-                            .push((idx, cycles));
-                        remaining.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-        Arc::try_unwrap(self.results)
-            .expect("all workers joined")
-            .into_inner()
-            .expect("results poisoned")
-    }
-}
-
 /// A pool of `workers` *logical* host workers multiplexing hart fibers:
 /// each barrier-synchronous round, the runnable slot indices are claimed
 /// off a shared cursor and stepped concurrently, one slot per claim.
@@ -511,31 +378,5 @@ mod tests {
         assert!(r.accelerated_ext_tasks < 16, "some offloaded to base");
         assert!(r.accelerated_ext_tasks > 0);
         assert_eq!(r.accelerated_ext_tasks + r.ran_on_base, 16);
-    }
-
-    #[test]
-    fn threaded_pool_runs_everything() {
-        let pool = ThreadedPool::new(2, 2);
-        for i in 0..32u64 {
-            pool.spawn(if i % 2 == 0 { Pool::Base } else { Pool::Ext }, move |_p| i);
-        }
-        let results = pool.run();
-        assert_eq!(results.len(), 32);
-    }
-
-    /// Deadlock regression: idle base workers probe base→ext while idle ext
-    /// workers probe ext→base, so holding the own-queue lock across the
-    /// steal ABBA-deadlocks once both queues run dry with jobs in flight.
-    /// Tiny jobs and many iterations keep workers idle-spinning almost the
-    /// whole time, which hung reliably before the guard was dropped first.
-    #[test]
-    fn threaded_pool_idle_stealing_does_not_deadlock() {
-        for _ in 0..200 {
-            let pool = ThreadedPool::new(2, 2);
-            for i in 0..4u64 {
-                pool.spawn(if i % 2 == 0 { Pool::Base } else { Pool::Ext }, move |_p| i);
-            }
-            assert_eq!(pool.run().len(), 4);
-        }
     }
 }

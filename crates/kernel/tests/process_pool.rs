@@ -9,7 +9,7 @@
 
 use chimera_isa::ExtSet;
 use chimera_kernel::{
-    ManyHartConfig, ManyHartKernel, ManyHartResult, ProcessPool, RuntimeTables, Variant,
+    ManyHartConfig, ManyHartKernel, ManyHartResult, Process, ProcessPool, RuntimeTables, Variant,
 };
 use chimera_obj::{assemble, AsmOptions, DEFAULT_STACK_SIZE};
 use chimera_rewrite::{chbp_rewrite, ChbpEngine, RewriteOptions, SharedVariantCache};
@@ -175,6 +175,49 @@ fn pooled_runs_are_bit_identical_across_slot_states_and_workers() {
     }
 }
 
+/// Recycling on ONE pool: later rounds run entirely on recycled slots and
+/// are indistinguishable from the first, nothing is discarded, a recycle
+/// restores only the spans the guest dirtied, and the `pool.*` trace
+/// counters equal the pool's own [`chimera_emu::PoolStats`].
+#[test]
+fn recycle_rounds_on_one_pool_are_bit_identical_and_span_proportional() {
+    const ROUNDS: u64 = 3;
+    let n = N as u64;
+    let tracer = Tracer::enabled();
+    let mut pool = ProcessPool::with_config(DEFAULT_STACK_SIZE, tracer.clone());
+    let key = pool.register(chbp_variant());
+    let (first, _) = run_round(&mut pool, key, 4);
+    for round in 1..ROUNDS {
+        let (r, _) = run_round(&mut pool, key, 4);
+        assert_eq!(
+            r, first,
+            "round {round}: a recycled slot is not a fresh one"
+        );
+    }
+
+    let stats = pool.stats(key).unwrap();
+    assert_eq!(
+        (
+            stats.instantiated,
+            stats.reused,
+            stats.recycled,
+            stats.discarded
+        ),
+        (n, (ROUNDS - 1) * n, ROUNDS * n, 0)
+    );
+    // Each guest dirties a few dozen bytes of stack and data; rebuilding
+    // the image instead would cost 256 KiB+ per slot.
+    let per_slot = stats.restored_bytes / stats.recycled;
+    assert!(per_slot < 4096, "recycle restored {per_slot} B/slot");
+
+    let metrics = tracer.metrics().expect("enabled tracer");
+    let counter = |name: &str| metrics.counter_value(name).unwrap_or(0);
+    assert_eq!(counter("pool.spawns"), stats.instantiated + stats.reused);
+    assert_eq!(counter("pool.slots_recycled"), stats.recycled);
+    assert_eq!(counter("pool.slots_discarded"), stats.discarded);
+    assert_eq!(metrics.histogram("pool.spawn_ns").count(), ROUNDS * n);
+}
+
 #[test]
 fn pooled_and_eager_boots_agree() {
     // The pooled fast path must observe exactly like an eager
@@ -203,6 +246,21 @@ fn pooled_and_eager_boots_agree() {
     }
     let pooled_r = pooled.run();
     assert_eq!(pooled_r, eager_r, "pooling is transparent to results");
+
+    // Footprint: the eager load commits the 256 KiB default stack, not the
+    // single-hart 8 MiB maximum, and a pooled slot that has only fetched
+    // still shares every region with the master.
+    let process = Process::new(vec![variant]);
+    let (_, eager_mem, _) = process.load(ExtSet::RV64GC).unwrap();
+    assert!(
+        eager_mem.mapped_bytes() < DEFAULT_STACK_SIZE + 128 * 1024,
+        "eager load mapped {} B",
+        eager_mem.mapped_bytes()
+    );
+    let (mut cpu, mut mem) = pool.spawn(key, ExtSet::RV64GC).unwrap();
+    let _ = cpu.run(&mut mem, 1);
+    assert_eq!(cpu.stats.instret, 1, "first instruction retired");
+    assert_eq!(mem.resident_bytes(), 0);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 use chimera_isa::prng::Prng;
 use chimera_kernel::{
     simulate_work_stealing_traced, EventQueue, FiberPool, HartEvent, HartEventKind, Pool,
-    SimMachine, SimResult, TaskCost, ThreadedPool, TraceEvent, Tracer,
+    SimMachine, SimResult, TaskCost, TraceEvent, Tracer,
 };
 use chimera_trace::TraceRecord;
 use std::collections::BTreeMap;
@@ -301,44 +301,5 @@ fn event_schedule_is_stable_across_fiber_pool_worker_counts() {
                 "seed {seed}, workers {workers}"
             );
         }
-    }
-}
-
-#[test]
-fn threaded_pool_conserves_tasks_under_tracing() {
-    for seed in 0..8u64 {
-        let mut rng = Prng::new(seed ^ 0x5eed);
-        let n = rng.below(48) as usize + 16;
-        let tracer = Tracer::enabled();
-        let pool = ThreadedPool::with_tracer(2, 2, tracer.clone());
-        for i in 0..n {
-            let prefers = if rng.next_bool() {
-                Pool::Base
-            } else {
-                Pool::Ext
-            };
-            pool.spawn(prefers, move |_p| i as u64);
-        }
-        let results = pool.run();
-        assert_eq!(results.len(), n, "seed {seed}: every job ran");
-
-        // Completion indices are a permutation of 0..n — nothing ran twice,
-        // nothing was lost.
-        let mut seen = vec![false; n];
-        for &(idx, _cycles) in &results {
-            assert!(!seen[idx], "seed {seed}: job index {idx} completed twice");
-            seen[idx] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "seed {seed}: job indices missing");
-
-        let records = tracer.drain();
-        assert_eq!(tracer.dropped(), 0);
-        let ran = records
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::TaskScheduled { .. }))
-            .count();
-        assert_eq!(ran, n, "seed {seed}: one TaskScheduled per completed job");
-        let metrics = tracer.metrics().expect("enabled tracer has metrics");
-        assert_eq!(metrics.counter_value("pool.tasks_run"), Some(n as u64));
     }
 }

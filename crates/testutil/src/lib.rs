@@ -504,8 +504,8 @@ impl Default for ManyHartScenario {
 }
 
 impl ManyHartScenario {
-    /// Builds the scenario binaries (sizes kept small: the gate runs it
-    /// at 64 and 256 harts × four worker counts).
+    /// Builds the scenario binaries (sizes kept small: the tests run it
+    /// at up to 64 harts × four worker counts, `pipeline_e2e` at 256).
     pub fn new() -> ManyHartScenario {
         let matrix_ext = hetero::matrix_task(16, 2, true);
         let matrix_chbp = chbp_rewrite(&matrix_ext, ExtSet::RV64GC, RewriteOptions::default())

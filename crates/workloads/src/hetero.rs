@@ -321,7 +321,7 @@ mod tests {
     fn communicator_needs_the_event_kernel() {
         // Bare runs (no event scheduler) must reject the first
         // hart-control call, not misexecute it. The end-to-end behaviour
-        // lives in chimera-kernel's many-hart tests and the bench gate.
+        // lives in the many-hart tests (`tests/many_hart.rs`).
         let c = communicator_task(3, 1);
         match run_binary(&c, 100_000) {
             Err(chimera_emu::RunError::BadSyscall { number }) => {

@@ -1,6 +1,6 @@
 //! Heterogeneous scheduling across an 8-core ISAX processor (a miniature
 //! of §6.1 / Fig. 11): 200 mixed tasks, four systems, end-to-end latency
-//! and CPU time, with real work-stealing threads executing emulated tasks.
+//! and CPU time, then 32 tasks executed for real on the many-hart kernel.
 //!
 //! ```sh
 //! cargo run --release --example hetero_schedule
@@ -11,7 +11,9 @@ use chimera::{
     TaskBinaries,
 };
 use chimera_isa::ExtSet;
-use chimera_kernel::{simulate_work_stealing, Pool, SimMachine, TaskCost, ThreadedPool};
+use chimera_kernel::{
+    simulate_work_stealing, ManyHartConfig, ManyHartKernel, Pool, SimMachine, TaskCost,
+};
 use chimera_workloads::hetero::standard_tasks;
 
 fn main() {
@@ -90,26 +92,28 @@ fn main() {
         );
     }
 
-    // A genuinely threaded run (crossbeam work stealing) with Chimera: each
-    // job picks the right MMView for the worker that stole it.
-    println!("\n== threaded execution (Chimera, 32 tasks on 4+4 workers) ==");
-    let matrix = std::sync::Arc::new(
-        prepare_process(SystemKind::Chimera, InputVersion::Ext, &task_bins).unwrap(),
-    );
-    let pool = ThreadedPool::new(4, 4);
-    for _ in 0..32 {
-        let p = std::sync::Arc::clone(&matrix);
-        pool.spawn(Pool::Ext, move |worker_pool| {
-            let profile = match worker_pool {
-                Pool::Base => ExtSet::RV64GC,
-                Pool::Ext => ExtSet::RV64GCV,
-            };
-            measure(&p, profile, u64::MAX / 2)
-                .expect("task completes")
-                .cycles
-        });
+    // The same matrix task executed for real on the many-hart kernel: even
+    // harts boot the extension MMView, odd harts the CHBP-rewritten base
+    // MMView. The total is deterministic at any worker count.
+    println!("\n== many-hart execution (Chimera, 32 tasks on 16 ext + 16 base harts) ==");
+    let matrix = prepare_process(SystemKind::Chimera, InputVersion::Ext, &task_bins).unwrap();
+    let mut kernel = ManyHartKernel::new(ManyHartConfig {
+        workers: 8,
+        ..Default::default()
+    });
+    for hart in 0..32 {
+        let profile = if hart % 2 == 0 {
+            ExtSet::RV64GCV
+        } else {
+            ExtSet::RV64GC
+        };
+        let view = matrix.view_for(profile).expect("one view per core class");
+        kernel.add_hart(&view.binary, profile, ExtSet::RV64GCV, view.tables.clone());
     }
-    let results = pool.run();
-    let total: u64 = results.iter().map(|(_, c)| c).sum();
-    println!("32 matrix tasks completed on real threads; total simulated cycles {total}");
+    let r = kernel.run();
+    assert_eq!(r.exited(), 32, "{:?}", r.first_failure());
+    println!(
+        "32 matrix tasks completed; total simulated cycles {} (checksum {:#018x})",
+        r.cycles, r.checksum
+    );
 }

@@ -8,11 +8,14 @@
 //! the cache may change wall-clock time only, never results, traps,
 //! register files, memory, or simulated cycle accounting.
 
+use chimera_emu::ExecMode;
 use chimera_isa::ExtSet;
 use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
 use chimera_obj::Binary;
 use chimera_rewrite::{chbp_rewrite, verify_claim1, RewriteOptions};
-use chimera_testutil::{run_all_modes, run_keeping_mem, run_rewritten, writable_bytes, FUEL};
+use chimera_testutil::{
+    observe_jit, observe_mode, run_all_modes, run_keeping_mem, run_rewritten, writable_bytes, FUEL,
+};
 use chimera_workloads::blas::{self, Precision};
 use chimera_workloads::hetero;
 use chimera_workloads::speclike::{generate, GenOptions, APP_PROFILES, SPEC_PROFILES};
@@ -148,12 +151,11 @@ fn traps_identical_cache_on_off() {
 fn tracing_enabled_vs_disabled_identical_for_every_workload() {
     use chimera_kernel::Tracer;
     for (name, bin) in workloads() {
-        let baseline = chimera_emu::run_binary_with(&bin, ExtSet::RV64GCV, FUEL, true);
-        let disabled =
-            chimera_emu::run_binary_traced(&bin, ExtSet::RV64GCV, FUEL, true, &Tracer::disabled());
+        // `run_binary_on` is the same Engine run with a disabled tracer.
+        let baseline = chimera_emu::run_binary_on(&bin, ExtSet::RV64GCV, FUEL);
         let tracer = Tracer::enabled();
-        let enabled = chimera_emu::run_binary_traced(&bin, ExtSet::RV64GCV, FUEL, true, &tracer);
-        assert_eq!(baseline, disabled, "{name}: disabled tracer not inert");
+        let enabled =
+            chimera_emu::run_binary_traced(&bin, ExtSet::RV64GCV, FUEL, ExecMode::Engine, &tracer);
         assert_eq!(baseline, enabled, "{name}: enabled tracer not transparent");
         assert!(
             !tracer.drain().is_empty(),
@@ -202,7 +204,6 @@ fn tracing_enabled_vs_disabled_identical_for_every_workload() {
 /// builds and invalidations are identical everywhere.
 #[test]
 fn engine_matches_interpreter_and_reference_for_every_workload() {
-    let mut total_jitted = 0u64;
     for (name, bin) in workloads() {
         for profile in [ExtSet::RV64GCV, bin.profile] {
             let m = run_all_modes(&bin, profile, FUEL);
@@ -237,13 +238,36 @@ fn engine_matches_interpreter_and_reference_for_every_workload() {
                     "{name} ({mode}): invals diverged"
                 );
             }
+            // The generated SPEC/app programs are loopy: the engine must
+            // follow chain links and compiled traces must chain into each
+            // other, or the laws above are vacuous. (The tiny BLAS kernels
+            // are straight-line: each block runs once.)
+            let loopy = name.starts_with("spec:") || name.starts_with("app:");
+            if loopy {
+                assert!(e.chained > 0, "{name}: engine never chained: {e:?}");
+            }
             if chimera_emu::jit_available() {
                 assert!(
                     j.jit_execs > 0,
                     "{name}: no block ever ran as compiled code: {j:?}"
                 );
-                total_jitted += j.jitted;
+                if loopy {
+                    assert!(j.jitted > 0, "{name}: traces never chained: {j:?}");
+                }
             }
+            // Determinism: chaining, memory fast paths and compiled traces
+            // may never introduce order-dependent state, so a repeated run
+            // is bit-identical, cache counters included.
+            assert_eq!(
+                observe_mode(&bin, profile, ExecMode::Engine, true, FUEL),
+                m.engine,
+                "{name}: engine run not deterministic on {profile}"
+            );
+            assert_eq!(
+                observe_jit(&bin, profile, FUEL, 1),
+                m.jit,
+                "{name}: jit run not deterministic on {profile}"
+            );
             let r = m.reference.1;
             assert_eq!(
                 (r.hits, r.misses, r.blocks_built, r.chained, r.jitted),
@@ -251,14 +275,6 @@ fn engine_matches_interpreter_and_reference_for_every_workload() {
                 "{name}: the reference interpreter must not touch the cache"
             );
         }
-    }
-    if chimera_emu::jit_available() {
-        // Straight-line workloads legitimately never chain (each block
-        // runs once); the loopy ones must, or the law above is vacuous.
-        assert!(
-            total_jitted > 0,
-            "jit trace chaining never engaged across the whole zoo"
-        );
     }
 }
 
@@ -448,7 +464,6 @@ fn cache_counters_engage() {
 /// resume anywhere, any number of times, without any observable effect.
 #[test]
 fn slicing_and_forced_migration_are_transparent_in_every_mode() {
-    use chimera_emu::ExecMode;
     use chimera_testutil::observe_mode_sliced;
 
     let zoo = [

@@ -1,67 +1,27 @@
-//! Tracing-overhead gate + end-to-end trace coverage check.
-//!
-//!     cargo run --release -p chimera-bench --bin trace_overhead
-//!
-//! Part 1 re-times the `decode_cache` straight-line workload in three
-//! configurations — no tracer plumbing at all, a disabled [`Tracer`]
-//! attached, and a fully enabled tracer — asserts all three produce
-//! bit-identical [`RunResult`]s, and gates the overhead ratios:
-//!
-//! * disabled vs baseline: target <= 2%, hard floor 5% (the disabled
-//!   tracer is a branch over a `None`, so anything above noise is a
-//!   regression in the instrumentation itself);
-//! * enabled vs baseline: target <= 10%, hard floor 20% (events are
-//!   per-block/per-trap, never per instruction, so a straight-line
-//!   workload should barely notice an active sink).
-//!
-//! Part 2 runs one heterogeneous scenario — static rewrite, forced SMILE
-//! fault, lazy rewriting of hidden vector code, a decode-cache
-//! invalidation via self-modification, a JIT-tier promotion, shared
-//! variant-cache checkouts plus pooled spawn/recycle cycles, and the
-//! work-stealing simulator — against one shared tracer, asserts every one
-//! of the fourteen [`TraceEvent`] kinds occurred (TierPromote is excused
-//! on hosts without executable pages), reconciles event counts against
-//! the metrics registry and the kernel's [`FaultCounters`], and dumps
-//! `results/trace-hetero.json`.
+//! End-to-end trace coverage: one heterogeneous scenario — static
+//! rewrite, incremental re-rewrite, a forced SMILE fault, lazy rewriting
+//! of hidden vector code, a decode-cache invalidation, a JIT-tier
+//! promotion, a measured run, the work-stealing simulator, shared
+//! variant-cache checkouts and pooled spawn/recycle cycles — against ONE
+//! shared tracer. Every one of the fourteen [`TraceEvent`] kinds must
+//! occur (TierPromote is excused on hosts without executable pages), and
+//! every event count must equal both its `MetricsRegistry` counter and
+//! the authoritative per-run source ([`FaultCounters`], [`CacheStats`],
+//! `SimResult`).
 
 use chimera::{measure_traced, Measurement};
-use chimera_bench::harness::fmt_ns;
-use chimera_emu::{RunError, RunResult};
+use chimera_emu::{CacheStats, ExecMode, RunError};
 use chimera_isa::ExtSet;
-use chimera_kernel::{KernelRunner, Process, ProcessPool, RunOutcome, RuntimeTables, Variant};
-use chimera_obj::{assemble, AsmOptions, Binary, DEFAULT_STACK_SIZE};
+use chimera_kernel::{
+    FaultCounters, KernelRunner, Pool, Process, ProcessPool, RunOutcome, RuntimeTables, SimMachine,
+    TaskCost, Variant,
+};
+use chimera_obj::{assemble, AsmOptions, DEFAULT_STACK_SIZE};
 use chimera_rewrite::{
     chbp_rewrite_traced, run_cached, run_incremental, ChbpEngine, DirtySpan, RewriteOptions,
-    SharedVariantCache,
+    Rewritten, SharedVariantCache,
 };
-use chimera_trace::{export_json, summarize, TraceEvent, Tracer};
-
-/// The decode_cache straight-line workload: a long unrolled body
-/// re-entered from one backward branch.
-fn straight_line_binary() -> Binary {
-    let mut src = String::from(
-        "
-        _start:
-            li t0, 4000
-            li a0, 0
-            li a1, 7
-        loop:
-    ",
-    );
-    for _ in 0..32 {
-        src.push_str("        add a0, a0, a1\n");
-        src.push_str("        xor a0, a0, t0\n");
-    }
-    src.push_str(
-        "
-            addi t0, t0, -1
-            bnez t0, loop
-            li a7, 93
-            ecall
-        ",
-    );
-    assemble(&src, AsmOptions::default()).unwrap()
-}
+use chimera_trace::{TraceEvent, Tracer};
 
 /// A 4-element vector reduction (exits 14): the rewriting + SMILE target.
 const VEC_PROG: &str = "
@@ -110,137 +70,19 @@ const HIDDEN_PROG: &str = "
         ecall
 ";
 
-fn overhead_gate(bin: &Binary) {
-    let fuel = u64::MAX / 2;
-
-    // Transparency: all three configurations must be bit-identical —
-    // exit code, stdout, cycle accounting and final registers.
-    let baseline: RunResult =
-        chimera_emu::run_binary_with(bin, ExtSet::RV64GCV, fuel, true).unwrap();
-    let disabled =
-        chimera_emu::run_binary_traced(bin, ExtSet::RV64GCV, fuel, true, &Tracer::disabled())
-            .unwrap();
-    let enabled_tracer = Tracer::enabled();
-    let enabled =
-        chimera_emu::run_binary_traced(bin, ExtSet::RV64GCV, fuel, true, &enabled_tracer).unwrap();
-    assert_eq!(baseline, disabled, "disabled tracer must be transparent");
-    assert_eq!(baseline, enabled, "enabled tracer must be transparent");
-    assert!(
-        !enabled_tracer.drain().is_empty(),
-        "the enabled run must actually record events"
-    );
-    println!(
-        "workload: {} dynamic insts, {} simulated cycles (identical in all 3 configs)",
-        baseline.stats.instret, baseline.stats.cycles
-    );
-
-    // The three configurations are timed in interleaved round-robin
-    // batches (not three sequential `bench()` blocks): frequency drift on
-    // a shared runner would otherwise bias whichever config ran in the
-    // slowest window, swamping a 2% target. The per-config *minimum* is
-    // the gate statistic — the workload is deterministic, so the fastest
-    // observed batch is the best noise-free estimate of its true cost.
-    //
-    // All three configs funnel through ONE non-inlined runner so they
-    // execute the same machine code and differ only in the tracer handle:
-    // per-call-site inlining would otherwise duplicate the emulator's hot
-    // loop with different code layout, and the resulting alignment skew
-    // (up to ~10% between identical-work call sites) would swamp the gate.
-    #[inline(never)]
-    fn timed_run(bin: &Binary, fuel: u64, tracer: &Tracer) {
-        chimera_emu::run_binary_traced(
-            std::hint::black_box(bin),
-            ExtSet::RV64GCV,
-            fuel,
-            true,
-            std::hint::black_box(tracer),
-        )
-        .unwrap();
-    }
-    // The enabled tracer is long-lived and its per-thread ring simply
-    // wraps (overwriting a slot costs the same as filling it), matching a
-    // harness that drains between runs without timing the drain.
-    let timing_tracer = Tracer::enabled();
-    let mut configs: [(&str, Tracer, Vec<f64>); 3] = [
-        ("baseline (no tracer)", Tracer::disabled(), Vec::new()),
-        ("tracer disabled", Tracer::disabled(), Vec::new()),
-        ("tracer enabled", timing_tracer, Vec::new()),
-    ];
-
-    // Calibrate a batch size of roughly 25 ms against the baseline.
-    let iters = {
-        let t0 = std::time::Instant::now();
-        timed_run(bin, fuel, &configs[0].1);
-        let one = t0.elapsed().as_nanos().max(1);
-        ((25_000_000 / one) as u64).clamp(1, 1 << 16)
-    };
-    const ROUNDS: usize = 12;
-    for round in 0..ROUNDS {
-        for i in 0..configs.len() {
-            // Rotate the in-round order so no config owns a fixed slot.
-            let c = &mut configs[(round + i) % 3];
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                timed_run(bin, fuel, &c.1);
-            }
-            c.2.push(t0.elapsed().as_nanos() as f64 / iters as f64);
-        }
-    }
-    let mut mins = [0f64; 3];
-    for (i, (name, _, samples)) in configs.iter().enumerate() {
-        mins[i] = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        println!(
-            "trace_overhead/{name:<24} min {} over {ROUNDS} interleaved batches \
-             ({iters} iters/batch)",
-            fmt_ns(mins[i])
-        );
-    }
-    let [base_ns, dis_ns, en_ns] = mins;
-
-    let dis_ratio = dis_ns / base_ns;
-    let en_ratio = en_ns / base_ns;
-    println!(
-        "disabled overhead: {:.1}% (min {} vs {})",
-        (dis_ratio - 1.0) * 100.0,
-        fmt_ns(dis_ns),
-        fmt_ns(base_ns)
-    );
-    println!(
-        "enabled overhead:  {:.1}% (min {} vs {})",
-        (en_ratio - 1.0) * 100.0,
-        fmt_ns(en_ns),
-        fmt_ns(base_ns)
-    );
-    assert!(
-        dis_ratio <= 1.05,
-        "disabled-tracer overhead exceeded the 5% hard floor \
-         (target <= 2%, got {:.1}%)",
-        (dis_ratio - 1.0) * 100.0
-    );
-    assert!(
-        en_ratio <= 1.20,
-        "enabled-tracer overhead exceeded the 20% hard floor \
-         (target <= 10%, got {:.1}%)",
-        (en_ratio - 1.0) * 100.0
-    );
-    if dis_ratio > 1.02 {
-        println!(
-            "WARN: disabled overhead {:.1}% is over the 2% target (within the \
-             5% noise floor); rerun on quiet hardware if this persists",
-            (dis_ratio - 1.0) * 100.0
-        );
-    }
-    if en_ratio > 1.10 {
-        println!(
-            "WARN: enabled overhead {:.1}% is over the 10% target (within the \
-             20% noise floor); rerun on quiet hardware if this persists",
-            (en_ratio - 1.0) * 100.0
-        );
-    }
-    if dis_ratio <= 1.02 && en_ratio <= 1.10 {
-        println!("PASS: overhead within target in both traced configs");
-    }
-}
+/// A 200-iteration counting loop (exits 200): hot enough to cache, chain
+/// and promote its blocks.
+const LOOP_PROG: &str = "
+    _start:
+        li t0, 200
+        li a0, 0
+    loop:
+        addi a0, a0, 1
+        addi t0, t0, -1
+        bnez t0, loop
+        li a7, 93
+        ecall
+";
 
 /// Totals accumulated from the authoritative per-run sources (kernel
 /// fault counters, per-CPU cache stats), reconciled against the trace.
@@ -253,7 +95,38 @@ struct Expected {
     lazy_rewrites: u64,
 }
 
-fn hetero_scenario() {
+impl Expected {
+    fn add_cache(&mut self, s: &CacheStats) {
+        self.blocks_built += s.blocks_built;
+        self.invalidations += s.invalidations;
+        self.chained += s.chained;
+    }
+
+    fn add_faults(&mut self, c: &FaultCounters) {
+        self.smile_faults += c.smile_faults;
+        self.lazy_rewrites += c.lazy_rewrites;
+    }
+}
+
+fn chbp_engine() -> ChbpEngine {
+    ChbpEngine {
+        target: ExtSet::RV64GC,
+        opts: RewriteOptions::default(),
+    }
+}
+
+fn single_variant_process(rw: Rewritten) -> Process {
+    Process::new(vec![Variant {
+        binary: rw.binary,
+        tables: RuntimeTables {
+            fht: Some(rw.fht),
+            regen: None,
+        },
+    }])
+}
+
+#[test]
+fn one_run_emits_every_event_kind_and_reconciles_exactly() {
     let tracer = Tracer::enabled();
     let mut expected = Expected::default();
 
@@ -262,24 +135,14 @@ fn hetero_scenario() {
     let vec_bin = assemble(VEC_PROG, AsmOptions::default()).unwrap();
     let rw =
         chbp_rewrite_traced(&vec_bin, ExtSet::RV64GC, RewriteOptions::default(), &tracer).unwrap();
-    let variant = Variant {
-        binary: rw.binary,
-        tables: RuntimeTables {
-            fht: Some(rw.fht),
-            regen: None,
-        },
-    };
-    let process = Process::new(vec![variant]);
+    let process = single_variant_process(rw);
 
     // (a2) Incremental re-rewrite: prime a per-unit cache (6 more
     // RewritePassDone), dirty one site, and re-rewrite incrementally —
     // one RewriteIncremental event plus the units_reused/units_redone
     // counters, which must reconcile with the unit total.
     let incremental_total = {
-        let engine = ChbpEngine {
-            target: ExtSet::RV64GC,
-            opts: RewriteOptions::default(),
-        };
+        let engine = chbp_engine();
         let (primed, mut cache) = run_cached(&engine, &vec_bin, 2, &tracer).unwrap();
         let site = *primed
             .rewritten
@@ -317,116 +180,71 @@ fn hetero_scenario() {
             "smile recovery must complete the run, got {outcome:?}"
         );
         assert!(k.counters.smile_faults >= 1);
-        expected.smile_faults += k.counters.smile_faults;
-        expected.lazy_rewrites += k.counters.lazy_rewrites;
-        expected.blocks_built += cpu.cache.stats.blocks_built;
-        expected.invalidations += cpu.cache.stats.invalidations;
-        expected.chained += cpu.cache.stats.chained;
+        expected.add_faults(&k.counters);
+        expected.add_cache(&cpu.cache.stats);
     }
 
     // (c) Hidden vector code behind a doubled pointer: the kernel must
     // rewrite lazily at fault time.
     {
-        let hidden_src = HIDDEN_PROG;
         let ref_bin = assemble(
-            &hidden_src.replace("coded_ptr: .dword 0", "coded_ptr: .dword hidden"),
+            &HIDDEN_PROG.replace("coded_ptr: .dword 0", "coded_ptr: .dword hidden"),
             AsmOptions::default(),
         )
         .unwrap();
-        let dref = chimera_analysis::disassemble(&ref_bin);
-        let hidden = dref
+        let hidden = chimera_analysis::disassemble(&ref_bin)
             .iter()
             .find(|di| matches!(di.inst, chimera_isa::Inst::VLoad { .. }))
             .unwrap()
             .addr;
-        let mut bin = assemble(hidden_src, AsmOptions::default()).unwrap();
+        let mut bin = assemble(HIDDEN_PROG, AsmOptions::default()).unwrap();
         let data = bin.section(".data").unwrap().addr;
         bin.write(data + 32, &(hidden * 2).to_le_bytes());
 
         let rw =
             chbp_rewrite_traced(&bin, ExtSet::RV64GC, RewriteOptions::default(), &tracer).unwrap();
-        let lazy_process = Process::new(vec![Variant {
-            binary: rw.binary,
-            tables: RuntimeTables {
-                fht: Some(rw.fht),
-                regen: None,
-            },
-        }]);
+        let lazy_process = single_variant_process(rw);
         let (mut cpu, mut mem, view) = lazy_process.load(ExtSet::RV64GC).unwrap();
         cpu.tracer = tracer.clone();
         let mut k = KernelRunner::with_tracer(view.tables.clone(), tracer.clone());
         let outcome = k.run(&mut cpu, &mut mem, 1_000_000);
         assert_eq!(outcome, RunOutcome::Exited(34));
         assert!(k.counters.lazy_rewrites >= 1, "lazy rewriting must trigger");
-        expected.smile_faults += k.counters.smile_faults;
-        expected.lazy_rewrites += k.counters.lazy_rewrites;
-        expected.blocks_built += cpu.cache.stats.blocks_built;
-        expected.invalidations += cpu.cache.stats.invalidations;
-        expected.chained += cpu.cache.stats.chained;
+        expected.add_faults(&k.counters);
+        expected.add_cache(&cpu.cache.stats);
     }
 
-    // (d) Decode-cache invalidation: run a loop long enough to cache its
+    // (d) Decode-cache invalidation: run the loop long enough to cache its
     // blocks, poke the text region from the host (generation bump, same
     // bytes), and resume — the next lookup of a cached loop block is
     // stale and must invalidate.
+    let loop_bin = assemble(LOOP_PROG, AsmOptions::default()).unwrap();
     {
-        let bin = assemble(
-            "
-            _start:
-                li t0, 200
-                li a0, 0
-            loop:
-                addi a0, a0, 1
-                addi t0, t0, -1
-                bnez t0, loop
-                li a7, 93
-                ecall
-            ",
-            AsmOptions::default(),
-        )
-        .unwrap();
-        let (mut cpu, mut mem) = chimera_emu::boot(&bin, ExtSet::RV64GCV);
+        let (mut cpu, mut mem) = chimera_emu::boot(&loop_bin, ExtSet::RV64GCV);
         cpu.tracer = tracer.clone();
         match chimera_emu::run_cpu(&mut cpu, &mut mem, 50) {
             Err(RunError::OutOfFuel) => {}
             other => panic!("expected an out-of-fuel pause, got {other:?}"),
         }
-        let head = mem.peek(bin.entry, 4).unwrap();
-        mem.poke_code(bin.entry, &head).unwrap();
+        let head = mem.peek(loop_bin.entry, 4).unwrap();
+        mem.poke_code(loop_bin.entry, &head).unwrap();
         let r = chimera_emu::run_cpu(&mut cpu, &mut mem, 1_000_000).unwrap();
         assert_eq!(r.exit_code, 200);
         assert!(
             cpu.cache.stats.invalidations >= 1,
             "the generation bump must invalidate a cached loop block"
         );
-        expected.blocks_built += cpu.cache.stats.blocks_built;
-        expected.invalidations += cpu.cache.stats.invalidations;
-        expected.chained += cpu.cache.stats.chained;
+        expected.add_cache(&cpu.cache.stats);
     }
 
-    // (e) JIT-tier promotion: a hot loop over the compile threshold in
+    // (e) JIT-tier promotion: the hot loop over the compile threshold in
     // Jit mode emits TierPromote events. Hosts without executable pages
     // skip this segment (the tier stays inert there), and the kind
     // check below relaxes to match.
     let jit_available = chimera_emu::jit_available();
     if jit_available {
-        let bin = assemble(
-            "
-            _start:
-                li t0, 200
-                li a0, 0
-            loop:
-                addi a0, a0, 1
-                addi t0, t0, -1
-                bnez t0, loop
-                li a7, 93
-                ecall
-            ",
-            AsmOptions::default(),
-        )
-        .unwrap();
-        let (mut cpu, mut mem) = chimera_emu::boot(&bin, ExtSet::RV64GCV);
-        cpu.set_mode(chimera_emu::ExecMode::Jit);
+        let (mut cpu, mut mem) = chimera_emu::boot(&loop_bin, ExtSet::RV64GCV);
+        cpu.set_mode(ExecMode::Jit);
         cpu.set_jit_threshold(1);
         cpu.tracer = tracer.clone();
         let r = chimera_emu::run_cpu(&mut cpu, &mut mem, 1_000_000).unwrap();
@@ -435,34 +253,29 @@ fn hetero_scenario() {
             cpu.cache.stats.jit_execs >= 1,
             "the hot loop must promote into the jit tier"
         );
-        expected.blocks_built += cpu.cache.stats.blocks_built;
-        expected.invalidations += cpu.cache.stats.invalidations;
-        expected.chained += cpu.cache.stats.chained;
+        expected.add_cache(&cpu.cache.stats);
     }
 
     // (f) A measured run through the full stack, published into the same
     // registry: the trace dump carries the authoritative totals.
     let m = measure_traced(&process, ExtSet::RV64GC, 1_000_000, &tracer).unwrap();
     assert_eq!(m.exit_code, 14);
-    expected.smile_faults += m.counters.smile_faults;
-    expected.lazy_rewrites += m.counters.lazy_rewrites;
-    expected.blocks_built += m.cache.blocks_built;
-    expected.invalidations += m.cache.invalidations;
-    expected.chained += m.cache.chained;
+    expected.add_faults(&m.counters);
+    expected.add_cache(&m.cache);
     let metrics = tracer.metrics().expect("enabled tracer has metrics");
     let round_trip = Measurement::from_registry(metrics).expect("measurement published");
     assert_eq!(round_trip, m, "publish/from_registry must round-trip");
 
     // (g) Work-stealing simulation: base tasks plus FAM-only extension
     // tasks force scheduling, stealing and migration events.
-    let machine = chimera_kernel::SimMachine {
+    let machine = SimMachine {
         base_cores: 2,
         ext_cores: 2,
         migrate_cost: 100,
     };
     let mut tasks = vec![
-        chimera_kernel::TaskCost {
-            prefers: chimera_kernel::Pool::Base,
+        TaskCost {
+            prefers: Pool::Base,
             on_ext: 1_000,
             on_base: Some(1_000),
             fam_probe: 0,
@@ -471,8 +284,8 @@ fn hetero_scenario() {
         4
     ];
     tasks.extend(vec![
-        chimera_kernel::TaskCost {
-            prefers: chimera_kernel::Pool::Ext,
+        TaskCost {
+            prefers: Pool::Ext,
             on_ext: 1_000,
             on_base: None,
             fam_probe: 10,
@@ -491,10 +304,7 @@ fn hetero_scenario() {
     // `pool.slots_recycled` count each, plus `pool.spawn_ns`
     // observations).
     {
-        let engine = ChbpEngine {
-            target: ExtSet::RV64GC,
-            opts: RewriteOptions::default(),
-        };
+        let engine = chbp_engine();
         let shared = SharedVariantCache::new();
         let cold = shared.checkout(&engine, &vec_bin, 0, 2, &tracer).unwrap();
         assert!(!cold.shared_hit, "first checkout pays the rewrite");
@@ -518,11 +328,8 @@ fn hetero_scenario() {
             let mut k = KernelRunner::with_tracer(tables, tracer.clone());
             let outcome = k.run(&mut cpu, &mut mem, 1_000_000);
             assert_eq!(outcome, RunOutcome::Exited(14));
-            expected.smile_faults += k.counters.smile_faults;
-            expected.lazy_rewrites += k.counters.lazy_rewrites;
-            expected.blocks_built += cpu.cache.stats.blocks_built;
-            expected.invalidations += cpu.cache.stats.invalidations;
-            expected.chained += cpu.cache.stats.chained;
+            expected.add_faults(&k.counters);
+            expected.add_cache(&cpu.cache.stats);
             pool.recycle(key, hart, mem).expect("slot recycles");
         }
     }
@@ -594,24 +401,4 @@ fn hetero_scenario() {
         "the dirtied site's unit must be redone"
     );
     assert_eq!(tracer.dropped(), 0, "nothing may have been dropped");
-
-    std::fs::create_dir_all("results").unwrap();
-    let json = export_json("hetero", &records, Some(metrics), tracer.dropped());
-    std::fs::write("results/trace-hetero.json", &json).unwrap();
-    println!("wrote results/trace-hetero.json ({} bytes)", json.len());
-    print!("{}", summarize(&records, Some(metrics)));
-    if jit_available {
-        println!("PASS: all 14 event kinds present, counters reconcile exactly");
-    } else {
-        println!(
-            "PASS: 13/14 event kinds present (TierPromote excused: no \
-             executable pages), counters reconcile exactly"
-        );
-    }
-}
-
-fn main() {
-    let bin = straight_line_binary();
-    overhead_gate(&bin);
-    hetero_scenario();
 }
