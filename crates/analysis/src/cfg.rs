@@ -5,9 +5,9 @@
 //! analyses (liveness) can be conservative there — the same conservatism
 //! that limits traditional dead-register search (§4.2, Challenge 2).
 
-use crate::disasm::{DisasmInst, Disassembly};
+use crate::disasm::{DisasmInst, Disassembly, InstTable};
 use chimera_isa::{Inst, XReg};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 
 /// How a basic block ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,15 +32,18 @@ pub enum Terminator {
     Stop,
 }
 
-/// A basic block.
+/// A basic block: a run of consecutive instructions of the disassembly.
 #[derive(Debug, Clone)]
 pub struct BasicBlock {
     /// Address of the first instruction.
     pub start: u64,
-    /// The instructions, in order.
-    pub insts: Vec<DisasmInst>,
-    /// Known successor block addresses.
-    pub succs: Vec<u64>,
+    /// One past the last byte of the block.
+    end: u64,
+    /// The block's instructions, as indices into the disassembly.
+    insts: Range<u32>,
+    /// Known successors (block ids); only the first `n_succs` are valid.
+    succs: [u32; 2],
+    n_succs: u8,
     /// How the block ends.
     pub terminator: Terminator,
 }
@@ -48,10 +51,18 @@ pub struct BasicBlock {
 impl BasicBlock {
     /// One past the last byte of the block.
     pub fn end(&self) -> u64 {
-        self.insts
-            .last()
-            .map(DisasmInst::next_addr)
-            .unwrap_or(self.start)
+        self.end
+    }
+
+    /// The block's instructions, as an index range into the address-ordered
+    /// instruction vector ([`Cfg::insts`] resolves it).
+    pub fn range(&self) -> Range<usize> {
+        self.insts.start as usize..self.insts.end as usize
+    }
+
+    /// Known successors, as block ids (indices into [`Cfg::blocks`]).
+    pub fn succs(&self) -> &[u32] {
+        &self.succs[..self.n_succs as usize]
     }
 
     /// Whether the block's successor set is incomplete (indirect control
@@ -67,142 +78,149 @@ impl BasicBlock {
 /// A control-flow graph.
 #[derive(Debug, Clone, Default)]
 pub struct Cfg {
-    /// Blocks keyed by start address.
-    pub blocks: BTreeMap<u64, BasicBlock>,
-    /// Predecessor edges.
-    pub preds: HashMap<u64, Vec<u64>>,
+    /// Blocks in address order; a block's position is its id.
+    pub blocks: Vec<BasicBlock>,
+    /// The instructions the blocks index into (shared with the
+    /// disassembly).
+    pub(crate) insts: InstTable,
+    /// Owning block id per instruction index.
+    block_of: Vec<u32>,
+    /// Predecessor edges in CSR form: block `b`'s predecessors are
+    /// `pred_ids[pred_starts[b]..pred_starts[b + 1]]`.
+    pred_starts: Vec<u32>,
+    pred_ids: Vec<u32>,
 }
 
 impl Cfg {
+    /// The instructions of `block`, in order.
+    pub fn insts(&self, block: &BasicBlock) -> &[DisasmInst] {
+        &self.insts[block.range()]
+    }
+
+    /// The ids of the blocks with an edge into block `id`.
+    pub fn preds(&self, id: usize) -> &[u32] {
+        &self.pred_ids[self.pred_starts[id] as usize..self.pred_starts[id + 1] as usize]
+    }
+
+    /// The id of the block whose first instruction is at `addr`, if any.
+    pub fn block_at(&self, addr: u64) -> Option<usize> {
+        let id = self.block_of[self.insts.index_of(addr)?] as usize;
+        (self.blocks[id].start == addr).then_some(id)
+    }
+
     /// The block containing `addr`, if any.
     pub fn block_containing(&self, addr: u64) -> Option<&BasicBlock> {
-        self.blocks
-            .range(..=addr)
-            .next_back()
-            .map(|(_, b)| b)
-            .filter(|b| addr < b.end())
+        let idx = self.insts.covering_index(addr)?;
+        Some(&self.blocks[self.block_of[idx] as usize])
     }
 
     /// Builds the CFG from a disassembly.
     pub fn build(d: &Disassembly) -> Cfg {
+        let insts = &d.insts[..];
         // Leaders: targets of direct control flow, data-referenced
-        // addresses, instructions after terminators, and the first
-        // instruction.
-        let mut leaders: BTreeSet<u64> = BTreeSet::new();
-        if let Some((first, _)) = d.insts.iter().next() {
-            leaders.insert(*first);
-        }
-        for t in d.targets.iter().chain(d.data_refs.iter()) {
-            if d.insts.contains_key(t) {
-                leaders.insert(*t);
+        // addresses and instructions after terminators (marked as the
+        // scan reaches the terminator); the first instruction and any
+        // instruction after an address discontinuity start a block too.
+        let mut leader = vec![false; insts.len()];
+        for &t in d.targets.iter().chain(&d.data_refs) {
+            if let Some(i) = d.insts.index_of(t) {
+                leader[i] = true;
             }
         }
-        let mut prev_end: Option<u64> = None;
-        for di in d.iter() {
-            if let Some(pe) = prev_end {
-                if pe != di.addr {
-                    // Discontinuity: new region, new leader.
-                    leaders.insert(di.addr);
+
+        let mut blocks: Vec<BasicBlock> = Vec::new();
+        let mut block_of = vec![0u32; insts.len()];
+        let mut first = 0;
+        for (i, di) in insts.iter().enumerate() {
+            if di.inst.is_terminator() {
+                if let Some(next) = d.insts.index_of(di.next_addr()) {
+                    leader[next] = true;
                 }
             }
-            if di.inst.is_terminator() {
-                leaders.insert(di.next_addr());
+            block_of[i] = blocks.len() as u32;
+            let ends = insts
+                .get(i + 1)
+                .is_none_or(|next| next.addr != di.next_addr() || leader[i + 1]);
+            if ends {
+                blocks.push(BasicBlock {
+                    start: insts[first].addr,
+                    end: di.next_addr(),
+                    insts: first as u32..i as u32 + 1,
+                    succs: [0; 2],
+                    n_succs: 0,
+                    terminator: Terminator::Stop,
+                });
+                first = i + 1;
             }
-            prev_end = Some(di.next_addr());
         }
 
-        let mut cfg = Cfg::default();
-        let mut current: Vec<DisasmInst> = Vec::new();
-        let mut start: Option<u64> = None;
-
-        let flush = |cfg: &mut Cfg, start: &mut Option<u64>, insts: &mut Vec<DisasmInst>| {
-            let Some(s) = start.take() else {
-                return;
-            };
-            if insts.is_empty() {
-                return;
-            }
-            let last = *insts.last().expect("non-empty");
-            let (succs, terminator) = successors(&last, d);
-            cfg.blocks.insert(
-                s,
-                BasicBlock {
-                    start: s,
-                    insts: std::mem::take(insts),
-                    succs,
-                    terminator,
-                },
-            );
+        let mut cfg = Cfg {
+            blocks,
+            insts: d.insts.clone(),
+            block_of,
+            pred_starts: Vec::new(),
+            pred_ids: Vec::new(),
         };
-
-        let mut prev_end: Option<u64> = None;
-        for di in d.iter() {
-            let discontinuous = prev_end.is_some_and(|pe| pe != di.addr);
-            if leaders.contains(&di.addr) || discontinuous {
-                flush(&mut cfg, &mut start, &mut current);
+        // Successor edges, kept only where the target starts a block; the
+        // per-target edge counts become the CSR row starts.
+        let mut pred_starts = vec![0u32; cfg.blocks.len() + 1];
+        for b in 0..cfg.blocks.len() {
+            let last = &insts[cfg.blocks[b].range().end - 1];
+            let (targets, terminator) = successors(last, d);
+            let ids = targets.map(|t| cfg.block_at(t?));
+            let block = &mut cfg.blocks[b];
+            block.terminator = terminator;
+            for id in ids.into_iter().flatten() {
+                block.succs[block.n_succs as usize] = id as u32;
+                block.n_succs += 1;
+                pred_starts[id + 1] += 1;
             }
-            if start.is_none() {
-                start = Some(di.addr);
+        }
+        for b in 0..cfg.blocks.len() {
+            pred_starts[b + 1] += pred_starts[b];
+        }
+        let mut fill = pred_starts.clone();
+        let mut pred_ids = vec![0u32; pred_starts[cfg.blocks.len()] as usize];
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            for &s in block.succs() {
+                pred_ids[fill[s as usize] as usize] = b as u32;
+                fill[s as usize] += 1;
             }
-            current.push(*di);
-            if di.inst.is_terminator() && !matches!(di.inst, Inst::Ecall) {
-                flush(&mut cfg, &mut start, &mut current);
-            }
-            prev_end = Some(di.next_addr());
         }
-        flush(&mut cfg, &mut start, &mut current);
-
-        // Prune successor edges to blocks that exist; record preds.
-        let existing: BTreeSet<u64> = cfg.blocks.keys().copied().collect();
-        for b in cfg.blocks.values_mut() {
-            b.succs.retain(|s| existing.contains(s));
-        }
-        let edges: Vec<(u64, u64)> = cfg
-            .blocks
-            .values()
-            .flat_map(|b| b.succs.iter().map(move |s| (b.start, *s)))
-            .collect();
-        for (from, to) in edges {
-            cfg.preds.entry(to).or_default().push(from);
-        }
+        cfg.pred_starts = pred_starts;
+        cfg.pred_ids = pred_ids;
         cfg
     }
 }
 
-fn successors(last: &DisasmInst, d: &Disassembly) -> (Vec<u64>, Terminator) {
+/// The successor *addresses* of a block ending in `last` (before pruning
+/// to block starts), and how it ends.
+fn successors(last: &DisasmInst, d: &Disassembly) -> ([Option<u64>; 2], Terminator) {
+    let next = last.next_addr();
     match last.inst {
         Inst::Jal { rd, .. } => {
             let target = last.inst.direct_target(last.addr).expect("jal target");
             let is_call = rd != XReg::ZERO;
-            let mut succs = vec![target];
-            if is_call {
-                succs.push(last.next_addr());
-            }
-            (succs, Terminator::Jump { is_call })
+            (
+                [Some(target), is_call.then_some(next)],
+                Terminator::Jump { is_call },
+            )
         }
         Inst::Jalr { rd, .. } => {
             let is_call = rd != XReg::ZERO;
-            let succs = if is_call {
-                vec![last.next_addr()]
-            } else {
-                vec![]
-            };
-            (succs, Terminator::Indirect { is_call })
+            (
+                [is_call.then_some(next), None],
+                Terminator::Indirect { is_call },
+            )
         }
         Inst::Branch { .. } => {
             let target = last.inst.direct_target(last.addr).expect("branch target");
-            (vec![target, last.next_addr()], Terminator::Branch)
+            ([Some(target), Some(next)], Terminator::Branch)
         }
-        Inst::Ebreak => (vec![], Terminator::Stop),
-        _ => {
-            // Fallthrough, if the next instruction is recognized.
-            let next = last.next_addr();
-            if d.insts.contains_key(&next) {
-                (vec![next], Terminator::Fallthrough)
-            } else {
-                (vec![], Terminator::Stop)
-            }
-        }
+        Inst::Ebreak => ([None, None], Terminator::Stop),
+        // Fallthrough, if the next instruction is recognized.
+        _ if d.at(next).is_some() => ([Some(next), None], Terminator::Fallthrough),
+        _ => ([None, None], Terminator::Stop),
     }
 }
 
@@ -232,12 +250,11 @@ mod tests {
         ");
         // Blocks: entry(beqz), then-side, left, join.
         assert_eq!(g.blocks.len(), 4);
-        let entry = &g.blocks[&bin.entry];
-        assert_eq!(entry.succs.len(), 2);
+        let entry = &g.blocks[g.block_at(bin.entry).unwrap()];
+        assert_eq!(entry.succs().len(), 2);
         assert_eq!(entry.terminator, Terminator::Branch);
-        // Join has two preds.
-        let join_addr = *g.blocks.keys().last().unwrap();
-        assert_eq!(g.preds[&join_addr].len(), 2);
+        // Join (the last block) has two preds.
+        assert_eq!(g.preds(g.blocks.len() - 1).len(), 2);
     }
 
     #[test]
@@ -250,9 +267,8 @@ mod tests {
                 bnez t0, loop
                 ecall
         ");
-        let loop_start = bin.entry + 4;
-        let loop_block = &g.blocks[&loop_start];
-        assert!(loop_block.succs.contains(&loop_start));
+        let loop_id = g.block_at(bin.entry + 4).unwrap();
+        assert!(g.blocks[loop_id].succs().contains(&(loop_id as u32)));
     }
 
     #[test]
@@ -261,8 +277,8 @@ mod tests {
             _start:
                 jr a0
         ");
-        let b = g.blocks.values().next().unwrap();
-        assert!(b.succs.is_empty());
+        let b = &g.blocks[0];
+        assert!(b.succs().is_empty());
         assert!(b.has_unknown_succs());
     }
 
@@ -280,7 +296,7 @@ mod tests {
             entry.terminator,
             Terminator::Indirect { is_call: true }
         ));
-        assert_eq!(entry.succs, vec![bin.entry + 8]);
+        assert_eq!(entry.succs(), [g.block_at(bin.entry + 8).unwrap() as u32]);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!    addresses (how jump tables and function-pointer tables are found).
 
 use chimera_isa::{decode, Inst, XReg};
-use chimera_obj::Binary;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use chimera_obj::{Binary, SymKind};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One recognized instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,152 +36,125 @@ impl DisasmInst {
     }
 }
 
+/// The recognized instructions in address order, plus the slot table that
+/// finds one by address in O(1). Dereferences to the instruction slice;
+/// an instruction's position in it is its *index*, which [`crate::Cfg`]
+/// blocks and [`crate::Liveness`] facts are expressed in. Cloning shares
+/// the storage (both analyses hold a clone).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct InstTable(Arc<Slots>);
+
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Slots {
+    insts: Vec<DisasmInst>,
+    /// Address of `.text`'s first byte.
+    base: u64,
+    /// One slot per *byte* of `.text` (so odd entry points, which the
+    /// emulator would execute, are representable): index + 1 of the
+    /// instruction starting there, 0 for none.
+    slots: Vec<u32>,
+}
+
+impl std::ops::Deref for InstTable {
+    type Target = [DisasmInst];
+    fn deref(&self) -> &[DisasmInst] {
+        &self.0.insts
+    }
+}
+
+impl InstTable {
+    /// The index of the instruction starting at `addr`, if recognized.
+    pub fn index_of(&self, addr: u64) -> Option<usize> {
+        let off = usize::try_from(addr.checked_sub(self.0.base)?).ok()?;
+        self.0.slots.get(off)?.checked_sub(1).map(|i| i as usize)
+    }
+
+    /// The instruction at `addr`, if recognized.
+    pub fn at(&self, addr: u64) -> Option<&DisasmInst> {
+        self.index_of(addr).map(|i| &self[i])
+    }
+
+    /// The index of the recognized instruction *containing* `addr`: the
+    /// nearest one starting at or before it, if its bytes cover `addr`.
+    pub(crate) fn covering_index(&self, addr: u64) -> Option<usize> {
+        (0..4)
+            .find_map(|back| self.index_of(addr.checked_sub(back)?))
+            .filter(|&i| addr < self[i].next_addr())
+    }
+}
+
 /// The result of disassembling a binary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Disassembly {
-    /// Recognized instructions, keyed by address.
-    pub insts: BTreeMap<u64, DisasmInst>,
+    /// Recognized instructions, in address order.
+    pub insts: InstTable,
     /// Addresses where decoding failed during traversal (candidate
-    /// unrecognized-extension sites; handled lazily at runtime).
-    pub undecodable: BTreeSet<u64>,
+    /// unrecognized-extension sites; handled lazily at runtime). Sorted.
+    pub undecodable: Vec<u64>,
     /// Discovered direct jump/branch targets (potential basic-block
-    /// leaders).
-    pub targets: BTreeSet<u64>,
+    /// leaders). Sorted, so `binary_search` answers membership.
+    pub targets: Vec<u64>,
     /// Code addresses discovered in data sections (indirect-jump landing
-    /// pads the rewriter must preserve).
-    pub data_refs: BTreeSet<u64>,
+    /// pads the rewriter must preserve). Sorted.
+    pub data_refs: Vec<u64>,
 }
 
 impl Disassembly {
     /// The instruction at `addr`, if recognized.
     pub fn at(&self, addr: u64) -> Option<&DisasmInst> {
-        self.insts.get(&addr)
+        self.insts.at(addr)
     }
 
     /// Iterates instructions in address order.
     pub fn iter(&self) -> impl Iterator<Item = &DisasmInst> {
-        self.insts.values()
+        self.insts.iter()
     }
 
     /// The recognized instruction *containing* `addr` (i.e. whose byte
     /// range covers it), if any. Used to detect jumps into the middle of
     /// an instruction.
     pub fn covering(&self, addr: u64) -> Option<&DisasmInst> {
-        self.insts
-            .range(..=addr)
-            .next_back()
-            .map(|(_, i)| i)
-            .filter(|i| addr < i.next_addr())
+        self.insts.covering_index(addr).map(|i| &self.insts[i])
     }
 }
 
-/// The decode outcome at one candidate address (what the traversal needs
-/// to know, whether it came from a live decode or a precomputed table).
-#[derive(Clone, Copy)]
-enum DecodeSlot {
-    /// No code bytes readable at this address.
-    NoWord,
-    /// Bytes present but undecodable.
-    Bad,
-    /// A recognized instruction.
-    Inst(u8, Inst),
-}
+/// Slot marker while traversing: queued as a run start, not yet decoded.
+const QUEUED: u32 = u32::MAX;
 
-/// Reads and decodes the code word at `addr`.
-fn decode_at(binary: &Binary, addr: u64) -> DecodeSlot {
-    let Some(word) = read_code_word(binary, addr) else {
-        return DecodeSlot::NoWord;
-    };
-    match decode(word) {
-        Ok(d) => DecodeSlot::Inst(d.len, d.inst),
-        Err(_) => DecodeSlot::Bad,
-    }
-}
-
-/// Disassembles a binary by recursive descent from its entry points.
+/// Disassembles a binary by recursive descent from its entry points. A
+/// binary without `.text` has no code: the result is empty.
 pub fn disassemble(binary: &Binary) -> Disassembly {
-    disassemble_with(binary, 1)
-}
-
-/// [`disassemble`] with an explicit worker count.
-///
-/// With `workers > 1` the expensive part — decoding — is hoisted into a
-/// speculative pass that decodes *every* halfword offset of `.text` in
-/// parallel (decoding is a pure function of the bytes), and the recursive
-/// traversal then consumes table lookups instead of live decodes. The
-/// traversal itself — and therefore the output — is byte-for-byte the
-/// same as the sequential path for every worker count.
-pub fn disassemble_with(binary: &Binary, workers: usize) -> Disassembly {
-    let text = binary
-        .section(".text")
-        .expect("binary validated to have .text");
-    let text_range = text.addr..text.end();
-
-    if workers <= 1 {
-        return traverse(binary, &text_range, |addr| decode_at(binary, addr));
-    }
-
-    // Speculative parallel decode: one slot per halfword of .text.
-    let halfwords = ((text.end() - text.addr) / 2) as usize;
-    const CHUNK: usize = 8192;
-    let chunks = crate::par::map_indexed(workers, halfwords.div_ceil(CHUNK), |c| {
-        let start = c * CHUNK;
-        let end = (start + CHUNK).min(halfwords);
-        (start..end)
-            .map(|i| decode_at(binary, text.addr + 2 * i as u64))
-            .collect::<Vec<DecodeSlot>>()
-    });
-    let table: Vec<DecodeSlot> = chunks.into_iter().flatten().collect();
-
-    let base = text.addr;
-    traverse(binary, &text_range, move |addr| {
-        let off = addr - base;
-        if off.is_multiple_of(2) {
-            table[(off / 2) as usize]
-        } else {
-            // Misaligned entry points are not table-indexed; decode live
-            // (identical to what the sequential path would do).
-            decode_at(binary, addr)
-        }
-    })
-}
-
-/// The recursive-descent traversal, generic over where decode results
-/// come from. `decode_slot` is only consulted for addresses inside
-/// `text_range`.
-fn traverse(
-    binary: &Binary,
-    text_range: &std::ops::Range<u64>,
-    decode_slot: impl Fn(u64) -> DecodeSlot,
-) -> Disassembly {
+    let Some(text) = binary.section(".text") else {
+        return Disassembly::default();
+    };
+    let (base, code) = (text.addr, &text.data[..]);
+    assert!(code.len() < QUEUED as usize, ".text exceeds the slot range");
+    // During the traversal a slot holds QUEUED or discovery index + 1; the
+    // closing pass rewrites every slot to address-order index + 1.
+    let mut slots = vec![0u32; code.len()];
+    let mut found: Vec<DisasmInst> = Vec::new();
     let mut out = Disassembly::default();
     let mut worklist: VecDeque<u64> = VecDeque::new();
-    let mut queued: BTreeSet<u64> = BTreeSet::new();
 
-    let push = |wl: &mut VecDeque<u64>, queued: &mut BTreeSet<u64>, addr: u64| {
-        if text_range.contains(&addr) && queued.insert(addr) {
-            wl.push_back(addr);
+    let push = |worklist: &mut VecDeque<u64>, slots: &mut [u32], addr: u64| {
+        if text.contains(addr) && slots[(addr - base) as usize] == 0 {
+            slots[(addr - base) as usize] = QUEUED;
+            worklist.push_back(addr);
         }
     };
 
-    push(&mut worklist, &mut queued, binary.entry);
-    for sym in &binary.symbols {
-        if sym.kind == chimera_obj::SymKind::Func {
-            push(&mut worklist, &mut queued, sym.addr);
-        }
+    push(&mut worklist, &mut slots, binary.entry);
+    for sym in binary.symbols.iter().filter(|s| s.kind == SymKind::Func) {
+        push(&mut worklist, &mut slots, sym.addr);
     }
     // Pointer scan over non-executable sections: 8-byte-aligned values that
     // land (2-byte aligned) inside .text are treated as code entry points.
     for sec in binary.sections.iter().filter(|s| !s.perms.x) {
-        for chunk_start in (0..sec.data.len().saturating_sub(7)).step_by(8) {
-            let val = u64::from_le_bytes(
-                sec.data[chunk_start..chunk_start + 8]
-                    .try_into()
-                    .expect("8-byte window"),
-            );
-            if text_range.contains(&val) && val % 2 == 0 {
-                out.data_refs.insert(val);
-                push(&mut worklist, &mut queued, val);
+        for chunk in sec.data.chunks_exact(8) {
+            let val = u64::from_le_bytes(chunk.try_into().expect("8-byte window"));
+            if text.contains(val) && val % 2 == 0 {
+                out.data_refs.push(val);
+                push(&mut worklist, &mut slots, val);
             }
         }
     }
@@ -189,29 +163,35 @@ fn traverse(
         let mut addr = start;
         // Walk a straight-line run until a terminator or an already-seen
         // instruction.
-        loop {
-            if out.insts.contains_key(&addr) || !text_range.contains(&addr) {
+        while text.contains(addr) {
+            let off = (addr - base) as usize;
+            if slots[off] != 0 && slots[off] != QUEUED {
                 break;
             }
-            let (len, inst) = match decode_slot(addr) {
-                DecodeSlot::NoWord => break,
-                DecodeSlot::Bad => {
-                    out.undecodable.insert(addr);
-                    break;
-                }
-                DecodeSlot::Inst(len, inst) => (len, inst),
+            // The (up to) 32 bits of code here, tolerating a 2-byte tail
+            // at the end of the section.
+            let word = match (code.get(off..off + 4), code.get(off..off + 2)) {
+                (Some(w), _) => u32::from_le_bytes(w.try_into().expect("4 bytes")),
+                (None, Some(h)) => u16::from_le_bytes(h.try_into().expect("2 bytes")) as u32,
+                (None, None) => break,
             };
+            let Ok(dec) = decode(word) else {
+                out.undecodable.push(addr);
+                break;
+            };
+            let (len, inst) = (dec.len, dec.inst);
             let di = DisasmInst { addr, len, inst };
-            out.insts.insert(addr, di);
+            found.push(di);
+            slots[off] = found.len() as u32;
 
             match inst {
                 Inst::Jal { rd, .. } => {
                     let target = inst.direct_target(addr).expect("jal has direct target");
-                    out.targets.insert(target);
-                    push(&mut worklist, &mut queued, target);
+                    out.targets.push(target);
+                    push(&mut worklist, &mut slots, target);
                     if rd != XReg::ZERO {
                         // A call: execution returns to the fallthrough.
-                        push(&mut worklist, &mut queued, di.next_addr());
+                        push(&mut worklist, &mut slots, di.next_addr());
                     }
                     break;
                 }
@@ -219,35 +199,47 @@ fn traverse(
                     // Indirect: target unknown. Calls fall through on
                     // return; plain indirect jumps end the path.
                     if rd != XReg::ZERO {
-                        push(&mut worklist, &mut queued, di.next_addr());
+                        push(&mut worklist, &mut slots, di.next_addr());
                     }
                     break;
                 }
                 Inst::Branch { .. } => {
                     let target = inst.direct_target(addr).expect("branch has direct target");
-                    out.targets.insert(target);
-                    push(&mut worklist, &mut queued, target);
-                    addr = di.next_addr();
-                }
-                Inst::Ecall => {
-                    // Syscalls return (except exit; conservatively continue).
+                    out.targets.push(target);
+                    push(&mut worklist, &mut slots, target);
                     addr = di.next_addr();
                 }
                 Inst::Ebreak => break,
+                // Straight-line code, and `ecall`: syscalls return (except
+                // exit; conservatively continue).
                 _ => addr = di.next_addr(),
             }
         }
     }
+
+    // Discovery order -> address order: the slot table *is* the sort.
+    let mut insts = Vec::with_capacity(found.len());
+    for slot in slots.iter_mut() {
+        if *slot != 0 && *slot != QUEUED {
+            insts.push(found[*slot as usize - 1]);
+            *slot = insts.len() as u32;
+        } else {
+            *slot = 0;
+        }
+    }
+    for set in [&mut out.undecodable, &mut out.targets, &mut out.data_refs] {
+        set.sort_unstable();
+        set.dedup();
+    }
+    out.insts = InstTable(Arc::new(Slots { insts, base, slots }));
     out
 }
 
-/// Reads the (up to) 32 bits of code at `addr`, tolerating a 2-byte tail at
-/// the end of the section.
-fn read_code_word(binary: &Binary, addr: u64) -> Option<u32> {
-    if let Some(w) = binary.read_u32(addr) {
-        return Some(w);
-    }
-    binary.read_u16(addr).map(|h| h as u32)
+/// [`disassemble`]; the worker count is ignored (there is one, sequential,
+/// implementation). Kept only because `bench/` calls it.
+#[doc(hidden)]
+pub fn disassemble_with(binary: &Binary, _workers: usize) -> Disassembly {
+    disassemble(binary)
 }
 
 #[cfg(test)]
@@ -323,7 +315,7 @@ mod tests {
         ");
         // indirect_target discovered through the pointer scan.
         assert!(!d.data_refs.is_empty());
-        let t = *d.data_refs.iter().next().unwrap();
+        let t = d.data_refs[0];
         assert!(d.at(t).is_some());
     }
 
@@ -364,8 +356,113 @@ mod tests {
             table:
                 .dword target
         ");
-        for workers in [2, 4, 8] {
+        for workers in [1, 2, 4, 8] {
             assert_eq!(disassemble_with(&bin, workers), d, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn binary_without_text_disassembles_to_nothing() {
+        let (mut bin, _) = dis("_start:\n ecall\n");
+        bin.sections.retain(|s| s.name != ".text");
+        let d = disassemble(&bin);
+        assert_eq!(d, Disassembly::default());
+        let cfg = crate::Cfg::build(&d);
+        assert!(cfg.blocks.is_empty());
+        let l = crate::Liveness::compute(&cfg);
+        assert_eq!(l.live_in(bin.entry), crate::RegSet::ALL);
+    }
+
+    /// The emulator executes an odd `entry` or `Func` symbol inside
+    /// `.text`, so the traversal decodes from it, and odd and even decode
+    /// streams may overlap. The expected sets were recorded from the
+    /// tree-based traversal this one replaced (commit b16f708).
+    #[test]
+    fn odd_entry_points_are_traversed() {
+        let mut bin = assemble(
+            "
+            _start:
+                li a0, 1
+                beqz a0, skip
+                addi a1, a1, 1
+                call helper
+            skip:
+                ecall
+            helper:
+                addi a0, a0, 1
+                ret
+            ",
+            AsmOptions {
+                compress: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // Shift the program onto odd addresses, and seed even entry points
+        // that decode the same bytes differently.
+        let text = bin.section_mut(".text").unwrap();
+        let base = text.addr;
+        text.data.insert(0, 0x01);
+        bin.entry += 1;
+        for off in [0u64, 2, 4, 8, 14] {
+            bin.symbols.push(chimera_obj::Symbol {
+                name: format!("f{off}"),
+                addr: base + off,
+                size: 0,
+                kind: SymKind::Func,
+            });
+        }
+        let d = disassemble(&bin);
+        let got: Vec<(u64, u8)> = d.iter().map(|di| (di.addr - base, di.len)).collect();
+        let recorded = [
+            (0, 2),
+            (1, 2),
+            (2, 2),
+            (3, 4),
+            (7, 2),
+            (8, 2),
+            (9, 4),
+            (13, 4),
+            (14, 2),
+            (16, 2),
+            (17, 4),
+            (21, 2),
+            (23, 2),
+        ];
+        assert_eq!(got, recorded);
+        assert_eq!(d.undecodable, [base + 4, base + 10, base + 18]);
+        assert_eq!(d.targets, [base + 17]);
+        for (i, di) in d.iter().enumerate() {
+            assert_eq!(d.insts.index_of(di.addr), Some(i));
+        }
+
+        // Blocks (start, instructions, successor starts), same provenance.
+        let cfg = crate::Cfg::build(&d);
+        let blocks: Vec<(u64, usize, Vec<u64>)> = (cfg.blocks.iter())
+            .map(|b| {
+                let succs = b.succs().iter().map(|&s| cfg.blocks[s as usize].start);
+                (
+                    b.start - base,
+                    b.range().len(),
+                    succs.map(|a| a - base).collect(),
+                )
+            })
+            .collect();
+        let recorded: [(u64, usize, &[u64]); 10] = [
+            (0, 1, &[2]),
+            (1, 1, &[3]),
+            (2, 1, &[]),
+            (3, 1, &[17, 7]),
+            (7, 1, &[9]),
+            (8, 1, &[]),
+            (9, 2, &[17]),
+            (14, 2, &[]),
+            (17, 1, &[21]),
+            (21, 2, &[]),
+        ];
+        assert_eq!(blocks.len(), recorded.len());
+        for (got, want) in blocks.iter().zip(recorded) {
+            assert_eq!((got.0, got.1, &got.2[..]), want);
         }
     }
 

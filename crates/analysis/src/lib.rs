@@ -5,6 +5,17 @@
 //! control-flow-graph construction ([`Cfg`]), and conservative backward
 //! register [`Liveness`] — the "traditional" dead-register search that
 //! CHBP's exit-position shifting improves on.
+//!
+//! The rewriter runs all three on the whole binary before its first
+//! instruction executes, so they are stored densely and addressed by
+//! *index*: a [`Disassembly`] is one address-sorted instruction vector
+//! plus a per-byte slot table over `.text` ([`InstTable`], O(1) lookup by
+//! address); a [`Cfg`] block is an index range into that vector with
+//! block-id successors and CSR predecessors; [`Liveness`] is one
+//! [`RegSet`] per instruction index, reached through per-block gen/kill
+//! summaries and a predecessor worklist. Each analysis has one,
+//! sequential, implementation; [`par`] serves the rewrite pipeline's
+//! per-unit stages only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,8 +27,9 @@ pub mod par;
 mod partition;
 
 pub use cfg::{BasicBlock, Cfg, Terminator};
-pub use disasm::{disassemble, disassemble_with, DisasmInst, Disassembly};
-pub use liveness::{Liveness, RegSet};
+pub use chimera_isa::RegSet;
+pub use disasm::{disassemble, disassemble_with, DisasmInst, Disassembly, InstTable};
+pub use liveness::Liveness;
 pub use partition::inst_spans;
 
 #[cfg(test)]
@@ -68,10 +80,10 @@ mod seeded_tests {
             let cfg = Cfg::build(&d);
             let mut covered = 0usize;
             let mut prev_end = 0u64;
-            for b in cfg.blocks.values() {
+            for b in &cfg.blocks {
                 assert!(b.start >= prev_end, "seed {seed}: blocks overlap");
                 prev_end = b.end();
-                covered += b.insts.len();
+                covered += b.range().len();
             }
             assert_eq!(covered, d.insts.len(), "seed {seed}");
         }
@@ -91,7 +103,7 @@ mod seeded_tests {
             for di in d.iter() {
                 if let Some(r) = l.dead_register_at(di.addr) {
                     assert!(
-                        !di.inst.uses_x().contains(&r),
+                        !di.inst.uses_x().contains(r),
                         "seed {seed}: reported-dead {r} read at {:#x} by {}",
                         di.addr,
                         di.inst
@@ -109,9 +121,10 @@ mod seeded_tests {
             let bin = assemble(&src, AsmOptions::default()).unwrap();
             let d = disassemble(&bin);
             let cfg = Cfg::build(&d);
-            for b in cfg.blocks.values() {
-                for s in &b.succs {
-                    assert!(cfg.blocks.contains_key(s), "seed {seed}");
+            for (id, b) in cfg.blocks.iter().enumerate() {
+                assert_eq!(cfg.block_at(b.start), Some(id), "seed {seed}");
+                for &s in b.succs() {
+                    assert!(cfg.preds(s as usize).contains(&(id as u32)), "seed {seed}");
                 }
             }
         }

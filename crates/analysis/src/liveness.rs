@@ -8,51 +8,19 @@
 //! positions with plain liveness, and why CHBP adds exit-position shifting
 //! on top (implemented in `chimera-rewrite`).
 
-use crate::cfg::Cfg;
-use chimera_isa::XReg;
-use std::collections::HashMap;
-
-/// A set of integer registers as a bitmask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RegSet(pub u32);
-
-impl RegSet {
-    /// The empty set.
-    pub const EMPTY: RegSet = RegSet(0);
-    /// All 32 registers.
-    pub const ALL: RegSet = RegSet(u32::MAX);
-
-    /// Inserts a register.
-    pub fn insert(&mut self, r: XReg) {
-        self.0 |= 1 << r.index();
-    }
-
-    /// Removes a register.
-    pub fn remove(&mut self, r: XReg) {
-        self.0 &= !(1 << r.index());
-    }
-
-    /// Membership test.
-    pub fn contains(self, r: XReg) -> bool {
-        self.0 & (1 << r.index()) != 0
-    }
-
-    /// Set union.
-    pub fn union(self, other: RegSet) -> RegSet {
-        RegSet(self.0 | other.0)
-    }
-
-    /// Iterates the members.
-    pub fn iter(self) -> impl Iterator<Item = XReg> {
-        XReg::all().filter(move |r| self.contains(*r))
-    }
-}
+use crate::cfg::{BasicBlock, Cfg};
+use crate::disasm::InstTable;
+use chimera_isa::{Inst, RegSet, XReg};
 
 /// Liveness facts: the set of registers live *into* each instruction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Liveness {
-    /// live-in per instruction address.
-    live_in: HashMap<u64, RegSet>,
+    /// The analyzed instructions (shared with the disassembly).
+    insts: InstTable,
+    /// live-in per instruction index.
+    live_in: Vec<RegSet>,
+    /// Block-transfer evaluations the fixpoint took.
+    evals: usize,
 }
 
 /// Registers that must never be treated as dead regardless of dataflow:
@@ -68,124 +36,97 @@ fn pinned() -> RegSet {
     s
 }
 
-/// Computes one block's live-in from its successors' live-ins: the union
-/// of successor entries (everything for unknown successors) pushed
-/// backward through the block's instructions.
-fn block_transfer(b: &crate::cfg::BasicBlock, block_in: &HashMap<u64, RegSet>) -> RegSet {
-    let mut live: RegSet = if b.has_unknown_succs() {
-        RegSet::ALL
-    } else {
-        let mut l = RegSet::EMPTY;
-        for succ in &b.succs {
-            l = l.union(block_in.get(succ).copied().unwrap_or(RegSet::EMPTY));
-        }
-        l
-    };
-    for di in b.insts.iter().rev() {
-        if let Some(d) = di.inst.def_x() {
-            live.remove(d);
-        }
-        for u in di.inst.uses_x() {
-            live.insert(u);
-        }
+/// The registers one instruction reads and the one it writes, as masks.
+fn use_def(inst: &Inst) -> (u32, u32) {
+    (inst.uses_x().0, inst.def_x().map_or(0, |d| 1 << d.index()))
+}
+
+/// The registers live *out of* block `b`: the union of its successors'
+/// live-ins — everything, when its successors are not fully known.
+fn live_out(b: &BasicBlock, block_in: &[RegSet]) -> RegSet {
+    if b.has_unknown_succs() {
+        return RegSet::ALL;
     }
-    live
+    let succ_ins = b.succs().iter().map(|&s| block_in[s as usize]);
+    succ_ins.fold(RegSet::EMPTY, RegSet::union)
 }
 
 impl Liveness {
-    /// Runs the backward dataflow to a fixpoint.
+    /// Runs the backward dataflow to its least fixpoint.
+    ///
+    /// Each block is summarized once as `live_in = gen | (live_out & !kill)`,
+    /// so a transfer evaluation is O(1). A worklist seeded with every
+    /// block — popped in reverse address order, a decent approximation of
+    /// reverse topological order for typical layouts — re-queues a block's
+    /// predecessors whenever its live-in grows.
     pub fn compute(cfg: &Cfg) -> Liveness {
-        Self::compute_with(cfg, 1)
+        let n = cfg.blocks.len();
+        let gen_kill: Vec<(u32, u32)> = (cfg.blocks.iter())
+            .map(|b| {
+                cfg.insts(b).iter().fold((0, 0), |(gen, kill), di| {
+                    let (uses, def) = use_def(&di.inst);
+                    (gen | (uses & !kill), kill | def)
+                })
+            })
+            .collect();
+
+        let mut block_in = vec![RegSet::EMPTY; n];
+        let mut work: Vec<u32> = (0..n as u32).collect();
+        let mut queued = vec![true; n];
+        let mut evals = 0;
+        while let Some(b) = work.pop() {
+            let b = b as usize;
+            queued[b] = false;
+            evals += 1;
+            let (gen, kill) = gen_kill[b];
+            let live = RegSet(gen | (live_out(&cfg.blocks[b], &block_in).0 & !kill));
+            if live != block_in[b] {
+                block_in[b] = live;
+                for &p in cfg.preds(b) {
+                    if !std::mem::replace(&mut queued[p as usize], true) {
+                        work.push(p);
+                    }
+                }
+            }
+        }
+
+        // Expand to per-instruction live-in.
+        let mut live_in = vec![RegSet::ALL; cfg.insts.len()];
+        for b in &cfg.blocks {
+            let mut live = live_out(b, &block_in);
+            for i in b.range().rev() {
+                let (uses, def) = use_def(&cfg.insts[i].inst);
+                live = RegSet(uses | (live.0 & !def));
+                live_in[i] = live;
+            }
+        }
+        Liveness {
+            insts: cfg.insts.clone(),
+            live_in,
+            evals,
+        }
     }
 
-    /// [`Liveness::compute`] with an explicit worker count.
-    ///
-    /// The sequential path iterates blocks Gauss–Seidel style (reverse
-    /// address order, in-place updates); the parallel path runs Jacobi
-    /// rounds — every block's transfer evaluated against the *previous*
-    /// round's facts, in parallel. Both are chaotic iterations of the
-    /// same monotone system on a finite lattice, so they converge to the
-    /// identical least fixpoint; the resulting per-instruction facts are
-    /// bit-identical for every worker count.
-    pub fn compute_with(cfg: &Cfg, workers: usize) -> Liveness {
-        // Block-level live-in.
-        let mut block_in: HashMap<u64, RegSet> = HashMap::new();
-        let starts: Vec<u64> = cfg.blocks.keys().copied().collect();
+    /// [`Liveness::compute`]; the worker count is ignored (there is one,
+    /// sequential, implementation). Kept only because `bench/` calls it.
+    #[doc(hidden)]
+    pub fn compute_with(cfg: &Cfg, _workers: usize) -> Liveness {
+        Self::compute(cfg)
+    }
 
-        if workers <= 1 {
-            let mut changed = true;
-            while changed {
-                changed = false;
-                // Reverse address order is a decent approximation of
-                // reverse topological order for typical layouts.
-                for &s in starts.iter().rev() {
-                    let live = block_transfer(&cfg.blocks[&s], &block_in);
-                    let entry = block_in.entry(s).or_insert(RegSet::EMPTY);
-                    let merged = entry.union(live);
-                    if merged != *entry {
-                        *entry = merged;
-                        changed = true;
-                    }
-                }
-            }
-        } else {
-            let mut changed = true;
-            while changed {
-                changed = false;
-                let round = crate::par::map_indexed(workers, starts.len(), |i| {
-                    // Jacobi: reads only the previous round's facts.
-                    block_transfer(&cfg.blocks[&starts[i]], &block_in)
-                });
-                for (&s, live) in starts.iter().zip(round) {
-                    let entry = block_in.entry(s).or_insert(RegSet::EMPTY);
-                    let merged = entry.union(live);
-                    if merged != *entry {
-                        *entry = merged;
-                        changed = true;
-                    }
-                }
-            }
-        }
-
-        // Expand to per-instruction live-in (independent per block; the
-        // per-block fact vectors land in a keyed map, so merge order is
-        // irrelevant).
-        let blocks: Vec<&crate::cfg::BasicBlock> = cfg.blocks.values().collect();
-        let expanded = crate::par::map_indexed(workers, blocks.len(), |i| {
-            let b = blocks[i];
-            let mut live: RegSet = if b.has_unknown_succs() {
-                RegSet::ALL
-            } else {
-                let mut l = RegSet::EMPTY;
-                for succ in &b.succs {
-                    l = l.union(block_in.get(succ).copied().unwrap_or(RegSet::EMPTY));
-                }
-                l
-            };
-            let mut facts = Vec::with_capacity(b.insts.len());
-            for di in b.insts.iter().rev() {
-                if let Some(d) = di.inst.def_x() {
-                    live.remove(d);
-                }
-                for u in di.inst.uses_x() {
-                    live.insert(u);
-                }
-                facts.push((di.addr, live));
-            }
-            facts
-        });
-        let mut live_in: HashMap<u64, RegSet> = HashMap::new();
-        for facts in expanded {
-            live_in.extend(facts);
-        }
-        Liveness { live_in }
+    /// How many block-transfer evaluations the fixpoint took (a
+    /// deterministic work count: at least one per block).
+    pub fn transfer_evals(&self) -> usize {
+        self.evals
     }
 
     /// The registers live into the instruction at `addr` (i.e. whose values
     /// may be read on some path from `addr`). Unanalyzed addresses report
     /// everything live (safe).
     pub fn live_in(&self, addr: u64) -> RegSet {
-        self.live_in.get(&addr).copied().unwrap_or(RegSet::ALL)
+        self.insts
+            .index_of(addr)
+            .map_or(RegSet::ALL, |i| self.live_in[i])
     }
 
     /// A register that is *dead* immediately before `addr` — safe for a
@@ -305,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_rounds_match_gauss_seidel() {
+    fn shim_matches_compute_and_counts_its_work() {
         let src = "
             _start:
                 li t0, 5
@@ -323,13 +264,15 @@ mod tests {
         let d = disassemble(&bin);
         let cfg = Cfg::build(&d);
         let seq = Liveness::compute(&cfg);
-        for workers in [2, 4, 8] {
+        for workers in [1, 2, 4, 8] {
             assert_eq!(
                 Liveness::compute_with(&cfg, workers),
                 seq,
                 "{workers} workers"
             );
         }
+        let blocks = cfg.blocks.len();
+        assert!((blocks..=4 * blocks).contains(&seq.transfer_evals()));
     }
 
     #[test]

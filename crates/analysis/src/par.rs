@@ -8,27 +8,45 @@
 //! the results are reassembled positionally, the output is bit-identical
 //! for every worker count (including 1, which runs inline with no
 //! threads at all).
+//!
+//! The callers are the rewrite pipeline's per-unit stages (scan's
+//! translatability check and size measurement, transform, incremental
+//! re-emission, regeneration slot sizing). The analyses themselves are
+//! sequential: at ~75 ns per instruction there is nothing for a fan-out
+//! to win.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Fewest items that repay one spawned worker. Spawning and joining a
+/// scoped thread costs 16 us in a bare loop on the 2-vCPU reference host
+/// and ~50 us inside a rewrite (cold stack, contended allocator), while
+/// one item — emitting one rewrite unit — costs 4 us (a small process's
+/// patch site) to 20 us (a batched MB-binary region): a worker needs
+/// about eight items before it saves what it cost. Uncapped, rewriting a
+/// five-unit program (three fan-outs) took 96 us inline, 392 us at two
+/// workers and 868 us at eight.
+const MIN_ITEMS_PER_WORKER: usize = 8;
+
 /// Applies `f` to every index in `0..n` and returns the results in index
-/// order, fanning the work out over `workers` scoped threads.
+/// order, fanning the work out over at most `workers` scoped threads —
+/// fewer when `n` is small: one per [`MIN_ITEMS_PER_WORKER`] items.
 ///
-/// `workers <= 1` (or trivially small `n`) runs sequentially on the
-/// calling thread — the same closure on the same indices — so the
-/// sequential path is the parallel path minus the threads, not a
-/// separate implementation.
+/// When that leaves at most one worker (`workers <= 1`, or `n` below
+/// twice the floor) the map runs sequentially on the calling thread —
+/// the same closure on the same indices — so the sequential path is the
+/// parallel path minus the threads, not a separate implementation.
 pub fn map_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if workers <= 1 || n <= 1 {
+    let workers = workers.min(n / MIN_ITEMS_PER_WORKER);
+    if workers <= 1 {
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(n))
+        let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut out = Vec::new();
@@ -69,6 +87,24 @@ mod tests {
         let expect: Vec<usize> = (0..1000).map(|i| i * 7 + 3).collect();
         for workers in [1, 2, 4, 8] {
             assert_eq!(map_indexed(workers, 1000, |i| i * 7 + 3), expect);
+        }
+    }
+
+    /// Below twice the per-worker floor nothing is spawned; at it, every
+    /// item runs on a spawned worker. Output is the same on both sides.
+    #[test]
+    fn small_inputs_run_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let floor = 2 * MIN_ITEMS_PER_WORKER;
+        for workers in [1, 2, 4, 8] {
+            for n in [0, 1, floor - 1, floor, floor + 1, 10 * floor] {
+                let ran = map_indexed(workers, n, |i| (i * 7 + 3, std::thread::current().id()));
+                let inline = workers == 1 || n < floor;
+                for (i, (v, thread)) in ran.into_iter().enumerate() {
+                    assert_eq!(v, i * 7 + 3, "{workers} workers, n = {n}");
+                    assert_eq!(thread == me, inline, "{workers} workers, n = {n}");
+                }
+            }
         }
     }
 

@@ -569,8 +569,7 @@ fn split_text_mid_instruction(bin: &mut Binary) -> bool {
     let disasm = chimera_analysis::disassemble(bin);
     let text = bin.section(".text").expect(".text exists").clone();
     let cands: Vec<u64> = disasm
-        .insts
-        .values()
+        .iter()
         .filter(|di| di.len == 4 && di.addr > text.addr && di.addr + 4 < text.end())
         .map(|di| di.addr)
         .collect();

@@ -12,7 +12,7 @@
 //!   (bytes for control-flow offsets and memory offsets; the raw 20-bit
 //!   field for `lui`/`auipc`).
 
-use crate::reg::{FReg, VReg, XReg};
+use crate::reg::{FReg, RegSet, VReg, XReg};
 use crate::{Ext, ExtSet};
 use core::fmt;
 
@@ -1068,47 +1068,48 @@ impl Inst {
         matches!(self, Inst::Jalr { .. })
     }
 
-    /// The integer registers the instruction *reads*.
-    pub fn uses_x(&self) -> Vec<XReg> {
-        let mut v = Vec::with_capacity(2);
+    /// The integer registers the instruction *reads* (never `zero`:
+    /// reading it observes no state).
+    pub fn uses_x(&self) -> RegSet {
+        let mut v = RegSet::EMPTY;
         match *self {
             Inst::Lui { .. } | Inst::Auipc { .. } | Inst::Jal { .. } => {}
-            Inst::Jalr { rs1, .. } => v.push(rs1),
+            Inst::Jalr { rs1, .. } => v.insert(rs1),
             Inst::Branch { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
+                v.insert(rs1);
+                v.insert(rs2);
             }
-            Inst::Load { rs1, .. } => v.push(rs1),
+            Inst::Load { rs1, .. } => v.insert(rs1),
             Inst::Store { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
+                v.insert(rs1);
+                v.insert(rs2);
             }
-            Inst::OpImm { rs1, .. } => v.push(rs1),
+            Inst::OpImm { rs1, .. } => v.insert(rs1),
             Inst::Op { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
+                v.insert(rs1);
+                v.insert(rs2);
             }
-            Inst::Unary { rs1, .. } => v.push(rs1),
+            Inst::Unary { rs1, .. } => v.insert(rs1),
             Inst::Fence | Inst::Ecall | Inst::Ebreak => {}
-            Inst::FLoad { rs1, .. } | Inst::FStore { rs1, .. } => v.push(rs1),
+            Inst::FLoad { rs1, .. } | Inst::FStore { rs1, .. } => v.insert(rs1),
             Inst::FOp { .. }
             | Inst::FCmp { .. }
             | Inst::FMvToX { .. }
             | Inst::FCvtToInt { .. }
             | Inst::FCvtFF { .. }
             | Inst::FMa { .. } => {}
-            Inst::FMvToF { rs1, .. } | Inst::FCvtToF { rs1, .. } => v.push(rs1),
-            Inst::Vsetvli { rs1, .. } => v.push(rs1),
-            Inst::VLoad { rs1, .. } | Inst::VStore { rs1, .. } => v.push(rs1),
+            Inst::FMvToF { rs1, .. } | Inst::FCvtToF { rs1, .. } => v.insert(rs1),
+            Inst::Vsetvli { rs1, .. } => v.insert(rs1),
+            Inst::VLoad { rs1, .. } | Inst::VStore { rs1, .. } => v.insert(rs1),
             Inst::VArith { src, .. } => {
                 if let VSrc::X(rs1) = src {
-                    v.push(rs1);
+                    v.insert(rs1);
                 }
             }
             Inst::VMvXS { .. } => {}
-            Inst::VMvSX { rs1, .. } => v.push(rs1),
+            Inst::VMvSX { rs1, .. } => v.insert(rs1),
         }
-        v.retain(|r| *r != XReg::ZERO);
+        v.remove(XReg::ZERO);
         v
     }
 
@@ -1382,7 +1383,7 @@ mod tests {
             rs2: XReg::A2,
         };
         assert_eq!(i.def_x(), Some(XReg::A0));
-        assert_eq!(i.uses_x(), vec![XReg::A1, XReg::A2]);
+        assert_eq!(i.uses_x().iter().collect::<Vec<_>>(), [XReg::A1, XReg::A2]);
 
         // Writes to zero are architectural no-ops.
         let nop = Inst::OpImm {
@@ -1392,7 +1393,7 @@ mod tests {
             imm: 0,
         };
         assert_eq!(nop.def_x(), None);
-        assert!(nop.uses_x().is_empty());
+        assert_eq!(nop.uses_x(), RegSet::EMPTY);
 
         let st = Inst::Store {
             kind: StoreKind::Sd,
@@ -1401,7 +1402,7 @@ mod tests {
             offset: 8,
         };
         assert_eq!(st.def_x(), None);
-        assert_eq!(st.uses_x(), vec![XReg::SP, XReg::A0]);
+        assert_eq!(st.uses_x().iter().collect::<Vec<_>>(), [XReg::SP, XReg::A0]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use decode::{decode, decode_compressed, encoded_len, DecodeError, Decoded};
 pub use encode::{encode, encode_compressed, EncodeError};
 pub use ext::{Ext, ExtSet};
 pub use inst::*;
-pub use reg::{FReg, VReg, XReg};
+pub use reg::{FReg, RegSet, VReg, XReg};
 
 /// The vector register width in bits our machine model uses (matching the
 /// SpacemiT K1 in the paper's testbed).

@@ -150,6 +150,42 @@ impl fmt::Display for XReg {
     }
 }
 
+/// A set of integer registers as a bitmask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RegSet(pub u32);
+
+impl RegSet {
+    /// The empty set.
+    pub const EMPTY: RegSet = RegSet(0);
+    /// All 32 registers.
+    pub const ALL: RegSet = RegSet(u32::MAX);
+
+    /// Inserts a register.
+    pub fn insert(&mut self, r: XReg) {
+        self.0 |= 1 << r.index();
+    }
+
+    /// Removes a register.
+    pub fn remove(&mut self, r: XReg) {
+        self.0 &= !(1 << r.index());
+    }
+
+    /// Membership test.
+    pub fn contains(self, r: XReg) -> bool {
+        self.0 & (1 << r.index()) != 0
+    }
+
+    /// Set union.
+    pub fn union(self, other: RegSet) -> RegSet {
+        RegSet(self.0 | other.0)
+    }
+
+    /// Iterates the members.
+    pub fn iter(self) -> impl Iterator<Item = XReg> {
+        XReg::all().filter(move |r| self.contains(*r))
+    }
+}
+
 /// A floating-point (`f`) register, `f0`..`f31`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FReg(u8);

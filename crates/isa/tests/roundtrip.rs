@@ -407,6 +407,55 @@ fn encode_decode_roundtrip_per_constructor() {
     }
 }
 
+/// The integer source operands of `inst`, in operand order — the
+/// allocating list `Inst::uses_x` returned before it became a [`RegSet`]
+/// mask, kept here as the reference for it.
+fn listed_uses(inst: &Inst) -> Vec<XReg> {
+    let mut v = match *inst {
+        Inst::Jalr { rs1, .. }
+        | Inst::Load { rs1, .. }
+        | Inst::OpImm { rs1, .. }
+        | Inst::Unary { rs1, .. }
+        | Inst::FLoad { rs1, .. }
+        | Inst::FStore { rs1, .. }
+        | Inst::FMvToF { rs1, .. }
+        | Inst::FCvtToF { rs1, .. }
+        | Inst::Vsetvli { rs1, .. }
+        | Inst::VLoad { rs1, .. }
+        | Inst::VStore { rs1, .. }
+        | Inst::VMvSX { rs1, .. }
+        | Inst::VArith {
+            src: VSrc::X(rs1), ..
+        } => vec![rs1],
+        Inst::Branch { rs1, rs2, .. }
+        | Inst::Store { rs1, rs2, .. }
+        | Inst::Op { rs1, rs2, .. } => {
+            vec![rs1, rs2]
+        }
+        _ => vec![],
+    };
+    v.retain(|r| *r != XReg::ZERO);
+    v
+}
+
+/// Liveness reads `uses_x` as a mask: it must hold exactly the listed
+/// source registers, never `zero`, and `def_x` must never report `zero`.
+#[test]
+fn uses_mask_matches_the_operand_list_per_constructor() {
+    for (name, gen) in generators() {
+        let mut r = Prng::new(0x05e5_0000 ^ name.len() as u64 ^ (name.as_bytes()[0] as u64) << 8);
+        for case in 0..CASES {
+            let inst = gen(&mut r);
+            let mut listed = listed_uses(&inst);
+            listed.sort();
+            listed.dedup();
+            let mask: Vec<XReg> = inst.uses_x().iter().collect();
+            assert_eq!(mask, listed, "{name}[{case}]: `{inst}`");
+            assert_ne!(inst.def_x(), Some(XReg::ZERO), "{name}[{case}]: `{inst}`");
+        }
+    }
+}
+
 /// The ≥48-bit reserved prefix (`bits[4:0] = 11111`) must always decode to
 /// [`DecodeError::ReservedLong`], never to an instruction — the property
 /// Chimera's compressed-safe SMILE interior-byte placement (P2) rests on.

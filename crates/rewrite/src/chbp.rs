@@ -26,7 +26,7 @@ use crate::emitter::BlockEmitter;
 use crate::engine::{EngineState, RewriteEngine, RewriteUnit, UnitArtifact, UnitKind, UnitPlan};
 use crate::smile::{encode_smile, next_reachable_target, Smile, SmileConstraints};
 use crate::translate::{SpillLayout, Translator};
-use chimera_analysis::{disassemble_with, Cfg, DisasmInst, Disassembly, Liveness};
+use chimera_analysis::{disassemble, Cfg, DisasmInst, Disassembly, Liveness};
 use chimera_isa::{encode, Ext, ExtSet, Inst, XReg};
 use chimera_obj::{pcrel_hi_lo, Binary, Perms};
 use chimera_trace::Tracer;
@@ -257,9 +257,9 @@ impl RewriteEngine for ChbpEngine {
         st.input
             .validate()
             .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
-        let d = disassemble_with(st.input, st.workers);
+        let d = disassemble(st.input);
         let cfg = Cfg::build(&d);
-        let liveness = Liveness::compute_with(&cfg, st.workers);
+        let liveness = Liveness::compute(&cfg);
 
         st.stats.code_size = st.input.code_size();
         st.stats.total_insts = d.insts.len();
@@ -304,8 +304,8 @@ impl RewriteEngine for ChbpEngine {
             Mode::EmptyPatch(_) => vec![true; sources.len()],
         };
 
-        // Sequential unit partition: the covered_until walk. Cheap — all
-        // expensive work (analyses above, measurement below) is parallel.
+        // Sequential unit partition: the covered_until walk. Cheap, like
+        // the analyses above; the measurement below is parallel.
         let mut units: Vec<RewriteUnit> = Vec::new();
         let mut covered_until: u64 = 0;
         for (i, site) in sources.iter().enumerate() {
@@ -729,7 +729,7 @@ fn build_region(
     opts: RewriteOptions,
 ) -> Option<Region> {
     let block = cfg.block_containing(site.addr)?;
-    let block_last = block.insts.last().expect("blocks are non-empty");
+    let block_last = cfg.insts(block).last().expect("blocks are non-empty");
     let mut insts: Vec<DisasmInst> = Vec::new();
     let mut addr = site.addr;
     let space_min = site.addr + 8;
@@ -1069,7 +1069,7 @@ pub(crate) fn emit_exit(
 /// to the gp-pivot `jalr`; every overwritten instruction start has a
 /// redirect or trap entry.
 pub fn verify_claim1(rw: &Rewritten, original: &Binary) -> Result<(), String> {
-    let d_orig = chimera_analysis::disassemble(original);
+    let d_orig = disassemble(original);
     for &t in &rw.fht.trampolines {
         // Gather original instruction starts inside [t, t+8).
         for off in [2u64, 4, 6] {

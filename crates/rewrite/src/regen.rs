@@ -24,7 +24,7 @@ use crate::chbp::{FaultTable, Mode, RewriteError, RewriteStats, Rewritten, ILLEG
 use crate::emitter::BlockEmitter;
 use crate::engine::{EngineState, RewriteEngine, RewriteUnit, UnitArtifact, UnitKind, UnitPlan};
 use crate::translate::{SpillLayout, Translator};
-use chimera_analysis::{disassemble_with, inst_spans, DisasmInst};
+use chimera_analysis::{disassemble, inst_spans, DisasmInst, InstTable};
 use chimera_isa::{encode, ExtSet, Inst, XReg};
 use chimera_obj::{pcrel_hi_lo, Binary, Perms};
 use chimera_trace::Tracer;
@@ -113,8 +113,9 @@ pub fn regenerate_with(
 
 /// Regeneration working state carried between pipeline stages.
 pub(crate) struct RegenAux {
-    /// All recognized instructions, in address order.
-    insts: Vec<DisasmInst>,
+    /// All recognized instructions, in address order (shared with the
+    /// disassembly).
+    insts: InstTable,
     /// Statically resolved `auipc; jalr` call pairs: jalr address →
     /// original call target.
     direct_pair: BTreeMap<u64, u64>,
@@ -283,8 +284,8 @@ impl RewriteEngine for RegenEngine {
         st.input
             .validate()
             .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
-        let d = disassemble_with(st.input, st.workers);
-        let insts: Vec<DisasmInst> = d.iter().copied().collect();
+        let d = disassemble(st.input);
+        let insts = d.insts.clone();
 
         // Statically resolvable `auipc rd, hi; jalr rd2, lo(rd)` pairs:
         // direct calls in disguise (the standard `call` expansion).
@@ -310,14 +311,14 @@ impl RewriteEngine for RegenEngine {
                 // relocation does not have.
                 if rd == rs1
                     && rd2 != XReg::ZERO
-                    && !d.targets.contains(&b.addr)
-                    && !d.data_refs.contains(&b.addr)
+                    && d.targets.binary_search(&b.addr).is_err()
+                    && d.data_refs.binary_search(&b.addr).is_err()
                 {
                     let target = a
                         .addr
                         .wrapping_add(((imm20 as i64) << 12) as u64)
                         .wrapping_add(offset as i64 as u64);
-                    if d.insts.contains_key(&target) {
+                    if d.at(target).is_some() {
                         direct_pair.insert(b.addr, target);
                     }
                 }

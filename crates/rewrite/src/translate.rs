@@ -249,7 +249,7 @@ impl Translator {
 
     /// Checks translatability without emitting.
     pub fn probe(&mut self, inst: &Inst) -> Result<(), Untranslatable> {
-        if inst.uses_x().contains(&XReg::GP) {
+        if inst.uses_x().contains(XReg::GP) {
             return Err(Untranslatable(*inst));
         }
         match *inst {
@@ -313,7 +313,7 @@ impl Translator {
         inst: &Inst,
         em: &mut BlockEmitter,
     ) -> Result<(), Untranslatable> {
-        if inst.uses_x().contains(&XReg::GP) {
+        if inst.uses_x().contains(XReg::GP) {
             return Err(Untranslatable(*inst));
         }
         match *inst {

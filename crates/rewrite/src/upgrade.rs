@@ -82,12 +82,13 @@ struct VecLoop {
 }
 
 /// Attempts to recognize the canonical loop shape in a self-loop block.
-fn recognize(block: &BasicBlock) -> Option<VecLoop> {
+fn recognize(cfg: &Cfg, block: &BasicBlock) -> Option<VecLoop> {
+    let insts = cfg.insts(block);
     // Must be a conditional self-loop: `bnez counter, head`.
     if block.terminator != Terminator::Branch {
         return None;
     }
-    let last = block.insts.last()?;
+    let last = insts.last()?;
     let Inst::Branch {
         kind: BranchKind::Bne,
         rs1: counter,
@@ -115,7 +116,7 @@ fn recognize(block: &BasicBlock) -> Option<VecLoop> {
     let mut iacc: Option<(XReg, XReg)> = None;
     let mut iop: Option<(OpKind, XReg, XReg, XReg)> = None;
 
-    for di in &block.insts[..block.insts.len() - 1] {
+    for di in &insts[..insts.len() - 1] {
         match di.inst {
             Inst::FLoad {
                 width: FpWidth::D,
@@ -211,7 +212,7 @@ fn recognize(block: &BasicBlock) -> Option<VecLoop> {
                 ptr_c: None,
                 counter,
                 kernel: Kernel::DotF64 { acc, a: fa, b: fb },
-                insts: block.insts.clone(),
+                insts: insts.to_vec(),
             });
         }
         return None;
@@ -246,7 +247,7 @@ fn recognize(block: &BasicBlock) -> Option<VecLoop> {
                     b: fb,
                     dst,
                 },
-                insts: block.insts.clone(),
+                insts: insts.to_vec(),
             });
         }
         return None;
@@ -272,7 +273,7 @@ fn recognize(block: &BasicBlock) -> Option<VecLoop> {
                     b: xb,
                     prod,
                 },
-                insts: block.insts.clone(),
+                insts: insts.to_vec(),
             });
         }
         return None;
@@ -306,7 +307,7 @@ fn recognize(block: &BasicBlock) -> Option<VecLoop> {
                     b: xb,
                     dst,
                 },
-                insts: block.insts.clone(),
+                insts: insts.to_vec(),
             });
         }
     }
@@ -345,7 +346,11 @@ pub fn upgrade_rewrite(binary: &Binary, opts: RewriteOptions) -> Result<Rewritte
         ..Default::default()
     };
 
-    let loops: Vec<VecLoop> = cfg.blocks.values().filter_map(recognize).collect();
+    let loops: Vec<VecLoop> = cfg
+        .blocks
+        .iter()
+        .filter_map(|b| recognize(&cfg, b))
+        .collect();
     stats.source_insts = loops.iter().map(|l| l.insts.len()).sum();
 
     let mut target_code: Vec<u8> = Vec::new();
