@@ -29,7 +29,7 @@ const MIN_ITEMS_PER_WORKER: usize = 8;
 
 /// Applies `f` to every index in `0..n` and returns the results in index
 /// order, fanning the work out over at most `workers` scoped threads —
-/// fewer when `n` is small: one per [`MIN_ITEMS_PER_WORKER`] items.
+/// fewer when `n` is small: one per `MIN_ITEMS_PER_WORKER` (eight) items.
 ///
 /// When that leaves at most one worker (`workers <= 1`, or `n` below
 /// twice the floor) the map runs sequentially on the calling thread —

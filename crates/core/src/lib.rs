@@ -60,11 +60,11 @@ pub use chimera_emu::CacheStats;
 pub use chimera_trace::{export_json, summarize, MetricsRegistry, TraceEvent, Tracer};
 
 use chimera_isa::ExtSet;
-use chimera_kernel::{FaultCounters, KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
+use chimera_kernel::{FaultCounters, KernelRunner, Process, RunOutcome, Variant};
 use chimera_obj::Binary;
 use chimera_rewrite::{
-    default_workers, run, upgrade_rewrite, ChbpEngine, Flavor, IdentityEngine, Mode, RegenEngine,
-    RewriteEngine, RewriteOptions,
+    default_workers, run, ChbpEngine, Flavor, IdentityEngine, Mode, RegenEngine, RewriteEngine,
+    RewriteError, RewriteOptions, UpgradeEngine,
 };
 
 /// The heterogeneous computing systems compared in §6.1.
@@ -121,7 +121,7 @@ pub enum PrepareError {
     /// The required input binary version is missing.
     MissingInput(&'static str),
     /// Rewriting failed.
-    Rewrite(chimera_rewrite::RewriteError),
+    Rewrite(RewriteError),
 }
 
 impl core::fmt::Display for PrepareError {
@@ -135,72 +135,29 @@ impl core::fmt::Display for PrepareError {
 
 impl std::error::Error for PrepareError {}
 
-impl From<chimera_rewrite::RewriteError> for PrepareError {
-    fn from(e: chimera_rewrite::RewriteError) -> Self {
+impl From<RewriteError> for PrepareError {
+    fn from(e: RewriteError) -> Self {
         PrepareError::Rewrite(e)
     }
 }
 
-/// How one process view is produced from its input binary. Every system's
-/// view plan is a list of these; [`prepare_process`] builds them through
-/// one uniform loop over the [`RewriteEngine`] pipeline.
-enum Build {
-    /// Run the binary as-is (FAM/MELF native views): the identity engine
-    /// passes it through the pipeline unchanged, and no runtime tables are
-    /// attached.
-    Identity,
-    /// Rewrite through the staged pass pipeline.
-    Engine(Box<dyn RewriteEngine>),
-    /// The vectorizing upgrade rewriter (sequential; consumes the shared
-    /// translate/emit primitives but predates the unit pipeline).
-    Upgrade,
-}
-
-/// Runs one view plan: the single dispatch point through which every
-/// system's rewriting flows.
-fn build_view(build: Build, bin: Binary) -> Result<Variant, PrepareError> {
-    Ok(match build {
-        Build::Identity => {
-            let r = run(
-                &IdentityEngine,
-                &bin,
-                default_workers(),
-                &Tracer::disabled(),
-            )?;
-            Variant::native(r.rewritten.binary)
-        }
-        Build::Engine(engine) => {
-            let r = run(
-                engine.as_ref(),
-                &bin,
-                default_workers(),
-                &Tracer::disabled(),
-            )?;
-            Variant {
-                binary: r.rewritten.binary,
-                tables: RuntimeTables {
-                    fht: Some(r.rewritten.fht),
-                    regen: r.regen,
-                },
-            }
-        }
-        Build::Upgrade => {
-            let up = upgrade_rewrite(&bin, RewriteOptions::default())?;
-            Variant {
-                binary: up.binary,
-                tables: RuntimeTables {
-                    fht: Some(up.fht),
-                    regen: None,
-                },
-            }
-        }
+/// Runs `engine` over `bin` and wraps the result as a process view: the
+/// single dispatch point through which every system's rewriting flows. An
+/// engine without a target section (FAM/MELF identity) leaves the binary
+/// native, so its view carries no runtime tables.
+fn build_view(engine: &dyn RewriteEngine, bin: &Binary) -> Result<Variant, RewriteError> {
+    let r = run(engine, bin, default_workers(), &Tracer::disabled())?;
+    Ok(match engine.target_section() {
+        Some(_) => r.into(),
+        None => Variant::native(r.rewritten.binary),
     })
 }
 
 /// Builds the multi-view process `system` would run for `task`, given the
-/// input version (§6.1 methodology). Every system dispatches through the
-/// same [`RewriteEngine`] pipeline: the `(system, input)` match only
-/// *plans* the views (most-specific first); [`build_view`] executes them.
+/// input version (§6.1 methodology). The `(system, input)` match only
+/// *plans* the views — an input binary and a [`RewriteEngine`] each, most
+/// specific first; one loop then runs every plan through the shared
+/// rewrite pipeline.
 pub fn prepare_process(
     system: SystemKind,
     input: InputVersion,
@@ -216,26 +173,30 @@ pub fn prepare_process(
             .clone()
             .ok_or(PrepareError::MissingInput("base_version"))
     };
-    let safer = |mode: Mode| -> Box<dyn RewriteEngine> {
+    type Engine = Box<dyn RewriteEngine>;
+    let identity = || -> Engine { Box::new(IdentityEngine) };
+    let upgrade = || -> Engine {
+        Box::new(UpgradeEngine {
+            opts: RewriteOptions::default(),
+        })
+    };
+    let safer = |mode: Mode| -> Engine {
         Box::new(RegenEngine {
             target: ExtSet::RV64GC,
             mode,
             flavor: Flavor::Safer,
         })
     };
-    let plans: Vec<(Binary, Build)> = match (system, input) {
+    let plans: Vec<(Binary, Engine)> = match (system, input) {
         // FAM: the input binary runs only on cores that support it; others
         // fault and the scheduler migrates.
-        (SystemKind::Fam, InputVersion::Ext) => vec![(ext_in()?, Build::Identity)],
-        (SystemKind::Fam, InputVersion::Base) => vec![(base_in()?, Build::Identity)],
+        (SystemKind::Fam, InputVersion::Ext) => vec![(ext_in()?, identity())],
+        (SystemKind::Fam, InputVersion::Base) => vec![(base_in()?, identity())],
         // MELF: native binaries for both core classes (it has the source).
-        (SystemKind::Melf, _) => vec![(ext_in()?, Build::Identity), (base_in()?, Build::Identity)],
+        (SystemKind::Melf, _) => vec![(ext_in()?, identity()), (base_in()?, identity())],
         (SystemKind::Safer, InputVersion::Ext) => {
             let b = ext_in()?;
-            vec![
-                (b.clone(), Build::Identity),
-                (b, Build::Engine(safer(Mode::Downgrade))),
-            ]
+            vec![(b.clone(), identity()), (b, safer(Mode::Downgrade))]
         }
         // Safer has no upgrade story of its own; per §6.1 it is adapted
         // for ISAX by pairing its regenerated base binary with the
@@ -244,34 +205,26 @@ pub fn prepare_process(
         (SystemKind::Safer, InputVersion::Base) => {
             let b = base_in()?;
             vec![
-                (b.clone(), Build::Upgrade),
-                (
-                    b,
-                    Build::Engine(safer(Mode::EmptyPatch(chimera_isa::Ext::V))),
-                ),
+                (b.clone(), upgrade()),
+                (b, safer(Mode::EmptyPatch(chimera_isa::Ext::V))),
             ]
         }
         (SystemKind::Chimera, InputVersion::Ext) => {
             let b = ext_in()?;
-            vec![
-                (b.clone(), Build::Identity),
-                (
-                    b,
-                    Build::Engine(Box::new(ChbpEngine {
-                        target: ExtSet::RV64GC,
-                        opts: RewriteOptions::default(),
-                    })),
-                ),
-            ]
+            let chbp = ChbpEngine {
+                target: ExtSet::RV64GC,
+                opts: RewriteOptions::default(),
+            };
+            vec![(b.clone(), identity()), (b, Box::new(chbp))]
         }
         (SystemKind::Chimera, InputVersion::Base) => {
             let b = base_in()?;
-            vec![(b.clone(), Build::Upgrade), (b, Build::Identity)]
+            vec![(b.clone(), upgrade()), (b, identity())]
         }
     };
     let views = plans
-        .into_iter()
-        .map(|(bin, build)| build_view(build, bin))
+        .iter()
+        .map(|(bin, engine)| build_view(engine.as_ref(), bin))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Process::new(views))
 }
@@ -523,10 +476,7 @@ impl RewriterKind {
 /// the V extension re-emitted verbatim) and returns the runnable variant.
 /// All four rewriters are [`RewriteEngine`]s run through the same pass
 /// pipeline.
-pub fn empty_patch_with(
-    rewriter: RewriterKind,
-    binary: &Binary,
-) -> Result<Variant, chimera_rewrite::RewriteError> {
+pub fn empty_patch_with(rewriter: RewriterKind, binary: &Binary) -> Result<Variant, RewriteError> {
     let mode = Mode::EmptyPatch(chimera_isa::Ext::V);
     let engine: Box<dyn RewriteEngine> = match rewriter {
         RewriterKind::Chbp => Box::new(ChbpEngine {
@@ -555,19 +505,7 @@ pub fn empty_patch_with(
             flavor: Flavor::Safer,
         }),
     };
-    let r = run(
-        engine.as_ref(),
-        binary,
-        default_workers(),
-        &Tracer::disabled(),
-    )?;
-    Ok(Variant {
-        binary: r.rewritten.binary,
-        tables: RuntimeTables {
-            fht: Some(r.rewritten.fht),
-            regen: r.regen,
-        },
-    })
+    build_view(engine.as_ref(), binary)
 }
 
 /// Runs a single standalone variant to completion under the kernel.

@@ -89,7 +89,7 @@ pub enum ExecMode {
     /// the other two modes must match bit for bit.
     Reference,
     /// Decode-cached interpreter: memoized front end, per-instruction
-    /// dispatch through [`Cpu::exec`].
+    /// dispatch through `Cpu::exec`.
     Interpreter,
     /// Micro-op execution engine: lowered block bodies, block-to-block
     /// chaining, per-core memory translation hints. The default.

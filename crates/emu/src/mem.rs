@@ -7,6 +7,7 @@
 //! "segmentation fault" of the paper. The emulator enforces R/W/X on every
 //! access, exactly like the MMU the paper's kernel relies on.
 
+pub use chimera_obj::DirtySpan;
 use chimera_obj::{Binary, Perms, DEFAULT_STACK_SIZE, STACK_TOP};
 use core::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,22 +23,6 @@ static GENERATION_SOURCE: AtomicU64 = AtomicU64::new(0);
 
 fn next_generation() -> u64 {
     GENERATION_SOURCE.fetch_add(1, Ordering::Relaxed) + 1
-}
-
-/// One recorded executable-code mutation: the byte span `[start, end)`
-/// changed (or appeared, or vanished) and carries the generation stamp
-/// the mutation produced. This is the dirty-region channel consumed by
-/// incremental re-rewriting: [`Memory::dirty_regions_since`] returns the
-/// spans stamped after a caller-held watermark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirtySpan {
-    /// First mutated address.
-    pub start: u64,
-    /// One past the last mutated address.
-    pub end: u64,
-    /// The generation stamp the mutation produced (compare against
-    /// [`Memory::generation_watermark`]).
-    pub generation: u64,
 }
 
 /// The access kind that faulted.

@@ -8,7 +8,7 @@
 //! full vs cached vs incremental rewrites, kernel-mediated execution,
 //! and misaligned entry into every SMILE trampoline — hard-asserting
 //! bit-identical observations ([`oracle`]); a delta-debugging minimizer
-//! ([`minimize`]); and a reproducer file format replayed as regression
+//! ([`mod@minimize`]); and a reproducer file format replayed as regression
 //! tests ([`repro`]).
 //!
 //! The harness follows the wasmtime `diff_wasmi` oracle shape: one

@@ -15,11 +15,11 @@
 //!    untouched cache). On hosts without executable pages the JIT column
 //!    degrades to engine semantics; the equality checks still run and
 //!    the JIT coverage counters report zero.
-//! 2. **Rewrite matrix** — every [`RewriteEngine`] at 1/2/4/8 workers
-//!    (bit-identical artifacts), cached and incremental drivers (empty
-//!    and post-mutation dirty sets) reproducing the full rewrite bit for
-//!    bit, and kernel-mediated execution of each artifact (cache on/off)
-//!    matching the native run's exit code, stdout and output memory.
+//! 2. **Rewrite matrix** — every [`chimera_rewrite::RewriteEngine`] at
+//!    1/2/4/8 workers (bit-identical artifacts), cached and incremental
+//!    drivers (empty and post-mutation dirty sets) reproducing the full
+//!    rewrite bit for bit, and kernel-mediated execution of each artifact
+//!    (cache on/off) matching the native run's exit code, stdout and output memory.
 //!    Skipped for SMC, straddled and trapping cases, whose native
 //!    behaviour a static rewrite legitimately cannot reproduce (SMC
 //!    mutates text the rewriter froze; a straddled image has no single
@@ -40,7 +40,7 @@ use chimera_rewrite::{
 };
 use chimera_testutil::{
     engines, load_image, mutate_image, observe_jit, observe_mode, observe_mode_traced,
-    run_under_kernel_at, to_rewrite_spans, writable_bytes, Obs,
+    run_under_kernel_at, writable_bytes, Obs,
 };
 use chimera_trace::Tracer;
 
@@ -423,7 +423,7 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
         for _ in 0..3 {
             mutate_image(&mut img, &mut mrng, ts, te);
         }
-        let dirty = to_rewrite_spans(&img.dirty_regions_since(wm));
+        let dirty = img.dirty_regions_since(wm);
         let inc = run_incremental(engine.as_ref(), bin, &mut cache, &dirty, 4, &disabled)
             .map_err(|e| fail(&format!("rewrite:{name}:error"), format!("inc: {e:?}")))?;
         if inc.rewritten != base.rewritten {

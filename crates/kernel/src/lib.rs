@@ -4,7 +4,7 @@
 //! trap routing and passive fault handling ([`KernelRunner`]), the
 //! multi-view process model ([`Process`], MMViews), signal delivery with
 //! `gp` restoration, ISAX-aware work-stealing scheduling (a deterministic
-//! simulator for the benchmarks plus a real threaded pool), and the
+//! discrete-event simulator, [`simulate_work_stealing`]), and the
 //! many-hart event kernel ([`ManyHartKernel`]): N guest harts as
 //! cooperative fibers over M logical host workers, scheduled in
 //! deterministic logical time so results are bit-identical at every

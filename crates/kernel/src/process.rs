@@ -46,6 +46,21 @@ impl Variant {
     }
 }
 
+/// A rewritten variant: the output binary with its fault table and
+/// regeneration metadata as runtime tables. (An identity-engine result
+/// wants [`Variant::native`] instead: a native binary has no tables.)
+impl From<chimera_rewrite::EngineResult> for Variant {
+    fn from(r: chimera_rewrite::EngineResult) -> Variant {
+        Variant {
+            binary: r.rewritten.binary,
+            tables: RuntimeTables {
+                fht: Some(r.rewritten.fht),
+                regen: r.regen,
+            },
+        }
+    }
+}
+
 /// A process with one MMView per core class.
 #[derive(Debug, Clone)]
 pub struct Process {

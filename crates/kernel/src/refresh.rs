@@ -13,12 +13,9 @@
 //! incremental driver hard-asserts it per re-emitted unit).
 
 use crate::process::Variant;
-use crate::runtime::RuntimeTables;
 use chimera_emu::Memory;
 use chimera_obj::Binary;
-use chimera_rewrite::{
-    run_cached, run_incremental, DirtySpan, RewriteCache, RewriteEngine, RewriteError,
-};
+use chimera_rewrite::{run_cached, run_incremental, RewriteCache, RewriteEngine, RewriteError};
 use chimera_trace::Tracer;
 
 /// Owns one variant's rewrite engine, input binary and per-unit cache,
@@ -53,7 +50,7 @@ impl VariantRefresher {
             cache,
             watermark: 0,
         };
-        Ok((refresher, variant_of(result)))
+        Ok((refresher, result.into()))
     }
 
     /// Advances the watermark past every mutation `mem` has seen so far
@@ -81,14 +78,6 @@ impl VariantRefresher {
         if dirty.is_empty() {
             return Ok(None);
         }
-        let dirty: Vec<DirtySpan> = dirty
-            .iter()
-            .map(|d| DirtySpan {
-                start: d.start,
-                end: d.end,
-                generation: d.generation,
-            })
-            .collect();
         let result = run_incremental(
             self.engine.as_ref(),
             &self.input,
@@ -98,16 +87,6 @@ impl VariantRefresher {
             tracer,
         )?;
         self.watermark = mem.generation_watermark();
-        Ok(Some(variant_of(result)))
-    }
-}
-
-fn variant_of(result: chimera_rewrite::EngineResult) -> Variant {
-    Variant {
-        binary: result.rewritten.binary,
-        tables: RuntimeTables {
-            fht: Some(result.rewritten.fht),
-            regen: result.regen,
-        },
+        Ok(Some(result.into()))
     }
 }

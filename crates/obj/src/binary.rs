@@ -16,6 +16,23 @@
 use chimera_isa::ExtSet;
 use core::fmt;
 
+/// One recorded executable-code mutation of a loaded image: the byte span
+/// `[start, end)` changed (or appeared, or vanished) and carries the
+/// generation stamp the mutation produced. This is the dirty-region
+/// channel between the emulator's memory (which reports the spans stamped
+/// after a caller-held watermark) and incremental re-rewriting (a rewrite
+/// unit whose source range intersects a span with `generation` newer than
+/// the unit's validation stamp is re-emitted).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirtySpan {
+    /// First mutated address.
+    pub start: u64,
+    /// One past the last mutated address.
+    pub end: u64,
+    /// The generation stamp the mutation produced.
+    pub generation: u64,
+}
+
 /// Section/region permissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Perms {

@@ -17,7 +17,7 @@ mod builder;
 
 pub use asm::{assemble, AsmError, AsmOptions};
 pub use binary::{
-    Binary, BinaryError, Perms, Section, SymKind, Symbol, DEFAULT_STACK_SIZE, STACK_SIZE,
-    STACK_TOP, TEXT_BASE,
+    Binary, BinaryError, DirtySpan, Perms, Section, SymKind, Symbol, DEFAULT_STACK_SIZE,
+    STACK_SIZE, STACK_TOP, TEXT_BASE,
 };
 pub use builder::{add, addi, li_sequence, pcrel_hi_lo, BuildError, DataSec, ModuleBuilder};

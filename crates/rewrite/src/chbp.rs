@@ -23,14 +23,15 @@
 //! counters feed Table 3.
 
 use crate::emitter::BlockEmitter;
-use crate::engine::{EngineState, RewriteEngine, RewriteUnit, UnitArtifact, UnitKind, UnitPlan};
-use crate::smile::{encode_smile, next_reachable_target, Smile, SmileConstraints};
-use crate::translate::{SpillLayout, Translator};
+use crate::engine::{Entry, Frame, Placement, RewriteEngine, Scanned, UnitArtifact, Units};
+use crate::smile::{place_smile, SmileConstraints};
+use crate::translate::Translator;
 use chimera_analysis::{disassemble, Cfg, DisasmInst, Disassembly, Liveness};
 use chimera_isa::{encode, Ext, ExtSet, Inst, XReg};
-use chimera_obj::{pcrel_hi_lo, Binary, Perms};
+use chimera_obj::{pcrel_hi_lo, Binary};
 use chimera_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// What the rewrite should do with source instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,45 +199,14 @@ pub fn chbp_rewrite(
     target: ExtSet,
     opts: RewriteOptions,
 ) -> Result<Rewritten, RewriteError> {
-    chbp_rewrite_traced(binary, target, opts, &Tracer::disabled())
-}
-
-/// [`chbp_rewrite`] with per-stage timing: each pipeline stage emits a
-/// `TraceEvent::RewritePassDone` carrying its wall-clock duration and an
-/// item count, plus `rewrite.*` counters mirroring [`RewriteStats`].
-/// Rewrite-time events are timestamped at cycle 0 (there is no simulated
-/// clock at rewrite time); durations live in the event payload, so traces
-/// of deterministic runs stay deterministic apart from those payloads.
-pub fn chbp_rewrite_traced(
-    binary: &Binary,
-    target: ExtSet,
-    opts: RewriteOptions,
-    tracer: &Tracer,
-) -> Result<Rewritten, RewriteError> {
-    chbp_rewrite_with(
-        binary,
-        target,
-        opts,
-        crate::pipeline::default_workers(),
-        tracer,
-    )
-}
-
-/// [`chbp_rewrite`] with an explicit worker count for the parallel
-/// pipeline stages. Output is bit-identical for every worker count.
-pub fn chbp_rewrite_with(
-    binary: &Binary,
-    target: ExtSet,
-    opts: RewriteOptions,
-    workers: usize,
-    tracer: &Tracer,
-) -> Result<Rewritten, RewriteError> {
     let engine = ChbpEngine { target, opts };
-    crate::pipeline::run(&engine, binary, workers, tracer).map(|r| r.rewritten)
+    let workers = crate::pipeline::default_workers();
+    crate::pipeline::run(&engine, binary, workers, &Tracer::disabled()).map(|r| r.rewritten)
 }
 
 /// The CHBP patching engine (also the §6.2 strawman, via
 /// [`RewriteOptions::force_trap_entries`]).
+#[derive(Debug)]
 pub struct ChbpEngine {
     /// The target core profile.
     pub target: ExtSet,
@@ -244,42 +214,33 @@ pub struct ChbpEngine {
     pub opts: RewriteOptions,
 }
 
+/// One CHBP rewrite unit.
+enum ChbpUnit {
+    /// A patch region (site + batched neighbourhood).
+    Region(Region),
+    /// A site with no usable region: trap entry + lone translation.
+    Site(DisasmInst),
+}
+
+/// A scanned input: the analyses emission reads and the unit partition.
+struct ChbpUnits {
+    target: ExtSet,
+    opts: RewriteOptions,
+    frame: Frame,
+    d: Disassembly,
+    liveness: Liveness,
+    units: Vec<ChbpUnit>,
+}
+
 impl RewriteEngine for ChbpEngine {
-    fn name(&self) -> &'static str {
-        if self.opts.force_trap_entries {
-            "strawman"
-        } else {
-            "chbp"
-        }
+    fn target_section(&self) -> Option<&'static str> {
+        Some(".chimera.text")
     }
 
-    fn scan(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.input
-            .validate()
-            .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
-        let d = disassemble(st.input);
+    fn scan(&self, input: &Binary, frame: Frame, workers: usize) -> Result<Scanned, RewriteError> {
+        let d = disassemble(input);
         let cfg = Cfg::build(&d);
         let liveness = Liveness::compute(&cfg);
-
-        st.stats.code_size = st.input.code_size();
-        st.stats.total_insts = d.insts.len();
-
-        // Reserve the spill section, then compute where .chimera.text
-        // will go.
-        let mut out = st.input.clone();
-        let spill_base = out.append_section(
-            ".chimera.vregs",
-            vec![0u8; SpillLayout::SIZE.next_multiple_of(0x1000)],
-            Perms::RW,
-        );
-        let target_base = {
-            let top = out.sections.iter().map(|s| s.end()).max().unwrap_or(0);
-            (top + 0xfff) & !0xfff
-        };
-        st.fht.abi_gp = st.input.gp;
-        st.fht.spill_base = spill_base;
-        st.target_base = target_base;
-        st.out = Some(out);
 
         // Collect patch sites: source instructions in address order.
         let sources: Vec<DisasmInst> = d
@@ -287,26 +248,25 @@ impl RewriteEngine for ChbpEngine {
             .filter(|di| is_source(&di.inst, self.opts.mode, self.target))
             .copied()
             .collect();
-        st.stats.source_insts = sources.len();
 
         // Parallel translatability check: a site whose instruction has no
         // downgrade template stays unpatched (raises an illegal fault at
         // runtime; the kernel falls back to migration, FAM-style). A full
         // scratch downgrade is the check — `probe` alone does not cover
         // the scalar templates.
-        let abi_gp = st.input.gp;
         let translatable: Vec<bool> = match self.opts.mode {
-            Mode::Downgrade => chimera_analysis::par::map_indexed(st.workers, sources.len(), |i| {
-                let mut t = Translator::new(spill_base, abi_gp);
-                let mut probe = BlockEmitter::new(target_base);
+            Mode::Downgrade => chimera_analysis::par::map_indexed(workers, sources.len(), |i| {
+                let mut t = Translator::new(frame.spill_base, frame.abi_gp);
+                let mut probe = BlockEmitter::new(frame.target_base);
                 t.downgrade(&sources[i].inst, &mut probe).is_ok()
             }),
             Mode::EmptyPatch(_) => vec![true; sources.len()],
         };
 
-        // Sequential unit partition: the covered_until walk. Cheap, like
-        // the analyses above; the measurement below is parallel.
-        let mut units: Vec<RewriteUnit> = Vec::new();
+        // Sequential unit partition: the covered_until walk.
+        let mut units: Vec<ChbpUnit> = Vec::new();
+        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        let mut untranslated = BTreeSet::new();
         let mut covered_until: u64 = 0;
         for (i, site) in sources.iter().enumerate() {
             if site.addr < covered_until {
@@ -316,8 +276,8 @@ impl RewriteEngine for ChbpEngine {
                 continue;
             }
             if !translatable[i] {
-                st.fht.untranslated.insert(site.addr);
-                covered_until = site.addr + site.len as u64;
+                untranslated.insert(site.addr);
+                covered_until = site.next_addr();
                 continue;
             }
             match build_region(&d, &cfg, site, self.opts) {
@@ -326,287 +286,115 @@ impl RewriteEngine for ChbpEngine {
                     // so following sources still get their own units;
                     // SMILE regions own the whole overwritten space.
                     covered_until = if self.opts.force_trap_entries {
-                        site.addr + site.len as u64
+                        site.next_addr()
                     } else {
                         region.space_end
                     };
-                    units.push(RewriteUnit {
-                        kind: UnitKind::Region {
-                            region,
-                            forced_trap: self.opts.force_trap_entries,
-                        },
-                    });
+                    ranges.push(region.source_range());
+                    units.push(ChbpUnit::Region(region));
                 }
                 None => {
                     // Cannot form an 8-byte space: trap entry + lone
                     // translation.
-                    covered_until = site.addr + site.len as u64;
-                    units.push(RewriteUnit {
-                        kind: UnitKind::Site(*site),
-                    });
+                    covered_until = site.next_addr();
+                    ranges.push((site.addr, site.next_addr()));
+                    units.push(ChbpUnit::Site(*site));
                 }
             }
         }
 
-        // Parallel size measurement: scratch-emit every unit at the
-        // target base and keep only the length. Emission is size-invariant
-        // in its base address (fixed-width exit slots, always-paired
-        // auipc+addi), so the measured size equals the final one.
-        let (opts, target) = (self.opts, self.target);
-        let sizes: Vec<u64> = chimera_analysis::par::map_indexed(st.workers, units.len(), |i| {
-            emit_unit(
-                &units[i],
-                target_base,
-                &d,
-                &liveness,
-                opts,
-                target,
-                spill_base,
-                abi_gp,
-            )
-            .bytes
-            .len() as u64
-        });
-
-        st.pass_items = d.insts.len() as u64;
-        st.units = std::sync::Arc::new(units);
-        st.unit_sizes = std::sync::Arc::new(sizes);
-        st.disasm = Some(std::sync::Arc::new(d));
-        st.cfg = Some(std::sync::Arc::new(cfg));
-        st.liveness = Some(std::sync::Arc::new(liveness));
-        Ok(())
-    }
-
-    fn plan(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        let d = st.disasm.clone().expect("scan ran");
-        let d = &*d;
-        let mut cursor = st.target_base;
-        let mut plans: Vec<UnitPlan> = Vec::with_capacity(st.units.len());
-        for (unit, &size) in st.units.iter().zip(st.unit_sizes.iter()) {
-            match &unit.kind {
-                UnitKind::Region {
-                    region,
-                    forced_trap,
-                } => {
-                    let site = region.insts[0];
-                    let constraints = region.constraints(d);
-                    // Pick the block address under SMILE reachability
-                    // (never for the strawman).
-                    let placed = if *forced_trap {
-                        None
-                    } else {
-                        next_reachable_target(site.addr, cursor, constraints)
-                            .filter(|a| a - cursor <= self.opts.max_padding)
-                    };
-                    match placed {
-                        Some(block_addr) => {
-                            let smile: Smile = encode_smile(site.addr, block_addr, constraints)
-                                .map_err(|e| {
-                                    RewriteError::Layout(format!("SMILE at {:#x}: {e}", site.addr))
-                                })?;
-                            let mut patch = smile.bytes().to_vec();
-                            // Fill the rest of the space (if wider than 8
-                            // bytes) with reserved-illegal halfwords so any
-                            // entry there faults.
-                            let extra = (region.space_end - site.addr - 8) as usize;
-                            for _ in 0..extra / 2 {
-                                patch.extend_from_slice(&ILLEGAL_HALFWORD.to_le_bytes());
-                            }
-                            st.text_patches.push((site.addr, patch));
-                            st.fht.trampolines.insert(site.addr);
-                            st.stats.smile_trampolines += 1;
-                            if constraints != SmileConstraints::NONE {
-                                st.stats.constrained_smiles += 1;
-                            }
-                            let padding = block_addr - cursor;
-                            st.stats.padding_bytes += padding;
-                            plans.push(UnitPlan {
-                                addr: block_addr,
-                                padding,
-                            });
-                            cursor = block_addr + size;
-                        }
-                        None => {
-                            // No reachable SMILE placement within the
-                            // padding budget (or strawman): trap entry, but
-                            // keep the full region block — only the site's
-                            // own bytes are replaced, neighbours stay
-                            // intact, and the block's interior redirects
-                            // cover erroneous jumps.
-                            st.text_patches.push((site.addr, ebreak_patch(site.len)));
-                            st.fht.trap_entries.insert(site.addr, cursor);
-                            st.stats.trap_entries += 1;
-                            plans.push(UnitPlan {
-                                addr: cursor,
-                                padding: 0,
-                            });
-                            cursor += size;
-                        }
-                    }
-                }
-                UnitKind::Site(site) => {
-                    st.text_patches.push((site.addr, ebreak_patch(site.len)));
-                    st.fht.trap_entries.insert(site.addr, cursor);
-                    st.stats.trap_entries += 1;
-                    plans.push(UnitPlan {
-                        addr: cursor,
-                        padding: 0,
-                    });
-                    cursor += size;
-                }
-                UnitKind::Span { .. } => {
-                    unreachable!("span units belong to the regeneration engine")
-                }
-            }
-        }
-        st.pass_items = st.units.len() as u64;
-        st.plans = plans;
-        Ok(())
-    }
-
-    fn transform(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        let d = st.disasm.as_deref().expect("scan ran");
-        let liveness = st.liveness.as_deref().expect("scan ran");
-        let units = &st.units;
-        let plans = &st.plans;
-        let (opts, target) = (self.opts, self.target);
-        let (spill_base, abi_gp) = (st.fht.spill_base, st.fht.abi_gp);
-        let artifacts: Vec<UnitArtifact> =
-            chimera_analysis::par::map_indexed(st.workers, units.len(), |i| {
-                emit_unit(
-                    &units[i],
-                    plans[i].addr,
-                    d,
-                    liveness,
-                    opts,
-                    target,
-                    spill_base,
-                    abi_gp,
-                )
-            });
-        for (art, &size) in artifacts.iter().zip(st.unit_sizes.iter()) {
-            debug_assert_eq!(
-                art.bytes.len() as u64,
-                size,
-                "emission must be size-invariant in its base address"
-            );
-        }
-        st.pass_items = artifacts.len() as u64;
-        st.artifacts = artifacts;
-        Ok(())
-    }
-
-    fn place(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.pass_items = st.artifacts.len() as u64;
-        let artifacts = std::mem::take(&mut st.artifacts);
-        for (plan, art) in st.plans.iter().zip(artifacts) {
-            pad_illegal(&mut st.target_code, plan.padding as usize);
-            debug_assert_eq!(st.target_base + st.target_code.len() as u64, plan.addr);
-            st.target_code.extend_from_slice(&art.bytes);
-            crate::engine::merge_fragment(&mut st.fht, &mut st.stats, art);
-        }
-        Ok(())
-    }
-
-    fn link(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        let out = st.out.as_mut().expect("scan cloned the input");
-        st.pass_items = st.text_patches.len() as u64;
-        for (addr, bytes) in st.text_patches.drain(..) {
-            if !out.write(addr, &bytes) {
-                return Err(RewriteError::Layout(format!(
-                    "patch at {addr:#x} does not fit its section"
-                )));
-            }
-        }
-
-        st.stats.target_section_size = st.target_code.len() as u64;
-        let mut target_code = std::mem::take(&mut st.target_code);
-        if target_code.is_empty() {
-            // Keep an empty-but-mapped page so ranges stay meaningful.
-            target_code.resize(16, 0);
-        }
-        let placed = out.append_section(".chimera.text", target_code, Perms::RX);
-        if placed != st.target_base {
-            return Err(RewriteError::Layout(format!(
-                "target section landed at {placed:#x}, expected {:#x}",
-                st.target_base
-            )));
-        }
-        let target_end = out
-            .section(".chimera.text")
-            .ok_or(RewriteError::MissingSection(".chimera.text"))?
-            .end();
-        st.fht.target_range = (st.target_base, target_end);
-        out.profile = self.target;
-        Ok(())
-    }
-
-    fn transform_unit(&self, st: &EngineState, idx: usize) -> Result<UnitArtifact, RewriteError> {
-        let d = st.disasm.as_deref().expect("cache holds the analyses");
-        let liveness = st.liveness.as_deref().expect("cache holds the analyses");
-        Ok(emit_unit(
-            &st.units[idx],
-            st.plans[idx].addr,
-            d,
-            liveness,
-            self.opts,
-            self.target,
-            st.fht.spill_base,
-            st.fht.abi_gp,
-        ))
+        Ok(Scanned {
+            ranges,
+            profile: self.target,
+            total_insts: d.insts.len(),
+            source_insts: sources.len(),
+            untranslated,
+            units: Arc::new(ChbpUnits {
+                target: self.target,
+                opts: self.opts,
+                frame,
+                d,
+                liveness,
+                units,
+            }),
+        })
     }
 }
 
-/// Emits one unit at `addr` into a fresh artifact: the pure per-unit
-/// function behind both the scan-stage size measurement and the parallel
-/// transform stage. Each call uses its own [`Translator`] (its only
-/// mutable state is a label-name counter, which never reaches the bytes).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_unit(
-    unit: &RewriteUnit,
-    addr: u64,
-    d: &Disassembly,
-    liveness: &Liveness,
-    opts: RewriteOptions,
-    target: ExtSet,
-    spill_base: u64,
-    abi_gp: u64,
-) -> UnitArtifact {
-    let mut translator = Translator::new(spill_base, abi_gp);
-    let mut em = BlockEmitter::new(addr);
-    let mut art = UnitArtifact::default();
-    match &unit.kind {
-        UnitKind::Region { region, .. } => {
-            emit_block(
+impl Units for ChbpUnits {
+    fn place(&self, idx: usize, cursor: u64, _: u64) -> Result<Option<Placement>, RewriteError> {
+        let site = match &self.units[idx] {
+            ChbpUnit::Region(region) => {
+                let site = region.insts[0];
+                // A SMILE entry when the block address is reachable within
+                // the padding budget (never for the strawman).
+                if !self.opts.force_trap_entries {
+                    let smile = place_smile(
+                        site.addr,
+                        region.space_end,
+                        region.constraints(),
+                        cursor,
+                        self.opts.max_padding,
+                    )?;
+                    if smile.is_some() {
+                        return Ok(smile);
+                    }
+                }
+                // Trap entry, but keep the full region block — only the
+                // site's own bytes are replaced, neighbours stay intact,
+                // and the block's interior redirects cover erroneous
+                // jumps.
+                site
+            }
+            ChbpUnit::Site(site) => *site,
+        };
+        Ok(Some(Placement {
+            addr: cursor,
+            entry: Entry::Trap {
+                site: site.addr,
+                len: site.len,
+            },
+        }))
+    }
+
+    /// Each call uses its own [`Translator`] (its only mutable state is a
+    /// label-name counter, which never reaches the bytes). The Table-3
+    /// counters in the stats fragment are evaluated at `addr`, so only a
+    /// final-address emission's fragment may reach the caller.
+    fn emit(&self, idx: usize, addr: u64) -> Result<UnitArtifact, RewriteError> {
+        let mut translator = Translator::new(self.frame.spill_base, self.frame.abi_gp);
+        let mut em = BlockEmitter::new(addr);
+        let mut art = UnitArtifact::default();
+        match &self.units[idx] {
+            ChbpUnit::Region(region) => emit_block(
                 region,
-                d,
-                liveness,
-                opts,
+                &self.d,
+                &self.liveness,
+                self.opts,
                 &mut translator,
                 &mut em,
                 &mut art.fht,
                 &mut art.stats,
-                target,
-            );
+                self.target,
+            ),
+            ChbpUnit::Site(site) => {
+                emit_site_translation(&site.inst, self.opts.mode, &mut translator, &mut em)
+                    .expect("scan verified translatability");
+                emit_exit(
+                    site.next_addr(),
+                    &self.d,
+                    &self.liveness,
+                    self.opts,
+                    self.target,
+                    &mut em,
+                    &mut art.fht,
+                    &mut art.stats,
+                );
+            }
         }
-        UnitKind::Site(site) => {
-            emit_site_translation(&site.inst, opts.mode, &mut translator, &mut em)
-                .expect("scan verified translatability");
-            emit_exit(
-                site.next_addr(),
-                d,
-                liveness,
-                opts,
-                target,
-                &mut em,
-                &mut art.fht,
-                &mut art.stats,
-            );
-        }
-        UnitKind::Span { .. } => unreachable!("span units belong to the regeneration engine"),
+        art.bytes = em.finish();
+        Ok(art)
     }
-    art.bytes = em.finish();
-    art
 }
 
 /// Emits the translation for one patch site: gp restore followed by the
@@ -656,17 +444,10 @@ pub fn ebreak_patch(len: u8) -> Vec<u8> {
 #[allow(clippy::unusual_byte_groupings)] // grouped by RVC field, not nibble
 pub const ILLEGAL_HALFWORD: u16 = 0b100_0_0000_0000_00_00;
 
-fn pad_illegal(buf: &mut Vec<u8>, n: usize) {
-    debug_assert_eq!(n % 2, 0, "padding is halfword-granular");
-    for _ in 0..n / 2 {
-        buf.extend_from_slice(&ILLEGAL_HALFWORD.to_le_bytes());
-    }
-}
-
 /// A patch region: the instructions translated/copied into one target
 /// block.
 #[derive(Debug)]
-pub(crate) struct Region {
+struct Region {
     /// Instructions from the site onward, in order.
     insts: Vec<DisasmInst>,
     /// First byte after the overwritten space (≥ site + 8, an instruction
@@ -698,25 +479,15 @@ impl Region {
     /// translates: from the patch site through the later of the
     /// overwritten space and the last batched instruction. The
     /// incremental driver keys the dirty-unit set on this range.
-    pub(crate) fn source_range(&self) -> (u64, u64) {
+    fn source_range(&self) -> (u64, u64) {
         let start = self.insts[0].addr;
         let last = self.insts.last().expect("regions are non-empty");
         (start, self.space_end.max(last.addr + last.len as u64))
     }
 
     /// Which interior trampoline offsets were original instruction starts.
-    fn constraints(&self, _d: &Disassembly) -> SmileConstraints {
-        let site = self.insts[0].addr;
-        let mut c = SmileConstraints::NONE;
-        for di in &self.insts {
-            if di.addr == site + 2 {
-                c.p2 = true;
-            }
-            if di.addr == site + 6 {
-                c.p3 = true;
-            }
-        }
-        c
+    fn constraints(&self) -> SmileConstraints {
+        SmileConstraints::of(self.insts[0].addr, self.insts.iter().map(|di| di.addr))
     }
 }
 

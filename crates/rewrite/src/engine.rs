@@ -1,74 +1,161 @@
-//! The unified rewrite-engine abstraction: every rewriting system (CHBP,
-//! the strawman, the Safer/ARMore regeneration flavors, and the FAM/MELF
-//! identity passthrough) implements [`RewriteEngine`] — six explicit
-//! stages over a shared [`RewriteUnit`] IR, driven by
-//! [`crate::pipeline::run`]:
+//! What a rewriting system supplies to the shared driver.
 //!
-//! 1. **scan** — validate the input, build the analyses (disassembly,
-//!    CFG, liveness), partition the binary into independent rewrite
-//!    units, and *measure* each unit's emitted size (block emission is
-//!    size-invariant in its base address, so a scratch emission at any
-//!    base measures the real size).
-//! 2. **plan** — sequentially assign every unit its final target-section
-//!    address, decide entry kinds (SMILE vs. trap) and collect text
-//!    patches. This is the only stage whose decisions depend on layout,
-//!    and it is deterministic by construction.
-//! 3. **transform** — re-emit every unit at its planned final address.
-//!    Each unit is a pure function of `(unit, address, analyses)`, so
-//!    this stage runs on a worker pool with bit-identical output for
-//!    every worker count.
-//! 4. **place** — concatenate unit bytes (plus planned padding) into the
-//!    target section and merge per-unit fault-table/statistics fragments
-//!    in unit order.
-//! 5. **link** — apply text patches, attach the target section, fix up
-//!    the entry point and profile.
-//! 6. **verify** — validate the output binary.
+//! Every system — CHBP, the trap-entry strawman, the Safer/ARMore
+//! regeneration flavors, the upgrade vectorizer and the FAM/MELF identity
+//! passthrough — is a [`RewriteEngine`]: it names the section its code
+//! goes to and *scans* the input into a set of independent rewrite
+//! [`Units`]. The unit set answers the only questions that differ between
+//! rewriting systems:
+//!
+//! * **size** — how many bytes a unit emits (by default one scratch
+//!   emission: emission is size-invariant in its base address);
+//! * **place** — given the running target-section cursor, where the unit
+//!   goes and how the original section reaches it (SMILE trampoline, trap,
+//!   nothing) — or that its source is left untouched;
+//! * **emit** — the unit's bytes and table fragments at an address: one
+//!   pure function behind scan-time sizing, the parallel transform and
+//!   incremental re-emission, so the three can never disagree;
+//! * **link** — an optional engine-specific fix-up of the output binary
+//!   (regeneration's original-section redirects, data-pointer encoding and
+//!   entry fix-up).
+//!
+//! Everything else — input validation, the `.chimera.vregs` reservation,
+//! the sizing and transform fan-outs, layout bookkeeping, target-section
+//! assembly and attachment, patching, verification, trace events and the
+//! per-unit cache — is [`crate::pipeline`]'s, written once.
 
-use crate::chbp::{FaultTable, Region, RewriteError, RewriteStats};
-use crate::regen::{RegenAux, RegenInfo};
-use chimera_analysis::{Cfg, DisasmInst, Disassembly, Liveness};
+use crate::chbp::{FaultTable, RewriteError, RewriteStats};
+use crate::regen::RegenInfo;
+use chimera_isa::ExtSet;
 use chimera_obj::Binary;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// One independent rewrite unit: the granularity of parallel transform.
-/// Its position in [`EngineState::units`] is its identity — plans,
-/// artifacts and fragment merges all follow that order, which is what
-/// makes parallel transform deterministic.
-#[derive(Debug)]
-pub struct RewriteUnit {
-    /// What the unit covers.
-    pub(crate) kind: UnitKind,
+/// The addresses the pipeline fixed before the engine saw the input.
+/// All zero for an engine without a target section.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Frame {
+    /// Base of the `.chimera.vregs` spill section (simulated vector state).
+    pub spill_base: u64,
+    /// The input's psABI `gp` value.
+    pub abi_gp: u64,
+    /// Where the target section will land.
+    pub target_base: u64,
 }
 
-/// The unit payload, per engine family.
-#[derive(Debug)]
-pub(crate) enum UnitKind {
-    /// A CHBP patch region (site + batched neighbourhood). `forced_trap`
-    /// marks strawman units, which always take a trap entry.
-    Region {
-        /// The region to emit.
-        region: Region,
-        /// Strawman mode: never attempt a SMILE entry.
-        forced_trap: bool,
-    },
-    /// A CHBP site with no usable region: trap entry + lone translation.
-    Site(DisasmInst),
-    /// A regeneration span: instruction index range `[start, end)` in the
-    /// address-ordered disassembly.
-    Span {
-        /// First instruction index.
-        start: usize,
-        /// One past the last instruction index.
-        end: usize,
-    },
+/// A staged rewriting system. Its `Debug` rendering is its cache identity:
+/// [`crate::pipeline::run_incremental`] and
+/// [`crate::SharedVariantCache::checkout`] treat two engines as the same
+/// rewrite only when they print alike, so every parameter that can change
+/// the output must be a field `Debug` shows (derive it).
+pub trait RewriteEngine: Sync + std::fmt::Debug {
+    /// Name of the executable section the engine's code goes to. `None`
+    /// means the engine emits no code: the pipeline reserves nothing,
+    /// attaches nothing, and the output is the input.
+    fn target_section(&self) -> Option<&'static str>;
+
+    /// Builds the analyses the engine needs and partitions `input` into
+    /// units. `workers` bounds any fan-out of the engine's own.
+    fn scan(&self, input: &Binary, frame: Frame, workers: usize) -> Result<Scanned, RewriteError>;
 }
 
-/// What one unit's transform produced: emitted bytes plus fragments of
-/// the fault table, statistics and regeneration metadata, merged (in unit
-/// order) during the place stage. Artifacts are also what the
-/// incremental path caches per unit: emission is a pure function of
-/// `(unit, planned address, analyses)`, so a cached artifact is reusable
-/// verbatim until its unit's source range is invalidated.
+/// What [`RewriteEngine::scan`] found.
+pub struct Scanned {
+    /// The engine-owned unit set: its analyses and whatever it needs to
+    /// place and emit each unit. Shared (not cloned) with the per-unit
+    /// cache.
+    pub units: Arc<dyn Units>,
+    /// The input-address range `[start, end)` each unit translates, in
+    /// unit order. A unit's index here is its identity — layout, artifacts
+    /// and fragment merges all follow this order, which is what makes the
+    /// parallel transform deterministic — and the incremental driver keys
+    /// the dirty-unit set on these ranges.
+    pub ranges: Vec<(u64, u64)>,
+    /// The profile the output binary requires.
+    pub profile: ExtSet,
+    /// Recognized instructions.
+    pub total_insts: usize,
+    /// Source instructions (needing rewrite).
+    pub source_insts: usize,
+    /// Source instructions left unpatched because nothing can translate
+    /// them (they fault at runtime; the kernel migrates, FAM-style).
+    pub untranslated: BTreeSet<u64>,
+}
+
+/// The per-unit hooks of one scanned input. Every method is a pure
+/// function of `(self, arguments)`; the pipeline calls `size` and `emit`
+/// from worker threads.
+pub trait Units: Send + Sync {
+    /// Emitted size of unit `idx`. Emission is size-invariant in its base
+    /// address, so one emission at the `scratch` address measures it; an
+    /// engine that fixed its slot sizes while scanning answers from those.
+    fn size(&self, idx: usize, scratch: u64) -> Result<u64, RewriteError> {
+        Ok(self.emit(idx, scratch)?.bytes.len() as u64)
+    }
+
+    /// Decides where unit `idx` (`size` bytes) goes, given that the target
+    /// section is filled up to `cursor`. `None` leaves the unit's source
+    /// untouched: nothing is emitted or patched for it.
+    fn place(&self, idx: usize, cursor: u64, size: u64) -> Result<Option<Placement>, RewriteError>;
+
+    /// Emits unit `idx` at `addr`.
+    fn emit(&self, idx: usize, addr: u64) -> Result<UnitArtifact, RewriteError>;
+
+    /// Engine-specific fix-up of the patched output, before the target
+    /// section is attached. Returns the number of items it touched (for
+    /// the link pass's trace event).
+    fn link(
+        &self,
+        _input: &Binary,
+        _out: &mut Binary,
+        _fht: &mut FaultTable,
+        _stats: &mut RewriteStats,
+    ) -> Result<u64, RewriteError> {
+        Ok(0)
+    }
+}
+
+/// One unit's planned placement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement {
+    /// Final address of the unit's first emitted byte (`>=` the cursor;
+    /// the gap is filled with illegal halfwords).
+    pub addr: u64,
+    /// How the original section reaches the unit.
+    pub entry: Entry,
+}
+
+/// How control gets from the original section to a placed unit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Entry {
+    /// A SMILE trampoline (plus illegal filler) overwriting the bytes at
+    /// `site`; see [`crate::smile::place_smile`].
+    Smile {
+        /// Trampoline head address.
+        site: u64,
+        /// The bytes overwriting the site's space.
+        patch: Vec<u8>,
+        /// Whether the encoding had to honour P2/P3 constraints.
+        constrained: bool,
+    },
+    /// A trap replacing the `len`-byte instruction at `site`; the kernel
+    /// redirects through the fault table's `trap_entries`.
+    Trap {
+        /// The replaced instruction's address.
+        site: u64,
+        /// Its length (2 or 4).
+        len: u8,
+    },
+    /// No patch: the engine's `link` step redirects the original section.
+    Unpatched,
+}
+
+/// What one unit's emission produced: bytes plus fragments of the fault
+/// table, statistics and regeneration metadata, merged (in unit order)
+/// during the place stage. Artifacts are also what the incremental path
+/// caches per unit: emission is a pure function of `(unit, address)`, so a
+/// cached artifact is reusable verbatim until its unit's source range is
+/// invalidated.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct UnitArtifact {
     /// The unit's emitted bytes.
@@ -77,220 +164,42 @@ pub struct UnitArtifact {
     pub fht: FaultTable,
     /// Statistics fragment (exit-side counters only).
     pub stats: RewriteStats,
-    /// Regeneration-metadata fragment (Safer slow traps).
-    pub regen: RegenInfo,
-}
-
-/// One unit's planned placement.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct UnitPlan {
-    /// Final address of the unit's first emitted byte.
-    pub addr: u64,
-    /// Illegal-filler padding preceding the unit (SMILE reachability).
-    pub padding: u64,
-}
-
-/// Shared mutable state threaded through the six pipeline stages.
-pub struct EngineState<'a> {
-    /// The input binary (never mutated).
-    pub(crate) input: &'a Binary,
-    /// Worker count for the parallel stages (1 = fully sequential).
-    pub(crate) workers: usize,
-    /// The output binary under construction (cloned from the input by
-    /// scan for patching engines, by link for the identity engine).
-    pub(crate) out: Option<Binary>,
-    /// Scan: disassembly (shared with the per-unit cache so incremental
-    /// re-rewrites reuse it without recomputation or deep clones).
-    pub(crate) disasm: Option<Arc<Disassembly>>,
-    /// Scan: control-flow graph.
-    pub(crate) cfg: Option<Arc<Cfg>>,
-    /// Scan: liveness facts.
-    pub(crate) liveness: Option<Arc<Liveness>>,
-    /// Scan: the unit partition.
-    pub(crate) units: Arc<Vec<RewriteUnit>>,
-    /// Scan: measured emitted size per unit.
-    pub(crate) unit_sizes: Arc<Vec<u64>>,
-    /// Plan: per-unit placement.
-    pub(crate) plans: Vec<UnitPlan>,
-    /// Transform: per-unit artifacts (consumed by place).
-    pub(crate) artifacts: Vec<UnitArtifact>,
-    /// Plan: original-section patches (applied by link).
-    pub(crate) text_patches: Vec<(u64, Vec<u8>)>,
-    /// Place: the assembled target section.
-    pub(crate) target_code: Vec<u8>,
-    /// Scan: where the target section will land.
-    pub(crate) target_base: u64,
-    /// The fault-handling table under construction.
-    pub(crate) fht: FaultTable,
-    /// Statistics under construction.
-    pub(crate) stats: RewriteStats,
-    /// Regeneration metadata (regeneration engines only).
-    pub(crate) regen: Option<RegenInfo>,
-    /// Regeneration working state (address map, slot sizes).
-    pub(crate) regen_aux: Option<Arc<RegenAux>>,
-    /// Work-item count of the stage that just ran (for trace events).
-    pub(crate) pass_items: u64,
-}
-
-impl<'a> EngineState<'a> {
-    pub(crate) fn new(input: &'a Binary, workers: usize) -> Self {
-        EngineState {
-            input,
-            workers: workers.max(1),
-            out: None,
-            disasm: None,
-            cfg: None,
-            liveness: None,
-            units: Arc::new(Vec::new()),
-            unit_sizes: Arc::new(Vec::new()),
-            plans: Vec::new(),
-            artifacts: Vec::new(),
-            text_patches: Vec::new(),
-            target_code: Vec::new(),
-            target_base: 0,
-            fht: FaultTable::default(),
-            stats: RewriteStats::default(),
-            regen: None,
-            regen_aux: None,
-            pass_items: 0,
-        }
-    }
-}
-
-impl RewriteUnit {
-    /// The input-address range `[start, end)` whose bytes this unit
-    /// translates. The dirty-unit set is keyed on these ranges: a unit is
-    /// invalidated when a reported dirty region intersects its source
-    /// range with a generation newer than the unit's validation stamp.
-    pub(crate) fn source_range(&self, st: &EngineState) -> (u64, u64) {
-        match &self.kind {
-            UnitKind::Region { region, .. } => region.source_range(),
-            UnitKind::Site(site) => (site.addr, site.addr + site.len as u64),
-            UnitKind::Span { start, end } => st
-                .regen_aux
-                .as_deref()
-                .expect("span units carry regeneration state")
-                .span_range(*start, *end),
-        }
-    }
-}
-
-/// Merges one unit's fragments into the global fault table / statistics.
-/// Called in unit-index order, so merge results are deterministic.
-pub(crate) fn merge_fragment(fht: &mut FaultTable, stats: &mut RewriteStats, art: UnitArtifact) {
-    fht.redirects.extend(art.fht.redirects);
-    fht.trap_exits.extend(art.fht.trap_exits);
-    fht.untranslated.extend(art.fht.untranslated);
-    stats.exit_jumps += art.stats.exit_jumps;
-    stats.exit_trampolines += art.stats.exit_trampolines;
-    stats.dead_reg_not_found_traditional += art.stats.dead_reg_not_found_traditional;
-    stats.dead_reg_not_found_shift += art.stats.dead_reg_not_found_shift;
-    stats.trap_exits += art.stats.trap_exits;
-}
-
-/// A staged rewriting system. Implementations must be [`Sync`]: the
-/// pipeline shares the engine across transform workers.
-///
-/// Stage contract: `scan` fills the analyses + unit partition + sizes,
-/// `plan` assigns layout sequentially, `transform` emits units (the
-/// parallel stage), `place` assembles + merges, `link` produces the
-/// output binary, `verify` validates it. Engines with nothing to do in a
-/// stage inherit the no-op default. Every stage sets
-/// `EngineState::pass_items` for the `RewritePassDone` trace event.
-pub trait RewriteEngine: Sync {
-    /// Engine name (for diagnostics and JSON dumps).
-    fn name(&self) -> &'static str;
-
-    /// Validate input, build analyses, partition into units, measure.
-    fn scan(&self, st: &mut EngineState) -> Result<(), RewriteError>;
-
-    /// Sequential deterministic layout assignment.
-    fn plan(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.pass_items = 0;
-        Ok(())
-    }
-
-    /// Per-unit emission at final addresses (parallel).
-    fn transform(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.pass_items = 0;
-        Ok(())
-    }
-
-    /// Re-emits a single unit at its planned address: the per-unit pure
-    /// function behind `transform`, exposed so the incremental driver can
-    /// redo only dirty units. Engines whose `transform` is a no-op (no
-    /// units) never receive this call; unit-producing engines must
-    /// override it.
-    fn transform_unit(&self, _st: &EngineState, _idx: usize) -> Result<UnitArtifact, RewriteError> {
-        Err(RewriteError::Layout(format!(
-            "engine '{}' does not support incremental re-transform",
-            self.name()
-        )))
-    }
-
-    /// Incrementally re-rewrites `binary` against a cache primed by
-    /// [`crate::pipeline::run_cached`]: only the units whose source
-    /// ranges intersect `dirty` (at a generation newer than their
-    /// validation stamp) are re-emitted; every clean unit's bytes are
-    /// reused verbatim. Output is bit-identical to a from-scratch
-    /// rewrite. See [`crate::pipeline::run_incremental`] (which `dyn`
-    /// callers use directly) for the full contract.
-    fn rewrite_incremental(
-        &self,
-        binary: &Binary,
-        cache: &mut crate::pipeline::RewriteCache,
-        dirty: &[crate::pipeline::DirtySpan],
-        workers: usize,
-        tracer: &chimera_trace::Tracer,
-    ) -> Result<crate::pipeline::EngineResult, RewriteError>
-    where
-        Self: Sized,
-    {
-        crate::pipeline::run_incremental(self, binary, cache, dirty, workers, tracer)
-    }
-
-    /// Target-section assembly + fragment merge.
-    fn place(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.pass_items = 0;
-        Ok(())
-    }
-
-    /// Patching, section attachment, entry/profile fixup.
-    fn link(&self, st: &mut EngineState) -> Result<(), RewriteError>;
-
-    /// Output validation.
-    fn verify(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        let out = st.out.as_ref().expect("link produced the output binary");
-        out.validate()
-            .map_err(|e| RewriteError::BadBinary(format!("rewritten binary invalid: {e}")))?;
-        st.pass_items = 1;
-        Ok(())
-    }
+    /// Regeneration-metadata fragment (`Some` from regeneration engines
+    /// only, which is what makes [`crate::EngineResult::regen`] `Some`).
+    pub regen: Option<RegenInfo>,
 }
 
 /// The FAM/MELF identity engine: no rewriting at all — the variant runs
 /// the input binary as-is. Exists so every system in the §6.1 comparison
 /// dispatches through the same pipeline (and produces the same trace
 /// shape).
+#[derive(Debug)]
 pub struct IdentityEngine;
 
 impl RewriteEngine for IdentityEngine {
-    fn name(&self) -> &'static str {
-        "identity"
+    fn target_section(&self) -> Option<&'static str> {
+        None
     }
 
-    fn scan(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.input
-            .validate()
-            .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
-        st.stats.code_size = st.input.code_size();
-        st.pass_items = 1;
-        Ok(())
+    fn scan(&self, input: &Binary, _: Frame, _: usize) -> Result<Scanned, RewriteError> {
+        Ok(Scanned {
+            units: Arc::new(IdentityEngine),
+            ranges: Vec::new(),
+            profile: input.profile,
+            total_insts: 0,
+            source_insts: 0,
+            untranslated: BTreeSet::new(),
+        })
+    }
+}
+
+/// The empty unit set.
+impl Units for IdentityEngine {
+    fn place(&self, idx: usize, _: u64, _: u64) -> Result<Option<Placement>, RewriteError> {
+        Err(RewriteError::Layout(format!("identity has no unit {idx}")))
     }
 
-    fn link(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.out = Some(st.input.clone());
-        st.pass_items = 1;
-        Ok(())
+    fn emit(&self, idx: usize, _: u64) -> Result<UnitArtifact, RewriteError> {
+        Err(RewriteError::Layout(format!("identity has no unit {idx}")))
     }
 }

@@ -1,11 +1,18 @@
 //! # chimera-rewrite
 //!
-//! CHBP — Correct and High-performance Binary Patching — plus the baseline
-//! rewriters the paper compares against. Every rewriting system dispatches
-//! through the staged [`RewriteEngine`] pass pipeline
-//! (scan → plan → transform → place → link → verify), whose transform
-//! stage runs on a worker pool with bit-identical output for every worker
-//! count.
+//! CHBP — Correct and High-performance Binary Patching — the upgrade
+//! vectorizer, and the baseline rewriters the paper compares against.
+//!
+//! There is one rewrite driver, [`pipeline`]
+//! (scan → plan → transform → place → link → verify): it validates the
+//! input, reserves the spill section, sizes and emits units on a worker
+//! pool (bit-identical output for every worker count), lays them out,
+//! patches, attaches the target section, verifies, traces, and caches per
+//! unit for incremental refresh. A rewriting system is a [`RewriteEngine`]
+//! ([`engine`]) that supplies only what differs: its unit partition, and
+//! each unit's size, placement and emission — [`ChbpEngine`] (also the
+//! trap-entry strawman), [`UpgradeEngine`], [`RegenEngine`] (Safer and
+//! ARMore) and [`IdentityEngine`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,25 +21,22 @@ pub mod chbp;
 pub mod emitter;
 pub mod engine;
 pub mod pipeline;
+pub mod regen;
 pub mod shared;
 pub mod smile;
 pub mod translate;
+pub mod upgrade;
 
 pub use chbp::{
-    chbp_rewrite, chbp_rewrite_traced, chbp_rewrite_with, ebreak_patch, emit_site_translation,
-    verify_claim1, ChbpEngine, FaultTable, Mode, RewriteError, RewriteOptions, RewriteStats,
-    Rewritten,
+    chbp_rewrite, ebreak_patch, emit_site_translation, verify_claim1, ChbpEngine, FaultTable, Mode,
+    RewriteError, RewriteOptions, RewriteStats, Rewritten,
 };
-pub use engine::{IdentityEngine, RewriteEngine, UnitArtifact};
+pub use engine::{
+    Entry, Frame, IdentityEngine, Placement, RewriteEngine, Scanned, UnitArtifact, Units,
+};
 pub use pipeline::{
     default_workers, run, run_cached, run_incremental, DirtySpan, EngineResult, RewriteCache,
 };
+pub use regen::{Flavor, RegenEngine, RegenInfo, SlowTrap};
 pub use shared::{content_key, SharedCacheStats, SharedVariantCache, VariantHandle};
-pub mod regen;
-
-pub use regen::{
-    regenerate, regenerate_with, Flavor, RegenEngine, RegenInfo, Regenerated, SlowTrap,
-};
-pub mod upgrade;
-
-pub use upgrade::upgrade_rewrite;
+pub use upgrade::{upgrade_rewrite, UpgradeEngine};

@@ -1,33 +1,57 @@
-//! The pass-pipeline driver: runs a [`RewriteEngine`]'s six stages over
-//! one binary, emitting a [`TraceEvent::RewritePassDone`] per stage and
-//! the `rewrite.*` counters at the end — plus the **incremental** driver
-//! ([`run_incremental`]), which replays a cached run redoing only the
-//! units a dirty-region report invalidated.
+//! The rewrite driver: the one implementation of everything rewriting
+//! systems share. A [`RewriteEngine`] supplies the unit partition and the
+//! per-unit size / placement / emission hooks ([`crate::engine`]); this
+//! module owns the six stages around them and emits a
+//! [`TraceEvent::RewritePassDone`] per stage plus the `rewrite.*` counters:
 //!
-//! Determinism contract: for a fixed engine + input, the output —
-//! binary bytes, [`FaultTable`](crate::FaultTable), and
-//! [`RewriteStats`](crate::RewriteStats) — is bit-identical for every
-//! `workers` value. Layout is assigned in the sequential plan stage;
-//! the parallel stages (scan measurement, transform) compute pure
-//! per-unit functions reassembled in unit order.
+//! 1. **scan** — validate the input, reserve the `.chimera.vregs` spill
+//!    section and fix the target base, let the engine partition the input,
+//!    then measure every unit's emitted size on the worker pool;
+//! 2. **plan** — walk the units in order with a running cursor, asking the
+//!    engine where each goes; record addresses, original-section patches,
+//!    trampoline/trap table entries and padding. The only stage whose
+//!    decisions depend on layout, and sequential by construction;
+//! 3. **transform** — emit every placed unit at its final address on the
+//!    worker pool, asserting each came out at its measured size;
+//! 4. **place** — concatenate unit bytes (plus illegal-filled padding) into
+//!    the target section and merge the per-unit table/statistics fragments
+//!    in unit order;
+//! 5. **link** — apply the patches, run the engine's own link step, attach
+//!    the target section under the engine's name, check it landed at the
+//!    planned base, set the output profile;
+//! 6. **verify** — validate the output binary.
 //!
-//! Incremental contract: the input binary is immutable, so a rewrite is
-//! a pure function of it — invalidations (lazy patches, SMC pokes,
-//! remaps) live in the *runtime memory image*, not the input. An
-//! incremental run therefore reproduces the full-rewrite output exactly:
-//! it reuses the cached analyses and layout, re-emits only the dirty
+//! Rewrite-time events are timestamped at cycle 0 (there is no simulated
+//! clock at rewrite time); durations live in the event payload, so traces
+//! of deterministic runs stay deterministic apart from those payloads.
+//!
+//! Determinism contract: for a fixed engine + input, the output — binary
+//! bytes, [`FaultTable`], [`RewriteStats`] and regeneration metadata — is
+//! bit-identical for every `workers` value. Layout is assigned in the
+//! sequential plan stage; the parallel stages compute pure per-unit
+//! functions reassembled in unit order.
+//!
+//! Incremental contract ([`run_incremental`]): the input binary is
+//! immutable, so a rewrite is a pure function of it — invalidations (lazy
+//! patches, SMC pokes, remaps) live in the *runtime memory image*, not the
+//! input. An incremental run therefore reproduces the full-rewrite output
+//! exactly: it reuses the cached post-plan state, re-emits only the dirty
 //! units (hard-asserting each re-emission matches its cached artifact),
 //! clones every clean artifact verbatim, and replays place/link/verify.
 //! The dirty set decides how much work is *saved*, never what the output
 //! *is* — which is what makes the byte-equality invariant unconditional.
 
-use crate::chbp::{RewriteError, Rewritten};
-use crate::engine::{EngineState, RewriteEngine, RewriteUnit, UnitArtifact, UnitPlan};
-use crate::regen::{RegenAux, RegenInfo};
-use chimera_analysis::{Cfg, Disassembly, Liveness};
-use chimera_obj::Binary;
+use crate::chbp::{ebreak_patch, FaultTable, RewriteError, RewriteStats, Rewritten};
+use crate::engine::{Entry, Frame, RewriteEngine, UnitArtifact, Units};
+use crate::regen::RegenInfo;
+use crate::translate::SpillLayout;
+use chimera_analysis::par::map_indexed;
+use chimera_isa::ExtSet;
+use chimera_obj::{Binary, Perms};
 use chimera_trace::{RewritePass, TraceEvent, Tracer};
 use std::sync::Arc;
+
+pub use chimera_obj::DirtySpan;
 
 /// What a pipeline run produced.
 pub struct EngineResult {
@@ -37,66 +61,63 @@ pub struct EngineResult {
     pub regen: Option<RegenInfo>,
 }
 
-/// A mutated input-address span, as reported by the emulator's
-/// `Memory::dirty_regions_since`: the byte range plus the region
-/// generation stamp the mutation produced. A unit whose source range
-/// intersects a span with `generation` newer than the unit's validation
-/// stamp is dirty and gets re-emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirtySpan {
-    /// First mutated address.
-    pub start: u64,
-    /// One past the last mutated address.
-    pub end: u64,
-    /// The `(start, generation)` stamp's generation half.
-    pub generation: u64,
+/// The immutable half of a planned rewrite: the engine's unit set and the
+/// layout the plan stage fixed for it.
+struct Layout {
+    units: Arc<dyn Units>,
+    /// Source range per unit (the dirty-unit key).
+    ranges: Vec<(u64, u64)>,
+    section: Option<&'static str>,
+    profile: ExtSet,
+    target_base: u64,
+    /// Measured emitted size per unit.
+    sizes: Vec<u64>,
+    /// Final address per unit; `None` = source left untouched.
+    addrs: Vec<Option<u64>>,
+    /// Original-section patches, in unit order.
+    patches: Vec<(u64, Vec<u8>)>,
 }
 
-/// One cached unit: its transform artifact plus the validation stamp —
-/// the newest dirty-region generation this unit has been re-validated
-/// against. Re-presenting an already-consumed dirty report is a no-op.
+/// The state of a rewrite after the plan stage: the shared layout plus
+/// the output under construction — the input with its spill section
+/// reserved, and the fault table and statistics as scan and plan filled
+/// them. The tail stages consume it; the cache keeps a copy to replay.
+#[derive(Clone)]
+struct Planned {
+    layout: Arc<Layout>,
+    binary: Binary,
+    fht: FaultTable,
+    stats: RewriteStats,
+}
+
+/// One cached unit: its artifact plus the validation stamp — the newest
+/// dirty-region generation this unit has been re-validated against.
+/// Re-presenting an already-consumed dirty report is a no-op.
 #[derive(Clone)]
 struct CachedUnit {
     artifact: UnitArtifact,
     stamp: u64,
-    source: (u64, u64),
 }
 
-/// The per-unit rewrite cache primed by [`run_cached`]: the scan stage's
-/// analyses (shared, not cloned), the plan stage's layout and snapshots,
-/// and every unit's artifact with a validation stamp. One cache serves
-/// one `(engine, input binary)` pair; [`run_incremental`] re-primes it
-/// automatically when either changed.
+/// The per-unit rewrite cache primed by [`run_cached`]: the post-plan
+/// state and every unit's artifact with a validation stamp. One cache
+/// serves one `(engine, input binary)` pair; [`run_incremental`] re-primes
+/// it automatically when either changed.
 ///
-/// Cloning is cheap-ish (analyses stay `Arc`-shared; artifacts and plans
-/// copy) and gives the clone an *independent* validation-stamp column —
-/// the mechanism `SharedVariantCache` uses to keep one process's SMC
-/// invalidations out of every other process's view of the same variant.
+/// Cloning copies the output template, the artifacts and the stamps (the
+/// layout and the engine's analyses stay `Arc`-shared) and gives the clone
+/// an *independent* validation-stamp column — the mechanism
+/// `SharedVariantCache` uses to keep one process's SMC invalidations out
+/// of every other process's view of the same variant.
 #[derive(Clone)]
 pub struct RewriteCache {
-    engine_name: &'static str,
+    /// [`identity`] of the engine that primed the cache.
+    engine: String,
     /// The exact input the cache was built from (incremental runs verify
     /// equality — a stale cache silently reused would break the
     /// byte-identity invariant).
     input: Binary,
-    /// `st.out` as scan left it (cloned into each incremental run; link
-    /// mutates it).
-    out_template: Option<Binary>,
-    disasm: Option<Arc<Disassembly>>,
-    cfg: Option<Arc<Cfg>>,
-    liveness: Option<Arc<Liveness>>,
-    /// Post-plan (address map filled, for regeneration engines).
-    regen_aux: Option<Arc<RegenAux>>,
-    units: Arc<Vec<RewriteUnit>>,
-    unit_sizes: Arc<Vec<u64>>,
-    target_base: u64,
-    /// Post-plan layout + original-section patches.
-    plans: Vec<UnitPlan>,
-    text_patches: Vec<(u64, Vec<u8>)>,
-    /// Fault table / statistics as the plan stage left them (place and
-    /// link replay their merges on top).
-    fht_after_plan: crate::chbp::FaultTable,
-    stats_after_plan: crate::chbp::RewriteStats,
+    planned: Planned,
     cached: Vec<CachedUnit>,
 }
 
@@ -115,6 +136,12 @@ impl RewriteCache {
     }
 }
 
+/// An engine's cache identity: its `Debug` rendering, which shows its
+/// type and every parameter (see [`RewriteEngine`]).
+pub(crate) fn identity(engine: &dyn RewriteEngine) -> String {
+    format!("{engine:?}")
+}
+
 /// The default transform worker count: the machine's parallelism, capped
 /// at 8 (the gate's measured scaling point; rewriting saturates quickly
 /// beyond that).
@@ -125,7 +152,7 @@ pub fn default_workers() -> usize {
         .min(8)
 }
 
-/// Runs `engine`'s six stages over `binary` with `workers` transform
+/// Runs the six stages over `binary` with `engine`'s hooks and `workers`
 /// threads (`<= 1` runs fully sequentially — same output).
 pub fn run(
     engine: &dyn RewriteEngine,
@@ -133,92 +160,271 @@ pub fn run(
     workers: usize,
     tracer: &Tracer,
 ) -> Result<EngineResult, RewriteError> {
-    run_stages(engine, binary, workers, tracer, None)
+    let mut timer = PassTimer::new(tracer);
+    let planned = plan(engine, binary, workers, &mut timer)?;
+    let artifacts = transform(&planned.layout, workers, &mut timer)?;
+    finish(binary, planned, artifacts.into_iter(), &mut timer)
 }
 
 /// [`run`], additionally priming a [`RewriteCache`] for later
-/// [`run_incremental`] calls: the analyses and unit partition are shared
-/// (`Arc`), the post-plan layout is snapshotted, and every unit's
-/// artifact is kept with a fresh validation stamp.
+/// [`run_incremental`] calls: the post-plan state is kept (analyses and
+/// layout shared, the output template copied) and every unit's artifact is
+/// stored with a fresh validation stamp.
 pub fn run_cached(
     engine: &dyn RewriteEngine,
     binary: &Binary,
     workers: usize,
     tracer: &Tracer,
 ) -> Result<(EngineResult, RewriteCache), RewriteError> {
-    let mut cache = RewriteCache {
-        engine_name: engine.name(),
+    let mut timer = PassTimer::new(tracer);
+    let planned = plan(engine, binary, workers, &mut timer)?;
+    let artifacts = transform(&planned.layout, workers, &mut timer)?;
+    let result = finish(
+        binary,
+        planned.clone(),
+        artifacts.iter().cloned(),
+        &mut timer,
+    )?;
+    let cache = RewriteCache {
+        engine: identity(engine),
         input: binary.clone(),
-        out_template: None,
-        disasm: None,
-        cfg: None,
-        liveness: None,
-        regen_aux: None,
-        units: Arc::new(Vec::new()),
-        unit_sizes: Arc::new(Vec::new()),
-        target_base: 0,
-        plans: Vec::new(),
-        text_patches: Vec::new(),
-        fht_after_plan: Default::default(),
-        stats_after_plan: Default::default(),
-        cached: Vec::new(),
+        planned,
+        cached: artifacts
+            .into_iter()
+            .map(|artifact| CachedUnit { artifact, stamp: 0 })
+            .collect(),
     };
-    let result = run_stages(engine, binary, workers, tracer, Some(&mut cache))?;
     Ok((result, cache))
 }
 
-fn run_stages(
+/// Scan + plan: everything up to the point where unit addresses are fixed.
+fn plan(
     engine: &dyn RewriteEngine,
-    binary: &Binary,
+    input: &Binary,
     workers: usize,
-    tracer: &Tracer,
-    mut capture: Option<&mut RewriteCache>,
+    timer: &mut PassTimer,
+) -> Result<Planned, RewriteError> {
+    input
+        .validate()
+        .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
+    let mut binary = input.clone();
+    let section = engine.target_section();
+    let frame = match section {
+        // Reserve the spill section, then compute where the target
+        // section will go.
+        Some(_) => {
+            let spill_base = binary.append_section(
+                ".chimera.vregs",
+                vec![0u8; SpillLayout::SIZE.next_multiple_of(0x1000)],
+                Perms::RW,
+            );
+            let top = binary.sections.iter().map(|s| s.end()).max().unwrap_or(0);
+            Frame {
+                spill_base,
+                abi_gp: input.gp,
+                target_base: (top + 0xfff) & !0xfff,
+            }
+        }
+        None => Frame::default(),
+    };
+    let scanned = engine.scan(input, frame, workers)?;
+    let units = scanned.units;
+    let n = scanned.ranges.len();
+
+    // Size measurement: pure per unit, so it fans out.
+    let sizes: Vec<u64> = map_indexed(workers, n, |i| units.size(i, frame.target_base))
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    timer.done(RewritePass::Scan, scanned.total_insts as u64);
+
+    let mut fht = FaultTable {
+        abi_gp: frame.abi_gp,
+        spill_base: frame.spill_base,
+        untranslated: scanned.untranslated,
+        ..Default::default()
+    };
+    let mut stats = RewriteStats {
+        code_size: input.code_size(),
+        total_insts: scanned.total_insts,
+        source_insts: scanned.source_insts,
+        ..Default::default()
+    };
+    let mut cursor = frame.target_base;
+    let mut addrs = Vec::with_capacity(n);
+    let mut patches = Vec::new();
+    for (i, &size) in sizes.iter().enumerate() {
+        let Some(p) = units.place(i, cursor, size)? else {
+            addrs.push(None);
+            continue;
+        };
+        match p.entry {
+            Entry::Smile {
+                site,
+                patch,
+                constrained,
+            } => {
+                patches.push((site, patch));
+                fht.trampolines.insert(site);
+                stats.smile_trampolines += 1;
+                stats.constrained_smiles += constrained as usize;
+            }
+            Entry::Trap { site, len } => {
+                patches.push((site, ebreak_patch(len)));
+                fht.trap_entries.insert(site, p.addr);
+                stats.trap_entries += 1;
+            }
+            Entry::Unpatched => {}
+        }
+        stats.padding_bytes += p.addr - cursor;
+        addrs.push(Some(p.addr));
+        cursor = p.addr + size;
+    }
+    timer.done(RewritePass::Plan, n as u64);
+
+    Ok(Planned {
+        layout: Arc::new(Layout {
+            units,
+            ranges: scanned.ranges,
+            section,
+            profile: scanned.profile,
+            target_base: frame.target_base,
+            sizes,
+            addrs,
+            patches,
+        }),
+        binary,
+        fht,
+        stats,
+    })
+}
+
+/// Emits unit `idx` at its planned address (nothing for a unit the plan
+/// left untouched): the per-unit function behind the transform fan-out and
+/// incremental re-emission.
+fn emit_placed(layout: &Layout, idx: usize) -> Result<UnitArtifact, RewriteError> {
+    let Some(addr) = layout.addrs[idx] else {
+        return Ok(UnitArtifact::default());
+    };
+    let art = layout.units.emit(idx, addr)?;
+    assert_eq!(
+        art.bytes.len() as u64,
+        layout.sizes[idx],
+        "unit {idx}: emission must be size-invariant in its base address"
+    );
+    Ok(art)
+}
+
+fn transform(
+    layout: &Layout,
+    workers: usize,
+    timer: &mut PassTimer,
+) -> Result<Vec<UnitArtifact>, RewriteError> {
+    let n = layout.addrs.len();
+    let artifacts = map_indexed(workers, n, |i| emit_placed(layout, i))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    timer.done(RewritePass::Transform, n as u64);
+    Ok(artifacts)
+}
+
+/// Place + link + verify: assembles the output from a planned rewrite and
+/// its units' artifacts (one per unit, in unit order).
+fn finish(
+    input: &Binary,
+    planned: Planned,
+    artifacts: impl Iterator<Item = UnitArtifact>,
+    timer: &mut PassTimer,
 ) -> Result<EngineResult, RewriteError> {
-    let mut st = EngineState::new(binary, workers);
-    let mut timer = PassTimer::new(tracer);
+    let Planned {
+        layout,
+        mut binary,
+        mut fht,
+        mut stats,
+    } = planned;
 
-    engine.scan(&mut st)?;
-    timer.done(RewritePass::Scan, st.pass_items);
-    engine.plan(&mut st)?;
-    timer.done(RewritePass::Plan, st.pass_items);
-    if let Some(cache) = capture.as_deref_mut() {
-        cache.out_template = st.out.clone();
-        cache.disasm = st.disasm.clone();
-        cache.cfg = st.cfg.clone();
-        cache.liveness = st.liveness.clone();
-        cache.regen_aux = st.regen_aux.clone();
-        cache.units = st.units.clone();
-        cache.unit_sizes = st.unit_sizes.clone();
-        cache.target_base = st.target_base;
-        cache.plans = st.plans.clone();
-        cache.text_patches = st.text_patches.clone();
-        cache.fht_after_plan = st.fht.clone();
-        cache.stats_after_plan = st.stats;
+    let mut code: Vec<u8> = Vec::new();
+    let mut regen: Option<RegenInfo> = None;
+    for (addr, art) in layout.addrs.iter().zip(artifacts) {
+        let Some(addr) = *addr else { continue };
+        // Constraint padding: reserved-illegal halfwords, so any entry
+        // there faults.
+        let gap = addr - (layout.target_base + code.len() as u64);
+        debug_assert_eq!(gap % 2, 0, "padding is halfword-granular");
+        for _ in 0..gap / 2 {
+            code.extend_from_slice(&crate::chbp::ILLEGAL_HALFWORD.to_le_bytes());
+        }
+        code.extend_from_slice(&art.bytes);
+        // Fragments merge in unit order, so the result is deterministic.
+        fht.redirects.extend(art.fht.redirects);
+        fht.trap_exits.extend(art.fht.trap_exits);
+        fht.untranslated.extend(art.fht.untranslated);
+        stats.exit_jumps += art.stats.exit_jumps;
+        stats.exit_trampolines += art.stats.exit_trampolines;
+        stats.dead_reg_not_found_traditional += art.stats.dead_reg_not_found_traditional;
+        stats.dead_reg_not_found_shift += art.stats.dead_reg_not_found_shift;
+        stats.trap_exits += art.stats.trap_exits;
+        if let Some(r) = art.regen {
+            regen
+                .get_or_insert_with(RegenInfo::default)
+                .slow_traps
+                .extend(r.slow_traps);
+        }
     }
-    engine.transform(&mut st)?;
-    timer.done(RewritePass::Transform, st.pass_items);
-    if let Some(cache) = capture {
-        let stamp = 0;
-        cache.cached = st
-            .artifacts
-            .iter()
-            .enumerate()
-            .map(|(i, a)| CachedUnit {
-                artifact: a.clone(),
-                stamp,
-                source: st.units[i].source_range(&st),
-            })
-            .collect();
-    }
-    engine.place(&mut st)?;
-    timer.done(RewritePass::Place, st.pass_items);
-    engine.link(&mut st)?;
-    timer.done(RewritePass::Link, st.pass_items);
-    engine.verify(&mut st)?;
-    timer.done(RewritePass::Verify, st.pass_items);
+    timer.done(RewritePass::Place, layout.addrs.len() as u64);
 
-    emit_counters(&st, tracer);
-    finish(st)
+    for (addr, bytes) in &layout.patches {
+        if !binary.write(*addr, bytes) {
+            return Err(RewriteError::Layout(format!(
+                "patch at {addr:#x} does not fit its section"
+            )));
+        }
+    }
+    let linked = layout
+        .units
+        .link(input, &mut binary, &mut fht, &mut stats)?;
+    if let Some(section) = layout.section {
+        stats.target_section_size = code.len() as u64;
+        if code.is_empty() {
+            // Keep an empty-but-mapped page so ranges stay meaningful.
+            code.resize(16, 0);
+        }
+        let placed = binary.append_section(section, code, Perms::RX);
+        if placed != layout.target_base {
+            return Err(RewriteError::Layout(format!(
+                "target section landed at {placed:#x}, expected {:#x}",
+                layout.target_base
+            )));
+        }
+        let end = binary
+            .section(section)
+            .ok_or(RewriteError::MissingSection(section))?
+            .end();
+        fht.target_range = (layout.target_base, end);
+    }
+    binary.profile = layout.profile;
+    timer.done(RewritePass::Link, layout.patches.len() as u64 + linked);
+
+    binary
+        .validate()
+        .map_err(|e| RewriteError::BadBinary(format!("rewritten binary invalid: {e}")))?;
+    timer.done(RewritePass::Verify, 1);
+
+    if timer.tracer.is_enabled() {
+        let count = |name, v: u64| timer.tracer.count(name, v);
+        count("rewrite.smile_trampolines", stats.smile_trampolines as u64);
+        count(
+            "rewrite.constrained_smiles",
+            stats.constrained_smiles as u64,
+        );
+        count("rewrite.trap_entries", stats.trap_entries as u64);
+        count("rewrite.trap_exits", stats.trap_exits as u64);
+        count("rewrite.untranslated", fht.untranslated.len() as u64);
+        count("rewrite.target_bytes", stats.target_section_size);
+    }
+    Ok(EngineResult {
+        rewritten: Rewritten { binary, fht, stats },
+        regen,
+    })
 }
 
 /// Incrementally re-rewrites `binary`: computes the dirty-unit set from
@@ -233,9 +439,10 @@ fn run_stages(
 /// `rewrite.units_reused` / `rewrite.units_redone` counters (they always
 /// sum to the unit total).
 ///
-/// If the cache was primed by a different engine or input, the cache is
-/// re-primed with a full run (every unit counts as redone) — callers
-/// never observe a stale result.
+/// If the cache was primed by a different engine — another type or the
+/// same type with other parameters — or for a different input, it is
+/// re-primed with a full run (every unit counts as redone): callers never
+/// observe a stale result.
 pub fn run_incremental(
     engine: &dyn RewriteEngine,
     binary: &Binary,
@@ -245,19 +452,19 @@ pub fn run_incremental(
     tracer: &Tracer,
 ) -> Result<EngineResult, RewriteError> {
     let started = tracer.is_enabled().then(std::time::Instant::now);
-    if cache.engine_name != engine.name() || cache.input != *binary {
+    if cache.engine != identity(engine) || cache.input != *binary {
         let (result, fresh) = run_cached(engine, binary, workers, tracer)?;
         *cache = fresh;
         let total = cache.cached.len() as u64;
         record_incremental(tracer, started, total, total);
         return Ok(result);
     }
+    let layout = &*cache.planned.layout;
 
     // Dirty-unit set: source-range intersection against spans newer than
     // each unit's validation stamp.
     let mut redo: Vec<usize> = Vec::new();
-    for (i, cu) in cache.cached.iter_mut().enumerate() {
-        let (s, e) = cu.source;
+    for (i, (cu, &(s, e))) in cache.cached.iter_mut().zip(&layout.ranges).enumerate() {
         let newest = dirty
             .iter()
             .filter(|d| d.start < e && s < d.end && d.generation > cu.stamp)
@@ -269,51 +476,31 @@ pub fn run_incremental(
         }
     }
 
-    // Restore the post-plan state the cached run snapshotted.
-    let mut st = EngineState::new(binary, workers);
-    st.out = cache.out_template.clone();
-    st.disasm = cache.disasm.clone();
-    st.cfg = cache.cfg.clone();
-    st.liveness = cache.liveness.clone();
-    st.regen_aux = cache.regen_aux.clone();
-    st.units = cache.units.clone();
-    st.unit_sizes = cache.unit_sizes.clone();
-    st.target_base = cache.target_base;
-    st.plans = cache.plans.clone();
-    st.text_patches = cache.text_patches.clone();
-    st.fht = cache.fht_after_plan.clone();
-    st.stats = cache.stats_after_plan;
-
     // Re-emit the dirty units (parallel), then hard-assert the reuse
     // invariant: emission is pure, so a re-emitted unit must match its
     // cached artifact bit for bit. A divergence means the cache no longer
     // describes this engine configuration — corrupt output, so fail loud.
-    let fresh: Vec<Result<UnitArtifact, RewriteError>> =
-        chimera_analysis::par::map_indexed(st.workers, redo.len(), |j| {
-            engine.transform_unit(&st, redo[j])
-        });
+    let fresh = map_indexed(workers, redo.len(), |j| emit_placed(layout, redo[j]));
     for (&i, art) in redo.iter().zip(fresh) {
-        let art = art?;
         assert!(
-            art == cache.cached[i].artifact,
+            art? == cache.cached[i].artifact,
             "incremental re-emission of unit {i} diverged from its cached \
-             artifact (engine '{}'): emission is not pure or the cache is \
-             stale",
-            engine.name()
+             artifact ({engine:?}): emission is not pure or the cache is stale"
         );
     }
-    st.artifacts = cache.cached.iter().map(|cu| cu.artifact.clone()).collect();
 
     // Replay the cheap tail stages for real: the output binary is
     // reconstructed, not copied.
-    engine.place(&mut st)?;
-    engine.link(&mut st)?;
-    engine.verify(&mut st)?;
-
-    emit_counters(&st, tracer);
+    let result = finish(
+        binary,
+        cache.planned.clone(),
+        cache.cached.iter().map(|cu| cu.artifact.clone()),
+        // No per-pass events: a replay reports one `RewriteIncremental`.
+        &mut PassTimer { tracer, last: None },
+    )?;
     let total = cache.cached.len() as u64;
     record_incremental(tracer, started, total, redo.len() as u64);
-    finish(st)
+    Ok(result)
 }
 
 fn record_incremental(
@@ -336,36 +523,6 @@ fn record_incremental(
     );
     tracer.count("rewrite.units_reused", units_total - units_redone);
     tracer.count("rewrite.units_redone", units_redone);
-}
-
-fn emit_counters(st: &EngineState, tracer: &Tracer) {
-    if !tracer.is_enabled() {
-        return;
-    }
-    tracer.count(
-        "rewrite.smile_trampolines",
-        st.stats.smile_trampolines as u64,
-    );
-    tracer.count(
-        "rewrite.constrained_smiles",
-        st.stats.constrained_smiles as u64,
-    );
-    tracer.count("rewrite.trap_entries", st.stats.trap_entries as u64);
-    tracer.count("rewrite.trap_exits", st.stats.trap_exits as u64);
-    tracer.count("rewrite.untranslated", st.fht.untranslated.len() as u64);
-    tracer.count("rewrite.target_bytes", st.stats.target_section_size);
-}
-
-fn finish(mut st: EngineState) -> Result<EngineResult, RewriteError> {
-    let binary = st.out.take().expect("link produced the output binary");
-    Ok(EngineResult {
-        rewritten: Rewritten {
-            binary,
-            fht: st.fht,
-            stats: st.stats,
-        },
-        regen: st.regen.take(),
-    })
 }
 
 /// Times pipeline stages and reports them to a tracer. Inert (no clock

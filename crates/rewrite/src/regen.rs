@@ -20,15 +20,15 @@
 //!   copy is within ±1 MiB (cheap, the ARM case), otherwise a trap-based
 //!   trampoline (the RISC-V reality the paper demonstrates).
 
-use crate::chbp::{FaultTable, Mode, RewriteError, RewriteStats, Rewritten, ILLEGAL_HALFWORD};
+use crate::chbp::{FaultTable, Mode, RewriteError, RewriteStats, ILLEGAL_HALFWORD};
 use crate::emitter::BlockEmitter;
-use crate::engine::{EngineState, RewriteEngine, RewriteUnit, UnitArtifact, UnitKind, UnitPlan};
-use crate::translate::{SpillLayout, Translator};
+use crate::engine::{Entry, Frame, Placement, RewriteEngine, Scanned, UnitArtifact, Units};
+use crate::translate::Translator;
 use chimera_analysis::{disassemble, inst_spans, DisasmInst, InstTable};
 use chimera_isa::{encode, ExtSet, Inst, XReg};
-use chimera_obj::{pcrel_hi_lo, Binary, Perms};
-use chimera_trace::Tracer;
-use std::collections::BTreeMap;
+use chimera_obj::{pcrel_hi_lo, Binary};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Instructions per regeneration span (the parallel transform unit).
 const SPAN_INSTS: usize = 1024;
@@ -62,81 +62,29 @@ pub struct SlowTrap {
     pub link_value: u64,
 }
 
-/// A regenerated binary: the rewritten output plus regeneration metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Regenerated {
-    /// The rewritten binary and shared runtime tables (`redirects` maps
-    /// every original instruction address to its relocated copy).
-    pub rewritten: Rewritten,
-    /// Safer slow-path metadata.
-    pub info: RegenInfo,
-}
-
-/// Regenerates `binary` for profile `target`.
-pub fn regenerate(
-    binary: &Binary,
-    target: ExtSet,
-    mode: Mode,
-    flavor: Flavor,
-) -> Result<Regenerated, RewriteError> {
-    regenerate_with(
-        binary,
-        target,
-        mode,
-        flavor,
-        crate::pipeline::default_workers(),
-        &Tracer::disabled(),
-    )
-}
-
-/// [`regenerate`] with an explicit worker count and tracer. Output is
-/// bit-identical for every worker count.
-pub fn regenerate_with(
-    binary: &Binary,
-    target: ExtSet,
-    mode: Mode,
-    flavor: Flavor,
-    workers: usize,
-    tracer: &Tracer,
-) -> Result<Regenerated, RewriteError> {
-    let engine = RegenEngine {
-        target,
-        mode,
-        flavor,
-    };
-    let r = crate::pipeline::run(&engine, binary, workers, tracer)?;
-    Ok(Regenerated {
-        rewritten: r.rewritten,
-        info: r.regen.unwrap_or_default(),
-    })
-}
-
-/// Regeneration working state carried between pipeline stages.
-pub(crate) struct RegenAux {
+/// A scanned input: the instruction table, the relocated slot size and
+/// address of every instruction, and the span partition. Regeneration
+/// lays its spans out back to back from the target base, so the whole
+/// address map is known once the slot sizes are.
+struct RegenUnits {
+    engine: RegenEngine,
+    frame: Frame,
     /// All recognized instructions, in address order (shared with the
     /// disassembly).
     insts: InstTable,
     /// Statically resolved `auipc; jalr` call pairs: jalr address →
     /// original call target.
     direct_pair: BTreeMap<u64, u64>,
-    /// Address map: original → relocated (filled by plan).
+    /// Address map: original → relocated.
     map: BTreeMap<u64, u64>,
     /// Relocated slot size per instruction.
     sizes: Vec<u64>,
-}
-
-impl RegenAux {
-    /// The input-address range `[start, end)` covered by the span of
-    /// instruction indices `[start, end)` — the source range the
-    /// incremental driver keys the dirty-unit set on.
-    pub(crate) fn span_range(&self, start: usize, end: usize) -> (u64, u64) {
-        let first = &self.insts[start];
-        let last = &self.insts[end - 1];
-        (first.addr, last.addr + last.len as u64)
-    }
+    /// The units: instruction index ranges `[start, end)`.
+    spans: Vec<(usize, usize)>,
 }
 
 /// The Safer/ARMore regeneration engine.
+#[derive(Debug, Clone, Copy)]
 pub struct RegenEngine {
     /// The target core profile.
     pub target: ExtSet,
@@ -196,95 +144,15 @@ impl RegenEngine {
             }
         }
     }
-
-    /// Emits the instructions of one span at their final addresses.
-    fn emit_span(
-        &self,
-        start: usize,
-        end: usize,
-        aux: &RegenAux,
-        new_base: u64,
-        spill_base: u64,
-        abi_gp: u64,
-    ) -> Result<UnitArtifact, RewriteError> {
-        let mut translator = Translator::new(spill_base, abi_gp);
-        let mut em = BlockEmitter::new(aux.map[&aux.insts[start].addr]);
-        let mut art = UnitArtifact::default();
-        for (di, &size) in aux.insts[start..end].iter().zip(&aux.sizes[start..end]) {
-            let new_addr = aux.map[&di.addr];
-            debug_assert_eq!(em.addr(), new_addr, "size plan must match emission");
-            if self.is_source(&di.inst) {
-                match self.mode {
-                    Mode::EmptyPatch(_) => {
-                        em.inst(di.inst);
-                    }
-                    Mode::Downgrade => {
-                        if translator.downgrade(&di.inst, &mut em).is_err() {
-                            em.inst(di.inst); // Untranslated: traps at runtime.
-                            art.fht.untranslated.insert(new_addr);
-                        }
-                    }
-                }
-            } else if let Some(&old_target) = aux.direct_pair.get(&di.addr) {
-                // Statically resolved call: jump straight to the relocated
-                // target, linking the relocated return address.
-                let Inst::Jalr { rd, .. } = di.inst else {
-                    unreachable!("direct pairs are jalr instructions")
-                };
-                let new_target = *aux
-                    .map
-                    .get(&old_target)
-                    .ok_or_else(|| RewriteError::Layout(format!("pair target {old_target:#x}")))?;
-                debug_assert_ne!(rd, XReg::ZERO, "pair matcher only accepts calls");
-                let (hi, lo) = pcrel_hi_lo(new_target as i64 - new_addr as i64);
-                em.inst(Inst::Auipc { rd, imm20: hi });
-                em.inst(Inst::Jalr {
-                    rd,
-                    rs1: rd,
-                    offset: lo,
-                });
-            } else {
-                emit_relocated(
-                    di,
-                    new_addr,
-                    size,
-                    &aux.map,
-                    self.flavor,
-                    new_base,
-                    abi_gp,
-                    &mut em,
-                    &mut art.regen,
-                    &mut art.stats,
-                )?;
-            }
-            // Pad to the planned size with nops: straight-line slots fall
-            // through their padding into the next slot (original program
-            // order), so the filler must execute as a no-op.
-            let emitted = em.addr() - new_addr;
-            assert!(emitted <= size, "{} overflowed its slot", di.inst);
-            debug_assert_eq!((size - emitted) % 4, 0, "slot sizes are word-granular");
-            for _ in 0..(size - emitted) / 4 {
-                em.inst(chimera_isa::nop());
-            }
-        }
-        art.bytes = em.finish();
-        Ok(art)
-    }
 }
 
 impl RewriteEngine for RegenEngine {
-    fn name(&self) -> &'static str {
-        match self.flavor {
-            Flavor::Safer => "safer",
-            Flavor::Armore => "armore",
-        }
+    fn target_section(&self) -> Option<&'static str> {
+        Some(".regen.text")
     }
 
-    fn scan(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.input
-            .validate()
-            .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
-        let d = disassemble(st.input);
+    fn scan(&self, input: &Binary, frame: Frame, workers: usize) -> Result<Scanned, RewriteError> {
+        let d = disassemble(input);
         let insts = d.insts.clone();
 
         // Statically resolvable `auipc rd, hi; jalr rd2, lo(rd)` pairs:
@@ -325,163 +193,154 @@ impl RewriteEngine for RegenEngine {
             }
         }
 
-        let mut out = st.input.clone();
-        let spill_base = out.append_section(
-            ".chimera.vregs",
-            vec![0u8; SpillLayout::SIZE.next_multiple_of(0x1000)],
-            Perms::RW,
-        );
-        let new_base = {
-            let top = out.sections.iter().map(|s| s.end()).max().unwrap_or(0);
-            (top + 0xfff) & !0xfff
-        };
-        st.fht.abi_gp = st.input.gp;
-        st.fht.spill_base = spill_base;
-        st.target_base = new_base;
-        st.out = Some(out);
-
-        st.stats.code_size = st.input.code_size();
-        st.stats.total_insts = insts.len();
-        st.stats.source_insts = insts.iter().filter(|di| self.is_source(&di.inst)).count();
-
         // Span partition + parallel slot sizing (pure per instruction).
-        let abi_gp = st.input.gp;
         let spans = inst_spans(&d, SPAN_INSTS);
         let span_sizes: Vec<Vec<u64>> =
-            chimera_analysis::par::map_indexed(st.workers, spans.len(), |i| {
+            chimera_analysis::par::map_indexed(workers, spans.len(), |i| {
                 let (s, e) = spans[i];
                 insts[s..e]
                     .iter()
-                    .map(|di| self.slot_size(di, &direct_pair, spill_base, abi_gp))
+                    .map(|di| self.slot_size(di, &direct_pair, frame.spill_base, frame.abi_gp))
                     .collect()
             });
         let sizes: Vec<u64> = span_sizes.into_iter().flatten().collect();
 
-        st.units = std::sync::Arc::new(
-            spans
-                .iter()
-                .map(|&(start, end)| RewriteUnit {
-                    kind: UnitKind::Span { start, end },
-                })
-                .collect(),
-        );
-        st.unit_sizes = std::sync::Arc::new(
-            spans
-                .iter()
-                .map(|&(s, e)| sizes[s..e].iter().sum())
-                .collect(),
-        );
-        st.pass_items = insts.len() as u64;
-        st.regen_aux = Some(std::sync::Arc::new(RegenAux {
-            insts,
-            direct_pair,
-            map: BTreeMap::new(),
-            sizes,
-        }));
-        st.disasm = Some(std::sync::Arc::new(d));
-        Ok(())
-    }
-
-    fn plan(&self, st: &mut EngineState) -> Result<(), RewriteError> {
         // Address map: original → relocated (prefix sum over slot sizes).
-        // Plan runs before the cache snapshot shares the aux, so the Arc
-        // is still uniquely owned here.
-        let aux = std::sync::Arc::get_mut(st.regen_aux.as_mut().expect("scan ran"))
-            .expect("plan mutates the aux before it is shared");
-        let mut cursor = st.target_base;
-        for (di, size) in aux.insts.iter().zip(&aux.sizes) {
-            aux.map.insert(di.addr, cursor);
+        let mut map = BTreeMap::new();
+        let mut cursor = frame.target_base;
+        for (di, size) in insts.iter().zip(&sizes) {
+            map.insert(di.addr, cursor);
             cursor += size;
         }
-        st.plans = st
-            .units
-            .iter()
-            .map(|u| {
-                let UnitKind::Span { start, .. } = u.kind else {
-                    unreachable!("regeneration units are spans")
-                };
-                UnitPlan {
-                    addr: aux.map[&aux.insts[start].addr],
-                    padding: 0,
+
+        Ok(Scanned {
+            ranges: spans
+                .iter()
+                .map(|&(s, e)| (insts[s].addr, insts[e - 1].next_addr()))
+                .collect(),
+            profile: self.target,
+            total_insts: insts.len(),
+            source_insts: insts.iter().filter(|di| self.is_source(&di.inst)).count(),
+            untranslated: BTreeSet::new(),
+            units: Arc::new(RegenUnits {
+                engine: *self,
+                frame,
+                insts,
+                direct_pair,
+                map,
+                sizes,
+                spans,
+            }),
+        })
+    }
+}
+
+impl Units for RegenUnits {
+    /// A span fills its instructions' slots exactly.
+    fn size(&self, idx: usize, _: u64) -> Result<u64, RewriteError> {
+        let (start, end) = self.spans[idx];
+        Ok(self.sizes[start..end].iter().sum())
+    }
+
+    fn place(&self, idx: usize, cursor: u64, _: u64) -> Result<Option<Placement>, RewriteError> {
+        let mapped = self.map[&self.insts[self.spans[idx].0].addr];
+        if mapped != cursor {
+            return Err(RewriteError::Layout(format!(
+                "span {idx} planned at {cursor:#x}, but the address map has {mapped:#x}"
+            )));
+        }
+        Ok(Some(Placement {
+            addr: cursor,
+            entry: Entry::Unpatched,
+        }))
+    }
+
+    /// Emits the instructions of one span at their mapped addresses.
+    fn emit(&self, idx: usize, addr: u64) -> Result<UnitArtifact, RewriteError> {
+        let (start, end) = self.spans[idx];
+        let engine = &self.engine;
+        let mut translator = Translator::new(self.frame.spill_base, self.frame.abi_gp);
+        let mut em = BlockEmitter::new(addr);
+        let mut art = UnitArtifact::default();
+        let mut info = RegenInfo::default();
+        for (di, &size) in self.insts[start..end].iter().zip(&self.sizes[start..end]) {
+            let new_addr = self.map[&di.addr];
+            debug_assert_eq!(em.addr(), new_addr, "size plan must match emission");
+            if engine.is_source(&di.inst) {
+                match engine.mode {
+                    Mode::EmptyPatch(_) => {
+                        em.inst(di.inst);
+                    }
+                    Mode::Downgrade => {
+                        if translator.downgrade(&di.inst, &mut em).is_err() {
+                            em.inst(di.inst); // Untranslated: traps at runtime.
+                            art.fht.untranslated.insert(new_addr);
+                        }
+                    }
                 }
-            })
-            .collect();
-        st.pass_items = st.units.len() as u64;
-        Ok(())
-    }
-
-    fn transform(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        let aux = st.regen_aux.as_deref().expect("scan ran");
-        let units = &st.units;
-        let new_base = st.target_base;
-        let (spill_base, abi_gp) = (st.fht.spill_base, st.fht.abi_gp);
-        let results: Vec<Result<UnitArtifact, RewriteError>> =
-            chimera_analysis::par::map_indexed(st.workers, units.len(), |i| {
-                let UnitKind::Span { start, end } = units[i].kind else {
-                    unreachable!("regeneration units are spans")
+            } else if let Some(&old_target) = self.direct_pair.get(&di.addr) {
+                // Statically resolved call: jump straight to the relocated
+                // target, linking the relocated return address.
+                let Inst::Jalr { rd, .. } = di.inst else {
+                    unreachable!("direct pairs are jalr instructions")
                 };
-                self.emit_span(start, end, aux, new_base, spill_base, abi_gp)
-            });
-        let mut artifacts = Vec::with_capacity(results.len());
-        for r in results {
-            artifacts.push(r?);
+                let new_target = *self
+                    .map
+                    .get(&old_target)
+                    .ok_or_else(|| RewriteError::Layout(format!("pair target {old_target:#x}")))?;
+                debug_assert_ne!(rd, XReg::ZERO, "pair matcher only accepts calls");
+                let (hi, lo) = pcrel_hi_lo(new_target as i64 - new_addr as i64);
+                em.inst(Inst::Auipc { rd, imm20: hi });
+                em.inst(Inst::Jalr {
+                    rd,
+                    rs1: rd,
+                    offset: lo,
+                });
+            } else {
+                emit_relocated(
+                    di,
+                    new_addr,
+                    size,
+                    &self.map,
+                    engine.flavor,
+                    self.frame.target_base,
+                    self.frame.abi_gp,
+                    &mut em,
+                    &mut info,
+                    &mut art.stats,
+                )?;
+            }
+            // Pad to the planned size with nops: straight-line slots fall
+            // through their padding into the next slot (original program
+            // order), so the filler must execute as a no-op.
+            let emitted = em.addr() - new_addr;
+            assert!(emitted <= size, "{} overflowed its slot", di.inst);
+            debug_assert_eq!((size - emitted) % 4, 0, "slot sizes are word-granular");
+            for _ in 0..(size - emitted) / 4 {
+                em.inst(chimera_isa::nop());
+            }
         }
-        for (art, &size) in artifacts.iter().zip(st.unit_sizes.iter()) {
-            debug_assert_eq!(art.bytes.len() as u64, size, "span must fill its slots");
-        }
-        st.pass_items = artifacts.len() as u64;
-        st.artifacts = artifacts;
-        Ok(())
+        art.bytes = em.finish();
+        art.regen = Some(info);
+        Ok(art)
     }
 
-    fn transform_unit(&self, st: &EngineState, idx: usize) -> Result<UnitArtifact, RewriteError> {
-        let aux = st.regen_aux.as_deref().expect("cache holds the aux");
-        let UnitKind::Span { start, end } = st.units[idx].kind else {
-            unreachable!("regeneration units are spans")
-        };
-        self.emit_span(
-            start,
-            end,
-            aux,
-            st.target_base,
-            st.fht.spill_base,
-            st.fht.abi_gp,
-        )
-    }
-
-    fn place(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        st.pass_items = st.artifacts.len() as u64;
-        let artifacts = std::mem::take(&mut st.artifacts);
-        for (plan, mut art) in st.plans.iter().zip(artifacts) {
-            debug_assert_eq!(st.target_base + st.target_code.len() as u64, plan.addr);
-            st.target_code.extend_from_slice(&art.bytes);
-            let regen = st.regen.get_or_insert_with(RegenInfo::default);
-            regen
-                .slow_traps
-                .extend(std::mem::take(&mut art.regen).slow_traps);
-            crate::engine::merge_fragment(&mut st.fht, &mut st.stats, art);
-        }
-        Ok(())
-    }
-
-    fn link(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        let aux = st.regen_aux.clone().expect("scan ran");
-        let out = st.out.as_mut().expect("scan cloned the input");
-        let new_base = st.target_base;
-
-        // Original section: redirects.
-        rewrite_original_section(
-            out,
-            &aux.insts,
-            &aux.map,
-            self.flavor,
-            &mut st.fht,
-            &mut st.stats,
-        )?;
+    /// Redirects every original slot, encodes data pointers (Safer),
+    /// publishes the address map and moves the entry point.
+    fn link(
+        &self,
+        input: &Binary,
+        out: &mut Binary,
+        fht: &mut FaultTable,
+        stats: &mut RewriteStats,
+    ) -> Result<u64, RewriteError> {
+        rewrite_original_section(out, &self.insts, &self.map, self.engine.flavor, stats)?;
 
         // Safer: "encode" discovered code pointers in data sections.
-        if self.flavor == Flavor::Safer {
-            let text = st.input.section(".text").expect("validated").clone();
+        if self.engine.flavor == Flavor::Safer {
+            let text = input
+                .section(".text")
+                .ok_or(RewriteError::MissingSection(".text"))?;
             let patches: Vec<(u64, u64)> = out
                 .sections
                 .iter()
@@ -491,7 +350,7 @@ impl RewriteEngine for RegenEngine {
                     for off in (0..s.data.len().saturating_sub(7)).step_by(8) {
                         let val = u64::from_le_bytes(s.data[off..off + 8].try_into().unwrap());
                         if val >= text.addr && val < text.end() {
-                            if let Some(&new) = aux.map.get(&val) {
+                            if let Some(&new) = self.map.get(&val) {
                                 v.push((s.addr + off as u64, new));
                             }
                         }
@@ -504,34 +363,10 @@ impl RewriteEngine for RegenEngine {
             }
         }
 
-        st.stats.target_section_size = st.target_code.len() as u64;
-        let new_code = std::mem::take(&mut st.target_code);
-        let placed = out.append_section(".regen.text", new_code, Perms::RX);
-        if placed != new_base {
-            return Err(RewriteError::Layout(format!(
-                "relocated section at {placed:#x}, expected {new_base:#x}"
-            )));
-        }
-        let target_end = out
-            .section(".regen.text")
-            .ok_or(RewriteError::MissingSection(".regen.text"))?
-            .end();
-        st.fht.target_range = (new_base, target_end);
-        for (&old, &new) in &aux.map {
-            st.fht.redirects.insert(old, new);
-        }
-        out.entry = *aux.map.get(&st.input.entry).unwrap_or(&st.input.entry);
-        out.profile = self.target;
-        st.pass_items = aux.insts.len() as u64;
-        Ok(())
-    }
-
-    fn verify(&self, st: &mut EngineState) -> Result<(), RewriteError> {
-        let out = st.out.as_ref().expect("link produced the output binary");
-        out.validate()
-            .map_err(|e| RewriteError::BadBinary(format!("regenerated binary invalid: {e}")))?;
-        st.pass_items = 1;
-        Ok(())
+        fht.redirects
+            .extend(self.map.iter().map(|(&old, &new)| (old, new)));
+        out.entry = *self.map.get(&input.entry).unwrap_or(&input.entry);
+        Ok(self.insts.len() as u64)
     }
 }
 
@@ -720,7 +555,6 @@ fn rewrite_original_section(
     insts: &[DisasmInst],
     map: &BTreeMap<u64, u64>,
     flavor: Flavor,
-    _fht: &mut FaultTable,
     stats: &mut RewriteStats,
 ) -> Result<(), RewriteError> {
     for di in insts {
@@ -757,8 +591,19 @@ fn rewrite_original_section(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{default_workers, run, EngineResult};
     use chimera_emu::{run_binary, run_binary_on};
     use chimera_obj::{assemble, AsmOptions};
+    use chimera_trace::Tracer;
+
+    fn regenerate(bin: &Binary, target: ExtSet, mode: Mode, flavor: Flavor) -> EngineResult {
+        let engine = RegenEngine {
+            target,
+            mode,
+            flavor,
+        };
+        run(&engine, bin, default_workers(), &Tracer::disabled()).unwrap()
+    }
 
     const PROG: &str = "
         .data
@@ -787,7 +632,7 @@ mod tests {
 
     /// A minimal kernel stand-in: services Safer slow-path traps and
     /// original-section redirects, then resumes; `exit` ends the run.
-    fn run_regenerated(rg: &Regenerated, profile: chimera_isa::ExtSet, fuel: u64) -> i64 {
+    fn run_regenerated(rg: &EngineResult, profile: chimera_isa::ExtSet, fuel: u64) -> i64 {
         let (mut cpu, mut mem) = chimera_emu::boot(&rg.rewritten.binary, profile);
         for _ in 0..fuel {
             match cpu.run(&mut mem, fuel) {
@@ -797,7 +642,13 @@ mod tests {
                     return cpu.hart.get_x(XReg::A0) as i64;
                 }
                 chimera_emu::Stop::Trap(chimera_emu::Trap::Breakpoint { pc }) => {
-                    let st = rg.info.slow_traps.get(&pc).expect("known slow trap");
+                    let st = rg
+                        .regen
+                        .as_ref()
+                        .unwrap()
+                        .slow_traps
+                        .get(&pc)
+                        .expect("known slow trap");
                     let old_target = cpu.hart.get_x(st.target_reg);
                     let new_target = *rg
                         .rewritten
@@ -837,8 +688,7 @@ mod tests {
             chimera_isa::ExtSet::RV64GC,
             Mode::Downgrade,
             Flavor::Safer,
-        )
-        .unwrap();
+        );
         // Indirect jumps were instrumented.
         assert!(rg.rewritten.stats.exit_trampolines > 0);
         let code = run_regenerated(&rg, chimera_isa::ExtSet::RV64GC, 1_000_000);
@@ -870,8 +720,7 @@ mod tests {
             chimera_isa::ExtSet::RV64GC,
             Mode::EmptyPatch(chimera_isa::Ext::V),
             Flavor::Safer,
-        )
-        .unwrap();
+        );
         // The pointer in .rodata now targets the relocated section: the
         // call takes the fast path, so the bare runner suffices.
         let r = run_binary_on(&rg.rewritten.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
@@ -889,8 +738,7 @@ mod tests {
             chimera_isa::ExtSet::RV64GC,
             Mode::Downgrade,
             Flavor::Armore,
-        )
-        .unwrap();
+        );
         // Every original instruction has a redirect.
         let d = chimera_analysis::disassemble(&bin);
         for di in d.iter() {
@@ -924,8 +772,7 @@ mod tests {
             chimera_isa::ExtSet::RV64GC,
             Mode::EmptyPatch(chimera_isa::Ext::V),
             Flavor::Armore,
-        )
-        .unwrap();
+        );
         // Small binary: relocated section is close, slots are jals, so a
         // jump to an *original* address still works without the kernel.
         let (mut cpu, mut mem) = chimera_emu::boot(&rg.rewritten.binary, bin.profile);
@@ -957,8 +804,7 @@ mod tests {
                 chimera_isa::ExtSet::RV64GC,
                 Mode::EmptyPatch(chimera_isa::Ext::V),
                 flavor,
-            )
-            .unwrap();
+            );
             let r =
                 run_binary_on(&rg.rewritten.binary, chimera_isa::ExtSet::RV64GC, 100_000).unwrap();
             assert_eq!(r.exit_code, 55, "{flavor:?}");

@@ -18,7 +18,7 @@
 
 use crate::chbp::{RewriteError, Rewritten};
 use crate::engine::RewriteEngine;
-use crate::pipeline::{run_cached, RewriteCache};
+use crate::pipeline::{identity, run_cached, RewriteCache};
 use crate::regen::RegenInfo;
 use chimera_obj::Binary;
 use chimera_trace::{TraceEvent, Tracer};
@@ -123,7 +123,7 @@ impl SharedVariantCache {
         workers: usize,
         tracer: &Tracer,
     ) -> Result<VariantHandle, RewriteError> {
-        let key = content_key(binary, engine.name(), flags);
+        let key = content_key(binary, &identity(engine), flags);
         let resident = self.map.lock().expect("variant map").get(&key).cloned();
         if let Some(entry) = resident {
             let hits = entry.hits.fetch_add(1, Ordering::Relaxed) + 1;

@@ -32,6 +32,8 @@
 //! placed trampoline ([`verify_deterministic`]) — turning the paper's
 //! Claim 1 into an executable check.
 
+use crate::chbp::{RewriteError, ILLEGAL_HALFWORD};
+use crate::engine::{Entry, Placement};
 use chimera_isa::{decode, decode_compressed, encode, Inst, XReg};
 use std::sync::OnceLock;
 
@@ -53,6 +55,17 @@ impl SmileConstraints {
         p2: false,
         p3: false,
     };
+
+    /// The constraints of a trampoline at `site`, given the addresses at
+    /// which original instructions start.
+    pub fn of(site: u64, inst_starts: impl Iterator<Item = u64>) -> SmileConstraints {
+        let mut c = SmileConstraints::NONE;
+        for addr in inst_starts {
+            c.p2 |= addr == site + 2;
+            c.p3 |= addr == site + 6;
+        }
+        c
+    }
 }
 
 /// An encoded SMILE trampoline: 8 bytes of machine code.
@@ -290,6 +303,41 @@ pub fn next_reachable_target(
         hi += 1;
     }
     None
+}
+
+/// Plans a SMILE entry for a unit: picks the lowest block address at or
+/// above `cursor` the trampoline at `site` can reach under the
+/// constraints, and builds the patch for the overwritten space
+/// `[site, space_end)` — the trampoline, then reserved-illegal halfwords
+/// so any entry past it faults. `None` when no such address lies within
+/// `max_padding` of the cursor; the caller falls back (CHBP to a trap
+/// entry, the upgrade vectorizer to leaving the loop scalar).
+pub fn place_smile(
+    site: u64,
+    space_end: u64,
+    constraints: SmileConstraints,
+    cursor: u64,
+    max_padding: u64,
+) -> Result<Option<Placement>, RewriteError> {
+    let Some(addr) =
+        next_reachable_target(site, cursor, constraints).filter(|a| a - cursor <= max_padding)
+    else {
+        return Ok(None);
+    };
+    let smile = encode_smile(site, addr, constraints)
+        .map_err(|e| RewriteError::Layout(format!("SMILE at {site:#x}: {e}")))?;
+    let mut patch = smile.bytes().to_vec();
+    for _ in 0..(space_end - site - 8) / 2 {
+        patch.extend_from_slice(&ILLEGAL_HALFWORD.to_le_bytes());
+    }
+    Ok(Some(Placement {
+        addr,
+        entry: Entry::Smile {
+            site,
+            patch,
+            constrained: constraints != SmileConstraints::NONE,
+        },
+    }))
 }
 
 /// Checks Claim 1 mechanically on an encoded trampoline: every interior

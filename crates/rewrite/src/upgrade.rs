@@ -19,19 +19,21 @@
 //! replays the overwritten instructions and rejoins the intact scalar loop
 //! body, whose backedge then re-enters the vectorized code.
 
-use crate::chbp::{
-    emit_exit, reemit, FaultTable, RewriteError, RewriteOptions, RewriteStats, Rewritten,
-};
+use crate::chbp::{emit_exit, reemit, RewriteError, RewriteOptions, Rewritten};
 use crate::emitter::BlockEmitter;
-use crate::smile::{encode_smile, next_reachable_target, SmileConstraints};
-use crate::translate::SpillLayout;
-use chimera_analysis::{disassemble, BasicBlock, Cfg, Liveness, Terminator};
-use chimera_isa::{
-    BranchKind, Eew, FMaKind, FOpKind, FReg, FpWidth, Inst, LoadKind, OpImmKind, OpKind, StoreKind,
-    VArithOp, VReg, VSrc, VType, XReg,
+use crate::engine::{Frame, Placement, RewriteEngine, Scanned, UnitArtifact, Units};
+use crate::smile::{place_smile, SmileConstraints};
+use chimera_analysis::{
+    disassemble, BasicBlock, Cfg, DisasmInst, Disassembly, Liveness, Terminator,
 };
-use chimera_obj::{Binary, Perms};
-use std::collections::BTreeMap;
+use chimera_isa::{
+    BranchKind, Eew, ExtSet, FMaKind, FOpKind, FReg, FpWidth, Inst, LoadKind, OpImmKind, OpKind,
+    StoreKind, VArithOp, VReg, VSrc, VType, XReg,
+};
+use chimera_obj::Binary;
+use chimera_trace::Tracer;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The arithmetic kernel of a recognized loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +80,7 @@ struct VecLoop {
     /// The kernel.
     kernel: Kernel,
     /// All instructions of the loop block, in order (for the repair block).
-    insts: Vec<chimera_analysis::DisasmInst>,
+    insts: Vec<DisasmInst>,
 }
 
 /// Attempts to recognize the canonical loop shape in a self-loop block.
@@ -317,171 +319,145 @@ fn recognize(cfg: &Cfg, block: &BasicBlock) -> Option<VecLoop> {
 /// Upgrades a base-ISA binary: recognized loops are vectorized behind SMILE
 /// trampolines; everything else is untouched. The result requires a core
 /// with the V extension.
+///
+/// Runs on the calling thread, as it always has: a program has a handful
+/// of such loops, and asking the host for its parallelism costs more than
+/// rewriting them (13 µs against 5 µs for a one-loop task). Use
+/// [`crate::run`] with an [`UpgradeEngine`] to choose a worker count.
 pub fn upgrade_rewrite(binary: &Binary, opts: RewriteOptions) -> Result<Rewritten, RewriteError> {
-    binary
-        .validate()
-        .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
-    let d = disassemble(binary);
-    let cfg = Cfg::build(&d);
-    let liveness = Liveness::compute(&cfg);
+    crate::pipeline::run(&UpgradeEngine { opts }, binary, 1, &Tracer::disabled())
+        .map(|r| r.rewritten)
+}
 
-    let mut out = binary.clone();
-    let mut stats = RewriteStats {
-        code_size: binary.code_size(),
-        total_insts: d.insts.len(),
-        ..Default::default()
-    };
-    let spill_base = out.append_section(
-        ".chimera.vregs",
-        vec![0u8; SpillLayout::SIZE.next_multiple_of(0x1000)],
-        Perms::RW,
-    );
-    let target_base = {
-        let top = out.sections.iter().map(|s| s.end()).max().unwrap_or(0);
-        (top + 0xfff) & !0xfff
-    };
-    let mut fht = FaultTable {
-        abi_gp: binary.gp,
-        spill_base,
-        ..Default::default()
-    };
+/// The upgrade vectorizer as a pipeline engine: one unit per recognized
+/// loop, entered through a SMILE trampoline at the loop head. A loop whose
+/// head cannot take a SMILE within [`RewriteOptions::max_padding`] is
+/// planned as "leave scalar" — nothing is emitted or patched for it.
+#[derive(Debug)]
+pub struct UpgradeEngine {
+    /// Rewrite options (`max_padding` and the exit-jump policy apply).
+    pub opts: RewriteOptions,
+}
 
-    let loops: Vec<VecLoop> = cfg
-        .blocks
-        .iter()
-        .filter_map(|b| recognize(&cfg, b))
-        .collect();
-    stats.source_insts = loops.iter().map(|l| l.insts.len()).sum();
+/// The profile an upgraded binary requires.
+const TARGET: ExtSet = ExtSet::RV64GCV;
 
-    let mut target_code: Vec<u8> = Vec::new();
-    let mut text_patches: Vec<(u64, Vec<u8>)> = Vec::new();
+/// A scanned input: the analyses the exit jumps read and the loops.
+struct UpgradeUnits {
+    opts: RewriteOptions,
+    abi_gp: u64,
+    d: Disassembly,
+    liveness: Liveness,
+    loops: Vec<VecLoop>,
+}
 
-    for vl in &loops {
-        // The head space: 8 bytes of loop-head instructions.
-        let mut space_end = vl.head;
-        let mut overwritten: Vec<chimera_analysis::DisasmInst> = Vec::new();
-        for di in &vl.insts {
-            if space_end >= vl.head + 8 {
-                break;
-            }
-            overwritten.push(*di);
-            space_end = di.next_addr();
-        }
-        if space_end < vl.head + 8 {
-            continue; // Loop too small to patch; leave scalar.
-        }
-        let mut constraints = SmileConstraints::NONE;
-        for di in &overwritten {
-            if di.addr == vl.head + 2 {
-                constraints.p2 = true;
-            }
-            if di.addr == vl.head + 6 {
-                constraints.p3 = true;
-            }
-        }
+impl RewriteEngine for UpgradeEngine {
+    fn target_section(&self) -> Option<&'static str> {
+        Some(".chimera.text")
+    }
 
-        let min_addr = target_base + target_code.len() as u64;
-        let Some(block_addr) = next_reachable_target(vl.head, min_addr, constraints) else {
-            continue;
+    fn scan(&self, input: &Binary, frame: Frame, _: usize) -> Result<Scanned, RewriteError> {
+        let d = disassemble(input);
+        let cfg = Cfg::build(&d);
+        let liveness = Liveness::compute(&cfg);
+        let recognized: Vec<VecLoop> = cfg
+            .blocks
+            .iter()
+            .filter_map(|b| recognize(&cfg, b))
+            .collect();
+        let source_insts = recognized.iter().map(|l| l.insts.len()).sum();
+        // A loop too small to hold the 8-byte trampoline stays scalar.
+        let loops: Vec<VecLoop> = recognized
+            .into_iter()
+            .filter(|vl| vl.space_end() >= vl.head + 8)
+            .collect();
+        Ok(Scanned {
+            ranges: loops.iter().map(|vl| (vl.head, vl.exit)).collect(),
+            profile: TARGET,
+            total_insts: d.insts.len(),
+            source_insts,
+            untranslated: BTreeSet::new(),
+            units: Arc::new(UpgradeUnits {
+                opts: self.opts,
+                abi_gp: frame.abi_gp,
+                d,
+                liveness,
+                loops,
+            }),
+        })
+    }
+}
+
+impl VecLoop {
+    /// The loop-head instructions the trampoline overwrites: the shortest
+    /// prefix covering 8 bytes.
+    fn overwritten(&self) -> &[DisasmInst] {
+        let n = self
+            .insts
+            .iter()
+            .position(|di| di.next_addr() >= self.head + 8)
+            .map_or(self.insts.len(), |i| i + 1);
+        &self.insts[..n]
+    }
+
+    /// First byte after the overwritten head space.
+    fn space_end(&self) -> u64 {
+        self.overwritten()
+            .last()
+            .map_or(self.head, |di| di.next_addr())
+    }
+}
+
+impl Units for UpgradeUnits {
+    fn place(&self, idx: usize, cursor: u64, _: u64) -> Result<Option<Placement>, RewriteError> {
+        let vl = &self.loops[idx];
+        let constraints = SmileConstraints::of(vl.head, vl.overwritten().iter().map(|di| di.addr));
+        place_smile(
+            vl.head,
+            vl.space_end(),
+            constraints,
+            cursor,
+            self.opts.max_padding,
+        )
+    }
+
+    fn emit(&self, idx: usize, addr: u64) -> Result<UnitArtifact, RewriteError> {
+        let vl = &self.loops[idx];
+        let mut art = UnitArtifact::default();
+        let mut em = BlockEmitter::new(addr);
+        let exit_to = |resume, em: &mut BlockEmitter, art: &mut UnitArtifact| {
+            emit_exit(
+                resume,
+                &self.d,
+                &self.liveness,
+                self.opts,
+                TARGET,
+                em,
+                &mut art.fht,
+                &mut art.stats,
+            )
         };
-        if block_addr - min_addr > opts.max_padding {
-            continue;
-        }
-        stats.padding_bytes += block_addr - min_addr;
-        for _ in 0..(block_addr - min_addr) / 2 {
-            target_code.extend_from_slice(&crate::chbp::ILLEGAL_HALFWORD.to_le_bytes());
-        }
-
-        let mut em = BlockEmitter::new(block_addr);
         // gp restore (clobbered by the SMILE jalr).
-        em.li32(XReg::GP, binary.gp as i64);
+        em.li32(XReg::GP, self.abi_gp as i64);
         emit_vector_loop(vl, &mut em);
         // The loop consumed gp as its scratch: restore the ABI value
         // before control returns to original code.
-        em.li32(XReg::GP, binary.gp as i64);
-        emit_exit(
-            vl.exit,
-            &d,
-            &liveness,
-            opts,
-            chimera_isa::ExtSet::RV64GCV,
-            &mut em,
-            &mut fht,
-            &mut stats,
-        );
-        // Repair block: replay overwritten head instructions, rejoin the
-        // intact scalar body at space_end.
-        for di in &overwritten {
+        em.li32(XReg::GP, self.abi_gp as i64);
+        exit_to(vl.exit, &mut em, &mut art);
+        // Repair block: replay the overwritten head instructions and
+        // rejoin the intact scalar body at space_end. Jumps to the head
+        // itself run the trampoline (correct); every later overwritten
+        // instruction gets a redirect to its replay.
+        for di in vl.overwritten() {
             if di.addr > vl.head {
-                fht.redirects.insert(di.addr, em.addr());
+                art.fht.redirects.insert(di.addr, em.addr());
             }
-            if di.addr == vl.head {
-                // The head instruction's replay entry: jumps to the head
-                // run the trampoline (correct); no entry needed.
-                let repair_head = em.addr();
-                reemit(&di.inst, di.addr, &mut em);
-                let _ = repair_head;
-            } else {
-                reemit(&di.inst, di.addr, &mut em);
-            }
+            reemit(&di.inst, di.addr, &mut em);
         }
-        emit_exit(
-            space_end,
-            &d,
-            &liveness,
-            opts,
-            chimera_isa::ExtSet::RV64GCV,
-            &mut em,
-            &mut fht,
-            &mut stats,
-        );
-
-        let bytes = em.finish();
-        debug_assert_eq!(target_base + target_code.len() as u64, block_addr);
-        target_code.extend_from_slice(&bytes);
-
-        let smile = encode_smile(vl.head, block_addr, constraints)
-            .map_err(|e| RewriteError::Layout(format!("SMILE at {:#x}: {e}", vl.head)))?;
-        let mut patch = smile.bytes().to_vec();
-        for _ in 0..(space_end - vl.head - 8) / 2 {
-            patch.extend_from_slice(&crate::chbp::ILLEGAL_HALFWORD.to_le_bytes());
-        }
-        text_patches.push((vl.head, patch));
-        fht.trampolines.insert(vl.head);
-        stats.smile_trampolines += 1;
-        if constraints != SmileConstraints::NONE {
-            stats.constrained_smiles += 1;
-        }
+        exit_to(vl.space_end(), &mut em, &mut art);
+        art.bytes = em.finish();
+        Ok(art)
     }
-
-    for (addr, bytes) in text_patches {
-        if !out.write(addr, &bytes) {
-            return Err(RewriteError::Layout(format!(
-                "upgrade patch at {addr:#x} does not fit"
-            )));
-        }
-    }
-    stats.target_section_size = target_code.len() as u64;
-    if target_code.is_empty() {
-        target_code.resize(16, 0);
-    }
-    let placed = out.append_section(".chimera.text", target_code, Perms::RX);
-    if placed != target_base {
-        return Err(RewriteError::Layout("target section moved".into()));
-    }
-    let target_end = out
-        .section(".chimera.text")
-        .ok_or(RewriteError::MissingSection(".chimera.text"))?
-        .end();
-    fht.target_range = (target_base, target_end);
-    out.profile = chimera_isa::ExtSet::RV64GCV;
-    out.validate()
-        .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
-    Ok(Rewritten {
-        binary: out,
-        fht,
-        stats,
-    })
 }
 
 /// Emits the strip-mined vector loop. Register contract: on entry the

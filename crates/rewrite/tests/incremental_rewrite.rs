@@ -18,9 +18,10 @@ use chimera_isa::prng::Prng;
 use chimera_isa::ExtSet;
 use chimera_obj::Binary;
 use chimera_rewrite::{
-    ebreak_patch, run, run_cached, run_incremental, upgrade_rewrite, ChbpEngine, RewriteOptions,
+    ebreak_patch, run, run_cached, run_incremental, upgrade_rewrite, ChbpEngine, Mode,
+    RewriteEngine, RewriteOptions, UpgradeEngine,
 };
-use chimera_testutil::{engines, load_image, mutate_image, run_under_kernel, to_rewrite_spans};
+use chimera_testutil::{engines, load_image, mutate_image, run_under_kernel, scalar_loops};
 use chimera_trace::{TraceEvent, Tracer};
 
 const FUEL: u64 = u64::MAX / 2;
@@ -76,60 +77,71 @@ fn incremental_event(tracer: &Tracer) -> (u64, u64) {
 fn incremental_matches_full_rewrite_under_random_invalidation() {
     for (bin_name, bin) in zoo() {
         for (eng_name, engine) in engines() {
-            let full = run(engine.as_ref(), &bin, 4, &Tracer::disabled()).unwrap();
-            for workers in WORKERS {
-                let (primed, mut cache) =
-                    run_cached(engine.as_ref(), &bin, workers, &Tracer::disabled()).unwrap();
-                assert_eq!(
-                    primed.rewritten, full.rewritten,
-                    "{bin_name} [{eng_name}]: cached run diverges from plain run"
-                );
+            assert_incremental_matches_full(&bin_name, &bin, eng_name, engine.as_ref());
+        }
+    }
+}
 
-                let (mut mem, text_start, text_end) = load_image(&primed.rewritten.binary);
-                let mut rng = Prng::new(0x9e37_79b9 ^ (workers as u64) << 32 ^ bin.entry);
-                let mut watermark = mem.generation_watermark();
-                for round in 0..6 {
-                    for _ in 0..=rng.below(2) {
-                        mutate_image(&mut mem, &mut rng, text_start, text_end);
-                    }
-                    let dirty = to_rewrite_spans(&mem.dirty_regions_since(watermark));
-                    assert!(!dirty.is_empty(), "mutations must report dirty spans");
-                    watermark = mem.generation_watermark();
+/// The same property for the upgrade vectorizer, which gets incremental
+/// refresh from the shared driver: 24 loops, some placed behind padding
+/// and some left scalar (cached as empty artifacts).
+#[test]
+fn upgrade_incremental_matches_full_rewrite_under_random_invalidation() {
+    let engine = UpgradeEngine {
+        opts: RewriteOptions::default(),
+    };
+    assert_incremental_matches_full("loops:24", &scalar_loops(24), "upgrade", &engine);
+}
 
-                    let tracer = Tracer::enabled();
-                    let inc = run_incremental(
-                        engine.as_ref(),
-                        &bin,
-                        &mut cache,
-                        &dirty,
-                        workers,
-                        &tracer,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        inc.rewritten, full.rewritten,
-                        "{bin_name} [{eng_name}] w={workers} round {round}: \
-                         incremental output diverged from full rewrite"
-                    );
-                    assert_eq!(
-                        inc.regen.unwrap_or_default(),
-                        full.regen.clone().unwrap_or_default(),
-                        "{bin_name} [{eng_name}] w={workers} round {round}: regen info diverged"
-                    );
+fn assert_incremental_matches_full(
+    bin_name: &str,
+    bin: &Binary,
+    eng_name: &str,
+    engine: &dyn RewriteEngine,
+) {
+    let full = run(engine, bin, 4, &Tracer::disabled()).unwrap();
+    for workers in WORKERS {
+        let (primed, mut cache) = run_cached(engine, bin, workers, &Tracer::disabled()).unwrap();
+        assert_eq!(
+            primed.rewritten, full.rewritten,
+            "{bin_name} [{eng_name}]: cached run diverges from plain run"
+        );
 
-                    let (total, redone) = incremental_event(&tracer);
-                    assert_eq!(total, cache.unit_count() as u64);
-                    let m = tracer.metrics().expect("enabled tracer has metrics");
-                    let reused = m.counter_value("rewrite.units_reused").unwrap_or(0);
-                    let counted_redone = m.counter_value("rewrite.units_redone").unwrap_or(0);
-                    assert_eq!(
-                        reused + counted_redone,
-                        total,
-                        "{bin_name} [{eng_name}]: reuse counters must reconcile"
-                    );
-                    assert_eq!(counted_redone, redone);
-                }
+        let (mut mem, text_start, text_end) = load_image(&primed.rewritten.binary);
+        let mut rng = Prng::new(0x9e37_79b9 ^ (workers as u64) << 32 ^ bin.entry);
+        let mut watermark = mem.generation_watermark();
+        for round in 0..6 {
+            for _ in 0..=rng.below(2) {
+                mutate_image(&mut mem, &mut rng, text_start, text_end);
             }
+            let dirty = mem.dirty_regions_since(watermark);
+            assert!(!dirty.is_empty(), "mutations must report dirty spans");
+            watermark = mem.generation_watermark();
+
+            let tracer = Tracer::enabled();
+            let inc = run_incremental(engine, bin, &mut cache, &dirty, workers, &tracer).unwrap();
+            assert_eq!(
+                inc.rewritten, full.rewritten,
+                "{bin_name} [{eng_name}] w={workers} round {round}: \
+                 incremental output diverged from full rewrite"
+            );
+            assert_eq!(
+                inc.regen.unwrap_or_default(),
+                full.regen.clone().unwrap_or_default(),
+                "{bin_name} [{eng_name}] w={workers} round {round}: regen info diverged"
+            );
+
+            let (total, redone) = incremental_event(&tracer);
+            assert_eq!(total, cache.unit_count() as u64);
+            let m = tracer.metrics().expect("enabled tracer has metrics");
+            let reused = m.counter_value("rewrite.units_reused").unwrap_or(0);
+            let counted_redone = m.counter_value("rewrite.units_redone").unwrap_or(0);
+            assert_eq!(
+                reused + counted_redone,
+                total,
+                "{bin_name} [{eng_name}]: reuse counters must reconcile"
+            );
+            assert_eq!(counted_redone, redone);
         }
     }
 }
@@ -156,7 +168,7 @@ fn consumed_dirty_reports_are_idempotent() {
         .expect("matrix task has patch sites");
     let watermark = mem.generation_watermark();
     mem.poke_code(site, &ebreak_patch(4)).unwrap();
-    let dirty = to_rewrite_spans(&mem.dirty_regions_since(watermark));
+    let dirty = mem.dirty_regions_since(watermark);
 
     let tracer = Tracer::enabled();
     let first = run_incremental(&engine, &bin, &mut cache, &dirty, 2, &tracer).unwrap();
@@ -199,6 +211,40 @@ fn stale_cache_triggers_full_reprime() {
     assert_eq!(redone, 0);
 }
 
+/// Regression: the staleness test used to compare engine *names* only,
+/// and both configurations below are `"chbp"` — a cache primed by the
+/// downgrading engine served its artifacts to the empty-patching one.
+/// Another engine's parameters are another rewrite: re-prime.
+#[test]
+fn foreign_parameter_cache_triggers_full_reprime() {
+    let bin = chimera_workloads::hetero::matrix_task(8, 2, true);
+    let downgrade = ChbpEngine {
+        target: ExtSet::RV64GC,
+        opts: RewriteOptions::default(),
+    };
+    let empty_patch = ChbpEngine {
+        target: ExtSet::RV64GCV,
+        opts: RewriteOptions {
+            mode: Mode::EmptyPatch(chimera_isa::Ext::V),
+            ..Default::default()
+        },
+    };
+    let (_, mut cache) = run_cached(&downgrade, &bin, 2, &Tracer::disabled()).unwrap();
+
+    let tracer = Tracer::enabled();
+    let inc = run_incremental(&empty_patch, &bin, &mut cache, &[], 2, &tracer).unwrap();
+    let full = run(&empty_patch, &bin, 2, &Tracer::disabled()).unwrap();
+    assert_eq!(inc.rewritten, full.rewritten, "re-primed output is correct");
+    let (total, redone) = incremental_event(&tracer);
+    assert_eq!(redone, total, "a rebuild redoes every unit");
+
+    // The cache now belongs to the empty-patching engine.
+    let tracer = Tracer::enabled();
+    let again = run_incremental(&empty_patch, &bin, &mut cache, &[], 2, &tracer).unwrap();
+    assert_eq!(again.rewritten, full.rewritten);
+    assert_eq!(incremental_event(&tracer).1, 0);
+}
+
 /// Differential behaviour: after an invalidation sequence, the refreshed
 /// variant still runs correctly under the kernel — the same `RunResult`
 /// as the native binary on the extension profile.
@@ -219,7 +265,7 @@ fn refreshed_variant_matches_native_behaviour() {
             for _ in 0..4 {
                 mutate_image(&mut mem, &mut rng, text_start, text_end);
             }
-            let dirty = to_rewrite_spans(&mem.dirty_regions_since(watermark));
+            let dirty = mem.dirty_regions_since(watermark);
             let refreshed = run_incremental(
                 engine.as_ref(),
                 &bin,

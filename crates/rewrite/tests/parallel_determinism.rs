@@ -28,10 +28,10 @@ use chimera_obj::Binary;
 use chimera_rewrite::emitter::BlockEmitter;
 use chimera_rewrite::translate::Translator;
 use chimera_rewrite::{
-    chbp_rewrite_with, emit_site_translation, regenerate_with, run, ChbpEngine, Flavor,
-    IdentityEngine, Mode, RegenEngine, RewriteOptions, Rewritten,
+    emit_site_translation, run, ChbpEngine, Flavor, IdentityEngine, Mode, RegenEngine, RegenInfo,
+    RewriteOptions, Rewritten, UpgradeEngine,
 };
-use chimera_testutil::{native_reference, run_under_kernel, KernelRun};
+use chimera_testutil::{native_reference, run_under_kernel, scalar_loops, KernelRun};
 use chimera_trace::Tracer;
 use chimera_workloads::hetero;
 use chimera_workloads::speclike::{generate, GenOptions, APP_PROFILES, SPEC_PROFILES};
@@ -76,7 +76,23 @@ fn zoo() -> Vec<(String, Binary)> {
 }
 
 fn chbp(bin: &Binary, opts: RewriteOptions, workers: usize) -> Rewritten {
-    chbp_rewrite_with(bin, ExtSet::RV64GC, opts, workers, &Tracer::disabled()).unwrap()
+    let engine = ChbpEngine {
+        target: ExtSet::RV64GC,
+        opts,
+    };
+    run(&engine, bin, workers, &Tracer::disabled())
+        .unwrap()
+        .rewritten
+}
+
+fn regen(bin: &Binary, flavor: Flavor, workers: usize) -> (Rewritten, RegenInfo) {
+    let engine = RegenEngine {
+        target: ExtSet::RV64GC,
+        mode: Mode::Downgrade,
+        flavor,
+    };
+    let r = run(&engine, bin, workers, &Tracer::disabled()).unwrap();
+    (r.rewritten, r.regen.unwrap_or_default())
 }
 
 /// Worker count must be invisible: CHBP (both modes) and the strawman.
@@ -126,31 +142,60 @@ fn chbp_bit_identical_across_worker_counts() {
 fn regen_bit_identical_across_worker_counts() {
     for (name, bin) in zoo() {
         for flavor in [Flavor::Safer, Flavor::Armore] {
-            let baseline = regenerate_with(
-                &bin,
-                ExtSet::RV64GC,
-                Mode::Downgrade,
-                flavor,
-                1,
-                &Tracer::disabled(),
-            )
-            .unwrap();
+            let baseline = regen(&bin, flavor, 1);
             for workers in &WORKERS[1..] {
-                let rg = regenerate_with(
-                    &bin,
-                    ExtSet::RV64GC,
-                    Mode::Downgrade,
-                    flavor,
-                    *workers,
-                    &Tracer::disabled(),
-                )
-                .unwrap();
+                let rg = regen(&bin, flavor, *workers);
                 assert_eq!(
                     rg, baseline,
                     "{name} [{flavor:?}]: {workers}-worker output diverges from sequential"
                 );
             }
         }
+    }
+}
+
+/// The upgrade vectorizer gets the same contract from the shared driver.
+/// 24 loops: enough units for the sizing and transform fan-outs to spawn
+/// workers, a third of them constrained (padding) and a quarter left
+/// scalar (P2 beyond the default `max_padding`), so later addresses depend
+/// on earlier sizes, padding and skips. The upgraded program must also
+/// still behave like its input.
+#[test]
+fn upgrade_bit_identical_across_worker_counts() {
+    let programs = [
+        ("loops:24".to_string(), scalar_loops(24)),
+        ("hetero:matrix".into(), hetero::matrix_task(16, 2, false)),
+    ];
+    for (name, bin) in programs {
+        let engine = UpgradeEngine {
+            opts: RewriteOptions::default(),
+        };
+        let baseline = run(&engine, &bin, 1, &Tracer::disabled()).unwrap();
+        assert!(baseline.regen.is_none());
+        let stats = baseline.rewritten.stats;
+        assert!(stats.smile_trampolines > 0, "{name}: nothing vectorized");
+        if name == "loops:24" {
+            assert_eq!(stats.smile_trampolines, 18, "{name}: P2 loops stay scalar");
+            assert_eq!(stats.constrained_smiles, 6);
+            assert!(stats.padding_bytes > 0);
+        }
+        for workers in &WORKERS[1..] {
+            let rw = run(&engine, &bin, *workers, &Tracer::disabled()).unwrap();
+            assert_eq!(
+                rw.rewritten, baseline.rewritten,
+                "{name} [upgrade]: {workers}-worker output diverges from sequential"
+            );
+        }
+        let tables = RuntimeTables {
+            fht: Some(baseline.rewritten.fht),
+            regen: None,
+        };
+        let kr = run_under_kernel(baseline.rewritten.binary, tables, ExtSet::RV64GCV, true);
+        assert_eq!(
+            (kr.exit_code, kr.stdout),
+            native_reference(&bin),
+            "{name} [upgrade] diverged from native"
+        );
     }
 }
 
@@ -199,20 +244,12 @@ fn every_engine_passes_differential_check() {
         // Safer / ARMore regeneration: relocated binary + redirect map
         // (and Safer's slow-trap table), run through the same kernel.
         for flavor in [Flavor::Safer, Flavor::Armore] {
-            let rg = regenerate_with(
-                &bin,
-                ExtSet::RV64GC,
-                Mode::Downgrade,
-                flavor,
-                4,
-                &Tracer::disabled(),
-            )
-            .unwrap();
+            let (rw, info) = regen(&bin, flavor, 4);
             let tables = RuntimeTables {
-                fht: Some(rg.rewritten.fht),
-                regen: Some(rg.info),
+                fht: Some(rw.fht),
+                regen: Some(info),
             };
-            let kr = run_under_kernel(rg.rewritten.binary, tables, ExtSet::RV64GC, true);
+            let kr = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, true);
             assert_eq!(
                 (kr.exit_code, kr.stdout),
                 expected,
@@ -243,17 +280,9 @@ fn boxed_engine_dispatch_matches_typed_entry_points() {
         flavor: Flavor::Safer,
     };
     let via_trait = run(&engine, &bin, 4, &Tracer::disabled()).unwrap();
-    let direct = regenerate_with(
-        &bin,
-        ExtSet::RV64GC,
-        Mode::Downgrade,
-        Flavor::Safer,
-        4,
-        &Tracer::disabled(),
-    )
-    .unwrap();
-    assert_eq!(via_trait.rewritten, direct.rewritten);
-    assert_eq!(via_trait.regen.unwrap_or_default(), direct.info);
+    let (direct, info) = regen(&bin, Flavor::Safer, 4);
+    assert_eq!(via_trait.rewritten, direct);
+    assert_eq!(via_trait.regen.unwrap_or_default(), info);
 }
 
 /// Lazy/static convergence: an `EmptyPatch`-rewritten vector program run

@@ -9,9 +9,9 @@
 
 use chimera_isa::ExtSet;
 use chimera_rewrite::{
-    ebreak_patch, run_incremental, ChbpEngine, RewriteOptions, SharedVariantCache,
+    ebreak_patch, run, run_incremental, ChbpEngine, Mode, RewriteOptions, SharedVariantCache,
 };
-use chimera_testutil::{load_image, run_under_kernel, to_rewrite_spans};
+use chimera_testutil::{load_image, run_under_kernel};
 use chimera_trace::{TraceEvent, Tracer};
 
 fn engine() -> ChbpEngine {
@@ -79,7 +79,7 @@ fn smc_in_one_process_never_invalidates_another() {
         .expect("matrix task has patch sites");
     let watermark = mem.generation_watermark();
     mem.poke_code(site, &ebreak_patch(4)).unwrap();
-    let dirty = to_rewrite_spans(&mem.dirty_regions_since(watermark));
+    let dirty = mem.dirty_regions_since(watermark);
     assert!(!dirty.is_empty());
 
     let a_tracer = Tracer::enabled();
@@ -159,4 +159,39 @@ fn content_keys_separate_engines_flags_and_inputs() {
     let again = shared.checkout(&engine, &bin_a, 0, 2, &t).unwrap();
     assert!(again.shared_hit);
     assert_eq!(again.rewritten(), a0.rewritten());
+}
+
+/// Regression: the content key used to fold in the engine's *name* only,
+/// and both configurations below are `"chbp"` — the second checkout hit
+/// the first one's entry and handed back a downgraded binary for an
+/// empty-patching request. Engine parameters are part of the key.
+#[test]
+fn content_keys_separate_engine_parameters() {
+    let bin = chimera_workloads::hetero::matrix_task(8, 2, true);
+    let downgrade = engine();
+    let empty_patch = ChbpEngine {
+        target: ExtSet::RV64GCV,
+        opts: RewriteOptions {
+            mode: Mode::EmptyPatch(chimera_isa::Ext::V),
+            ..Default::default()
+        },
+    };
+    let shared = SharedVariantCache::new();
+    let t = Tracer::disabled();
+
+    let d = shared.checkout(&downgrade, &bin, 0, 2, &t).unwrap();
+    let e = shared.checkout(&empty_patch, &bin, 0, 2, &t).unwrap();
+    assert!(
+        !d.shared_hit && !e.shared_hit,
+        "different rewrites: two misses"
+    );
+    assert_ne!(d.key(), e.key());
+    let direct = run(&empty_patch, &bin, 2, &t).unwrap();
+    assert_eq!(*e.rewritten(), direct.rewritten);
+    assert_ne!(e.rewritten(), d.rewritten());
+
+    // The same parameters in a fresh engine value still hit.
+    let again = shared.checkout(&engine(), &bin, 0, 2, &t).unwrap();
+    assert!(again.shared_hit);
+    assert_eq!(again.key(), d.key());
 }

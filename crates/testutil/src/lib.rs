@@ -629,15 +629,114 @@ pub fn run_many_hart_scenario(
     (result, counters)
 }
 
-/// Converts the emulator's dirty-span report into the rewrite pipeline's
-/// span type.
-pub fn to_rewrite_spans(dirty: &[chimera_emu::DirtySpan]) -> Vec<chimera_rewrite::DirtySpan> {
-    dirty
-        .iter()
-        .map(|d| chimera_rewrite::DirtySpan {
-            start: d.start,
-            end: d.end,
-            generation: d.generation,
-        })
-        .collect()
+/// A base-ISA program of `n` canonical counted loops, cycling through the
+/// four kernels the upgrade vectorizer recognizes (i64 dot, f64 dot, i64
+/// map, f64 map) and assembled with compression so the loop heads differ
+/// in SMILE constraints: the f64 dot has an instruction start at
+/// `head + 6` (P3), the i64 map one at `head + 2` (P2). Exits with the
+/// low byte of a checksum over every loop's result.
+pub fn scalar_loops(n: usize) -> Binary {
+    use std::fmt::Write;
+    let mut src = String::from("    .data\n");
+    for (label, scale) in [("a", 1), ("b", 3)] {
+        writeln!(src, "    {label}:").unwrap();
+        for i in 0..8 {
+            writeln!(src, "        .dword {}", (i + 1) * scale).unwrap();
+        }
+    }
+    for (label, scale) in [("fa", 1.0), ("fb", 0.5)] {
+        writeln!(src, "    {label}:").unwrap();
+        for i in 0..8 {
+            writeln!(src, "        .double {:.1}", (i + 1) as f64 * scale).unwrap();
+        }
+    }
+    src.push_str("    c: .zero 64\n    fc: .zero 64\n    .text\n    _start:\n        li s2, 0\n");
+    for i in 0..n {
+        let body = match i % 4 {
+            0 => {
+                "
+        la t0, a
+        la t1, b
+        li t2, 8
+        li s3, 0
+    lN:
+        ld t3, 0(t0)
+        ld t4, 0(t1)
+        mul t5, t3, t4
+        add s3, s3, t5
+        addi t0, t0, 8
+        addi t1, t1, 8
+        addi t2, t2, -1
+        bnez t2, lN
+        add s2, s2, s3"
+            }
+            1 => {
+                "
+        la t0, fa
+        la t1, fb
+        li t2, 8
+        fmv.d.x fa0, zero
+    lN:
+        fld ft0, 0(t0)
+        addi t0, t0, 8
+        fld ft1, 0(t1)
+        fmadd.d fa0, ft0, ft1, fa0
+        addi t1, t1, 8
+        addi t2, t2, -1
+        bnez t2, lN
+        fcvt.l.d t5, fa0
+        add s2, s2, t5"
+            }
+            2 => {
+                "
+        la a4, a
+        la a5, b
+        la a3, c
+        li t2, 8
+    lN:
+        ld a1, 0(a4)
+        ld a2, 0(a5)
+        sub a0, a1, a2
+        sd a0, 0(a3)
+        addi a4, a4, 8
+        addi a5, a5, 8
+        addi a3, a3, 8
+        addi t2, t2, -1
+        bnez t2, lN
+        ld t5, -8(a3)
+        add s2, s2, t5"
+            }
+            _ => {
+                "
+        la t0, fa
+        la t1, fb
+        la t3, fc
+        li t2, 8
+    lN:
+        fld ft0, 0(t0)
+        fld ft1, 0(t1)
+        fmul.d ft2, ft0, ft1
+        fsd ft2, 0(t3)
+        addi t0, t0, 8
+        addi t1, t1, 8
+        addi t3, t3, 8
+        addi t2, t2, -1
+        bnez t2, lN
+        fld ft0, -8(t3)
+        fcvt.l.d t5, ft0
+        add s2, s2, t5"
+            }
+        };
+        src.push_str(&body.replace("lN", &format!("l{i}")));
+        src.push('\n');
+    }
+    src.push_str("        andi a0, s2, 255\n        li a7, 93\n        ecall\n");
+    chimera_obj::assemble(
+        &src,
+        chimera_obj::AsmOptions {
+            compress: true,
+            profile: ExtSet::RV64GC,
+        },
+    )
+    .expect("scalar loops assemble")
 }

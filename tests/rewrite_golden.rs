@@ -13,9 +13,11 @@
 //! table in source form; paste it over [`ZOO`] / [`LAUNCH_COLD`].
 
 use chimera_obj::Binary;
-use chimera_rewrite::{run, upgrade_rewrite, RewriteOptions};
+use chimera_rewrite::{run, upgrade_rewrite, RewriteError, RewriteOptions, Rewritten};
+use chimera_testutil::scalar_loops;
 use chimera_trace::Tracer;
 use chimera_workloads::speclike::{generate, GenOptions, APP_PROFILES, SPEC_PROFILES};
+use chimera_workloads::{blas, hetero};
 use std::fmt::Write;
 
 /// Column order of the digest rows: `chimera_testutil::engines()`, then
@@ -73,16 +75,21 @@ fn digests(bin: &Binary) -> [u64; 6] {
         }
         *slot = h.0;
     }
+    out[5] = rewritten_digest(&upgrade_rewrite(bin, RewriteOptions::default()));
+    out
+}
+
+/// The digest of an upgrade vectorizer result.
+fn rewritten_digest(result: &Result<Rewritten, RewriteError>) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    match upgrade_rewrite(bin, RewriteOptions::default()) {
+    match result {
         Ok(rw) => {
             digest_binary(&mut h, &rw.binary);
             write!(h, "{:?} {:?}", rw.fht, rw.stats).unwrap();
         }
         Err(e) => write!(h, "error: {e}").unwrap(),
     }
-    out[5] = h.0;
-    out
+    h.0
 }
 
 fn check(what: &str, programs: Vec<(&'static str, Binary)>, golden: &[(&str, [u64; 6])]) {
@@ -142,6 +149,89 @@ fn launch_cold_rewrites_match_recorded_digests() {
         .collect();
     check("launch_cold", programs, LAUNCH_COLD);
 }
+
+/// Base-ISA programs whose loops the upgrade vectorizer recognizes (no
+/// zoo program has one, so the `upgrade` column above pins only the
+/// nothing-to-do path), with the options to rewrite them under.
+fn vectorizable() -> Vec<(&'static str, Binary, RewriteOptions)> {
+    let opts = RewriteOptions::default();
+    let mut v = vec![
+        ("matrix_16x2", hetero::matrix_task(16, 2, false), opts),
+        ("matrix_64x4", hetero::matrix_task(64, 4, false), opts),
+    ];
+    let slices = blas::sliced_kernels(blas::BlasKind::Dgemv, 12, 2);
+    for (name, (_, scalar)) in ["dgemv12_slice0", "dgemv12_slice1"].into_iter().zip(slices) {
+        v.push((name, scalar, opts));
+    }
+    // Eight hand-assembled loops, two per `Kernel`, whose layout is
+    // order-dependent: the i64 dots take a plain SMILE, the f64 dots have
+    // an instruction start at `head + 6` (P3: placed behind constraint
+    // padding), the i64 maps have one at `head + 2` (P2: reachable only
+    // ~2 MiB up, beyond the default `max_padding`, so they are left
+    // scalar) and the f64 maps land behind whatever came before. (A
+    // recognized loop has at least seven instructions, so "shorter than 8
+    // bytes" cannot be assembled; the padding budget is the reachable
+    // leave-scalar outcome.)
+    v.push(("loops_8", scalar_loops(8), opts));
+    // Room for the P2 window: every loop is placed, the first i64 map
+    // behind ~2 MiB of padding.
+    let roomy = RewriteOptions {
+        max_padding: 4 << 20,
+        ..opts
+    };
+    v.push(("loops_8_roomy", scalar_loops(8), roomy));
+    v
+}
+
+/// Upgrades that actually vectorize: digests recorded on commit 92b47ad,
+/// when `upgrade_rewrite` still had its own layout and linker.
+#[test]
+fn vectorizing_upgrades_match_recorded_digests() {
+    let programs = vectorizable();
+    let mut table = String::new();
+    let mut actual = Vec::new();
+    for (name, bin, opts) in &programs {
+        let rw = upgrade_rewrite(bin, *opts);
+        let digest = rewritten_digest(&rw);
+        let rw = rw.unwrap();
+        let shape = (rw.stats.smile_trampolines, rw.stats.constrained_smiles);
+        writeln!(table, "    (\"{name}\", {shape:?}, {digest:#018x}),").unwrap();
+        actual.push((*name, shape, digest));
+
+        // Claim 2 on the way: the upgraded program behaves like the input.
+        let native = chimera_emu::run_binary_on(bin, chimera_isa::ExtSet::RV64GCV, 1 << 32);
+        let kr = chimera_testutil::run_under_kernel(
+            rw.binary,
+            chimera_kernel::RuntimeTables {
+                fht: Some(rw.fht),
+                regen: None,
+            },
+            chimera_isa::ExtSet::RV64GCV,
+            true,
+        );
+        let native = native.unwrap();
+        assert_eq!(
+            (kr.exit_code, kr.stdout),
+            (native.exit_code, native.stdout),
+            "{name}: upgraded run diverged from native"
+        );
+    }
+    assert_eq!(
+        actual, UPGRADE_VECTORIZING,
+        "vectorizing upgrade output moved; actual table:\n{table}"
+    );
+}
+
+/// `(program, (smile_trampolines, constrained_smiles), digest)`.
+#[rustfmt::skip]
+const UPGRADE_VECTORIZING: &[(&str, (usize, usize), u64)] = &[
+    ("matrix_16x2", (1, 0), 0x4640162984082984),
+    ("matrix_64x4", (1, 0), 0xda2292372d620684),
+    ("dgemv12_slice0", (1, 0), 0xd41895e59276251b),
+    ("dgemv12_slice1", (1, 0), 0xbca3aacccc18b3ab),
+    ("loops_8", (6, 2), 0x8c21ae86887fd3e4),
+    ("loops_8_roomy", (8, 4), 0xecfb39aaabc99133),
+];
 
 #[rustfmt::skip]
 const ZOO: &[(&str, [u64; 6])] = &[

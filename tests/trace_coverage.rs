@@ -18,7 +18,7 @@ use chimera_kernel::{
 };
 use chimera_obj::{assemble, AsmOptions, DEFAULT_STACK_SIZE};
 use chimera_rewrite::{
-    chbp_rewrite_traced, run_cached, run_incremental, ChbpEngine, DirtySpan, RewriteOptions,
+    default_workers, run, run_cached, run_incremental, ChbpEngine, DirtySpan, RewriteOptions,
     Rewritten, SharedVariantCache,
 };
 use chimera_trace::{TraceEvent, Tracer};
@@ -115,6 +115,17 @@ fn chbp_engine() -> ChbpEngine {
     }
 }
 
+/// A default CHBP rewrite for the base profile, traced.
+fn chbp_traced(bin: &chimera_obj::Binary, tracer: &Tracer) -> Rewritten {
+    let engine = ChbpEngine {
+        target: ExtSet::RV64GC,
+        opts: RewriteOptions::default(),
+    };
+    run(&engine, bin, default_workers(), tracer)
+        .unwrap()
+        .rewritten
+}
+
 fn single_variant_process(rw: Rewritten) -> Process {
     Process::new(vec![Variant {
         binary: rw.binary,
@@ -133,8 +144,7 @@ fn one_run_emits_every_event_kind_and_reconciles_exactly() {
     // (a) Static rewrite of the vector program, traced: 6 RewritePassDone
     // (scan/plan/transform/place/link/verify pipeline stages).
     let vec_bin = assemble(VEC_PROG, AsmOptions::default()).unwrap();
-    let rw =
-        chbp_rewrite_traced(&vec_bin, ExtSet::RV64GC, RewriteOptions::default(), &tracer).unwrap();
+    let rw = chbp_traced(&vec_bin, &tracer);
     let process = single_variant_process(rw);
 
     // (a2) Incremental re-rewrite: prime a per-unit cache (6 more
@@ -201,8 +211,7 @@ fn one_run_emits_every_event_kind_and_reconciles_exactly() {
         let data = bin.section(".data").unwrap().addr;
         bin.write(data + 32, &(hidden * 2).to_le_bytes());
 
-        let rw =
-            chbp_rewrite_traced(&bin, ExtSet::RV64GC, RewriteOptions::default(), &tracer).unwrap();
+        let rw = chbp_traced(&bin, &tracer);
         let lazy_process = single_variant_process(rw);
         let (mut cpu, mut mem, view) = lazy_process.load(ExtSet::RV64GC).unwrap();
         cpu.tracer = tracer.clone();
@@ -372,7 +381,7 @@ fn one_run_emits_every_event_kind_and_reconciles_exactly() {
         .filter(|r| matches!(r.event, TraceEvent::StealAttempt { success: true, .. }))
         .count() as u64;
     assert_eq!(successful_steals, counter("sched.steals"));
-    // Four traced full rewrites (two chbp_rewrite_traced, the cache
+    // Four traced full rewrites (two chbp_traced, the cache
     // priming run, and the shared cache's cold checkout), six pipeline
     // stages each; the incremental run and the warm checkouts emit no
     // per-pass events.
