@@ -23,7 +23,7 @@ fn main() {
         for i in 1..=10 {
             print!("{:<8}", format!("{}%", i * 10));
             for (_, pts) in &sweeps {
-                print!("{:>10}", pct(pts[i].accelerated));
+                print!("{:>10}", pct(pts[i].accelerated_share()));
             }
             println!();
         }

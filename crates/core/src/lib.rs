@@ -388,65 +388,6 @@ pub fn measure_traced(
     }
 }
 
-/// Like [`measure`], but returns the cycles burnt until the first
-/// migration request (the FAM probe cost) when the view cannot complete on
-/// this core.
-pub fn measure_or_fam_probe(
-    process: &Process,
-    profile: ExtSet,
-    fuel: u64,
-) -> Result<FamResult, MeasureError> {
-    let (mut cpu, mut mem, view) = match process.load(profile) {
-        Some(t) => t,
-        None => {
-            // No view at all for this profile: FAM faults on the first
-            // unsupported instruction of the preferred view. Model by
-            // loading the first view regardless and letting it trap.
-            let view = &process.views[0];
-            let mut mem = chimera_emu::Memory::load(&view.binary);
-            let mut cpu = chimera_emu::Cpu::new(profile);
-            cpu.hart.pc = view.binary.entry;
-            cpu.hart
-                .set_x(chimera_isa::XReg::SP, chimera_obj::STACK_TOP - 64);
-            cpu.hart.set_x(chimera_isa::XReg::GP, view.binary.gp);
-            let mut k = KernelRunner::new(view.tables.clone());
-            return Ok(match k.run(&mut cpu, &mut mem, fuel) {
-                RunOutcome::Exited(code) => {
-                    FamResult::Completed(Measurement::from_run(&cpu, code, k.counters))
-                }
-                RunOutcome::NeedsMigration { .. } => FamResult::Migrated {
-                    probe_cycles: cpu.stats.cycles,
-                },
-                other => return Err(MeasureError::Run(format!("{other:?}"))),
-            });
-        }
-    };
-    let mut k = KernelRunner::new(view.tables.clone());
-    match k.run(&mut cpu, &mut mem, fuel) {
-        RunOutcome::Exited(code) => Ok(FamResult::Completed(Measurement::from_run(
-            &cpu, code, k.counters,
-        ))),
-        RunOutcome::NeedsMigration { .. } => Ok(FamResult::Migrated {
-            probe_cycles: cpu.stats.cycles,
-        }),
-        RunOutcome::OutOfFuel => Err(MeasureError::Run("out of fuel".into())),
-        RunOutcome::Fatal(m) => Err(MeasureError::Run(m)),
-    }
-}
-
-/// Outcome of a FAM-style attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FamResult {
-    /// The task completed on this core.
-    Completed(Measurement),
-    /// The task hit an unsupported instruction after burning this many
-    /// cycles; the scheduler must migrate it.
-    Migrated {
-        /// Cycles burnt before the fault.
-        probe_cycles: u64,
-    },
-}
-
 /// The binary rewriting methods compared in §6.2 (Fig. 13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewriterKind {

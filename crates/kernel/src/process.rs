@@ -11,10 +11,10 @@
 //! the kernel converts on the way across (§4.1's "consistent behavior
 //! across heterogeneous cores").
 
-use crate::runtime::RuntimeTables;
+use crate::runtime::{KernelRunner, RuntimeTables};
 use chimera_emu::{Cpu, Memory, VLENB};
-use chimera_isa::{Eew, ExtSet, VReg, XReg};
-use chimera_obj::{Binary, Perms, DEFAULT_STACK_SIZE, STACK_TOP};
+use chimera_isa::{Eew, Ext, ExtSet, VReg};
+use chimera_obj::{Binary, Perms};
 use chimera_rewrite::translate::SpillLayout;
 use chimera_trace::{TraceEvent, Tracer};
 
@@ -86,27 +86,19 @@ impl Process {
     /// view's sections, the shared stack, and lazy-rewrite slack; returns a
     /// booted CPU and memory.
     pub fn load(&self, profile: ExtSet) -> Option<(Cpu, Memory, &Variant)> {
-        let view = self.view_for(profile)?;
-        let mut mem = Memory::new();
-        for s in &view.binary.sections {
-            mem.map_bytes(s.addr, s.data.clone(), s.perms, &s.name);
-        }
-        mem.map(
-            STACK_TOP - DEFAULT_STACK_SIZE,
-            DEFAULT_STACK_SIZE,
-            Perms::RW,
-            "[stack]",
-        );
-        if let Some(fht) = &view.tables.fht {
-            if fht.target_range.1 > fht.target_range.0 {
-                mem.map(fht.target_range.1, LAZY_SLACK, Perms::RX, "[lazy]");
-            }
-        }
-        let mut cpu = Cpu::new(profile);
-        cpu.hart.pc = view.binary.entry;
-        cpu.hart.set_x(XReg::SP, STACK_TOP - 64);
-        cpu.hart.set_x(XReg::GP, view.binary.gp);
-        Some((cpu, mem, view))
+        self.view_for(profile).map(|_| self.load_on(profile))
+    }
+
+    /// [`Process::load`] for a scheduler, which places tasks before it
+    /// knows whether the core can finish them: a core with no matching
+    /// view (a single-view FAM process on a base core) boots the first
+    /// view anyway; its unsupported instructions fault and request a
+    /// migration.
+    pub fn load_on(&self, profile: ExtSet) -> (Cpu, Memory, &Variant) {
+        let view = self.view_for(profile).unwrap_or(&self.views[0]);
+        let (cpu, mut mem) = chimera_emu::boot(&view.binary, profile);
+        map_lazy_slack(&mut mem, view);
+        (cpu, mem, view)
     }
 
     /// Switches the active MMView: swaps per-view code/read-only regions,
@@ -137,40 +129,56 @@ impl Process {
                 mem.map_bytes(s.addr, s.data.clone(), s.perms, &s.name);
             }
         }
-        if let Some(fht) = &to.tables.fht {
-            if fht.target_range.1 > fht.target_range.0 {
-                mem.unmap("[lazy]");
-                mem.map(fht.target_range.1, LAZY_SLACK, Perms::RX, "[lazy]");
-            }
-        }
+        map_lazy_slack(mem, to);
         cpu.profile = to_profile;
         true
     }
 
-    /// [`Process::switch_view`] with migration tracing: on success, emits
-    /// [`TraceEvent::TaskMigrated`] (`from_base` = the new view is strictly
-    /// more capable than the old, i.e. the task is moving *up* off a base
-    /// core) and bumps `process.view_switches`.
-    pub fn switch_view_traced(
+    /// Migrates a live task to a core with `to_profile`, at the pc it
+    /// stopped at. A process with one view for both cores (FAM) only
+    /// changes the profile; otherwise the MMView is switched, the vector
+    /// state moves between hart registers and the spill section when
+    /// exactly one side keeps it there, and `runner` takes the new view's
+    /// tables. Emits one [`TraceEvent::TaskMigrated`] (`from_base` = the
+    /// new profile is strictly more capable, i.e. the task moves *up* off a
+    /// base core). Returns `false`, leaving the task untouched, when no
+    /// view runs on `to_profile` or pc is not at a
+    /// [`Process::migration_safe`] point.
+    pub fn migrate(
         &self,
-        mem: &mut Memory,
         cpu: &mut Cpu,
+        mem: &mut Memory,
+        runner: &mut KernelRunner,
         to_profile: ExtSet,
         task: u64,
         tracer: &Tracer,
     ) -> bool {
-        let from_profile = cpu.profile;
-        if !self.switch_view(mem, cpu, to_profile) {
+        // The mapped view is the one `load_on` chose for the old profile.
+        let from = self.view_for(cpu.profile).unwrap_or(&self.views[0]);
+        let Some(to) = self.view_for(to_profile) else {
+            return false;
+        };
+        if !Process::migration_safe(from, cpu.hart.pc) {
             return false;
         }
-        if tracer.is_enabled() {
-            let from_base = to_profile != from_profile && to_profile.is_superset_of(from_profile);
-            tracer.record(
-                cpu.stats.cycles,
-                TraceEvent::TaskMigrated { task, from_base },
-            );
-            tracer.count("process.view_switches", 1);
+        let from_profile = cpu.profile;
+        if std::ptr::eq(from, to) {
+            cpu.profile = to_profile;
+        } else {
+            self.switch_view(mem, cpu, to_profile);
+            // After the switch: the spill section is mapped on both sides.
+            match (vector_spill(from), vector_spill(to)) {
+                (Some(spill), None) => sync_vectors_from_spill(cpu, mem, spill),
+                (None, Some(spill)) => sync_vectors_to_spill(cpu, mem, spill),
+                _ => {}
+            }
+            runner.retarget(to.tables.clone());
         }
+        let from_base = to_profile != from_profile && to_profile.is_superset_of(from_profile);
+        tracer.record(
+            cpu.stats.cycles,
+            TraceEvent::TaskMigrated { task, from_base },
+        );
         true
     }
 
@@ -188,9 +196,26 @@ impl Process {
     }
 }
 
+/// Maps the executable slack lazy rewriting grows into, right after
+/// `view`'s target section (when it has one).
+fn map_lazy_slack(mem: &mut Memory, view: &Variant) {
+    if let Some(fht) = &view.tables.fht {
+        if fht.target_range.1 > fht.target_range.0 {
+            mem.map(fht.target_range.1, LAZY_SLACK, Perms::RX, "[lazy]");
+        }
+    }
+}
+
+/// Where `view` keeps vector state while it runs: the spill section for a
+/// view rewritten for cores without V, hart registers (`None`) otherwise.
+fn vector_spill(view: &Variant) -> Option<u64> {
+    let fht = view.tables.fht.as_ref()?;
+    (!view.profile().contains(Ext::V)).then_some(fht.spill_base)
+}
+
 /// Copies the hart's architectural vector state into the spill section
 /// (native → downgraded migration).
-pub fn sync_vectors_to_spill(cpu: &Cpu, mem: &mut Memory, spill_base: u64) {
+fn sync_vectors_to_spill(cpu: &Cpu, mem: &mut Memory, spill_base: u64) {
     let sew = cpu
         .hart
         .vtype
@@ -209,7 +234,7 @@ pub fn sync_vectors_to_spill(cpu: &Cpu, mem: &mut Memory, spill_base: u64) {
 
 /// Copies the spill section into the hart's architectural vector state
 /// (downgraded → native migration).
-pub fn sync_vectors_from_spill(cpu: &mut Cpu, mem: &mut Memory, spill_base: u64) {
+fn sync_vectors_from_spill(cpu: &mut Cpu, mem: &mut Memory, spill_base: u64) {
     if let Ok(vl) = mem.read_u64(spill_base + SpillLayout::VL as u64) {
         cpu.hart.vl = vl;
     }

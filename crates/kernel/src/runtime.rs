@@ -122,6 +122,16 @@ impl KernelRunner {
         }
     }
 
+    /// Points the runner at another view's tables after the task's MMView
+    /// was switched ([`crate::Process::migrate`]). Lazily built blocks
+    /// patched the old view's code, so their entries go with it; stdout,
+    /// counters and a pending signal context belong to the task and stay.
+    pub fn retarget(&mut self, tables: RuntimeTables) {
+        self.tables = tables;
+        self.lazy_entries.clear();
+        self.lazy_cursor = None;
+    }
+
     /// Delivers a signal (§4.3, Figure 10): saves the interrupted context,
     /// and — when the interruption landed inside a SMILE trampoline, where
     /// `gp` is temporarily overwritten — restores `gp` so the user-space

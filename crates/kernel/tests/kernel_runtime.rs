@@ -2,7 +2,7 @@
 //! MMView migration, signal compatibility, and lazy rewriting.
 
 use chimera_isa::{Ext, ExtSet, XReg};
-use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
+use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Tracer, Variant};
 use chimera_obj::{assemble, AsmOptions};
 use chimera_rewrite::{chbp_rewrite, Mode, RewriteOptions};
 
@@ -262,7 +262,6 @@ fn mmview_migration_mid_task() {
     ";
     let bin = assemble(src, AsmOptions::default()).unwrap();
     let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-    let spill = rw.fht.spill_base;
     let process = Process::new(vec![
         Variant::native(bin.clone()),
         Variant {
@@ -275,7 +274,8 @@ fn mmview_migration_mid_task() {
     ]);
 
     // Phase 1: native on the extension core, stop after the vle64.
-    let (mut cpu, mut mem, _view) = process.load(ExtSet::RV64GCV).unwrap();
+    let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GCV).unwrap();
+    let mut k = KernelRunner::new(view.tables.clone());
     for _ in 0..64 {
         if cpu.stats.vector_insts == 2 {
             break;
@@ -284,15 +284,15 @@ fn mmview_migration_mid_task() {
     }
     assert_eq!(cpu.stats.vector_insts, 2, "vsetvli + vle64 executed");
 
-    // Migrate: switch views first (mapping the spill section), then sync
-    // the architectural vector state into it.
-    assert!(Process::migration_safe(&process.views[0], cpu.hart.pc));
-    assert!(process.switch_view(&mut mem, &mut cpu, ExtSet::RV64GC));
-    chimera_kernel::sync_vectors_to_spill(&cpu, &mut mem, spill);
+    // Migrate: the view switch maps the spill section, the architectural
+    // vector state is synced into it, and the runner takes the downgraded
+    // view's tables.
+    let tracer = Tracer::disabled();
+    assert!(process.migrate(&mut cpu, &mut mem, &mut k, ExtSet::RV64GC, 0, &tracer));
+    assert_eq!(cpu.profile, ExtSet::RV64GC);
+    assert!(k.tables.fht.is_some());
 
     // Phase 2: kernel-supervised run on the base core.
-    let view = process.view_for(ExtSet::RV64GC).unwrap();
-    let mut k = KernelRunner::new(view.tables.clone());
     let outcome = k.run(&mut cpu, &mut mem, 1_000_000);
     assert_eq!(outcome, RunOutcome::Exited(1000));
 }

@@ -1,19 +1,16 @@
 //! Heterogeneous scheduling across an 8-core ISAX processor (a miniature
-//! of §6.1 / Fig. 11): 200 mixed tasks, four systems, end-to-end latency
-//! and CPU time, then 32 tasks executed for real on the many-hart kernel.
+//! of §6.1 / Fig. 11): 200 mixed tasks executed under the work-stealing
+//! scheduler for each of the four systems — end-to-end latency, CPU time,
+//! and the migrations FAM really performs — then 32 tasks on the many-hart
+//! kernel.
 //!
 //! ```sh
 //! cargo run --release --example hetero_schedule
 //! ```
 
-use chimera::{
-    measure, measure_or_fam_probe, prepare_process, FamResult, InputVersion, SystemKind,
-    TaskBinaries,
-};
+use chimera::{prepare_process, InputVersion, SystemKind, TaskBinaries};
 use chimera_isa::ExtSet;
-use chimera_kernel::{
-    simulate_work_stealing, ManyHartConfig, ManyHartKernel, Pool, SimMachine, TaskCost,
-};
+use chimera_kernel::{run_work_stealing, Machine, ManyHartConfig, ManyHartKernel, Task, Tracer};
 use chimera_workloads::hetero::standard_tasks;
 
 fn main() {
@@ -27,21 +24,19 @@ fn main() {
         ext_version: Some(tasks.fib_base.clone()),
     };
 
-    let machine = SimMachine {
+    let machine = Machine {
         base_cores: 4,
         ext_cores: 4,
-        migrate_cost: 4000,
     };
-    let n_tasks = 200;
-    let ext_share = 0.5;
+    let (n_tasks, n_ext) = (200, 160);
 
     println!(
-        "== downgrading (extension-version input), {n_tasks} tasks, {:.0}% extension ==",
-        ext_share * 100.0
+        "== downgrading (extension-version input), {n_tasks} tasks, {}% extension ==",
+        100 * n_ext / n_tasks
     );
     println!(
-        "{:<10} {:>14} {:>14} {:>12}",
-        "system", "latency (cyc)", "cpu time", "accelerated"
+        "{:<10} {:>14} {:>14} {:>12} {:>11} {:>13}",
+        "system", "latency (cyc)", "cpu time", "accelerated", "migrations", "fault+migrate"
     );
     for system in [
         SystemKind::Fam,
@@ -49,46 +44,18 @@ fn main() {
         SystemKind::Melf,
         SystemKind::Chimera,
     ] {
-        // Measure each (task kind, core class) once; feed the simulator.
         let matrix = prepare_process(system, InputVersion::Ext, &task_bins).unwrap();
         let fib = prepare_process(system, InputVersion::Ext, &fib_bins).unwrap();
-
-        let m_ext = measure(&matrix, ExtSet::RV64GCV, u64::MAX / 2).unwrap();
-        let m_base = match measure_or_fam_probe(&matrix, ExtSet::RV64GC, u64::MAX / 2).unwrap() {
-            FamResult::Completed(m) => Some(m.cycles),
-            FamResult::Migrated { .. } => None,
-        };
-        let m_probe = match measure_or_fam_probe(&matrix, ExtSet::RV64GC, u64::MAX / 2).unwrap() {
-            FamResult::Migrated { probe_cycles } => probe_cycles,
-            _ => 0,
-        };
-        let f_base = measure(&fib, ExtSet::RV64GC, u64::MAX / 2).unwrap();
-
-        let matrix_cost = TaskCost {
-            prefers: Pool::Ext,
-            on_ext: m_ext.cycles,
-            on_base: m_base,
-            fam_probe: m_probe,
-            ext_accelerated: true,
-        };
-        let fib_cost = TaskCost {
-            prefers: Pool::Base,
-            on_ext: f_base.cycles,
-            on_base: Some(f_base.cycles),
-            fam_probe: 0,
-            ext_accelerated: false,
-        };
-
-        let n_ext = (n_tasks as f64 * ext_share) as usize;
-        let mut sim_tasks = vec![matrix_cost; n_ext];
-        sim_tasks.extend(vec![fib_cost; n_tasks - n_ext]);
-        let r = simulate_work_stealing(machine, &sim_tasks);
+        let mix = Task::mix(&matrix, n_ext, &fib, n_tasks - n_ext);
+        let r = run_work_stealing(machine, &mix, &Tracer::disabled()).unwrap();
         println!(
-            "{:<10} {:>14} {:>14} {:>11.0}%",
+            "{:<10} {:>14} {:>14} {:>11.0}% {:>11} {:>13}",
             system.name(),
             r.latency,
             r.cpu_time,
-            100.0 * r.accelerated_ext_tasks as f64 / r.ext_tasks.max(1) as f64
+            100.0 * r.accelerated_share(),
+            r.migrations,
+            r.probe_cycles + r.migrate_cycles
         );
     }
 

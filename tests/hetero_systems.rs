@@ -2,20 +2,13 @@
 //! scale): ordering of latencies, FAM's idle-core pathology, and the
 //! accelerated-task share of Fig. 12.
 
-use chimera::{
-    measure, measure_or_fam_probe, prepare_process, FamResult, InputVersion, SystemKind,
-    TaskBinaries,
-};
-use chimera_isa::ExtSet;
-use chimera_kernel::{simulate_work_stealing, Pool, SimMachine, TaskCost};
+use chimera::{prepare_process, InputVersion, SystemKind, TaskBinaries};
+use chimera_kernel::{run_work_stealing, Machine, Task, Tracer};
 use chimera_workloads::hetero::{fib_task, matrix_task};
 
-struct SystemCosts {
-    matrix: TaskCost,
-    fib: TaskCost,
-}
-
-fn costs_for(system: SystemKind, input: InputVersion) -> SystemCosts {
+/// Schedules 120 real tasks, `ext_share` of them matrix tasks, on the
+/// 4 + 4-core machine; returns (latency, accelerated share).
+fn latency(system: SystemKind, input: InputVersion, ext_share: f64) -> (u64, f64) {
     let task = TaskBinaries {
         base_version: Some(matrix_task(48, 4, false)),
         ext_version: Some(matrix_task(48, 4, true)),
@@ -26,49 +19,15 @@ fn costs_for(system: SystemKind, input: InputVersion) -> SystemCosts {
     };
     let matrix = prepare_process(system, input, &task).unwrap();
     let fib = prepare_process(system, input, &fib_bins).unwrap();
-
-    let m_ext = measure(&matrix, ExtSet::RV64GCV, u64::MAX / 2).unwrap();
-    let (on_base, probe) =
-        match measure_or_fam_probe(&matrix, ExtSet::RV64GC, u64::MAX / 2).unwrap() {
-            FamResult::Completed(m) => (Some(m.cycles), 0),
-            FamResult::Migrated { probe_cycles } => (None, probe_cycles),
-        };
-    let f = measure(&fib, ExtSet::RV64GC, u64::MAX / 2).unwrap();
-    // Whether extension cores actually accelerate the matrix task under
-    // this system/input (FAM with base input does not upgrade).
-    let accelerated = on_base.map(|b| m_ext.cycles * 100 < b * 97).unwrap_or(true);
-    SystemCosts {
-        matrix: TaskCost {
-            prefers: Pool::Ext,
-            on_ext: m_ext.cycles,
-            on_base,
-            fam_probe: probe,
-            ext_accelerated: accelerated,
-        },
-        fib: TaskCost {
-            prefers: Pool::Base,
-            on_ext: f.cycles,
-            on_base: Some(f.cycles),
-            fam_probe: 0,
-            ext_accelerated: false,
-        },
-    }
-}
-
-fn latency(system: SystemKind, input: InputVersion, ext_share: f64) -> (u64, f64) {
-    let costs = costs_for(system, input);
-    let machine = SimMachine {
+    let machine = Machine {
         base_cores: 4,
         ext_cores: 4,
-        migrate_cost: 4000,
     };
     let n = 120;
     let n_ext = (n as f64 * ext_share) as usize;
-    let mut tasks = vec![costs.matrix; n_ext];
-    tasks.extend(vec![costs.fib; n - n_ext]);
-    let r = simulate_work_stealing(machine, &tasks);
-    let accel = r.accelerated_ext_tasks as f64 / r.ext_tasks.max(1) as f64;
-    (r.latency, accel)
+    let tasks = Task::mix(&matrix, n_ext, &fib, n - n_ext);
+    let r = run_work_stealing(machine, &tasks, &Tracer::disabled()).unwrap();
+    (r.latency, r.accelerated_share())
 }
 
 #[test]

@@ -1,20 +1,20 @@
 //! End-to-end trace coverage: one heterogeneous scenario — static
 //! rewrite, incremental re-rewrite, a forced SMILE fault, lazy rewriting
 //! of hidden vector code, a decode-cache invalidation, a JIT-tier
-//! promotion, a measured run, the work-stealing simulator, shared
+//! promotion, a measured run, the work-stealing scheduler, shared
 //! variant-cache checkouts and pooled spawn/recycle cycles — against ONE
 //! shared tracer. Every one of the fourteen [`TraceEvent`] kinds must
 //! occur (TierPromote is excused on hosts without executable pages), and
 //! every event count must equal both its `MetricsRegistry` counter and
 //! the authoritative per-run source ([`FaultCounters`], [`CacheStats`],
-//! `SimResult`).
+//! `SchedResult`).
 
 use chimera::{measure_traced, Measurement};
 use chimera_emu::{CacheStats, ExecMode, RunError};
 use chimera_isa::ExtSet;
 use chimera_kernel::{
-    FaultCounters, KernelRunner, Pool, Process, ProcessPool, RunOutcome, RuntimeTables, SimMachine,
-    TaskCost, Variant,
+    run_work_stealing, FaultCounters, KernelRunner, Machine, Process, ProcessPool, RunOutcome,
+    RuntimeTables, Task, Variant,
 };
 use chimera_obj::{assemble, AsmOptions, DEFAULT_STACK_SIZE};
 use chimera_rewrite::{
@@ -275,34 +275,17 @@ fn one_run_emits_every_event_kind_and_reconciles_exactly() {
     let round_trip = Measurement::from_registry(metrics).expect("measurement published");
     assert_eq!(round_trip, m, "publish/from_registry must round-trip");
 
-    // (g) Work-stealing simulation: base tasks plus FAM-only extension
-    // tasks force scheduling, stealing and migration events.
-    let machine = SimMachine {
+    // (g) Work-stealing schedule of real tasks: one scalar loop plus the
+    // vector program as a single native view (FAM) force scheduling,
+    // stealing and migration events. The guests run untraced, so (g) adds
+    // nothing to the emu/kernel totals reconciled below.
+    let machine = Machine {
         base_cores: 2,
         ext_cores: 2,
-        migrate_cost: 100,
     };
-    let mut tasks = vec![
-        TaskCost {
-            prefers: Pool::Base,
-            on_ext: 1_000,
-            on_base: Some(1_000),
-            fam_probe: 0,
-            ext_accelerated: false,
-        };
-        4
-    ];
-    tasks.extend(vec![
-        TaskCost {
-            prefers: Pool::Ext,
-            on_ext: 1_000,
-            on_base: None,
-            fam_probe: 10,
-            ext_accelerated: true,
-        };
-        8
-    ]);
-    let sim = chimera_kernel::simulate_work_stealing_traced(machine, &tasks, &tracer);
+    let fam = Process::new(vec![Variant::native(vec_bin.clone())]);
+    let scalar = Process::new(vec![Variant::native(loop_bin.clone())]);
+    let sim = run_work_stealing(machine, &Task::mix(&fam, 8, &scalar, 1), &tracer).unwrap();
     assert!(sim.migrations > 0, "FAM tasks must migrate");
 
     // (h) Cross-process variant sharing + pooled process churn: one cold
