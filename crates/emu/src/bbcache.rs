@@ -93,7 +93,8 @@ pub struct CacheStats {
     /// Blocks decoded and inserted.
     pub blocks_built: u64,
     /// Block entries that followed a validated chain link instead of doing
-    /// a dispatcher lookup (engine mode only; 0 for the interpreter).
+    /// a dispatcher lookup (engine mode, and the blocks the JIT tier
+    /// declines in JIT mode; 0 for the interpreter).
     pub chained: u64,
     /// Block entries through a compiled trace's chain entry — direct
     /// trace-to-trace jumps that bypassed the dispatcher entirely (JIT

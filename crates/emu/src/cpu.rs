@@ -94,9 +94,10 @@ pub enum ExecMode {
     /// Micro-op execution engine: lowered block bodies, block-to-block
     /// chaining, per-core memory translation hints. The default.
     Engine,
-    /// Host-code JIT tier: hot block bodies template-compiled to x86-64
-    /// and chained with patched direct jumps; cold blocks run through the
-    /// engine. On hosts without executable pages
+    /// Host-code JIT tier: hot block bodies template-compiled to x86-64,
+    /// published into the executable arena in batches and chained with
+    /// patched direct jumps; cold and not-yet-published blocks run
+    /// through the engine. On hosts without executable pages
     /// ([`crate::jit_available`] is false) this mode runs with the
     /// engine's exact semantics and zero JIT counters.
     Jit,
@@ -202,22 +203,24 @@ impl Cpu {
         }
     }
 
-    /// Overrides the JIT promotion threshold: dispatcher entries of a
-    /// valid cached block before its body is compiled (default 16).
+    /// Overrides the JIT promotion threshold: entries of a valid cached
+    /// block before its body is compiled (default 16). The bounds on how
+    /// long compiled code may wait for publication derive from it.
     /// Applies to [`ExecMode::Jit`] only; tests and benches use 1 to
-    /// force immediate promotion.
+    /// force immediate promotion and publication.
     pub fn set_jit_threshold(&mut self, threshold: u32) {
         self.jit.set_threshold(threshold);
     }
 
     /// The unpatched host-code bytes compiled for the live trace at `pc`,
-    /// if one is resident (SMC byte-identity regressions).
+    /// if one is resident — published, not merely compiled (SMC
+    /// byte-identity regressions).
     pub fn jit_trace_bytes(&self, pc: u64) -> Option<Vec<u8>> {
         self.jit.trace_bytes(pc)
     }
 
-    /// The dispatcher-entry count accumulated toward promoting `pc` (0
-    /// once promoted or never seen).
+    /// The block-entry count accumulated toward promoting `pc` (0 once
+    /// compiled or never seen).
     pub fn jit_hotness(&self, pc: u64) -> u32 {
         self.jit.hotness(pc)
     }
@@ -225,6 +228,12 @@ impl Cpu {
     /// Lifetime count of block bodies compiled to host code.
     pub fn jit_compiled(&self) -> u64 {
         self.jit.compiled()
+    }
+
+    /// Lifetime count of W^X toggles of the JIT arena: one per published
+    /// batch of compiled traces and exit patches, not one per trace.
+    pub fn jit_wx_toggles(&self) -> u64 {
+        self.jit.wx_toggles()
     }
 
     /// Executes instructions until a trap or until `fuel` instructions have
@@ -252,9 +261,7 @@ impl Cpu {
         }
         let mut remaining = fuel;
         while remaining > 0 {
-            let stepped = if self.engine && self.jit.enabled {
-                self.step_jit(mem, remaining)
-            } else if self.engine {
+            let stepped = if self.engine {
                 self.step_engine(mem, remaining)
             } else {
                 self.step_block(mem, remaining)
@@ -399,7 +406,9 @@ impl Cpu {
     /// mirroring, same uncached fallbacks), so cache counters reconcile
     /// with the interpreter as `hits_interp == hits_engine + chained`.
     /// Between dispatches, validated chain links jump block-to-block
-    /// directly.
+    /// directly. In [`ExecMode::Jit`] the same loop offers every block to
+    /// the JIT tier first; compiled traces account their own chained
+    /// entries as `jitted`.
     fn step_engine(&mut self, mem: &mut Memory, budget: u64) -> Result<u64, Trap> {
         let mut retired = 0u64;
         // The slot+edge that led to the pc we're about to dispatch, so a
@@ -490,6 +499,16 @@ impl Cpu {
                 }
             };
             pending = None;
+            // The JIT tier's one hook: a block it takes runs (and chains)
+            // as compiled code and comes back through the dispatcher; a
+            // block it declines — cold, queued, under-funded — follows
+            // and trains chain links exactly as in Engine mode.
+            if self.jit.enabled {
+                if let Some(ran) = crate::jit::try_enter(self, mem, budget - retired, &block, pc) {
+                    retired += ran?;
+                    continue;
+                }
+            }
             let (r, exit) = self.exec_lowered(mem, &block, budget - retired)?;
             retired += r;
             match exit {
@@ -509,74 +528,6 @@ impl Cpu {
                     match self.follow_link(mem, id, edge) {
                         Some(n) => next = Some(n),
                         None => pending = Some((id, (pc, self.profile), edge)),
-                    }
-                }
-            }
-        }
-        Ok(retired)
-    }
-
-    /// The JIT-tier dispatcher: the engine dispatcher with uop-level
-    /// block chaining replaced by compiled-trace entry. Every dispatch
-    /// counts exactly as it does in the other modes (jump-cache hits,
-    /// lookups, misses, builds), then hands the block to
-    /// [`crate::jit::try_enter`]; blocks the tier declines — cold,
-    /// host-unsupported, under-funded — run through [`Cpu::exec_lowered`]
-    /// unchanged. Uop chain links are neither followed nor trained here,
-    /// so `CacheStats::chained` stays 0 and the reconciliation law reads
-    /// `hits(interp) == hits(jit) + jitted(jit)`.
-    fn step_jit(&mut self, mem: &mut Memory, budget: u64) -> Result<u64, Trap> {
-        let mut retired = 0u64;
-        while retired < budget {
-            let pc = self.hart.pc;
-            let hinted = self
-                .cache
-                .jump_hint(pc)
-                .and_then(|link| self.validate_link(mem, link));
-            let block = if let Some((_, block, needs_restamp)) = hinted {
-                if needs_restamp {
-                    self.cache.jump_restamp(pc, mem.code_generation());
-                }
-                self.cache.stats.hits += 1;
-                block
-            } else {
-                self.cache.jump_clear(pc);
-                let Some(fp) = mem.code_fingerprint(pc) else {
-                    self.step(mem)?;
-                    return Ok(retired + 1);
-                };
-                let inv_before = self.cache.stats.invalidations;
-                let looked_up = self.cache.lookup_slot(pc, self.profile, fp);
-                if self.cache.stats.invalidations != inv_before {
-                    self.tracer
-                        .record(self.stats.cycles, TraceEvent::CacheInvalidate { pc });
-                    self.tracer.count("emu.cache_invalidations", 1);
-                }
-                let (id, block) = match looked_up {
-                    Some(ib) => ib,
-                    None => match self.build_block(mem, pc, fp)? {
-                        Some(ib) => ib,
-                        None => {
-                            self.step(mem)?;
-                            return Ok(retired + 1);
-                        }
-                    },
-                };
-                self.cache.jump_set(ChainLink {
-                    to: id,
-                    pc,
-                    stamp: mem.code_generation(),
-                });
-                block
-            };
-            match crate::jit::try_enter(self, mem, budget - retired, &block, pc) {
-                Some(Ok(r)) => retired += r,
-                Some(Err(t)) => return Err(t),
-                None => {
-                    let (r, exit) = self.exec_lowered(mem, &block, budget - retired)?;
-                    retired += r;
-                    if matches!(exit, BlockExit::Budget) {
-                        return Ok(retired);
                     }
                 }
             }

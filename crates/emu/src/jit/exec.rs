@@ -4,12 +4,17 @@
 //! The workspace is dependency-free, so the arena speaks to the kernel
 //! directly: `mmap`/`mprotect`/`munmap` via inline-asm syscalls on
 //! x86-64 Linux. The whole arena is W^X-toggled as one unit — writable
-//! only inside [`Arena::with_writable`] (compilation, exit-site patching,
-//! severing), executable the rest of the time. On any other target, or
-//! when the host refuses executable anonymous pages (hardened kernels,
-//! seccomp sandboxes, W^X-enforcing containers), [`jit_available`] is
-//! `false` and `ExecMode::Jit` transparently degrades to the micro-op
-//! engine semantics with zero JIT counters.
+//! only inside [`Arena::with_writable`], executable the rest of the time.
+//! A toggle is two `mprotect` calls of several microseconds each, far
+//! more than compiling the trace it installs, so the tier calls
+//! `with_writable` from exactly one place — its batched publication
+//! routine — and the shared epilogue is written before the mapping is
+//! first sealed. A refused flip is reported, not asserted: the tier then
+//! retires itself and the run continues on the engine. On any other
+//! target, or when the host refuses executable anonymous pages (hardened
+//! kernels, seccomp sandboxes, W^X-enforcing containers),
+//! [`jit_available`] is `false` and `ExecMode::Jit` transparently degrades
+//! to the micro-op engine semantics with zero JIT counters.
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod native {
@@ -82,20 +87,32 @@ mod native {
         base: usize,
         len: usize,
         cursor: usize,
+        /// End of the preamble: where [`Arena::reset`] rewinds to.
+        floor: usize,
+        /// Test hook: the number of flips the "kernel" still grants.
+        #[cfg(test)]
+        pub flips_left: Option<u32>,
     }
 
     // The arena is plain owned memory; the raw base is never shared.
     unsafe impl Send for Arena {}
 
     impl Arena {
-        /// Maps `len` bytes read+write and seals them executable. Returns
-        /// `None` when the kernel refuses either step.
-        pub fn new(len: usize) -> Option<Arena> {
+        /// Maps `len` bytes read+write, writes `preamble` at offset 0
+        /// (it survives every [`Arena::reset`]) and seals the mapping
+        /// executable. Returns `None` when the kernel refuses either step.
+        pub fn new(len: usize, preamble: &[u8]) -> Option<Arena> {
+            assert!(preamble.len() <= len);
             let ret = unsafe { sys_mmap(len, PROT_READ | PROT_WRITE) };
             if ret < 0 || ret as u64 >= u64::MAX - 4096 {
                 return None;
             }
             let base = ret as usize;
+            // SAFETY: a fresh private read+write mapping of `len` bytes,
+            // at least as long as `preamble` (asserted above).
+            unsafe {
+                std::ptr::copy_nonoverlapping(preamble.as_ptr(), base as *mut u8, preamble.len())
+            };
             if unsafe { sys_mprotect(base, len, PROT_READ | PROT_EXEC) } != 0 {
                 unsafe { sys_munmap(base, len) };
                 return None;
@@ -103,7 +120,10 @@ mod native {
             Some(Arena {
                 base,
                 len,
-                cursor: 0,
+                cursor: preamble.len(),
+                floor: preamble.len(),
+                #[cfg(test)]
+                flips_left: None,
             })
         }
 
@@ -114,23 +134,35 @@ mod native {
         }
 
         /// Flips the arena writable, runs `f`, and seals it executable
-        /// again. All code writes (allocation, patching, restores) go
-        /// through here, so the mapping is never writable while guest
-        /// traces may execute. Panics if the kernel refuses the flip after
-        /// having granted it at map time (nothing recoverable remains).
-        pub fn with_writable<R>(&mut self, f: impl FnOnce(&mut ArenaWriter<'_>) -> R) -> R {
-            let ok = unsafe { sys_mprotect(self.base, self.len, PROT_READ | PROT_WRITE) };
-            assert_eq!(ok, 0, "jit arena lost write permission");
+        /// again — one W^X toggle. All code writes (allocation, patching,
+        /// restores) go through here, so the mapping is never writable
+        /// while guest traces may execute. `None` means the kernel refused
+        /// a flip it granted at map time: the mapping may no longer be
+        /// executable, so the caller must never enter it again.
+        pub fn with_writable<R>(&mut self, f: impl FnOnce(&mut ArenaWriter<'_>) -> R) -> Option<R> {
+            if !self.protect(PROT_READ | PROT_WRITE) {
+                return None;
+            }
             let r = f(&mut ArenaWriter { arena: self });
-            let ok = unsafe { sys_mprotect(self.base, self.len, PROT_READ | PROT_EXEC) };
-            assert_eq!(ok, 0, "jit arena lost exec permission");
-            r
+            self.protect(PROT_READ | PROT_EXEC).then_some(r)
         }
 
-        /// Drops every allocation (the bytes stay mapped; the cursor
-        /// rewinds).
+        /// One `mprotect` of the whole arena; `false` when refused.
+        fn protect(&mut self, prot: u64) -> bool {
+            #[cfg(test)]
+            if let Some(left) = self.flips_left.as_mut() {
+                if *left == 0 {
+                    return false;
+                }
+                *left -= 1;
+            }
+            unsafe { sys_mprotect(self.base, self.len, prot) == 0 }
+        }
+
+        /// Drops every allocation but the preamble (the bytes stay
+        /// mapped; the cursor rewinds).
         pub fn reset(&mut self) {
-            self.cursor = 0;
+            self.cursor = self.floor;
         }
     }
 
@@ -189,12 +221,10 @@ mod native {
     /// it executable and run it. Any refusal (or a wrong answer) marks
     /// the JIT unavailable for the process lifetime.
     pub fn probe() -> bool {
-        let Some(mut a) = Arena::new(4096) else {
+        let Some(a) = Arena::new(4096, &[0xb8, 0x2a, 0x00, 0x00, 0x00, 0xc3]) else {
             return false;
         };
-        let off = a.with_writable(|w| w.alloc(&[0xb8, 0x2a, 0x00, 0x00, 0x00, 0xc3]));
-        let Some(off) = off else { return false };
-        let f: extern "sysv64" fn() -> u32 = unsafe { std::mem::transmute(a.addr(off)) };
+        let f: extern "sysv64" fn() -> u32 = unsafe { std::mem::transmute(a.addr(0)) };
         f() == 0x2a
     }
 }
@@ -211,13 +241,16 @@ mod native {
 
     impl Arena {
         /// Always `None` on non-x86-64-Linux hosts.
-        pub fn new(_len: usize) -> Option<Arena> {
+        pub fn new(_len: usize, _preamble: &[u8]) -> Option<Arena> {
             None
         }
         pub fn addr(&self, _off: usize) -> usize {
             unreachable!("stub arena")
         }
-        pub fn with_writable<R>(&mut self, _f: impl FnOnce(&mut ArenaWriter<'_>) -> R) -> R {
+        pub fn with_writable<R>(
+            &mut self,
+            _f: impl FnOnce(&mut ArenaWriter<'_>) -> R,
+        ) -> Option<R> {
             unreachable!("stub arena")
         }
         pub fn reset(&mut self) {}
@@ -234,9 +267,6 @@ mod native {
             None
         }
         pub fn write_at(&mut self, _off: usize, _bytes: &[u8]) {}
-        pub fn addr(&self, _off: usize) -> usize {
-            unreachable!("stub arena")
-        }
     }
 
     /// # Safety
@@ -276,16 +306,41 @@ mod tests {
         if !jit_available() {
             return;
         }
-        let mut a = Arena::new(4096).expect("probe passed, arena must map");
+        let mut a = Arena::new(4096, &[]).expect("probe passed, arena must map");
         // mov eax, edi; add eax, 1; ret  — a tiny callable.
         let off = a
             .with_writable(|w| w.alloc(&[0x89, 0xf8, 0x83, 0xc0, 0x01, 0xc3]))
+            .expect("the kernel grants the flips")
             .expect("arena has room");
         let f: extern "sysv64" fn(u32) -> u32 = unsafe { std::mem::transmute(a.addr(off)) };
         assert_eq!(f(41), 42);
         // Patching under the W toggle: turn `add eax, 1` into `add eax, 2`.
-        a.with_writable(|w| w.write_at(off + 2, &[0x83, 0xc0, 0x02]));
+        a.with_writable(|w| w.write_at(off + 2, &[0x83, 0xc0, 0x02]))
+            .expect("the kernel grants the flips");
         assert_eq!(f(40), 42);
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn refused_flip_is_reported_and_preamble_survives_reset() {
+        if !jit_available() {
+            return;
+        }
+        // mov eax, 7; ret — the preamble is callable and outlives resets.
+        let mut a = Arena::new(4096, &[0xb8, 0x07, 0x00, 0x00, 0x00, 0xc3]).expect("arena");
+        a.with_writable(|w| assert_eq!(w.alloc(&[0xc3]), Some(16)))
+            .expect("the kernel grants the flips");
+        a.reset();
+        let f: extern "sysv64" fn() -> u32 = unsafe { std::mem::transmute(a.addr(0)) };
+        assert_eq!(f(), 7);
+        // Refuse the flip back to executable, then the flip to writable:
+        // both are reported, and the closure never runs for the second.
+        a.flips_left = Some(1);
+        assert_eq!(a.with_writable(|_| ()), None);
+        assert_eq!(
+            a.with_writable(|_| unreachable!("no write access")),
+            None::<()>
+        );
     }
 
     #[test]
@@ -293,13 +348,15 @@ mod tests {
         if !jit_available() {
             return;
         }
-        let mut a = Arena::new(4096).expect("arena");
+        let mut a = Arena::new(4096, &[]).expect("arena");
         let big = vec![0xcc; 4096];
         a.with_writable(|w| {
             assert!(w.alloc(&big).is_some());
             assert!(w.alloc(&[0xc3]).is_none());
-        });
+        })
+        .expect("the kernel grants the flips");
         a.reset();
-        a.with_writable(|w| assert!(w.alloc(&[0xc3]).is_some()));
+        a.with_writable(|w| assert!(w.alloc(&[0xc3]).is_some()))
+            .expect("the kernel grants the flips");
     }
 }

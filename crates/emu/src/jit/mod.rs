@@ -12,13 +12,28 @@
 //!
 //! ## Tiering
 //!
-//! The dispatcher (`Cpu::step_jit`) counts block entries per guest pc;
-//! past a deterministic hotness threshold the block body is compiled and
-//! entered through [`try_enter`]. Compiled traces chain: a Fall/Taken
-//! exit whose successor is also resident is patched into a direct
-//! `jmp` to the successor's *chain entry*, which revalidates the
-//! generation stamp and fuel on every entry — patching is a pure
-//! optimization, never a validity assumption.
+//! The one dispatcher (`Cpu::step_engine`) offers every block entry to
+//! [`try_enter`] when `ExecMode::Jit` is selected; a block the tier
+//! declines runs through the engine, chain links included. The tier
+//! counts entries per guest pc, and promotion past the deterministic
+//! hotness threshold has two steps. The block body is *compiled* at once
+//! — [`compile`] is a pure function of the lowered ops and the pc — but
+//! the trace only joins a queue, and the block keeps running in the
+//! engine. The queue is *published* by one routine, [`publish`], under
+//! one W^X toggle of the arena: a toggle costs two `mprotect` calls,
+//! several times what compiling a trace costs, so it has to be shared.
+//! Publication is due when the queue holds a batch of traces, or when the
+//! dispatcher has taken a bounded number of round trips that queued work
+//! would have served (`JitTier::publication_due`); both bounds derive
+//! from the promotion threshold and depend on dispatch history only, so
+//! publication points are deterministic, and at threshold 1 they
+//! degenerate to publishing everything at once — through the same code.
+//!
+//! Compiled traces chain: when a Fall/Taken exit is taken and its
+//! successor is resident, a patch is queued; publication turns the exit
+//! slot into a direct `jmp` to the successor's *chain entry*, which
+//! revalidates the generation stamp and fuel on every entry — patching is
+//! a pure optimization, never a validity assumption.
 //!
 //! ## Invalidation contract
 //!
@@ -26,14 +41,18 @@
 //! fingerprint) contract as uop block chaining: a stamp match is the fast
 //! path; on a mismatch the trace is revalidated against its region
 //! fingerprint and either restamped (some *other* region changed) or
-//! severed — every patched jump into it is restored to the original
-//! exit-slot bytes, byte-for-byte, under the same W^X toggle that wrote
-//! it. Severed-by-invalidation pcs pay a doubled re-promotion threshold
+//! severed — its stamp poisoned, which alone makes it unreachable since
+//! every entry checks it, and the restore of every patched jump into it
+//! to the original exit-slot bytes, byte-for-byte, queued for the next
+//! publication. A queued trace keeps its *compile-time* stamp, so
+//! however long it waits it is validated before its first entry; guest
+//! code that changed in between severs it unexecuted. Mode switches and a
+//! full arena drop the queue along with every resident trace.
+//! Severed-by-invalidation pcs pay a doubled re-promotion threshold
 //! (hysteresis), so an alternating SMC workload settles into the engine
 //! tier instead of ping-ponging compile/sever cycles. Re-promotion after
-//! an identical poke recompiles bit-identical code ([`compile`] is a pure
-//! function of the lowered ops and the pc), which the SMC regression
-//! suite asserts.
+//! an identical poke recompiles bit-identical code, which the SMC
+//! regression suite asserts.
 //!
 //! ## Transparency
 //!
@@ -43,7 +62,8 @@
 //! call back into the hinted `Memory` paths, and `ExecStats` deltas are
 //! batched in the [`JitCtx`] and drained at exits — the same observable
 //! boundaries the engine uses. The differential fuzzing oracle holds all
-//! four [`crate::ExecMode`]s to full `Obs` equality plus the counter law
+//! four [`crate::ExecMode`]s — this one at an immediate and at a
+//! deferring threshold — to full `Obs` equality plus the counter law
 //! `hits(interp) == hits(jit) + chained(jit) + jitted(jit)`.
 
 mod asm;
@@ -53,6 +73,7 @@ mod exec;
 pub use exec::jit_available;
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use chimera_isa::{FpWidth, LoadKind, StoreKind};
@@ -542,10 +563,58 @@ const DEFAULT_THRESHOLD: u32 = 16;
 /// 4 MiB is far above what the bench zoo ever compiles.
 const ARENA_LEN: usize = 4 << 20;
 
-/// Cap on the demotion-hysteresis threshold multiplier.
-const MAX_PENALTY: u32 = 1 << 20;
+/// Cap on demotions counted per pc: the hysteresis multiplier stops
+/// doubling at `1 << 20`.
+const MAX_DEMOTIONS: u8 = 20;
 
-/// One resident compiled trace.
+/// [`Trace::code_off`] of a compiled trace still waiting on the queue.
+const UNPUBLISHED: usize = usize::MAX;
+
+/// Multiplicative hash for guest-pc keys: a multiply and a fold where
+/// SipHash costs three probes' worth of a cold block's whole dispatch.
+/// The keys are guest-chosen, but a guest that crafts collisions slows
+/// only its own lookups.
+#[derive(Default)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("pc keys hash through write_u64");
+    }
+    fn write_u64(&mut self, pc: u64) {
+        let h = pc.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Everything the tier knows about one guest pc — one probe per block
+/// entry.
+#[derive(Debug, Default)]
+struct PcState {
+    /// Block entries counted toward promotion (0 once compiled).
+    heat: u32,
+    /// Severs by invalidation: each doubles the promotion threshold
+    /// (demotion hysteresis).
+    demotions: u8,
+    /// The live trace compiled for this pc, published or still queued.
+    trace: Option<u32>,
+}
+
+/// The state of one patchable exit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    /// The original exit-slot bytes: the edge leaves through the epilogue.
+    Unlinked,
+    /// A patch is queued for the next publication.
+    Queued,
+    /// The slot holds a direct jump to the successor's chain entry.
+    Patched,
+}
+
+/// One compiled trace, resident or queued.
 #[derive(Debug)]
 struct Trace {
     /// Guest pc of the block's first instruction (the promotion key).
@@ -558,7 +627,8 @@ struct Trace {
     /// Unpatched code bytes: the sever-restore source and the
     /// byte-identity witness for the SMC regression suite.
     code: Vec<u8>,
-    /// Arena offset of the external entry.
+    /// Arena offset of the external entry; [`UNPUBLISHED`] until the
+    /// trace's batch is published.
     code_off: usize,
     /// Chain-entry offset relative to `code_off`.
     chain: usize,
@@ -566,48 +636,60 @@ struct Trace {
     ind: usize,
     /// Patchable exits: `[fall, taken]`.
     exits: [Option<ExitSlot>; 2],
-    /// Which exits currently hold a patched direct jump.
-    patched: [bool; 2],
+    /// What each exit slot currently holds.
+    links: [Link; 2],
     /// Predecessors `(trace, edge)` patched to jump into this trace.
     in_edges: Vec<(u32, u8)>,
-    /// Severed: unreachable (stamp poisoned, predecessors unpatched,
-    /// unmapped from the promotion table); its arena bytes are dead until
-    /// the next flush.
+    /// Severed: unreachable (stamp poisoned, unmapped from the promotion
+    /// table, predecessor restores queued); its arena bytes are dead
+    /// until the next flush.
     dead: bool,
 }
 
-/// Per-core JIT tier state: the executable arena, resident traces, and
-/// the deterministic tiering policy (hotness counters + demotion
-/// hysteresis).
+/// Per-core JIT tier state: the executable arena, resident traces, the
+/// publication queue, and the deterministic tiering policy (hotness
+/// counters + demotion hysteresis).
 #[derive(Debug)]
 pub(crate) struct JitTier {
     /// Whether `ExecMode::Jit` is selected. Even when set, the tier stays
     /// inert if the host cannot map executable pages.
     pub(crate) enabled: bool,
     arena: Option<Arena>,
-    /// The host refused an executable mapping once; never retried.
+    /// The host refused an executable mapping or a W^X flip once; never
+    /// retried.
     broken: bool,
     traces: Vec<Trace>,
-    /// Promotion table: guest pc of a live trace → trace index.
-    map: HashMap<u64, u32>,
+    /// Heat, hysteresis and the live trace of every pc seen.
+    pcs: HashMap<u64, PcState, BuildHasherDefault<PcHasher>>,
     /// Per-trace generation stamps (`u64::MAX` poisons severed traces).
+    /// A queued trace carries its compile-time stamp, so its first entry
+    /// after publication revalidates it like any other.
     stamps: Vec<u64>,
     /// Per-trace `Block` pointers for helper uop recovery (Arc-pinned by
     /// the matching [`Trace::block`]).
     block_ptrs: Vec<*const Block>,
-    /// Dispatcher-entry counts per not-yet-promoted pc.
-    heat: HashMap<u64, u32>,
-    /// Per-pc threshold multiplier, doubled on each
-    /// sever-by-invalidation (demotion hysteresis).
-    penalty: HashMap<u64, u32>,
     threshold: u32,
-    /// Lifetime promotion count (monotonic; survives flushes).
+    /// Lifetime compilation count (monotonic; survives flushes).
     compiled: u64,
-    /// Indirect-branch target table keys (see [`JitCtx::ibt_keys`]).
-    ibt_keys: Box<[u64; IBT_LEN]>,
+    /// Lifetime publication count: each is one W^X toggle of the arena.
+    toggles: u64,
+    /// Compiled traces waiting for publication.
+    queue: Vec<u32>,
+    /// Exit patches `(trace, edge)` waiting for publication.
+    patches: Vec<(u32, u8)>,
+    /// Exit slots of severed traces' predecessors waiting to get their
+    /// original bytes back: `(arena offset, bytes)`.
+    restores: Vec<(usize, [u8; EXIT_SLOT_LEN])>,
+    /// Block entries and trace exits since the last publication that a
+    /// queued trace or patch would have kept in compiled code; never
+    /// above zero with both queues empty.
+    debt: u32,
+    /// Indirect-branch target table keys (see [`JitCtx::ibt_keys`]);
+    /// allocated with the arena, so engine-only cores carry none.
+    ibt_keys: Vec<u64>,
     /// Indirect-branch target table values (host indirect-entry
     /// addresses; dangling after an arena reset, so flushes clear keys).
-    ibt_vals: Box<[u64; IBT_LEN]>,
+    ibt_vals: Vec<u64>,
 }
 
 // Raw pointers into our own Arc-pinned allocations; the tier is plain
@@ -635,15 +717,18 @@ impl JitTier {
             arena: None,
             broken: false,
             traces: Vec::new(),
-            map: HashMap::new(),
+            pcs: HashMap::default(),
             stamps: Vec::new(),
             block_ptrs: Vec::new(),
-            heat: HashMap::new(),
-            penalty: HashMap::new(),
             threshold: DEFAULT_THRESHOLD,
             compiled: 0,
-            ibt_keys: Box::new([u64::MAX; IBT_LEN]),
-            ibt_vals: Box::new([0; IBT_LEN]),
+            toggles: 0,
+            queue: Vec::new(),
+            patches: Vec::new(),
+            restores: Vec::new(),
+            debt: 0,
+            ibt_keys: Vec::new(),
+            ibt_vals: Vec::new(),
         }
     }
 
@@ -655,41 +740,37 @@ impl JitTier {
         self.ibt_vals[s] = addr;
     }
 
-    /// Removes `pc` from the IBT if its slot still belongs to it.
-    fn ibt_remove(&mut self, pc: u64) {
-        let s = ibt_slot(pc);
-        if self.ibt_keys[s] == pc {
-            self.ibt_keys[s] = u64::MAX;
-        }
-    }
-
-    /// Drops every resident trace and reinstalls the shared epilogue.
-    /// Tiering (heat/penalty) state survives; [`JitTier::reset`] wipes it.
+    /// Drops every trace, resident or queued, and every queued write.
+    /// Tiering (heat/hysteresis) state survives; [`JitTier::reset`] wipes
+    /// it.
     fn flush_all(&mut self) {
         self.traces.clear();
-        self.map.clear();
         self.stamps.clear();
         self.block_ptrs.clear();
+        self.queue.clear();
+        self.patches.clear();
+        self.restores.clear();
+        self.debt = 0;
+        for st in self.pcs.values_mut() {
+            st.trace = None;
+        }
         // Every IBT value dangles once the arena resets.
         self.ibt_keys.fill(u64::MAX);
         if let Some(arena) = self.arena.as_mut() {
             arena.reset();
-            let epi = epilogue_code();
-            let off = arena.with_writable(|w| w.alloc(&epi));
-            assert_eq!(off, Some(0), "shared epilogue must sit at arena offset 0");
         }
     }
 
-    /// Full tier reset: traces *and* tiering policy state. Mode switches
-    /// go through here so promotion state never carries across.
+    /// Full tier reset: traces, queue *and* tiering policy state. Mode
+    /// switches go through here so promotion state never carries across.
     pub(crate) fn reset(&mut self) {
         self.flush_all();
-        self.heat.clear();
-        self.penalty.clear();
+        self.pcs.clear();
     }
 
-    /// Maps the executable arena on first use. `false` means the host
-    /// cannot run this tier (no executable pages); the refusal is
+    /// Maps the executable arena — the shared epilogue at offset 0 — and
+    /// the IBT on first use. `false` means the host cannot run this tier
+    /// (no executable pages, or a refused flip); the refusal is
     /// remembered and never retried.
     fn ensure_arena(&mut self) -> bool {
         if self.arena.is_some() {
@@ -698,99 +779,99 @@ impl JitTier {
         if self.broken || !jit_available() {
             return false;
         }
-        match Arena::new(ARENA_LEN) {
-            Some(arena) => {
-                self.arena = Some(arena);
-                self.flush_all();
-                true
-            }
-            None => {
-                self.broken = true;
-                false
-            }
+        self.arena = Arena::new(ARENA_LEN, &epilogue_code());
+        self.broken = self.arena.is_none();
+        if !self.broken {
+            self.ibt_keys = vec![u64::MAX; IBT_LEN];
+            self.ibt_vals = vec![0; IBT_LEN];
         }
+        !self.broken
     }
 
-    /// Copies compiled code into the arena. A full arena flushes every
-    /// trace and retries once (a single trace always fits a fresh arena).
-    fn arena_alloc(&mut self, code: &[u8]) -> Option<usize> {
-        let arena = self.arena.as_mut()?;
-        if let Some(off) = arena.with_writable(|w| w.alloc(code)) {
-            return Some(off);
+    /// Whether the queue is published now. Depends on dispatch history
+    /// only: a batch of traces is waiting, or the dispatcher has taken as
+    /// many round trips as it tolerates for the sake of queued traces and
+    /// patches (so a hot loop is never left unpublished; queued restores
+    /// serve nobody and ride along). Both bounds follow the promotion
+    /// threshold — a trace that took `threshold` entries to earn
+    /// compilation can wait a few times that for its toggle, capped near
+    /// the ~64 round trips one toggle costs — and at threshold 1 both are
+    /// 1: whatever is queued is published at once.
+    fn publication_due(&self) -> bool {
+        let batch = self.threshold.clamp(1, 32) as usize;
+        let tolerated = (self.threshold.saturating_sub(1).saturating_mul(4)).clamp(1, 64);
+        self.queue.len() >= batch || self.debt >= tolerated
+    }
+
+    /// The trace edge `e` of `from` may be patched to jump into right
+    /// now, if any: `from` live with a patchable exit there, the
+    /// successor resident and stamped with the current generation.
+    fn patch_target(&self, from: usize, e: usize, gen: u64) -> Option<usize> {
+        let tr = &self.traces[from];
+        if tr.dead {
+            return None;
         }
-        self.flush_all();
-        self.arena.as_mut()?.with_writable(|w| w.alloc(code))
+        let succ = self.pcs.get(&tr.exits[e]?.target)?.trace? as usize;
+        (self.traces[succ].code_off != UNPUBLISHED && self.stamps[succ] == gen).then_some(succ)
     }
 
-    /// The promotion threshold for `pc`, demotion hysteresis included.
-    fn effective_threshold(&self, pc: u64) -> u32 {
-        self.threshold
-            .saturating_mul(self.penalty.get(&pc).copied().unwrap_or(1))
-    }
-
-    /// Severs trace `t`: poisons its stamp, unmaps it from the promotion
-    /// table, and restores every patched predecessor exit slot to its
-    /// original bytes (one W^X toggle for the whole batch).
-    fn sever(&mut self, t: usize) {
+    /// Severs trace `t` with the demotion penalty: poisons its stamp —
+    /// which alone makes it unreachable, every entry checks it — unmaps
+    /// it from the promotion table and the IBT, and queues the restore of
+    /// every patched predecessor exit slot to its original bytes. The
+    /// pc's re-promotion threshold doubles and its heat restarts from
+    /// zero, so alternating SMC workloads settle in the engine tier
+    /// instead of ping-ponging.
+    fn sever_with_penalty(&mut self, t: usize) {
         if self.traces[t].dead {
             return;
         }
-        let in_edges = std::mem::take(&mut self.traces[t].in_edges);
-        let mut restores: Vec<(usize, [u8; EXIT_SLOT_LEN])> = Vec::new();
-        for (pred, e) in in_edges {
+        for (pred, e) in std::mem::take(&mut self.traces[t].in_edges) {
             let p = &mut self.traces[pred as usize];
             let e = e as usize;
-            if p.dead || !p.patched[e] {
+            if p.dead || p.links[e] != Link::Patched {
                 continue;
             }
             let slot = p.exits[e].expect("patched edge always has a slot");
             let mut orig = [0u8; EXIT_SLOT_LEN];
             orig.copy_from_slice(&p.code[slot.off..slot.off + EXIT_SLOT_LEN]);
-            restores.push((p.code_off + slot.off, orig));
-            p.patched[e] = false;
-        }
-        if !restores.is_empty() {
-            let arena = self.arena.as_mut().expect("severing requires an arena");
-            arena.with_writable(|w| {
-                for (off, bytes) in &restores {
-                    w.write_at(*off, bytes);
-                }
-            });
+            self.restores.push((p.code_off + slot.off, orig));
+            p.links[e] = Link::Unlinked;
         }
         let tr = &mut self.traces[t];
         tr.dead = true;
         let pc = tr.pc;
         self.stamps[t] = u64::MAX;
-        self.map.remove(&pc);
-        self.ibt_remove(pc);
+        let s = ibt_slot(pc);
+        if self.ibt_keys[s] == pc {
+            self.ibt_keys[s] = u64::MAX;
+        }
+        let st = self.pcs.entry(pc).or_default();
+        st.heat = 0;
+        st.trace = None;
+        st.demotions = (st.demotions + 1).min(MAX_DEMOTIONS);
     }
 
-    /// [`JitTier::sever`] plus demotion hysteresis: the pc's re-promotion
-    /// threshold doubles and its heat restarts from zero, so alternating
-    /// SMC workloads settle in the engine tier instead of ping-ponging.
-    fn sever_with_penalty(&mut self, t: usize) {
-        let pc = self.traces[t].pc;
-        self.sever(t);
-        let p = self.penalty.entry(pc).or_insert(1);
-        *p = p.saturating_mul(2).min(MAX_PENALTY);
-        self.heat.insert(pc, 0);
-    }
-
-    /// The unpatched compiled bytes for the live trace at `pc`
+    /// The unpatched compiled bytes for the resident trace at `pc`
     /// (introspection for the SMC byte-identity regressions).
     pub(crate) fn trace_bytes(&self, pc: u64) -> Option<Vec<u8>> {
-        let t = *self.map.get(&pc)? as usize;
-        Some(self.traces[t].code.clone())
+        let tr = &self.traces[self.pcs.get(&pc)?.trace? as usize];
+        (tr.code_off != UNPUBLISHED).then(|| tr.code.clone())
     }
 
-    /// The dispatcher-entry count accumulated toward promoting `pc`.
+    /// The block-entry count accumulated toward promoting `pc`.
     pub(crate) fn hotness(&self, pc: u64) -> u32 {
-        self.heat.get(&pc).copied().unwrap_or(0)
+        self.pcs.get(&pc).map_or(0, |st| st.heat)
     }
 
-    /// Lifetime promotion count.
+    /// Lifetime compilation count.
     pub(crate) fn compiled(&self) -> u64 {
         self.compiled
+    }
+
+    /// Lifetime W^X toggle count.
+    pub(crate) fn wx_toggles(&self) -> u64 {
+        self.toggles
     }
 
     /// Overrides the base promotion threshold (tests and benches).
@@ -800,9 +881,10 @@ impl JitTier {
 }
 
 /// Attempts to run the block at `pc` through the JIT tier. `None` means
-/// the tier declines (cold, host unsupported, stale trace severed, or
-/// not enough budget to fund the body) and the caller executes through
-/// the engine instead. `Some` carries the full engine-equivalent result.
+/// the tier declines (cold, compiled but not yet published, host
+/// unsupported, stale trace severed, or not enough budget to fund the
+/// body) and the caller executes through the engine instead. `Some`
+/// carries the full engine-equivalent result.
 pub(crate) fn try_enter(
     cpu: &mut Cpu,
     mem: &mut Memory,
@@ -810,37 +892,74 @@ pub(crate) fn try_enter(
     block: &Arc<Block>,
     pc: u64,
 ) -> Option<Result<u64, Trap>> {
-    if !cpu.jit.enabled || !cpu.jit.ensure_arena() {
+    let tier = &mut cpu.jit;
+    if !tier.ensure_arena() {
         return None;
     }
     let gen = mem.code_generation();
-    let t = match cpu.jit.map.get(&pc).copied() {
-        Some(t) => {
-            let t = t as usize;
-            if cpu.jit.stamps[t] == gen {
-                t
-            } else if mem.code_fingerprint(pc) == Some(cpu.jit.traces[t].fp) {
-                // Executable bytes changed somewhere else; this trace's
-                // region is untouched, so restamp — validate_link's slow
-                // path, verbatim.
-                cpu.jit.stamps[t] = gen;
-                t
-            } else {
-                cpu.jit.sever_with_penalty(t);
-                return None;
-            }
-        }
+    let st = tier.pcs.entry(pc).or_default();
+    let t = match st.trace {
+        Some(t) => t as usize,
         None => {
-            let threshold = cpu.jit.effective_threshold(pc);
-            let heat = cpu.jit.heat.entry(pc).or_insert(0);
-            *heat = heat.saturating_add(1);
-            if *heat < threshold {
+            st.heat = st.heat.saturating_add(1);
+            if st.heat < tier.threshold.saturating_mul(1 << st.demotions) {
                 return None;
             }
+            // Compile now — `compile` stays a pure function of the
+            // lowered ops and the pc — but only queue the result: the
+            // block keeps running in the engine until its batch is
+            // published.
             let fp = mem.code_fingerprint(pc)?;
-            promote(cpu, block, pc, fp, gen)?
+            let t = tier.traces.len();
+            st.heat = 0;
+            st.trace = Some(t as u32);
+            let compiled = compile(&block.ops, pc);
+            tier.traces.push(Trace {
+                pc,
+                fp,
+                block: Arc::clone(block),
+                code: compiled.code,
+                code_off: UNPUBLISHED,
+                chain: compiled.chain,
+                ind: compiled.ind,
+                exits: compiled.exits,
+                links: [Link::Unlinked; 2],
+                in_edges: Vec::new(),
+                dead: false,
+            });
+            tier.stamps.push(gen);
+            tier.block_ptrs.push(Arc::as_ptr(&tier.traces[t].block));
+            tier.queue.push(t as u32);
+            tier.compiled += 1;
+            t
         }
     };
+    tier.debt += u32::from(tier.traces[t].code_off == UNPUBLISHED);
+    if tier.publication_due() {
+        publish(cpu, gen);
+    }
+    let tier = &mut cpu.jit;
+    // Still queued — or gone, if a full arena just flushed everything.
+    if tier
+        .traces
+        .get(t)
+        .is_none_or(|tr| tr.code_off == UNPUBLISHED)
+    {
+        return None;
+    }
+    // Every trace is validated before it is entered, however long it
+    // waited on the queue: its stamp dates from compilation.
+    if tier.stamps[t] != gen {
+        if mem.code_fingerprint(pc) == Some(tier.traces[t].fp) {
+            // Executable bytes changed somewhere else; this trace's
+            // region is untouched, so restamp — validate_link's slow
+            // path, verbatim.
+            tier.stamps[t] = gen;
+        } else {
+            tier.sever_with_penalty(t);
+            return None;
+        }
+    }
     if budget < block.ops.len() as u64 {
         // Not enough fuel to fund the whole body; the engine's partial
         // execution handles the tail exactly.
@@ -849,51 +968,90 @@ pub(crate) fn try_enter(
     Some(execute(cpu, mem, budget, t))
 }
 
-/// Compiles `block` and installs the trace. `None` only when the arena
-/// cannot hold it even after a flush.
-fn promote(cpu: &mut Cpu, block: &Arc<Block>, pc: u64, fp: (u64, u64), gen: u64) -> Option<usize> {
-    let compiled = compile(&block.ops, pc);
-    let bytes = compiled.code.len() as u64;
+/// Publishes the whole queue under one W^X toggle: queued restores, then
+/// every compiled trace (copy and index stamp in the same pass), then
+/// every queued exit patch, re-checked against
+/// [`JitTier::patch_target`] because the world may have moved since it
+/// was queued. The only caller of [`Arena::with_writable`], and reached
+/// only from the dispatcher, so the arena is never writable while a trace
+/// can run. A full arena flushes everything, the rest of the queue
+/// included; a refused flip retires the tier for good and the run
+/// continues on the engine.
+fn publish(cpu: &mut Cpu, gen: u64) {
     let tier = &mut cpu.jit;
-    // Allocate before indexing: a full arena flushes every trace, so the
-    // new index is only valid afterwards.
-    let code_off = tier.arena_alloc(&compiled.code)?;
-    let t = tier.traces.len();
-    // Stamp the trace index into the indirect entry's placeholder (the
-    // stored `code` keeps the placeholder, preserving the byte-identity
-    // witness), then publish the entry for IBT probes.
-    let ind_addr = {
-        let arena = tier.arena.as_mut().expect("promotion requires an arena");
-        arena.with_writable(|w| {
-            w.write_at(code_off + compiled.ind + 2, &(t as u32).to_le_bytes());
-        });
-        arena.addr(code_off + compiled.ind) as u64
+    let Some(mut arena) = tier.arena.take() else {
+        return;
     };
-    tier.traces.push(Trace {
-        pc,
-        fp,
-        block: Arc::clone(block),
-        code: compiled.code,
-        code_off,
-        chain: compiled.chain,
-        ind: compiled.ind,
-        exits: compiled.exits,
-        patched: [false; 2],
-        in_edges: Vec::new(),
-        dead: false,
+    let (queue, patches, restores) = (
+        std::mem::take(&mut tier.queue),
+        std::mem::take(&mut tier.patches),
+        std::mem::take(&mut tier.restores),
+    );
+    tier.debt = 0;
+    tier.toggles += 1;
+    let published = arena.with_writable(|w| {
+        for (off, bytes) in &restores {
+            w.write_at(*off, bytes);
+        }
+        for &t in &queue {
+            let tr = &mut tier.traces[t as usize];
+            let Some(off) = w.alloc(&tr.code) else {
+                return false;
+            };
+            // Stamp the trace index into the indirect entry's placeholder
+            // (the stored `code` keeps the placeholder, preserving the
+            // byte-identity witness).
+            w.write_at(off + tr.ind + 2, &t.to_le_bytes());
+            tr.code_off = off;
+        }
+        // After a Fall/Taken exit whose successor is resident, the exit
+        // slot of `from` becomes `mov r14d, succ; jmp succ.chain`. The
+        // chain entry re-checks stamp and fuel on every entry, so
+        // patching is a pure optimization — it can never extend a stale
+        // trace's life.
+        for &(from, e) in &patches {
+            let (from, e) = (from as usize, e as usize);
+            tier.traces[from].links[e] = Link::Unlinked;
+            let Some(succ) = tier.patch_target(from, e, gen) else {
+                continue;
+            };
+            let slot = tier.traces[from].exits[e].expect("patch target implies a slot");
+            let slot_off = tier.traces[from].code_off + slot.off;
+            let succ_entry = tier.traces[succ].code_off + tier.traces[succ].chain;
+            let rel = succ_entry as i64 - (slot_off + EXIT_PATCH_JMP_END) as i64;
+            let rel = i32::try_from(rel).expect("arena spans never exceed rel32");
+            w.write_at(slot_off, &patched_exit_bytes(succ as u32, rel));
+            tier.traces[from].links[e] = Link::Patched;
+            tier.traces[succ].in_edges.push((from as u32, e as u8));
+        }
+        true
     });
-    tier.stamps.push(gen);
-    tier.block_ptrs.push(Arc::as_ptr(&tier.traces[t].block));
-    tier.map.insert(pc, t as u32);
-    tier.heat.remove(&pc);
-    tier.ibt_insert(pc, ind_addr);
-    tier.compiled += 1;
-    if cpu.tracer.is_enabled() {
-        cpu.tracer
-            .record(cpu.stats.cycles, TraceEvent::TierPromote { pc, bytes });
-        cpu.tracer.count("emu.blocks_jitted", 1);
+    let Some(fits) = published else {
+        // The mapping may have lost exec permission: it is dropped
+        // unentered and never remapped.
+        tier.broken = true;
+        tier.flush_all();
+        return;
+    };
+    let base = arena.addr(0);
+    tier.arena = Some(arena);
+    if !fits {
+        tier.flush_all();
+        return;
     }
-    Some(t)
+    // Announce the batch: indirect jumps find the new traces through the
+    // IBT from here on.
+    for &t in &queue {
+        let tr = &tier.traces[t as usize];
+        let (pc, bytes) = (tr.pc, tr.code.len() as u64);
+        tier.ibt_insert(pc, (base + tr.code_off + tr.ind) as u64);
+        if cpu.tracer.is_enabled() {
+            cpu.tracer
+                .record(cpu.stats.cycles, TraceEvent::TierPromote { pc, bytes });
+            cpu.tracer.count("emu.blocks_jitted", 1);
+        }
+    }
+    cpu.tracer.count("emu.jit_wx_toggles", 1);
 }
 
 /// Runs trace `t` (and everything it chains into) until an exit, then
@@ -948,11 +1106,11 @@ fn execute(cpu: &mut Cpu, mem: &mut Memory, budget: u64, t: usize) -> Result<u64
         mem: mem_ptr,
         trap: None,
     };
-    // SAFETY: `entry` is the external entry of a live, stamp-validated
-    // trace in the sealed arena; the context's raw pointers (cpu, mem,
-    // xregs, stamp/block tables) all outlive the call, and nothing else
-    // touches the core or memory while guest code runs — helpers are the
-    // only reentry and they go through the context.
+    // SAFETY: `entry` is the external entry of a published, live,
+    // stamp-validated trace in the sealed arena; the context's raw
+    // pointers (cpu, mem, xregs, stamp/block tables) all outlive the
+    // call, and nothing else touches the core or memory while guest code
+    // runs — helpers are the only reentry and they go through the context.
     let status = unsafe { call_entry(entry, (&mut ctx as *mut JitCtx).cast(), t as u32) } as u32;
     let retired = budget - ctx.fuel;
     drain(&mut ctx, cpu);
@@ -960,15 +1118,34 @@ fn execute(cpu: &mut Cpu, mem: &mut Memory, budget: u64, t: usize) -> Result<u64
     if cpu.tracer.is_enabled() {
         cpu.tracer.count("emu.jit_exits", 1);
     }
+    let (tier, gen) = (&mut cpu.jit, mem.code_generation());
+    let from = ctx.exit_from as usize;
     match status {
-        ST_TRAP => Err(ctx.trap.take().expect("trap exit without a recorded trap")),
+        ST_TRAP => return Err(ctx.trap.take().expect("trap exit without a recorded trap")),
         ST_FALL | ST_TAKEN => {
-            try_patch(cpu, mem, ctx.exit_from as usize, status);
-            Ok(retired)
+            // The control edge is worth a direct jump once its successor
+            // is resident: queue the patch, and count every round trip
+            // taken while it waits.
+            let e = usize::from(status == ST_TAKEN);
+            if tier.traces[from].links[e] == Link::Unlinked
+                && tier.patch_target(from, e, gen).is_some()
+            {
+                tier.traces[from].links[e] = Link::Queued;
+                tier.patches.push((from as u32, e as u8));
+            }
+            tier.debt += u32::from(tier.traces[from].links[e] == Link::Queued);
         }
+        // A chain-entry stamp miss: restamp when the trace's region is
+        // untouched (some other region changed), sever otherwise —
+        // `Cpu::validate_link`'s rules for compiled traces. A dead trace
+        // was reached through a jump whose restore is still queued.
+        ST_REVAL if tier.traces[from].dead => {}
         ST_REVAL => {
-            revalidate(cpu, mem, ctx.exit_from as usize);
-            Ok(retired)
+            if mem.code_fingerprint(tier.traces[from].pc) == Some(tier.traces[from].fp) {
+                tier.stamps[from] = gen;
+            } else {
+                tier.sever_with_penalty(from);
+            }
         }
         ST_INDIRECT => {
             // An IBT miss: either a cold target or a direct-mapped
@@ -976,69 +1153,19 @@ fn execute(cpu: &mut Cpu, mem: &mut Memory, budget: u64, t: usize) -> Result<u64
             // it so the next transfer to it stays in-arena — without
             // this, two colliding return sites would demote each other
             // to dispatcher round trips forever.
-            let tier = &mut cpu.jit;
-            if let Some(&s) = tier.map.get(&ctx.pc) {
-                let s = s as usize;
-                if !tier.traces[s].dead && tier.stamps[s] == mem.code_generation() {
-                    let tr = &tier.traces[s];
-                    let addr = {
-                        let arena = tier.arena.as_ref().expect("live trace without an arena");
-                        arena.addr(tr.code_off + tr.ind) as u64
-                    };
+            if let Some(s) = tier.pcs.get(&ctx.pc).and_then(|st| st.trace) {
+                let tr = &tier.traces[s as usize];
+                if tr.code_off != UNPUBLISHED && tier.stamps[s as usize] == gen {
+                    let arena = tier.arena.as_ref().expect("live trace without an arena");
+                    let addr = arena.addr(tr.code_off + tr.ind) as u64;
                     tier.ibt_insert(ctx.pc, addr);
                 }
             }
-            Ok(retired)
         }
-        ST_BAIL | ST_BUDGET => Ok(retired),
+        ST_BAIL | ST_BUDGET => {}
         _ => unreachable!("unknown jit exit status {status}"),
     }
-}
-
-/// After a Fall/Taken exit, compiles the control edge into a direct jump:
-/// the exit slot of `from` becomes `mov r14d, succ; jmp succ.chain`. The
-/// chain entry re-checks stamp and fuel on every entry, so patching is a
-/// pure optimization — it can never extend a stale trace's life.
-fn try_patch(cpu: &mut Cpu, mem: &Memory, from: usize, status: u32) {
-    let tier = &mut cpu.jit;
-    let e = usize::from(status == ST_TAKEN);
-    if tier.traces[from].dead || tier.traces[from].patched[e] {
-        return;
-    }
-    let Some(slot) = tier.traces[from].exits[e] else {
-        return;
-    };
-    let Some(&succ) = tier.map.get(&slot.target) else {
-        return;
-    };
-    let succ = succ as usize;
-    if tier.traces[succ].dead || tier.stamps[succ] != mem.code_generation() {
-        return;
-    }
-    let slot_off = tier.traces[from].code_off + slot.off;
-    let succ_entry = tier.traces[succ].code_off + tier.traces[succ].chain;
-    let arena = tier.arena.as_mut().expect("patching requires an arena");
-    let rel = arena.addr(succ_entry) as i64 - (arena.addr(slot_off) + EXIT_PATCH_JMP_END) as i64;
-    let rel = i32::try_from(rel).expect("arena spans never exceed rel32");
-    let bytes = patched_exit_bytes(succ as u32, rel);
-    arena.with_writable(|w| w.write_at(slot_off, &bytes));
-    tier.traces[from].patched[e] = true;
-    tier.traces[succ].in_edges.push((from as u32, e as u8));
-}
-
-/// Handles a chain-entry stamp miss on trace `t`: restamp when its region
-/// is untouched (some other region changed), sever with the demotion
-/// penalty otherwise — `Cpu::validate_link`'s rules for compiled traces.
-fn revalidate(cpu: &mut Cpu, mem: &mut Memory, t: usize) {
-    let tier = &mut cpu.jit;
-    if tier.traces[t].dead {
-        return;
-    }
-    if mem.code_fingerprint(tier.traces[t].pc) == Some(tier.traces[t].fp) {
-        tier.stamps[t] = mem.code_generation();
-    } else {
-        tier.sever_with_penalty(t);
-    }
+    Ok(retired)
 }
 
 #[cfg(test)]
@@ -1063,6 +1190,180 @@ mod tests {
             off::EPILOGUE as usize,
             std::mem::offset_of!(JitCtx, epilogue)
         );
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn addi(rd: XReg, rs1: XReg, imm: i32) -> chimera_isa::Inst {
+        chimera_isa::Inst::OpImm {
+            kind: chimera_isa::OpImmKind::Addi,
+            rd,
+            rs1,
+            imm,
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn text(prog: &[chimera_isa::Inst]) -> Vec<u8> {
+        prog.iter()
+            .flat_map(|i| chimera_isa::encode(i).unwrap().to_le_bytes())
+            .collect()
+    }
+
+    /// A W^X flip the kernel refuses mid-run retires the tier instead of
+    /// aborting the process: traces, queue and arena are dropped, every
+    /// later entry declines, and the run finishes on the engine with the
+    /// Engine run's exact observation — whichever flip is the refused
+    /// one, immediate or batched publication.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn refused_wx_flip_degrades_to_the_engine() {
+        use crate::{ExecMode, Stop};
+        use chimera_isa::{BranchKind, Inst};
+        if !jit_available() {
+            return;
+        }
+        let bne = |rs1, offset| Inst::Branch {
+            kind: BranchKind::Bne,
+            rs1,
+            rs2: XReg::ZERO,
+            offset,
+        };
+        // Two nested counted loops: four blocks, all hot, chained both
+        // by patched exits and through the dispatcher.
+        let text = text(&[
+            addi(XReg::T0, XReg::ZERO, 40),
+            addi(XReg::T1, XReg::ZERO, 5), // outer:
+            addi(XReg::A0, XReg::A0, 3),   // inner:
+            addi(XReg::T1, XReg::T1, -1),
+            bne(XReg::T1, -8),
+            addi(XReg::T0, XReg::T0, -1),
+            bne(XReg::T0, -20),
+            Inst::Ecall,
+        ]);
+        let run = |mode, threshold, flips_left: Option<u32>| {
+            let mut cpu = Cpu::new(chimera_isa::ExtSet::RV64GC);
+            cpu.set_mode(mode);
+            cpu.set_jit_threshold(threshold);
+            if flips_left.is_some() {
+                assert!(cpu.jit.ensure_arena());
+                cpu.jit.arena.as_mut().unwrap().flips_left = flips_left;
+            }
+            let mut mem = Memory::new();
+            mem.map_bytes(0x1_0000, text.clone(), chimera_obj::Perms::RX, ".text");
+            cpu.hart.pc = 0x1_0000;
+            // Stop once mid-run so the counters after the refusal are
+            // observable while the program is still hot.
+            assert_eq!(cpu.run(&mut mem, 400), Stop::OutOfFuel);
+            let mid = cpu.cache.stats.jit_execs;
+            let stop = cpu.run(&mut mem, 100_000);
+            assert!(matches!(stop, Stop::Trap(Trap::Ecall { .. })), "{stop:?}");
+            let grew = cpu.cache.stats.jit_execs - mid;
+            (cpu.hart.xregs(), cpu.stats, cpu.jit.broken, grew)
+        };
+        let (xregs, stats, ..) = run(ExecMode::Engine, 1, None);
+        for threshold in [1, 3] {
+            let healthy = run(ExecMode::Jit, threshold, None);
+            assert_eq!((healthy.0, healthy.1), (xregs, stats));
+            assert!(
+                !healthy.2 && healthy.3 > 0,
+                "the tier must be live: {healthy:?}"
+            );
+            for flips_left in 0..6 {
+                let (x, s, broken, grew) = run(ExecMode::Jit, threshold, Some(flips_left));
+                assert_eq!((x, s), (xregs, stats), "t={threshold} flips={flips_left}");
+                assert!(
+                    broken,
+                    "t={threshold} flips={flips_left}: refusal not noticed"
+                );
+                assert_eq!(
+                    grew, 0,
+                    "t={threshold} flips={flips_left}: entered after refusal"
+                );
+            }
+        }
+    }
+
+    /// Many two-instruction blocks in a counted loop: every block gets
+    /// hot, and the traces overflow a small arena several times a pass.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn many_hot_blocks(blocks: i32, iters: i32) -> Vec<u8> {
+        use chimera_isa::{BranchKind, Inst};
+        let jal = |offset| Inst::Jal {
+            rd: XReg::ZERO,
+            offset,
+        };
+        let mut prog = vec![addi(XReg::T0, XReg::ZERO, iters)];
+        for _ in 0..blocks {
+            prog.extend([addi(XReg::A0, XReg::A0, 1), jal(4)]);
+        }
+        prog.extend([
+            addi(XReg::T0, XReg::T0, -1),
+            Inst::Branch {
+                kind: BranchKind::Beq,
+                rs1: XReg::T0,
+                rs2: XReg::ZERO,
+                offset: 8,
+            },
+            jal(-(8 * blocks + 8)),
+            Inst::Ecall,
+        ]);
+        text(&prog)
+    }
+
+    /// A full arena flushes every trace, resident or queued, and the run
+    /// goes on — bit-identical to the engine — re-promoting from zero.
+    /// Between slices the mapping is always sealed `r-x`: it is writable
+    /// only inside a publication, which only the dispatcher starts.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn full_arena_flushes_everything_and_stays_sealed() {
+        use crate::{ExecMode, Stop};
+        if !jit_available() {
+            return;
+        }
+        let text = many_hot_blocks(300, 8);
+        let run = |mode, threshold| {
+            let mut cpu = Cpu::new(chimera_isa::ExtSet::RV64GC);
+            cpu.set_mode(mode);
+            cpu.set_jit_threshold(threshold);
+            if mode == ExecMode::Jit {
+                assert!(cpu.jit.ensure_arena());
+                cpu.jit.arena = Arena::new(16 << 10, &epilogue_code());
+            }
+            let mut mem = Memory::new();
+            mem.map_bytes(0x1_0000, text.clone(), chimera_obj::Perms::RX, ".text");
+            cpu.hart.pc = 0x1_0000;
+            let mut flushes = 0;
+            loop {
+                let resident = cpu.jit.traces.len();
+                let stop = cpu.run(&mut mem, 97);
+                flushes += u32::from(cpu.jit.traces.len() < resident);
+                if let Some(arena) = cpu.jit.arena.as_ref() {
+                    let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+                    let start = format!("{:x}-", arena.addr(0));
+                    let line = maps.lines().find(|l| l.starts_with(&start)).unwrap();
+                    assert_eq!(line.split(' ').nth(1), Some("r-xp"), "{line}");
+                }
+                match stop {
+                    Stop::OutOfFuel => continue,
+                    Stop::Trap(Trap::Ecall { .. }) => break,
+                    other => panic!("{other:?}"),
+                }
+            }
+            (
+                cpu.hart.xregs(),
+                cpu.stats,
+                flushes,
+                cpu.cache.stats.jit_execs,
+            )
+        };
+        let (xregs, stats, ..) = run(ExecMode::Engine, 1);
+        for threshold in [1, 2] {
+            let (x, s, flushes, execs) = run(ExecMode::Jit, threshold);
+            assert_eq!((x, s), (xregs, stats), "t={threshold}");
+            assert!(flushes >= 2, "t={threshold}: the arena never filled");
+            assert!(execs > 0, "t={threshold}: nothing ran compiled");
+        }
     }
 
     #[test]

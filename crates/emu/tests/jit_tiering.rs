@@ -1,15 +1,16 @@
 //! Tiering-policy tests for the host-code JIT: promotion thresholds are
-//! deterministic (same dispatch history, same promotion point — on every
-//! run and regardless of how many other harts exist), `set_mode` resets
-//! the hotness ledger, and the sever-penalty hysteresis keeps alternating
-//! SMC from ping-ponging between compile and sever forever.
+//! deterministic (same dispatch history, same compilation and publication
+//! points — on every run and regardless of how many other harts exist),
+//! `set_mode` resets the hotness ledger, and the sever-penalty hysteresis
+//! keeps alternating SMC from ping-ponging between compile and sever
+//! forever.
 //!
-//! Everything here is about *when* compilation happens, not *what* the
-//! compiled code does — transparency is pinned by `tests/differential.rs`
-//! and the fuzzing oracle. The policy itself (heat counters, penalties)
-//! is pure bookkeeping, so these tests run on every host; assertions
-//! about actual compilation (`jit_compiled`, resident traces) are gated
-//! on [`chimera_emu::jit_available`].
+//! Everything here is about *when* code is compiled and becomes resident,
+//! not *what* the compiled code does — transparency is pinned by
+//! `tests/differential.rs` and the fuzzing oracle. The policy itself (heat
+//! counters, penalties) is pure bookkeeping, so these tests run on every
+//! host; assertions about actual compilation (`jit_compiled`, resident
+//! traces) are gated on [`chimera_emu::jit_available`].
 
 use chimera_emu::{Cpu, ExecMode, Memory, Stop, Trap};
 use chimera_isa::{encode, ExtSet, Inst, OpImmKind, XReg};
@@ -53,9 +54,12 @@ fn run_to_ecall(cpu: &mut Cpu, mem: &mut Memory) -> u64 {
     }
 }
 
-/// The promotion point is a pure function of the dispatch count: below
-/// the threshold the pc only heats up, at the threshold it compiles —
-/// identically on every run of the same history.
+/// Compilation and publication points are pure functions of the dispatch
+/// count: below the threshold the pc only heats up, at the threshold it
+/// compiles onto the publication queue, and once the dispatcher has
+/// declined it as often as the threshold tolerates (4 x (3 - 1) entries
+/// here; a lone trace is no batch of three) the queue is published and
+/// the trace is entered — identically on every run of the same history.
 #[test]
 fn promotion_threshold_is_deterministic() {
     let mut per_run = Vec::new();
@@ -64,21 +68,44 @@ fn promotion_threshold_is_deterministic() {
         let mut mem = Memory::new();
         mem.map_bytes(BASE, program(9), Perms::RX, ".text");
         let mut history = Vec::new();
-        for entry in 1..=4u32 {
+        for entry in 1..=11u32 {
             assert_eq!(run_to_ecall(&mut cpu, &mut mem), 9);
-            history.push((entry, cpu.jit_hotness(BASE), cpu.jit_compiled()));
+            history.push((
+                entry,
+                cpu.jit_hotness(BASE),
+                cpu.jit_compiled(),
+                cpu.jit_wx_toggles(),
+                cpu.jit_trace_bytes(BASE).is_some(),
+                cpu.cache.stats.jit_execs,
+            ));
         }
         per_run.push(history);
     }
     assert_eq!(per_run[0], per_run[1], "tiering must be deterministic");
     assert_eq!(per_run[1], per_run[2], "tiering must be deterministic");
+    let history = &per_run[0];
+    assert!(
+        history.iter().all(|h| h.1 < 3),
+        "hotness is a count below the threshold, never a marker: {history:?}"
+    );
     if chimera_emu::jit_available() {
-        // Entries 1 and 2 only accumulate heat; entry 3 promotes (heat
-        // ledger cleared); entry 4 runs the compiled trace.
-        assert_eq!(per_run[0][0], (1, 1, 0), "{:?}", per_run[0]);
-        assert_eq!(per_run[0][1], (2, 2, 0), "{:?}", per_run[0]);
-        assert_eq!(per_run[0][2], (3, 0, 1), "{:?}", per_run[0]);
-        assert_eq!(per_run[0][3], (4, 0, 1), "{:?}", per_run[0]);
+        // Entries 1 and 2 only accumulate heat.
+        assert_eq!(history[0], (1, 1, 0, 0, false, 0), "{history:?}");
+        assert_eq!(history[1], (2, 2, 0, 0, false, 0), "{history:?}");
+        // Entry 3 compiles (heat ledger cleared) but the trace only
+        // queues: entries 3 to 9 are seven declines, one short of the
+        // bound, all run by the engine.
+        for entry in 3..=9 {
+            assert_eq!(
+                history[entry as usize - 1],
+                (entry, 0, 1, 0, false, 0),
+                "{history:?}"
+            );
+        }
+        // The eighth decline (entry 10) is the bound: one toggle
+        // publishes the queue, and the same entry runs the trace.
+        assert_eq!(history[9], (10, 0, 1, 1, true, 1), "{history:?}");
+        assert_eq!(history[10], (11, 0, 1, 1, true, 2), "{history:?}");
     }
 }
 

@@ -31,13 +31,18 @@ fn words(insts: &[Inst]) -> Vec<u8> {
     bytes
 }
 
-/// Runs from `BASE` until the program's `ecall`, returning `a0`.
-fn run_to_ecall(cpu: &mut Cpu, mem: &mut Memory) -> u64 {
-    cpu.hart.pc = BASE;
+/// Runs from `pc` until the program's `ecall`, returning `a0`.
+fn run_from(cpu: &mut Cpu, mem: &mut Memory, pc: u64) -> u64 {
+    cpu.hart.pc = pc;
     match cpu.run(mem, 100_000) {
         Stop::Trap(Trap::Ecall { .. }) => cpu.hart.get_x(XReg::A0),
         other => panic!("expected ecall, got {other:?}"),
     }
+}
+
+/// Runs from `BASE` until the program's `ecall`, returning `a0`.
+fn run_to_ecall(cpu: &mut Cpu, mem: &mut Memory) -> u64 {
+    run_from(cpu, mem, BASE)
 }
 
 /// `poke_code` between runs: the second run must execute the NEW bytes
@@ -540,4 +545,241 @@ fn straddling_instruction_demotes_from_jit() {
         results.push((cpu.hart.xregs(), cpu.stats));
     }
     assert_eq!(results[0], results[1], "jit tier must be transparent");
+}
+
+// ---- Late publication -------------------------------------------------
+//
+// Above threshold 1 a compiled trace waits on the tier's queue until its
+// batch is published, so guest code can change *between* compilation and
+// publication. The trace carries its compile-time stamp through the
+// wait: its first entry revalidates it like any resident trace, and a
+// stale one is severed with the demotion penalty, never executed.
+// Threshold 2 gives a batch of two traces and four tolerated declines.
+
+fn deferring_jit_cpu() -> Cpu {
+    let mut cpu = Cpu::new(ExtSet::RV64GC);
+    cpu.set_mode(chimera_emu::ExecMode::Jit);
+    cpu.set_jit_threshold(2);
+    cpu
+}
+
+/// Heats the block at `pc` (which must return 11) until its trace is
+/// compiled and queued, not resident.
+fn heat_until_queued(cpu: &mut Cpu, mem: &mut Memory, pc: u64) {
+    for _ in 0..2 {
+        assert_eq!(run_from(cpu, mem, pc), 11);
+    }
+    assert_eq!(cpu.jit_compiled(), 1, "threshold 2 compiles at entry 2");
+    assert_eq!(cpu.jit_wx_toggles(), 0, "one queued trace is no batch");
+    assert!(cpu.jit_trace_bytes(pc).is_none(), "queued, not resident");
+}
+
+/// Re-enters `pc` (which must now return 22) until the queue is
+/// published, then checks the stale trace was severed unexecuted and
+/// pays the doubled re-promotion threshold.
+fn publish_and_expect_sever(cpu: &mut Cpu, mem: &mut Memory, pc: u64) {
+    let mut entries = 0;
+    while cpu.jit_wx_toggles() == 0 {
+        assert_eq!(run_from(cpu, mem, pc), 22, "entry {entries} ran stale code");
+        entries += 1;
+        assert!(
+            entries <= 64,
+            "a re-entered queued trace must get published"
+        );
+    }
+    assert_eq!(cpu.jit_wx_toggles(), 1);
+    assert!(
+        cpu.jit_trace_bytes(pc).is_none(),
+        "the stale trace must be severed at its first entry"
+    );
+    assert_eq!(cpu.cache.stats.jit_execs, 0, "the stale trace was entered");
+    // Demotion penalty: threshold 2 doubled, heat restarted from zero.
+    for heat in 1..=3 {
+        assert_eq!(run_from(cpu, mem, pc), 22);
+        assert_eq!((cpu.jit_hotness(pc), cpu.jit_compiled()), (heat, 1));
+    }
+    assert_eq!(run_from(cpu, mem, pc), 22);
+    assert_eq!(cpu.jit_compiled(), 2, "re-promotion after re-proving hot");
+    for _ in 0..8 {
+        assert_eq!(run_from(cpu, mem, pc), 22);
+    }
+    assert!(cpu.jit_trace_bytes(pc).is_some(), "the new trace publishes");
+    assert!(cpu.cache.stats.jit_execs > 0, "and runs");
+}
+
+/// `poke_code` between compilation and publication: the queued trace was
+/// compiled from bytes that no longer exist.
+#[test]
+fn poke_while_queued_severs_the_late_published_trace() {
+    if !chimera_emu::jit_available() {
+        eprintln!("skipping: no executable pages on this host");
+        return;
+    }
+    let mut cpu = deferring_jit_cpu();
+    let mut mem = Memory::new();
+    mem.map_bytes(
+        BASE,
+        words(&[addi(XReg::A0, XReg::ZERO, 11), Inst::Ecall]),
+        Perms::RX,
+        ".text",
+    );
+    heat_until_queued(&mut cpu, &mut mem, BASE);
+    mem.poke_code(BASE, &words(&[addi(XReg::A0, XReg::ZERO, 22)]))
+        .unwrap();
+    publish_and_expect_sever(&mut cpu, &mut mem, BASE);
+}
+
+/// A guest store into a W+X region between compilation and publication:
+/// the same contract, driven from inside the run.
+#[test]
+fn store_while_queued_severs_the_late_published_trace() {
+    if !chimera_emu::jit_available() {
+        eprintln!("skipping: no executable pages on this host");
+        return;
+    }
+    const HOT: u64 = 0x4_0000;
+    let mut cpu = deferring_jit_cpu();
+    let mut mem = Memory::new();
+    // The driver overwrites the hot block's first instruction, then
+    // jumps to it.
+    mem.map_bytes(
+        BASE,
+        words(&[
+            Inst::Store {
+                kind: StoreKind::Sw,
+                rs1: XReg::T0,
+                rs2: XReg::T1,
+                offset: 0,
+            },
+            Inst::Jalr {
+                rd: XReg::ZERO,
+                rs1: XReg::T0,
+                offset: 0,
+            },
+        ]),
+        Perms::RX,
+        ".text",
+    );
+    mem.map_bytes(
+        HOT,
+        words(&[addi(XReg::A0, XReg::ZERO, 11), Inst::Ecall]),
+        Perms::RWX,
+        ".jit",
+    );
+    cpu.hart.set_x(XReg::T0, HOT);
+    cpu.hart.set_x(
+        XReg::T1,
+        encode(&addi(XReg::A0, XReg::ZERO, 22)).unwrap() as u64,
+    );
+    heat_until_queued(&mut cpu, &mut mem, HOT);
+    assert_eq!(run_from(&mut cpu, &mut mem, BASE), 22, "store then jump");
+    assert_eq!(cpu.jit_compiled(), 1, "the driver blocks ran once: cold");
+    publish_and_expect_sever(&mut cpu, &mut mem, HOT);
+}
+
+/// `set_mode` between compilation and publication drops the queue with
+/// everything else: nothing compiled under the old mode epoch is ever
+/// published, and the pc re-proves itself hot from zero.
+#[test]
+fn set_mode_while_queued_drops_the_queue() {
+    if !chimera_emu::jit_available() {
+        eprintln!("skipping: no executable pages on this host");
+        return;
+    }
+    let mut cpu = deferring_jit_cpu();
+    let mut mem = Memory::new();
+    mem.map_bytes(
+        BASE,
+        words(&[addi(XReg::A0, XReg::ZERO, 11), Inst::Ecall]),
+        Perms::RX,
+        ".text",
+    );
+    heat_until_queued(&mut cpu, &mut mem, BASE);
+    cpu.set_mode(chimera_emu::ExecMode::Engine);
+    cpu.set_mode(chimera_emu::ExecMode::Jit);
+    cpu.set_jit_threshold(2);
+    assert_eq!(cpu.jit_compiled(), 1, "the lifetime count is unchanged");
+    assert_eq!(cpu.jit_hotness(BASE), 0);
+
+    assert_eq!(run_from(&mut cpu, &mut mem, BASE), 11);
+    assert_eq!((cpu.jit_hotness(BASE), cpu.jit_compiled()), (1, 1));
+    assert_eq!(run_from(&mut cpu, &mut mem, BASE), 11);
+    assert_eq!(cpu.jit_compiled(), 2, "compiled afresh, not dequeued");
+    assert_eq!(
+        cpu.jit_wx_toggles(),
+        0,
+        "the dropped queue was never published"
+    );
+    for _ in 0..8 {
+        assert_eq!(run_from(&mut cpu, &mut mem, BASE), 11);
+    }
+    assert_eq!(cpu.jit_wx_toggles(), 1);
+    assert!(cpu.jit_trace_bytes(BASE).is_some());
+    assert!(cpu.cache.stats.jit_execs > 0);
+}
+
+/// Severing a trace that a predecessor was patched to jump into: the
+/// poisoned stamp keeps the stale successor from ever running, the
+/// predecessor's exit slot gets its original bytes back (with the next
+/// publication), and once the successor is re-promoted the edge is
+/// patched again — at immediate and at deferred publication.
+#[test]
+fn severed_successor_is_unlinked_and_relinked() {
+    if !chimera_emu::jit_available() {
+        eprintln!("skipping: no executable pages on this host");
+        return;
+    }
+    const HOT: u64 = BASE + 0x1000;
+    for threshold in [1, 2] {
+        let mut cpu = Cpu::new(ExtSet::RV64GC);
+        cpu.set_mode(chimera_emu::ExecMode::Jit);
+        cpu.set_jit_threshold(threshold);
+        let mut mem = Memory::new();
+        // The predecessor lives in a region of its own, so poking the
+        // successor's region leaves its trace valid.
+        mem.map_bytes(
+            BASE,
+            words(&[
+                addi(XReg::A1, XReg::A1, 1),
+                Inst::Jal {
+                    rd: XReg::ZERO,
+                    offset: (HOT - (BASE + 4)) as i32,
+                },
+            ]),
+            Perms::RX,
+            ".text",
+        );
+        mem.map_bytes(
+            HOT,
+            words(&[addi(XReg::A0, XReg::ZERO, 11), Inst::Ecall]),
+            Perms::RX,
+            ".hot",
+        );
+        let mut runs = 0;
+        while cpu.cache.stats.jitted == 0 {
+            assert_eq!(run_to_ecall(&mut cpu, &mut mem), 11);
+            runs += 1;
+            assert!(runs <= 40, "t={threshold}: the edge must get patched");
+        }
+        let linked = cpu.cache.stats.jitted;
+
+        mem.poke_code(HOT, &words(&[addi(XReg::A0, XReg::ZERO, 22)]))
+            .unwrap();
+        let mut runs = 0;
+        while cpu.cache.stats.jitted == linked {
+            assert_eq!(
+                run_to_ecall(&mut cpu, &mut mem),
+                22,
+                "t={threshold}: the stale successor ran through the patched jump"
+            );
+            runs += 1;
+            assert!(runs <= 80, "t={threshold}: the edge must get re-patched");
+        }
+        assert_eq!(run_to_ecall(&mut cpu, &mut mem), 22);
+        assert_eq!(
+            cpu.jit_compiled(),
+            3,
+            "t={threshold}: only the successor recompiles"
+        );
+    }
 }

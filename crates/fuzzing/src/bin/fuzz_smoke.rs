@@ -10,8 +10,9 @@
 //!   drawn from the root's `"corpus"` stream.
 //! * `FUZZ_INJECT` — op-class name (`alu`, `vector`, `loadstore`, ...):
 //!   deliberately perturb the engine observation for cases containing
-//!   that class. The special value `jit` perturbs the *JIT-mode*
-//!   observation instead (for ALU-bearing cases). This is the
+//!   that class. The special value `jit` perturbs the observation of
+//!   the *deferring JIT column* (`mode:jit-batched`, the last of the mode
+//!   matrix) instead, for ALU-bearing cases. This is the
 //!   mutation-testing mode — the gate must then *fail*, minimize, and
 //!   emit a reproducer; it proves the oracle and shrinker actually work.
 //! * `FUZZ_WRITE_REPRO` — set to `0` to skip writing the reproducer
@@ -49,7 +50,9 @@ fn main() {
     let write_repro = std::env::var("FUZZ_WRITE_REPRO").map_or(true, |v| v != "0");
     let inject = match std::env::var("FUZZ_INJECT") {
         Ok(name) if name == "jit" => {
-            eprintln!("NOTE: fault injection active (perturbing the JIT column on ALU cases)");
+            eprintln!(
+                "NOTE: fault injection active (perturbing the batched JIT column on ALU cases)"
+            );
             Inject {
                 perturb_jit: Some(OpClass::Alu),
                 ..Inject::none()
@@ -119,7 +122,7 @@ fn main() {
     // oracle family's eligibility gate) silently regressed.
     let jit = chimera_emu::jit_available();
     for (name, v) in cov.entries() {
-        if !jit && (name == "jit_execs" || name == "jit_chained") {
+        if !jit && ["jit_execs", "jit_chained", "jit_batched_execs"].contains(&name) {
             // Without executable pages the JIT column degrades to engine
             // semantics: the transparency checks ran, but no compiled
             // trace could execute.

@@ -5,8 +5,10 @@
 //! Three oracle families, in increasing cost:
 //!
 //! 1. **Mode matrix** — reference interpreter vs decode-cache
-//!    interpreter vs micro-op engine vs host-code JIT (promotion
-//!    threshold 1, so every re-entered block actually runs compiled),
+//!    interpreter vs micro-op engine vs host-code JIT (twice: promotion
+//!    threshold 1, so every re-entered block actually runs compiled and
+//!    is published at once, and `JIT_BATCHED_THRESHOLD`, so traces wait
+//!    on the publication queue and are validated when finally entered),
 //!    cache on/off, tracer on/off, all compared as full [`Obs`] (result,
 //!    trap, registers, stats, output memory) against the reference run,
 //!    plus the cache counter-reconciliation laws (`hits_interp ==
@@ -40,7 +42,7 @@ use chimera_rewrite::{
 };
 use chimera_testutil::{
     engines, load_image, mutate_image, observe_jit, observe_mode, observe_mode_traced,
-    run_under_kernel_at, writable_bytes, Obs,
+    run_under_kernel_at, writable_bytes, Obs, JIT_BATCHED_THRESHOLD,
 };
 use chimera_trace::Tracer;
 
@@ -96,6 +98,9 @@ pub struct Coverage {
     pub jit_execs: u64,
     /// Jitted chain-entry passes (trace-to-trace direct jumps taken).
     pub jit_chained: u64,
+    /// Compiled-trace executions of the deferring Jit column: traces
+    /// that waited on the publication queue and were then entered.
+    pub jit_batched_execs: u64,
     /// Cases that went through the rewrite matrix.
     pub rewrite_cases: u64,
     /// Engine pipeline runs compared for bit-identity.
@@ -125,6 +130,7 @@ impl Coverage {
         self.jit_runs += o.jit_runs;
         self.jit_execs += o.jit_execs;
         self.jit_chained += o.jit_chained;
+        self.jit_batched_execs += o.jit_batched_execs;
         self.rewrite_cases += o.rewrite_cases;
         self.engine_runs += o.engine_runs;
         self.kernel_runs += o.kernel_runs;
@@ -147,6 +153,7 @@ impl Coverage {
             ("jit_runs", self.jit_runs),
             ("jit_execs", self.jit_execs),
             ("jit_chained", self.jit_chained),
+            ("jit_batched_execs", self.jit_batched_execs),
             ("rewrite_cases", self.rewrite_cases),
             ("engine_runs", self.engine_runs),
             ("kernel_runs", self.kernel_runs),
@@ -166,8 +173,10 @@ impl Coverage {
 pub struct Inject {
     /// Perturb the engine observation when this op class is present.
     pub perturb_engine: Option<OpClass>,
-    /// Perturb the JIT observation when this op class is present (the
-    /// `FUZZ_INJECT=jit` drill — proves the JIT column actually gates).
+    /// Perturb the deferring JIT column's observation when this op class
+    /// is present (the `FUZZ_INJECT=jit` drill). That column is the last
+    /// of the matrix, so tripping it proves the JIT comparison gates
+    /// *and* that every column before it ran and agreed.
     pub perturb_jit: Option<OpClass>,
 }
 
@@ -273,23 +282,28 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
         ));
     }
 
+    // The Jit mode runs twice: at threshold 1, where every compiled
+    // trace is published at once, and at a small threshold that defers —
+    // traces wait on the queue while their blocks keep running in the
+    // engine, and are validated on their first entry after publication.
     let configs = [
-        (ExecMode::Interpreter, "mode:interp-cache"),
-        (ExecMode::Engine, "mode:engine-cache"),
-        (ExecMode::Jit, "mode:jit-cache"),
+        (ExecMode::Interpreter, 0, "mode:interp-cache"),
+        (ExecMode::Engine, 0, "mode:engine-cache"),
+        (ExecMode::Jit, 1, "mode:jit-cache"),
+        (ExecMode::Jit, JIT_BATCHED_THRESHOLD, "mode:jit-batched"),
     ];
     let mut interp_cache_stats = None;
     let mut engine_cache = None;
-    let mut jit_stats = None;
-    for (mode, stage) in configs {
+    let mut jit_stats = Vec::new();
+    for (mode, threshold, stage) in configs {
         let (mut obs, stats) = if mode == ExecMode::Jit {
-            observe_jit(bin, ExtSet::RV64GCV, CASE_FUEL, 1)
+            observe_jit(bin, ExtSet::RV64GCV, CASE_FUEL, threshold)
         } else {
             observe_mode(bin, ExtSet::RV64GCV, mode, true, CASE_FUEL)
         };
         let injected = match mode {
             ExecMode::Engine => inject.perturb_engine,
-            ExecMode::Jit => inject.perturb_jit,
+            ExecMode::Jit if threshold == JIT_BATCHED_THRESHOLD => inject.perturb_jit,
             _ => None,
         };
         if let Some(class) = injected {
@@ -303,13 +317,12 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
         match mode {
             ExecMode::Interpreter => interp_cache_stats = Some(stats),
             ExecMode::Engine => engine_cache = Some((obs, stats)),
-            ExecMode::Jit => jit_stats = Some(stats),
+            ExecMode::Jit => jit_stats.push((stage, stats)),
             ExecMode::Reference => unreachable!(),
         }
     }
     let is = interp_cache_stats.expect("config matrix ran");
     let (engine_obs, es) = engine_cache.expect("config matrix ran");
-    let js = jit_stats.expect("config matrix ran");
     if is.hits != es.hits + es.chained {
         return Err(fail(
             "mode:reconcile",
@@ -324,23 +337,27 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
             format!("miss/build/invalidation counters diverged: {is:?} vs {es:?}"),
         ));
     }
-    if is.hits != js.hits + js.chained + js.jitted {
-        return Err(fail(
-            "mode:reconcile-jit",
-            format!("hits_interp != hits_jit + chained + jitted: {is:?} vs {js:?}"),
-        ));
-    }
-    if (is.misses, is.blocks_built, is.invalidations)
-        != (js.misses, js.blocks_built, js.invalidations)
-    {
-        return Err(fail(
-            "mode:reconcile-jit",
-            format!("jit miss/build/invalidation counters diverged: {is:?} vs {js:?}"),
-        ));
+    for &(stage, js) in &jit_stats {
+        let stage = stage.replace("mode:", "mode:reconcile-");
+        if is.hits != js.hits + js.chained + js.jitted {
+            return Err(fail(
+                &stage,
+                format!("hits_interp != hits_jit + chained + jitted: {is:?} vs {js:?}"),
+            ));
+        }
+        if (is.misses, is.blocks_built, is.invalidations)
+            != (js.misses, js.blocks_built, js.invalidations)
+        {
+            return Err(fail(
+                &stage,
+                format!("jit miss/build/invalidation counters diverged: {is:?} vs {js:?}"),
+            ));
+        }
     }
     cov.jit_runs = 1;
-    cov.jit_execs = js.jit_execs;
-    cov.jit_chained = js.jitted;
+    cov.jit_execs = jit_stats[0].1.jit_execs;
+    cov.jit_chained = jit_stats[0].1.jitted;
+    cov.jit_batched_execs = jit_stats[1].1.jit_execs;
 
     let tracer = Tracer::enabled();
     let (traced, _) = observe_mode_traced(
@@ -731,5 +748,15 @@ mod tests {
         )
         .expect_err("perturbed engine must diverge");
         assert!(d.stage.starts_with("mode:engine"), "stage: {}", d.stage);
+        // The same drill on the JIT side trips the deferring column.
+        let d = check_case(
+            &case,
+            Inject {
+                perturb_jit: Some(OpClass::Alu),
+                ..Inject::none()
+            },
+        )
+        .expect_err("perturbed batched jit must diverge");
+        assert_eq!(d.stage, "mode:jit-batched");
     }
 }

@@ -101,8 +101,10 @@ pub enum TraceEvent {
         to: u64,
     },
     /// The JIT tier promoted a hot block body to compiled host code.
-    /// Emitted once per compilation (re-promotions after an SMC sever
-    /// emit again — byte-identical code, same event).
+    /// Emitted once per trace when its batch is published into the
+    /// executable arena — the moment the code can first run, not the
+    /// moment it was compiled (re-promotions after an SMC sever emit
+    /// again — byte-identical code, same event).
     TierPromote {
         /// Block start pc.
         pc: u64,

@@ -15,6 +15,7 @@ use chimera_obj::Binary;
 use chimera_rewrite::{chbp_rewrite, verify_claim1, RewriteOptions};
 use chimera_testutil::{
     observe_jit, observe_mode, run_all_modes, run_keeping_mem, run_rewritten, writable_bytes, FUEL,
+    JIT_BATCHED_THRESHOLD,
 };
 use chimera_workloads::blas::{self, Precision};
 use chimera_workloads::hetero;
@@ -227,7 +228,13 @@ fn engine_matches_interpreter_and_reference_for_every_workload() {
                 "{name}: jitted chain-entry passes must account exactly for \
                  the dispatcher hits they replace: {i:?} vs {j:?}"
             );
-            for (mode, c) in [("engine", e), ("jit", j)] {
+            let b = m.jit_batched.1;
+            assert_eq!(
+                i.hits,
+                b.hits + b.chained + b.jitted,
+                "{name}: the law holds whenever traces get published: {i:?} vs {b:?}"
+            );
+            for (mode, c) in [("engine", e), ("jit", j), ("jit-batched", b)] {
                 assert_eq!(i.misses, c.misses, "{name} ({mode}): misses diverged");
                 assert_eq!(
                     i.blocks_built, c.blocks_built,
@@ -253,6 +260,10 @@ fn engine_matches_interpreter_and_reference_for_every_workload() {
                 );
                 if loopy {
                     assert!(j.jitted > 0, "{name}: traces never chained: {j:?}");
+                    assert!(
+                        b.jit_execs > 0 && b.jitted > 0,
+                        "{name}: queued traces never published or chained: {b:?}"
+                    );
                 }
             }
             // Determinism: chaining, memory fast paths and compiled traces
@@ -267,6 +278,11 @@ fn engine_matches_interpreter_and_reference_for_every_workload() {
                 observe_jit(&bin, profile, FUEL, 1),
                 m.jit,
                 "{name}: jit run not deterministic on {profile}"
+            );
+            assert_eq!(
+                observe_jit(&bin, profile, FUEL, JIT_BATCHED_THRESHOLD),
+                m.jit_batched,
+                "{name}: publication points not deterministic on {profile}"
             );
             let r = m.reference.1;
             assert_eq!(
@@ -316,6 +332,17 @@ fn random_programs_identical_across_modes() {
             (i.misses, i.blocks_built, i.invalidations),
             (j.misses, j.blocks_built, j.invalidations),
             "seed {seed}: jit cache counters diverged"
+        );
+        let b = m.jit_batched.1;
+        assert_eq!(
+            (i.hits, i.misses, i.blocks_built, i.invalidations),
+            (
+                b.hits + b.chained + b.jitted,
+                b.misses,
+                b.blocks_built,
+                b.invalidations
+            ),
+            "seed {seed}: batched-jit cache counters diverged"
         );
     }
 

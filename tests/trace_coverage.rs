@@ -251,6 +251,7 @@ fn one_run_emits_every_event_kind_and_reconciles_exactly() {
     // skip this segment (the tier stays inert there), and the kind
     // check below relaxes to match.
     let jit_available = chimera_emu::jit_available();
+    let mut jit_published = (0, 0);
     if jit_available {
         let (mut cpu, mut mem) = chimera_emu::boot(&loop_bin, ExtSet::RV64GCV);
         cpu.set_mode(ExecMode::Jit);
@@ -263,6 +264,7 @@ fn one_run_emits_every_event_kind_and_reconciles_exactly() {
             "the hot loop must promote into the jit tier"
         );
         expected.add_cache(&cpu.cache.stats);
+        jit_published = (cpu.jit_compiled(), cpu.jit_wx_toggles());
     }
 
     // (f) A measured run through the full stack, published into the same
@@ -338,6 +340,12 @@ fn one_run_emits_every_event_kind_and_reconciles_exactly() {
     }
     let counter = |name: &str| metrics.counter_value(name).unwrap_or(0);
     assert_eq!(count("TierPromote"), counter("emu.blocks_jitted"));
+    // At threshold 1 every compiled trace is published at once: one
+    // event per trace, one counted toggle per publication.
+    assert_eq!(
+        (count("TierPromote"), counter("emu.jit_wx_toggles")),
+        jit_published
+    );
 
     assert_eq!(count("BlockBuilt"), counter("emu.blocks_built"));
     assert_eq!(count("BlockBuilt"), expected.blocks_built);
