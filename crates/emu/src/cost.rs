@@ -9,7 +9,7 @@
 //! really exists as instructions in the rewritten binary) — those ratios are
 //! what produce the Fig. 13 shape.
 
-use chimera_isa::{FOpKind, Inst, OpKind, VArithOp};
+use chimera_isa::{CostClass, Inst};
 
 /// Per-instruction-class cycle costs.
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +61,17 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// The cycles this model assigns to a cost class of the ISA tables.
+    fn class(&self, class: CostClass) -> u64 {
+        match class {
+            CostClass::Alu => self.base,
+            CostClass::Mul => self.mul,
+            CostClass::Div => self.div,
+            CostClass::Fp => self.fp,
+            CostClass::FpDiv => self.fp_div,
+        }
+    }
+
     /// The cycle cost of executing `inst` with `vl` active vector elements
     /// of the current SEW (ignored for scalar instructions). `taken` is
     /// whether a control transfer actually redirected.
@@ -72,24 +83,8 @@ impl CostModel {
             Inst::Store { .. } | Inst::FStore { .. } => self.store,
             Inst::Jal { .. } | Inst::Jalr { .. } => self.base + self.redirect,
             Inst::Branch { .. } => self.base + redirect,
-            Inst::Op { kind, .. } => match kind {
-                OpKind::Mul | OpKind::Mulh | OpKind::Mulhsu | OpKind::Mulhu | OpKind::Mulw => {
-                    self.mul
-                }
-                OpKind::Div
-                | OpKind::Divu
-                | OpKind::Rem
-                | OpKind::Remu
-                | OpKind::Divw
-                | OpKind::Divuw
-                | OpKind::Remw
-                | OpKind::Remuw => self.div,
-                _ => self.base,
-            },
-            Inst::FOp { kind, .. } => match kind {
-                FOpKind::Div => self.fp_div,
-                _ => self.fp,
-            },
+            Inst::Op { kind, .. } => self.class(kind.cost_class()),
+            Inst::FOp { kind, .. } => self.class(kind.cost_class()),
             Inst::FMa { .. } => self.fp,
             Inst::FCmp { .. }
             | Inst::FMvToX { .. }
@@ -100,14 +95,7 @@ impl CostModel {
             Inst::Vsetvli { .. } => self.base,
             Inst::VLoad { .. } => self.load + self.vec_issue + self.vec_lane * lanes,
             Inst::VStore { .. } => self.store + self.vec_issue + self.vec_lane * lanes,
-            Inst::VArith { op, .. } => {
-                let scale = match op {
-                    VArithOp::Vfdiv => 6,
-                    VArithOp::Vredsum | VArithOp::Vfredusum => 2,
-                    _ => 1,
-                };
-                self.vec_issue + scale * self.vec_lane * lanes
-            }
+            Inst::VArith { op, .. } => self.vec_issue + op.cost_scale() * self.vec_lane * lanes,
             Inst::VMvXS { .. } | Inst::VMvSX { .. } => self.vec_issue + self.vec_lane,
             _ => self.base,
         }

@@ -20,8 +20,8 @@ use crate::hart::Hart;
 use crate::mem::{AccessHints, MemFault, Memory};
 use crate::uop::{lower_block, MicroOp};
 use chimera_isa::{
-    decode, BranchKind, DecodeError, Eew, Ext, ExtSet, FCmpKind, FMaKind, FOpKind, FpWidth, Inst,
-    IntWidth, LoadKind, OpImmKind, OpKind, StoreKind, UnaryKind, VArithOp, VSrc, XReg,
+    decode, DecodeError, Eew, Ext, ExtSet, FCmpKind, FMaKind, FOpKind, FpWidth, Inst, IntWidth,
+    LoadKind, StoreKind, VArithOp, VSrc, XReg,
 };
 use chimera_trace::{TraceEvent, Tracer, TrapKind};
 use core::fmt;
@@ -712,7 +712,7 @@ impl Cpu {
                     let b = self.hart.get_x(rs2);
                     retired += 1;
                     self.stats.branches += 1;
-                    let exit = if branch_cond(kind, a, b) {
+                    let exit = if kind.eval(a, b) {
                         pc = pc.wrapping_add(offset as i64 as u64);
                         d_cycles += taken_cost as u64;
                         BlockExit::Taken
@@ -792,8 +792,8 @@ impl Cpu {
                     continue;
                 }
                 // Flattened hot ALU ops: semantics identical to the
-                // matching `exec_opimm`/`exec_op` arm, minus the second
-                // kind dispatch.
+                // matching `OpImmKind::eval` / `OpKind::eval` row, minus
+                // the second kind dispatch.
                 MicroOp::Addi { rd, rs1, imm } => {
                     let a = self.hart.get_x(rs1);
                     self.hart.set_x(rd, a.wrapping_add(imm as i64 as u64));
@@ -827,16 +827,16 @@ impl Cpu {
                 }
                 MicroOp::OpImm { kind, rd, rs1, imm } => {
                     let a = self.hart.get_x(rs1);
-                    self.hart.set_x(rd, exec_opimm(kind, a, imm));
+                    self.hart.set_x(rd, kind.eval(a, imm));
                 }
                 MicroOp::Op { kind, rd, rs1, rs2 } => {
                     let a = self.hart.get_x(rs1);
                     let b = self.hart.get_x(rs2);
-                    self.hart.set_x(rd, exec_op(kind, a, b));
+                    self.hart.set_x(rd, kind.eval(a, b));
                 }
                 MicroOp::Unary { kind, rd, rs1 } => {
                     let a = self.hart.get_x(rs1);
-                    self.hart.set_x(rd, exec_unary(kind, a));
+                    self.hart.set_x(rd, kind.eval(a));
                 }
                 MicroOp::Fence => {}
                 MicroOp::FLoad {
@@ -1067,7 +1067,7 @@ impl Cpu {
             } => {
                 let a = h.get_x(rs1);
                 let b = h.get_x(rs2);
-                if branch_cond(kind, a, b) {
+                if kind.eval(a, b) {
                     next_pc = pc.wrapping_add(offset as i64 as u64);
                     taken = true;
                 }
@@ -1126,17 +1126,16 @@ impl Cpu {
             }
             Inst::OpImm { kind, rd, rs1, imm } => {
                 let a = h.get_x(rs1);
-                h.set_x(rd, exec_opimm(kind, a, imm));
+                h.set_x(rd, kind.eval(a, imm));
             }
             Inst::Op { kind, rd, rs1, rs2 } => {
                 let a = h.get_x(rs1);
                 let b = h.get_x(rs2);
-                let v = exec_op(kind, a, b);
-                h.set_x(rd, v);
+                h.set_x(rd, kind.eval(a, b));
             }
             Inst::Unary { kind, rd, rs1 } => {
                 let a = h.get_x(rs1);
-                h.set_x(rd, exec_unary(kind, a));
+                h.set_x(rd, kind.eval(a));
             }
             Inst::Fence => {}
             Inst::Ecall => return Err(Trap::Ecall { pc }),
@@ -1400,156 +1399,6 @@ impl Cpu {
 /// longer bails or cold-starts unrelated blocks.
 pub(crate) fn block_intact(mem: &mut Memory, block: &Block) -> bool {
     mem.code_fingerprint(block.region_start) == Some((block.region_start, block.region_gen))
-}
-
-/// Branch comparison, shared by `Cpu::exec` and the micro-op engine.
-#[inline]
-fn branch_cond(kind: BranchKind, a: u64, b: u64) -> bool {
-    match kind {
-        BranchKind::Beq => a == b,
-        BranchKind::Bne => a != b,
-        BranchKind::Blt => (a as i64) < (b as i64),
-        BranchKind::Bge => (a as i64) >= (b as i64),
-        BranchKind::Bltu => a < b,
-        BranchKind::Bgeu => a >= b,
-    }
-}
-
-/// Register-immediate ALU semantics, shared by `Cpu::exec` and the
-/// micro-op engine (the immediate's sign/shift handling is kind-specific,
-/// so it stays here rather than being pre-expanded at lowering time).
-#[inline]
-pub(crate) fn exec_opimm(kind: OpImmKind, a: u64, imm: i32) -> u64 {
-    let i = imm as i64 as u64;
-    match kind {
-        OpImmKind::Addi => a.wrapping_add(i),
-        OpImmKind::Slti => ((a as i64) < (i as i64)) as u64,
-        OpImmKind::Sltiu => (a < i) as u64,
-        OpImmKind::Xori => a ^ i,
-        OpImmKind::Ori => a | i,
-        OpImmKind::Andi => a & i,
-        OpImmKind::Slli => a << (imm & 63),
-        OpImmKind::Srli => a >> (imm & 63),
-        OpImmKind::Srai => ((a as i64) >> (imm & 63)) as u64,
-        OpImmKind::Rori => a.rotate_right((imm & 63) as u32),
-        OpImmKind::Addiw => (a.wrapping_add(i) as i32) as i64 as u64,
-        OpImmKind::Slliw => (((a as u32) << (imm & 31)) as i32) as i64 as u64,
-        OpImmKind::Srliw => (((a as u32) >> (imm & 31)) as i32) as i64 as u64,
-        OpImmKind::Sraiw => ((a as i32) >> (imm & 31)) as i64 as u64,
-    }
-}
-
-/// Single-source bit-manipulation semantics, shared by `Cpu::exec` and the
-/// micro-op engine.
-#[inline]
-pub(crate) fn exec_unary(kind: UnaryKind, a: u64) -> u64 {
-    match kind {
-        UnaryKind::Clz => a.leading_zeros() as u64,
-        UnaryKind::Ctz => a.trailing_zeros() as u64,
-        UnaryKind::Cpop => a.count_ones() as u64,
-        UnaryKind::SextB => a as u8 as i8 as i64 as u64,
-        UnaryKind::SextH => a as u16 as i16 as i64 as u64,
-        UnaryKind::ZextH => a as u16 as u64,
-        UnaryKind::Rev8 => a.swap_bytes(),
-    }
-}
-
-pub(crate) fn exec_op(kind: OpKind, a: u64, b: u64) -> u64 {
-    match kind {
-        OpKind::Add => a.wrapping_add(b),
-        OpKind::Sub => a.wrapping_sub(b),
-        OpKind::Sll => a << (b & 63),
-        OpKind::Slt => ((a as i64) < (b as i64)) as u64,
-        OpKind::Sltu => (a < b) as u64,
-        OpKind::Xor => a ^ b,
-        OpKind::Srl => a >> (b & 63),
-        OpKind::Sra => ((a as i64) >> (b & 63)) as u64,
-        OpKind::Or => a | b,
-        OpKind::And => a & b,
-        OpKind::Addw => (a.wrapping_add(b) as i32) as i64 as u64,
-        OpKind::Subw => (a.wrapping_sub(b) as i32) as i64 as u64,
-        OpKind::Sllw => (((a as u32) << (b & 31)) as i32) as i64 as u64,
-        OpKind::Srlw => (((a as u32) >> (b & 31)) as i32) as i64 as u64,
-        OpKind::Sraw => ((a as i32) >> (b & 31)) as i64 as u64,
-        OpKind::Mul => a.wrapping_mul(b),
-        OpKind::Mulh => (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64,
-        OpKind::Mulhsu => (((a as i64 as i128) * (b as u128 as i128)) >> 64) as u64,
-        OpKind::Mulhu => (((a as u128) * (b as u128)) >> 64) as u64,
-        OpKind::Div => {
-            let (a, b) = (a as i64, b as i64);
-            if b == 0 {
-                u64::MAX
-            } else if a == i64::MIN && b == -1 {
-                a as u64
-            } else {
-                (a / b) as u64
-            }
-        }
-        OpKind::Divu => a.checked_div(b).unwrap_or(u64::MAX),
-        OpKind::Rem => {
-            let (a, b) = (a as i64, b as i64);
-            if b == 0 {
-                a as u64
-            } else if a == i64::MIN && b == -1 {
-                0
-            } else {
-                (a % b) as u64
-            }
-        }
-        OpKind::Remu => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        OpKind::Mulw => ((a as i32).wrapping_mul(b as i32)) as i64 as u64,
-        OpKind::Divw => {
-            let (a, b) = (a as i32, b as i32);
-            let v = if b == 0 {
-                -1
-            } else if a == i32::MIN && b == -1 {
-                a
-            } else {
-                a / b
-            };
-            v as i64 as u64
-        }
-        OpKind::Divuw => {
-            let (a, b) = (a as u32, b as u32);
-            let v = a.checked_div(b).unwrap_or(u32::MAX);
-            v as i32 as i64 as u64
-        }
-        OpKind::Remw => {
-            let (a, b) = (a as i32, b as i32);
-            let v = if b == 0 {
-                a
-            } else if a == i32::MIN && b == -1 {
-                0
-            } else {
-                a % b
-            };
-            v as i64 as u64
-        }
-        OpKind::Remuw => {
-            let (a, b) = (a as u32, b as u32);
-            let v = if b == 0 { a } else { a % b };
-            v as i32 as i64 as u64
-        }
-        OpKind::Sh1add => (a << 1).wrapping_add(b),
-        OpKind::Sh2add => (a << 2).wrapping_add(b),
-        OpKind::Sh3add => (a << 3).wrapping_add(b),
-        OpKind::AddUw => (a as u32 as u64).wrapping_add(b),
-        OpKind::Andn => a & !b,
-        OpKind::Orn => a | !b,
-        OpKind::Xnor => !(a ^ b),
-        OpKind::Min => (a as i64).min(b as i64) as u64,
-        OpKind::Minu => a.min(b),
-        OpKind::Max => (a as i64).max(b as i64) as u64,
-        OpKind::Maxu => a.max(b),
-        OpKind::Rol => a.rotate_left((b & 63) as u32),
-        OpKind::Ror => a.rotate_right((b & 63) as u32),
-    }
 }
 
 fn exec_fop(

@@ -550,7 +550,7 @@ impl Compiler {
                 a.setcc_zx(if kind == OpKind::Slt { Cc::L } else { Cc::B }, RAX);
             }
             // x86 variable shifts mask cl by 63 (64-bit) / 31 (32-bit),
-            // exactly the `b & 63` / `b & 31` in `exec_op`.
+            // exactly the `b & 63` / `b & 31` in `OpKind::eval`.
             OpKind::Sll | OpKind::Srl | OpKind::Sra => {
                 a.mov_rm(RAX, R13, xoff(rs1));
                 a.mov_rm(RCX, R13, xoff(rs2));

@@ -80,7 +80,7 @@ use chimera_isa::{FpWidth, LoadKind, StoreKind};
 use chimera_trace::TraceEvent;
 
 use crate::bbcache::Block;
-use crate::cpu::{block_intact, exec_op, exec_opimm, exec_unary, Cpu, Trap};
+use crate::cpu::{block_intact, Cpu, Trap};
 use crate::mem::{MemFault, Memory};
 use crate::uop::{MicroOp, Uop};
 
@@ -525,7 +525,7 @@ unsafe extern "C" fn jit_opimm(ctx: *mut JitCtx, a: u64, op_idx: u64) -> u64 {
     let MicroOp::OpImm { kind, imm, .. } = unsafe { ctx_uop(ctx, op_idx) }.op else {
         unreachable!("opimm helper compiled against a non-opimm uop");
     };
-    exec_opimm(kind, a, imm)
+    kind.eval(a, imm)
 }
 
 /// Cold register-register ALU call-out (kinds without a template).
@@ -538,7 +538,7 @@ unsafe extern "C" fn jit_op(ctx: *mut JitCtx, a: u64, b: u64, op_idx: u64) -> u6
     let MicroOp::Op { kind, .. } = unsafe { ctx_uop(ctx, op_idx) }.op else {
         unreachable!("op helper compiled against a non-op uop");
     };
-    exec_op(kind, a, b)
+    kind.eval(a, b)
 }
 
 /// Unary bit-manipulation call-out.
@@ -551,7 +551,7 @@ unsafe extern "C" fn jit_unary(ctx: *mut JitCtx, a: u64, op_idx: u64) -> u64 {
     let MicroOp::Unary { kind, .. } = unsafe { ctx_uop(ctx, op_idx) }.op else {
         unreachable!("unary helper compiled against a non-unary uop");
     };
-    exec_unary(kind, a)
+    kind.eval(a)
 }
 
 /// Dispatcher entries of a valid cached block before its body is

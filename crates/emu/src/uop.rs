@@ -13,8 +13,8 @@
 //!
 //! Lowering is *specialization, not reimplementation*: the hot scalar
 //! operations get dedicated variants whose execution mirrors `Cpu::exec`
-//! line for line (sharing the same `exec_op`/`exec_opimm`/`exec_unary`/
-//! `branch_cond` helpers), and everything else — vector, FP arithmetic,
+//! line for line (sharing the ISA tables' `Kind::eval` value functions),
+//! and everything else — vector, FP arithmetic,
 //! converts, `ecall`/`ebreak` — falls back to [`MicroOp::Generic`], which
 //! delegates to `Cpu::exec` itself. The differential suite asserts the
 //! engine is bit-identical to the interpreter, including `ExecStats` cycle
@@ -107,7 +107,7 @@ pub enum MicroOp {
     /// `addi rd, rs1, imm` — the single most common instruction in
     /// compiled RISC-V code, flattened so it dispatches in one match
     /// instead of two (the [`MicroOp`] match plus the kind match inside
-    /// `exec_opimm`).
+    /// `OpImmKind::eval`).
     Addi {
         /// Destination register.
         rd: XReg,
@@ -170,7 +170,7 @@ pub enum MicroOp {
         /// Right source register.
         rs2: XReg,
     },
-    /// Register-immediate ALU op (executes via the shared `exec_opimm`).
+    /// Register-immediate ALU op (executes via the shared `OpImmKind::eval`).
     /// The hottest kinds are flattened into dedicated variants above; this
     /// is the catch-all for the rest.
     OpImm {
@@ -181,10 +181,10 @@ pub enum MicroOp {
         /// Source register.
         rs1: XReg,
         /// Raw immediate (sign/shift handling is kind-specific, so it stays
-        /// in the shared helper).
+        /// in the shared value function).
         imm: i32,
     },
-    /// Register-register ALU op (executes via the shared `exec_op`).
+    /// Register-register ALU op (executes via the shared `OpKind::eval`).
     Op {
         /// Operation kind.
         kind: OpKind,
@@ -195,7 +195,7 @@ pub enum MicroOp {
         /// Right source register.
         rs2: XReg,
     },
-    /// Single-source bit-manipulation op (shared `exec_unary`).
+    /// Single-source bit-manipulation op (shared `UnaryKind::eval`).
     Unary {
         /// Operation kind.
         kind: UnaryKind,
@@ -299,8 +299,9 @@ pub fn lower(ci: &CachedInst, cost: &CostModel) -> Uop {
             offset,
         },
         // The hottest ALU kinds collapse to single-dispatch variants whose
-        // semantics mirror `exec_opimm`/`exec_op` exactly (shift amounts
-        // pre-masked the same way the shared helpers mask them).
+        // semantics mirror the `OpImmKind::eval` / `OpKind::eval` rows
+        // exactly (shift amounts pre-masked the same way the rows mask
+        // them).
         Inst::OpImm {
             kind: OpImmKind::Addi,
             rd,

@@ -12,6 +12,7 @@
 
 use crate::bits::*;
 use crate::inst::*;
+use crate::kinds::*;
 use crate::reg::{FReg, VReg, XReg};
 use core::fmt;
 
@@ -105,21 +106,23 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
     let funct3 = field(word, 12, 3);
     let funct7 = field(word, 25, 7);
     let err = Err(DecodeError::Unrecognized(word));
+    // The Zbb single-operand rows sit in both `OP-IMM` and `OP-32` space.
+    let unary = || UnaryKind::from_encoding((opcode, funct3, funct7, field(word, 20, 5)));
 
     Ok(match opcode {
-        0b0110111 => Inst::Lui {
+        OP_LUI => Inst::Lui {
             rd: rd(),
             imm20: utype_imm_of(word),
         },
-        0b0010111 => Inst::Auipc {
+        OP_AUIPC => Inst::Auipc {
             rd: rd(),
             imm20: utype_imm_of(word),
         },
-        0b1101111 => Inst::Jal {
+        OP_JAL => Inst::Jal {
             rd: rd(),
             offset: jtype_imm_of(word),
         },
-        0b1100111 => {
+        OP_JALR => {
             if funct3 != 0 {
                 return err;
             }
@@ -129,15 +132,9 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 offset: itype_imm_of(word),
             }
         }
-        0b1100011 => {
-            let kind = match funct3 {
-                0b000 => BranchKind::Beq,
-                0b001 => BranchKind::Bne,
-                0b100 => BranchKind::Blt,
-                0b101 => BranchKind::Bge,
-                0b110 => BranchKind::Bltu,
-                0b111 => BranchKind::Bgeu,
-                _ => return err,
+        OP_BRANCH => {
+            let Some(kind) = BranchKind::from_encoding(funct3) else {
+                return err;
             };
             Inst::Branch {
                 kind,
@@ -146,16 +143,9 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 offset: btype_imm_of(word),
             }
         }
-        0b0000011 => {
-            let kind = match funct3 {
-                0b000 => LoadKind::Lb,
-                0b001 => LoadKind::Lh,
-                0b010 => LoadKind::Lw,
-                0b011 => LoadKind::Ld,
-                0b100 => LoadKind::Lbu,
-                0b101 => LoadKind::Lhu,
-                0b110 => LoadKind::Lwu,
-                _ => return err,
+        OP_LOAD => {
+            let Some(kind) = LoadKind::from_encoding(funct3) else {
+                return err;
             };
             Inst::Load {
                 kind,
@@ -164,13 +154,9 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 offset: itype_imm_of(word),
             }
         }
-        0b0100011 => {
-            let kind = match funct3 {
-                0b000 => StoreKind::Sb,
-                0b001 => StoreKind::Sh,
-                0b010 => StoreKind::Sw,
-                0b011 => StoreKind::Sd,
-                _ => return err,
+        OP_STORE => {
+            let Some(kind) = StoreKind::from_encoding(funct3) else {
+                return err;
             };
             Inst::Store {
                 kind,
@@ -179,76 +165,23 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 offset: stype_imm_of(word),
             }
         }
-        0b0010011 => {
-            let imm = itype_imm_of(word);
-            let kind = match funct3 {
-                0b000 => OpImmKind::Addi,
-                0b010 => OpImmKind::Slti,
-                0b011 => OpImmKind::Sltiu,
-                0b100 => OpImmKind::Xori,
-                0b110 => OpImmKind::Ori,
-                0b111 => OpImmKind::Andi,
-                0b001 => {
-                    let funct6 = field(word, 26, 6);
-                    let sel = field(word, 20, 5);
-                    if funct6 == 0b000000 {
-                        return Ok(Inst::OpImm {
-                            kind: OpImmKind::Slli,
-                            rd: rd(),
-                            rs1: rs1(),
-                            imm: field(word, 20, 6) as i32,
-                        });
-                    }
-                    if funct7 == 0b0110000 {
-                        let kind = match sel {
-                            0b00000 => UnaryKind::Clz,
-                            0b00001 => UnaryKind::Ctz,
-                            0b00010 => UnaryKind::Cpop,
-                            0b00100 => UnaryKind::SextB,
-                            0b00101 => UnaryKind::SextH,
-                            _ => return err,
-                        };
-                        return Ok(Inst::Unary {
-                            kind,
-                            rd: rd(),
-                            rs1: rs1(),
-                        });
-                    }
-                    return err;
-                }
-                0b101 => {
-                    let funct6 = field(word, 26, 6);
-                    let shamt = field(word, 20, 6) as i32;
-                    return match funct6 {
-                        0b000000 => Ok(Inst::OpImm {
-                            kind: OpImmKind::Srli,
-                            rd: rd(),
-                            rs1: rs1(),
-                            imm: shamt,
-                        }),
-                        0b010000 => Ok(Inst::OpImm {
-                            kind: OpImmKind::Srai,
-                            rd: rd(),
-                            rs1: rs1(),
-                            imm: shamt,
-                        }),
-                        0b011000 => Ok(Inst::OpImm {
-                            kind: OpImmKind::Rori,
-                            rd: rd(),
-                            rs1: rs1(),
-                            imm: shamt,
-                        }),
-                        0b011010 if field(word, 20, 5) == 0b11000 && funct7 == 0b0110101 => {
-                            Ok(Inst::Unary {
-                                kind: UnaryKind::Rev8,
-                                rd: rd(),
-                                rs1: rs1(),
-                            })
-                        }
-                        _ => err,
-                    };
-                }
-                _ => return err,
+        OP_IMM | OP_IMM_32 => {
+            let imm12 = field(word, 20, 12);
+            if let Some(kind) = unary() {
+                return Ok(Inst::Unary {
+                    kind,
+                    rd: rd(),
+                    rs1: rs1(),
+                });
+            }
+            // A shift row is keyed on the immediate bits above its shift
+            // amount, every other row on zero there.
+            let (above_shamt, imm) = match shamt_bits(opcode, funct3) {
+                Some(bits) => (imm12 >> bits, field(word, 20, bits) as i32),
+                None => (0, itype_imm_of(word)),
+            };
+            let Some(kind) = OpImmKind::from_encoding((opcode, funct3, above_shamt)) else {
+                return err;
             };
             Inst::OpImm {
                 kind,
@@ -257,100 +190,31 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 imm,
             }
         }
-        0b0011011 => match funct3 {
-            0b000 => Inst::OpImm {
-                kind: OpImmKind::Addiw,
-                rd: rd(),
-                rs1: rs1(),
-                imm: itype_imm_of(word),
-            },
-            0b001 if funct7 == 0b0000000 => Inst::OpImm {
-                kind: OpImmKind::Slliw,
-                rd: rd(),
-                rs1: rs1(),
-                imm: field(word, 20, 5) as i32,
-            },
-            0b101 if funct7 == 0b0000000 => Inst::OpImm {
-                kind: OpImmKind::Srliw,
-                rd: rd(),
-                rs1: rs1(),
-                imm: field(word, 20, 5) as i32,
-            },
-            0b101 if funct7 == 0b0100000 => Inst::OpImm {
-                kind: OpImmKind::Sraiw,
-                rd: rd(),
-                rs1: rs1(),
-                imm: field(word, 20, 5) as i32,
-            },
-            _ => return err,
-        },
-        0b0110011 | 0b0111011 => {
-            let is32 = opcode == 0b0111011;
-            let kind = match (is32, funct7, funct3) {
-                (false, 0b0000000, 0b000) => OpKind::Add,
-                (false, 0b0100000, 0b000) => OpKind::Sub,
-                (false, 0b0000000, 0b001) => OpKind::Sll,
-                (false, 0b0000000, 0b010) => OpKind::Slt,
-                (false, 0b0000000, 0b011) => OpKind::Sltu,
-                (false, 0b0000000, 0b100) => OpKind::Xor,
-                (false, 0b0000000, 0b101) => OpKind::Srl,
-                (false, 0b0100000, 0b101) => OpKind::Sra,
-                (false, 0b0000000, 0b110) => OpKind::Or,
-                (false, 0b0000000, 0b111) => OpKind::And,
-                (false, 0b0000001, 0b000) => OpKind::Mul,
-                (false, 0b0000001, 0b001) => OpKind::Mulh,
-                (false, 0b0000001, 0b010) => OpKind::Mulhsu,
-                (false, 0b0000001, 0b011) => OpKind::Mulhu,
-                (false, 0b0000001, 0b100) => OpKind::Div,
-                (false, 0b0000001, 0b101) => OpKind::Divu,
-                (false, 0b0000001, 0b110) => OpKind::Rem,
-                (false, 0b0000001, 0b111) => OpKind::Remu,
-                (false, 0b0010000, 0b010) => OpKind::Sh1add,
-                (false, 0b0010000, 0b100) => OpKind::Sh2add,
-                (false, 0b0010000, 0b110) => OpKind::Sh3add,
-                (false, 0b0100000, 0b111) => OpKind::Andn,
-                (false, 0b0100000, 0b110) => OpKind::Orn,
-                (false, 0b0100000, 0b100) => OpKind::Xnor,
-                (false, 0b0000101, 0b100) => OpKind::Min,
-                (false, 0b0000101, 0b101) => OpKind::Minu,
-                (false, 0b0000101, 0b110) => OpKind::Max,
-                (false, 0b0000101, 0b111) => OpKind::Maxu,
-                (false, 0b0110000, 0b001) => OpKind::Rol,
-                (false, 0b0110000, 0b101) => OpKind::Ror,
-                (true, 0b0000000, 0b000) => OpKind::Addw,
-                (true, 0b0100000, 0b000) => OpKind::Subw,
-                (true, 0b0000000, 0b001) => OpKind::Sllw,
-                (true, 0b0000000, 0b101) => OpKind::Srlw,
-                (true, 0b0100000, 0b101) => OpKind::Sraw,
-                (true, 0b0000001, 0b000) => OpKind::Mulw,
-                (true, 0b0000001, 0b100) => OpKind::Divw,
-                (true, 0b0000001, 0b101) => OpKind::Divuw,
-                (true, 0b0000001, 0b110) => OpKind::Remw,
-                (true, 0b0000001, 0b111) => OpKind::Remuw,
-                (true, 0b0000100, 0b000) => OpKind::AddUw,
-                (true, 0b0000100, 0b100) if field(word, 20, 5) == 0 => {
-                    return Ok(Inst::Unary {
-                        kind: UnaryKind::ZextH,
-                        rd: rd(),
-                        rs1: rs1(),
-                    });
+        OP | OP_32 => {
+            if let Some(kind) = OpKind::from_encoding((opcode, funct3, funct7)) {
+                Inst::Op {
+                    kind,
+                    rd: rd(),
+                    rs1: rs1(),
+                    rs2: rs2(),
                 }
-                _ => return err,
-            };
-            Inst::Op {
-                kind,
-                rd: rd(),
-                rs1: rs1(),
-                rs2: rs2(),
+            } else if let Some(kind) = unary() {
+                Inst::Unary {
+                    kind,
+                    rd: rd(),
+                    rs1: rs1(),
+                }
+            } else {
+                return err;
             }
         }
-        0b0001111 => Inst::Fence,
-        0b1110011 => match word >> 7 {
+        OP_MISC_MEM => Inst::Fence,
+        OP_SYSTEM => match word >> 7 {
             0 => Inst::Ecall,
             0x2000 => Inst::Ebreak,
             _ => return err,
         },
-        0b0000111 => {
+        OP_LOAD_FP => {
             // flw/fld or vector unit-stride load.
             match funct3 {
                 0b010 | 0b011 => Inst::FLoad {
@@ -383,7 +247,7 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 _ => return err,
             }
         }
-        0b0100111 => {
+        OP_STORE_FP => {
             match funct3 {
                 0b010 | 0b011 => Inst::FStore {
                     width: if funct3 == 0b010 {
@@ -416,13 +280,11 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 _ => return err,
             }
         }
-        0b1010011 => return decode_opfp(word),
-        0b1000011 | 0b1000111 | 0b1001011 | 0b1001111 => {
-            let kind = match opcode {
-                0b1000011 => FMaKind::Madd,
-                0b1000111 => FMaKind::Msub,
-                0b1001011 => FMaKind::Nmsub,
-                _ => FMaKind::Nmadd,
+        OP_FP => return decode_opfp(word),
+        OP_V => return decode_opv(word),
+        _ => {
+            let Some(kind) = FMaKind::from_encoding(opcode) else {
+                return err;
             };
             let width = match field(word, 25, 2) {
                 0b00 => FpWidth::S,
@@ -438,8 +300,6 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 frs3: fr(word, 27),
             }
         }
-        0b1010111 => return decode_opv(word),
-        _ => return err,
     })
 }
 
@@ -460,64 +320,20 @@ fn decode_opfp(word: u32) -> Result<Inst, DecodeError> {
     let frs2 = fr(word, 20);
     let sel = field(word, 20, 5);
 
+    // A row whose `funct3` is a rounding-mode field accepts any value
+    // there (the canonical form is the dynamic mode).
+    if let Some(kind) =
+        FOpKind::from_encoding((funct5, funct3)).or(FOpKind::from_encoding((funct5, RM_DYN)))
+    {
+        return Ok(Inst::FOp {
+            kind,
+            width,
+            frd,
+            frs1,
+            frs2,
+        });
+    }
     Ok(match funct5 {
-        0b00000 => Inst::FOp {
-            kind: FOpKind::Add,
-            width,
-            frd,
-            frs1,
-            frs2,
-        },
-        0b00001 => Inst::FOp {
-            kind: FOpKind::Sub,
-            width,
-            frd,
-            frs1,
-            frs2,
-        },
-        0b00010 => Inst::FOp {
-            kind: FOpKind::Mul,
-            width,
-            frd,
-            frs1,
-            frs2,
-        },
-        0b00011 => Inst::FOp {
-            kind: FOpKind::Div,
-            width,
-            frd,
-            frs1,
-            frs2,
-        },
-        0b00100 => {
-            let kind = match funct3 {
-                0b000 => FOpKind::SgnJ,
-                0b001 => FOpKind::SgnJN,
-                0b010 => FOpKind::SgnJX,
-                _ => return err,
-            };
-            Inst::FOp {
-                kind,
-                width,
-                frd,
-                frs1,
-                frs2,
-            }
-        }
-        0b00101 => {
-            let kind = match funct3 {
-                0b000 => FOpKind::Min,
-                0b001 => FOpKind::Max,
-                _ => return err,
-            };
-            Inst::FOp {
-                kind,
-                width,
-                frd,
-                frs1,
-                frs2,
-            }
-        }
         0b01000 => {
             // fcvt between widths.
             match (width, sel) {
@@ -535,11 +351,8 @@ fn decode_opfp(word: u32) -> Result<Inst, DecodeError> {
             }
         }
         0b10100 => {
-            let kind = match funct3 {
-                0b000 => FCmpKind::Fle,
-                0b001 => FCmpKind::Flt,
-                0b010 => FCmpKind::Feq,
-                _ => return err,
+            let Some(kind) = FCmpKind::from_encoding(funct3) else {
+                return err;
             };
             Inst::FCmp {
                 kind,
@@ -624,39 +437,22 @@ fn decode_opv(word: u32) -> Result<Inst, DecodeError> {
     }
 
     let src = match funct3 {
-        0b000..=0b010 => VSrc::V(vr(word, 15)),
-        0b100 | 0b110 => VSrc::X(xr(word, 15)),
+        OPI | OPF | OPM => VSrc::V(vr(word, 15)),
+        OPIVI => VSrc::I(sext(field(word, 15, 5), 5) as i8),
         0b101 => VSrc::F(fr(word, 15)),
-        0b011 => VSrc::I(sext(field(word, 15, 5), 5) as i8),
+        _ => VSrc::X(xr(word, 15)),
+    };
+    // The scalar forms set bit 2 of their category's `.vv` funct3; the
+    // immediate form belongs to the integer category.
+    let category = if funct3 == OPIVI { OPI } else { funct3 & 0b011 };
+    let op = match VArithOp::from_encoding((funct6, category)) {
+        Some(op) if op.allows(src) => op,
         _ => return err,
     };
-
-    let op = match (funct6, funct3) {
-        (0b000000, 0b000 | 0b011 | 0b100) => VArithOp::Vadd,
-        (0b000010, 0b000 | 0b100) => VArithOp::Vsub,
-        (0b000101, 0b000 | 0b100) => VArithOp::Vmin,
-        (0b000111, 0b000 | 0b100) => VArithOp::Vmax,
-        (0b001001, 0b000 | 0b011 | 0b100) => VArithOp::Vand,
-        (0b001010, 0b000 | 0b011 | 0b100) => VArithOp::Vor,
-        (0b001011, 0b000 | 0b011 | 0b100) => VArithOp::Vxor,
-        (0b010111, 0b000 | 0b011 | 0b100) => {
-            // vmv.v.* requires vs2 = v0 field = 0.
-            if vs2.index() != 0 {
-                return err;
-            }
-            VArithOp::Vmv
-        }
-        (0b100101, 0b010 | 0b110) => VArithOp::Vmul,
-        (0b101101, 0b010 | 0b110) => VArithOp::Vmacc,
-        (0b000000, 0b010) => VArithOp::Vredsum,
-        (0b000000, 0b001 | 0b101) => VArithOp::Vfadd,
-        (0b000010, 0b001 | 0b101) => VArithOp::Vfsub,
-        (0b100100, 0b001 | 0b101) => VArithOp::Vfmul,
-        (0b100000, 0b001 | 0b101) => VArithOp::Vfdiv,
-        (0b101100, 0b001 | 0b101) => VArithOp::Vfmacc,
-        (0b000001, 0b001) => VArithOp::Vfredusum,
-        _ => return err,
-    };
+    // vmv.v.* requires vs2 = v0 field = 0.
+    if op == VArithOp::Vmv && vs2.index() != 0 {
+        return err;
+    }
     Ok(Inst::VArith { op, vd, vs2, src })
 }
 

@@ -8,6 +8,7 @@
 
 use crate::bits::*;
 use crate::inst::*;
+use crate::kinds::*;
 use crate::reg::XReg;
 use core::fmt;
 
@@ -45,31 +46,6 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-const OP_LUI: u32 = 0b0110111;
-const OP_AUIPC: u32 = 0b0010111;
-const OP_JAL: u32 = 0b1101111;
-const OP_JALR: u32 = 0b1100111;
-const OP_BRANCH: u32 = 0b1100011;
-const OP_LOAD: u32 = 0b0000011;
-const OP_STORE: u32 = 0b0100011;
-const OP_OPIMM: u32 = 0b0010011;
-const OP_OPIMM32: u32 = 0b0011011;
-const OP_OP: u32 = 0b0110011;
-const OP_OP32: u32 = 0b0111011;
-const OP_MISCMEM: u32 = 0b0001111;
-const OP_SYSTEM: u32 = 0b1110011;
-const OP_LOADFP: u32 = 0b0000111;
-const OP_STOREFP: u32 = 0b0100111;
-const OP_OPFP: u32 = 0b1010011;
-const OP_FMADD: u32 = 0b1000011;
-const OP_FMSUB: u32 = 0b1000111;
-const OP_FNMSUB: u32 = 0b1001011;
-const OP_FNMADD: u32 = 0b1001111;
-const OP_V: u32 = 0b1010111;
-
-/// Dynamic rounding mode.
-const RM_DYN: u32 = 0b111;
-
 fn r(opcode: u32, funct3: u32, funct7: u32, rd: u32, rs1: u32, rs2: u32) -> u32 {
     opcode | (rd << 7) | (funct3 << 12) | (rs1 << 15) | (rs2 << 20) | (funct7 << 25)
 }
@@ -89,108 +65,12 @@ fn check_i12(what: &'static str, v: i32) -> Result<(), EncodeError> {
     }
 }
 
-fn op_funct(kind: OpKind) -> (u32, u32, u32) {
-    // (opcode, funct3, funct7)
-    match kind {
-        OpKind::Add => (OP_OP, 0b000, 0b0000000),
-        OpKind::Sub => (OP_OP, 0b000, 0b0100000),
-        OpKind::Sll => (OP_OP, 0b001, 0b0000000),
-        OpKind::Slt => (OP_OP, 0b010, 0b0000000),
-        OpKind::Sltu => (OP_OP, 0b011, 0b0000000),
-        OpKind::Xor => (OP_OP, 0b100, 0b0000000),
-        OpKind::Srl => (OP_OP, 0b101, 0b0000000),
-        OpKind::Sra => (OP_OP, 0b101, 0b0100000),
-        OpKind::Or => (OP_OP, 0b110, 0b0000000),
-        OpKind::And => (OP_OP, 0b111, 0b0000000),
-        OpKind::Addw => (OP_OP32, 0b000, 0b0000000),
-        OpKind::Subw => (OP_OP32, 0b000, 0b0100000),
-        OpKind::Sllw => (OP_OP32, 0b001, 0b0000000),
-        OpKind::Srlw => (OP_OP32, 0b101, 0b0000000),
-        OpKind::Sraw => (OP_OP32, 0b101, 0b0100000),
-        OpKind::Mul => (OP_OP, 0b000, 0b0000001),
-        OpKind::Mulh => (OP_OP, 0b001, 0b0000001),
-        OpKind::Mulhsu => (OP_OP, 0b010, 0b0000001),
-        OpKind::Mulhu => (OP_OP, 0b011, 0b0000001),
-        OpKind::Div => (OP_OP, 0b100, 0b0000001),
-        OpKind::Divu => (OP_OP, 0b101, 0b0000001),
-        OpKind::Rem => (OP_OP, 0b110, 0b0000001),
-        OpKind::Remu => (OP_OP, 0b111, 0b0000001),
-        OpKind::Mulw => (OP_OP32, 0b000, 0b0000001),
-        OpKind::Divw => (OP_OP32, 0b100, 0b0000001),
-        OpKind::Divuw => (OP_OP32, 0b101, 0b0000001),
-        OpKind::Remw => (OP_OP32, 0b110, 0b0000001),
-        OpKind::Remuw => (OP_OP32, 0b111, 0b0000001),
-        OpKind::Sh1add => (OP_OP, 0b010, 0b0010000),
-        OpKind::Sh2add => (OP_OP, 0b100, 0b0010000),
-        OpKind::Sh3add => (OP_OP, 0b110, 0b0010000),
-        OpKind::AddUw => (OP_OP32, 0b000, 0b0000100),
-        OpKind::Andn => (OP_OP, 0b111, 0b0100000),
-        OpKind::Orn => (OP_OP, 0b110, 0b0100000),
-        OpKind::Xnor => (OP_OP, 0b100, 0b0100000),
-        OpKind::Min => (OP_OP, 0b100, 0b0000101),
-        OpKind::Minu => (OP_OP, 0b101, 0b0000101),
-        OpKind::Max => (OP_OP, 0b110, 0b0000101),
-        OpKind::Maxu => (OP_OP, 0b111, 0b0000101),
-        OpKind::Rol => (OP_OP, 0b001, 0b0110000),
-        OpKind::Ror => (OP_OP, 0b101, 0b0110000),
-    }
-}
-
-fn unary_selector(kind: UnaryKind) -> (u32, u32, u32, u32) {
-    // (opcode, funct3, funct7, rs2-selector)
-    match kind {
-        UnaryKind::Clz => (OP_OPIMM, 0b001, 0b0110000, 0b00000),
-        UnaryKind::Ctz => (OP_OPIMM, 0b001, 0b0110000, 0b00001),
-        UnaryKind::Cpop => (OP_OPIMM, 0b001, 0b0110000, 0b00010),
-        UnaryKind::SextB => (OP_OPIMM, 0b001, 0b0110000, 0b00100),
-        UnaryKind::SextH => (OP_OPIMM, 0b001, 0b0110000, 0b00101),
-        UnaryKind::ZextH => (OP_OP32, 0b100, 0b0000100, 0b00000),
-        UnaryKind::Rev8 => (OP_OPIMM, 0b101, 0b0110101, 0b11000),
-    }
-}
-
-fn fma_opcode(kind: FMaKind) -> u32 {
-    match kind {
-        FMaKind::Madd => OP_FMADD,
-        FMaKind::Msub => OP_FMSUB,
-        FMaKind::Nmsub => OP_FNMSUB,
-        FMaKind::Nmadd => OP_FNMADD,
-    }
-}
-
 fn int_width_sel(w: IntWidth, signed: bool) -> u32 {
     match (w, signed) {
         (IntWidth::W, true) => 0b00000,
         (IntWidth::W, false) => 0b00001,
         (IntWidth::L, true) => 0b00010,
         (IntWidth::L, false) => 0b00011,
-    }
-}
-
-/// The `funct6` and category (funct3 pair) for a vector arithmetic op.
-///
-/// Returns `(funct6, vv_funct3, vx_funct3)` where the funct3 values follow
-/// the RVV OP-V categories: OPIVV=000, OPFVV=001, OPMVV=010, OPIVI=011,
-/// OPIVX=100, OPFVF=101, OPMVX=110.
-fn varith_funct(op: VArithOp) -> (u32, u32, u32) {
-    match op {
-        VArithOp::Vadd => (0b000000, 0b000, 0b100),
-        VArithOp::Vsub => (0b000010, 0b000, 0b100),
-        VArithOp::Vmin => (0b000101, 0b000, 0b100),
-        VArithOp::Vmax => (0b000111, 0b000, 0b100),
-        VArithOp::Vand => (0b001001, 0b000, 0b100),
-        VArithOp::Vor => (0b001010, 0b000, 0b100),
-        VArithOp::Vxor => (0b001011, 0b000, 0b100),
-        VArithOp::Vmv => (0b010111, 0b000, 0b100),
-        VArithOp::Vmul => (0b100101, 0b010, 0b110),
-        VArithOp::Vmacc => (0b101101, 0b010, 0b110),
-        VArithOp::Vredsum => (0b000000, 0b010, 0b010),
-        VArithOp::Vfadd => (0b000000, 0b001, 0b101),
-        VArithOp::Vfsub => (0b000010, 0b001, 0b101),
-        VArithOp::Vfmul => (0b100100, 0b001, 0b101),
-        VArithOp::Vfdiv => (0b100000, 0b001, 0b101),
-        VArithOp::Vfmacc => (0b101100, 0b001, 0b101),
-        VArithOp::Vfredusum => (0b000001, 0b001, 0b101),
     }
 }
 
@@ -267,16 +147,8 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
                     value: offset as i64,
                 });
             }
-            let funct3 = match kind {
-                BranchKind::Beq => 0b000,
-                BranchKind::Bne => 0b001,
-                BranchKind::Blt => 0b100,
-                BranchKind::Bge => 0b101,
-                BranchKind::Bltu => 0b110,
-                BranchKind::Bgeu => 0b111,
-            };
             OP_BRANCH
-                | (funct3 << 12)
+                | (kind.encoding() << 12)
                 | ((rs1.index() as u32) << 15)
                 | ((rs2.index() as u32) << 20)
                 | btype_imm(offset)
@@ -288,18 +160,9 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             offset,
         } => {
             check_i12("load offset", offset)?;
-            let funct3 = match kind {
-                LoadKind::Lb => 0b000,
-                LoadKind::Lh => 0b001,
-                LoadKind::Lw => 0b010,
-                LoadKind::Ld => 0b011,
-                LoadKind::Lbu => 0b100,
-                LoadKind::Lhu => 0b101,
-                LoadKind::Lwu => 0b110,
-            };
             i(
                 OP_LOAD,
-                funct3,
+                kind.encoding(),
                 rd.index() as u32,
                 rs1.index() as u32,
                 offset,
@@ -312,90 +175,33 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             offset,
         } => {
             check_i12("store offset", offset)?;
-            let funct3 = match kind {
-                StoreKind::Sb => 0b000,
-                StoreKind::Sh => 0b001,
-                StoreKind::Sw => 0b010,
-                StoreKind::Sd => 0b011,
-            };
             OP_STORE
-                | (funct3 << 12)
+                | (kind.encoding() << 12)
                 | ((rs1.index() as u32) << 15)
                 | ((rs2.index() as u32) << 20)
                 | stype_imm(offset)
         }
         Inst::OpImm { kind, rd, rs1, imm } => {
-            let rd = rd.index() as u32;
-            let rs1 = rs1.index() as u32;
-            match kind {
-                OpImmKind::Addi => {
-                    check_i12("addi imm", imm)?;
-                    i(OP_OPIMM, 0b000, rd, rs1, imm)
-                }
-                OpImmKind::Slti => {
-                    check_i12("slti imm", imm)?;
-                    i(OP_OPIMM, 0b010, rd, rs1, imm)
-                }
-                OpImmKind::Sltiu => {
-                    check_i12("sltiu imm", imm)?;
-                    i(OP_OPIMM, 0b011, rd, rs1, imm)
-                }
-                OpImmKind::Xori => {
-                    check_i12("xori imm", imm)?;
-                    i(OP_OPIMM, 0b100, rd, rs1, imm)
-                }
-                OpImmKind::Ori => {
-                    check_i12("ori imm", imm)?;
-                    i(OP_OPIMM, 0b110, rd, rs1, imm)
-                }
-                OpImmKind::Andi => {
-                    check_i12("andi imm", imm)?;
-                    i(OP_OPIMM, 0b111, rd, rs1, imm)
-                }
-                OpImmKind::Slli | OpImmKind::Srli | OpImmKind::Srai | OpImmKind::Rori => {
-                    if !fits_unsigned(imm as i64, 6) {
+            let (opcode, funct3, above_shamt) = kind.encoding();
+            let imm12 = match kind.shamt_bits() {
+                Some(bits) => {
+                    if !fits_unsigned(imm as i64, bits) {
                         return Err(EncodeError::ImmOutOfRange {
-                            what: "shamt",
+                            what: kind.mnemonic(),
                             value: imm as i64,
                         });
                     }
-                    let (funct3, funct6) = match kind {
-                        OpImmKind::Slli => (0b001, 0b000000),
-                        OpImmKind::Srli => (0b101, 0b000000),
-                        OpImmKind::Srai => (0b101, 0b010000),
-                        OpImmKind::Rori => (0b101, 0b011000),
-                        _ => unreachable!(),
-                    };
-                    OP_OPIMM
-                        | (rd << 7)
-                        | (funct3 << 12)
-                        | (rs1 << 15)
-                        | ((imm as u32) << 20)
-                        | (funct6 << 26)
+                    (above_shamt << bits) as i32 | imm
                 }
-                OpImmKind::Addiw => {
-                    check_i12("addiw imm", imm)?;
-                    i(OP_OPIMM32, 0b000, rd, rs1, imm)
+                None => {
+                    check_i12(kind.mnemonic(), imm)?;
+                    imm
                 }
-                OpImmKind::Slliw | OpImmKind::Srliw | OpImmKind::Sraiw => {
-                    if !fits_unsigned(imm as i64, 5) {
-                        return Err(EncodeError::ImmOutOfRange {
-                            what: "shamt (32-bit)",
-                            value: imm as i64,
-                        });
-                    }
-                    let (funct3, funct7) = match kind {
-                        OpImmKind::Slliw => (0b001, 0b0000000),
-                        OpImmKind::Srliw => (0b101, 0b0000000),
-                        OpImmKind::Sraiw => (0b101, 0b0100000),
-                        _ => unreachable!(),
-                    };
-                    r(OP_OPIMM32, funct3, funct7, rd, rs1, imm as u32)
-                }
-            }
+            };
+            i(opcode, funct3, rd.index() as u32, rs1.index() as u32, imm12)
         }
         Inst::Op { kind, rd, rs1, rs2 } => {
-            let (opcode, funct3, funct7) = op_funct(kind);
+            let (opcode, funct3, funct7) = kind.encoding();
             r(
                 opcode,
                 funct3,
@@ -406,17 +212,17 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             )
         }
         Inst::Unary { kind, rd, rs1 } => {
-            let (opcode, funct3, funct7, sel) = unary_selector(kind);
+            let (opcode, funct3, funct7, selector) = kind.encoding();
             r(
                 opcode,
                 funct3,
                 funct7,
                 rd.index() as u32,
                 rs1.index() as u32,
-                sel,
+                selector,
             )
         }
-        Inst::Fence => OP_MISCMEM | (0x0ff << 20),
+        Inst::Fence => OP_MISC_MEM | (0x0ff << 20),
         Inst::Ecall => OP_SYSTEM,
         Inst::Ebreak => OP_SYSTEM | (1 << 20),
         Inst::FLoad {
@@ -431,7 +237,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
                 FpWidth::D => 0b011,
             };
             i(
-                OP_LOADFP,
+                OP_LOAD_FP,
                 funct3,
                 frd.index() as u32,
                 rs1.index() as u32,
@@ -449,7 +255,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
                 FpWidth::S => 0b010,
                 FpWidth::D => 0b011,
             };
-            OP_STOREFP
+            OP_STORE_FP
                 | (funct3 << 12)
                 | ((rs1.index() as u32) << 15)
                 | ((frs2.index() as u32) << 20)
@@ -462,22 +268,11 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             frs1,
             frs2,
         } => {
-            let fmt = width.fmt_bits();
-            let (funct5, funct3) = match kind {
-                FOpKind::Add => (0b00000, RM_DYN),
-                FOpKind::Sub => (0b00001, RM_DYN),
-                FOpKind::Mul => (0b00010, RM_DYN),
-                FOpKind::Div => (0b00011, RM_DYN),
-                FOpKind::SgnJ => (0b00100, 0b000),
-                FOpKind::SgnJN => (0b00100, 0b001),
-                FOpKind::SgnJX => (0b00100, 0b010),
-                FOpKind::Min => (0b00101, 0b000),
-                FOpKind::Max => (0b00101, 0b001),
-            };
+            let (funct5, funct3) = kind.encoding();
             r(
-                OP_OPFP,
+                OP_FP,
                 funct3,
-                (funct5 << 2) | fmt,
+                (funct5 << 2) | width.fmt_bits(),
                 frd.index() as u32,
                 frs1.index() as u32,
                 frs2.index() as u32,
@@ -489,23 +284,16 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rd,
             frs1,
             frs2,
-        } => {
-            let funct3 = match kind {
-                FCmpKind::Fle => 0b000,
-                FCmpKind::Flt => 0b001,
-                FCmpKind::Feq => 0b010,
-            };
-            r(
-                OP_OPFP,
-                funct3,
-                (0b10100 << 2) | width.fmt_bits(),
-                rd.index() as u32,
-                frs1.index() as u32,
-                frs2.index() as u32,
-            )
-        }
+        } => r(
+            OP_FP,
+            kind.encoding(),
+            (0b10100 << 2) | width.fmt_bits(),
+            rd.index() as u32,
+            frs1.index() as u32,
+            frs2.index() as u32,
+        ),
         Inst::FMvToX { width, rd, frs1 } => r(
-            OP_OPFP,
+            OP_FP,
             0b000,
             (0b11100 << 2) | width.fmt_bits(),
             rd.index() as u32,
@@ -513,7 +301,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             0,
         ),
         Inst::FMvToF { width, frd, rs1 } => r(
-            OP_OPFP,
+            OP_FP,
             0b000,
             (0b11110 << 2) | width.fmt_bits(),
             frd.index() as u32,
@@ -527,7 +315,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             frd,
             rs1,
         } => r(
-            OP_OPFP,
+            OP_FP,
             RM_DYN,
             (0b11010 << 2) | width.fmt_bits(),
             frd.index() as u32,
@@ -541,7 +329,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rd,
             frs1,
         } => r(
-            OP_OPFP,
+            OP_FP,
             RM_DYN,
             (0b11000 << 2) | width.fmt_bits(),
             rd.index() as u32,
@@ -555,7 +343,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
                 FpWidth::D => (FpWidth::D.fmt_bits(), 0b00000),
             };
             r(
-                OP_OPFP,
+                OP_FP,
                 RM_DYN,
                 (0b01000 << 2) | fmt,
                 frd.index() as u32,
@@ -571,7 +359,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             frs2,
             frs3,
         } => {
-            fma_opcode(kind)
+            kind.encoding()
                 | ((frd.index() as u32) << 7)
                 | (RM_DYN << 12)
                 | ((frs1.index() as u32) << 15)
@@ -587,25 +375,26 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
         }
         Inst::VLoad { eew, vd, rs1 } => {
             // nf=000, mew=0, mop=00 (unit stride), vm=1, lumop=00000.
-            OP_LOADFP
+            OP_LOAD_FP
                 | ((vd.index() as u32) << 7)
                 | (vmem_width(eew) << 12)
                 | ((rs1.index() as u32) << 15)
                 | (1 << 25)
         }
         Inst::VStore { eew, vs3, rs1 } => {
-            OP_STOREFP
+            OP_STORE_FP
                 | ((vs3.index() as u32) << 7)
                 | (vmem_width(eew) << 12)
                 | ((rs1.index() as u32) << 15)
                 | (1 << 25)
         }
         Inst::VArith { op, vd, vs2, src } => {
-            let (funct6, vv_f3, vx_f3) = varith_funct(op);
+            // The scalar forms set bit 2 of the category's `.vv` funct3.
+            let (funct6, category) = op.encoding();
             let (funct3, src_field) = match src {
-                VSrc::V(vs1) => (vv_f3, vs1.index() as u32),
-                VSrc::X(rs1) => (vx_f3, rs1.index() as u32),
-                VSrc::F(frs1) => (0b101, frs1.index() as u32),
+                VSrc::V(vs1) => (category, vs1.index() as u32),
+                VSrc::X(rs1) => (category | 0b100, rs1.index() as u32),
+                VSrc::F(frs1) => (OPF | 0b100, frs1.index() as u32),
                 VSrc::I(imm) => {
                     if !fits_signed(imm as i64, 5) {
                         return Err(EncodeError::ImmOutOfRange {
@@ -613,7 +402,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
                             value: imm as i64,
                         });
                     }
-                    (0b011, (imm as u32) & 0x1f)
+                    (OPIVI, (imm as u32) & 0x1f)
                 }
             };
             OP_V | ((vd.index() as u32) << 7)

@@ -12,394 +12,10 @@
 //!   (bytes for control-flow offsets and memory offsets; the raw 20-bit
 //!   field for `lui`/`auipc`).
 
+use crate::kinds::*;
 use crate::reg::{FReg, RegSet, VReg, XReg};
 use crate::{Ext, ExtSet};
 use core::fmt;
-
-/// Conditional branch comparison kinds (`beq`..`bgeu`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BranchKind {
-    /// Branch if equal.
-    Beq,
-    /// Branch if not equal.
-    Bne,
-    /// Branch if less than (signed).
-    Blt,
-    /// Branch if greater or equal (signed).
-    Bge,
-    /// Branch if less than (unsigned).
-    Bltu,
-    /// Branch if greater or equal (unsigned).
-    Bgeu,
-}
-
-impl BranchKind {
-    /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            BranchKind::Beq => "beq",
-            BranchKind::Bne => "bne",
-            BranchKind::Blt => "blt",
-            BranchKind::Bge => "bge",
-            BranchKind::Bltu => "bltu",
-            BranchKind::Bgeu => "bgeu",
-        }
-    }
-}
-
-/// Integer load kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LoadKind {
-    /// Load byte (sign-extended).
-    Lb,
-    /// Load halfword (sign-extended).
-    Lh,
-    /// Load word (sign-extended).
-    Lw,
-    /// Load doubleword.
-    Ld,
-    /// Load byte (zero-extended).
-    Lbu,
-    /// Load halfword (zero-extended).
-    Lhu,
-    /// Load word (zero-extended).
-    Lwu,
-}
-
-impl LoadKind {
-    /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            LoadKind::Lb => "lb",
-            LoadKind::Lh => "lh",
-            LoadKind::Lw => "lw",
-            LoadKind::Ld => "ld",
-            LoadKind::Lbu => "lbu",
-            LoadKind::Lhu => "lhu",
-            LoadKind::Lwu => "lwu",
-        }
-    }
-
-    /// Access size in bytes.
-    pub const fn size(self) -> u64 {
-        match self {
-            LoadKind::Lb | LoadKind::Lbu => 1,
-            LoadKind::Lh | LoadKind::Lhu => 2,
-            LoadKind::Lw | LoadKind::Lwu => 4,
-            LoadKind::Ld => 8,
-        }
-    }
-}
-
-/// Integer store kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StoreKind {
-    /// Store byte.
-    Sb,
-    /// Store halfword.
-    Sh,
-    /// Store word.
-    Sw,
-    /// Store doubleword.
-    Sd,
-}
-
-impl StoreKind {
-    /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            StoreKind::Sb => "sb",
-            StoreKind::Sh => "sh",
-            StoreKind::Sw => "sw",
-            StoreKind::Sd => "sd",
-        }
-    }
-
-    /// Access size in bytes.
-    pub const fn size(self) -> u64 {
-        match self {
-            StoreKind::Sb => 1,
-            StoreKind::Sh => 2,
-            StoreKind::Sw => 4,
-            StoreKind::Sd => 8,
-        }
-    }
-}
-
-/// Register-immediate ALU operations (`OP-IMM` and `OP-IMM-32`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpImmKind {
-    /// Add immediate.
-    Addi,
-    /// Set if less than immediate (signed).
-    Slti,
-    /// Set if less than immediate (unsigned).
-    Sltiu,
-    /// XOR immediate.
-    Xori,
-    /// OR immediate.
-    Ori,
-    /// AND immediate.
-    Andi,
-    /// Shift left logical immediate (6-bit shamt).
-    Slli,
-    /// Shift right logical immediate.
-    Srli,
-    /// Shift right arithmetic immediate.
-    Srai,
-    /// Add immediate, 32-bit result sign-extended.
-    Addiw,
-    /// Shift left logical immediate, 32-bit.
-    Slliw,
-    /// Shift right logical immediate, 32-bit.
-    Srliw,
-    /// Shift right arithmetic immediate, 32-bit.
-    Sraiw,
-    /// Rotate right immediate (Zbb).
-    Rori,
-}
-
-impl OpImmKind {
-    /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            OpImmKind::Addi => "addi",
-            OpImmKind::Slti => "slti",
-            OpImmKind::Sltiu => "sltiu",
-            OpImmKind::Xori => "xori",
-            OpImmKind::Ori => "ori",
-            OpImmKind::Andi => "andi",
-            OpImmKind::Slli => "slli",
-            OpImmKind::Srli => "srli",
-            OpImmKind::Srai => "srai",
-            OpImmKind::Addiw => "addiw",
-            OpImmKind::Slliw => "slliw",
-            OpImmKind::Srliw => "srliw",
-            OpImmKind::Sraiw => "sraiw",
-            OpImmKind::Rori => "rori",
-        }
-    }
-
-    /// Whether the immediate is a shift amount (6-bit for RV64, 5-bit for
-    /// the `*w` forms) rather than a 12-bit I-immediate.
-    pub const fn is_shift(self) -> bool {
-        matches!(
-            self,
-            OpImmKind::Slli
-                | OpImmKind::Srli
-                | OpImmKind::Srai
-                | OpImmKind::Slliw
-                | OpImmKind::Srliw
-                | OpImmKind::Sraiw
-                | OpImmKind::Rori
-        )
-    }
-}
-
-/// Register-register ALU operations (`OP` and `OP-32`), including the M
-/// extension and the Zba/Zbb register-register subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Add.
-    Add,
-    /// Subtract.
-    Sub,
-    /// Shift left logical.
-    Sll,
-    /// Set if less than (signed).
-    Slt,
-    /// Set if less than (unsigned).
-    Sltu,
-    /// XOR.
-    Xor,
-    /// Shift right logical.
-    Srl,
-    /// Shift right arithmetic.
-    Sra,
-    /// OR.
-    Or,
-    /// AND.
-    And,
-    /// Add, 32-bit.
-    Addw,
-    /// Subtract, 32-bit.
-    Subw,
-    /// Shift left logical, 32-bit.
-    Sllw,
-    /// Shift right logical, 32-bit.
-    Srlw,
-    /// Shift right arithmetic, 32-bit.
-    Sraw,
-    /// Multiply (M).
-    Mul,
-    /// Multiply high, signed×signed (M).
-    Mulh,
-    /// Multiply high, signed×unsigned (M).
-    Mulhsu,
-    /// Multiply high, unsigned×unsigned (M).
-    Mulhu,
-    /// Divide, signed (M).
-    Div,
-    /// Divide, unsigned (M).
-    Divu,
-    /// Remainder, signed (M).
-    Rem,
-    /// Remainder, unsigned (M).
-    Remu,
-    /// Multiply, 32-bit (M).
-    Mulw,
-    /// Divide signed, 32-bit (M).
-    Divw,
-    /// Divide unsigned, 32-bit (M).
-    Divuw,
-    /// Remainder signed, 32-bit (M).
-    Remw,
-    /// Remainder unsigned, 32-bit (M).
-    Remuw,
-    /// Shift left by 1 and add (Zba).
-    Sh1add,
-    /// Shift left by 2 and add (Zba).
-    Sh2add,
-    /// Shift left by 3 and add (Zba).
-    Sh3add,
-    /// Add unsigned word (Zba).
-    AddUw,
-    /// AND with inverted operand (Zbb).
-    Andn,
-    /// OR with inverted operand (Zbb).
-    Orn,
-    /// XNOR (Zbb).
-    Xnor,
-    /// Minimum, signed (Zbb).
-    Min,
-    /// Minimum, unsigned (Zbb).
-    Minu,
-    /// Maximum, signed (Zbb).
-    Max,
-    /// Maximum, unsigned (Zbb).
-    Maxu,
-    /// Rotate left (Zbb).
-    Rol,
-    /// Rotate right (Zbb).
-    Ror,
-}
-
-impl OpKind {
-    /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            OpKind::Add => "add",
-            OpKind::Sub => "sub",
-            OpKind::Sll => "sll",
-            OpKind::Slt => "slt",
-            OpKind::Sltu => "sltu",
-            OpKind::Xor => "xor",
-            OpKind::Srl => "srl",
-            OpKind::Sra => "sra",
-            OpKind::Or => "or",
-            OpKind::And => "and",
-            OpKind::Addw => "addw",
-            OpKind::Subw => "subw",
-            OpKind::Sllw => "sllw",
-            OpKind::Srlw => "srlw",
-            OpKind::Sraw => "sraw",
-            OpKind::Mul => "mul",
-            OpKind::Mulh => "mulh",
-            OpKind::Mulhsu => "mulhsu",
-            OpKind::Mulhu => "mulhu",
-            OpKind::Div => "div",
-            OpKind::Divu => "divu",
-            OpKind::Rem => "rem",
-            OpKind::Remu => "remu",
-            OpKind::Mulw => "mulw",
-            OpKind::Divw => "divw",
-            OpKind::Divuw => "divuw",
-            OpKind::Remw => "remw",
-            OpKind::Remuw => "remuw",
-            OpKind::Sh1add => "sh1add",
-            OpKind::Sh2add => "sh2add",
-            OpKind::Sh3add => "sh3add",
-            OpKind::AddUw => "add.uw",
-            OpKind::Andn => "andn",
-            OpKind::Orn => "orn",
-            OpKind::Xnor => "xnor",
-            OpKind::Min => "min",
-            OpKind::Minu => "minu",
-            OpKind::Max => "max",
-            OpKind::Maxu => "maxu",
-            OpKind::Rol => "rol",
-            OpKind::Ror => "ror",
-        }
-    }
-
-    /// The extension the operation belongs to (`None` for base RV64I).
-    pub const fn ext(self) -> Option<Ext> {
-        match self {
-            OpKind::Mul
-            | OpKind::Mulh
-            | OpKind::Mulhsu
-            | OpKind::Mulhu
-            | OpKind::Div
-            | OpKind::Divu
-            | OpKind::Rem
-            | OpKind::Remu
-            | OpKind::Mulw
-            | OpKind::Divw
-            | OpKind::Divuw
-            | OpKind::Remw
-            | OpKind::Remuw => Some(Ext::M),
-            OpKind::Sh1add
-            | OpKind::Sh2add
-            | OpKind::Sh3add
-            | OpKind::AddUw
-            | OpKind::Andn
-            | OpKind::Orn
-            | OpKind::Xnor
-            | OpKind::Min
-            | OpKind::Minu
-            | OpKind::Max
-            | OpKind::Maxu
-            | OpKind::Rol
-            | OpKind::Ror => Some(Ext::B),
-            _ => None,
-        }
-    }
-}
-
-/// Single-operand bit-manipulation operations (Zbb, encoded in `OP-IMM`
-/// space with a fixed `rs2` selector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnaryKind {
-    /// Count leading zeros.
-    Clz,
-    /// Count trailing zeros.
-    Ctz,
-    /// Population count.
-    Cpop,
-    /// Sign-extend byte.
-    SextB,
-    /// Sign-extend halfword.
-    SextH,
-    /// Zero-extend halfword.
-    ZextH,
-    /// Byte-reverse the register.
-    Rev8,
-}
-
-impl UnaryKind {
-    /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            UnaryKind::Clz => "clz",
-            UnaryKind::Ctz => "ctz",
-            UnaryKind::Cpop => "cpop",
-            UnaryKind::SextB => "sext.b",
-            UnaryKind::SextH => "sext.h",
-            UnaryKind::ZextH => "zext.h",
-            UnaryKind::Rev8 => "rev8",
-        }
-    }
-}
 
 /// Floating-point operand width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -432,93 +48,6 @@ impl FpWidth {
         match self {
             FpWidth::S => 0b00,
             FpWidth::D => 0b01,
-        }
-    }
-}
-
-/// Two-source floating-point ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FOpKind {
-    /// Add.
-    Add,
-    /// Subtract.
-    Sub,
-    /// Multiply.
-    Mul,
-    /// Divide.
-    Div,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-    /// Sign-injection (`fsgnj`; `fmv.f.f` is `fsgnj rd, rs, rs`).
-    SgnJ,
-    /// Negated sign-injection (`fsgnjn`; `fneg` alias).
-    SgnJN,
-    /// XORed sign-injection (`fsgnjx`; `fabs` alias).
-    SgnJX,
-}
-
-impl FOpKind {
-    /// The assembler mnemonic stem (width suffix appended separately).
-    pub const fn stem(self) -> &'static str {
-        match self {
-            FOpKind::Add => "fadd",
-            FOpKind::Sub => "fsub",
-            FOpKind::Mul => "fmul",
-            FOpKind::Div => "fdiv",
-            FOpKind::Min => "fmin",
-            FOpKind::Max => "fmax",
-            FOpKind::SgnJ => "fsgnj",
-            FOpKind::SgnJN => "fsgnjn",
-            FOpKind::SgnJX => "fsgnjx",
-        }
-    }
-}
-
-/// Floating-point comparison kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FCmpKind {
-    /// Equal.
-    Feq,
-    /// Less than.
-    Flt,
-    /// Less than or equal.
-    Fle,
-}
-
-impl FCmpKind {
-    /// The assembler mnemonic stem.
-    pub const fn stem(self) -> &'static str {
-        match self {
-            FCmpKind::Feq => "feq",
-            FCmpKind::Flt => "flt",
-            FCmpKind::Fle => "fle",
-        }
-    }
-}
-
-/// Fused multiply-add variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FMaKind {
-    /// `frd = frs1 * frs2 + frs3`.
-    Madd,
-    /// `frd = frs1 * frs2 - frs3`.
-    Msub,
-    /// `frd = -(frs1 * frs2) + frs3`.
-    Nmsub,
-    /// `frd = -(frs1 * frs2) - frs3`.
-    Nmadd,
-}
-
-impl FMaKind {
-    /// The assembler mnemonic stem.
-    pub const fn stem(self) -> &'static str {
-        match self {
-            FMaKind::Madd => "fmadd",
-            FMaKind::Msub => "fmsub",
-            FMaKind::Nmsub => "fnmsub",
-            FMaKind::Nmadd => "fnmadd",
         }
     }
 }
@@ -621,89 +150,6 @@ impl VType {
             ta: bits & (1 << 6) != 0,
             ma: bits & (1 << 7) != 0,
         })
-    }
-}
-
-/// Vector arithmetic operations in the supported RVV subset (all unmasked).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VArithOp {
-    /// Integer add.
-    Vadd,
-    /// Integer subtract.
-    Vsub,
-    /// Bitwise AND.
-    Vand,
-    /// Bitwise OR.
-    Vor,
-    /// Bitwise XOR.
-    Vxor,
-    /// Integer multiply.
-    Vmul,
-    /// Integer multiply-accumulate (`vd += vs1/rs1 * vs2`).
-    Vmacc,
-    /// Integer minimum (signed).
-    Vmin,
-    /// Integer maximum (signed).
-    Vmax,
-    /// Whole-register/broadcast move (`vmv.v.v` / `vmv.v.x` / `vmv.v.i`).
-    Vmv,
-    /// Integer reduction sum (`vredsum.vs`).
-    Vredsum,
-    /// FP add.
-    Vfadd,
-    /// FP subtract.
-    Vfsub,
-    /// FP multiply.
-    Vfmul,
-    /// FP divide.
-    Vfdiv,
-    /// FP multiply-accumulate (`vd += vs1/fs1 * vs2`).
-    Vfmacc,
-    /// FP unordered reduction sum (`vfredusum.vs`).
-    Vfredusum,
-}
-
-impl VArithOp {
-    /// The assembler mnemonic stem.
-    pub const fn stem(self) -> &'static str {
-        match self {
-            VArithOp::Vadd => "vadd",
-            VArithOp::Vsub => "vsub",
-            VArithOp::Vand => "vand",
-            VArithOp::Vor => "vor",
-            VArithOp::Vxor => "vxor",
-            VArithOp::Vmul => "vmul",
-            VArithOp::Vmacc => "vmacc",
-            VArithOp::Vmin => "vmin",
-            VArithOp::Vmax => "vmax",
-            VArithOp::Vmv => "vmv",
-            VArithOp::Vredsum => "vredsum",
-            VArithOp::Vfadd => "vfadd",
-            VArithOp::Vfsub => "vfsub",
-            VArithOp::Vfmul => "vfmul",
-            VArithOp::Vfdiv => "vfdiv",
-            VArithOp::Vfmacc => "vfmacc",
-            VArithOp::Vfredusum => "vfredusum",
-        }
-    }
-
-    /// Whether the operation is floating-point (uses `OPFVV`/`OPFVF` funct3).
-    pub const fn is_fp(self) -> bool {
-        matches!(
-            self,
-            VArithOp::Vfadd
-                | VArithOp::Vfsub
-                | VArithOp::Vfmul
-                | VArithOp::Vfdiv
-                | VArithOp::Vfmacc
-                | VArithOp::Vfredusum
-        )
-    }
-
-    /// Whether the operation is a reduction (`.vs` form: scalar in element 0
-    /// of `vs1`, result in element 0 of `vd`).
-    pub const fn is_reduction(self) -> bool {
-        matches!(self, VArithOp::Vredsum | VArithOp::Vfredusum)
     }
 }
 
@@ -1007,14 +453,8 @@ impl Inst {
     pub fn ext(&self) -> Option<Ext> {
         match self {
             Inst::Op { kind, .. } => kind.ext(),
-            Inst::OpImm { kind, .. } => {
-                if matches!(kind, OpImmKind::Rori) {
-                    Some(Ext::B)
-                } else {
-                    None
-                }
-            }
-            Inst::Unary { .. } => Some(Ext::B),
+            Inst::OpImm { kind, .. } => kind.ext(),
+            Inst::Unary { kind, .. } => kind.ext(),
             Inst::FLoad { width, .. }
             | Inst::FStore { width, .. }
             | Inst::FOp { width, .. }

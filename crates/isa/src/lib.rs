@@ -17,6 +17,27 @@
 //!    on (the ≥48-bit `xxx11111` prefix and the RVC-reserved rows) are
 //!    reported as such, so "partial trampoline execution always traps"
 //!    can be verified by construction.
+//!
+//! ## One row per instruction kind
+//!
+//! Every instruction *kind* enum — [`BranchKind`], [`LoadKind`],
+//! [`StoreKind`], [`OpImmKind`], [`OpKind`], [`UnaryKind`], [`FOpKind`],
+//! [`FCmpKind`], [`FMaKind`], [`VArithOp`] — is generated from one table in
+//! `src/kinds.rs`: a row names the variant, its mnemonic (or stem), its
+//! encoding fields and the attributes consumers switch on (extension,
+//! access size, cost class, allowed vector source forms), and for the four
+//! pure integer families the value function itself. From the rows come
+//! `Kind::ALL`, `mnemonic()` / `from_mnemonic()` (`stem()` / `from_stem()`),
+//! `encoding()` / `from_encoding()` and `eval()`; [`encode`], [`decode`],
+//! `Display`, the text assembler, the emulator's cost model and every
+//! execution tier read those and keep no list of their own, so they agree
+//! by construction. What stays hand-written, and why: the [`Inst`] operand
+//! shapes and `uses_x` / `def_x` (one arm per *shape*, not per kind), the
+//! RVC encoder and decoder (irregular; their expansions are canonical
+//! `Inst` values that ride on the rows), and everything that needs hart
+//! state (memory, FP and vector semantics live in `chimera-emu`).
+//! `tests/decode_space.rs` pins `decode`, `encode` and `Display` over the
+//! whole 32-bit and 16-bit spaces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +47,7 @@ mod decode;
 mod encode;
 mod ext;
 mod inst;
+mod kinds;
 pub mod prng;
 mod reg;
 
@@ -33,6 +55,7 @@ pub use decode::{decode, decode_compressed, encoded_len, DecodeError, Decoded};
 pub use encode::{encode, encode_compressed, EncodeError};
 pub use ext::{Ext, ExtSet};
 pub use inst::*;
+pub use kinds::*;
 pub use reg::{FReg, RegSet, VReg, XReg};
 
 /// The vector register width in bits our machine model uses (matching the

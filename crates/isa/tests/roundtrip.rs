@@ -5,8 +5,10 @@
 //! contract is *exactness*: `decode(encode(i)) == i` for every well-formed
 //! instruction, and every reserved encoding is rejected rather than
 //! misdecoded. Each constructor family below is exercised with ~10k random
-//! operand combinations; instructions that also have a compressed (RVC)
-//! form roundtrip through their 16-bit encoding in the same pass.
+//! operand combinations, its kinds drawn from the ISA tables' `Kind::ALL`
+//! (so a new row is covered without editing this file); instructions that
+//! also have a compressed (RVC) form roundtrip through their 16-bit
+//! encoding in the same pass.
 
 use chimera_isa::prng::Prng;
 use chimera_isa::{
@@ -58,147 +60,18 @@ fn vtype(r: &mut Prng) -> VType {
     }
 }
 
-const BRANCH_KINDS: [BranchKind; 6] = [
-    BranchKind::Beq,
-    BranchKind::Bne,
-    BranchKind::Blt,
-    BranchKind::Bge,
-    BranchKind::Bltu,
-    BranchKind::Bgeu,
-];
-
-const LOAD_KINDS: [LoadKind; 7] = [
-    LoadKind::Lb,
-    LoadKind::Lh,
-    LoadKind::Lw,
-    LoadKind::Ld,
-    LoadKind::Lbu,
-    LoadKind::Lhu,
-    LoadKind::Lwu,
-];
-
-const STORE_KINDS: [StoreKind; 4] = [StoreKind::Sb, StoreKind::Sh, StoreKind::Sw, StoreKind::Sd];
-
-const OPIMM_KINDS: [OpImmKind; 14] = [
-    OpImmKind::Addi,
-    OpImmKind::Slti,
-    OpImmKind::Sltiu,
-    OpImmKind::Xori,
-    OpImmKind::Ori,
-    OpImmKind::Andi,
-    OpImmKind::Slli,
-    OpImmKind::Srli,
-    OpImmKind::Srai,
-    OpImmKind::Addiw,
-    OpImmKind::Slliw,
-    OpImmKind::Srliw,
-    OpImmKind::Sraiw,
-    OpImmKind::Rori,
-];
-
-const OP_KINDS: [OpKind; 41] = [
-    OpKind::Add,
-    OpKind::Sub,
-    OpKind::Sll,
-    OpKind::Slt,
-    OpKind::Sltu,
-    OpKind::Xor,
-    OpKind::Srl,
-    OpKind::Sra,
-    OpKind::Or,
-    OpKind::And,
-    OpKind::Addw,
-    OpKind::Subw,
-    OpKind::Sllw,
-    OpKind::Srlw,
-    OpKind::Sraw,
-    OpKind::Mul,
-    OpKind::Mulh,
-    OpKind::Mulhsu,
-    OpKind::Mulhu,
-    OpKind::Div,
-    OpKind::Divu,
-    OpKind::Rem,
-    OpKind::Remu,
-    OpKind::Mulw,
-    OpKind::Divw,
-    OpKind::Divuw,
-    OpKind::Remw,
-    OpKind::Remuw,
-    OpKind::Sh1add,
-    OpKind::Sh2add,
-    OpKind::Sh3add,
-    OpKind::AddUw,
-    OpKind::Andn,
-    OpKind::Orn,
-    OpKind::Xnor,
-    OpKind::Min,
-    OpKind::Minu,
-    OpKind::Max,
-    OpKind::Maxu,
-    OpKind::Rol,
-    OpKind::Ror,
-];
-
-const UNARY_KINDS: [UnaryKind; 7] = [
-    UnaryKind::Clz,
-    UnaryKind::Ctz,
-    UnaryKind::Cpop,
-    UnaryKind::SextB,
-    UnaryKind::SextH,
-    UnaryKind::ZextH,
-    UnaryKind::Rev8,
-];
-
-const FOP_KINDS: [FOpKind; 9] = [
-    FOpKind::Add,
-    FOpKind::Sub,
-    FOpKind::Mul,
-    FOpKind::Div,
-    FOpKind::Min,
-    FOpKind::Max,
-    FOpKind::SgnJ,
-    FOpKind::SgnJN,
-    FOpKind::SgnJX,
-];
-
-const FCMP_KINDS: [FCmpKind; 3] = [FCmpKind::Feq, FCmpKind::Flt, FCmpKind::Fle];
-
-const FMA_KINDS: [FMaKind; 4] = [FMaKind::Madd, FMaKind::Msub, FMaKind::Nmsub, FMaKind::Nmadd];
-
-/// Allowed source forms per vector arithmetic op, exactly mirroring the
-/// decoder's `(funct6, funct3)` table: `V`/`X`/`I`/`F` = `.vv`/`.vx`/
-/// `.vi`/`.vf`.
-const VARITH_FORMS: [(VArithOp, &str); 17] = [
-    (VArithOp::Vadd, "VXI"),
-    (VArithOp::Vsub, "VX"),
-    (VArithOp::Vmin, "VX"),
-    (VArithOp::Vmax, "VX"),
-    (VArithOp::Vand, "VXI"),
-    (VArithOp::Vor, "VXI"),
-    (VArithOp::Vxor, "VXI"),
-    (VArithOp::Vmv, "VXI"),
-    (VArithOp::Vmul, "VX"),
-    (VArithOp::Vmacc, "VX"),
-    (VArithOp::Vredsum, "V"),
-    (VArithOp::Vfadd, "VF"),
-    (VArithOp::Vfsub, "VF"),
-    (VArithOp::Vfmul, "VF"),
-    (VArithOp::Vfdiv, "VF"),
-    (VArithOp::Vfmacc, "VF"),
-    (VArithOp::Vfredusum, "V"),
-];
-
 fn gen_varith(r: &mut Prng) -> Inst {
-    let (op, forms) = *r.pick(&VARITH_FORMS);
-    let form = *r.pick(forms.as_bytes());
-    let src = match form {
-        b'V' => VSrc::V(vreg(r)),
-        b'X' => VSrc::X(xreg(r)),
-        b'F' => VSrc::F(freg(r)),
-        b'I' => VSrc::I(r.range_i64(-16, 16) as i8),
-        _ => unreachable!(),
-    };
+    let op = *r.pick(VArithOp::ALL);
+    // One candidate per source form; the table says which the op has.
+    let sources: Vec<VSrc> = [
+        VSrc::V(vreg(r)),
+        VSrc::X(xreg(r)),
+        VSrc::F(freg(r)),
+        VSrc::I(r.range_i64(-16, 16) as i8),
+    ]
+    .into_iter()
+    .filter(|&src| op.allows(src))
+    .collect();
     // vmv.v.* fixes the vs2 field at zero; any other value is reserved.
     let vs2 = if op == VArithOp::Vmv {
         VReg::of(0)
@@ -209,16 +82,15 @@ fn gen_varith(r: &mut Prng) -> Inst {
         op,
         vd: vreg(r),
         vs2,
-        src,
+        src: *r.pick(&sources),
     }
 }
 
 fn gen_op_imm(r: &mut Prng) -> Inst {
-    let kind = *r.pick(&OPIMM_KINDS);
-    let imm = match kind {
-        OpImmKind::Slli | OpImmKind::Srli | OpImmKind::Srai | OpImmKind::Rori => r.below(64) as i32,
-        OpImmKind::Slliw | OpImmKind::Srliw | OpImmKind::Sraiw => r.below(32) as i32,
-        _ => i12(r),
+    let kind = *r.pick(OpImmKind::ALL);
+    let imm = match kind.shamt_bits() {
+        Some(bits) => r.below(1 << bits) as i32,
+        None => i12(r),
     };
     Inst::OpImm {
         kind,
@@ -252,32 +124,32 @@ fn generators() -> Vec<(&'static str, Gen)> {
             offset: i12(r),
         }),
         ("branch", |r| Inst::Branch {
-            kind: *r.pick(&BRANCH_KINDS),
+            kind: *r.pick(BranchKind::ALL),
             rs1: xreg(r),
             rs2: xreg(r),
             offset: (r.range_i64(-(1 << 11), 1 << 11) * 2) as i32,
         }),
         ("load", |r| Inst::Load {
-            kind: *r.pick(&LOAD_KINDS),
+            kind: *r.pick(LoadKind::ALL),
             rd: xreg(r),
             rs1: xreg(r),
             offset: i12(r),
         }),
         ("store", |r| Inst::Store {
-            kind: *r.pick(&STORE_KINDS),
+            kind: *r.pick(StoreKind::ALL),
             rs1: xreg(r),
             rs2: xreg(r),
             offset: i12(r),
         }),
         ("op_imm", gen_op_imm),
         ("op", |r| Inst::Op {
-            kind: *r.pick(&OP_KINDS),
+            kind: *r.pick(OpKind::ALL),
             rd: xreg(r),
             rs1: xreg(r),
             rs2: xreg(r),
         }),
         ("unary", |r| Inst::Unary {
-            kind: *r.pick(&UNARY_KINDS),
+            kind: *r.pick(UnaryKind::ALL),
             rd: xreg(r),
             rs1: xreg(r),
         }),
@@ -297,14 +169,14 @@ fn generators() -> Vec<(&'static str, Gen)> {
             offset: i12(r),
         }),
         ("fop", |r| Inst::FOp {
-            kind: *r.pick(&FOP_KINDS),
+            kind: *r.pick(FOpKind::ALL),
             width: fp_width(r),
             frd: freg(r),
             frs1: freg(r),
             frs2: freg(r),
         }),
         ("fcmp", |r| Inst::FCmp {
-            kind: *r.pick(&FCMP_KINDS),
+            kind: *r.pick(FCmpKind::ALL),
             width: fp_width(r),
             rd: xreg(r),
             frs1: freg(r),
@@ -340,7 +212,7 @@ fn generators() -> Vec<(&'static str, Gen)> {
             frs1: freg(r),
         }),
         ("fma", |r| Inst::FMa {
-            kind: *r.pick(&FMA_KINDS),
+            kind: *r.pick(FMaKind::ALL),
             width: fp_width(r),
             frd: freg(r),
             frs1: freg(r),

@@ -385,118 +385,7 @@ fn instruction(b: &mut ModuleBuilder, s: &str, line: usize) -> Result<(), AsmErr
         mnemonic,
     };
 
-    // Branch kinds (canonical names).
-    let branch_kind = |m: &str| -> Option<BranchKind> {
-        Some(match m {
-            "beq" => BranchKind::Beq,
-            "bne" => BranchKind::Bne,
-            "blt" => BranchKind::Blt,
-            "bge" => BranchKind::Bge,
-            "bltu" => BranchKind::Bltu,
-            "bgeu" => BranchKind::Bgeu,
-            _ => return None,
-        })
-    };
-    let load_kind = |m: &str| -> Option<LoadKind> {
-        Some(match m {
-            "lb" => LoadKind::Lb,
-            "lh" => LoadKind::Lh,
-            "lw" => LoadKind::Lw,
-            "ld" => LoadKind::Ld,
-            "lbu" => LoadKind::Lbu,
-            "lhu" => LoadKind::Lhu,
-            "lwu" => LoadKind::Lwu,
-            _ => return None,
-        })
-    };
-    let store_kind = |m: &str| -> Option<StoreKind> {
-        Some(match m {
-            "sb" => StoreKind::Sb,
-            "sh" => StoreKind::Sh,
-            "sw" => StoreKind::Sw,
-            "sd" => StoreKind::Sd,
-            _ => return None,
-        })
-    };
-    let opimm_kind = |m: &str| -> Option<OpImmKind> {
-        Some(match m {
-            "addi" => OpImmKind::Addi,
-            "slti" => OpImmKind::Slti,
-            "sltiu" => OpImmKind::Sltiu,
-            "xori" => OpImmKind::Xori,
-            "ori" => OpImmKind::Ori,
-            "andi" => OpImmKind::Andi,
-            "slli" => OpImmKind::Slli,
-            "srli" => OpImmKind::Srli,
-            "srai" => OpImmKind::Srai,
-            "addiw" => OpImmKind::Addiw,
-            "slliw" => OpImmKind::Slliw,
-            "srliw" => OpImmKind::Srliw,
-            "sraiw" => OpImmKind::Sraiw,
-            "rori" => OpImmKind::Rori,
-            _ => return None,
-        })
-    };
-    let op_kind = |m: &str| -> Option<OpKind> {
-        Some(match m {
-            "add" => OpKind::Add,
-            "sub" => OpKind::Sub,
-            "sll" => OpKind::Sll,
-            "slt" => OpKind::Slt,
-            "sltu" => OpKind::Sltu,
-            "xor" => OpKind::Xor,
-            "srl" => OpKind::Srl,
-            "sra" => OpKind::Sra,
-            "or" => OpKind::Or,
-            "and" => OpKind::And,
-            "addw" => OpKind::Addw,
-            "subw" => OpKind::Subw,
-            "sllw" => OpKind::Sllw,
-            "srlw" => OpKind::Srlw,
-            "sraw" => OpKind::Sraw,
-            "mul" => OpKind::Mul,
-            "mulh" => OpKind::Mulh,
-            "mulhsu" => OpKind::Mulhsu,
-            "mulhu" => OpKind::Mulhu,
-            "div" => OpKind::Div,
-            "divu" => OpKind::Divu,
-            "rem" => OpKind::Rem,
-            "remu" => OpKind::Remu,
-            "mulw" => OpKind::Mulw,
-            "divw" => OpKind::Divw,
-            "divuw" => OpKind::Divuw,
-            "remw" => OpKind::Remw,
-            "remuw" => OpKind::Remuw,
-            "sh1add" => OpKind::Sh1add,
-            "sh2add" => OpKind::Sh2add,
-            "sh3add" => OpKind::Sh3add,
-            "add.uw" => OpKind::AddUw,
-            "andn" => OpKind::Andn,
-            "orn" => OpKind::Orn,
-            "xnor" => OpKind::Xnor,
-            "min" => OpKind::Min,
-            "minu" => OpKind::Minu,
-            "max" => OpKind::Max,
-            "maxu" => OpKind::Maxu,
-            "rol" => OpKind::Rol,
-            "ror" => OpKind::Ror,
-            _ => return None,
-        })
-    };
-    let unary_kind = |m: &str| -> Option<UnaryKind> {
-        Some(match m {
-            "clz" => UnaryKind::Clz,
-            "ctz" => UnaryKind::Ctz,
-            "cpop" => UnaryKind::Cpop,
-            "sext.b" => UnaryKind::SextB,
-            "sext.h" => UnaryKind::SextH,
-            "zext.h" => UnaryKind::ZextH,
-            "rev8" => UnaryKind::Rev8,
-            _ => return None,
-        })
-    };
-
-    if let Some(kind) = branch_kind(mnemonic) {
+    if let Some(kind) = BranchKind::from_mnemonic(mnemonic) {
         let (rs1, rs2) = (o.x(0)?, o.x(1)?);
         match o.target(2)? {
             Target::Offset(offset) => {
@@ -513,7 +402,7 @@ fn instruction(b: &mut ModuleBuilder, s: &str, line: usize) -> Result<(), AsmErr
         }
         return Ok(());
     }
-    if let Some(kind) = load_kind(mnemonic) {
+    if let Some(kind) = LoadKind::from_mnemonic(mnemonic) {
         let rd = o.x(0)?;
         let (offset, rs1) = o.mem(1)?;
         b.inst(Inst::Load {
@@ -524,7 +413,7 @@ fn instruction(b: &mut ModuleBuilder, s: &str, line: usize) -> Result<(), AsmErr
         });
         return Ok(());
     }
-    if let Some(kind) = store_kind(mnemonic) {
+    if let Some(kind) = StoreKind::from_mnemonic(mnemonic) {
         let rs2 = o.x(0)?;
         let (offset, rs1) = o.mem(1)?;
         b.inst(Inst::Store {
@@ -535,7 +424,7 @@ fn instruction(b: &mut ModuleBuilder, s: &str, line: usize) -> Result<(), AsmErr
         });
         return Ok(());
     }
-    if let Some(kind) = opimm_kind(mnemonic) {
+    if let Some(kind) = OpImmKind::from_mnemonic(mnemonic) {
         b.inst(Inst::OpImm {
             kind,
             rd: o.x(0)?,
@@ -544,7 +433,7 @@ fn instruction(b: &mut ModuleBuilder, s: &str, line: usize) -> Result<(), AsmErr
         });
         return Ok(());
     }
-    if let Some(kind) = op_kind(mnemonic) {
+    if let Some(kind) = OpKind::from_mnemonic(mnemonic) {
         b.inst(Inst::Op {
             kind,
             rd: o.x(0)?,
@@ -553,7 +442,7 @@ fn instruction(b: &mut ModuleBuilder, s: &str, line: usize) -> Result<(), AsmErr
         });
         return Ok(());
     }
-    if let Some(kind) = unary_kind(mnemonic) {
+    if let Some(kind) = UnaryKind::from_mnemonic(mnemonic) {
         b.inst(Inst::Unary {
             kind,
             rd: o.x(0)?,
@@ -849,20 +738,7 @@ fn try_fp(b: &mut ModuleBuilder, m: &str, o: &Ops<'_>) -> Result<bool, AsmError>
         }
         _ => return Ok(false),
     };
-    let fop = |k: FOpKind| -> Option<FOpKind> { Some(k) };
-    let kind = match stem {
-        "fadd" => fop(FOpKind::Add),
-        "fsub" => fop(FOpKind::Sub),
-        "fmul" => fop(FOpKind::Mul),
-        "fdiv" => fop(FOpKind::Div),
-        "fmin" => fop(FOpKind::Min),
-        "fmax" => fop(FOpKind::Max),
-        "fsgnj" => fop(FOpKind::SgnJ),
-        "fsgnjn" => fop(FOpKind::SgnJN),
-        "fsgnjx" => fop(FOpKind::SgnJX),
-        _ => None,
-    };
-    if let Some(kind) = kind {
+    if let Some(kind) = FOpKind::from_stem(stem) {
         b.inst(Inst::FOp {
             kind,
             width,
@@ -872,13 +748,7 @@ fn try_fp(b: &mut ModuleBuilder, m: &str, o: &Ops<'_>) -> Result<bool, AsmError>
         });
         return Ok(true);
     }
-    let cmp = match stem {
-        "feq" => Some(FCmpKind::Feq),
-        "flt" => Some(FCmpKind::Flt),
-        "fle" => Some(FCmpKind::Fle),
-        _ => None,
-    };
-    if let Some(kind) = cmp {
+    if let Some(kind) = FCmpKind::from_stem(stem) {
         b.inst(Inst::FCmp {
             kind,
             width,
@@ -888,14 +758,7 @@ fn try_fp(b: &mut ModuleBuilder, m: &str, o: &Ops<'_>) -> Result<bool, AsmError>
         });
         return Ok(true);
     }
-    let fma = match stem {
-        "fmadd" => Some(FMaKind::Madd),
-        "fmsub" => Some(FMaKind::Msub),
-        "fnmsub" => Some(FMaKind::Nmsub),
-        "fnmadd" => Some(FMaKind::Nmadd),
-        _ => None,
-    };
-    if let Some(kind) = fma {
+    if let Some(kind) = FMaKind::from_stem(stem) {
         b.inst(Inst::FMa {
             kind,
             width,
@@ -1046,24 +909,9 @@ fn try_vector(b: &mut ModuleBuilder, m: &str, o: &Ops<'_>) -> Result<bool, AsmEr
         return Ok(false);
     };
     let (stem, form) = (&m[..dot], &m[dot + 1..]);
-    let op = match stem {
-        "vadd" => VArithOp::Vadd,
-        "vsub" => VArithOp::Vsub,
-        "vand" => VArithOp::Vand,
-        "vor" => VArithOp::Vor,
-        "vxor" => VArithOp::Vxor,
-        "vmul" => VArithOp::Vmul,
-        "vmacc" => VArithOp::Vmacc,
-        "vmin" => VArithOp::Vmin,
-        "vmax" => VArithOp::Vmax,
-        "vredsum" => VArithOp::Vredsum,
-        "vfadd" => VArithOp::Vfadd,
-        "vfsub" => VArithOp::Vfsub,
-        "vfmul" => VArithOp::Vfmul,
-        "vfdiv" => VArithOp::Vfdiv,
-        "vfmacc" => VArithOp::Vfmacc,
-        "vfredusum" => VArithOp::Vfredusum,
-        _ => return Ok(false),
+    // `vmv` is spelled `vmv.v.{v,x,i}` and was matched in full above.
+    let Some(op) = VArithOp::from_stem(stem).filter(|&op| op != VArithOp::Vmv) else {
+        return Ok(false);
     };
     let vd = o.v(0)?;
     let vs2 = o.v(1)?;
