@@ -208,7 +208,17 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
                 return err;
             }
         }
-        OP_MISC_MEM => Inst::Fence,
+        OP_MISC_MEM => {
+            // `fence` alone: `fence.i`, the `cbo.*` row and the reserved
+            // `funct3` values must trap, not retire as a no-op. Within
+            // `fence`, `rd`, `rs1` and reserved `fm`/`pred`/`succ` values
+            // are ignored as the spec asks; re-encoding emits the
+            // strongest fence, which is conservative.
+            if funct3 != 0 {
+                return err;
+            }
+            Inst::Fence
+        }
         OP_SYSTEM => match word >> 7 {
             0 => Inst::Ecall,
             0x2000 => Inst::Ebreak,

@@ -106,10 +106,19 @@ fn slice_digest(slice: u32) -> Digest {
     d
 }
 
-/// `(words digest, text digest, accepted count)`, recorded on the commit
-/// that introduced this test. The count is pinned beside the digests so a
-/// deliberate change to the accepted set can state its delta in words.
-const WORDS: (u64, u64, u64) = (0xa578_de06_4498_b825, 0x0258_581b_79f5_bcb1, 329_097_218);
+/// `(words digest, text digest, accepted count)`. The count is pinned
+/// beside the digests so a deliberate change to the accepted set can state
+/// its delta in words.
+///
+/// History of the 32-bit triple:
+/// * `(0xa578_de06_4498_b825, 0x0258_581b_79f5_bcb1, 329_097_218)` when the
+///   test was introduced; unchanged by moving the kind enums into tables.
+/// * Now: MISC-MEM decodes to `fence` for `funct3 = 000` only. Exactly the
+///   7 · 2^22 = 29,360,128 words with opcode `0001111` and `funct3 != 0`
+///   (`fence.i`, `cbo.*`, reserved) flipped from accepted to rejected; the
+///   previous decoder with those words masked to `Unrecognized` gives this
+///   triple bit for bit.
+const WORDS: (u64, u64, u64) = (0xfb63_e1f4_961e_2025, 0x96bf_1af5_8c63_8965, 299_737_090);
 const HALFWORDS: (u64, u64, u64) = (0xc65d_7b1d_99ff_a5e1, 0xae8f_236f_1f65_bfc8, 38_188);
 
 #[test]

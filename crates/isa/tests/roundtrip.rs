@@ -360,6 +360,18 @@ fn reserved_encodings_reject() {
     // c.fld (op=00, funct3=001) is outside the modelled subset.
     assert!(decode(0x2000).is_err());
 
+    // MISC-MEM is `fence` (funct3 = 000) only: `fence.i`, the `cbo.*` row
+    // and a reserved funct3 must raise the illegal-instruction trap.
+    for word in [0x0000_100f, 0x0000_200f, 0x0000_700f] {
+        assert!(
+            matches!(decode(word), Err(DecodeError::Unrecognized(w)) if w == word),
+            "{word:#010x}"
+        );
+    }
+    // ... while any `fm`/`pred`/`succ`/`rd`/`rs1` under funct3 = 000 is a fence.
+    assert_eq!(decode(0x8330_000f).unwrap().inst, Inst::Fence); // fence.tso
+    assert_eq!(decode(0x0ff0_000f).unwrap().inst, Inst::Fence);
+
     // vsetvli with bit 31 set (vsetvl/vsetivli space, outside the subset).
     let vsetvli = encode(&Inst::Vsetvli {
         rd: XReg::T0,
