@@ -17,7 +17,7 @@
 use crate::bbcache::{Block, BlockCache, CachedInst, ChainEdge, ChainLink};
 use crate::cost::{CostModel, ExecStats};
 use crate::hart::Hart;
-use crate::mem::{AccessHints, MemFault, Memory};
+use crate::mem::{AccessHints, MemFault, Memory, RegionHint};
 use crate::uop::{lower_block, MicroOp};
 use chimera_isa::{
     decode, DecodeError, Eew, Ext, ExtSet, FCmpKind, FMaKind, FOpKind, FpWidth, Inst, IntWidth,
@@ -654,6 +654,22 @@ impl Cpu {
 
         for u in block.ops[..n].iter() {
             let next_pc = pc + u.len as u64;
+            // A retired store's tail. The store may have rewritten code —
+            // including the rest of THIS block (same guard as the
+            // interpreter's replay loop).
+            macro_rules! stored {
+                ($gen_before:expr) => {{
+                    d_stores += 1;
+                    pc = next_pc;
+                    retired += 1;
+                    d_cycles += u.cost as u64;
+                    if mem.code_generation() != $gen_before && !block_intact(mem, block) {
+                        flush!();
+                        return Ok((retired, BlockExit::Bail));
+                    }
+                    continue;
+                }};
+            }
             match u.op {
                 // Cold operations delegate to `Cpu::exec`, which does its
                 // own pc/cost/stats accounting against flushed state. None
@@ -731,30 +747,7 @@ impl Cpu {
                     offset,
                 } => {
                     let addr = self.hart.get_x(rs1).wrapping_add(offset as i64 as u64);
-                    let hint = &mut self.hints.load;
-                    let v = match kind {
-                        LoadKind::Lb => {
-                            memtrap!(mem.read_hinted::<1>(hint, addr))[0] as i8 as i64 as u64
-                        }
-                        LoadKind::Lbu => memtrap!(mem.read_hinted::<1>(hint, addr))[0] as u64,
-                        LoadKind::Lh => {
-                            i16::from_le_bytes(memtrap!(mem.read_hinted::<2>(hint, addr))) as i64
-                                as u64
-                        }
-                        LoadKind::Lhu => {
-                            u16::from_le_bytes(memtrap!(mem.read_hinted::<2>(hint, addr))) as u64
-                        }
-                        LoadKind::Lw => {
-                            i32::from_le_bytes(memtrap!(mem.read_hinted::<4>(hint, addr))) as i64
-                                as u64
-                        }
-                        LoadKind::Lwu => {
-                            u32::from_le_bytes(memtrap!(mem.read_hinted::<4>(hint, addr))) as u64
-                        }
-                        LoadKind::Ld => {
-                            u64::from_le_bytes(memtrap!(mem.read_hinted::<8>(hint, addr)))
-                        }
-                    };
+                    let v = memtrap!(load_x(mem, &mut self.hints.load, kind, addr));
                     self.hart.set_x(rd, v);
                     d_loads += 1;
                 }
@@ -767,29 +760,8 @@ impl Cpu {
                     let gen_before = mem.code_generation();
                     let addr = self.hart.get_x(rs1).wrapping_add(offset as i64 as u64);
                     let v = self.hart.get_x(rs2);
-                    let hint = &mut self.hints.store;
-                    match kind {
-                        StoreKind::Sb => memtrap!(mem.write_hinted(hint, addr, &[v as u8])),
-                        StoreKind::Sh => {
-                            memtrap!(mem.write_hinted(hint, addr, &(v as u16).to_le_bytes()))
-                        }
-                        StoreKind::Sw => {
-                            memtrap!(mem.write_hinted(hint, addr, &(v as u32).to_le_bytes()))
-                        }
-                        StoreKind::Sd => memtrap!(mem.write_hinted(hint, addr, &v.to_le_bytes())),
-                    }
-                    d_stores += 1;
-                    pc = next_pc;
-                    retired += 1;
-                    d_cycles += u.cost as u64;
-                    // The store may have rewritten code — including the
-                    // rest of THIS block (same guard as the interpreter's
-                    // replay loop).
-                    if mem.code_generation() != gen_before && !block_intact(mem, block) {
-                        flush!();
-                        return Ok((retired, BlockExit::Bail));
-                    }
-                    continue;
+                    memtrap!(store_x(mem, &mut self.hints.store, kind, addr, v));
+                    stored!(gen_before);
                 }
                 // Flattened hot ALU ops: semantics identical to the
                 // matching `OpImmKind::eval` / `OpKind::eval` row, minus
@@ -846,19 +818,8 @@ impl Cpu {
                     offset,
                 } => {
                     let addr = self.hart.get_x(rs1).wrapping_add(offset as i64 as u64);
-                    let hint = &mut self.hints.load;
-                    match width {
-                        FpWidth::S => {
-                            let bits =
-                                u32::from_le_bytes(memtrap!(mem.read_hinted::<4>(hint, addr)));
-                            self.hart.set_f(frd, 0xffff_ffff_0000_0000 | bits as u64);
-                        }
-                        FpWidth::D => {
-                            let bits =
-                                u64::from_le_bytes(memtrap!(mem.read_hinted::<8>(hint, addr)));
-                            self.hart.set_f(frd, bits);
-                        }
-                    }
+                    let bits = memtrap!(load_f(mem, &mut self.hints.load, width, addr));
+                    self.hart.set_f(frd, bits);
                     d_loads += 1;
                 }
                 MicroOp::FStore {
@@ -869,23 +830,9 @@ impl Cpu {
                 } => {
                     let gen_before = mem.code_generation();
                     let addr = self.hart.get_x(rs1).wrapping_add(offset as i64 as u64);
-                    let v = self.hart.get_f(frs2);
-                    let hint = &mut self.hints.store;
-                    match width {
-                        FpWidth::S => {
-                            memtrap!(mem.write_hinted(hint, addr, &(v as u32).to_le_bytes()))
-                        }
-                        FpWidth::D => memtrap!(mem.write_hinted(hint, addr, &v.to_le_bytes())),
-                    }
-                    d_stores += 1;
-                    pc = next_pc;
-                    retired += 1;
-                    d_cycles += u.cost as u64;
-                    if mem.code_generation() != gen_before && !block_intact(mem, block) {
-                        flush!();
-                        return Ok((retired, BlockExit::Bail));
-                    }
-                    continue;
+                    let bits = self.hart.get_f(frs2);
+                    memtrap!(store_f(mem, &mut self.hints.store, width, addr, bits));
+                    stored!(gen_before);
                 }
             }
             // Straight-line tail: only non-store, non-exit ops reach here
@@ -1399,6 +1346,77 @@ impl Cpu {
 /// longer bails or cold-starts unrelated blocks.
 pub(crate) fn block_intact(mem: &mut Memory, block: &Block) -> bool {
     mem.code_fingerprint(block.region_start) == Some((block.region_start, block.region_gen))
+}
+
+/// Scalar load through the hinted path, extended to the register value.
+/// The four `load_*` / `store_*` helpers are the fast tiers' one
+/// implementation — the engine's arms and the JIT's mirror-miss call-outs.
+/// `Cpu::exec` deliberately keeps its own arms: it is the reference the
+/// tiers are compared against.
+#[inline(always)]
+pub(crate) fn load_x(
+    mem: &mut Memory,
+    hint: &mut RegionHint,
+    kind: LoadKind,
+    addr: u64,
+) -> Result<u64, MemFault> {
+    Ok(match kind {
+        LoadKind::Lb => mem.read_hinted::<1>(hint, addr)?[0] as i8 as i64 as u64,
+        LoadKind::Lbu => mem.read_hinted::<1>(hint, addr)?[0] as u64,
+        LoadKind::Lh => i16::from_le_bytes(mem.read_hinted::<2>(hint, addr)?) as i64 as u64,
+        LoadKind::Lhu => u16::from_le_bytes(mem.read_hinted::<2>(hint, addr)?) as u64,
+        LoadKind::Lw => i32::from_le_bytes(mem.read_hinted::<4>(hint, addr)?) as i64 as u64,
+        LoadKind::Lwu => u32::from_le_bytes(mem.read_hinted::<4>(hint, addr)?) as u64,
+        LoadKind::Ld => u64::from_le_bytes(mem.read_hinted::<8>(hint, addr)?),
+    })
+}
+
+/// Scalar store of the low bytes of `v` through the hinted path.
+#[inline(always)]
+pub(crate) fn store_x(
+    mem: &mut Memory,
+    hint: &mut RegionHint,
+    kind: StoreKind,
+    addr: u64,
+    v: u64,
+) -> Result<(), MemFault> {
+    match kind {
+        StoreKind::Sb => mem.write_hinted(hint, addr, &[v as u8]),
+        StoreKind::Sh => mem.write_hinted(hint, addr, &(v as u16).to_le_bytes()),
+        StoreKind::Sw => mem.write_hinted(hint, addr, &(v as u32).to_le_bytes()),
+        StoreKind::Sd => mem.write_hinted(hint, addr, &v.to_le_bytes()),
+    }
+}
+
+/// FP load through the hinted path: the register bits, a single NaN-boxed.
+#[inline(always)]
+pub(crate) fn load_f(
+    mem: &mut Memory,
+    hint: &mut RegionHint,
+    width: FpWidth,
+    addr: u64,
+) -> Result<u64, MemFault> {
+    Ok(match width {
+        FpWidth::S => {
+            0xffff_ffff_0000_0000 | u32::from_le_bytes(mem.read_hinted::<4>(hint, addr)?) as u64
+        }
+        FpWidth::D => u64::from_le_bytes(mem.read_hinted::<8>(hint, addr)?),
+    })
+}
+
+/// FP store of the register bits `bits` through the hinted path.
+#[inline(always)]
+pub(crate) fn store_f(
+    mem: &mut Memory,
+    hint: &mut RegionHint,
+    width: FpWidth,
+    addr: u64,
+    bits: u64,
+) -> Result<(), MemFault> {
+    match width {
+        FpWidth::S => mem.write_hinted(hint, addr, &(bits as u32).to_le_bytes()),
+        FpWidth::D => mem.write_hinted(hint, addr, &bits.to_le_bytes()),
+    }
 }
 
 fn exec_fop(

@@ -76,11 +76,10 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use chimera_isa::{FpWidth, LoadKind, StoreKind};
 use chimera_trace::TraceEvent;
 
 use crate::bbcache::Block;
-use crate::cpu::{block_intact, Cpu, Trap};
+use crate::cpu::{block_intact, load_f, load_x, store_f, store_x, Cpu, Trap};
 use crate::mem::{MemFault, Memory};
 use crate::uop::{MicroOp, Uop};
 
@@ -333,23 +332,9 @@ unsafe extern "C" fn jit_load(ctx: *mut JitCtx, addr: u64, op_idx: u64) -> u64 {
     let MicroOp::Load { kind, rd, .. } = unsafe { ctx_uop(ctx, op_idx) }.op else {
         unreachable!("load helper compiled against a non-load uop");
     };
-    let hint = &mut cpu.hints.load;
-    macro_rules! ld {
-        ($n:literal) => {
-            match mem.read_hinted::<$n>(hint, addr) {
-                Ok(b) => b,
-                Err(fault) => return fault_exit(ctx, fault),
-            }
-        };
-    }
-    let v = match kind {
-        LoadKind::Lb => ld!(1)[0] as i8 as i64 as u64,
-        LoadKind::Lbu => ld!(1)[0] as u64,
-        LoadKind::Lh => i16::from_le_bytes(ld!(2)) as i64 as u64,
-        LoadKind::Lhu => u16::from_le_bytes(ld!(2)) as u64,
-        LoadKind::Lw => i32::from_le_bytes(ld!(4)) as i64 as u64,
-        LoadKind::Lwu => u32::from_le_bytes(ld!(4)) as u64,
-        LoadKind::Ld => u64::from_le_bytes(ld!(8)),
+    let v = match load_x(mem, &mut cpu.hints.load, kind, addr) {
+        Ok(v) => v,
+        Err(fault) => return fault_exit(ctx, fault),
     };
     cpu.hart.set_x(rd, v);
     refresh_load_mirror(ctx, mem, addr);
@@ -373,14 +358,21 @@ unsafe extern "C" fn jit_store(ctx: *mut JitCtx, addr: u64, op_idx: u64) -> u64 
         unreachable!("store helper compiled against a non-store uop");
     };
     let gen_before = mem.code_generation();
-    let v = cpu.hart.get_x(rs2);
-    let hint = &mut cpu.hints.store;
-    let wrote = match kind {
-        StoreKind::Sb => mem.write_hinted(hint, addr, &[v as u8]),
-        StoreKind::Sh => mem.write_hinted(hint, addr, &(v as u16).to_le_bytes()),
-        StoreKind::Sw => mem.write_hinted(hint, addr, &(v as u32).to_le_bytes()),
-        StoreKind::Sd => mem.write_hinted(hint, addr, &v.to_le_bytes()),
-    };
+    let wrote = store_x(mem, &mut cpu.hints.store, kind, addr, cpu.hart.get_x(rs2));
+    finish_store(ctx, mem, block, u, addr, gen_before, wrote)
+}
+
+/// The tail the two store call-outs share: the fault exit, the mirror
+/// re-aim, and the self-modifying-code guard.
+fn finish_store(
+    ctx: &mut JitCtx,
+    mem: &mut Memory,
+    block: &Block,
+    u: Uop,
+    addr: u64,
+    gen_before: u64,
+    wrote: Result<(), MemFault>,
+) -> u64 {
     if let Err(fault) = wrote {
         return fault_exit(ctx, fault);
     }
@@ -419,24 +411,15 @@ unsafe extern "C" fn jit_fload(ctx: *mut JitCtx, addr: u64, op_idx: u64) -> u64 
     let MicroOp::FLoad { width, frd, .. } = unsafe { ctx_uop(ctx, op_idx) }.op else {
         unreachable!("fp-load helper compiled against a non-fp-load uop");
     };
-    let hint = &mut cpu.hints.load;
-    match width {
-        FpWidth::S => match mem.read_hinted::<4>(hint, addr) {
-            Ok(b) => cpu
-                .hart
-                .set_f(frd, 0xffff_ffff_0000_0000 | u32::from_le_bytes(b) as u64),
-            Err(fault) => return fault_exit(ctx, fault),
-        },
-        FpWidth::D => match mem.read_hinted::<8>(hint, addr) {
-            Ok(b) => cpu.hart.set_f(frd, u64::from_le_bytes(b)),
-            Err(fault) => return fault_exit(ctx, fault),
-        },
+    match load_f(mem, &mut cpu.hints.load, width, addr) {
+        Ok(bits) => cpu.hart.set_f(frd, bits),
+        Err(fault) => return fault_exit(ctx, fault),
     }
     refresh_load_mirror(ctx, mem, addr);
     0
 }
 
-/// FP-store call-out; SMC tail identical to [`jit_store`].
+/// FP-store call-out; shares [`finish_store`] with [`jit_store`].
 ///
 /// # Safety
 ///
@@ -451,27 +434,8 @@ unsafe extern "C" fn jit_fstore(ctx: *mut JitCtx, addr: u64, op_idx: u64) -> u64
         unreachable!("fp-store helper compiled against a non-fp-store uop");
     };
     let gen_before = mem.code_generation();
-    let v = cpu.hart.get_f(frs2);
-    let hint = &mut cpu.hints.store;
-    let wrote = match width {
-        FpWidth::S => mem.write_hinted(hint, addr, &(v as u32).to_le_bytes()),
-        FpWidth::D => mem.write_hinted(hint, addr, &v.to_le_bytes()),
-    };
-    if let Err(fault) = wrote {
-        return fault_exit(ctx, fault);
-    }
-    refresh_store_mirror(ctx, mem, addr);
-    if mem.code_generation() != gen_before {
-        if !block_intact(mem, block) {
-            ctx.d_stores += 1;
-            ctx.d_cycles += u.cost as u64;
-            ctx.fuel -= 1;
-            ctx.pc += u.len as u64;
-            return ST_BAIL as u64;
-        }
-        ctx.cur_gen = mem.code_generation();
-    }
-    0
+    let wrote = store_f(mem, &mut cpu.hints.store, width, addr, cpu.hart.get_f(frs2));
+    finish_store(ctx, mem, block, u, addr, gen_before, wrote)
 }
 
 /// `MicroOp::Generic` delegate: drains the deltas (the engine's

@@ -380,8 +380,8 @@ kinds! {
     Clz   "clz"    (OP_IMM, 0b001, 0b0110000, 0b00000) "Count leading zeros."       => B, a.leading_zeros() as u64;
     Ctz   "ctz"    (OP_IMM, 0b001, 0b0110000, 0b00001) "Count trailing zeros."      => B, a.trailing_zeros() as u64;
     Cpop  "cpop"   (OP_IMM, 0b001, 0b0110000, 0b00010) "Population count."          => B, a.count_ones() as u64;
-    SextB "sext.b" (OP_IMM, 0b001, 0b0110000, 0b00100) "Sign-extend byte."          => B, a as i8 as u64;
-    SextH "sext.h" (OP_IMM, 0b001, 0b0110000, 0b00101) "Sign-extend halfword."      => B, a as i16 as u64;
+    SextB "sext.b" (OP_IMM, 0b001, 0b0110000, 0b00100) "Sign-extend byte."          => B, a as i8 as i64 as u64;
+    SextH "sext.h" (OP_IMM, 0b001, 0b0110000, 0b00101) "Sign-extend halfword."      => B, a as i16 as i64 as u64;
     ZextH "zext.h" (OP_32,  0b100, 0b0000100, 0b00000) "Zero-extend halfword."      => B, a as u16 as u64;
     Rev8  "rev8"   (OP_IMM, 0b101, 0b0110101, 0b11000) "Byte-reverse the register." => B, a.swap_bytes();
 }

@@ -12,7 +12,7 @@
 //!    trampoline/trap table entries and padding. The only stage whose
 //!    decisions depend on layout, and sequential by construction;
 //! 3. **transform** — emit every placed unit at its final address on the
-//!    worker pool, asserting each came out at its measured size;
+//!    worker pool, checking each came out at its measured size;
 //! 4. **place** — concatenate unit bytes (plus illegal-filled padding) into
 //!    the target section and merge the per-unit table/statistics fragments
 //!    in unit order;
@@ -36,7 +36,8 @@
 //! patches, SMC pokes, remaps) live in the *runtime memory image*, not the
 //! input. An incremental run therefore reproduces the full-rewrite output
 //! exactly: it reuses the cached post-plan state, re-emits only the dirty
-//! units (hard-asserting each re-emission matches its cached artifact),
+//! units (a re-emission that differs from its cached artifact is a
+//! [`RewriteError::Layout`]),
 //! clones every clean artifact verbatim, and replays place/link/verify.
 //! The dirty set decides how much work is *saved*, never what the output
 //! *is* — which is what makes the byte-equality invariant unconditional.
@@ -306,11 +307,14 @@ fn emit_placed(layout: &Layout, idx: usize) -> Result<UnitArtifact, RewriteError
         return Ok(UnitArtifact::default());
     };
     let art = layout.units.emit(idx, addr)?;
-    assert_eq!(
-        art.bytes.len() as u64,
-        layout.sizes[idx],
-        "unit {idx}: emission must be size-invariant in its base address"
-    );
+    if art.bytes.len() as u64 != layout.sizes[idx] {
+        return Err(RewriteError::Layout(format!(
+            "unit {idx}: emitted {} bytes at {addr:#x} but measured {}: \
+             emission must be size-invariant in its base address",
+            art.bytes.len(),
+            layout.sizes[idx]
+        )));
+    }
     Ok(art)
 }
 
@@ -430,8 +434,9 @@ fn finish(
 /// Incrementally re-rewrites `binary`: computes the dirty-unit set from
 /// `dirty` (source-range intersection, generation newer than the unit's
 /// validation stamp), re-emits exactly those units in parallel —
-/// hard-asserting each re-emission is byte-identical to its cached
-/// artifact — reuses every clean unit verbatim, and replays the cheap
+/// failing with [`RewriteError::Layout`] unless each re-emission is
+/// byte-identical to its cached artifact — reuses every clean unit
+/// verbatim, and replays the cheap
 /// place/link/verify stages to reconstruct the output. Bit-identical to
 /// a from-scratch [`run`] of the same engine over the same input.
 ///
@@ -476,17 +481,18 @@ pub fn run_incremental(
         }
     }
 
-    // Re-emit the dirty units (parallel), then hard-assert the reuse
-    // invariant: emission is pure, so a re-emitted unit must match its
-    // cached artifact bit for bit. A divergence means the cache no longer
-    // describes this engine configuration — corrupt output, so fail loud.
+    // Re-emit the dirty units (parallel), then check the reuse invariant:
+    // emission is pure, so a re-emitted unit must match its cached artifact
+    // bit for bit. A divergence means the cache no longer describes this
+    // engine configuration — the output would be corrupt, so refuse it.
     let fresh = map_indexed(workers, redo.len(), |j| emit_placed(layout, redo[j]));
     for (&i, art) in redo.iter().zip(fresh) {
-        assert!(
-            art? == cache.cached[i].artifact,
-            "incremental re-emission of unit {i} diverged from its cached \
-             artifact ({engine:?}): emission is not pure or the cache is stale"
-        );
+        if art? != cache.cached[i].artifact {
+            return Err(RewriteError::Layout(format!(
+                "incremental re-emission of unit {i} diverged from its cached \
+                 artifact ({engine:?}): emission is not pure or the cache is stale"
+            )));
+        }
     }
 
     // Replay the cheap tail stages for real: the output binary is
