@@ -106,7 +106,8 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
     let funct3 = field(word, 12, 3);
     let funct7 = field(word, 25, 7);
     let err = Err(DecodeError::Unrecognized(word));
-    // The Zbb single-operand rows sit in both `OP-IMM` and `OP-32` space.
+    // The Zbb single-operand rows sit in `OP-IMM` and `OP-32` space, on
+    // encodings the two-operand rows there leave free.
     let unary = || UnaryKind::from_encoding((opcode, funct3, funct7, field(word, 20, 5)));
 
     Ok(match opcode {
@@ -166,28 +167,28 @@ fn decode32(word: u32) -> Result<Inst, DecodeError> {
             }
         }
         OP_IMM | OP_IMM_32 => {
-            let imm12 = field(word, 20, 12);
-            if let Some(kind) = unary() {
-                return Ok(Inst::Unary {
-                    kind,
-                    rd: rd(),
-                    rs1: rs1(),
-                });
-            }
             // A shift row is keyed on the immediate bits above its shift
             // amount, every other row on zero there.
+            let imm12 = field(word, 20, 12);
             let (above_shamt, imm) = match shamt_bits(opcode, funct3) {
                 Some(bits) => (imm12 >> bits, field(word, 20, bits) as i32),
                 None => (0, itype_imm_of(word)),
             };
-            let Some(kind) = OpImmKind::from_encoding((opcode, funct3, above_shamt)) else {
+            if let Some(kind) = OpImmKind::from_encoding((opcode, funct3, above_shamt)) {
+                Inst::OpImm {
+                    kind,
+                    rd: rd(),
+                    rs1: rs1(),
+                    imm,
+                }
+            } else if let Some(kind) = unary() {
+                Inst::Unary {
+                    kind,
+                    rd: rd(),
+                    rs1: rs1(),
+                }
+            } else {
                 return err;
-            };
-            Inst::OpImm {
-                kind,
-                rd: rd(),
-                rs1: rs1(),
-                imm,
             }
         }
         OP | OP_32 => {
