@@ -125,9 +125,9 @@ fn eval_digest(mnemonic: &str) -> Option<u64> {
     }
 }
 
-/// `mnemonic digest`, recorded from `branch_cond`, `exec_opimm`, `exec_op`
-/// and `exec_unary` of `crates/emu/src/cpu.rs` on the last commit that had
-/// them, over exactly the operand set above.
+/// `mnemonic digest`, recorded from the four branch / ALU helper functions
+/// of `crates/emu/src/cpu.rs` on the last commit that had them (c5f1b20),
+/// over exactly the operand set above.
 const FROZEN: &str = "
     beq 0xf21590804ed9943d
     bne 0x306c1f8101c9da0d
