@@ -12,11 +12,18 @@
 //! differently. A deliberate change to the accepted set re-records the
 //! constants and states the delta (see `WORDS`).
 //!
-//! ≈ 1.07 G decodes: seconds in release, minutes in debug, so the 32-bit
-//! half is ignored in debug and CI runs it with `--release --
-//! --include-ignored`.
+//! A third digest pins `encode_compressed` from the other side — which
+//! instructions it accepts and which it refuses — over every constructor
+//! that has a compressed form (see `ENCODE_SPACE`).
+//!
+//! ≈ 1.07 G decodes and ≈ 120 M compressed encodes: seconds in release,
+//! minutes in debug, so the 32-bit half and the encode-space sweep are
+//! ignored in debug and CI runs them with `--release -- --include-ignored`.
 
-use chimera_isa::{decode, encode, encode_compressed, DecodeError};
+use chimera_isa::{
+    decode, encode, encode_compressed, BranchKind, DecodeError, Inst, LoadKind, OpImmKind, OpKind,
+    StoreKind, XReg,
+};
 
 /// The 32-bit space is folded in fixed slices so the digest does not
 /// depend on how many threads computed it; slice digests combine in order.
@@ -159,4 +166,97 @@ fn every_halfword_decodes_reencodes_and_prints_as_recorded() {
         d.fold(half as u32, true);
     }
     d.check("RVC", HALFWORDS);
+}
+
+/// `(digest, instructions that compress)` of the encode-space sweep below,
+/// recorded on the hand-written encoder before the RVC table replaced it.
+/// 38,154 = the 38,188 accepted halfwords less the 31 decode-only
+/// `c.addi rd, 0` words and the 3 `c.addi16sp` words whose immediate fits
+/// `c.addi`: the sweep reaches every instruction a halfword decodes to.
+const ENCODE_SPACE: (u64, u64) = (0x5dce_2b76_8eb0_6aae, 38_154);
+
+/// The side `ModuleBuilder` relies on and the halfword digest cannot see:
+/// what `encode_compressed` *refuses* (`addi s0, s0, 32`, `lw a0, 2(a1)`,
+/// `c.j` at ±2 KiB + 2). Every constructor with a compressed form, over
+/// all its register combinations and every immediate in a window that
+/// brackets each form's range and alignment boundary (the widest, `c.j`,
+/// ends at ±2 KiB), all 64 amounts for the shifts. Kinds are visited in
+/// `Kind::ALL` order, so unlike the decode digests this one also moves when
+/// rows of `kinds.rs` are reordered.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "~120 M encodes: run in release")]
+fn encode_compressed_accepts_and_refuses_as_recorded() {
+    let mut digest = Digest::EMPTY.words;
+    let mut accepted = 0u64;
+    let mut fold = |inst: Inst| {
+        let half = encode_compressed(&inst);
+        accepted += half.is_some() as u64;
+        digest = fnv(digest, half.map_or(u64::MAX, u64::from));
+    };
+    const IMMS: std::ops::Range<i32> = -2_200..2_200;
+    for a in XReg::all() {
+        for imm in IMMS {
+            fold(Inst::Lui { rd: a, imm20: imm });
+            fold(Inst::Jal { rd: a, offset: imm });
+        }
+        for b in XReg::all() {
+            for &kind in OpImmKind::ALL {
+                for imm in if kind.is_shift() { 0..64 } else { IMMS } {
+                    fold(Inst::OpImm {
+                        kind,
+                        rd: a,
+                        rs1: b,
+                        imm,
+                    });
+                }
+            }
+            for offset in IMMS {
+                fold(Inst::Jalr {
+                    rd: a,
+                    rs1: b,
+                    offset,
+                });
+                for &kind in LoadKind::ALL {
+                    fold(Inst::Load {
+                        kind,
+                        rd: a,
+                        rs1: b,
+                        offset,
+                    });
+                }
+                for &kind in StoreKind::ALL {
+                    fold(Inst::Store {
+                        kind,
+                        rs1: a,
+                        rs2: b,
+                        offset,
+                    });
+                }
+                for &kind in BranchKind::ALL {
+                    fold(Inst::Branch {
+                        kind,
+                        rs1: a,
+                        rs2: b,
+                        offset,
+                    });
+                }
+            }
+            for c in XReg::all() {
+                for &kind in OpKind::ALL {
+                    fold(Inst::Op {
+                        kind,
+                        rd: a,
+                        rs1: b,
+                        rs2: c,
+                    });
+                }
+            }
+        }
+    }
+    fold(Inst::Ebreak);
+    assert_eq!(
+        (digest, accepted),
+        ENCODE_SPACE,
+        "encode space moved: digest {digest:#018x} accepted {accepted}"
+    );
 }
