@@ -271,11 +271,6 @@ impl MasterImage {
         self.gp
     }
 
-    /// Number of template regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Total mapped bytes across all template regions.
     pub fn mapped_bytes(&self) -> u64 {
         self.regions.iter().map(|r| r.bytes.len() as u64).sum()
@@ -729,13 +724,6 @@ impl Memory {
     pub fn fetch_u16(&mut self, addr: u64) -> Result<u16, MemFault> {
         let b = self.access(addr, 2, Access::Fetch)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Fetches a 32-bit word with X permission (both halves must be mapped
-    /// executable).
-    pub fn fetch_u32(&mut self, addr: u64) -> Result<u32, MemFault> {
-        let b = self.access(addr, 4, Access::Fetch)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads bytes regardless of permissions (debugger/kernel view).

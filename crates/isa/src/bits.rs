@@ -9,12 +9,6 @@ pub fn field(word: u32, lo: u32, len: u32) -> u32 {
     (word >> lo) & ((1u32 << len) - 1)
 }
 
-/// Extracts bits `[lo, lo+len)` of a 16-bit compressed word.
-#[inline]
-pub fn cfield(word: u16, lo: u32, len: u32) -> u32 {
-    ((word as u32) >> lo) & ((1u32 << len) - 1)
-}
-
 /// Sign-extends the low `bits` bits of `value`.
 #[inline]
 pub fn sext(value: u32, bits: u32) -> i32 {

@@ -1,5 +1,5 @@
-//! Instruction decoding: 32-bit and compressed 16-bit machine words into
-//! canonical [`Inst`] values.
+//! Instruction decoding: 32-bit machine words into canonical [`Inst`]
+//! values; compressed 16-bit words go through the table in [`crate::rvc`].
 //!
 //! Anything outside the modelled subset decodes to
 //! [`DecodeError::Unrecognized`]; the emulator turns that into an
@@ -14,6 +14,7 @@ use crate::bits::*;
 use crate::inst::*;
 use crate::kinds::*;
 use crate::reg::{FReg, VReg, XReg};
+pub use crate::rvc::decode_compressed;
 use core::fmt;
 
 /// A successfully decoded instruction plus its encoded length in bytes.
@@ -465,381 +466,6 @@ fn decode_opv(word: u32) -> Result<Inst, DecodeError> {
         return err;
     }
     Ok(Inst::VArith { op, vd, vs2, src })
-}
-
-/// Decodes a compressed (RVC) 16-bit word into its canonical expansion.
-pub fn decode_compressed(word: u16) -> Result<Inst, DecodeError> {
-    let err = Err(DecodeError::Unrecognized(word as u32));
-    if word == 0 {
-        // Defined illegal instruction.
-        return err;
-    }
-    let op = word & 0b11;
-    let funct3 = cfield(word, 13, 3);
-    match op {
-        0b00 => {
-            let rdc = XReg::of_compressed(cfield(word, 2, 3) as u8);
-            let rs1c = XReg::of_compressed(cfield(word, 7, 3) as u8);
-            match funct3 {
-                0b000 => {
-                    // c.addi4spn
-                    let imm = (cfield(word, 6, 1) << 2)
-                        | (cfield(word, 5, 1) << 3)
-                        | (cfield(word, 11, 2) << 4)
-                        | (cfield(word, 7, 4) << 6);
-                    if imm == 0 {
-                        return err;
-                    }
-                    Ok(Inst::OpImm {
-                        kind: OpImmKind::Addi,
-                        rd: rdc,
-                        rs1: XReg::SP,
-                        imm: imm as i32,
-                    })
-                }
-                0b010 => {
-                    // c.lw
-                    let imm = (cfield(word, 6, 1) << 2)
-                        | (cfield(word, 10, 3) << 3)
-                        | (cfield(word, 5, 1) << 6);
-                    Ok(Inst::Load {
-                        kind: LoadKind::Lw,
-                        rd: rdc,
-                        rs1: rs1c,
-                        offset: imm as i32,
-                    })
-                }
-                0b011 => {
-                    // c.ld
-                    let imm = (cfield(word, 10, 3) << 3) | (cfield(word, 5, 2) << 6);
-                    Ok(Inst::Load {
-                        kind: LoadKind::Ld,
-                        rd: rdc,
-                        rs1: rs1c,
-                        offset: imm as i32,
-                    })
-                }
-                0b110 => {
-                    // c.sw
-                    let imm = (cfield(word, 6, 1) << 2)
-                        | (cfield(word, 10, 3) << 3)
-                        | (cfield(word, 5, 1) << 6);
-                    Ok(Inst::Store {
-                        kind: StoreKind::Sw,
-                        rs1: rs1c,
-                        rs2: rdc,
-                        offset: imm as i32,
-                    })
-                }
-                0b111 => {
-                    // c.sd
-                    let imm = (cfield(word, 10, 3) << 3) | (cfield(word, 5, 2) << 6);
-                    Ok(Inst::Store {
-                        kind: StoreKind::Sd,
-                        rs1: rs1c,
-                        rs2: rdc,
-                        offset: imm as i32,
-                    })
-                }
-                // 0b100 is the RVC-reserved row (the encoding space the paper
-                // notes SMILE can draw an always-illegal halfword from);
-                // 0b001/0b101 are c.fld/c.fsd, outside the modelled subset.
-                _ => err,
-            }
-        }
-        0b01 => {
-            match funct3 {
-                0b000 => {
-                    // c.nop / c.addi
-                    let rd = xr(word as u32, 7);
-                    let imm = ci_imm(word);
-                    if rd == XReg::ZERO {
-                        if imm != 0 {
-                            return err; // HINT space; treat as unsupported.
-                        }
-                        return Ok(Inst::OpImm {
-                            kind: OpImmKind::Addi,
-                            rd: XReg::ZERO,
-                            rs1: XReg::ZERO,
-                            imm: 0,
-                        });
-                    }
-                    Ok(Inst::OpImm {
-                        kind: OpImmKind::Addi,
-                        rd,
-                        rs1: rd,
-                        imm,
-                    })
-                }
-                0b001 => {
-                    // c.addiw
-                    let rd = xr(word as u32, 7);
-                    if rd == XReg::ZERO {
-                        return err; // Reserved.
-                    }
-                    Ok(Inst::OpImm {
-                        kind: OpImmKind::Addiw,
-                        rd,
-                        rs1: rd,
-                        imm: ci_imm(word),
-                    })
-                }
-                0b010 => {
-                    // c.li
-                    let rd = xr(word as u32, 7);
-                    if rd == XReg::ZERO {
-                        return err; // HINT.
-                    }
-                    Ok(Inst::OpImm {
-                        kind: OpImmKind::Addi,
-                        rd,
-                        rs1: XReg::ZERO,
-                        imm: ci_imm(word),
-                    })
-                }
-                0b011 => {
-                    let rd = xr(word as u32, 7);
-                    if rd == XReg::SP {
-                        // c.addi16sp
-                        let imm = (cfield(word, 6, 1) << 4)
-                            | (cfield(word, 2, 1) << 5)
-                            | (cfield(word, 5, 1) << 6)
-                            | (cfield(word, 3, 2) << 7)
-                            | (cfield(word, 12, 1) << 9);
-                        let imm = sext(imm, 10);
-                        if imm == 0 {
-                            return err; // Reserved.
-                        }
-                        return Ok(Inst::OpImm {
-                            kind: OpImmKind::Addi,
-                            rd: XReg::SP,
-                            rs1: XReg::SP,
-                            imm,
-                        });
-                    }
-                    // c.lui
-                    let imm = ci_imm(word);
-                    if rd == XReg::ZERO || imm == 0 {
-                        return err;
-                    }
-                    Ok(Inst::Lui { rd, imm20: imm })
-                }
-                0b100 => {
-                    let rdc = XReg::of_compressed(cfield(word, 7, 3) as u8);
-                    match cfield(word, 10, 2) {
-                        0b00 | 0b01 => {
-                            // c.srli / c.srai
-                            let shamt = (cfield(word, 2, 5) | (cfield(word, 12, 1) << 5)) as i32;
-                            if shamt == 0 {
-                                return err; // HINT / RV128.
-                            }
-                            let kind = if cfield(word, 10, 2) == 0b00 {
-                                OpImmKind::Srli
-                            } else {
-                                OpImmKind::Srai
-                            };
-                            Ok(Inst::OpImm {
-                                kind,
-                                rd: rdc,
-                                rs1: rdc,
-                                imm: shamt,
-                            })
-                        }
-                        0b10 => {
-                            // c.andi
-                            Ok(Inst::OpImm {
-                                kind: OpImmKind::Andi,
-                                rd: rdc,
-                                rs1: rdc,
-                                imm: ci_imm(word),
-                            })
-                        }
-                        _ => {
-                            // Register-register row.
-                            let rs2c = XReg::of_compressed(cfield(word, 2, 3) as u8);
-                            let kind = match (cfield(word, 12, 1), cfield(word, 5, 2)) {
-                                (0, 0b00) => OpKind::Sub,
-                                (0, 0b01) => OpKind::Xor,
-                                (0, 0b10) => OpKind::Or,
-                                (0, 0b11) => OpKind::And,
-                                (1, 0b00) => OpKind::Subw,
-                                (1, 0b01) => OpKind::Addw,
-                                _ => return err, // Reserved.
-                            };
-                            Ok(Inst::Op {
-                                kind,
-                                rd: rdc,
-                                rs1: rdc,
-                                rs2: rs2c,
-                            })
-                        }
-                    }
-                }
-                0b101 => {
-                    // c.j
-                    let imm = (cfield(word, 3, 3) << 1)
-                        | (cfield(word, 11, 1) << 4)
-                        | (cfield(word, 2, 1) << 5)
-                        | (cfield(word, 7, 1) << 6)
-                        | (cfield(word, 6, 1) << 7)
-                        | (cfield(word, 9, 2) << 8)
-                        | (cfield(word, 8, 1) << 10)
-                        | (cfield(word, 12, 1) << 11);
-                    Ok(Inst::Jal {
-                        rd: XReg::ZERO,
-                        offset: sext(imm, 12),
-                    })
-                }
-                0b110 | 0b111 => {
-                    // c.beqz / c.bnez
-                    let rs1c = XReg::of_compressed(cfield(word, 7, 3) as u8);
-                    let imm = (cfield(word, 3, 2) << 1)
-                        | (cfield(word, 10, 2) << 3)
-                        | (cfield(word, 2, 1) << 5)
-                        | (cfield(word, 5, 2) << 6)
-                        | (cfield(word, 12, 1) << 8);
-                    let kind = if funct3 == 0b110 {
-                        BranchKind::Beq
-                    } else {
-                        BranchKind::Bne
-                    };
-                    Ok(Inst::Branch {
-                        kind,
-                        rs1: rs1c,
-                        rs2: XReg::ZERO,
-                        offset: sext(imm, 9),
-                    })
-                }
-                _ => err,
-            }
-        }
-        0b10 => {
-            match funct3 {
-                0b000 => {
-                    // c.slli
-                    let rd = xr(word as u32, 7);
-                    let shamt = (cfield(word, 2, 5) | (cfield(word, 12, 1) << 5)) as i32;
-                    if rd == XReg::ZERO || shamt == 0 {
-                        return err; // HINT.
-                    }
-                    Ok(Inst::OpImm {
-                        kind: OpImmKind::Slli,
-                        rd,
-                        rs1: rd,
-                        imm: shamt,
-                    })
-                }
-                0b010 => {
-                    // c.lwsp
-                    let rd = xr(word as u32, 7);
-                    if rd == XReg::ZERO {
-                        return err;
-                    }
-                    let imm = (cfield(word, 4, 3) << 2)
-                        | (cfield(word, 12, 1) << 5)
-                        | (cfield(word, 2, 2) << 6);
-                    Ok(Inst::Load {
-                        kind: LoadKind::Lw,
-                        rd,
-                        rs1: XReg::SP,
-                        offset: imm as i32,
-                    })
-                }
-                0b011 => {
-                    // c.ldsp
-                    let rd = xr(word as u32, 7);
-                    if rd == XReg::ZERO {
-                        return err;
-                    }
-                    let imm = (cfield(word, 5, 2) << 3)
-                        | (cfield(word, 12, 1) << 5)
-                        | (cfield(word, 2, 3) << 6);
-                    Ok(Inst::Load {
-                        kind: LoadKind::Ld,
-                        rd,
-                        rs1: XReg::SP,
-                        offset: imm as i32,
-                    })
-                }
-                0b100 => {
-                    let rs1 = xr(word as u32, 7);
-                    let rs2 = xr(word as u32, 2);
-                    if cfield(word, 12, 1) == 0 {
-                        if rs2 == XReg::ZERO {
-                            if rs1 == XReg::ZERO {
-                                return err; // Reserved.
-                            }
-                            // c.jr
-                            return Ok(Inst::Jalr {
-                                rd: XReg::ZERO,
-                                rs1,
-                                offset: 0,
-                            });
-                        }
-                        if rs1 == XReg::ZERO {
-                            return err; // HINT.
-                        }
-                        // c.mv
-                        Ok(Inst::Op {
-                            kind: OpKind::Add,
-                            rd: rs1,
-                            rs1: XReg::ZERO,
-                            rs2,
-                        })
-                    } else {
-                        if rs2 == XReg::ZERO {
-                            if rs1 == XReg::ZERO {
-                                return Ok(Inst::Ebreak); // c.ebreak
-                            }
-                            // c.jalr
-                            return Ok(Inst::Jalr {
-                                rd: XReg::RA,
-                                rs1,
-                                offset: 0,
-                            });
-                        }
-                        if rs1 == XReg::ZERO {
-                            return err; // HINT.
-                        }
-                        // c.add
-                        Ok(Inst::Op {
-                            kind: OpKind::Add,
-                            rd: rs1,
-                            rs1,
-                            rs2,
-                        })
-                    }
-                }
-                0b110 => {
-                    // c.swsp
-                    let imm = (cfield(word, 9, 4) << 2) | (cfield(word, 7, 2) << 6);
-                    Ok(Inst::Store {
-                        kind: StoreKind::Sw,
-                        rs1: XReg::SP,
-                        rs2: xr(word as u32, 2),
-                        offset: imm as i32,
-                    })
-                }
-                0b111 => {
-                    // c.sdsp
-                    let imm = (cfield(word, 10, 3) << 3) | (cfield(word, 7, 3) << 6);
-                    Ok(Inst::Store {
-                        kind: StoreKind::Sd,
-                        rs1: XReg::SP,
-                        rs2: xr(word as u32, 2),
-                        offset: imm as i32,
-                    })
-                }
-                _ => err, // c.fldsp / c.fsdsp outside the subset.
-            }
-        }
-        _ => unreachable!("op==11 is a 32-bit encoding"),
-    }
-}
-
-/// Decodes the CI-format signed 6-bit immediate.
-fn ci_imm(word: u16) -> i32 {
-    sext(cfield(word, 2, 5) | (cfield(word, 12, 1) << 5), 6)
 }
 
 #[cfg(test)]

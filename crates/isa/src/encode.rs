@@ -1,5 +1,6 @@
-//! Instruction encoding: canonical 32-bit encodings for every [`Inst`], plus
-//! compressed (RVC) 16-bit encodings for the subset that has them.
+//! Instruction encoding: canonical 32-bit encodings for every [`Inst`]. The
+//! compressed (RVC) 16-bit encodings of the subset that has them come from
+//! the table in [`crate::rvc`].
 //!
 //! The encoder emits exactly the encodings the decoder accepts, so
 //! `decode(encode(i)) == i` for every well-formed instruction (enforced by
@@ -9,7 +10,7 @@
 use crate::bits::*;
 use crate::inst::*;
 use crate::kinds::*;
-use crate::reg::XReg;
+pub use crate::rvc::encode_compressed;
 use core::fmt;
 
 /// Errors from [`encode`]: an immediate does not fit its field.
@@ -431,430 +432,10 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
     })
 }
 
-/// Encodes an instruction into a compressed (RVC) 16-bit word if the
-/// instruction has a compressed form in the modelled subset, else `None`.
-///
-/// The supported forms mirror real RV64C: `c.addi`, `c.addiw`, `c.li`,
-/// `c.lui`, `c.addi16sp`, `c.addi4spn`, `c.slli/srli/srai/andi`,
-/// `c.mv/add/sub/xor/or/and/subw/addw`, `c.j`, `c.beqz/bnez`,
-/// `c.jr/jalr`, `c.lw/ld/sw/sd`, `c.lwsp/ldsp/swsp/sdsp`, `c.nop`,
-/// `c.ebreak`.
-pub fn encode_compressed(inst: &Inst) -> Option<u16> {
-    let w = try_encode_compressed(inst)?;
-    debug_assert_ne!(w & 0b11, 0b11, "compressed encoding has 32-bit low bits");
-    Some(w)
-}
-
-fn c_reg(r: XReg) -> Option<u16> {
-    if r.is_compressed_addressable() {
-        Some((r.index() - 8) as u16)
-    } else {
-        None
-    }
-}
-
-fn try_encode_compressed(inst: &Inst) -> Option<u16> {
-    match *inst {
-        // C.ADDI / C.NOP / C.LI / C.ADDIW / C.ADDI16SP / C.ADDI4SPN
-        Inst::OpImm {
-            kind: OpImmKind::Addi,
-            rd,
-            rs1,
-            imm,
-        } => {
-            if rd == XReg::ZERO && rs1 == XReg::ZERO && imm == 0 {
-                // c.nop
-                return Some(0x0001);
-            }
-            if rd == rs1 && rd != XReg::ZERO && fits_signed(imm as i64, 6) && imm != 0 {
-                // c.addi rd, imm6
-                return Some(c_ci(0b000, 0b01, rd.index(), imm));
-            }
-            if rs1 == XReg::ZERO && rd != XReg::ZERO && fits_signed(imm as i64, 6) {
-                // c.li rd, imm6
-                return Some(c_ci(0b010, 0b01, rd.index(), imm));
-            }
-            if rd == XReg::SP
-                && rs1 == XReg::SP
-                && imm != 0
-                && imm % 16 == 0
-                && fits_signed(imm as i64, 10)
-            {
-                // c.addi16sp
-                let u = imm as u32;
-                let w = (0b011u16 << 13)
-                    | (((u >> 9) & 1) as u16) << 12
-                    | (2u16 << 7)
-                    | (((u >> 4) & 1) as u16) << 6
-                    | (((u >> 6) & 1) as u16) << 5
-                    | (((u >> 7) & 3) as u16) << 3
-                    | (((u >> 5) & 1) as u16) << 2
-                    | 0b01;
-                return Some(w);
-            }
-            if rs1 == XReg::SP && imm > 0 && imm % 4 == 0 && fits_unsigned(imm as i64, 10) {
-                if let Some(rdc) = c_reg(rd) {
-                    // c.addi4spn
-                    let u = imm as u32;
-                    let w = ((((u >> 4) & 3) as u16) << 11)
-                        | (((u >> 6) & 0xf) as u16) << 7
-                        | (((u >> 2) & 1) as u16) << 6
-                        | (((u >> 3) & 1) as u16) << 5
-                        | (rdc << 2);
-                    return Some(w);
-                }
-            }
-            None
-        }
-        Inst::OpImm {
-            kind: OpImmKind::Addiw,
-            rd,
-            rs1,
-            imm,
-        } => {
-            if rd == rs1 && rd != XReg::ZERO && fits_signed(imm as i64, 6) {
-                // c.addiw
-                return Some(c_ci(0b001, 0b01, rd.index(), imm));
-            }
-            None
-        }
-        Inst::Lui { rd, imm20 } => {
-            if rd != XReg::ZERO && rd != XReg::SP && imm20 != 0 && fits_signed(imm20 as i64, 6) {
-                // c.lui
-                return Some(c_ci(0b011, 0b01, rd.index(), imm20));
-            }
-            None
-        }
-        Inst::OpImm {
-            kind: OpImmKind::Slli,
-            rd,
-            rs1,
-            imm,
-        } => {
-            if rd == rs1 && rd != XReg::ZERO && imm > 0 && fits_unsigned(imm as i64, 6) {
-                // c.slli
-                return Some(c_ci_u(0b000, 0b10, rd.index(), imm as u32));
-            }
-            None
-        }
-        Inst::OpImm {
-            kind: kind @ (OpImmKind::Srli | OpImmKind::Srai),
-            rd,
-            rs1,
-            imm,
-        } => {
-            if rd == rs1 && imm > 0 && fits_unsigned(imm as i64, 6) {
-                if let Some(rdc) = c_reg(rd) {
-                    let f2 = if kind == OpImmKind::Srli { 0b00 } else { 0b01 };
-                    let u = imm as u32;
-                    let w = (0b100u16 << 13)
-                        | (((u >> 5) & 1) as u16) << 12
-                        | (f2 << 10)
-                        | (rdc << 7)
-                        | ((u & 0x1f) as u16) << 2
-                        | 0b01;
-                    return Some(w);
-                }
-            }
-            None
-        }
-        Inst::OpImm {
-            kind: OpImmKind::Andi,
-            rd,
-            rs1,
-            imm,
-        } => {
-            if rd == rs1 && fits_signed(imm as i64, 6) {
-                if let Some(rdc) = c_reg(rd) {
-                    let u = imm as u32;
-                    let w = (0b100u16 << 13)
-                        | (((u >> 5) & 1) as u16) << 12
-                        | (0b10u16 << 10)
-                        | (rdc << 7)
-                        | ((u & 0x1f) as u16) << 2
-                        | 0b01;
-                    return Some(w);
-                }
-            }
-            None
-        }
-        Inst::Op { kind, rd, rs1, rs2 } => {
-            // c.mv / c.add (full register set)
-            if kind == OpKind::Add && rd != XReg::ZERO {
-                if rs1 == XReg::ZERO && rs2 != XReg::ZERO {
-                    // c.mv rd, rs2
-                    return Some(
-                        (0b100u16 << 13)
-                            | ((rd.index() as u16) << 7)
-                            | ((rs2.index() as u16) << 2)
-                            | 0b10,
-                    );
-                }
-                if rs1 == rd && rs2 != XReg::ZERO {
-                    // c.add rd, rs2
-                    return Some(
-                        (0b100u16 << 13)
-                            | (1u16 << 12)
-                            | ((rd.index() as u16) << 7)
-                            | ((rs2.index() as u16) << 2)
-                            | 0b10,
-                    );
-                }
-            }
-            // c.sub/xor/or/and/subw/addw (compressed register window)
-            if rd == rs1 {
-                if let (Some(rdc), Some(rs2c)) = (c_reg(rd), c_reg(rs2)) {
-                    let (bit12, f2) = match kind {
-                        OpKind::Sub => (0u16, 0b00u16),
-                        OpKind::Xor => (0, 0b01),
-                        OpKind::Or => (0, 0b10),
-                        OpKind::And => (0, 0b11),
-                        OpKind::Subw => (1, 0b00),
-                        OpKind::Addw => (1, 0b01),
-                        _ => return None,
-                    };
-                    let w = (0b100u16 << 13)
-                        | (bit12 << 12)
-                        | (0b11u16 << 10)
-                        | (rdc << 7)
-                        | (f2 << 5)
-                        | (rs2c << 2)
-                        | 0b01;
-                    return Some(w);
-                }
-            }
-            None
-        }
-        Inst::Jal { rd, offset } => {
-            if rd == XReg::ZERO && offset % 2 == 0 && fits_signed(offset as i64, 12) {
-                // c.j
-                let u = offset as u32;
-                let w = (0b101u16 << 13)
-                    | (((u >> 11) & 1) as u16) << 12
-                    | (((u >> 4) & 1) as u16) << 11
-                    | (((u >> 8) & 3) as u16) << 9
-                    | (((u >> 10) & 1) as u16) << 8
-                    | (((u >> 6) & 1) as u16) << 7
-                    | (((u >> 7) & 1) as u16) << 6
-                    | (((u >> 1) & 7) as u16) << 3
-                    | (((u >> 5) & 1) as u16) << 2
-                    | 0b01;
-                return Some(w);
-            }
-            None
-        }
-        Inst::Jalr { rd, rs1, offset } => {
-            if offset == 0 && rs1 != XReg::ZERO {
-                if rd == XReg::ZERO {
-                    // c.jr
-                    return Some((0b100u16 << 13) | ((rs1.index() as u16) << 7) | 0b10);
-                }
-                if rd == XReg::RA {
-                    // c.jalr
-                    return Some(
-                        (0b100u16 << 13) | (1u16 << 12) | ((rs1.index() as u16) << 7) | 0b10,
-                    );
-                }
-            }
-            None
-        }
-        Inst::Branch {
-            kind,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            if rs2 == XReg::ZERO && offset % 2 == 0 && fits_signed(offset as i64, 9) {
-                if let Some(rs1c) = c_reg(rs1) {
-                    let funct3 = match kind {
-                        BranchKind::Beq => 0b110u16,
-                        BranchKind::Bne => 0b111,
-                        _ => return None,
-                    };
-                    let u = offset as u32;
-                    let w = (funct3 << 13)
-                        | (((u >> 8) & 1) as u16) << 12
-                        | (((u >> 3) & 3) as u16) << 10
-                        | (rs1c << 7)
-                        | (((u >> 6) & 3) as u16) << 5
-                        | (((u >> 1) & 3) as u16) << 3
-                        | (((u >> 5) & 1) as u16) << 2
-                        | 0b01;
-                    return Some(w);
-                }
-            }
-            None
-        }
-        Inst::Load {
-            kind,
-            rd,
-            rs1,
-            offset,
-        } => {
-            match kind {
-                LoadKind::Lw => {
-                    if rs1 == XReg::SP
-                        && rd != XReg::ZERO
-                        && offset >= 0
-                        && offset % 4 == 0
-                        && fits_unsigned(offset as i64, 8)
-                    {
-                        // c.lwsp
-                        let u = offset as u32;
-                        let w = (0b010u16 << 13)
-                            | (((u >> 5) & 1) as u16) << 12
-                            | ((rd.index() as u16) << 7)
-                            | (((u >> 2) & 7) as u16) << 4
-                            | (((u >> 6) & 3) as u16) << 2
-                            | 0b10;
-                        return Some(w);
-                    }
-                    if let (Some(rdc), Some(rs1c)) = (c_reg(rd), c_reg(rs1)) {
-                        if offset >= 0 && offset % 4 == 0 && fits_unsigned(offset as i64, 7) {
-                            // c.lw
-                            let u = offset as u32;
-                            let w = (0b010u16 << 13)
-                                | (((u >> 3) & 7) as u16) << 10
-                                | (rs1c << 7)
-                                | (((u >> 2) & 1) as u16) << 6
-                                | (((u >> 6) & 1) as u16) << 5
-                                | (rdc << 2);
-                            return Some(w);
-                        }
-                    }
-                    None
-                }
-                LoadKind::Ld => {
-                    if rs1 == XReg::SP
-                        && rd != XReg::ZERO
-                        && offset >= 0
-                        && offset % 8 == 0
-                        && fits_unsigned(offset as i64, 9)
-                    {
-                        // c.ldsp
-                        let u = offset as u32;
-                        let w = (0b011u16 << 13)
-                            | (((u >> 5) & 1) as u16) << 12
-                            | ((rd.index() as u16) << 7)
-                            | (((u >> 3) & 3) as u16) << 5
-                            | (((u >> 6) & 7) as u16) << 2
-                            | 0b10;
-                        return Some(w);
-                    }
-                    if let (Some(rdc), Some(rs1c)) = (c_reg(rd), c_reg(rs1)) {
-                        if offset >= 0 && offset % 8 == 0 && fits_unsigned(offset as i64, 8) {
-                            // c.ld
-                            let u = offset as u32;
-                            let w = (0b011u16 << 13)
-                                | (((u >> 3) & 7) as u16) << 10
-                                | (rs1c << 7)
-                                | (((u >> 6) & 3) as u16) << 5
-                                | (rdc << 2);
-                            return Some(w);
-                        }
-                    }
-                    None
-                }
-                _ => None,
-            }
-        }
-        Inst::Store {
-            kind,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            match kind {
-                StoreKind::Sw => {
-                    if rs1 == XReg::SP
-                        && offset >= 0
-                        && offset % 4 == 0
-                        && fits_unsigned(offset as i64, 8)
-                    {
-                        // c.swsp
-                        let u = offset as u32;
-                        let w = (0b110u16 << 13)
-                            | (((u >> 2) & 0xf) as u16) << 9
-                            | (((u >> 6) & 3) as u16) << 7
-                            | ((rs2.index() as u16) << 2)
-                            | 0b10;
-                        return Some(w);
-                    }
-                    if let (Some(rs1c), Some(rs2c)) = (c_reg(rs1), c_reg(rs2)) {
-                        if offset >= 0 && offset % 4 == 0 && fits_unsigned(offset as i64, 7) {
-                            // c.sw
-                            let u = offset as u32;
-                            let w = (0b110u16 << 13)
-                                | (((u >> 3) & 7) as u16) << 10
-                                | (rs1c << 7)
-                                | (((u >> 2) & 1) as u16) << 6
-                                | (((u >> 6) & 1) as u16) << 5
-                                | (rs2c << 2);
-                            return Some(w);
-                        }
-                    }
-                    None
-                }
-                StoreKind::Sd => {
-                    if rs1 == XReg::SP
-                        && offset >= 0
-                        && offset % 8 == 0
-                        && fits_unsigned(offset as i64, 9)
-                    {
-                        // c.sdsp
-                        let u = offset as u32;
-                        let w = (0b111u16 << 13)
-                            | (((u >> 3) & 7) as u16) << 10
-                            | (((u >> 6) & 7) as u16) << 7
-                            | ((rs2.index() as u16) << 2)
-                            | 0b10;
-                        return Some(w);
-                    }
-                    if let (Some(rs1c), Some(rs2c)) = (c_reg(rs1), c_reg(rs2)) {
-                        if offset >= 0 && offset % 8 == 0 && fits_unsigned(offset as i64, 8) {
-                            // c.sd
-                            let u = offset as u32;
-                            let w = (0b111u16 << 13)
-                                | (((u >> 3) & 7) as u16) << 10
-                                | (rs1c << 7)
-                                | (((u >> 6) & 3) as u16) << 5
-                                | (rs2c << 2);
-                            return Some(w);
-                        }
-                    }
-                    None
-                }
-                _ => None,
-            }
-        }
-        Inst::Ebreak => Some(0x9002),
-        _ => None,
-    }
-}
-
-/// Builds a CI-format word with a signed 6-bit immediate.
-fn c_ci(funct3: u16, op: u16, rd: u8, imm: i32) -> u16 {
-    let u = imm as u32;
-    (funct3 << 13)
-        | (((u >> 5) & 1) as u16) << 12
-        | ((rd as u16) << 7)
-        | ((u & 0x1f) as u16) << 2
-        | op
-}
-
-/// Builds a CI-format word with an unsigned 6-bit immediate (shifts).
-fn c_ci_u(funct3: u16, op: u16, rd: u8, imm: u32) -> u16 {
-    (funct3 << 13)
-        | (((imm >> 5) & 1) as u16) << 12
-        | ((rd as u16) << 7)
-        | ((imm & 0x1f) as u16) << 2
-        | op
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::{FReg, VReg};
+    use crate::reg::{FReg, VReg, XReg};
 
     fn enc(i: Inst) -> u32 {
         encode(&i).expect("encodes")

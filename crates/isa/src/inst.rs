@@ -590,12 +590,6 @@ impl Inst {
             _ => None,
         }
     }
-
-    /// Whether this instruction has an encoding in the compressed (RVC)
-    /// subset we model, i.e. could occupy 2 bytes in a binary.
-    pub fn has_compressed_form(&self) -> bool {
-        crate::encode::encode_compressed(self).is_some()
-    }
 }
 
 impl fmt::Display for Inst {

@@ -20,9 +20,10 @@
 //! an unreachable-pattern error at compile time.
 //!
 //! What the rows deliberately do not carry: operand shapes (the [`Inst`]
-//! enum), the RVC expansions (irregular, and they already produce canonical
-//! `Inst` values that ride on these rows), and any semantics that need hart
-//! state — memory, FP and vector execution stay in the emulator.
+//! enum), the compressed forms (their own table in `rvc.rs`, whose
+//! expansions are canonical `Inst` values that ride on these rows), and any
+//! semantics that need hart state — memory, FP and vector execution stay in
+//! the emulator.
 //!
 //! [`Inst`]: crate::Inst
 

@@ -16,7 +16,10 @@
 //!    errors, and the *reserved* spaces the paper's SMILE trampoline relies
 //!    on (the ≥48-bit `xxx11111` prefix and the RVC-reserved rows) are
 //!    reported as such, so "partial trampoline execution always traps"
-//!    can be verified by construction.
+//!    can be verified by construction. The model is stricter than the
+//!    architecture in one place: every RVC HINT but `c.addi rd, 0` is
+//!    rejected too (a hole column in [`rvc`]; DESIGN.md §6 has the
+//!    consequences for SMILE).
 //!
 //! ## One row per instruction kind
 //!
@@ -32,12 +35,23 @@
 //! `Display`, the text assembler, the emulator's cost model and every
 //! execution tier read those and keep no list of their own, so they agree
 //! by construction. What stays hand-written, and why: the [`Inst`] operand
-//! shapes and `uses_x` / `def_x` (one arm per *shape*, not per kind), the
-//! RVC encoder and decoder (irregular; their expansions are canonical
-//! `Inst` values that ride on the rows), and everything that needs hart
-//! state (memory, FP and vector semantics live in `chimera-emu`).
+//! shapes and `uses_x` / `def_x` (one arm per *shape*, not per kind), and
+//! everything that needs hart state (memory, FP and vector semantics live
+//! in `chimera-emu`).
+//!
+//! ## One row per compressed form
+//!
+//! The 33 modelled RVC forms are one table in [`rvc`]: a row holds the
+//! form's fixed bits, its register fields and immediate permutation, its
+//! reserved / HINT holes and the canonical [`Inst`] it expands to, and
+//! [`decode_compressed`] and [`encode_compressed`] are both generated from
+//! it — which halfwords are illegal (what SMILE's P3 constraint stands on)
+//! and which instructions fit two bytes (what the module builder lays out)
+//! cannot disagree.
+//!
 //! `tests/decode_space.rs` pins `decode`, `encode` and `Display` over the
-//! whole 32-bit and 16-bit spaces.
+//! whole 32-bit and 16-bit spaces, and `encode_compressed` over every
+//! instruction near a form's boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +64,7 @@ mod inst;
 mod kinds;
 pub mod prng;
 mod reg;
+pub mod rvc;
 
 pub use decode::{decode, decode_compressed, encoded_len, DecodeError, Decoded};
 pub use encode::{encode, encode_compressed, EncodeError};

@@ -114,11 +114,6 @@ impl Prng {
         lo + self.below((hi - lo) as u64) as usize
     }
 
-    /// A uniform `u8`.
-    pub fn next_u8(&mut self) -> u8 {
-        (self.next_u64() >> 56) as u8
-    }
-
     /// A uniform `f64` in `[0, 1)` (53 mantissa bits).
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

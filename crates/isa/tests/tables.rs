@@ -2,8 +2,8 @@
 //! the emulator executed before they moved into the tables.
 
 use chimera_isa::{
-    encode, BranchKind, FCmpKind, FMaKind, FOpKind, Inst, LoadKind, OpImmKind, OpKind, StoreKind,
-    UnaryKind, VArithOp, XReg,
+    decode_compressed, encode, encode_compressed, rvc, BranchKind, DecodeError, FCmpKind, FMaKind,
+    FOpKind, Inst, LoadKind, OpImmKind, OpKind, StoreKind, UnaryKind, VArithOp, XReg,
 };
 use std::collections::BTreeSet;
 
@@ -214,4 +214,60 @@ fn eval_matches_the_frozen_results_of_the_emulator_helpers_it_replaced() {
     }
     // Every row that existed when the semantics moved is frozen.
     assert_eq!(frozen, 6 + 14 + 41 + 7);
+}
+
+/// No RVC row can be forgotten or shadowed, and the two places where
+/// `encode_compressed` is not the inverse of `decode_compressed` are numbers
+/// in the tree rather than a comment.
+#[test]
+fn every_rvc_row_is_reached_and_the_round_trip_asymmetries_are_exactly_these() {
+    assert_eq!(rvc::ROWS.len(), 33);
+    let mut hits = vec![0u32; rvc::ROWS.len()];
+    let (mut decode_only, mut aliases) = (Vec::new(), Vec::new());
+    for half in 0..=u16::MAX {
+        // Rows accept disjoint sets, so table order never decides a decode.
+        let accepting: Vec<usize> = (0..rvc::ROWS.len())
+            .filter(|&row| rvc::ROWS[row].decode(half).is_some())
+            .collect();
+        let Ok(inst) = decode_compressed(half) else {
+            assert_eq!(
+                accepting,
+                [],
+                "{half:#06x} is rejected yet a row accepts it"
+            );
+            continue;
+        };
+        let [row] = accepting[..] else {
+            panic!("{half:#06x} ({inst}) is accepted by rows {accepting:?}");
+        };
+        assert_eq!(rvc::ROWS[row].decode(half), Some(inst));
+        hits[row] += 1;
+        match encode_compressed(&inst) {
+            Some(back) if back == half => {}
+            Some(back) => aliases.push((half, back)),
+            None => decode_only.push(half),
+        }
+    }
+    for (rvc::Row { name, doc, .. }, &hits) in rvc::ROWS.iter().zip(&hits) {
+        assert!(hits > 0, "no halfword decodes through `{name}` ({doc})");
+    }
+    assert_eq!(hits.iter().sum::<u32>(), 38_188);
+    // `c.addi rd, 0`: a HINT this model decodes and never emits.
+    let c_addi_zero: Vec<u16> = (1..32).map(|rd| 0x0001 | rd << 7).collect();
+    assert_eq!(decode_only, c_addi_zero);
+    // `c.addi16sp` immediates that fit `c.addi`, the earlier row.
+    assert_eq!(
+        aliases,
+        [(0x6141, 0x0141), (0x713d, 0x1101), (0x717d, 0x1141)]
+    );
+}
+
+/// `decode_compressed` is total: a halfword with `bits[1:0] = 11` is the
+/// first half of a 32-bit encoding, which no row matches.
+#[test]
+fn decode_compressed_rejects_a_quadrant_3_halfword_instead_of_panicking() {
+    for half in [0x0003, 0xffff] {
+        let rejected = Err(DecodeError::Unrecognized(half as u32));
+        assert_eq!(decode_compressed(half), rejected);
+    }
 }

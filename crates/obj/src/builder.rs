@@ -49,8 +49,8 @@ impl std::error::Error for BuildError {}
 enum TextItem {
     /// A 4-byte instruction.
     Inst(Inst),
-    /// A 2-byte compressed instruction (compressibility checked at push).
-    CInst(Inst),
+    /// A 2-byte compressed instruction, already encoded.
+    CInst(u16),
     /// `jal rd, label` (4 bytes, ±1 MiB).
     JalTo { rd: XReg, label: String },
     /// Conditional branch to a label (4 bytes, ±4 KiB).
@@ -64,8 +64,6 @@ enum TextItem {
     La { rd: XReg, label: String },
     /// `call label`: `auipc ra` + `jalr ra` (8 bytes, ±2 GiB).
     Call { label: String },
-    /// Raw bytes (tests, hand-crafted encodings).
-    Raw(Vec<u8>),
 }
 
 impl TextItem {
@@ -75,7 +73,6 @@ impl TextItem {
             TextItem::CInst(_) => 2,
             TextItem::JalTo { .. } | TextItem::BranchTo { .. } => 4,
             TextItem::La { .. } | TextItem::Call { .. } => 8,
-            TextItem::Raw(b) => b.len() as u64,
         }
     }
 }
@@ -124,11 +121,6 @@ impl ModuleBuilder {
         }
     }
 
-    /// Current text offset (bytes from the start of `.text`).
-    pub fn text_offset(&self) -> u64 {
-        self.text_size
-    }
-
     fn push_text(&mut self, item: TextItem) {
         let size = item.size();
         self.text.push((self.text_size, item));
@@ -156,17 +148,8 @@ impl ModuleBuilder {
     /// Appends one instruction (4-byte encoding, or 2-byte when the builder
     /// compresses and the instruction has an RVC form).
     pub fn inst(&mut self, i: Inst) -> &mut Self {
-        if self.compress && encode_compressed(&i).is_some() {
-            self.push_text(TextItem::CInst(i));
-        } else {
-            self.push_text(TextItem::Inst(i));
-        }
-        self
-    }
-
-    /// Appends one instruction, forcing the 4-byte encoding.
-    pub fn inst4(&mut self, i: Inst) -> &mut Self {
-        self.push_text(TextItem::Inst(i));
+        let half = self.compress.then(|| encode_compressed(&i)).flatten();
+        self.push_text(half.map_or(TextItem::Inst(i), TextItem::CInst));
         self
     }
 
@@ -175,12 +158,6 @@ impl ModuleBuilder {
         for i in is {
             self.inst(i);
         }
-        self
-    }
-
-    /// Appends raw bytes into `.text` (hand-crafted encodings in tests).
-    pub fn raw_text(&mut self, bytes: &[u8]) -> &mut Self {
-        self.push_text(TextItem::Raw(bytes.to_vec()));
         self
     }
 
@@ -239,23 +216,10 @@ impl ModuleBuilder {
     /// `ret` (`jalr zero, 0(ra)`).
     pub fn ret(&mut self) -> &mut Self {
         self.inst(Inst::Jalr {
-            rd: XReg::RA,
-            rs1: XReg::RA,
-            offset: 0,
-        });
-        // NOTE: `ret` must not link; re-emit correctly below.
-        let last = self.text.len() - 1;
-        let fixed = Inst::Jalr {
             rd: XReg::ZERO,
             rs1: XReg::RA,
             offset: 0,
-        };
-        self.text[last].1 = if self.compress && encode_compressed(&fixed).is_some() {
-            TextItem::CInst(fixed)
-        } else {
-            TextItem::Inst(fixed)
-        };
-        self
+        })
     }
 
     /// Materializes a 64-bit constant into `rd` (the `li` pseudo).
@@ -360,10 +324,7 @@ impl ModuleBuilder {
                     let w = encode(i).map_err(|e| BuildError::Encode(e.to_string()))?;
                     text.extend_from_slice(&w.to_le_bytes());
                 }
-                TextItem::CInst(i) => {
-                    let h = encode_compressed(i).expect("checked at push");
-                    text.extend_from_slice(&h.to_le_bytes());
-                }
+                TextItem::CInst(half) => text.extend_from_slice(&half.to_le_bytes()),
                 TextItem::JalTo { rd, label } => {
                     let target = resolve(label)?;
                     let offset = target as i64 - pc as i64;
@@ -439,7 +400,6 @@ impl ModuleBuilder {
                     text.extend_from_slice(&a.to_le_bytes());
                     text.extend_from_slice(&b.to_le_bytes());
                 }
-                TextItem::Raw(bytes) => text.extend_from_slice(bytes),
             }
         }
 

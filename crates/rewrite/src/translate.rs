@@ -956,6 +956,7 @@ impl Translator {
                 Ok(())
             }
             OpKind::Andn | OpKind::Orn | OpKind::Xnor => {
+                // gp = ~rs2, then the plain operation (xnor = a ^ ~b).
                 em.inst(Inst::OpImm {
                     kind: OpImmKind::Xori,
                     rd: XReg::GP,
@@ -973,9 +974,6 @@ impl Translator {
                     rs1,
                     rs2: XReg::GP,
                 });
-                if kind == OpKind::Xnor {
-                    // xnor = ~(a ^ b) = a ^ ~b ... already computed a ^ ~b.
-                }
                 self.restore_gp(em);
                 Ok(())
             }
@@ -1049,9 +1047,8 @@ impl Translator {
                     rs1: XReg::GP,
                     rs2: s,
                 });
-                // Restore the scratch, deliver rd, restore gp.
-                let keep = XReg::GP; // gp holds the result
-                self.spill_gp_keeping(em, keep, s, rd)?;
+                // gp holds the result.
+                self.spill_gp_keeping(em, s, rd);
                 Ok(())
             }
             _ => Err(Untranslatable(*orig)),
@@ -1060,13 +1057,7 @@ impl Translator {
 
     /// Epilogue for templates whose result lives in `gp`: spill the result,
     /// restore the scratch, deliver to `rd`, restore `gp`.
-    fn spill_gp_keeping(
-        &mut self,
-        em: &mut BlockEmitter,
-        _result_in: XReg,
-        scratch: XReg,
-        rd: XReg,
-    ) -> Result<(), Untranslatable> {
+    fn spill_gp_keeping(&mut self, em: &mut BlockEmitter, scratch: XReg, rd: XReg) {
         // rd receives gp's value first (rd != scratch by construction).
         em.inst(chimera_isa::mv(rd, XReg::GP));
         self.spill_gp(em);
@@ -1077,7 +1068,6 @@ impl Translator {
             offset: SpillLayout::x_slot(scratch),
         });
         self.restore_gp(em);
-        Ok(())
     }
 
     fn rori(&mut self, rd: XReg, rs1: XReg, imm: i32, em: &mut BlockEmitter) {
@@ -1223,8 +1213,6 @@ impl Translator {
             }
             UnaryKind::Rev8 => {
                 let s = pick_scratch(&[rs1, rd]);
-                let loop_l = self.fresh("rev_loop");
-                let done = self.fresh("rev_done");
                 self.spill_gp(em);
                 em.inst(Inst::Store {
                     kind: StoreKind::Sd,
@@ -1235,9 +1223,7 @@ impl Translator {
                 // gp = working copy, rd = result, s = byte/counter temp.
                 em.inst(chimera_isa::mv(XReg::GP, rs1));
                 em.inst(chimera_obj::addi(rd, XReg::ZERO, 0));
-                // Loop 8 times using s as counter packed with byte ops:
-                // simpler shape: repeat 8 unrolled byte moves.
-                let _ = (&loop_l, &done);
+                // Eight unrolled byte moves.
                 for _ in 0..8 {
                     em.inst(Inst::OpImm {
                         kind: OpImmKind::Slli,

@@ -16,10 +16,12 @@
 //!    address (Claim 2: semantic equivalence, not merely "no crash").
 
 use chimera_emu::{Access, Stop, Trap};
-use chimera_isa::ExtSet;
+use chimera_isa::{bits::sext, encode, ExtSet, Inst, XReg};
 use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
 use chimera_obj::{assemble, AsmOptions, Binary};
-use chimera_rewrite::smile::{encode_smile, next_reachable_target, SmileConstraints};
+use chimera_rewrite::smile::{
+    encode_smile, next_reachable_target, valid_p3_lo12, SmileConstraints,
+};
 use chimera_rewrite::{chbp_rewrite, RewriteOptions, Rewritten};
 
 /// A vector workload with enough source sites to place several
@@ -314,4 +316,87 @@ fn synthetic_p2_constrained_form_faults_at_every_offset() {
         }
         other => panic!("P1 entry: expected fetch fault, got {other:?}"),
     }
+}
+
+/// What the RVC spec (RV64C, quadrant 1) says about a halfword, read here
+/// and not from `chimera-isa`'s table.
+#[derive(Debug, PartialEq)]
+enum SpecClass {
+    Legal,
+    /// Executes as a no-op on hardware.
+    Hint,
+    /// Architecturally illegal.
+    Reserved,
+}
+
+fn rvc_quadrant_1_class(half: u16) -> SpecClass {
+    use SpecClass::*;
+    assert_eq!(half & 0b11, 0b01, "{half:#06x} is not in quadrant 1");
+    let rd = half >> 7 & 0x1f;
+    // imm[5|4:0] of the CI format: the immediate of `c.addi` / `c.li`, the
+    // shift amount of `c.srli` / `c.srai`, and, shuffled, every bit of the
+    // `c.addi16sp` / `c.lui` immediates.
+    let imm_zero = half & 0x107c == 0;
+    let class = |reserved: bool, hint: bool| match (reserved, hint) {
+        (true, _) => Reserved,
+        (false, true) => Hint,
+        (false, false) => Legal,
+    };
+    match half >> 13 {
+        // c.nop / c.addi: `rd = x0` with an immediate, or `rd != x0`
+        // without one, is a HINT.
+        0b000 => class(false, (rd == 0) != imm_zero),
+        // c.addiw: `rd = x0` is reserved.
+        0b001 => class(rd == 0, false),
+        // c.li: `rd = x0` is a HINT.
+        0b010 => class(false, rd == 0),
+        // c.addi16sp (`rd = sp`) / c.lui: `nzimm = 0` is reserved, the
+        // remaining `rd = x0` code points are HINTs.
+        0b011 => class(imm_zero, rd == 0),
+        0b100 => match (half >> 10 & 0b11, half >> 12 & 1, half >> 5 & 0b11) {
+            // c.srli / c.srai: `shamt = 0` is a HINT.
+            (0b00 | 0b01, _, _) => class(false, imm_zero),
+            // The two unassigned bit-12 rows beside c.subw / c.addw.
+            (0b11, 1, 0b10 | 0b11) => Reserved,
+            _ => Legal,
+        },
+        // c.j, c.beqz, c.bnez.
+        _ => Legal,
+    }
+}
+
+/// The P3 halfword is "illegal" by this model's decoder, which is more
+/// than the architecture promises: of the `lo12` values SMILE may place
+/// there, 56 are reserved encodings and 38 are HINTs that hardware would
+/// execute as no-ops (DESIGN.md §6). The split is pinned so that a change
+/// to the decoder's HINT policy has to come here and say so.
+#[test]
+fn p3_lo12_values_are_56_reserved_encodings_and_38_hints() {
+    let p3_half = |lo12: u16| {
+        let jalr = Inst::Jalr {
+            rd: XReg::GP,
+            rs1: XReg::GP,
+            offset: sext(lo12 as u32, 12),
+        };
+        (encode(&jalr).unwrap() >> 16) as u16
+    };
+    let (mut reserved, mut hints) = (0, 0);
+    for &lo12 in valid_p3_lo12() {
+        match rvc_quadrant_1_class(p3_half(lo12)) {
+            SpecClass::Reserved => reserved += 1,
+            SpecClass::Hint => hints += 1,
+            SpecClass::Legal => panic!("lo12 {lo12:#05x} puts a legal instruction at P3"),
+        }
+    }
+    assert_eq!((reserved, hints), (56, 38));
+    // The other way round: every even `lo12` the spec does not make legal
+    // is usable, except the one HINT form the decoder accepts
+    // (`c.addi rd, 0`, 31 values).
+    let unusable_hints = (0..4096u16)
+        .step_by(2)
+        .filter(|lo12| !valid_p3_lo12().contains(lo12))
+        .filter(|&lo12| rvc_quadrant_1_class(p3_half(lo12)) != SpecClass::Legal)
+        .inspect(|&lo12| assert_eq!(p3_half(lo12) & 0xf07f, 0x0001, "{lo12:#05x}"))
+        .count();
+    assert_eq!(unusable_hints, 31);
 }
