@@ -10,8 +10,8 @@
 //! threads at all).
 //!
 //! The callers are the rewrite pipeline's per-unit stages (scan's
-//! translatability check and size measurement, transform, incremental
-//! re-emission, regeneration slot sizing). The analyses themselves are
+//! translatability check, transform, incremental re-emission,
+//! regeneration slot sizing). The analyses themselves are
 //! sequential: at ~75 ns per instruction there is nothing for a fan-out
 //! to win.
 

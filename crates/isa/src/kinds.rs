@@ -179,6 +179,14 @@ kinds! {
     Bgeu "bgeu" 0b111 "Branch if greater or equal (unsigned)." => a >= b;
 }
 
+impl BranchKind {
+    /// The kind taken exactly when `self` is not: the ISA pairs every
+    /// comparison with its complement in `funct3`'s low bit.
+    pub fn inverted(self) -> BranchKind {
+        BranchKind::from_encoding(self.encoding() ^ 1).expect("branch rows pair up in funct3 bit 0")
+    }
+}
+
 kinds! {
     /// Integer load kinds.
     enum LoadKind {

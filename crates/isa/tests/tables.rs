@@ -216,6 +216,16 @@ fn eval_matches_the_frozen_results_of_the_emulator_helpers_it_replaced() {
     assert_eq!(frozen, 6 + 14 + 41 + 7);
 }
 
+#[test]
+fn an_inverted_branch_is_taken_exactly_when_the_branch_is_not() {
+    for &kind in BranchKind::ALL {
+        assert_eq!(kind.inverted().inverted(), kind);
+        for (a, b) in pairs() {
+            assert_eq!(kind.inverted().eval(a, b), !kind.eval(a, b), "{kind:?}");
+        }
+    }
+}
+
 /// No RVC row can be forgotten or shadowed, and the two places where
 /// `encode_compressed` is not the inverse of `decode_compressed` are numbers
 /// in the tree rather than a comment.

@@ -389,14 +389,14 @@ impl KernelRunner {
         // its site units (gp restore + downgrade), so lazily built blocks
         // can never diverge from statically built ones.
         let mut translator = Translator::new(spill_base, abi_gp);
-        let mut em = BlockEmitter::new(cursor);
+        let mut em = BlockEmitter::new();
         if emit_site_translation(&site.inst, Mode::Downgrade, &mut translator, &mut em).is_err() {
             return None;
         }
         let resume = pc + site.len as u64;
         // Exit: a register trampoline cannot be chosen lazily without
         // liveness; use a trap exit (rare path, already lazy).
-        let exit_at = em.addr();
+        let exit_at = cursor + em.offset();
         em.inst(Inst::Ebreak);
         let bytes = em.finish();
         if mem.poke_code(cursor, &bytes).is_err() {

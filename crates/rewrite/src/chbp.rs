@@ -21,14 +21,19 @@
 //! liveness; CHBP's *exit-position shifting* (copy more instructions until
 //! a dead register appears); and finally a trap-based exit. The two failure
 //! counters feed Table 3.
+//!
+//! A block is emitted once, before it has an address. The liveness half of
+//! the exit decision is made then; the distance half, the other pc-relative
+//! pairs and the table entries keyed by block addresses are left as
+//! [`Reloc`]s for the driver's place stage.
 
 use crate::emitter::BlockEmitter;
-use crate::engine::{Entry, Frame, Placement, RewriteEngine, Scanned, UnitArtifact, Units};
+use crate::engine::{Entry, Frame, Placement, Reloc, RewriteEngine, Scanned, UnitArtifact, Units};
 use crate::smile::{place_smile, SmileConstraints};
 use crate::translate::Translator;
 use chimera_analysis::{disassemble, Cfg, DisasmInst, Disassembly, Liveness};
 use chimera_isa::{encode, Ext, ExtSet, Inst, XReg};
-use chimera_obj::{pcrel_hi_lo, Binary};
+use chimera_obj::Binary;
 use chimera_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -41,6 +46,16 @@ pub enum Mode {
     /// Re-emit source instructions of the given extension verbatim — the
     /// "empty patching" methodology of §6.2, isolating rewriting overhead.
     EmptyPatch(Ext),
+}
+
+impl Mode {
+    /// Is `inst` a source instruction under this mode for `target`?
+    pub(crate) fn is_source(self, inst: &Inst, target: ExtSet) -> bool {
+        match self {
+            Mode::Downgrade => !inst.runnable_on(target),
+            Mode::EmptyPatch(ext) => inst.ext() == Some(ext),
+        }
+    }
 }
 
 /// Rewrite options.
@@ -185,14 +200,6 @@ impl core::fmt::Display for RewriteError {
 
 impl std::error::Error for RewriteError {}
 
-/// Is `inst` a source instruction under `mode` for `target`?
-fn is_source(inst: &Inst, mode: Mode, target: ExtSet) -> bool {
-    match mode {
-        Mode::Downgrade => !inst.runnable_on(target),
-        Mode::EmptyPatch(ext) => inst.ext() == Some(ext),
-    }
-}
-
 /// Rewrites `binary` for a core with profile `target` using CHBP.
 pub fn chbp_rewrite(
     binary: &Binary,
@@ -245,19 +252,19 @@ impl RewriteEngine for ChbpEngine {
         // Collect patch sites: source instructions in address order.
         let sources: Vec<DisasmInst> = d
             .iter()
-            .filter(|di| is_source(&di.inst, self.opts.mode, self.target))
+            .filter(|di| self.opts.mode.is_source(&di.inst, self.target))
             .copied()
             .collect();
 
         // Parallel translatability check: a site whose instruction has no
         // downgrade template stays unpatched (raises an illegal fault at
         // runtime; the kernel falls back to migration, FAM-style). A full
-        // scratch downgrade is the check — `probe` alone does not cover
+        // throwaway downgrade is the check — `probe` alone does not cover
         // the scalar templates.
         let translatable: Vec<bool> = match self.opts.mode {
             Mode::Downgrade => chimera_analysis::par::map_indexed(workers, sources.len(), |i| {
                 let mut t = Translator::new(frame.spill_base, frame.abi_gp);
-                let mut probe = BlockEmitter::new(frame.target_base);
+                let mut probe = BlockEmitter::new();
                 t.downgrade(&sources[i].inst, &mut probe).is_ok()
             }),
             Mode::EmptyPatch(_) => vec![true; sources.len()],
@@ -322,7 +329,7 @@ impl RewriteEngine for ChbpEngine {
 }
 
 impl Units for ChbpUnits {
-    fn place(&self, idx: usize, cursor: u64, _: u64) -> Result<Option<Placement>, RewriteError> {
+    fn place(&self, idx: usize, cursor: u64) -> Result<Option<Placement>, RewriteError> {
         let site = match &self.units[idx] {
             ChbpUnit::Region(region) => {
                 let site = region.insts[0];
@@ -358,13 +365,10 @@ impl Units for ChbpUnits {
     }
 
     /// Each call uses its own [`Translator`] (its only mutable state is a
-    /// label-name counter, which never reaches the bytes). The Table-3
-    /// counters in the stats fragment are evaluated at `addr`, so only a
-    /// final-address emission's fragment may reach the caller.
-    fn emit(&self, idx: usize, addr: u64) -> Result<UnitArtifact, RewriteError> {
+    /// label-name counter, which never reaches the bytes).
+    fn emit(&self, idx: usize) -> Result<UnitArtifact, RewriteError> {
         let mut translator = Translator::new(self.frame.spill_base, self.frame.abi_gp);
-        let mut em = BlockEmitter::new(addr);
-        let mut art = UnitArtifact::default();
+        let mut em = BlockEmitter::new();
         match &self.units[idx] {
             ChbpUnit::Region(region) => emit_block(
                 region,
@@ -373,8 +377,6 @@ impl Units for ChbpUnits {
                 self.opts,
                 &mut translator,
                 &mut em,
-                &mut art.fht,
-                &mut art.stats,
                 self.target,
             ),
             ChbpUnit::Site(site) => {
@@ -387,13 +389,10 @@ impl Units for ChbpUnits {
                     self.opts,
                     self.target,
                     &mut em,
-                    &mut art.fht,
-                    &mut art.stats,
                 );
             }
         }
-        art.bytes = em.finish();
-        Ok(art)
+        Ok(em.finish_unit())
     }
 }
 
@@ -577,10 +576,8 @@ fn build_region(
 }
 
 /// Emits one region's target block: gp restore, then per-instruction
-/// translation/copy, then the exit(s). Updates the FHT with redirect
-/// entries for every instruction whose original bytes the trampoline
-/// overwrites.
-#[allow(clippy::too_many_arguments)]
+/// translation/copy, then the exit(s). Marks a redirect at the copy of
+/// every instruction whose original bytes the trampoline overwrites.
 fn emit_block(
     region: &Region,
     d: &Disassembly,
@@ -588,8 +585,6 @@ fn emit_block(
     opts: RewriteOptions,
     translator: &mut Translator,
     em: &mut BlockEmitter,
-    fht: &mut FaultTable,
-    stats: &mut RewriteStats,
     target: ExtSet,
 ) {
     let site = region.insts[0].addr;
@@ -609,7 +604,7 @@ fn emit_block(
         // jumping there executes the full trampoline, which is correct).
         let needs_entry = di.addr > site && di.addr < region.space_end;
         let translated_vector = opts.mode == Mode::Downgrade
-            && is_source(&di.inst, opts.mode, target)
+            && opts.mode.is_source(&di.inst, target)
             && crate::translate::Translator::sequenceable(&di.inst)
             && translator.probe(&di.inst).is_ok();
         if in_seq && (needs_entry || !translated_vector) {
@@ -617,7 +612,7 @@ fn emit_block(
             in_seq = false;
         }
         if needs_entry {
-            fht.redirects.insert(di.addr, em.addr());
+            em.reloc(Reloc::Redirect { from: di.addr });
         }
         let is_last = idx == region.insts.len() - 1;
         match di.inst {
@@ -642,7 +637,7 @@ fn emit_block(
             // copied: the region exit (emitted below) performs it.
             _ if is_last && matches!(region.tail, RegionTail::Jump { .. }) => {}
             _ => {
-                if is_source(&di.inst, opts.mode, target) {
+                if opts.mode.is_source(&di.inst, target) {
                     match opts.mode {
                         Mode::EmptyPatch(_) => {
                             em.inst(di.inst);
@@ -661,10 +656,10 @@ fn emit_block(
                                 // instruction: mark its copy position so the
                                 // kernel's FAM fallback migrates when the
                                 // trap fires.
-                                let at = em.addr();
+                                em.reloc(Reloc::Untranslated {
+                                    resume: di.next_addr(),
+                                });
                                 em.inst(Inst::Ebreak);
-                                fht.untranslated.insert(at);
-                                fht.trap_exits.insert(at, di.next_addr());
                             }
                         }
                     }
@@ -681,48 +676,34 @@ fn emit_block(
     // Exits.
     match region.tail {
         RegionTail::Fallthrough | RegionTail::Branch { .. } => {
-            emit_exit(region.resume, d, liveness, opts, target, em, fht, stats);
+            emit_exit(region.resume, d, liveness, opts, target, em);
         }
         RegionTail::Jump { target: t } => {
-            emit_exit(t, d, liveness, opts, target, em, fht, stats);
+            emit_exit(t, d, liveness, opts, target, em);
         }
         RegionTail::IndirectJump => {}
     }
     if let Some((taken, label)) = deferred_branch {
         em.label(label);
-        emit_exit(taken, d, liveness, opts, target, em, fht, stats);
+        emit_exit(taken, d, liveness, opts, target, em);
     }
 }
 
 /// Re-emits a non-source instruction at a new location, preserving
-/// semantics: pc-relative instructions are rebuilt, everything else is
-/// copied in canonical (uncompressed) form.
+/// semantics: pc-relative instructions become relocation slots, everything
+/// else is copied in canonical (uncompressed) form.
 pub(crate) fn reemit(inst: &Inst, old_addr: u64, em: &mut BlockEmitter) {
     match *inst {
         Inst::Auipc { rd, imm20 } => {
-            // Rebuild the absolute value the original would have produced.
-            // Always emit the paired addi (even when the low part is zero)
-            // so the re-emission is size-invariant in its base address —
-            // the pipeline measures unit sizes at a scratch base and must
-            // get the same length at the final one.
+            // The absolute value the original would have produced.
             let value = old_addr.wrapping_add(((imm20 as i64) << 12) as u64);
-            let new_pc = em.addr();
-            let (hi, lo) = pcrel_hi_lo(value as i64 - new_pc as i64);
-            em.inst(Inst::Auipc { rd, imm20: hi });
-            em.inst(chimera_obj::addi(rd, rd, lo));
+            em.reloc(Reloc::Value { rd, value });
         }
         Inst::Jal { rd, offset } if rd != XReg::ZERO => {
             // A call: long-range call trampoline; the return address links
             // into the target block, which continues correctly.
             let target = old_addr.wrapping_add(offset as i64 as u64);
-            let new_pc = em.addr();
-            let (hi, lo) = pcrel_hi_lo(target as i64 - new_pc as i64);
-            em.inst(Inst::Auipc { rd, imm20: hi });
-            em.inst(Inst::Jalr {
-                rd,
-                rs1: rd,
-                offset: lo,
-            });
+            em.reloc(Reloc::Call { rd, target });
         }
         Inst::Jal { .. } | Inst::Branch { .. } => {
             unreachable!("plain jumps/branches are region tails, handled by the caller")
@@ -733,20 +714,12 @@ pub(crate) fn reemit(inst: &Inst, old_addr: u64, em: &mut BlockEmitter) {
     }
 }
 
-/// Emits a jump from the current block position back to original address
-/// `resume`, choosing `jal` / dead-register trampoline / shifted exit /
-/// trap (§4.2 Challenge 2). Updates Table-3 counters.
-///
-/// Size invariance: the emitted length depends only on `(resume, opts,
-/// analyses)` — never on `em`'s base address. Which dead register exists
-/// (and how far the exit shifts) is a liveness fact; the final jump itself
-/// is a fixed 8-byte slot (`jal` + illegal filler, `auipc+jalr`, or
-/// `ebreak` + filler), so near and far exits occupy the same space. The
-/// Table-3 counters (`exit_trampolines`, `dead_reg_not_found_*`) are
-/// evaluated at the *actual* emission address; the pipeline's scan-stage
-/// measurement discards its stats fragment, so only the transform stage's
-/// final-address counters reach the caller.
-#[allow(clippy::too_many_arguments)]
+/// Emits the way from the current block position back to original address
+/// `resume`: the copies exit-position shifting asks for (§4.2 Challenge 2),
+/// then the exit slot. Which dead register exists, and how far the exit
+/// shifts, are liveness facts; which of `jal` / register trampoline / trap
+/// fills the slot depends on the distance, so [`Reloc::Exit`] decides that
+/// (and counts it for Table 3) once the block is placed.
 pub(crate) fn emit_exit(
     resume: u64,
     d: &Disassembly,
@@ -754,11 +727,7 @@ pub(crate) fn emit_exit(
     opts: RewriteOptions,
     target: ExtSet,
     em: &mut BlockEmitter,
-    fht: &mut FaultTable,
-    stats: &mut RewriteStats,
 ) {
-    stats.exit_jumps += 1;
-
     // Traditional liveness at the exit position.
     let traditional = liveness.dead_register_at(resume);
     let mut exit_at = resume;
@@ -772,7 +741,7 @@ pub(crate) fn emit_exit(
             let Some(di) = d.at(cursor) else { break };
             if di.inst.is_terminator()
                 || matches!(di.inst, Inst::Auipc { .. })
-                || is_source(&di.inst, opts.mode, target)
+                || opts.mode.is_source(&di.inst, target)
             {
                 // Keep the shifted copies simple: stop at control flow and
                 // never duplicate another patch site's source instruction.
@@ -796,43 +765,11 @@ pub(crate) fn emit_exit(
         c = ci.next_addr();
     }
 
-    // The fixed 8-byte exit slot.
-    let here = em.addr();
-    let rel = exit_at as i64 - here as i64;
-    if (-(1 << 20)..(1 << 20)).contains(&rel) {
-        em.inst(Inst::Jal {
-            rd: XReg::ZERO,
-            offset: rel as i32,
-        });
-        em.raw(&ILLEGAL_HALFWORD.to_le_bytes());
-        em.raw(&ILLEGAL_HALFWORD.to_le_bytes());
-        return;
-    }
-    stats.exit_trampolines += 1;
-    if traditional.is_none() {
-        stats.dead_reg_not_found_traditional += 1;
-    }
-    match dead {
-        Some(r) => {
-            let (hi, lo) = pcrel_hi_lo(exit_at as i64 - here as i64);
-            em.inst(Inst::Auipc { rd: r, imm20: hi });
-            em.inst(Inst::Jalr {
-                rd: XReg::ZERO,
-                rs1: r,
-                offset: lo,
-            });
-        }
-        None => {
-            stats.dead_reg_not_found_shift += 1;
-            stats.trap_exits += 1;
-            // No copies were emitted (shifting failed), so resuming at
-            // `resume` after the trap is correct.
-            em.inst(Inst::Ebreak);
-            em.raw(&ILLEGAL_HALFWORD.to_le_bytes());
-            em.raw(&ILLEGAL_HALFWORD.to_le_bytes());
-            fht.trap_exits.insert(here, resume);
-        }
-    }
+    em.reloc(Reloc::Exit {
+        to: exit_at,
+        dead,
+        traditional: traditional.is_some(),
+    });
 }
 
 /// Mechanized Claim 1 check on a rewritten binary: every placed SMILE

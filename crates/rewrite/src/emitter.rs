@@ -1,21 +1,30 @@
-//! A small position-aware code emitter for target-instruction blocks:
-//! 4-byte instructions with local labels, emitted at a known base address.
+//! A small code emitter for target-instruction blocks: 4-byte instructions
+//! with local labels, emitted before the block has an address.
 //!
 //! Target blocks are always emitted uncompressed — only *original* code
 //! contains 2-byte encodings; keeping blocks 4-byte-aligned sidesteps any
 //! interior-entry concern inside the target section itself (nothing ever
 //! jumps into a target block except through its head).
+//!
+//! Everything encoded here is position-independent (local branches are
+//! offset differences). The few things in a block that do depend on where
+//! it lands are not encoded but recorded, by byte offset, as [`Reloc`]s the
+//! driver resolves once the block is placed. An emitter that already knows
+//! its address (regeneration, the kernel's lazy rewriter) adds
+//! [`BlockEmitter::offset`] to it instead.
 
+use crate::engine::{Reloc, UnitArtifact};
 use chimera_isa::{encode, BranchKind, Inst, XReg};
 use std::collections::HashMap;
 
-/// Emits a contiguous run of instructions at a base address.
-#[derive(Debug)]
+/// Emits a contiguous run of instructions.
+#[derive(Debug, Default)]
 pub struct BlockEmitter {
-    base: u64,
     bytes: Vec<u8>,
-    labels: HashMap<String, u64>,
+    /// Local label → byte offset.
+    labels: HashMap<String, usize>,
     fixups: Vec<Fixup>,
+    relocs: Vec<(usize, Reloc)>,
 }
 
 #[derive(Debug)]
@@ -38,19 +47,14 @@ enum FixKind {
 }
 
 impl BlockEmitter {
-    /// Creates an emitter whose first instruction lands at `base`.
-    pub fn new(base: u64) -> Self {
-        BlockEmitter {
-            base,
-            bytes: Vec::new(),
-            labels: HashMap::new(),
-            fixups: Vec::new(),
-        }
+    /// Creates an empty emitter.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The address of the next emitted instruction.
-    pub fn addr(&self) -> u64 {
-        self.base + self.bytes.len() as u64
+    /// Byte offset of the next emitted instruction from the block's head.
+    pub fn offset(&self) -> u64 {
+        self.bytes.len() as u64
     }
 
     /// Emits one instruction (must encode; immediates are internal and
@@ -75,11 +79,18 @@ impl BlockEmitter {
         self
     }
 
+    /// Records `reloc` here and reserves its slot (nothing for a mark).
+    pub fn reloc(&mut self, reloc: Reloc) -> &mut Self {
+        let slot = reloc.slot_len();
+        self.relocs.push((self.bytes.len(), reloc));
+        self.bytes.resize(self.bytes.len() + slot, 0);
+        self
+    }
+
     /// Defines a local label here.
     pub fn label(&mut self, name: impl Into<String>) -> &mut Self {
         let name = name.into();
-        let addr = self.addr();
-        let prev = self.labels.insert(name.clone(), addr);
+        let prev = self.labels.insert(name.clone(), self.bytes.len());
         assert!(prev.is_none(), "duplicate local label {name}");
         self
     }
@@ -113,7 +124,8 @@ impl BlockEmitter {
     }
 
     /// Materializes the 32-bit-range constant `value` into `rd`
-    /// (`lui` + `addi`; covers all section addresses in our layouts).
+    /// (`lui` + `addi`; the driver refuses an input whose `gp`, spill or
+    /// target base lies outside that range).
     pub fn li32(&mut self, rd: XReg, value: i64) -> &mut Self {
         assert!(
             i32::try_from(value).is_ok(),
@@ -143,15 +155,23 @@ impl BlockEmitter {
         self
     }
 
-    /// Resolves fixups and returns the encoded bytes.
-    pub fn finish(mut self) -> Vec<u8> {
+    /// Resolves fixups and returns the encoded bytes of a block that
+    /// recorded no relocations.
+    pub fn finish(self) -> Vec<u8> {
+        let unit = self.finish_unit();
+        assert!(unit.relocs.is_empty(), "block has unresolved relocations");
+        unit.bytes
+    }
+
+    /// Resolves fixups and returns the encoded bytes plus the relocations
+    /// recorded against them (in offset order) as a unit's artifact.
+    pub fn finish_unit(mut self) -> UnitArtifact {
         for f in &self.fixups {
-            let at = self.base + f.offset as u64;
             let target = *self
                 .labels
                 .get(&f.label)
                 .unwrap_or_else(|| panic!("undefined local label {}", f.label));
-            let rel = target as i64 - at as i64;
+            let rel = target as i64 - f.offset as i64;
             let word = match f.kind {
                 FixKind::Branch { kind, rs1, rs2 } => encode(&Inst::Branch {
                     kind,
@@ -168,7 +188,11 @@ impl BlockEmitter {
             };
             self.bytes[f.offset..f.offset + 4].copy_from_slice(&word.to_le_bytes());
         }
-        self.bytes
+        UnitArtifact {
+            bytes: self.bytes,
+            relocs: self.relocs,
+            ..Default::default()
+        }
     }
 }
 
@@ -179,7 +203,7 @@ mod tests {
 
     #[test]
     fn forward_and_backward_branches_resolve() {
-        let mut e = BlockEmitter::new(0x1000);
+        let mut e = BlockEmitter::new();
         e.label("top")
             .inst(Inst::OpImm {
                 kind: OpImmKind::Addi,
@@ -208,10 +232,10 @@ mod tests {
 
     #[test]
     fn li32_shapes() {
-        let mut e = BlockEmitter::new(0);
+        let mut e = BlockEmitter::new();
         e.li32(XReg::T0, 42);
         assert_eq!(e.finish().len(), 4);
-        let mut e = BlockEmitter::new(0);
+        let mut e = BlockEmitter::new();
         e.li32(XReg::T0, 0x12345678);
         assert_eq!(e.finish().len(), 8);
     }
@@ -219,7 +243,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate local label")]
     fn duplicate_label_panics() {
-        let mut e = BlockEmitter::new(0);
+        let mut e = BlockEmitter::new();
         e.label("x").label("x");
     }
 }

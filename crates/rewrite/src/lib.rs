@@ -4,15 +4,16 @@
 //! vectorizer, and the baseline rewriters the paper compares against.
 //!
 //! There is one rewrite driver, [`pipeline`]
-//! (scan → plan → transform → place → link → verify): it validates the
-//! input, reserves the spill section, sizes and emits units on a worker
-//! pool (bit-identical output for every worker count), lays them out,
-//! patches, attaches the target section, verifies, traces, and caches per
-//! unit for incremental refresh. A rewriting system is a [`RewriteEngine`]
-//! ([`engine`]) that supplies only what differs: its unit partition, and
-//! each unit's size, placement and emission — [`ChbpEngine`] (also the
-//! trap-entry strawman), [`UpgradeEngine`], [`RegenEngine`] (Safer and
-//! ARMore) and [`IdentityEngine`].
+//! (scan → transform → plan → place → link → verify): it validates the
+//! input, reserves the spill section, emits every unit once on a worker
+//! pool (bit-identical output for every worker count), lays the units
+//! out, resolves their relocations where they land, patches, attaches the
+//! target section, verifies, traces, and caches per unit for incremental
+//! refresh. A rewriting system is a [`RewriteEngine`] ([`engine`]) that
+//! supplies only what differs: its unit partition, and each unit's
+//! emission and placement — [`ChbpEngine`] (also the trap-entry
+//! strawman), [`UpgradeEngine`], [`RegenEngine`] (Safer and ARMore) and
+//! [`IdentityEngine`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +33,7 @@ pub use chbp::{
     RewriteError, RewriteOptions, RewriteStats, Rewritten,
 };
 pub use engine::{
-    Entry, Frame, IdentityEngine, Placement, RewriteEngine, Scanned, UnitArtifact, Units,
+    Entry, Frame, IdentityEngine, Placement, Reloc, RewriteEngine, Scanned, UnitArtifact, Units,
 };
 pub use pipeline::{
     default_workers, run, run_cached, run_incremental, DirtySpan, EngineResult, RewriteCache,

@@ -1,21 +1,22 @@
 //! The rewrite driver: the one implementation of everything rewriting
 //! systems share. A [`RewriteEngine`] supplies the unit partition and the
-//! per-unit size / placement / emission hooks ([`crate::engine`]); this
-//! module owns the six stages around them and emits a
+//! per-unit emission / placement hooks ([`crate::engine`]); this module
+//! owns the six stages around them and emits a
 //! [`TraceEvent::RewritePassDone`] per stage plus the `rewrite.*` counters:
 //!
 //! 1. **scan** — validate the input, reserve the `.chimera.vregs` spill
-//!    section and fix the target base, let the engine partition the input,
-//!    then measure every unit's emitted size on the worker pool;
-//! 2. **plan** — walk the units in order with a running cursor, asking the
-//!    engine where each goes; record addresses, original-section patches,
-//!    trampoline/trap table entries and padding. The only stage whose
-//!    decisions depend on layout, and sequential by construction;
-//! 3. **transform** — emit every placed unit at its final address on the
-//!    worker pool, checking each came out at its measured size;
+//!    section, fix the target base and refuse bases target blocks cannot
+//!    materialize, then let the engine partition the input;
+//! 2. **transform** — emit every unit, once, on the worker pool. No unit
+//!    has an address yet: what depends on one comes back as relocations;
+//! 3. **plan** — walk the units in order with a running cursor, asking the
+//!    engine where each goes and reading its size off its emitted bytes;
+//!    record addresses, original-section patches, trampoline/trap table
+//!    entries and padding. The only stage whose decisions depend on
+//!    layout, and sequential by construction;
 //! 4. **place** — concatenate unit bytes (plus illegal-filled padding) into
-//!    the target section and merge the per-unit table/statistics fragments
-//!    in unit order;
+//!    the target section, resolving each unit's relocations at its address
+//!    and merging its table/statistics fragments, in unit order;
 //! 5. **link** — apply the patches, run the engine's own link step, attach
 //!    the target section under the engine's name, check it landed at the
 //!    planned base, set the output profile;
@@ -27,9 +28,9 @@
 //!
 //! Determinism contract: for a fixed engine + input, the output — binary
 //! bytes, [`FaultTable`], [`RewriteStats`] and regeneration metadata — is
-//! bit-identical for every `workers` value. Layout is assigned in the
-//! sequential plan stage; the parallel stages compute pure per-unit
-//! functions reassembled in unit order.
+//! bit-identical for every `workers` value. The parallel stage computes a
+//! pure per-unit function reassembled in unit order; layout is assigned,
+//! and relocations resolved, sequentially after it.
 //!
 //! Incremental contract ([`run_incremental`]): the input binary is
 //! immutable, so a rewrite is a pure function of it — invalidations (lazy
@@ -38,7 +39,7 @@
 //! exactly: it reuses the cached post-plan state, re-emits only the dirty
 //! units (a re-emission that differs from its cached artifact is a
 //! [`RewriteError::Layout`]),
-//! clones every clean artifact verbatim, and replays place/link/verify.
+//! reuses every clean artifact verbatim, and replays place/link/verify.
 //! The dirty set decides how much work is *saved*, never what the output
 //! *is* — which is what makes the byte-equality invariant unconditional.
 
@@ -50,6 +51,7 @@ use chimera_analysis::par::map_indexed;
 use chimera_isa::ExtSet;
 use chimera_obj::{Binary, Perms};
 use chimera_trace::{RewritePass, TraceEvent, Tracer};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 pub use chimera_obj::DirtySpan;
@@ -71,8 +73,8 @@ struct Layout {
     section: Option<&'static str>,
     profile: ExtSet,
     target_base: u64,
-    /// Measured emitted size per unit.
-    sizes: Vec<u64>,
+    /// First address past the last placed unit.
+    target_end: u64,
     /// Final address per unit; `None` = source left untouched.
     addrs: Vec<Option<u64>>,
     /// Original-section patches, in unit order.
@@ -162,8 +164,8 @@ pub fn run(
     tracer: &Tracer,
 ) -> Result<EngineResult, RewriteError> {
     let mut timer = PassTimer::new(tracer);
-    let planned = plan(engine, binary, workers, &mut timer)?;
-    let artifacts = transform(&planned.layout, workers, &mut timer)?;
+    let (planned, artifacts) = plan(engine, binary, workers, &mut timer)?;
+    // By value: each artifact is freed as soon as it is placed.
     finish(binary, planned, artifacts.into_iter(), &mut timer)
 }
 
@@ -178,14 +180,8 @@ pub fn run_cached(
     tracer: &Tracer,
 ) -> Result<(EngineResult, RewriteCache), RewriteError> {
     let mut timer = PassTimer::new(tracer);
-    let planned = plan(engine, binary, workers, &mut timer)?;
-    let artifacts = transform(&planned.layout, workers, &mut timer)?;
-    let result = finish(
-        binary,
-        planned.clone(),
-        artifacts.iter().cloned(),
-        &mut timer,
-    )?;
+    let (planned, artifacts) = plan(engine, binary, workers, &mut timer)?;
+    let result = finish(binary, planned.clone(), artifacts.iter(), &mut timer)?;
     let cache = RewriteCache {
         engine: identity(engine),
         input: binary.clone(),
@@ -198,13 +194,13 @@ pub fn run_cached(
     Ok((result, cache))
 }
 
-/// Scan + plan: everything up to the point where unit addresses are fixed.
+/// Scan + transform + plan: every unit emitted and its address fixed.
 fn plan(
     engine: &dyn RewriteEngine,
     input: &Binary,
     workers: usize,
     timer: &mut PassTimer,
-) -> Result<Planned, RewriteError> {
+) -> Result<(Planned, Vec<UnitArtifact>), RewriteError> {
     input
         .validate()
         .map_err(|e| RewriteError::BadBinary(e.to_string()))?;
@@ -220,23 +216,38 @@ fn plan(
                 Perms::RW,
             );
             let top = binary.sections.iter().map(|s| s.end()).max().unwrap_or(0);
-            Frame {
+            let frame = Frame {
                 spill_base,
                 abi_gp: input.gp,
                 target_base: (top + 0xfff) & !0xfff,
+            };
+            // Target blocks materialize these three with `li32` and reach
+            // everything else pc-relative from the target section.
+            for (what, at) in [
+                ("gp", frame.abi_gp),
+                ("the spill section", frame.spill_base),
+                ("the target section", frame.target_base),
+            ] {
+                if i32::try_from(at).is_err() {
+                    return Err(RewriteError::BadBinary(format!(
+                        "{what} at {at:#x} is beyond the 2 GiB target blocks can address"
+                    )));
+                }
             }
+            frame
         }
         None => Frame::default(),
     };
     let scanned = engine.scan(input, frame, workers)?;
     let units = scanned.units;
     let n = scanned.ranges.len();
-
-    // Size measurement: pure per unit, so it fans out.
-    let sizes: Vec<u64> = map_indexed(workers, n, |i| units.size(i, frame.target_base))
-        .into_iter()
-        .collect::<Result<_, _>>()?;
     timer.done(RewritePass::Scan, scanned.total_insts as u64);
+
+    // Emission: pure per unit, so it fans out.
+    let artifacts = map_indexed(workers, n, |i| units.emit(i))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    timer.done(RewritePass::Transform, n as u64);
 
     let mut fht = FaultTable {
         abi_gp: frame.abi_gp,
@@ -253,8 +264,8 @@ fn plan(
     let mut cursor = frame.target_base;
     let mut addrs = Vec::with_capacity(n);
     let mut patches = Vec::new();
-    for (i, &size) in sizes.iter().enumerate() {
-        let Some(p) = units.place(i, cursor, size)? else {
+    for (i, art) in artifacts.iter().enumerate() {
+        let Some(p) = units.place(i, cursor)? else {
             addrs.push(None);
             continue;
         };
@@ -278,65 +289,34 @@ fn plan(
         }
         stats.padding_bytes += p.addr - cursor;
         addrs.push(Some(p.addr));
-        cursor = p.addr + size;
+        cursor = p.addr + art.bytes.len() as u64;
     }
     timer.done(RewritePass::Plan, n as u64);
 
-    Ok(Planned {
+    let planned = Planned {
         layout: Arc::new(Layout {
             units,
             ranges: scanned.ranges,
             section,
             profile: scanned.profile,
             target_base: frame.target_base,
-            sizes,
+            target_end: cursor,
             addrs,
             patches,
         }),
         binary,
         fht,
         stats,
-    })
-}
-
-/// Emits unit `idx` at its planned address (nothing for a unit the plan
-/// left untouched): the per-unit function behind the transform fan-out and
-/// incremental re-emission.
-fn emit_placed(layout: &Layout, idx: usize) -> Result<UnitArtifact, RewriteError> {
-    let Some(addr) = layout.addrs[idx] else {
-        return Ok(UnitArtifact::default());
     };
-    let art = layout.units.emit(idx, addr)?;
-    if art.bytes.len() as u64 != layout.sizes[idx] {
-        return Err(RewriteError::Layout(format!(
-            "unit {idx}: emitted {} bytes at {addr:#x} but measured {}: \
-             emission must be size-invariant in its base address",
-            art.bytes.len(),
-            layout.sizes[idx]
-        )));
-    }
-    Ok(art)
-}
-
-fn transform(
-    layout: &Layout,
-    workers: usize,
-    timer: &mut PassTimer,
-) -> Result<Vec<UnitArtifact>, RewriteError> {
-    let n = layout.addrs.len();
-    let artifacts = map_indexed(workers, n, |i| emit_placed(layout, i))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    timer.done(RewritePass::Transform, n as u64);
-    Ok(artifacts)
+    Ok((planned, artifacts))
 }
 
 /// Place + link + verify: assembles the output from a planned rewrite and
-/// its units' artifacts (one per unit, in unit order).
+/// its units' artifacts (one per unit, in unit order; owned or cached).
 fn finish(
     input: &Binary,
     planned: Planned,
-    artifacts: impl Iterator<Item = UnitArtifact>,
+    artifacts: impl Iterator<Item = impl Borrow<UnitArtifact>>,
     timer: &mut PassTimer,
 ) -> Result<EngineResult, RewriteError> {
     let Planned {
@@ -346,10 +326,11 @@ fn finish(
         mut stats,
     } = planned;
 
-    let mut code: Vec<u8> = Vec::new();
+    let mut code: Vec<u8> = Vec::with_capacity((layout.target_end - layout.target_base) as usize);
     let mut regen: Option<RegenInfo> = None;
     for (addr, art) in layout.addrs.iter().zip(artifacts) {
         let Some(addr) = *addr else { continue };
+        let art = art.borrow();
         // Constraint padding: reserved-illegal halfwords, so any entry
         // there faults.
         let gap = addr - (layout.target_base + code.len() as u64);
@@ -357,21 +338,21 @@ fn finish(
         for _ in 0..gap / 2 {
             code.extend_from_slice(&crate::chbp::ILLEGAL_HALFWORD.to_le_bytes());
         }
-        code.extend_from_slice(&art.bytes);
+        art.place_at(addr, &mut code, &mut fht, &mut stats);
         // Fragments merge in unit order, so the result is deterministic.
-        fht.redirects.extend(art.fht.redirects);
-        fht.trap_exits.extend(art.fht.trap_exits);
-        fht.untranslated.extend(art.fht.untranslated);
+        fht.redirects.extend(&art.fht.redirects);
+        fht.trap_exits.extend(&art.fht.trap_exits);
+        fht.untranslated.extend(&art.fht.untranslated);
         stats.exit_jumps += art.stats.exit_jumps;
         stats.exit_trampolines += art.stats.exit_trampolines;
         stats.dead_reg_not_found_traditional += art.stats.dead_reg_not_found_traditional;
         stats.dead_reg_not_found_shift += art.stats.dead_reg_not_found_shift;
         stats.trap_exits += art.stats.trap_exits;
-        if let Some(r) = art.regen {
+        if let Some(r) = &art.regen {
             regen
                 .get_or_insert_with(RegenInfo::default)
                 .slow_traps
-                .extend(r.slow_traps);
+                .extend(&r.slow_traps);
         }
     }
     timer.done(RewritePass::Place, layout.addrs.len() as u64);
@@ -485,7 +466,7 @@ pub fn run_incremental(
     // emission is pure, so a re-emitted unit must match its cached artifact
     // bit for bit. A divergence means the cache no longer describes this
     // engine configuration — the output would be corrupt, so refuse it.
-    let fresh = map_indexed(workers, redo.len(), |j| emit_placed(layout, redo[j]));
+    let fresh = map_indexed(workers, redo.len(), |j| layout.units.emit(redo[j]));
     for (&i, art) in redo.iter().zip(fresh) {
         if art? != cache.cached[i].artifact {
             return Err(RewriteError::Layout(format!(
@@ -500,7 +481,7 @@ pub fn run_incremental(
     let result = finish(
         binary,
         cache.planned.clone(),
-        cache.cached.iter().map(|cu| cu.artifact.clone()),
+        cache.cached.iter().map(|cu| &cu.artifact),
         // No per-pass events: a replay reports one `RewriteIncremental`.
         &mut PassTimer { tracer, last: None },
     )?;

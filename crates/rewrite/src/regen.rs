@@ -95,13 +95,6 @@ pub struct RegenEngine {
 }
 
 impl RegenEngine {
-    fn is_source(&self, inst: &Inst) -> bool {
-        match self.mode {
-            Mode::Downgrade => !inst.runnable_on(self.target),
-            Mode::EmptyPatch(ext) => inst.ext() == Some(ext),
-        }
-    }
-
     /// The relocated slot size of one instruction: a pure function of the
     /// instruction (+ the direct-pair set and translator parameters),
     /// never of its final address — variable-length sequences are
@@ -113,12 +106,12 @@ impl RegenEngine {
         spill_base: u64,
         abi_gp: u64,
     ) -> u64 {
-        if self.is_source(&di.inst) {
+        if self.mode.is_source(&di.inst, self.target) {
             match self.mode {
                 Mode::EmptyPatch(_) => 4,
                 Mode::Downgrade => {
                     let mut t = Translator::new(spill_base, abi_gp);
-                    let mut probe = BlockEmitter::new(0);
+                    let mut probe = BlockEmitter::new();
                     match t.downgrade(&di.inst, &mut probe) {
                         Ok(()) => probe.finish().len() as u64,
                         Err(_) => 4, // Left as-is; faults lazily at runtime.
@@ -220,7 +213,10 @@ impl RewriteEngine for RegenEngine {
                 .collect(),
             profile: self.target,
             total_insts: insts.len(),
-            source_insts: insts.iter().filter(|di| self.is_source(&di.inst)).count(),
+            source_insts: insts
+                .iter()
+                .filter(|di| self.mode.is_source(&di.inst, self.target))
+                .count(),
             untranslated: BTreeSet::new(),
             units: Arc::new(RegenUnits {
                 engine: *self,
@@ -236,13 +232,7 @@ impl RewriteEngine for RegenEngine {
 }
 
 impl Units for RegenUnits {
-    /// A span fills its instructions' slots exactly.
-    fn size(&self, idx: usize, _: u64) -> Result<u64, RewriteError> {
-        let (start, end) = self.spans[idx];
-        Ok(self.sizes[start..end].iter().sum())
-    }
-
-    fn place(&self, idx: usize, cursor: u64, _: u64) -> Result<Option<Placement>, RewriteError> {
+    fn place(&self, idx: usize, cursor: u64) -> Result<Option<Placement>, RewriteError> {
         let mapped = self.map[&self.insts[self.spans[idx].0].addr];
         if mapped != cursor {
             return Err(RewriteError::Layout(format!(
@@ -255,18 +245,19 @@ impl Units for RegenUnits {
         }))
     }
 
-    /// Emits the instructions of one span at their mapped addresses.
-    fn emit(&self, idx: usize, addr: u64) -> Result<UnitArtifact, RewriteError> {
+    /// Emits the instructions of one span, each filling its slot at its
+    /// mapped address exactly.
+    fn emit(&self, idx: usize) -> Result<UnitArtifact, RewriteError> {
         let (start, end) = self.spans[idx];
         let engine = &self.engine;
         let mut translator = Translator::new(self.frame.spill_base, self.frame.abi_gp);
-        let mut em = BlockEmitter::new(addr);
+        let mut em = BlockEmitter::new();
         let mut art = UnitArtifact::default();
         let mut info = RegenInfo::default();
         for (di, &size) in self.insts[start..end].iter().zip(&self.sizes[start..end]) {
             let new_addr = self.map[&di.addr];
-            debug_assert_eq!(em.addr(), new_addr, "size plan must match emission");
-            if engine.is_source(&di.inst) {
+            let slot_start = em.offset();
+            if engine.mode.is_source(&di.inst, engine.target) {
                 match engine.mode {
                     Mode::EmptyPatch(_) => {
                         em.inst(di.inst);
@@ -313,7 +304,7 @@ impl Units for RegenUnits {
             // Pad to the planned size with nops: straight-line slots fall
             // through their padding into the next slot (original program
             // order), so the filler must execute as a no-op.
-            let emitted = em.addr() - new_addr;
+            let emitted = em.offset() - slot_start;
             assert!(emitted <= size, "{} overflowed its slot", di.inst);
             debug_assert_eq!((size - emitted) % 4, 0, "slot sizes are word-granular");
             for _ in 0..(size - emitted) / 4 {
@@ -403,14 +394,6 @@ fn emit_relocated(
                 RewriteError::Layout(format!("branch target {old_target:#x} unmapped"))
             })?;
             // Inverted branch skipping a jal: 8 bytes, full jal reach.
-            let inverted = match kind {
-                chimera_isa::BranchKind::Beq => chimera_isa::BranchKind::Bne,
-                chimera_isa::BranchKind::Bne => chimera_isa::BranchKind::Beq,
-                chimera_isa::BranchKind::Blt => chimera_isa::BranchKind::Bge,
-                chimera_isa::BranchKind::Bge => chimera_isa::BranchKind::Blt,
-                chimera_isa::BranchKind::Bltu => chimera_isa::BranchKind::Bgeu,
-                chimera_isa::BranchKind::Bgeu => chimera_isa::BranchKind::Bltu,
-            };
             let rel = new_target as i64 - (new_addr as i64 + 4);
             let off = i32::try_from(rel)
                 .ok()
@@ -421,7 +404,7 @@ fn emit_relocated(
                     ))
                 })?;
             em.inst(Inst::Branch {
-                kind: inverted,
+                kind: kind.inverted(),
                 rs1,
                 rs2,
                 offset: 8,
@@ -520,12 +503,13 @@ fn emit_safer_check(
     info: &mut RegenInfo,
 ) {
     let j = if rd != XReg::ZERO { rd } else { rs1 };
+    let slot_start = em.offset();
     let fast = format!("safer_fast_{:x}", di.addr);
     em.inst(chimera_obj::addi(j, rs1, offset));
     em.li32(XReg::GP, new_base as i64);
     em.branch_to(chimera_isa::BranchKind::Bgeu, j, XReg::GP, fast.clone());
     // Slow path: the kernel corrects the target and installs the link.
-    let trap_at = em.addr();
+    let trap_at = new_addr + (em.offset() - slot_start);
     em.inst(Inst::Ebreak);
     info.slow_traps.insert(
         trap_at,

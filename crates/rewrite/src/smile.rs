@@ -374,30 +374,6 @@ pub fn verify_deterministic(s: &Smile, constraints: SmileConstraints) -> Result<
     Ok(())
 }
 
-/// A vanilla (unhardened) long-distance trampoline through a scratch
-/// register: `auipc rd, hi; jalr zero, lo(rd)`. Used for the *exit* jump of
-/// target-instruction blocks, where a dead register is available (§4.2,
-/// Challenge 2).
-pub fn encode_exit_trampoline(tramp_addr: u64, target: u64, scratch: XReg) -> Option<[u8; 8]> {
-    let offset = target.wrapping_sub(tramp_addr) as i64;
-    let (hi, lo) = split_hi_lo(offset)?;
-    let auipc = encode(&Inst::Auipc {
-        rd: scratch,
-        imm20: hi,
-    })
-    .ok()?;
-    let jalr = encode(&Inst::Jalr {
-        rd: XReg::ZERO,
-        rs1: scratch,
-        offset: lo,
-    })
-    .ok()?;
-    let mut out = [0u8; 8];
-    out[..4].copy_from_slice(&auipc.to_le_bytes());
-    out[4..].copy_from_slice(&jalr.to_le_bytes());
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,24 +495,6 @@ mod tests {
                     .unwrap_or_else(|e| panic!("tramp {tramp:#x} constraints {c:?}: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn exit_trampoline_roundtrip() {
-        let bytes = encode_exit_trampoline(0x800_0000, 0x1_0100, XReg::T0).unwrap();
-        let auipc = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-        let jalr = u32::from_le_bytes(bytes[4..].try_into().unwrap());
-        let Inst::Auipc { rd, imm20 } = decode(auipc).unwrap().inst else {
-            panic!()
-        };
-        assert_eq!(rd, XReg::T0);
-        let Inst::Jalr { rd, rs1, offset } = decode(jalr).unwrap().inst else {
-            panic!()
-        };
-        assert_eq!(rd, XReg::ZERO);
-        assert_eq!(rs1, XReg::T0);
-        let base = 0x800_0000u64.wrapping_add(((imm20 as i64) << 12) as u64);
-        assert_eq!(base.wrapping_add(offset as i64 as u64), 0x1_0100);
     }
 }
 

@@ -1280,7 +1280,7 @@ mod tests {
     #[test]
     fn sh1add_template_shape() {
         let mut t = Translator::new(0x9_0000, 0x8_0800);
-        let mut em = BlockEmitter::new(0x100_0000);
+        let mut em = BlockEmitter::new();
         t.downgrade(
             &Inst::Op {
                 kind: OpKind::Sh1add,
@@ -1310,7 +1310,7 @@ mod tests {
     #[test]
     fn untranslatable_for_lmul8() {
         let mut t = Translator::new(0x9_0000, 0x8_0800);
-        let mut em = BlockEmitter::new(0x100_0000);
+        let mut em = BlockEmitter::new();
         let r = t.downgrade(
             &Inst::Vsetvli {
                 rd: XReg::T0,
@@ -1392,7 +1392,7 @@ mod tests {
             },
         ];
         for inst in cases {
-            let mut em = BlockEmitter::new(0x100_0000);
+            let mut em = BlockEmitter::new();
             t.downgrade(&inst, &mut em)
                 .unwrap_or_else(|e| panic!("{inst}: {e}"));
             let bytes = em.finish();
@@ -1479,7 +1479,7 @@ mod tests {
         ];
         let base = chimera_isa::ExtSet::RV64GC.without(chimera_isa::Ext::B);
         for inst in cases {
-            let mut em = BlockEmitter::new(0x100_0000);
+            let mut em = BlockEmitter::new();
             t.downgrade(&inst, &mut em)
                 .unwrap_or_else(|e| panic!("{inst}: {e}"));
             for chunk in em.finish().chunks(4) {

@@ -21,7 +21,7 @@
 
 use crate::chbp::{emit_exit, reemit, RewriteError, RewriteOptions, Rewritten};
 use crate::emitter::BlockEmitter;
-use crate::engine::{Frame, Placement, RewriteEngine, Scanned, UnitArtifact, Units};
+use crate::engine::{Frame, Placement, Reloc, RewriteEngine, Scanned, UnitArtifact, Units};
 use crate::smile::{place_smile, SmileConstraints};
 use chimera_analysis::{
     disassemble, BasicBlock, Cfg, DisasmInst, Disassembly, Liveness, Terminator,
@@ -409,7 +409,7 @@ impl VecLoop {
 }
 
 impl Units for UpgradeUnits {
-    fn place(&self, idx: usize, cursor: u64, _: u64) -> Result<Option<Placement>, RewriteError> {
+    fn place(&self, idx: usize, cursor: u64) -> Result<Option<Placement>, RewriteError> {
         let vl = &self.loops[idx];
         let constraints = SmileConstraints::of(vl.head, vl.overwritten().iter().map(|di| di.addr));
         place_smile(
@@ -421,21 +421,11 @@ impl Units for UpgradeUnits {
         )
     }
 
-    fn emit(&self, idx: usize, addr: u64) -> Result<UnitArtifact, RewriteError> {
+    fn emit(&self, idx: usize) -> Result<UnitArtifact, RewriteError> {
         let vl = &self.loops[idx];
-        let mut art = UnitArtifact::default();
-        let mut em = BlockEmitter::new(addr);
-        let exit_to = |resume, em: &mut BlockEmitter, art: &mut UnitArtifact| {
-            emit_exit(
-                resume,
-                &self.d,
-                &self.liveness,
-                self.opts,
-                TARGET,
-                em,
-                &mut art.fht,
-                &mut art.stats,
-            )
+        let mut em = BlockEmitter::new();
+        let exit_to = |resume, em: &mut BlockEmitter| {
+            emit_exit(resume, &self.d, &self.liveness, self.opts, TARGET, em)
         };
         // gp restore (clobbered by the SMILE jalr).
         em.li32(XReg::GP, self.abi_gp as i64);
@@ -443,20 +433,19 @@ impl Units for UpgradeUnits {
         // The loop consumed gp as its scratch: restore the ABI value
         // before control returns to original code.
         em.li32(XReg::GP, self.abi_gp as i64);
-        exit_to(vl.exit, &mut em, &mut art);
+        exit_to(vl.exit, &mut em);
         // Repair block: replay the overwritten head instructions and
         // rejoin the intact scalar body at space_end. Jumps to the head
         // itself run the trampoline (correct); every later overwritten
         // instruction gets a redirect to its replay.
         for di in vl.overwritten() {
             if di.addr > vl.head {
-                art.fht.redirects.insert(di.addr, em.addr());
+                em.reloc(Reloc::Redirect { from: di.addr });
             }
             reemit(&di.inst, di.addr, &mut em);
         }
-        exit_to(vl.space_end(), &mut em, &mut art);
-        art.bytes = em.finish();
-        Ok(art)
+        exit_to(vl.space_end(), &mut em);
+        Ok(em.finish_unit())
     }
 }
 

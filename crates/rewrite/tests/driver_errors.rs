@@ -1,11 +1,15 @@
 //! The driver's own invariants fail typed, not by panic: an engine whose
 //! emission breaks them gets a [`RewriteError::Layout`] naming the unit,
-//! from the calling thread and from inside a worker alike.
+//! and an input no target block could address a
+//! [`RewriteError::BadBinary`], from the calling thread and from inside a
+//! worker alike. The same toy engine counts its emissions: a unit is
+//! emitted once per run.
 
+use chimera_isa::ExtSet;
 use chimera_obj::{assemble, AsmOptions, Binary, TEXT_BASE};
 use chimera_rewrite::{
-    run, run_cached, run_incremental, DirtySpan, Entry, Frame, Placement, RewriteEngine,
-    RewriteError, Scanned, UnitArtifact, Units,
+    run, run_cached, run_incremental, ChbpEngine, DirtySpan, Entry, Frame, Placement, RewriteCache,
+    RewriteEngine, RewriteError, RewriteOptions, Scanned, UnitArtifact, Units,
 };
 use chimera_trace::Tracer;
 use std::collections::BTreeSet;
@@ -16,22 +20,33 @@ use std::sync::Arc;
 const UNITS: usize = 64;
 const BAD_UNIT: usize = 37;
 
-/// How the toy engine's emission misbehaves.
-#[derive(Debug, Clone, Copy)]
-enum Fault {
-    /// `BAD_UNIT` is 4 bytes longer anywhere but at the scratch address.
-    LongerWhenPlaced,
-    /// Every emission after the first `n` comes out with different bytes.
-    ImpureAfter(usize),
+/// A toy engine (and its own unit set) of `UNITS` 8-byte units whose
+/// emissions are counted; every emission after the first `pure` comes out
+/// with different bytes.
+#[derive(Clone)]
+struct Toy {
+    pure: usize,
+    emissions: Arc<AtomicUsize>,
 }
 
-#[derive(Debug)]
-struct Toy(Fault);
+/// The count is not part of the engine's cache identity.
+impl std::fmt::Debug for Toy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Toy {{ pure: {} }}", self.pure)
+    }
+}
 
-struct ToyUnits {
-    fault: Fault,
-    scratch: u64,
-    emissions: AtomicUsize,
+impl Toy {
+    fn pure_for(pure: usize) -> Self {
+        Toy {
+            pure,
+            emissions: Arc::default(),
+        }
+    }
+
+    fn emissions(&self) -> usize {
+        self.emissions.load(Ordering::Relaxed)
+    }
 }
 
 impl RewriteEngine for Toy {
@@ -39,13 +54,9 @@ impl RewriteEngine for Toy {
         Some(".toy")
     }
 
-    fn scan(&self, input: &Binary, frame: Frame, _: usize) -> Result<Scanned, RewriteError> {
+    fn scan(&self, input: &Binary, _: Frame, _: usize) -> Result<Scanned, RewriteError> {
         Ok(Scanned {
-            units: Arc::new(ToyUnits {
-                fault: self.0,
-                scratch: frame.target_base,
-                emissions: AtomicUsize::new(0),
-            }),
+            units: Arc::new(self.clone()),
             ranges: (0..UNITS as u64)
                 .map(|i| (TEXT_BASE + 4 * i, TEXT_BASE + 4 * i + 4))
                 .collect(),
@@ -57,25 +68,20 @@ impl RewriteEngine for Toy {
     }
 }
 
-impl Units for ToyUnits {
-    fn place(&self, _: usize, cursor: u64, _: u64) -> Result<Option<Placement>, RewriteError> {
+impl Units for Toy {
+    fn emit(&self, _: usize) -> Result<UnitArtifact, RewriteError> {
+        let nth = self.emissions.fetch_add(1, Ordering::Relaxed);
+        Ok(UnitArtifact {
+            bytes: vec![(nth >= self.pure) as u8; 8],
+            ..Default::default()
+        })
+    }
+
+    fn place(&self, _: usize, cursor: u64) -> Result<Option<Placement>, RewriteError> {
         Ok(Some(Placement {
             addr: cursor,
             entry: Entry::Unpatched,
         }))
-    }
-
-    fn emit(&self, idx: usize, addr: u64) -> Result<UnitArtifact, RewriteError> {
-        let nth = self.emissions.fetch_add(1, Ordering::Relaxed);
-        let (len, fill) = match self.fault {
-            Fault::LongerWhenPlaced if idx == BAD_UNIT && addr != self.scratch => (12, 0),
-            Fault::ImpureAfter(n) if nth >= n => (8, 1),
-            _ => (8, 0),
-        };
-        Ok(UnitArtifact {
-            bytes: vec![fill; len],
-            ..Default::default()
-        })
     }
 }
 
@@ -84,17 +90,51 @@ fn input() -> Binary {
     assemble(&source, AsmOptions::default()).unwrap()
 }
 
+/// Primes a cache, then re-rewrites with `BAD_UNIT`'s source dirty.
+fn prime_and_dirty_one(engine: &Toy, workers: usize) -> (RewriteCache, Result<(), RewriteError>) {
+    let bin = input();
+    let (_, mut cache) = run_cached(engine, &bin, workers, &Tracer::disabled()).unwrap();
+    let dirty = DirtySpan {
+        start: TEXT_BASE + 4 * BAD_UNIT as u64,
+        end: TEXT_BASE + 4 * BAD_UNIT as u64 + 4,
+        generation: 1,
+    };
+    let redone = run_incremental(
+        engine,
+        &bin,
+        &mut cache,
+        &[dirty],
+        workers,
+        &Tracer::disabled(),
+    );
+    (cache, redone.map(drop))
+}
+
 #[test]
-fn emission_longer_at_the_placed_address_is_a_layout_error() {
+fn a_unit_is_emitted_once_per_run_and_once_more_when_dirty() {
     for workers in [1, 4] {
-        let err = run(
-            &Toy(Fault::LongerWhenPlaced),
-            &input(),
-            workers,
-            &Tracer::disabled(),
-        )
-        .err()
-        .expect("a size-variant emission must not produce output");
+        let engine = Toy::pure_for(usize::MAX);
+        run(&engine, &input(), workers, &Tracer::disabled()).unwrap();
+        assert_eq!(engine.emissions(), UNITS, "workers {workers}: one run");
+
+        let engine = Toy::pure_for(usize::MAX);
+        let (cache, redone) = prime_and_dirty_one(&engine, workers);
+        redone.unwrap();
+        assert_eq!(cache.unit_count(), UNITS);
+        assert_eq!(
+            engine.emissions(),
+            UNITS + 1,
+            "workers {workers}: priming, then the one dirty unit"
+        );
+    }
+}
+
+#[test]
+fn impure_re_emission_is_a_layout_error() {
+    for workers in [1, 4] {
+        // Priming emits every unit once.
+        let (_, redone) = prime_and_dirty_one(&Toy::pure_for(UNITS), workers);
+        let err = redone.expect_err("a diverging re-emission must not produce output");
         let RewriteError::Layout(msg) = &err else {
             panic!("workers {workers}: expected a layout error, got {err}");
         };
@@ -102,31 +142,45 @@ fn emission_longer_at_the_placed_address_is_a_layout_error() {
     }
 }
 
+/// `Binary::validate` accepts data and `gp` above 4 GiB; target blocks
+/// materialize `gp` and the spill base with `lui`+`addiw`, so the driver
+/// has to refuse them before an emission worker meets one.
 #[test]
-fn impure_re_emission_is_a_layout_error() {
+fn bases_beyond_what_target_blocks_materialize_are_a_bad_binary() {
+    let mut bin = assemble(
+        "
+        .data
+        a: .dword 1
+           .dword 2
+        .text
+        _start:
+            li t0, 2
+            vsetvli t1, t0, e64, m1, ta, ma
+            la a0, a
+            vle64.v v1, (a0)
+            vmv.x.s a0, v1
+            li a7, 93
+            ecall
+        ",
+        AsmOptions::default(),
+    )
+    .unwrap();
+    for s in bin.sections.iter_mut().filter(|s| !s.perms.x) {
+        s.addr += 1 << 32;
+    }
+    bin.gp += 1 << 32;
+    bin.validate().expect("still a valid binary");
+    let engine = ChbpEngine {
+        target: ExtSet::RV64GC,
+        opts: RewriteOptions::default(),
+    };
     for workers in [1, 4] {
-        // Priming emits every unit twice (measure, then transform).
-        let engine = Toy(Fault::ImpureAfter(2 * UNITS));
-        let bin = input();
-        let (_, mut cache) = run_cached(&engine, &bin, workers, &Tracer::disabled()).unwrap();
-        let dirty = DirtySpan {
-            start: TEXT_BASE + 4 * BAD_UNIT as u64,
-            end: TEXT_BASE + 4 * BAD_UNIT as u64 + 4,
-            generation: 1,
-        };
-        let err = run_incremental(
-            &engine,
-            &bin,
-            &mut cache,
-            &[dirty],
-            workers,
-            &Tracer::disabled(),
-        )
-        .err()
-        .expect("a diverging re-emission must not produce output");
-        let RewriteError::Layout(msg) = &err else {
-            panic!("workers {workers}: expected a layout error, got {err}");
-        };
-        assert!(msg.contains(&format!("unit {BAD_UNIT}")), "{msg}");
+        let err = run(&engine, &bin, workers, &Tracer::disabled())
+            .err()
+            .expect("no target block can address this input");
+        assert!(
+            matches!(err, RewriteError::BadBinary(_)),
+            "workers {workers}: {err}"
+        );
     }
 }

@@ -356,20 +356,17 @@ fn lazy_blocks_match_static_translation() {
         "each site is rewritten exactly once"
     );
 
-    // Re-emit every site statically at the address the kernel used (lazy
-    // blocks grow from the end of the target section, in program order)
-    // and compare against what the kernel actually wrote.
-    let mut cursor = fht.target_range.1;
+    // Re-emit every site statically (lazy blocks grow from the end of the
+    // target section, in program order) and compare against what the
+    // kernel actually wrote.
     let mut expected_bytes = Vec::new();
     for inst in &sites {
         let mut translator = Translator::new(fht.spill_base, fht.abi_gp);
-        let mut em = BlockEmitter::new(cursor);
+        let mut em = BlockEmitter::new();
         emit_site_translation(inst, Mode::Downgrade, &mut translator, &mut em)
             .expect("site is translatable");
         em.inst(Inst::Ebreak);
-        let bytes = em.finish();
-        cursor += bytes.len() as u64;
-        expected_bytes.extend(bytes);
+        expected_bytes.extend(em.finish());
     }
     let lazy_bytes = mem
         .peek(fht.target_range.1, expected_bytes.len())

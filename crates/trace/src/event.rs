@@ -38,20 +38,21 @@ impl TrapKind {
 }
 
 /// A stage of the unified `RewriteEngine` pass pipeline
-/// (`scan → plan → transform → place → link → verify`).
+/// (`scan → transform → plan → place → link → verify`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewritePass {
     /// Input validation + analyses (disassembly, CFG, liveness) + unit
-    /// partitioning and size measurement.
+    /// partitioning.
     Scan,
     /// Sequential deterministic layout: final target-section addresses,
     /// entry kinds and text patches for every unit.
     Plan,
-    /// Per-unit code emission at the planned final addresses (the
-    /// parallel stage).
+    /// Per-unit code emission, before any unit has an address (the
+    /// parallel stage; runs between scan and plan).
     Transform,
-    /// Target-section assembly: unit bytes + padding gaps, fault-table
-    /// and statistics merge in unit order.
+    /// Target-section assembly: unit bytes + padding gaps, relocations
+    /// resolved at each unit's address, fault-table and statistics merge
+    /// in unit order.
     Place,
     /// Text patching, target-section attachment, entry/profile fixup.
     Link,
