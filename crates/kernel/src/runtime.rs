@@ -27,6 +27,7 @@ use chimera_rewrite::translate::Translator;
 use chimera_rewrite::{ebreak_patch, emit_site_translation, FaultTable, Mode, RegenInfo};
 use chimera_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The magic return address installed in `ra` for signal handlers; a jump
 /// here (handler return) traps as an unmapped fetch the kernel recognizes
@@ -72,11 +73,13 @@ pub enum RunOutcome {
     Fatal(String),
 }
 
-/// Runtime metadata for one loaded binary variant.
+/// Runtime metadata for one loaded binary variant. Read-only at run time:
+/// every runner of the variant shares the one fault table, so a clone is a
+/// reference count, not a copy of its maps.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeTables {
     /// CHBP / regeneration fault-handling table.
-    pub fht: Option<FaultTable>,
+    pub fht: Option<Arc<FaultTable>>,
     /// Safer regeneration slow-path metadata.
     pub regen: Option<RegenInfo>,
 }
@@ -88,8 +91,11 @@ pub struct KernelRunner {
     pub tables: RuntimeTables,
     /// Accumulated fault counters.
     pub counters: FaultCounters,
-    /// Lazily-added trap entries (runtime rewrites).
+    /// Lazily-added trap entries (runtime rewrites): patched site → block.
     lazy_entries: BTreeMap<u64, u64>,
+    /// Their trap exits: `ebreak` ending a lazy block → original resume
+    /// address.
+    lazy_exits: BTreeMap<u64, u64>,
     /// Where the next lazy block goes (grows past the target section).
     lazy_cursor: Option<u64>,
     /// Captured stdout.
@@ -115,6 +121,7 @@ impl KernelRunner {
             tables,
             counters: FaultCounters::default(),
             lazy_entries: BTreeMap::new(),
+            lazy_exits: BTreeMap::new(),
             lazy_cursor: None,
             stdout: Vec::new(),
             signal_ctx: None,
@@ -124,11 +131,13 @@ impl KernelRunner {
 
     /// Points the runner at another view's tables after the task's MMView
     /// was switched ([`crate::Process::migrate`]). Lazily built blocks
-    /// patched the old view's code, so their entries go with it; stdout,
-    /// counters and a pending signal context belong to the task and stay.
+    /// patched the old view's code, so their entries and exits go with it;
+    /// stdout, counters and a pending signal context belong to the task and
+    /// stay.
     pub fn retarget(&mut self, tables: RuntimeTables) {
         self.tables = tables;
         self.lazy_entries.clear();
+        self.lazy_exits.clear();
         self.lazy_cursor = None;
     }
 
@@ -328,11 +337,12 @@ impl KernelRunner {
             }
             Trap::Breakpoint { pc } => {
                 cpu.stats.cycles += cpu.cost.trap;
-                // Lazy entries first (they shadow nothing else).
-                if let Some(&block) = self.lazy_entries.get(&pc) {
+                // Lazy entries and exits first (they shadow nothing else).
+                let lazy = self.lazy_entries.get(&pc).or(self.lazy_exits.get(&pc));
+                if let Some(&to) = lazy {
                     self.counters.trap_trampolines += 1;
                     self.tracer.count("kernel.trap_trampolines", 1);
-                    cpu.hart.pc = block;
+                    cpu.hart.pc = to;
                     return TrapDisposition::Resume;
                 }
                 if let Some(regen) = &self.tables.regen {
@@ -409,9 +419,7 @@ impl KernelRunner {
         }
         self.lazy_entries.insert(pc, cursor);
         // Exit trap returns to the instruction after the site.
-        if let Some(fht_mut) = self.tables.fht.as_mut() {
-            fht_mut.trap_exits.insert(exit_at, resume);
-        }
+        self.lazy_exits.insert(exit_at, resume);
         Some(cursor)
     }
 }

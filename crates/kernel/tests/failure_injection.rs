@@ -6,6 +6,7 @@ use chimera_isa::ExtSet;
 use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
 use chimera_obj::{assemble, AsmOptions};
 use chimera_rewrite::{chbp_rewrite, RewriteOptions};
+use std::sync::Arc;
 
 const VEC_PROG: &str = "
     .data
@@ -36,7 +37,7 @@ fn rewritten() -> (chimera_obj::Binary, chimera_rewrite::Rewritten) {
 fn emptied_fault_table_fails_loudly_not_wrongly() {
     let (_, rw) = rewritten();
     let mut fht = rw.fht.clone();
-    fht.redirects.clear(); // Corruption: the kernel cannot recover faults.
+    Arc::make_mut(&mut fht).redirects.clear(); // Corruption: the kernel cannot recover faults.
     let variant = Variant {
         binary: rw.binary,
         tables: RuntimeTables {
@@ -67,7 +68,7 @@ fn redirect_to_garbage_is_contained() {
     let (_, rw) = rewritten();
     let mut fht = rw.fht.clone();
     // Corruption: point every redirect at unmapped memory.
-    for (_, v) in fht.redirects.iter_mut() {
+    for (_, v) in Arc::make_mut(&mut fht).redirects.iter_mut() {
         *v = 0xdead_0000;
     }
     let variant = Variant {

@@ -30,7 +30,7 @@
 use crate::emitter::BlockEmitter;
 use crate::engine::{Entry, Frame, Placement, Reloc, RewriteEngine, Scanned, UnitArtifact, Units};
 use crate::smile::{place_smile, SmileConstraints};
-use crate::translate::Translator;
+use crate::translate::{Translator, Untranslatable};
 use chimera_analysis::{disassemble, Cfg, DisasmInst, Disassembly, Liveness};
 use chimera_isa::{encode, Ext, ExtSet, Inst, XReg};
 use chimera_obj::Binary;
@@ -167,8 +167,9 @@ pub struct RewriteStats {
 pub struct Rewritten {
     /// The patched binary (target profile recorded).
     pub binary: Binary,
-    /// Fault-handling table for the runtime.
-    pub fht: FaultTable,
+    /// Fault-handling table for the runtime, shared: every launch, spawn
+    /// and migration of the variant reads this one copy.
+    pub fht: Arc<FaultTable>,
     /// Rewrite statistics.
     pub stats: RewriteStats,
 }
@@ -199,6 +200,13 @@ impl core::fmt::Display for RewriteError {
 }
 
 impl std::error::Error for RewriteError {}
+
+/// A unit asked for a translation the scan did not establish.
+impl From<Untranslatable> for RewriteError {
+    fn from(e: Untranslatable) -> Self {
+        RewriteError::Layout(e.to_string())
+    }
+}
 
 /// Rewrites `binary` for a core with profile `target` using CHBP.
 pub fn chbp_rewrite(
@@ -244,7 +252,7 @@ impl RewriteEngine for ChbpEngine {
         Some(".chimera.text")
     }
 
-    fn scan(&self, input: &Binary, frame: Frame, workers: usize) -> Result<Scanned, RewriteError> {
+    fn scan(&self, input: &Binary, frame: Frame, _: usize) -> Result<Scanned, RewriteError> {
         let d = disassemble(input);
         let cfg = Cfg::build(&d);
         let liveness = Liveness::compute(&cfg);
@@ -256,33 +264,21 @@ impl RewriteEngine for ChbpEngine {
             .copied()
             .collect();
 
-        // Parallel translatability check: a site whose instruction has no
-        // downgrade template stays unpatched (raises an illegal fault at
-        // runtime; the kernel falls back to migration, FAM-style). A full
-        // throwaway downgrade is the check — `probe` alone does not cover
-        // the scalar templates.
-        let translatable: Vec<bool> = match self.opts.mode {
-            Mode::Downgrade => chimera_analysis::par::map_indexed(workers, sources.len(), |i| {
-                let mut t = Translator::new(frame.spill_base, frame.abi_gp);
-                let mut probe = BlockEmitter::new();
-                t.downgrade(&sources[i].inst, &mut probe).is_ok()
-            }),
-            Mode::EmptyPatch(_) => vec![true; sources.len()],
-        };
-
         // Sequential unit partition: the covered_until walk.
         let mut units: Vec<ChbpUnit> = Vec::new();
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         let mut untranslated = BTreeSet::new();
         let mut covered_until: u64 = 0;
-        for (i, site) in sources.iter().enumerate() {
+        for site in &sources {
             if site.addr < covered_until {
                 // Inside a previous trampoline's space: no own trampoline;
                 // the previous site's block already translated it and the
                 // FHT redirect covers erroneous jumps onto it.
                 continue;
             }
-            if !translatable[i] {
+            if self.opts.mode == Mode::Downgrade && !Translator::can_downgrade(&site.inst) {
+                // No template: the site stays unpatched, raises an illegal
+                // fault at runtime and the kernel migrates (FAM-style).
                 untranslated.insert(site.addr);
                 covered_until = site.next_addr();
                 continue;
@@ -378,10 +374,9 @@ impl Units for ChbpUnits {
                 &mut translator,
                 &mut em,
                 self.target,
-            ),
+            )?,
             ChbpUnit::Site(site) => {
-                emit_site_translation(&site.inst, self.opts.mode, &mut translator, &mut em)
-                    .expect("scan verified translatability");
+                emit_site_translation(&site.inst, self.opts.mode, &mut translator, &mut em)?;
                 emit_exit(
                     site.next_addr(),
                     &self.d,
@@ -406,7 +401,7 @@ pub fn emit_site_translation(
     mode: Mode,
     translator: &mut Translator,
     em: &mut BlockEmitter,
-) -> Result<(), crate::translate::Untranslatable> {
+) -> Result<(), Untranslatable> {
     // Restore gp: the entry path (SMILE jalr or kernel trap) left it
     // clobbered or the block may be entered with the spill base loaded.
     translator.restore_gp(em);
@@ -586,7 +581,7 @@ fn emit_block(
     translator: &mut Translator,
     em: &mut BlockEmitter,
     target: ExtSet,
-) {
+) -> Result<(), RewriteError> {
     let site = region.insts[0].addr;
     // Restore gp: the SMILE jalr left the return address in it.
     em.label("block_head");
@@ -605,8 +600,8 @@ fn emit_block(
         let needs_entry = di.addr > site && di.addr < region.space_end;
         let translated_vector = opts.mode == Mode::Downgrade
             && opts.mode.is_source(&di.inst, target)
-            && crate::translate::Translator::sequenceable(&di.inst)
-            && translator.probe(&di.inst).is_ok();
+            && Translator::sequenceable(&di.inst)
+            && Translator::can_downgrade(&di.inst);
         if in_seq && (needs_entry || !translated_vector) {
             translator.seq_end(em);
             in_seq = false;
@@ -648,9 +643,7 @@ fn emit_block(
                                     translator.seq_begin(em);
                                     in_seq = true;
                                 }
-                                translator
-                                    .downgrade_in_seq(&di.inst, em)
-                                    .expect("probed translatable");
+                                translator.downgrade_in_seq(&di.inst, em)?;
                             } else if translator.downgrade(&di.inst, em).is_err() {
                                 // No template for this mid-region source
                                 // instruction: mark its copy position so the
@@ -687,6 +680,7 @@ fn emit_block(
         em.label(label);
         emit_exit(taken, d, liveness, opts, target, em);
     }
+    Ok(())
 }
 
 /// Re-emits a non-source instruction at a new location, preserving

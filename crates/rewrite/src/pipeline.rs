@@ -406,6 +406,7 @@ fn finish(
         count("rewrite.untranslated", fht.untranslated.len() as u64);
         count("rewrite.target_bytes", stats.target_section_size);
     }
+    let fht = Arc::new(fht);
     Ok(EngineResult {
         rewritten: Rewritten { binary, fht, stats },
         regen,

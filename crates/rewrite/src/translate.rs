@@ -233,41 +233,62 @@ impl Translator {
         }
     }
 
+    /// Whether a downgrade template exists for `inst`: the single answer,
+    /// for the rewriter's partition walk, its block emission, regeneration
+    /// and the kernel's lazy rewriter alike. `downgrade*` return
+    /// [`Untranslatable`] exactly when this is `false`, before emitting
+    /// anything.
+    pub fn can_downgrade(inst: &Inst) -> bool {
+        // Every template borrows `gp` (spill pointer or free temporary),
+        // so an instruction that reads it has none.
+        if inst.uses_x().contains(XReg::GP) {
+            return false;
+        }
+        match *inst {
+            // The spilled state models `m1` grouping at `e32` / `e64`.
+            Inst::Vsetvli { vtype, .. } => {
+                vtype.lmul == 1 && matches!(vtype.sew, Eew::E32 | Eew::E64)
+            }
+            Inst::VLoad { eew, .. } | Inst::VStore { eew, .. } => {
+                matches!(eew, Eew::E32 | Eew::E64)
+            }
+            // An fp op has no immediate form to stage.
+            Inst::VArith { op, src, .. } => !(op.is_fp() && matches!(src, VSrc::I(_))),
+            Inst::VMvXS { .. } | Inst::VMvSX { .. } | Inst::Unary { .. } => true,
+            Inst::OpImm { kind, .. } => kind == OpImmKind::Rori,
+            Inst::Op { kind, .. } => matches!(
+                kind,
+                OpKind::Sh1add
+                    | OpKind::Sh2add
+                    | OpKind::Sh3add
+                    | OpKind::AddUw
+                    | OpKind::Andn
+                    | OpKind::Orn
+                    | OpKind::Xnor
+                    | OpKind::Min
+                    | OpKind::Minu
+                    | OpKind::Max
+                    | OpKind::Maxu
+                    | OpKind::Rol
+                    | OpKind::Ror
+            ),
+            _ => false,
+        }
+    }
+
     /// Emits the downgrade of `inst` standalone: for vector instructions
     /// this wraps the body in its own one-instruction sequence; Zba/Zbb
     /// templates carry their own lightweight save discipline.
     pub fn downgrade(&mut self, inst: &Inst, em: &mut BlockEmitter) -> Result<(), Untranslatable> {
-        if Self::sequenceable(inst) {
-            self.probe(inst)?;
-            self.seq_begin(em);
-            let r = self.downgrade_in_seq(inst, em);
-            self.seq_end(em);
-            return r;
-        }
-        self.downgrade_scalar(inst, em)
-    }
-
-    /// Checks translatability without emitting.
-    pub fn probe(&mut self, inst: &Inst) -> Result<(), Untranslatable> {
-        if inst.uses_x().contains(XReg::GP) {
+        if !Self::can_downgrade(inst) {
             return Err(Untranslatable(*inst));
         }
-        match *inst {
-            Inst::Vsetvli { vtype, .. }
-                if (vtype.lmul != 1 || !matches!(vtype.sew, Eew::E32 | Eew::E64)) =>
-            {
-                return Err(Untranslatable(*inst));
-            }
-            Inst::VLoad { eew, .. } | Inst::VStore { eew, .. }
-                if !matches!(eew, Eew::E32 | Eew::E64) =>
-            {
-                return Err(Untranslatable(*inst));
-            }
-            Inst::VArith { op, src, .. } if op.is_fp() && matches!(src, VSrc::I(_)) => {
-                return Err(Untranslatable(*inst));
-            }
-            Inst::VMvXS { .. } | Inst::VMvSX { .. } => {}
-            _ => {}
+        if Self::sequenceable(inst) {
+            self.seq_begin(em);
+            self.vector_body(inst, em);
+            self.seq_end(em);
+        } else {
+            self.scalar_body(inst, em);
         }
         Ok(())
     }
@@ -279,58 +300,35 @@ impl Translator {
         inst: &Inst,
         em: &mut BlockEmitter,
     ) -> Result<(), Untranslatable> {
-        self.probe(inst)?;
+        if !(Self::sequenceable(inst) && Self::can_downgrade(inst)) {
+            return Err(Untranslatable(*inst));
+        }
+        self.vector_body(inst, em);
+        Ok(())
+    }
+
+    /// The body of a [`Translator::sequenceable`] instruction
+    /// [`Translator::can_downgrade`] admitted.
+    fn vector_body(&mut self, inst: &Inst, em: &mut BlockEmitter) {
         match *inst {
-            Inst::Vsetvli { rd, rs1, vtype } => {
-                self.vsetvli(rd, rs1, vtype.sew, em);
-                Ok(())
-            }
-            Inst::VLoad { eew, vd, rs1 } => {
-                self.vmem(true, eew, vd, rs1, em);
-                Ok(())
-            }
-            Inst::VStore { eew, vs3, rs1 } => {
-                self.vmem(false, eew, vs3, rs1, em);
-                Ok(())
-            }
-            Inst::VArith { op, vd, vs2, src } => self.varith(op, vd, vs2, src, em, inst),
-            Inst::VMvXS { rd, vs2 } => {
-                self.vmv_x_s(rd, vs2, em);
-                Ok(())
-            }
-            Inst::VMvSX { vd, rs1 } => {
-                self.vmv_s_x(vd, rs1, em);
-                Ok(())
-            }
-            _ => Err(Untranslatable(*inst)),
+            Inst::Vsetvli { rd, rs1, vtype } => self.vsetvli(rd, rs1, vtype.sew, em),
+            Inst::VLoad { eew, vd, rs1 } => self.vmem(true, eew, vd, rs1, em),
+            Inst::VStore { eew, vs3, rs1 } => self.vmem(false, eew, vs3, rs1, em),
+            Inst::VArith { op, vd, vs2, src } => self.varith(op, vd, vs2, src, em),
+            Inst::VMvXS { rd, vs2 } => self.vmv_x_s(rd, vs2, em),
+            Inst::VMvSX { vd, rs1 } => self.vmv_s_x(vd, rs1, em),
+            _ => unreachable!("{inst} is not sequenceable"),
         }
     }
 
-    /// Downgrades the Zba/Zbb scalar instructions (standalone templates
-    /// with their own gp discipline).
-    fn downgrade_scalar(
-        &mut self,
-        inst: &Inst,
-        em: &mut BlockEmitter,
-    ) -> Result<(), Untranslatable> {
-        if inst.uses_x().contains(XReg::GP) {
-            return Err(Untranslatable(*inst));
-        }
+    /// The Zba/Zbb scalar templates [`Translator::can_downgrade`] admitted
+    /// (standalone, with their own gp discipline).
+    fn scalar_body(&mut self, inst: &Inst, em: &mut BlockEmitter) {
         match *inst {
-            Inst::Op { kind, rd, rs1, rs2 } if kind.ext() == Some(chimera_isa::Ext::B) => {
-                self.zb_op(kind, rd, rs1, rs2, em, inst)
-            }
-            Inst::OpImm {
-                kind: OpImmKind::Rori,
-                rd,
-                rs1,
-                imm,
-            } => {
-                self.rori(rd, rs1, imm, em);
-                Ok(())
-            }
+            Inst::Op { kind, rd, rs1, rs2 } => self.zb_op(kind, rd, rs1, rs2, em),
+            Inst::OpImm { rd, rs1, imm, .. } => self.rori(rd, rs1, imm, em),
             Inst::Unary { kind, rd, rs1 } => self.zb_unary(kind, rd, rs1, em),
-            _ => Err(Untranslatable(*inst)),
+            _ => unreachable!("{inst} has no scalar template"),
         }
     }
 
@@ -447,19 +445,7 @@ impl Translator {
         em.label(done);
     }
 
-    fn varith(
-        &mut self,
-        op: VArithOp,
-        vd: VReg,
-        vs2: VReg,
-        src: VSrc,
-        em: &mut BlockEmitter,
-        orig: &Inst,
-    ) -> Result<(), Untranslatable> {
-        let is_fp = op.is_fp();
-        if is_fp && matches!(src, VSrc::I(_)) {
-            return Err(Untranslatable(*orig));
-        }
+    fn varith(&mut self, op: VArithOp, vd: VReg, vs2: VReg, src: VSrc, em: &mut BlockEmitter) {
         let (l32, l_done) = (self.fresh("va32"), self.fresh("va_done"));
         let (loop64, d64) = (self.fresh("va_loop64"), self.fresh("va_d64"));
         let (loop32, d32) = (self.fresh("va_loop32"), self.fresh("va_d32"));
@@ -525,7 +511,6 @@ impl Translator {
         em.label(l32);
         self.varith_loop(op, vd, vs2, src, Eew::E32, em, (&loop32, &d32));
         em.label(l_done);
-        Ok(())
     }
 
     /// One element-wise (or reduction) loop specialized to `eew`.
@@ -911,15 +896,7 @@ impl Translator {
 
     // ----- Zba/Zbb templates ------------------------------------------------
 
-    fn zb_op(
-        &mut self,
-        kind: OpKind,
-        rd: XReg,
-        rs1: XReg,
-        rs2: XReg,
-        em: &mut BlockEmitter,
-        orig: &Inst,
-    ) -> Result<(), Untranslatable> {
+    fn zb_op(&mut self, kind: OpKind, rd: XReg, rs1: XReg, rs2: XReg, em: &mut BlockEmitter) {
         match kind {
             OpKind::Sh1add | OpKind::Sh2add | OpKind::Sh3add => {
                 let n = match kind {
@@ -936,7 +913,6 @@ impl Translator {
                 });
                 em.inst(chimera_obj::add(rd, XReg::GP, rs2));
                 self.restore_gp(em);
-                Ok(())
             }
             OpKind::AddUw => {
                 em.inst(Inst::OpImm {
@@ -953,7 +929,6 @@ impl Translator {
                 });
                 em.inst(chimera_obj::add(rd, XReg::GP, rs2));
                 self.restore_gp(em);
-                Ok(())
             }
             OpKind::Andn | OpKind::Orn | OpKind::Xnor => {
                 // gp = ~rs2, then the plain operation (xnor = a ^ ~b).
@@ -975,7 +950,6 @@ impl Translator {
                     rs2: XReg::GP,
                 });
                 self.restore_gp(em);
-                Ok(())
             }
             OpKind::Min | OpKind::Minu | OpKind::Max | OpKind::Maxu => {
                 let l1 = self.fresh("mm_take1");
@@ -994,7 +968,6 @@ impl Translator {
                 em.label(l2);
                 em.inst(chimera_isa::mv(rd, XReg::GP));
                 self.restore_gp(em);
-                Ok(())
             }
             OpKind::Rol | OpKind::Ror => {
                 // Pick a scratch distinct from all operands.
@@ -1049,9 +1022,8 @@ impl Translator {
                 });
                 // gp holds the result.
                 self.spill_gp_keeping(em, s, rd);
-                Ok(())
             }
-            _ => Err(Untranslatable(*orig)),
+            _ => unreachable!("{kind:?} has no template"),
         }
     }
 
@@ -1097,13 +1069,7 @@ impl Translator {
         self.restore_gp(em);
     }
 
-    fn zb_unary(
-        &mut self,
-        kind: UnaryKind,
-        rd: XReg,
-        rs1: XReg,
-        em: &mut BlockEmitter,
-    ) -> Result<(), Untranslatable> {
+    fn zb_unary(&mut self, kind: UnaryKind, rd: XReg, rs1: XReg, em: &mut BlockEmitter) {
         match kind {
             UnaryKind::SextB | UnaryKind::SextH | UnaryKind::ZextH => {
                 let (sh, arith) = match kind {
@@ -1127,7 +1093,6 @@ impl Translator {
                     rs1: rd,
                     imm: sh,
                 });
-                Ok(())
             }
             UnaryKind::Clz => {
                 let (loop_l, done) = (self.fresh("clz_loop"), self.fresh("clz_done"));
@@ -1148,7 +1113,6 @@ impl Translator {
                 em.jal_to(XReg::ZERO, loop_l);
                 em.label(done);
                 self.restore_gp(em);
-                Ok(())
             }
             UnaryKind::Ctz | UnaryKind::Cpop => {
                 let s = pick_scratch(&[rs1, rd]);
@@ -1209,7 +1173,6 @@ impl Translator {
                     offset: SpillLayout::x_slot(s),
                 });
                 self.restore_gp(em);
-                Ok(())
             }
             UnaryKind::Rev8 => {
                 let s = pick_scratch(&[rs1, rd]);
@@ -1258,7 +1221,6 @@ impl Translator {
                     offset: SpillLayout::x_slot(s),
                 });
                 self.restore_gp(em);
-                Ok(())
             }
         }
     }
@@ -1325,6 +1287,98 @@ mod tests {
             &mut em,
         );
         assert!(r.is_err());
+    }
+
+    /// [`Translator::can_downgrade`] against emission, over every row of the
+    /// ISA tables an extension could own (`Op`, `OpImm`, `Unary`, `VArith`;
+    /// rows the base profile runs included) and the vector constructors
+    /// outside them, crossed with the operand shapes a template treats
+    /// specially. The answer vector was recorded on the parent of the commit
+    /// that introduced the predicate, where `downgrade(..).is_ok()` — a full
+    /// throwaway emission — was the only oracle.
+    #[test]
+    fn can_downgrade_is_downgrade_succeeding_on_every_table_row() {
+        use chimera_isa::VType;
+        let (v, f) = (VReg::of, FReg::of);
+        // Plain; rd = rs1; scratch-pool operands; `gp` read; `gp` written.
+        let shapes = [
+            (XReg::A0, XReg::A1, XReg::A2),
+            (XReg::A0, XReg::A0, XReg::A1),
+            (XReg::T2, XReg::T3, XReg::T4),
+            (XReg::A0, XReg::GP, XReg::A1),
+            (XReg::A0, XReg::A1, XReg::GP),
+            (XReg::GP, XReg::A0, XReg::A1),
+        ];
+        let mut insts = Vec::new();
+        for (rd, rs1, rs2) in shapes {
+            insts.extend(
+                OpKind::ALL
+                    .iter()
+                    .map(|&kind| Inst::Op { kind, rd, rs1, rs2 }),
+            );
+            insts.extend(OpImmKind::ALL.iter().map(|&kind| {
+                let imm = 17;
+                Inst::OpImm { kind, rd, rs1, imm }
+            }));
+            insts.extend(
+                UnaryKind::ALL
+                    .iter()
+                    .map(|&kind| Inst::Unary { kind, rd, rs1 }),
+            );
+            for sew in [Eew::E8, Eew::E16, Eew::E32, Eew::E64] {
+                for lmul in [1, 2, 8] {
+                    let (ta, ma) = (true, true);
+                    let vtype = VType { sew, lmul, ta, ma };
+                    insts.push(Inst::Vsetvli { rd, rs1, vtype });
+                }
+                let (eew, vd, vs3) = (sew, v(1), v(2));
+                insts.push(Inst::VLoad { eew, vd, rs1 });
+                insts.push(Inst::VStore { eew, vs3, rs1 });
+            }
+            insts.push(Inst::VMvXS { rd, vs2: v(4) });
+            insts.push(Inst::VMvSX { vd: v(6), rs1 });
+            for &op in VArithOp::ALL {
+                // Every form the op has, an fp scratch source among them,
+                // and the immediate form no fp op has.
+                let sources = [
+                    VSrc::V(v(2)),
+                    VSrc::X(rs1),
+                    VSrc::F(f(10)),
+                    VSrc::F(F_SCRATCH[1]),
+                    VSrc::I(3),
+                ];
+                for src in sources {
+                    if op.allows(src) || matches!(src, VSrc::I(_)) {
+                        let (vd, vs2) = (v(3), v(1));
+                        insts.push(Inst::VArith { op, vd, vs2, src });
+                    }
+                }
+            }
+        }
+        let base = chimera_isa::ExtSet::RV64GC.without(chimera_isa::Ext::B);
+        let mut t = Translator::new(0x9_0000, 0x8_0800);
+        // FNV-1a over one '0' / '1' per instruction.
+        let (mut translated, mut answers) = (0, 0xcbf2_9ce4_8422_2325_u64);
+        for inst in &insts {
+            let can = Translator::can_downgrade(inst);
+            let mut em = BlockEmitter::new();
+            assert_eq!(t.downgrade(inst, &mut em).is_ok(), can, "{inst}");
+            let bytes = em.finish();
+            // A template is base code standing for an instruction the base
+            // profile lacks; a refusal emits nothing.
+            assert_eq!(bytes.is_empty(), !can, "{inst}");
+            assert!(!(can && inst.runnable_on(base)), "{inst}");
+            for chunk in bytes.chunks(4) {
+                let word = u32::from_le_bytes(chunk.try_into().unwrap());
+                assert!(decode(word).unwrap().inst.runnable_on(base), "{inst}");
+            }
+            translated += can as usize;
+            answers = (answers ^ (b'0' + can as u8) as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(
+            (insts.len(), translated, answers),
+            (828, 411, 0x5a8e_5e59_ae90_bd0e)
+        );
     }
 
     #[test]
