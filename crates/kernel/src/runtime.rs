@@ -16,9 +16,18 @@
 //!   ([`chimera_emu::CostModel::trap`]).
 //! * **Unrecognized extension instructions** — rewritten lazily: the kernel
 //!   translates the instruction on the spot, patches the site with a
-//!   trap-based entry, and resumes (§4.1/§4.3).
-//! * **Unsupported instructions** (FAM, or untranslatable sites) — reported
-//!   to the scheduler as a migration request.
+//!   trap-based entry, and resumes (§4.1/§4.3). These are the sources the
+//!   static pass never saw (hidden behind indirect control flow) and the
+//!   ones it batched behind an earlier trampoline of their block and left
+//!   in place, entered by an edge the CFG did not know.
+//! * **Unsupported instructions** (FAM, or sources with no template, which
+//!   the rewriter leaves at their original address and lists in
+//!   `untranslated`) — reported to the scheduler as a migration request,
+//!   always at a pc outside the target section.
+//!
+//! The tables of a variant are read-only here and shared by every runner
+//! of it ([`RuntimeTables`]); what a run adds — lazily built blocks, their
+//! entries and exits — is the runner's own.
 
 use chimera_emu::{Access, Cpu, Memory, Stop, Trap};
 use chimera_isa::{decode, Decoded, Inst, XReg};
@@ -91,11 +100,10 @@ pub struct KernelRunner {
     pub tables: RuntimeTables,
     /// Accumulated fault counters.
     pub counters: FaultCounters,
-    /// Lazily-added trap entries (runtime rewrites): patched site → block.
-    lazy_entries: BTreeMap<u64, u64>,
-    /// Their trap exits: `ebreak` ending a lazy block → original resume
+    /// The `ebreak`s lazy rewriting planted → where each continues: a
+    /// patched site at its block, a block's end at the original resume
     /// address.
-    lazy_exits: BTreeMap<u64, u64>,
+    lazy_traps: BTreeMap<u64, u64>,
     /// Where the next lazy block goes (grows past the target section).
     lazy_cursor: Option<u64>,
     /// Captured stdout.
@@ -120,8 +128,7 @@ impl KernelRunner {
         KernelRunner {
             tables,
             counters: FaultCounters::default(),
-            lazy_entries: BTreeMap::new(),
-            lazy_exits: BTreeMap::new(),
+            lazy_traps: BTreeMap::new(),
             lazy_cursor: None,
             stdout: Vec::new(),
             signal_ctx: None,
@@ -131,13 +138,11 @@ impl KernelRunner {
 
     /// Points the runner at another view's tables after the task's MMView
     /// was switched ([`crate::Process::migrate`]). Lazily built blocks
-    /// patched the old view's code, so their entries and exits go with it;
-    /// stdout, counters and a pending signal context belong to the task and
-    /// stay.
+    /// patched the old view's code, so their traps go with it; stdout,
+    /// counters and a pending signal context belong to the task and stay.
     pub fn retarget(&mut self, tables: RuntimeTables) {
         self.tables = tables;
-        self.lazy_entries.clear();
-        self.lazy_exits.clear();
+        self.lazy_traps.clear();
         self.lazy_cursor = None;
     }
 
@@ -338,8 +343,7 @@ impl KernelRunner {
             Trap::Breakpoint { pc } => {
                 cpu.stats.cycles += cpu.cost.trap;
                 // Lazy entries and exits first (they shadow nothing else).
-                let lazy = self.lazy_entries.get(&pc).or(self.lazy_exits.get(&pc));
-                if let Some(&to) = lazy {
+                if let Some(&to) = self.lazy_traps.get(&pc) {
                     self.counters.trap_trampolines += 1;
                     self.tracer.count("kernel.trap_trampolines", 1);
                     cpu.hart.pc = to;
@@ -417,9 +421,9 @@ impl KernelRunner {
         if mem.poke_code(pc, &ebreak_patch(site.len)).is_err() {
             return None;
         }
-        self.lazy_entries.insert(pc, cursor);
+        self.lazy_traps.insert(pc, cursor);
         // Exit trap returns to the instruction after the site.
-        self.lazy_exits.insert(exit_at, resume);
+        self.lazy_traps.insert(exit_at, resume);
         Some(cursor)
     }
 }

@@ -237,6 +237,66 @@ fn untranslated_source_requests_migration() {
     }
 }
 
+/// A source instruction with no template *after* a translatable one in the
+/// same block (`m8` grouping; natively `a1 = min(100, VLMAX) = 32`), and
+/// the same with the `m8` form inside the first site's 8-byte space, which
+/// leaves no room for a SMILE trampoline and forces a trap entry.
+const UNTRANSLATABLE_MID_BLOCK: [&str; 2] = [
+    "_start:
+        vsetvli t0, a0, e64, m1, ta, ma
+        li a0, 100
+        vsetvli a1, a0, e64, m8, ta, ma
+        mv a0, a1
+        li a7, 93
+        ecall",
+    "_start:
+        li a0, 100
+        vsetvli t0, a0, e64, m1, ta, ma
+        vsetvli a1, a0, e64, m8, ta, ma
+        mv a0, a1
+        li a7, 93
+        ecall",
+];
+
+#[test]
+fn untranslatable_source_mid_block_migrates_at_its_original_address() {
+    // The block ends before the instruction nothing can translate and
+    // exits to its original address, where it still stands: executing it
+    // on the base core is a migration request at a migration-safe pc —
+    // never a breakpoint inside the target section serviced as an exit.
+    for (src, (smiles, traps)) in UNTRANSLATABLE_MID_BLOCK.into_iter().zip([(1, 0), (0, 1)]) {
+        let bin = assemble(src, AsmOptions::default()).unwrap();
+        assert_eq!(chimera_emu::run_binary(&bin, 1000).unwrap().exit_code, 32);
+        let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
+        assert_eq!(
+            (rw.stats.smile_trampolines, rw.stats.trap_entries),
+            (smiles, traps)
+        );
+        let variant = Variant {
+            binary: rw.binary,
+            tables: RuntimeTables {
+                fht: Some(rw.fht),
+                regen: None,
+            },
+        };
+        let process = Process::new(vec![variant]);
+        let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GC).unwrap();
+        let fht = view.tables.fht.as_ref().unwrap();
+        let mut k = KernelRunner::new(view.tables.clone());
+        let RunOutcome::NeedsMigration { pc } = k.run(&mut cpu, &mut mem, 10_000) else {
+            panic!("expected a migration request");
+        };
+        assert_eq!(fht.untranslated.iter().collect::<Vec<_>>(), [&pc]);
+        assert!(!fht.in_target_section(pc) && Process::migration_safe(view, pc));
+        assert!(!fht.trap_exits.contains_key(&pc));
+        assert!(matches!(
+            chimera_isa::decode(bin.read_u32(pc).unwrap()).unwrap().inst,
+            chimera_isa::Inst::Vsetvli { vtype, .. } if vtype.lmul == 8
+        ));
+        assert_eq!(view.binary.read_u32(pc), bin.read_u32(pc));
+    }
+}
+
 #[test]
 fn mmview_migration_mid_task() {
     // Run the first chunk on an extension core with the native binary,

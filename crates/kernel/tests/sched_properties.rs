@@ -400,6 +400,32 @@ fn vector_state_crosses_a_view_switch_mid_loop() {
 }
 
 #[test]
+fn an_untranslatable_source_mid_block_finishes_on_an_extension_core() {
+    // `vsetvli ..., m8` has no template and follows a translatable source
+    // in its block: the downgraded view's block exits to the instruction's
+    // original address, the base core faults on it there — a
+    // migration-safe pc, which one inside the target section would not be
+    // — and the native view executes it (`a1 = min(100, VLMAX) = 32`).
+    let process = two_view_guest(guest(
+        "_start:
+            vsetvli t0, a0, e64, m1, ta, ma
+            li a0, 100
+            vsetvli a1, a0, e64, m8, ta, ma
+            mv a0, a1
+            li a7, 93
+            ecall",
+    ));
+    let task = [Task {
+        process: &process,
+        prefers: CoreClass::Ext,
+    }];
+    let moved = schedule(1, 1, &task).unwrap();
+    assert_eq!(moved.migrations, 1);
+    assert_eq!(moved.tasks[0].exit_code, 32);
+    assert_eq!(moved.tasks[0].finished_on, CoreClass::Ext);
+}
+
+#[test]
 fn work_no_core_can_run_is_a_typed_error() {
     let fam = fam_guest(3);
     let scalar = scalar_guest(5);

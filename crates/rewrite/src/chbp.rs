@@ -16,6 +16,25 @@
 //!    instruction address to its copy, for the runtime's passive fault
 //!    handler.
 //!
+//! **One unit per batched block.** A region covers the sources it
+//! translated: the partition walk resumes after `Region::source_range`,
+//! so a basic block is entered through one trampoline, on its first
+//! source, and the unit ranges are ascending and disjoint. The later
+//! sources the block's target code batches are *not* patched — past the
+//! trampoline's space they keep their original bytes. No CFG edge reaches
+//! them; an entry the CFG did not know executes the original instruction,
+//! which on a base core is itself the deterministic (illegal-instruction)
+//! fault the kernel's lazy rewriter serves, and under empty patching
+//! simply runs.
+//!
+//! **One way not to translate.** Whether a source has a downgrade template
+//! is [`Translator::can_downgrade`], asked here and nowhere decided twice.
+//! A source without one is never patched, copied or stood in for: a
+//! region ends *before* it and exits to its original address, a site that
+//! cannot reach its 8-byte space because of it takes a trap entry, and the
+//! partition walk lists its address in [`FaultTable::untranslated`], where
+//! the kernel answers its fault with a migration.
+//!
 //! Exit jumps from target blocks back to original code use, in order:
 //! a plain `jal` when in range; a dead register found by traditional
 //! liveness; CHBP's *exit-position shifting* (copy more instructions until
@@ -55,6 +74,14 @@ impl Mode {
             Mode::Downgrade => !inst.runnable_on(target),
             Mode::EmptyPatch(ext) => inst.ext() == Some(ext),
         }
+    }
+
+    /// Is `inst` a source instruction nothing can translate? Such an
+    /// instruction is never patched, copied or stood in for: it keeps its
+    /// bytes at its original address, raises an illegal-instruction fault
+    /// on a core that lacks it, and the kernel migrates (FAM-style).
+    fn leaves_untranslated(self, inst: &Inst, target: ExtSet) -> bool {
+        self == Mode::Downgrade && !inst.runnable_on(target) && !Translator::can_downgrade(inst)
     }
 }
 
@@ -264,46 +291,41 @@ impl RewriteEngine for ChbpEngine {
             .copied()
             .collect();
 
-        // Sequential unit partition: the covered_until walk.
+        // Sequential unit partition: a unit covers the sources it
+        // translated, so the ranges come out ascending and disjoint.
         let mut units: Vec<ChbpUnit> = Vec::new();
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         let mut untranslated = BTreeSet::new();
         let mut covered_until: u64 = 0;
         for site in &sources {
             if site.addr < covered_until {
-                // Inside a previous trampoline's space: no own trampoline;
-                // the previous site's block already translated it and the
-                // FHT redirect covers erroneous jumps onto it.
+                // A preceding region's block already translates it. Inside
+                // that region's overwritten space the FHT redirect covers
+                // an entry here; past it the instruction keeps its bytes,
+                // and an entry the CFG did not know faults into the
+                // kernel's lazy rewriter (or, empty-patched, just runs).
                 continue;
             }
-            if self.opts.mode == Mode::Downgrade && !Translator::can_downgrade(&site.inst) {
-                // No template: the site stays unpatched, raises an illegal
-                // fault at runtime and the kernel migrates (FAM-style).
+            if self.opts.mode.leaves_untranslated(&site.inst, self.target) {
                 untranslated.insert(site.addr);
                 covered_until = site.next_addr();
                 continue;
             }
-            match build_region(&d, &cfg, site, self.opts) {
+            let range = match build_region(&d, &cfg, site, self.opts, self.target) {
                 Some(region) => {
-                    // Strawman regions replace only the site's own bytes,
-                    // so following sources still get their own units;
-                    // SMILE regions own the whole overwritten space.
-                    covered_until = if self.opts.force_trap_entries {
-                        site.next_addr()
-                    } else {
-                        region.space_end
-                    };
-                    ranges.push(region.source_range());
+                    let range = region.source_range();
                     units.push(ChbpUnit::Region(region));
+                    range
                 }
                 None => {
                     // Cannot form an 8-byte space: trap entry + lone
                     // translation.
-                    covered_until = site.next_addr();
-                    ranges.push((site.addr, site.next_addr()));
                     units.push(ChbpUnit::Site(*site));
+                    (site.addr, site.next_addr())
                 }
-            }
+            };
+            covered_until = range.1;
+            ranges.push(range);
         }
 
         Ok(Scanned {
@@ -471,8 +493,9 @@ enum RegionTail {
 impl Region {
     /// The input-address range `[start, end)` whose bytes this region
     /// translates: from the patch site through the later of the
-    /// overwritten space and the last batched instruction. The
-    /// incremental driver keys the dirty-unit set on this range.
+    /// overwritten space and the last batched instruction. The partition
+    /// walk resumes after it, and the incremental driver keys the
+    /// dirty-unit set on it.
     fn source_range(&self) -> (u64, u64) {
         let start = self.insts[0].addr;
         let last = self.insts.last().expect("regions are non-empty");
@@ -486,12 +509,15 @@ impl Region {
 }
 
 /// Builds the region for a patch site, or `None` when no safe 8-byte space
-/// exists (the site then uses a trap-based entry).
+/// exists (the site then uses a trap-based entry). A region ends before a
+/// source instruction that has no template: the block exits to that
+/// instruction's original address.
 fn build_region(
     d: &Disassembly,
     cfg: &Cfg,
     site: &DisasmInst,
     opts: RewriteOptions,
+    target: ExtSet,
 ) -> Option<Region> {
     let block = cfg.block_containing(site.addr)?;
     let block_last = cfg.insts(block).last().expect("blocks are non-empty");
@@ -499,10 +525,12 @@ fn build_region(
     let mut addr = site.addr;
     let space_min = site.addr + 8;
     let mut tail = RegionTail::Fallthrough;
+    let translatable = |di: &&DisasmInst| !opts.mode.leaves_untranslated(&di.inst, target);
 
     loop {
-        let Some(di) = d.at(addr) else {
-            // Ran out of recognized code before filling the space.
+        let Some(di) = d.at(addr).filter(translatable) else {
+            // Ran out of recognized, translatable code before filling the
+            // space.
             if addr >= space_min {
                 break;
             }
@@ -600,8 +628,7 @@ fn emit_block(
         let needs_entry = di.addr > site && di.addr < region.space_end;
         let translated_vector = opts.mode == Mode::Downgrade
             && opts.mode.is_source(&di.inst, target)
-            && Translator::sequenceable(&di.inst)
-            && Translator::can_downgrade(&di.inst);
+            && Translator::sequenceable(&di.inst);
         if in_seq && (needs_entry || !translated_vector) {
             translator.seq_end(em);
             in_seq = false;
@@ -637,24 +664,16 @@ fn emit_block(
                         Mode::EmptyPatch(_) => {
                             em.inst(di.inst);
                         }
-                        Mode::Downgrade => {
-                            if translated_vector {
-                                if !in_seq {
-                                    translator.seq_begin(em);
-                                    in_seq = true;
-                                }
-                                translator.downgrade_in_seq(&di.inst, em)?;
-                            } else if translator.downgrade(&di.inst, em).is_err() {
-                                // No template for this mid-region source
-                                // instruction: mark its copy position so the
-                                // kernel's FAM fallback migrates when the
-                                // trap fires.
-                                em.reloc(Reloc::Untranslated {
-                                    resume: di.next_addr(),
-                                });
-                                em.inst(Inst::Ebreak);
+                        // `build_region` admitted only sources with a
+                        // template.
+                        Mode::Downgrade if translated_vector => {
+                            if !in_seq {
+                                translator.seq_begin(em);
+                                in_seq = true;
                             }
+                            translator.downgrade_in_seq(&di.inst, em)?;
                         }
+                        Mode::Downgrade => translator.downgrade(&di.inst, em)?,
                     }
                 } else {
                     reemit(&di.inst, di.addr, em);

@@ -75,8 +75,9 @@ pub struct Scanned {
     pub total_insts: usize,
     /// Source instructions (needing rewrite).
     pub source_insts: usize,
-    /// Source instructions left unpatched because nothing can translate
-    /// them (they fault at runtime; the kernel migrates, FAM-style).
+    /// Source instructions left unpatched, at their original addresses,
+    /// because nothing can translate them (they fault at runtime; the
+    /// kernel migrates, FAM-style).
     pub untranslated: BTreeSet<u64>,
 }
 
@@ -184,8 +185,8 @@ impl UnitArtifact {
 
 /// One address-dependent item of a unit, resolved by the place stage at
 /// `here` = the unit's address + the item's offset. The first three are
-/// 8-byte slots in the unit's bytes; the last two are marks that only
-/// enter `here` into the fault table.
+/// 8-byte slots in the unit's bytes; the last is a mark that only enters
+/// `here` into the fault table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reloc {
     /// `auipc rd, hi; addi rd, rd, lo` leaving the absolute `value` in
@@ -223,13 +224,6 @@ pub enum Reloc {
         /// The overwritten instruction's address.
         from: u64,
     },
-    /// The `ebreak` here stands for a source instruction nothing can
-    /// translate: `here` joins `untranslated` (the kernel migrates), and
-    /// `trap_exits[here] = resume` for after the migration.
-    Untranslated {
-        /// Address of the instruction after the untranslated one.
-        resume: u64,
-    },
 }
 
 impl Reloc {
@@ -237,7 +231,7 @@ impl Reloc {
     pub(crate) fn slot_len(&self) -> usize {
         match self {
             Reloc::Value { .. } | Reloc::Call { .. } | Reloc::Exit { .. } => 8,
-            Reloc::Redirect { .. } | Reloc::Untranslated { .. } => 0,
+            Reloc::Redirect { .. } => 0,
         }
     }
 
@@ -291,11 +285,6 @@ impl Reloc {
             }
             Reloc::Redirect { from } => {
                 fht.redirects.insert(from, here);
-                return;
-            }
-            Reloc::Untranslated { resume } => {
-                fht.untranslated.insert(here);
-                fht.trap_exits.insert(here, resume);
                 return;
             }
         };
@@ -473,10 +462,7 @@ mod tests {
                 rd: XReg::A1,
                 value: ORIGINAL + 0x1000,
             })
-            .reloc(Reloc::Untranslated {
-                resume: ORIGINAL + 12,
-            })
-            .inst(Inst::Ebreak)
+            .inst(chimera_isa::nop())
             .reloc(Reloc::Exit {
                 to: ORIGINAL + 12,
                 dead: Some(XReg::T0),
@@ -491,8 +477,7 @@ mod tests {
             art.place_at(base, &mut code, &mut fht, &mut stats);
             assert_eq!(code[..6], [0xAA; 6]);
             assert_eq!(fht.redirects.get(&(ORIGINAL + 4)), Some(&(base + 4)));
-            assert!(fht.untranslated.contains(&(base + 12)));
-            assert_eq!(fht.trap_exits.get(&(base + 12)), Some(&(ORIGINAL + 12)));
+            assert_eq!((fht.redirects.len(), fht.trap_exits.len()), (1, 0));
             code.split_off(6)
         };
         let (near, far) = (place(NEAR), place(FAR));

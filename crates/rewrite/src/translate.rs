@@ -17,14 +17,16 @@
 //!
 //! Supported downgrades: the whole modelled RVV subset at `e32`/`e64` with
 //! `m1` grouping (the element width is dispatched at runtime from the
-//! spilled `vtype`), and the Zba/Zbb subset. Anything else reports
-//! [`Untranslatable`] and the rewriter falls back to a trap-based
-//! trampoline for it.
+//! spilled `vtype`), and the Zba/Zbb subset. [`Translator::can_downgrade`]
+//! is the one statement of that set: the rewriters ask it before they
+//! form a unit, and `downgrade*` ask it first and report
+//! [`Untranslatable`] for anything else, which then stays the original
+//! instruction (the kernel migrates the task when it faults).
 
 use crate::emitter::BlockEmitter;
 use chimera_isa::{
-    BranchKind, Eew, FMaKind, FOpKind, FReg, FpWidth, Inst, LoadKind, OpImmKind, OpKind, StoreKind,
-    UnaryKind, VArithOp, VReg, VSrc, XReg, VLEN,
+    BranchKind, Eew, Ext, FMaKind, FOpKind, FReg, FpWidth, Inst, LoadKind, OpImmKind, OpKind,
+    StoreKind, UnaryKind, VArithOp, VReg, VSrc, XReg, VLEN,
 };
 
 /// Layout of the `.chimera.vregs` spill section.
@@ -74,8 +76,8 @@ impl SpillLayout {
     }
 }
 
-/// The instruction has no downgrade template; the rewriter must fall back
-/// to a trap-based trampoline (kernel emulation).
+/// The instruction has no downgrade template; the rewriter leaves it as it
+/// is (it faults on a core that lacks it and the kernel migrates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Untranslatable(pub Inst);
 
@@ -256,22 +258,8 @@ impl Translator {
             Inst::VArith { op, src, .. } => !(op.is_fp() && matches!(src, VSrc::I(_))),
             Inst::VMvXS { .. } | Inst::VMvSX { .. } | Inst::Unary { .. } => true,
             Inst::OpImm { kind, .. } => kind == OpImmKind::Rori,
-            Inst::Op { kind, .. } => matches!(
-                kind,
-                OpKind::Sh1add
-                    | OpKind::Sh2add
-                    | OpKind::Sh3add
-                    | OpKind::AddUw
-                    | OpKind::Andn
-                    | OpKind::Orn
-                    | OpKind::Xnor
-                    | OpKind::Min
-                    | OpKind::Minu
-                    | OpKind::Max
-                    | OpKind::Maxu
-                    | OpKind::Rol
-                    | OpKind::Ror
-            ),
+            // Zba / Zbb: every row has a template.
+            Inst::Op { kind, .. } => kind.ext() == Some(Ext::B),
             _ => false,
         }
     }

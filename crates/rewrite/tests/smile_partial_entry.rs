@@ -14,15 +14,21 @@
 //! 3. the kernel's passive handler recovers the erroneous entry to the
 //!    exact behaviour of the *original* binary entered at the same
 //!    address (Claim 2: semantic equivalence, not merely "no crash").
+//!
+//! A block has one trampoline, on its first source instruction; the later
+//! sources its target block batches keep their original bytes. The suite
+//! also enters at every one of *those*: on a base core the instruction is
+//! itself the deterministic fault and the kernel's lazy rewriter serves
+//! the entry; empty-patched on an extension core it simply executes.
 
 use chimera_emu::{Access, Stop, Trap};
-use chimera_isa::{bits::sext, encode, ExtSet, Inst, XReg};
-use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
+use chimera_isa::{bits::sext, encode, Ext, ExtSet, Inst, XReg};
+use chimera_kernel::{FaultCounters, KernelRunner, Process, RunOutcome, RuntimeTables, Variant};
 use chimera_obj::{assemble, AsmOptions, Binary};
 use chimera_rewrite::smile::{
     encode_smile, next_reachable_target, valid_p3_lo12, SmileConstraints,
 };
-use chimera_rewrite::{chbp_rewrite, RewriteOptions, Rewritten};
+use chimera_rewrite::{chbp_rewrite, Mode, RewriteOptions, Rewritten};
 
 /// A vector workload with enough source sites to place several
 /// trampolines (sum of a+b elementwise, reduced: exits 110).
@@ -52,9 +58,9 @@ const VEC_SUM: &str = "
         ecall
 ";
 
-/// A lone vector load followed by *compressible* 2-byte scalars: in the
-/// compressed build the trampoline's 8-byte span holds boundaries at +4
-/// and +6, forcing the P3-constrained SMILE form.
+/// The block's first source instruction followed by *compressible* 2-byte
+/// scalars: in the compressed build the trampoline's 8-byte span holds
+/// boundaries at +4 and +6, forcing the P3-constrained SMILE form.
 const VEC_WITH_RVC_NEIGHBOURS: &str = "
     .data
     a: .dword 5
@@ -64,11 +70,11 @@ const VEC_WITH_RVC_NEIGHBOURS: &str = "
     .text
     _start:
         li t0, 4
-        vsetvli t1, t0, e64, m1, ta, ma
         la a0, a
-        vle64.v v1, (a0)
+        vsetvli t1, t0, e64, m1, ta, ma
         li a1, 1
         li a2, 2
+        vle64.v v1, (a0)
         vmv.v.i v2, 0
         vredsum.vs v3, v1, v2
         vmv.x.s a0, v3
@@ -79,6 +85,15 @@ const VEC_WITH_RVC_NEIGHBOURS: &str = "
 ";
 
 fn rewritten(src: &str, compress: bool) -> (Binary, Rewritten) {
+    rewritten_for(src, compress, ExtSet::RV64GC, RewriteOptions::default())
+}
+
+fn rewritten_for(
+    src: &str,
+    compress: bool,
+    target: ExtSet,
+    opts: RewriteOptions,
+) -> (Binary, Rewritten) {
     let bin = assemble(
         src,
         AsmOptions {
@@ -87,7 +102,7 @@ fn rewritten(src: &str, compress: bool) -> (Binary, Rewritten) {
         },
     )
     .unwrap();
-    let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
+    let rw = chbp_rewrite(&bin, target, opts).unwrap();
     assert!(rw.stats.smile_trampolines > 0, "trampolines must be placed");
     (bin, rw)
 }
@@ -140,8 +155,9 @@ fn original_outcome(bin: &Binary, start: u64) -> i64 {
         .exit_code
 }
 
-/// Runs the rewritten binary under the kernel with pc forced to `entry`.
-fn recovered_outcome(rw: &Rewritten, entry: u64) -> (RunOutcome, u64) {
+/// Runs the rewritten binary under the kernel with pc forced to `entry`;
+/// returns the outcome and the kernel's counters.
+fn entered_at(rw: &Rewritten, profile: ExtSet, entry: u64) -> (RunOutcome, FaultCounters) {
     let process = Process::new(vec![Variant {
         binary: rw.binary.clone(),
         tables: RuntimeTables {
@@ -149,11 +165,37 @@ fn recovered_outcome(rw: &Rewritten, entry: u64) -> (RunOutcome, u64) {
             regen: None,
         },
     }]);
-    let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GC).unwrap();
+    let (mut cpu, mut mem, view) = process.load(profile).unwrap();
     cpu.hart.pc = entry;
     let mut k = KernelRunner::new(view.tables.clone());
     let outcome = k.run(&mut cpu, &mut mem, 1_000_000);
-    (outcome, k.counters.smile_faults)
+    (outcome, k.counters)
+}
+
+fn recovered_outcome(rw: &Rewritten, entry: u64) -> (RunOutcome, u64) {
+    let (outcome, counters) = entered_at(rw, ExtSet::RV64GC, entry);
+    (outcome, counters.smile_faults)
+}
+
+/// The source instructions a target block batches behind an earlier
+/// trampoline without overwriting them: every vector instruction outside
+/// every trampoline's 8-byte space. Each must still hold the input's
+/// bytes.
+fn batched_sources(bin: &Binary, rw: &Rewritten) -> Vec<u64> {
+    assert!(rw.fht.trap_entries.is_empty() && rw.fht.untranslated.is_empty());
+    let batched: Vec<u64> = chimera_analysis::disassemble(bin)
+        .iter()
+        .filter(|di| di.inst.ext() == Some(Ext::V) && !rw.fht.inside_trampoline(di.addr))
+        .map(|di| di.addr)
+        .collect();
+    for &addr in &batched {
+        assert_eq!(
+            rw.binary.read_u32(addr),
+            bin.read_u32(addr),
+            "batched source at {addr:#x} keeps its bytes"
+        );
+    }
+    batched
 }
 
 /// Exercises every interior boundary of every trampoline in `rw`. Returns
@@ -228,6 +270,56 @@ fn every_partial_entry_faults_and_recovers_compressed() {
     // The P3 trampoline exposes two interior boundaries (+4 and +6), so
     // strictly more entries than trampolines were driven.
     assert!(driven > rw.fht.trampolines.len());
+}
+
+#[test]
+fn every_batched_source_entry_recovers_through_the_lazy_rewriter() {
+    let mut driven = 0;
+    for (src, compress) in [VEC_SUM, VEC_WITH_RVC_NEIGHBOURS]
+        .into_iter()
+        .flat_map(|src| [(src, false), (src, true)])
+    {
+        let (bin, rw) = rewritten(src, compress);
+        for entry in batched_sources(&bin, &rw) {
+            let expected = original_outcome(&bin, entry);
+            let (outcome, counters) = entered_at(&rw, ExtSet::RV64GC, entry);
+            assert_eq!(
+                outcome,
+                RunOutcome::Exited(expected),
+                "entry at batched source {entry:#x} must match the original binary"
+            );
+            assert!(counters.lazy_rewrites >= 1, "{entry:#x}: {counters:?}");
+            driven += 1;
+        }
+    }
+    assert_eq!(
+        driven,
+        2 * (6 + 4),
+        "every vector instruction but each block's first"
+    );
+}
+
+#[test]
+fn every_batched_source_entry_just_runs_when_empty_patched() {
+    let opts = RewriteOptions {
+        mode: Mode::EmptyPatch(Ext::V),
+        ..Default::default()
+    };
+    let mut driven = 0;
+    for (src, compress) in [VEC_SUM, VEC_WITH_RVC_NEIGHBOURS]
+        .into_iter()
+        .flat_map(|src| [(src, false), (src, true)])
+    {
+        let (bin, rw) = rewritten_for(src, compress, ExtSet::RV64GCV, opts);
+        for entry in batched_sources(&bin, &rw) {
+            let expected = original_outcome(&bin, entry);
+            let (outcome, counters) = entered_at(&rw, ExtSet::RV64GCV, entry);
+            assert_eq!(outcome, RunOutcome::Exited(expected), "{entry:#x}");
+            assert_eq!(counters.total(), 0, "{entry:#x}: no kernel entry");
+            driven += 1;
+        }
+    }
+    assert_eq!(driven, 2 * (6 + 4));
 }
 
 #[test]

@@ -8,6 +8,10 @@
 //! moved to dense index-based storage, so they pin "a pure host-time
 //! change": any analysis rework that moves a single rewritten byte, fault
 //! table entry or statistic fails here, on the exact program and engine.
+//! The `chbp` and `strawman` columns of [`ZOO`] and [`LAUNCH_COLD`] — and
+//! nothing else — were re-recorded when the unit partition became one unit
+//! per batched block; the commit before it (one translatability predicate,
+//! shared fault tables) left all 156 digests where they were.
 //!
 //! When an intended output change lands, a failing run prints the whole
 //! table in source form; paste it over [`ZOO`] / [`LAUNCH_COLD`].
@@ -235,33 +239,33 @@ const UPGRADE_VECTORIZING: &[(&str, (usize, usize), u64)] = &[
 
 #[rustfmt::skip]
 const ZOO: &[(&str, [u64; 6])] = &[
-    ("perlbench_r", [0x40176bfd16cacf84, 0x88e0f544fdd433e1, 0xba377df6d0acda16, 0x31ea9f69dff64039, 0x26efa75b8e20d86a, 0x44c9573527c2a365]),
-    ("gcc_r", [0x7375844b36e8d4a9, 0xa3f45d7c3acf9986, 0xfb06f03d2422627f, 0x8e68d7e71f616fb1, 0x15edcd2dfe99cfca, 0xb4e2dab581f6b65a]),
-    ("omnetpp_r", [0x7e9c287b902307d2, 0x19e4d3210951a773, 0xc276f77cde0a591f, 0x187aaaf88ea4a009, 0xd9b17033d5620593, 0xe1e7714ae1453a67]),
-    ("xalancbmk_r", [0x2fc2482baeca6789, 0xa711991f47fc32af, 0xb5299e3832292bde, 0x4c73478bdc402d44, 0x5f8de69b8251c524, 0xd07ceb487a7ee159]),
-    ("cactuBSSN_r", [0xe22984051588ea58, 0x35b02ed34c80fbc6, 0x970242120443854f, 0xf6e4fab22f73a979, 0x4aac65271daf5ecf, 0x21ac828380a3aa2e]),
-    ("parest_r", [0xc8878488cca47d12, 0xeb6b2896a10d65f8, 0xb240bcad771f25ae, 0x648406d1e7080f6c, 0x7d375c6990392772, 0x53b26a91513aa3d1]),
-    ("wrf_r", [0xb81fa81454162052, 0x60411821ed94fcc7, 0x12e1317e4a5d9461, 0xc4c1d3208ea24142, 0x6ec0f3dd65f062b5, 0xbb4a11a464563050]),
-    ("blender_r", [0xfef3dd41b519793d, 0x78715c90e27aae56, 0x320471188ccb60ed, 0xbca0b679b712806e, 0x460ee4768e4ae4e2, 0xf033541291e532ed]),
-    ("cam4_r", [0x2f5e84424a6463f4, 0xe12a6f84be59119a, 0xc6fe558c571f1e36, 0x11026f35dd2d04b6, 0x9be39e3f918267ee, 0xf62627ca043a8d62]),
-    ("imagick_r", [0x8b4bbd18b6d3e0c5, 0x3da6e6d5cad91932, 0x824006f2ea8adf3d, 0x6e1e09bbe3717b67, 0x94907b0501700cc1, 0x76495dac778dd8e7]),
-    ("perlbench_s", [0x31043b894cb27217, 0x224c92a55bad1472, 0xb3154d7904100d14, 0x245ee29642406719, 0x8b2db11fedc9fbcf, 0x6494103274c86d52]),
-    ("gcc_s", [0x874806264a26a7bb, 0x0256794b2cfa8678, 0xcc32901dad67238d, 0x28da2a07fac72dd5, 0x63d55132cf237d63, 0x051cdd6436d945cd]),
-    ("omnetpp_s", [0xbd04e105b4ebb809, 0xe59225d049023677, 0xd119576b0049dd2b, 0x636adb26f35ee144, 0x16d50f22170416b3, 0x0a009e0a32570bd8]),
-    ("xalancbmk_s", [0x8df094767e1e0e16, 0x27461969c25201e4, 0xc522789a7e3f5d00, 0xb3589e2b856d46bf, 0x16ff93f52d58e06b, 0x9d9df746b08f8659]),
-    ("cactuBSSN_s", [0xb6bc1196d4c7293f, 0x948d5ec18f657757, 0x09ff796518298674, 0xa75790cc24c7a679, 0xd4e513a98a1ce646, 0xe2cc2d3529d8e806]),
-    ("wrf_s", [0x30918e56f9aeb76a, 0xe365058da33e23ca, 0x69664ebe1df439e7, 0x5f22eff4ccc82564, 0xacaa7b0ce1a36796, 0x423a52976a36821a]),
-    ("cam4_s", [0x6da41111a688766a, 0x27c2fca04b7386d9, 0x9561c6bfab968bb1, 0x3c4eab583c809577, 0xc383478f989ebf27, 0x1370a259c1fc787f]),
-    ("Git", [0x1d1c2689adfb2be1, 0x22c5a907af3b00c5, 0x818466ee9b23ac8d, 0x998cf559ff41bae7, 0xe7d195b821885856, 0xb890ffe65113b4aa]),
-    ("Vim", [0x56dce6e913913f8a, 0x96b2df213a02e0f8, 0xa09805a00baf6c29, 0x255ad1d10b0a786c, 0x8429e8b167441896, 0xe3f89462fb680a8b]),
-    ("CMake", [0x0d4aea5ebf06320d, 0x89444ff349b5e3cc, 0xf4bee73a0edcf2b0, 0x85538ce45c86cef3, 0x9e97f004cc4ef4f6, 0x5dbc3c8ced08f550]),
-    ("CTest", [0xbc4333a8f784565e, 0xae2d7a55f3512cce, 0x79200b78f92db985, 0xd2bd96cef54ab1e3, 0x881e0659ab504ccb, 0xe7c9f4de8c678ae1]),
-    ("Python", [0xfff1e9de76ea91ac, 0x6d8a306028eec0ba, 0x112acba4eba05256, 0x50a12247fd3f79a1, 0x2222e250c69c60e3, 0x086edd2fb31a363a]),
-    ("Libopenblas", [0xfb5fbd2363ead6ea, 0xeb3b63e0136b5f35, 0xafd87211b84ac5c2, 0x56334475e48c6f6a, 0x9c3d34694ea4f637, 0x4bb7dbc487f32200]),
+    ("perlbench_r", [0x40e9c697d10f58b9, 0x0fafd381fe2da803, 0xba377df6d0acda16, 0x31ea9f69dff64039, 0x26efa75b8e20d86a, 0x44c9573527c2a365]),
+    ("gcc_r", [0x9ef9320bc96cb83b, 0x0b2f90d7d88df563, 0xfb06f03d2422627f, 0x8e68d7e71f616fb1, 0x15edcd2dfe99cfca, 0xb4e2dab581f6b65a]),
+    ("omnetpp_r", [0x9a5403a63a79c63c, 0xf1e2925419182818, 0xc276f77cde0a591f, 0x187aaaf88ea4a009, 0xd9b17033d5620593, 0xe1e7714ae1453a67]),
+    ("xalancbmk_r", [0x0adc908d859bb409, 0x573f951c92b7f133, 0xb5299e3832292bde, 0x4c73478bdc402d44, 0x5f8de69b8251c524, 0xd07ceb487a7ee159]),
+    ("cactuBSSN_r", [0xee784191a5bdffc2, 0xd6625f01d8c8994b, 0x970242120443854f, 0xf6e4fab22f73a979, 0x4aac65271daf5ecf, 0x21ac828380a3aa2e]),
+    ("parest_r", [0x18cdf468204c81d7, 0xeea86933ef3ffbac, 0xb240bcad771f25ae, 0x648406d1e7080f6c, 0x7d375c6990392772, 0x53b26a91513aa3d1]),
+    ("wrf_r", [0xaa5ec02fc559918b, 0x97f6848f3f4ec82d, 0x12e1317e4a5d9461, 0xc4c1d3208ea24142, 0x6ec0f3dd65f062b5, 0xbb4a11a464563050]),
+    ("blender_r", [0x317f3402a357baf1, 0x39974f1837763ddc, 0x320471188ccb60ed, 0xbca0b679b712806e, 0x460ee4768e4ae4e2, 0xf033541291e532ed]),
+    ("cam4_r", [0x2b66c143e92df272, 0xd20997713c67b8b2, 0xc6fe558c571f1e36, 0x11026f35dd2d04b6, 0x9be39e3f918267ee, 0xf62627ca043a8d62]),
+    ("imagick_r", [0x01b3767aa244e6bb, 0x51b7606eb529673d, 0x824006f2ea8adf3d, 0x6e1e09bbe3717b67, 0x94907b0501700cc1, 0x76495dac778dd8e7]),
+    ("perlbench_s", [0x7416ab01d89d9e2f, 0xdbda25590339a6dd, 0xb3154d7904100d14, 0x245ee29642406719, 0x8b2db11fedc9fbcf, 0x6494103274c86d52]),
+    ("gcc_s", [0x0a96d8e8a710a461, 0x9c4edc6d028b8a22, 0xcc32901dad67238d, 0x28da2a07fac72dd5, 0x63d55132cf237d63, 0x051cdd6436d945cd]),
+    ("omnetpp_s", [0x970a064e1e00dc0f, 0x032e13122f74e35e, 0xd119576b0049dd2b, 0x636adb26f35ee144, 0x16d50f22170416b3, 0x0a009e0a32570bd8]),
+    ("xalancbmk_s", [0xd9e151f15d0c0dbf, 0x73511b8b8242047e, 0xc522789a7e3f5d00, 0xb3589e2b856d46bf, 0x16ff93f52d58e06b, 0x9d9df746b08f8659]),
+    ("cactuBSSN_s", [0x971f5b28a0877540, 0xce96c93595f7232d, 0x09ff796518298674, 0xa75790cc24c7a679, 0xd4e513a98a1ce646, 0xe2cc2d3529d8e806]),
+    ("wrf_s", [0x6fc7cb6259f1942b, 0x7272a00e3a86768a, 0x69664ebe1df439e7, 0x5f22eff4ccc82564, 0xacaa7b0ce1a36796, 0x423a52976a36821a]),
+    ("cam4_s", [0x8f7187e9e591f41c, 0xd8d70b8e64cd6fc4, 0x9561c6bfab968bb1, 0x3c4eab583c809577, 0xc383478f989ebf27, 0x1370a259c1fc787f]),
+    ("Git", [0x519000a29451e3ab, 0x64be1fbf975a318f, 0x818466ee9b23ac8d, 0x998cf559ff41bae7, 0xe7d195b821885856, 0xb890ffe65113b4aa]),
+    ("Vim", [0x87458008a5ce3547, 0x695788c1113f560d, 0xa09805a00baf6c29, 0x255ad1d10b0a786c, 0x8429e8b167441896, 0xe3f89462fb680a8b]),
+    ("CMake", [0x353a099bc5a4dc69, 0x80ce234ce29b8ea4, 0xf4bee73a0edcf2b0, 0x85538ce45c86cef3, 0x9e97f004cc4ef4f6, 0x5dbc3c8ced08f550]),
+    ("CTest", [0xc385f98c4dac5f5f, 0xd800dae55b8e90a3, 0x79200b78f92db985, 0xd2bd96cef54ab1e3, 0x881e0659ab504ccb, 0xe7c9f4de8c678ae1]),
+    ("Python", [0x175a21342cb0fd02, 0x7e1985fed9d575cd, 0x112acba4eba05256, 0x50a12247fd3f79a1, 0x2222e250c69c60e3, 0x086edd2fb31a363a]),
+    ("Libopenblas", [0x76ed5f47947574ab, 0x2459f49460bd7920, 0xafd87211b84ac5c2, 0x56334475e48c6f6a, 0x9c3d34694ea4f637, 0x4bb7dbc487f32200]),
 ];
 
 #[rustfmt::skip]
 const LAUNCH_COLD: &[(&str, [u64; 6])] = &[
-    ("omnetpp_r", [0x194534badde69f4b, 0xf92a1afe9b098352, 0xc6597b66ea2ef349, 0x7bc90a4a3d06cfde, 0x8af39ecca18cbb20, 0x36db986cd66d154a]),
-    ("cactuBSSN_r", [0x41aac2ca632462a3, 0x844c839bc6a687b9, 0xcc31571319cb047a, 0xc7795dd4dae479c0, 0xaf25310090d6ac52, 0xea04017279c53475]),
+    ("omnetpp_r", [0x5f1d4b2b2a8b165b, 0x1545abbdbc53c468, 0xc6597b66ea2ef349, 0x7bc90a4a3d06cfde, 0x8af39ecca18cbb20, 0x36db986cd66d154a]),
+    ("cactuBSSN_r", [0x14df980ba7801f21, 0xb58907d566e6db97, 0xcc31571319cb047a, 0xc7795dd4dae479c0, 0xaf25310090d6ac52, 0xea04017279c53475]),
 ];
