@@ -76,10 +76,8 @@ impl Mode {
         }
     }
 
-    /// Is `inst` a source instruction nothing can translate? Such an
-    /// instruction is never patched, copied or stood in for: it keeps its
-    /// bytes at its original address, raises an illegal-instruction fault
-    /// on a core that lacks it, and the kernel migrates (FAM-style).
+    /// Is `inst` a source instruction nothing can translate? It is then
+    /// left as it is, at its original address (see the module docs).
     fn leaves_untranslated(self, inst: &Inst, target: ExtSet) -> bool {
         self == Mode::Downgrade && !inst.runnable_on(target) && !Translator::can_downgrade(inst)
     }
