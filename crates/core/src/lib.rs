@@ -249,9 +249,8 @@ pub struct Measurement {
     pub cache: CacheStats,
 }
 
-/// `(registry name, accessor)` for every numeric [`Measurement`] field —
-/// the single source of truth [`Measurement::publish`] and
-/// [`Measurement::from_registry`] share.
+/// `(registry name, accessor)` for every numeric [`Measurement`] field
+/// [`Measurement::publish`] publishes.
 #[allow(clippy::type_complexity)]
 const MEASUREMENT_COUNTERS: [(&str, fn(&Measurement) -> u64); 15] = [
     ("measure.cycles", |m| m.cycles),
@@ -301,36 +300,6 @@ impl Measurement {
         for (name, get) in MEASUREMENT_COUNTERS {
             metrics.counter(name).add(get(self));
         }
-    }
-
-    /// Reconstructs a measurement from `measure.*` counters previously
-    /// [`Measurement::publish`]ed into `metrics`. Returns `None` when no
-    /// measurement was published (the `measure.cycles` counter is absent).
-    pub fn from_registry(metrics: &MetricsRegistry) -> Option<Measurement> {
-        metrics.counter_value("measure.cycles")?;
-        let get = |name: &str| metrics.counter_value(name).unwrap_or(0);
-        Some(Measurement {
-            exit_code: get("measure.exit_code") as i64,
-            cycles: get("measure.cycles"),
-            instret: get("measure.instret"),
-            indirect_jumps: get("measure.indirect_jumps"),
-            counters: FaultCounters {
-                smile_faults: get("measure.smile_faults"),
-                trap_trampolines: get("measure.trap_trampolines"),
-                safer_corrections: get("measure.safer_corrections"),
-                lazy_rewrites: get("measure.lazy_rewrites"),
-                signals_gp_restored: get("measure.signals_gp_restored"),
-            },
-            cache: CacheStats {
-                hits: get("measure.cache_hits"),
-                misses: get("measure.cache_misses"),
-                invalidations: get("measure.cache_invalidations"),
-                blocks_built: get("measure.blocks_built"),
-                chained: get("measure.cache_chained"),
-                jitted: get("measure.cache_jitted"),
-                jit_execs: get("measure.jit_execs"),
-            },
-        })
     }
 }
 

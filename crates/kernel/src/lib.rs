@@ -18,7 +18,6 @@ mod event;
 mod many;
 mod pool;
 mod process;
-mod refresh;
 mod runtime;
 mod sched;
 
@@ -26,7 +25,6 @@ pub use event::{EventQueue, HartEvent, HartEventKind};
 pub use many::{HartReport, ManyHartConfig, ManyHartKernel, ManyHartResult};
 pub use pool::ProcessPool;
 pub use process::{Process, Variant, LAZY_SLACK};
-pub use refresh::VariantRefresher;
 pub use runtime::{
     FaultCounters, HartCall, KernelRunner, RunOutcome, RuntimeTables, TrapDisposition,
     SIGRETURN_ADDR,

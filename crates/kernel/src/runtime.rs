@@ -106,6 +106,9 @@ pub struct KernelRunner {
     lazy_traps: BTreeMap<u64, u64>,
     /// Where the next lazy block goes (grows past the target section).
     lazy_cursor: Option<u64>,
+    /// Translates for the active variant's spill section and `gp`; `None`
+    /// without a fault table (the runner then migrates instead).
+    translator: Option<Translator>,
     /// Captured stdout.
     pub stdout: Vec<u8>,
     /// Saved context while a signal handler runs.
@@ -125,15 +128,18 @@ impl KernelRunner {
 
     /// Creates a runner with the given tables and trace handle.
     pub fn with_tracer(tables: RuntimeTables, tracer: Tracer) -> Self {
-        KernelRunner {
-            tables,
+        let mut runner = KernelRunner {
+            tables: RuntimeTables::default(),
             counters: FaultCounters::default(),
             lazy_traps: BTreeMap::new(),
             lazy_cursor: None,
+            translator: None,
             stdout: Vec::new(),
             signal_ctx: None,
             tracer,
-        }
+        };
+        runner.retarget(tables);
+        runner
     }
 
     /// Points the runner at another view's tables after the task's MMView
@@ -141,6 +147,10 @@ impl KernelRunner {
     /// patched the old view's code, so their traps go with it; stdout,
     /// counters and a pending signal context belong to the task and stay.
     pub fn retarget(&mut self, tables: RuntimeTables) {
+        self.translator = tables
+            .fht
+            .as_ref()
+            .map(|fht| Translator::new(fht.spill_base, fht.abi_gp));
         self.tables = tables;
         self.lazy_traps.clear();
         self.lazy_cursor = None;
@@ -394,25 +404,21 @@ impl KernelRunner {
     /// of the freshly emitted block.
     fn lazy_rewrite(&mut self, pc: u64, site: Decoded, mem: &mut Memory) -> Option<u64> {
         // No table, no translator context: the caller migrates instead.
-        let fht = self.tables.fht.as_ref()?;
-        let (spill_base, abi_gp) = (fht.spill_base, fht.abi_gp);
+        let (fht, translator) = (self.tables.fht.as_ref()?, self.translator?);
         // Grow region: right after the target section (the loader maps the
         // section with slack; see `Process::load`).
         let cursor = *self.lazy_cursor.get_or_insert(fht.target_range.1);
         // The same translate/emit primitive the static pipeline uses for
         // its site units (gp restore + downgrade), so lazily built blocks
         // can never diverge from statically built ones.
-        let mut translator = Translator::new(spill_base, abi_gp);
         let mut em = BlockEmitter::new();
-        if emit_site_translation(&site.inst, Mode::Downgrade, &mut translator, &mut em).is_err() {
-            return None;
-        }
+        emit_site_translation(&site.inst, Mode::Downgrade, &translator, &mut em).ok()?;
         let resume = pc + site.len as u64;
         // Exit: a register trampoline cannot be chosen lazily without
         // liveness; use a trap exit (rare path, already lazy).
         let exit_at = cursor + em.offset();
         em.inst(Inst::Ebreak);
-        let bytes = em.finish();
+        let bytes = em.finish().ok()?;
         if mem.poke_code(cursor, &bytes).is_err() {
             return None;
         }

@@ -577,15 +577,15 @@ fn empty_patch_mode_via_kernel() {
 /// The kernel's lazy-rewrite pokes flow through the same generation /
 /// dirty-region channel that incremental re-rewriting consumes: every
 /// patch severs cached blocks (cache stats), lands in
-/// `dirty_regions_since`, and is correctly classified by the refresher —
-/// lazy patches mutate the *runtime image*, not the input binary, so a
-/// refresh reuses every unit and still reproduces the full rewrite bit
-/// for bit; an SMC poke on a patch site, by contrast, invalidates its
-/// unit.
+/// `dirty_regions_since`, and is correctly classified by
+/// `run_incremental` — lazy patches mutate the *runtime image*, not the
+/// input binary, so a re-rewrite reuses every unit and still reproduces
+/// the full rewrite bit for bit; an SMC poke on a patch site, by contrast,
+/// invalidates its unit.
 #[test]
 fn lazy_rewrite_feeds_incremental_dirty_channel() {
-    use chimera_kernel::{TraceEvent, Tracer, VariantRefresher};
-    use chimera_rewrite::{run, ChbpEngine};
+    use chimera_kernel::Tracer;
+    use chimera_rewrite::{run_cached, run_incremental, ChbpEngine};
 
     let bin = assemble(VEC_PROG, AsmOptions::default()).unwrap();
     let opts = RewriteOptions {
@@ -596,24 +596,24 @@ fn lazy_rewrite_feeds_incremental_dirty_channel() {
         target: ExtSet::RV64GC,
         opts,
     };
-    let full = run(&engine, &bin, 2, &Tracer::disabled()).unwrap();
-    let (mut refresher, variant) =
-        VariantRefresher::build(Box::new(engine), bin.clone(), 2, &Tracer::disabled()).unwrap();
-    assert_eq!(variant.binary, full.rewritten.binary);
-    let fht = variant.tables.fht.clone().unwrap();
+    let (full, mut cache) = run_cached(&engine, &bin, 2, &Tracer::disabled()).unwrap();
+    let full = full.rewritten;
+    let fht = full.fht.clone();
 
-    let process = Process::new(vec![variant]);
+    let process = Process::new(vec![Variant {
+        binary: full.binary.clone(),
+        tables: RuntimeTables {
+            fht: Some(fht.clone()),
+            regen: None,
+        },
+    }]);
     let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GC).unwrap();
     let entry = cpu.hart.pc;
-    refresher.mark_clean(&mem);
-    assert!(
-        refresher
-            .refresh(&mem, &Tracer::disabled())
-            .unwrap()
-            .is_none(),
-        "a clean image needs no refresh"
-    );
     let watermark = mem.generation_watermark();
+    assert!(
+        mem.dirty_regions_since(watermark).is_empty(),
+        "a freshly loaded image is clean"
+    );
 
     // EmptyPatch keeps the vector instructions verbatim in the target
     // section: each one faults on RV64GC and is lazily rewritten.
@@ -644,38 +644,30 @@ fn lazy_rewrite_feeds_incremental_dirty_channel() {
         "lazy patches live past the target base: {dirty:?}"
     );
 
-    // The refresher consumes the report: target-section patches overlap
-    // no unit's *input* source range, so the refreshed variant reuses
-    // every unit — and is still bit-identical to the full rewrite.
-    let tracer = Tracer::enabled();
-    let refreshed = refresher
-        .refresh(&mem, &tracer)
-        .unwrap()
-        .expect("a dirty image refreshes");
-    assert_eq!(refreshed.binary, full.rewritten.binary);
-    let redone: Vec<u64> = tracer
-        .drain()
-        .iter()
-        .filter_map(|r| match r.event {
-            TraceEvent::RewriteIncremental { units_redone, .. } => Some(units_redone),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(redone, vec![0], "lazy patches invalidate no input units");
+    // The incremental driver consumes the report: target-section patches
+    // overlap no unit's *input* source range, so every unit is reused —
+    // and the output is still bit-identical to the full rewrite.
+    let redone_by = |cache: &mut _, dirty: &[_]| {
+        let tracer = Tracer::enabled();
+        let again = run_incremental(&engine, &bin, cache, dirty, 2, &tracer).unwrap();
+        assert_eq!(again.rewritten, full);
+        let m = tracer.metrics().unwrap();
+        m.counter_value("rewrite.units_redone").unwrap_or(0)
+    };
+    assert_eq!(
+        redone_by(&mut cache, &dirty),
+        0,
+        "lazy patches invalidate no input units"
+    );
 
     // An SMC poke on a patch site, through the very same channel, does
     // invalidate its unit — and the output still matches bit for bit.
+    let watermark = mem.generation_watermark();
     let site = *fht.trampolines.iter().next().expect("sites exist");
     mem.poke_code(site, &[0x13, 0x00, 0x00, 0x00]).unwrap();
-    let tracer = Tracer::enabled();
-    let refreshed = refresher
-        .refresh(&mem, &tracer)
-        .unwrap()
-        .expect("the poke dirties the image");
-    assert_eq!(refreshed.binary, full.rewritten.binary);
-    let m = tracer.metrics().unwrap();
+    let dirty = mem.dirty_regions_since(watermark);
     assert!(
-        m.counter_value("rewrite.units_redone").unwrap_or(0) >= 1,
+        redone_by(&mut cache, &dirty) >= 1,
         "an SMC poke on a site must redo its unit"
     );
 }

@@ -30,10 +30,16 @@
 //! **One way not to translate.** Whether a source has a downgrade template
 //! is [`Translator::can_downgrade`], asked here and nowhere decided twice.
 //! A source without one is never patched, copied or stood in for: a
-//! region ends *before* it and exits to its original address, a site that
-//! cannot reach its 8-byte space because of it takes a trap entry, and the
+//! region ends *before* it and exits to its original address, and the
 //! partition walk lists its address in [`FaultTable::untranslated`], where
 //! the kernel answers its fault with a migration.
+//!
+//! **One block builder.** Every unit is a region and `emit_block` emits
+//! it. A site that cannot form an 8-byte space (unrecognized bytes, a
+//! source without a template or a 2-byte terminator follow it too closely)
+//! is the region of that one instruction: nothing overwritten past the
+//! site, entered through a trap, the same gp restore, translation and exit
+//! slot as any other block.
 //!
 //! Exit jumps from target blocks back to original code use, in order:
 //! a plain `jal` when in range; a dead register found by traditional
@@ -254,22 +260,15 @@ pub struct ChbpEngine {
     pub opts: RewriteOptions,
 }
 
-/// One CHBP rewrite unit.
-enum ChbpUnit {
-    /// A patch region (site + batched neighbourhood).
-    Region(Region),
-    /// A site with no usable region: trap entry + lone translation.
-    Site(DisasmInst),
-}
-
-/// A scanned input: the analyses emission reads and the unit partition.
+/// A scanned input: the analyses emission reads and the unit partition,
+/// one region per unit.
 struct ChbpUnits {
     target: ExtSet,
     opts: RewriteOptions,
-    frame: Frame,
+    translator: Translator,
     d: Disassembly,
     liveness: Liveness,
-    units: Vec<ChbpUnit>,
+    units: Vec<Region>,
 }
 
 impl RewriteEngine for ChbpEngine {
@@ -291,7 +290,7 @@ impl RewriteEngine for ChbpEngine {
 
         // Sequential unit partition: a unit covers the sources it
         // translated, so the ranges come out ascending and disjoint.
-        let mut units: Vec<ChbpUnit> = Vec::new();
+        let mut units: Vec<Region> = Vec::new();
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         let mut untranslated = BTreeSet::new();
         let mut covered_until: u64 = 0;
@@ -309,21 +308,12 @@ impl RewriteEngine for ChbpEngine {
                 covered_until = site.next_addr();
                 continue;
             }
-            let range = match build_region(&d, &cfg, site, self.opts, self.target) {
-                Some(region) => {
-                    let range = region.source_range();
-                    units.push(ChbpUnit::Region(region));
-                    range
-                }
-                None => {
-                    // Cannot form an 8-byte space: trap entry + lone
-                    // translation.
-                    units.push(ChbpUnit::Site(*site));
-                    (site.addr, site.next_addr())
-                }
-            };
+            let region = build_region(&d, &cfg, site, self.opts, self.target)
+                .unwrap_or_else(|| Region::lone(*site));
+            let range = region.source_range();
             covered_until = range.1;
             ranges.push(range);
+            units.push(region);
         }
 
         Ok(Scanned {
@@ -335,7 +325,7 @@ impl RewriteEngine for ChbpEngine {
             units: Arc::new(ChbpUnits {
                 target: self.target,
                 opts: self.opts,
-                frame,
+                translator: Translator::new(frame.spill_base, frame.abi_gp),
                 d,
                 liveness,
                 units,
@@ -346,31 +336,26 @@ impl RewriteEngine for ChbpEngine {
 
 impl Units for ChbpUnits {
     fn place(&self, idx: usize, cursor: u64) -> Result<Option<Placement>, RewriteError> {
-        let site = match &self.units[idx] {
-            ChbpUnit::Region(region) => {
-                let site = region.insts[0];
-                // A SMILE entry when the block address is reachable within
-                // the padding budget (never for the strawman).
-                if !self.opts.force_trap_entries {
-                    let smile = place_smile(
-                        site.addr,
-                        region.space_end,
-                        region.constraints(),
-                        cursor,
-                        self.opts.max_padding,
-                    )?;
-                    if smile.is_some() {
-                        return Ok(smile);
-                    }
-                }
-                // Trap entry, but keep the full region block — only the
-                // site's own bytes are replaced, neighbours stay intact,
-                // and the block's interior redirects cover erroneous
-                // jumps.
-                site
+        let region = &self.units[idx];
+        let site = region.insts[0];
+        // A SMILE entry when the region has the space for one and the
+        // block address is reachable within the padding budget (never for
+        // the strawman).
+        if region.has_smile_space() && !self.opts.force_trap_entries {
+            let smile = place_smile(
+                site.addr,
+                region.space_end,
+                region.constraints(),
+                cursor,
+                self.opts.max_padding,
+            )?;
+            if smile.is_some() {
+                return Ok(smile);
             }
-            ChbpUnit::Site(site) => *site,
-        };
+        }
+        // Trap entry, but keep the full region block — only the site's own
+        // bytes are replaced, neighbours stay intact, and the block's
+        // interior redirects cover erroneous jumps.
         Ok(Some(Placement {
             addr: cursor,
             entry: Entry::Trap {
@@ -380,46 +365,32 @@ impl Units for ChbpUnits {
         }))
     }
 
-    /// Each call uses its own [`Translator`] (its only mutable state is a
-    /// label-name counter, which never reaches the bytes).
     fn emit(&self, idx: usize) -> Result<UnitArtifact, RewriteError> {
-        let mut translator = Translator::new(self.frame.spill_base, self.frame.abi_gp);
         let mut em = BlockEmitter::new();
-        match &self.units[idx] {
-            ChbpUnit::Region(region) => emit_block(
-                region,
-                &self.d,
-                &self.liveness,
-                self.opts,
-                &mut translator,
-                &mut em,
-                self.target,
-            )?,
-            ChbpUnit::Site(site) => {
-                emit_site_translation(&site.inst, self.opts.mode, &mut translator, &mut em)?;
-                emit_exit(
-                    site.next_addr(),
-                    &self.d,
-                    &self.liveness,
-                    self.opts,
-                    self.target,
-                    &mut em,
-                );
-            }
-        }
-        Ok(em.finish_unit())
+        let (mode, target) = (self.opts.mode, self.target);
+        let exit = |to, em: &mut BlockEmitter| {
+            emit_exit(to, &self.d, &self.liveness, self.opts, target, em)
+        };
+        emit_block(
+            &self.units[idx],
+            mode,
+            target,
+            &self.translator,
+            &mut em,
+            exit,
+        )?;
+        em.finish_unit()
     }
 }
 
 /// Emits the translation for one patch site: gp restore followed by the
-/// verbatim re-emission (empty patching) or the downgrade sequence. This
-/// is the single translate/emit primitive shared by the static pipeline's
-/// site units and the kernel's fault-time `lazy_rewrite`, so the two can
-/// never diverge.
+/// verbatim re-emission (empty patching) or the downgrade sequence — what
+/// `emit_block` emits for a one-instruction region, for the kernel's
+/// fault-time `lazy_rewrite`, which plants its own exit.
 pub fn emit_site_translation(
     inst: &Inst,
     mode: Mode,
-    translator: &mut Translator,
+    translator: &Translator,
     em: &mut BlockEmitter,
 ) -> Result<(), Untranslatable> {
     // Restore gp: the entry path (SMILE jalr or kernel trap) left it
@@ -464,8 +435,9 @@ pub const ILLEGAL_HALFWORD: u16 = 0b100_0_0000_0000_00_00;
 struct Region {
     /// Instructions from the site onward, in order.
     insts: Vec<DisasmInst>,
-    /// First byte after the overwritten space (≥ site + 8, an instruction
-    /// boundary).
+    /// First byte after the overwritten space, an instruction boundary:
+    /// ≥ site + 8 where a SMILE trampoline fits, the end of the site
+    /// itself for a [`Region::lone`] one.
     space_end: u64,
     /// Original address where execution resumes after the block (unless
     /// the region ends in an unconditional jump).
@@ -489,6 +461,22 @@ enum RegionTail {
 }
 
 impl Region {
+    /// The region of a site that cannot form an 8-byte space: the site
+    /// alone, nothing overwritten past it, entered through a trap.
+    fn lone(site: DisasmInst) -> Region {
+        Region {
+            insts: vec![site],
+            space_end: site.next_addr(),
+            resume: site.next_addr(),
+            tail: RegionTail::Fallthrough,
+        }
+    }
+
+    /// Whether the overwritten space holds a SMILE trampoline.
+    fn has_smile_space(&self) -> bool {
+        self.space_end >= self.insts[0].addr + 8
+    }
+
     /// The input-address range `[start, end)` whose bytes this region
     /// translates: from the patch site through the later of the
     /// overwritten space and the last batched instruction. The partition
@@ -507,7 +495,7 @@ impl Region {
 }
 
 /// Builds the region for a patch site, or `None` when no safe 8-byte space
-/// exists (the site then uses a trap-based entry). A region ends before a
+/// exists (the site is then a [`Region::lone`] one). A region ends before a
 /// source instruction that has no template: the block exits to that
 /// instruction's original address.
 fn build_region(
@@ -597,23 +585,24 @@ fn build_region(
 }
 
 /// Emits one region's target block: gp restore, then per-instruction
-/// translation/copy, then the exit(s). Marks a redirect at the copy of
-/// every instruction whose original bytes the trampoline overwrites.
+/// translation/copy, then the exit(s), each emitted by `exit` given the
+/// original address it returns to. Marks a redirect at the copy of every
+/// instruction whose original bytes the trampoline overwrites.
 fn emit_block(
     region: &Region,
-    d: &Disassembly,
-    liveness: &Liveness,
-    opts: RewriteOptions,
-    translator: &mut Translator,
-    em: &mut BlockEmitter,
+    mode: Mode,
     target: ExtSet,
+    translator: &Translator,
+    em: &mut BlockEmitter,
+    exit: impl Fn(u64, &mut BlockEmitter),
 ) -> Result<(), RewriteError> {
     let site = region.insts[0].addr;
     // Restore gp: the SMILE jalr left the return address in it.
-    em.label("block_head");
+    let block_head = em.new_label();
+    em.label(block_head);
     translator.restore_gp(em);
 
-    let mut deferred_branch: Option<(u64, String)> = None;
+    let mut deferred_branch = None;
     // Consecutive translated vector instructions share one scratch
     // save/restore sequence (the §4.2 batching optimization applied at the
     // translation level). Sequences are broken at FHT entry points so a
@@ -624,8 +613,8 @@ fn emit_block(
         // FHT entry for overwritten instruction starts (not the site head:
         // jumping there executes the full trampoline, which is correct).
         let needs_entry = di.addr > site && di.addr < region.space_end;
-        let translated_vector = opts.mode == Mode::Downgrade
-            && opts.mode.is_source(&di.inst, target)
+        let translated_vector = mode == Mode::Downgrade
+            && mode.is_source(&di.inst, target)
             && Translator::sequenceable(&di.inst);
         if in_seq && (needs_entry || !translated_vector) {
             translator.seq_end(em);
@@ -646,10 +635,10 @@ fn emit_block(
                     // A loop backedge to the patch site: iterate inside
                     // the target block instead of re-entering through the
                     // trampoline.
-                    em.branch_to(kind, rs1, rs2, "block_head");
+                    em.branch_to(kind, rs1, rs2, block_head);
                 } else {
-                    let label = format!("taken_{:x}", di.addr);
-                    em.branch_to(kind, rs1, rs2, label.clone());
+                    let label = em.new_label();
+                    em.branch_to(kind, rs1, rs2, label);
                     deferred_branch = Some((taken, label));
                 }
             }
@@ -657,8 +646,8 @@ fn emit_block(
             // copied: the region exit (emitted below) performs it.
             _ if is_last && matches!(region.tail, RegionTail::Jump { .. }) => {}
             _ => {
-                if opts.mode.is_source(&di.inst, target) {
-                    match opts.mode {
+                if mode.is_source(&di.inst, target) {
+                    match mode {
                         Mode::EmptyPatch(_) => {
                             em.inst(di.inst);
                         }
@@ -685,17 +674,13 @@ fn emit_block(
 
     // Exits.
     match region.tail {
-        RegionTail::Fallthrough | RegionTail::Branch { .. } => {
-            emit_exit(region.resume, d, liveness, opts, target, em);
-        }
-        RegionTail::Jump { target: t } => {
-            emit_exit(t, d, liveness, opts, target, em);
-        }
+        RegionTail::Fallthrough | RegionTail::Branch { .. } => exit(region.resume, em),
+        RegionTail::Jump { target } => exit(target, em),
         RegionTail::IndirectJump => {}
     }
     if let Some((taken, label)) = deferred_branch {
         em.label(label);
-        emit_exit(taken, d, liveness, opts, target, em);
+        exit(taken, em);
     }
     Ok(())
 }

@@ -12,25 +12,36 @@
 //! driver resolves once the block is placed. An emitter that already knows
 //! its address (regeneration, the kernel's lazy rewriter) adds
 //! [`BlockEmitter::offset`] to it instead.
+//!
+//! A local label is an index (`BlockEmitter::new_label`): it has no name
+//! to format, hash or clone, and two emissions of the same template can
+//! never collide. A reference to it is patched in
+//! [`BlockEmitter::finish_unit`], where a distance the instruction cannot
+//! encode is a [`RewriteError::Layout`].
 
+use crate::chbp::RewriteError;
 use crate::engine::{Reloc, UnitArtifact};
 use chimera_isa::{encode, BranchKind, Inst, XReg};
-use std::collections::HashMap;
 
 /// Emits a contiguous run of instructions.
 #[derive(Debug, Default)]
 pub struct BlockEmitter {
     bytes: Vec<u8>,
-    /// Local label → byte offset.
-    labels: HashMap<String, usize>,
+    /// Byte offset each label is bound at, by label index.
+    labels: Vec<Option<usize>>,
     fixups: Vec<Fixup>,
     relocs: Vec<(usize, Reloc)>,
 }
 
+/// A local label of one [`BlockEmitter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Label(usize);
+
+/// A placeholder word awaiting the distance to its label.
 #[derive(Debug)]
 struct Fixup {
     offset: usize,
-    label: String,
+    label: Label,
     kind: FixKind,
 }
 
@@ -87,37 +98,41 @@ impl BlockEmitter {
         self
     }
 
-    /// Defines a local label here.
-    pub fn label(&mut self, name: impl Into<String>) -> &mut Self {
-        let name = name.into();
-        let prev = self.labels.insert(name.clone(), self.bytes.len());
-        assert!(prev.is_none(), "duplicate local label {name}");
+    /// Hands out a fresh, unbound label.
+    pub(crate) fn new_label(&mut self) -> Label {
+        self.labels.push(None);
+        Label(self.labels.len() - 1)
+    }
+
+    /// Binds `label` here.
+    pub(crate) fn label(&mut self, label: Label) -> &mut Self {
+        let prev = self.labels[label.0].replace(self.bytes.len());
+        assert!(prev.is_none(), "local label bound twice");
         self
     }
 
     /// Emits a branch to a local label (forward or backward).
-    pub fn branch_to(
+    pub(crate) fn branch_to(
         &mut self,
         kind: BranchKind,
         rs1: XReg,
         rs2: XReg,
-        label: impl Into<String>,
+        label: Label,
     ) -> &mut Self {
-        self.fixups.push(Fixup {
-            offset: self.bytes.len(),
-            label: label.into(),
-            kind: FixKind::Branch { kind, rs1, rs2 },
-        });
-        self.bytes.extend_from_slice(&[0; 4]);
-        self
+        self.fixup(label, FixKind::Branch { kind, rs1, rs2 })
     }
 
     /// Emits `jal rd, label` to a local label.
-    pub fn jal_to(&mut self, rd: XReg, label: impl Into<String>) -> &mut Self {
+    pub(crate) fn jal_to(&mut self, rd: XReg, label: Label) -> &mut Self {
+        self.fixup(label, FixKind::Jal { rd })
+    }
+
+    fn fixup(&mut self, label: Label, kind: FixKind) -> &mut Self {
+        let offset = self.bytes.len();
         self.fixups.push(Fixup {
-            offset: self.bytes.len(),
-            label: label.into(),
-            kind: FixKind::Jal { rd },
+            offset,
+            label,
+            kind,
         });
         self.bytes.extend_from_slice(&[0; 4]);
         self
@@ -157,42 +172,43 @@ impl BlockEmitter {
 
     /// Resolves fixups and returns the encoded bytes of a block that
     /// recorded no relocations.
-    pub fn finish(self) -> Vec<u8> {
-        let unit = self.finish_unit();
+    pub fn finish(self) -> Result<Vec<u8>, RewriteError> {
+        let unit = self.finish_unit()?;
         assert!(unit.relocs.is_empty(), "block has unresolved relocations");
-        unit.bytes
+        Ok(unit.bytes)
     }
 
     /// Resolves fixups and returns the encoded bytes plus the relocations
     /// recorded against them (in offset order) as a unit's artifact.
-    pub fn finish_unit(mut self) -> UnitArtifact {
+    pub fn finish_unit(mut self) -> Result<UnitArtifact, RewriteError> {
         for f in &self.fixups {
-            let target = *self
-                .labels
-                .get(&f.label)
-                .unwrap_or_else(|| panic!("undefined local label {}", f.label));
+            let target = self.labels[f.label.0].expect("every referenced label is bound");
             let rel = target as i64 - f.offset as i64;
-            let word = match f.kind {
-                FixKind::Branch { kind, rs1, rs2 } => encode(&Inst::Branch {
-                    kind,
-                    rs1,
-                    rs2,
-                    offset: i32::try_from(rel).expect("local branch in range"),
-                })
-                .expect("local branch encodes"),
-                FixKind::Jal { rd } => encode(&Inst::Jal {
-                    rd,
-                    offset: i32::try_from(rel).expect("local jal in range"),
-                })
-                .expect("local jal encodes"),
-            };
+            let word = i32::try_from(rel).ok().and_then(|offset| {
+                let inst = match f.kind {
+                    FixKind::Branch { kind, rs1, rs2 } => Inst::Branch {
+                        kind,
+                        rs1,
+                        rs2,
+                        offset,
+                    },
+                    FixKind::Jal { rd } => Inst::Jal { rd, offset },
+                };
+                encode(&inst).ok()
+            });
+            let word = word.ok_or_else(|| {
+                RewriteError::Layout(format!(
+                    "local {:?} at block offset {:#x} cannot reach {rel:+} bytes",
+                    f.kind, f.offset
+                ))
+            })?;
             self.bytes[f.offset..f.offset + 4].copy_from_slice(&word.to_le_bytes());
         }
-        UnitArtifact {
+        Ok(UnitArtifact {
             bytes: self.bytes,
             relocs: self.relocs,
             ..Default::default()
-        }
+        })
     }
 }
 
@@ -204,18 +220,19 @@ mod tests {
     #[test]
     fn forward_and_backward_branches_resolve() {
         let mut e = BlockEmitter::new();
-        e.label("top")
+        let (top, end) = (e.new_label(), e.new_label());
+        e.label(top)
             .inst(Inst::OpImm {
                 kind: OpImmKind::Addi,
                 rd: XReg::T0,
                 rs1: XReg::T0,
                 imm: -1,
             })
-            .branch_to(BranchKind::Bne, XReg::T0, XReg::ZERO, "top")
-            .jal_to(XReg::ZERO, "end")
+            .branch_to(BranchKind::Bne, XReg::T0, XReg::ZERO, top)
+            .jal_to(XReg::ZERO, end)
             .inst(chimera_isa::nop())
-            .label("end");
-        let bytes = e.finish();
+            .label(end);
+        let bytes = e.finish().unwrap();
         // The bne at offset 4 targets offset 0: rel = -4.
         let w = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
         let Inst::Branch { offset, .. } = decode(w).unwrap().inst else {
@@ -234,16 +251,17 @@ mod tests {
     fn li32_shapes() {
         let mut e = BlockEmitter::new();
         e.li32(XReg::T0, 42);
-        assert_eq!(e.finish().len(), 4);
+        assert_eq!(e.finish().unwrap().len(), 4);
         let mut e = BlockEmitter::new();
         e.li32(XReg::T0, 0x12345678);
-        assert_eq!(e.finish().len(), 8);
+        assert_eq!(e.finish().unwrap().len(), 8);
     }
 
     #[test]
-    #[should_panic(expected = "duplicate local label")]
+    #[should_panic(expected = "local label bound twice")]
     fn duplicate_label_panics() {
         let mut e = BlockEmitter::new();
-        e.label("x").label("x");
+        let x = e.new_label();
+        e.label(x).label(x);
     }
 }

@@ -346,7 +346,7 @@ mod tests {
     fn resolved(reloc: Reloc, here: u64) -> (Vec<u8>, FaultTable, RewriteStats) {
         let mut em = BlockEmitter::new();
         em.reloc(reloc);
-        let art = em.finish_unit();
+        let art = em.finish_unit().unwrap();
         let (mut code, mut fht, mut stats) =
             (Vec::new(), FaultTable::default(), Default::default());
         art.place_at(here, &mut code, &mut fht, &mut stats);
@@ -468,7 +468,7 @@ mod tests {
                 dead: Some(XReg::T0),
                 traditional: true,
             });
-        let art = em.finish_unit();
+        let art = em.finish_unit().unwrap();
         let slots = [4..12, 16..24];
         let place = |base: u64| {
             // After a neighbour's bytes, as the place stage appends units.

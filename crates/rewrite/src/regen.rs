@@ -3,7 +3,11 @@
 //!
 //! Every recognized instruction is re-emitted into a new code section with
 //! direct control flow retargeted; source instructions are translated
-//! inline (regeneration may shift code freely, unlike patching). What
+//! inline (regeneration may shift code freely, unlike patching). A
+//! translation is emitted once, by the scan, which needs its size for the
+//! address map: `emit` copies those bytes into the slot they sized.
+//! Whether a source is translated at all is
+//! [`Translator::can_downgrade`], asked in both places. What
 //! distinguishes the two baselines is how *indirect* control flow — whose
 //! targets are original-space addresses — is handled:
 //!
@@ -69,6 +73,9 @@ pub struct SlowTrap {
 struct RegenUnits {
     engine: RegenEngine,
     frame: Frame,
+    /// Per span, the translation of each of its source instructions that
+    /// has a template, in order: the bytes that sized the slot and fill it.
+    translations: Vec<Vec<Vec<u8>>>,
     /// All recognized instructions, in address order (shared with the
     /// disassembly).
     insts: InstTable,
@@ -95,46 +102,63 @@ pub struct RegenEngine {
 }
 
 impl RegenEngine {
-    /// The relocated slot size of one instruction: a pure function of the
-    /// instruction (+ the direct-pair set and translator parameters),
-    /// never of its final address — variable-length sequences are
-    /// nop-padded to their fixed slot.
-    fn slot_size(
+    /// Whether this run translates `inst` inline (else a source is copied:
+    /// verbatim under empty patching, to fault and migrate without a
+    /// template).
+    fn translates(&self, inst: &Inst) -> bool {
+        self.mode == Mode::Downgrade
+            && self.mode.is_source(inst, self.target)
+            && Translator::can_downgrade(inst)
+    }
+
+    /// Sizes the slots of one span, translating as it goes: a translated
+    /// source is sized by emitting it, once, and the bytes come back (in
+    /// order) for `emit` to copy.
+    fn size_span(
         &self,
-        di: &DisasmInst,
+        insts: &[DisasmInst],
         direct_pair: &BTreeMap<u64, u64>,
-        spill_base: u64,
-        abi_gp: u64,
-    ) -> u64 {
+        translator: &Translator,
+    ) -> Result<(Vec<u64>, Vec<Vec<u8>>), RewriteError> {
+        let mut sizes = Vec::with_capacity(insts.len());
+        let mut translated = Vec::new();
+        for di in insts {
+            if self.translates(&di.inst) {
+                let mut em = BlockEmitter::new();
+                translator.downgrade(&di.inst, &mut em)?;
+                let body = em.finish()?;
+                sizes.push(body.len() as u64);
+                translated.push(body);
+            } else {
+                sizes.push(self.slot_size(di, direct_pair));
+            }
+        }
+        Ok((sizes, translated))
+    }
+
+    /// The relocated slot size of an instruction this run does not
+    /// translate: a pure function of the instruction (+ the direct-pair
+    /// set), never of its final address — variable-length sequences are
+    /// nop-padded to their fixed slot. A translated instruction's slot is
+    /// its translation.
+    fn slot_size(&self, di: &DisasmInst, direct_pair: &BTreeMap<u64, u64>) -> u64 {
         if self.mode.is_source(&di.inst, self.target) {
-            match self.mode {
-                Mode::EmptyPatch(_) => 4,
-                Mode::Downgrade => {
-                    let mut t = Translator::new(spill_base, abi_gp);
-                    let mut probe = BlockEmitter::new();
-                    match t.downgrade(&di.inst, &mut probe) {
-                        Ok(()) => probe.finish().len() as u64,
-                        Err(_) => 4, // Left as-is; faults lazily at runtime.
-                    }
+            return 4;
+        }
+        match di.inst {
+            Inst::Branch { .. } => 8, // Inverted branch + jal.
+            Inst::Jal { .. } => 8,    // jal+pad or auipc+jalr.
+            Inst::Jalr { rd, rs1, offset } => {
+                if direct_pair.contains_key(&di.addr) {
+                    8 // Redirected direct call: auipc + jalr.
+                } else if self.flavor == Flavor::Safer && safer_instrumentable(rd, rs1, offset) {
+                    4 * 9 // The instrumentation sequence (fixed shape).
+                } else {
+                    4
                 }
             }
-        } else {
-            match di.inst {
-                Inst::Branch { .. } => 8, // Inverted branch + jal.
-                Inst::Jal { .. } => 8,    // jal+pad or auipc+jalr.
-                Inst::Jalr { rd, rs1, offset } => {
-                    if direct_pair.contains_key(&di.addr) {
-                        8 // Redirected direct call: auipc + jalr.
-                    } else if self.flavor == Flavor::Safer && safer_instrumentable(rd, rs1, offset)
-                    {
-                        4 * 9 // The instrumentation sequence (fixed shape).
-                    } else {
-                        4
-                    }
-                }
-                Inst::Auipc { .. } => 8, // Re-materialization.
-                _ => 4,
-            }
+            Inst::Auipc { .. } => 8, // Re-materialization.
+            _ => 4,
         }
     }
 }
@@ -188,15 +212,18 @@ impl RewriteEngine for RegenEngine {
 
         // Span partition + parallel slot sizing (pure per instruction).
         let spans = inst_spans(&d, SPAN_INSTS);
-        let span_sizes: Vec<Vec<u64>> =
-            chimera_analysis::par::map_indexed(workers, spans.len(), |i| {
-                let (s, e) = spans[i];
-                insts[s..e]
-                    .iter()
-                    .map(|di| self.slot_size(di, &direct_pair, frame.spill_base, frame.abi_gp))
-                    .collect()
-            });
-        let sizes: Vec<u64> = span_sizes.into_iter().flatten().collect();
+        let translator = Translator::new(frame.spill_base, frame.abi_gp);
+        let sized = chimera_analysis::par::map_indexed(workers, spans.len(), |i| {
+            let (s, e) = spans[i];
+            self.size_span(&insts[s..e], &direct_pair, &translator)
+        });
+        let mut sizes: Vec<u64> = Vec::with_capacity(insts.len());
+        let mut translations = Vec::with_capacity(spans.len());
+        for span in sized {
+            let (span_sizes, translated) = span?;
+            sizes.extend(span_sizes);
+            translations.push(translated);
+        }
 
         // Address map: original → relocated (prefix sum over slot sizes).
         let mut map = BTreeMap::new();
@@ -221,6 +248,7 @@ impl RewriteEngine for RegenEngine {
             units: Arc::new(RegenUnits {
                 engine: *self,
                 frame,
+                translations,
                 insts,
                 direct_pair,
                 map,
@@ -250,24 +278,20 @@ impl Units for RegenUnits {
     fn emit(&self, idx: usize) -> Result<UnitArtifact, RewriteError> {
         let (start, end) = self.spans[idx];
         let engine = &self.engine;
-        let mut translator = Translator::new(self.frame.spill_base, self.frame.abi_gp);
+        let mut translated = self.translations[idx].iter();
         let mut em = BlockEmitter::new();
         let mut art = UnitArtifact::default();
         let mut info = RegenInfo::default();
         for (di, &size) in self.insts[start..end].iter().zip(&self.sizes[start..end]) {
             let new_addr = self.map[&di.addr];
             let slot_start = em.offset();
-            if engine.mode.is_source(&di.inst, engine.target) {
-                match engine.mode {
-                    Mode::EmptyPatch(_) => {
-                        em.inst(di.inst);
-                    }
-                    Mode::Downgrade => {
-                        if translator.downgrade(&di.inst, &mut em).is_err() {
-                            em.inst(di.inst); // Untranslated: traps at runtime.
-                            art.fht.untranslated.insert(new_addr);
-                        }
-                    }
+            if engine.translates(&di.inst) {
+                em.raw(translated.next().expect("the scan translated it"));
+            } else if engine.mode.is_source(&di.inst, engine.target) {
+                em.inst(di.inst);
+                if engine.mode == Mode::Downgrade {
+                    // No template: faults at runtime, the kernel migrates.
+                    art.fht.untranslated.insert(new_addr);
                 }
             } else if let Some(&old_target) = self.direct_pair.get(&di.addr) {
                 // Statically resolved call: jump straight to the relocated
@@ -311,7 +335,7 @@ impl Units for RegenUnits {
                 em.inst(chimera_isa::nop());
             }
         }
-        art.bytes = em.finish();
+        art.bytes = em.finish()?;
         art.regen = Some(info);
         Ok(art)
     }
@@ -450,9 +474,7 @@ fn emit_relocated(
         }
         Inst::Jalr { rd, rs1, offset } => {
             if flavor == Flavor::Safer && safer_instrumentable(rd, rs1, offset) {
-                emit_safer_check(
-                    di, new_addr, size, rd, rs1, offset, new_base, abi_gp, em, info,
-                );
+                emit_safer_check(new_addr, size, rd, rs1, offset, new_base, abi_gp, em, info);
                 stats.exit_trampolines += 1;
             } else {
                 em.inst(di.inst);
@@ -491,7 +513,6 @@ fn emit_relocated(
 /// ```
 #[allow(clippy::too_many_arguments)]
 fn emit_safer_check(
-    di: &DisasmInst,
     new_addr: u64,
     size: u64,
     rd: XReg,
@@ -504,10 +525,10 @@ fn emit_safer_check(
 ) {
     let j = if rd != XReg::ZERO { rd } else { rs1 };
     let slot_start = em.offset();
-    let fast = format!("safer_fast_{:x}", di.addr);
+    let fast = em.new_label();
     em.inst(chimera_obj::addi(j, rs1, offset));
     em.li32(XReg::GP, new_base as i64);
-    em.branch_to(chimera_isa::BranchKind::Bgeu, j, XReg::GP, fast.clone());
+    em.branch_to(chimera_isa::BranchKind::Bgeu, j, XReg::GP, fast);
     // Slow path: the kernel corrects the target and installs the link.
     let trap_at = new_addr + (em.offset() - slot_start);
     em.inst(Inst::Ebreak);

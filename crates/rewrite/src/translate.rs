@@ -15,6 +15,12 @@
 //!   appended to the rewritten binary ([`SpillLayout`]), so the computation
 //!   context survives migration between cores exactly as §4.1 requires.
 //!
+//! A [`Translator`] is a `Copy` value — the spill base and the ABI `gp`,
+//! the only two things a template materializes that belong to the binary
+//! rather than to the instruction. Emission changes nothing in it (local
+//! labels are the emitter's), so one is built per scanned unit set, per
+//! regeneration scan and per kernel runner, and shared by reference.
+//!
 //! Supported downgrades: the whole modelled RVV subset at `e32`/`e64` with
 //! `m1` grouping (the element width is dispatched at runtime from the
 //! spilled `vtype`), and the Zba/Zbb subset. [`Translator::can_downgrade`]
@@ -94,14 +100,14 @@ const X_POOL: [XReg; 5] = [XReg::T2, XReg::T3, XReg::T4, XReg::T5, XReg::T6];
 /// The FP scratch pool.
 const F_SCRATCH: [FReg; 3] = [FReg::of(28), FReg::of(29), FReg::of(30)];
 
-/// Translates extension instructions to base sequences.
-#[derive(Debug)]
+/// Translates extension instructions to base sequences. A value: the two
+/// addresses every template materializes, and nothing an emission changes.
+#[derive(Debug, Clone, Copy)]
 pub struct Translator {
     /// Spill-section layout.
     pub spill: SpillLayout,
     /// The ABI `gp` value to re-materialize after clobbering.
     pub abi_gp: u64,
-    site: u64,
 }
 
 impl Translator {
@@ -111,13 +117,7 @@ impl Translator {
         Translator {
             spill: SpillLayout { base: spill_base },
             abi_gp,
-            site: 0,
         }
-    }
-
-    fn fresh(&mut self, stem: &str) -> String {
-        self.site += 1;
-        format!("{stem}_{}", self.site)
     }
 
     /// Emits `gp = abi_gp`.
@@ -267,7 +267,7 @@ impl Translator {
     /// Emits the downgrade of `inst` standalone: for vector instructions
     /// this wraps the body in its own one-instruction sequence; Zba/Zbb
     /// templates carry their own lightweight save discipline.
-    pub fn downgrade(&mut self, inst: &Inst, em: &mut BlockEmitter) -> Result<(), Untranslatable> {
+    pub fn downgrade(&self, inst: &Inst, em: &mut BlockEmitter) -> Result<(), Untranslatable> {
         if !Self::can_downgrade(inst) {
             return Err(Untranslatable(*inst));
         }
@@ -284,7 +284,7 @@ impl Translator {
     /// Emits the downgrade of a vector `inst` inside an open sequence
     /// (`gp` = spill pointer, scratches saved).
     pub fn downgrade_in_seq(
-        &mut self,
+        &self,
         inst: &Inst,
         em: &mut BlockEmitter,
     ) -> Result<(), Untranslatable> {
@@ -297,7 +297,7 @@ impl Translator {
 
     /// The body of a [`Translator::sequenceable`] instruction
     /// [`Translator::can_downgrade`] admitted.
-    fn vector_body(&mut self, inst: &Inst, em: &mut BlockEmitter) {
+    fn vector_body(&self, inst: &Inst, em: &mut BlockEmitter) {
         match *inst {
             Inst::Vsetvli { rd, rs1, vtype } => self.vsetvli(rd, rs1, vtype.sew, em),
             Inst::VLoad { eew, vd, rs1 } => self.vmem(true, eew, vd, rs1, em),
@@ -311,7 +311,7 @@ impl Translator {
 
     /// The Zba/Zbb scalar templates [`Translator::can_downgrade`] admitted
     /// (standalone, with their own gp discipline).
-    fn scalar_body(&mut self, inst: &Inst, em: &mut BlockEmitter) {
+    fn scalar_body(&self, inst: &Inst, em: &mut BlockEmitter) {
         match *inst {
             Inst::Op { kind, rd, rs1, rs2 } => self.zb_op(kind, rd, rs1, rs2, em),
             Inst::OpImm { rd, rs1, imm, .. } => self.rori(rd, rs1, imm, em),
@@ -327,9 +327,9 @@ impl Translator {
     // slots (capture_x) and scratch destinations are written through their
     // slots (deliver_rd).
 
-    fn vsetvli(&mut self, rd: XReg, rs1: XReg, sew: Eew, em: &mut BlockEmitter) {
+    fn vsetvli(&self, rd: XReg, rs1: XReg, sew: Eew, em: &mut BlockEmitter) {
         let vlmax = (VLEN as i64) / sew.bits() as i64;
-        let done = self.fresh("vset_done");
+        let done = em.new_label();
         // t2 = requested AVL (or VLMAX for the rs1=zero, rd!=zero form).
         if rs1 == XReg::ZERO {
             if rd == XReg::ZERO {
@@ -347,7 +347,7 @@ impl Translator {
         }
         // t3 = VLMAX; t2 = min(t2, t3).
         em.inst(chimera_obj::addi(XReg::T3, XReg::ZERO, vlmax as i32));
-        em.branch_to(BranchKind::Bltu, XReg::T2, XReg::T3, done.clone());
+        em.branch_to(BranchKind::Bltu, XReg::T2, XReg::T3, done);
         em.inst(chimera_isa::mv(XReg::T2, XReg::T3));
         em.label(done);
         em.inst(Inst::Store {
@@ -374,8 +374,8 @@ impl Translator {
 
     /// Unit-stride vector load/store between memory at `rs1` and the
     /// simulated register file.
-    fn vmem(&mut self, is_load: bool, eew: Eew, v: VReg, rs1: XReg, em: &mut BlockEmitter) {
-        let (loop_l, done) = (self.fresh("vmem_loop"), self.fresh("vmem_done"));
+    fn vmem(&self, is_load: bool, eew: Eew, v: VReg, rs1: XReg, em: &mut BlockEmitter) {
+        let (loop_l, done) = (em.new_label(), em.new_label());
         let esz = eew.bytes() as i32;
         // t2 = memory cursor.
         self.capture_x(em, XReg::T2, rs1);
@@ -392,8 +392,8 @@ impl Translator {
             XReg::GP,
             SpillLayout::vreg_off(v),
         ));
-        em.label(loop_l.clone());
-        em.branch_to(BranchKind::Beq, XReg::T3, XReg::ZERO, done.clone());
+        em.label(loop_l);
+        em.branch_to(BranchKind::Beq, XReg::T3, XReg::ZERO, done);
         let (lk, sk) = if esz == 8 {
             (LoadKind::Ld, StoreKind::Sd)
         } else {
@@ -433,11 +433,7 @@ impl Translator {
         em.label(done);
     }
 
-    fn varith(&mut self, op: VArithOp, vd: VReg, vs2: VReg, src: VSrc, em: &mut BlockEmitter) {
-        let (l32, l_done) = (self.fresh("va32"), self.fresh("va_done"));
-        let (loop64, d64) = (self.fresh("va_loop64"), self.fresh("va_d64"));
-        let (loop32, d32) = (self.fresh("va_loop32"), self.fresh("va_d32"));
-
+    fn varith(&self, op: VArithOp, vd: VReg, vs2: VReg, src: VSrc, em: &mut BlockEmitter) {
         // Stage the scalar operand (x/f/i) into RESULT.
         match src {
             VSrc::X(rs1) => {
@@ -486,6 +482,7 @@ impl Translator {
             VSrc::V(_) => {}
         }
         // Dispatch on the spilled SEW.
+        let (l32, l_done) = (em.new_label(), em.new_label());
         em.inst(Inst::Load {
             kind: LoadKind::Ld,
             rd: XReg::T2,
@@ -493,11 +490,11 @@ impl Translator {
             offset: SpillLayout::SEW,
         });
         em.inst(chimera_obj::addi(XReg::T2, XReg::T2, -8));
-        em.branch_to(BranchKind::Bne, XReg::T2, XReg::ZERO, l32.clone());
-        self.varith_loop(op, vd, vs2, src, Eew::E64, em, (&loop64, &d64));
-        em.jal_to(XReg::ZERO, l_done.clone());
+        em.branch_to(BranchKind::Bne, XReg::T2, XReg::ZERO, l32);
+        self.varith_loop(op, vd, vs2, src, Eew::E64, em);
+        em.jal_to(XReg::ZERO, l_done);
         em.label(l32);
-        self.varith_loop(op, vd, vs2, src, Eew::E32, em, (&loop32, &d32));
+        self.varith_loop(op, vd, vs2, src, Eew::E32, em);
         em.label(l_done);
     }
 
@@ -506,17 +503,16 @@ impl Translator {
     /// Register roles inside the loop: `t2` = byte cursor, `t3` = end
     /// offset, `t4` = element address, `t5`/`t6` = int operands
     /// (`ft8`/`ft9`/`ft10` for FP); reductions accumulate in `t6`/`ft10`.
-    #[allow(clippy::too_many_arguments)]
     fn varith_loop(
-        &mut self,
+        &self,
         op: VArithOp,
         vd: VReg,
         vs2: VReg,
         src: VSrc,
         eew: Eew,
         em: &mut BlockEmitter,
-        (loop_l, done): (&str, &str),
     ) {
+        let (loop_l, done) = (em.new_label(), em.new_label());
         let esz = eew.bytes() as i32;
         let shift = if esz == 8 { 3 } else { 2 };
         let (lk, sk) = if esz == 8 {
@@ -583,8 +579,8 @@ impl Translator {
                 }
             }
         }
-        em.label(loop_l.to_string());
-        em.branch_to(BranchKind::Bge, XReg::T2, XReg::T3, done.to_string());
+        em.label(loop_l);
+        em.branch_to(BranchKind::Bge, XReg::T2, XReg::T3, done);
         // t4 = gp + cursor; element fields at static offsets from t4.
         em.inst(chimera_obj::add(XReg::T4, XReg::GP, XReg::T2));
         let a_off = SpillLayout::vreg_off(vs2);
@@ -756,13 +752,13 @@ impl Translator {
                 }
                 VArithOp::Vmin | VArithOp::Vmax => {
                     // Branch-free via slt + masking is longer; use a branch.
-                    let keep = self.fresh("vminmax");
+                    let keep = em.new_label();
                     let bk = if op == VArithOp::Vmin {
                         BranchKind::Blt
                     } else {
                         BranchKind::Bge
                     };
-                    em.branch_to(bk, XReg::T5, XReg::T6, keep.clone());
+                    em.branch_to(bk, XReg::T5, XReg::T6, keep);
                     em.inst(chimera_isa::mv(XReg::T5, XReg::T6));
                     em.label(keep);
                     em.inst(Inst::Store {
@@ -798,8 +794,8 @@ impl Translator {
             }
         }
         em.inst(chimera_obj::addi(XReg::T2, XReg::T2, esz));
-        em.jal_to(XReg::ZERO, loop_l.to_string());
-        em.label(done.to_string());
+        em.jal_to(XReg::ZERO, loop_l);
+        em.label(done);
         if is_red {
             // Write the accumulator to vd[0].
             if op.is_fp() {
@@ -820,8 +816,8 @@ impl Translator {
         }
     }
 
-    fn vmv_x_s(&mut self, rd: XReg, vs2: VReg, em: &mut BlockEmitter) {
-        let (l32, done) = (self.fresh("vmvxs32"), self.fresh("vmvxs_done"));
+    fn vmv_x_s(&self, rd: XReg, vs2: VReg, em: &mut BlockEmitter) {
+        let (l32, done) = (em.new_label(), em.new_label());
         em.inst(Inst::Load {
             kind: LoadKind::Ld,
             rd: XReg::T2,
@@ -829,14 +825,14 @@ impl Translator {
             offset: SpillLayout::SEW,
         });
         em.inst(chimera_obj::addi(XReg::T2, XReg::T2, -8));
-        em.branch_to(BranchKind::Bne, XReg::T2, XReg::ZERO, l32.clone());
+        em.branch_to(BranchKind::Bne, XReg::T2, XReg::ZERO, l32);
         em.inst(Inst::Load {
             kind: LoadKind::Ld,
             rd: XReg::T2,
             rs1: XReg::GP,
             offset: SpillLayout::vreg_off(vs2),
         });
-        em.jal_to(XReg::ZERO, done.clone());
+        em.jal_to(XReg::ZERO, done);
         em.label(l32);
         em.inst(Inst::Load {
             kind: LoadKind::Lw,
@@ -854,8 +850,8 @@ impl Translator {
         self.deliver_rd(em, rd);
     }
 
-    fn vmv_s_x(&mut self, vd: VReg, rs1: XReg, em: &mut BlockEmitter) {
-        let (l32, done) = (self.fresh("vmvsx32"), self.fresh("vmvsx_done"));
+    fn vmv_s_x(&self, vd: VReg, rs1: XReg, em: &mut BlockEmitter) {
+        let (l32, done) = (em.new_label(), em.new_label());
         self.capture_x(em, XReg::T2, rs1);
         em.inst(Inst::Load {
             kind: LoadKind::Ld,
@@ -864,14 +860,14 @@ impl Translator {
             offset: SpillLayout::SEW,
         });
         em.inst(chimera_obj::addi(XReg::T3, XReg::T3, -8));
-        em.branch_to(BranchKind::Bne, XReg::T3, XReg::ZERO, l32.clone());
+        em.branch_to(BranchKind::Bne, XReg::T3, XReg::ZERO, l32);
         em.inst(Inst::Store {
             kind: StoreKind::Sd,
             rs1: XReg::GP,
             rs2: XReg::T2,
             offset: SpillLayout::vreg_off(vd),
         });
-        em.jal_to(XReg::ZERO, done.clone());
+        em.jal_to(XReg::ZERO, done);
         em.label(l32);
         em.inst(Inst::Store {
             kind: StoreKind::Sw,
@@ -884,7 +880,7 @@ impl Translator {
 
     // ----- Zba/Zbb templates ------------------------------------------------
 
-    fn zb_op(&mut self, kind: OpKind, rd: XReg, rs1: XReg, rs2: XReg, em: &mut BlockEmitter) {
+    fn zb_op(&self, kind: OpKind, rd: XReg, rs1: XReg, rs2: XReg, em: &mut BlockEmitter) {
         match kind {
             OpKind::Sh1add | OpKind::Sh2add | OpKind::Sh3add => {
                 let n = match kind {
@@ -940,17 +936,17 @@ impl Translator {
                 self.restore_gp(em);
             }
             OpKind::Min | OpKind::Minu | OpKind::Max | OpKind::Maxu => {
-                let l1 = self.fresh("mm_take1");
-                let l2 = self.fresh("mm_done");
+                let l1 = em.new_label();
+                let l2 = em.new_label();
                 let bk = match kind {
                     OpKind::Min => BranchKind::Blt,
                     OpKind::Minu => BranchKind::Bltu,
                     OpKind::Max => BranchKind::Bge,
                     _ => BranchKind::Bgeu,
                 };
-                em.branch_to(bk, rs1, rs2, l1.clone());
+                em.branch_to(bk, rs1, rs2, l1);
                 em.inst(chimera_isa::mv(XReg::GP, rs2));
-                em.jal_to(XReg::ZERO, l2.clone());
+                em.jal_to(XReg::ZERO, l2);
                 em.label(l1);
                 em.inst(chimera_isa::mv(XReg::GP, rs1));
                 em.label(l2);
@@ -1017,7 +1013,7 @@ impl Translator {
 
     /// Epilogue for templates whose result lives in `gp`: spill the result,
     /// restore the scratch, deliver to `rd`, restore `gp`.
-    fn spill_gp_keeping(&mut self, em: &mut BlockEmitter, scratch: XReg, rd: XReg) {
+    fn spill_gp_keeping(&self, em: &mut BlockEmitter, scratch: XReg, rd: XReg) {
         // rd receives gp's value first (rd != scratch by construction).
         em.inst(chimera_isa::mv(rd, XReg::GP));
         self.spill_gp(em);
@@ -1030,7 +1026,7 @@ impl Translator {
         self.restore_gp(em);
     }
 
-    fn rori(&mut self, rd: XReg, rs1: XReg, imm: i32, em: &mut BlockEmitter) {
+    fn rori(&self, rd: XReg, rs1: XReg, imm: i32, em: &mut BlockEmitter) {
         let sh = imm & 63;
         if sh == 0 {
             em.inst(chimera_isa::mv(rd, rs1));
@@ -1057,7 +1053,7 @@ impl Translator {
         self.restore_gp(em);
     }
 
-    fn zb_unary(&mut self, kind: UnaryKind, rd: XReg, rs1: XReg, em: &mut BlockEmitter) {
+    fn zb_unary(&self, kind: UnaryKind, rd: XReg, rs1: XReg, em: &mut BlockEmitter) {
         match kind {
             UnaryKind::SextB | UnaryKind::SextH | UnaryKind::ZextH => {
                 let (sh, arith) = match kind {
@@ -1083,14 +1079,14 @@ impl Translator {
                 });
             }
             UnaryKind::Clz => {
-                let (loop_l, done) = (self.fresh("clz_loop"), self.fresh("clz_done"));
+                let (loop_l, done) = (em.new_label(), em.new_label());
                 // gp = working copy; rd = counter.
                 em.inst(chimera_isa::mv(XReg::GP, rs1));
                 em.inst(chimera_obj::addi(rd, XReg::ZERO, 64));
-                em.branch_to(BranchKind::Beq, XReg::GP, XReg::ZERO, done.clone());
+                em.branch_to(BranchKind::Beq, XReg::GP, XReg::ZERO, done);
                 em.inst(chimera_obj::addi(rd, XReg::ZERO, 0));
-                em.label(loop_l.clone());
-                em.branch_to(BranchKind::Blt, XReg::GP, XReg::ZERO, done.clone());
+                em.label(loop_l);
+                em.branch_to(BranchKind::Blt, XReg::GP, XReg::ZERO, done);
                 em.inst(Inst::OpImm {
                     kind: OpImmKind::Slli,
                     rd: XReg::GP,
@@ -1104,7 +1100,7 @@ impl Translator {
             }
             UnaryKind::Ctz | UnaryKind::Cpop => {
                 let s = pick_scratch(&[rs1, rd]);
-                let (loop_l, done) = (self.fresh("zb_loop"), self.fresh("zb_done"));
+                let (loop_l, done) = (em.new_label(), em.new_label());
                 self.spill_gp(em);
                 em.inst(Inst::Store {
                     kind: StoreKind::Sd,
@@ -1115,16 +1111,16 @@ impl Translator {
                 em.inst(chimera_isa::mv(XReg::GP, rs1));
                 if kind == UnaryKind::Ctz {
                     em.inst(chimera_obj::addi(rd, XReg::ZERO, 64));
-                    em.branch_to(BranchKind::Beq, XReg::GP, XReg::ZERO, done.clone());
+                    em.branch_to(BranchKind::Beq, XReg::GP, XReg::ZERO, done);
                     em.inst(chimera_obj::addi(rd, XReg::ZERO, 0));
-                    em.label(loop_l.clone());
+                    em.label(loop_l);
                     em.inst(Inst::OpImm {
                         kind: OpImmKind::Andi,
                         rd: s,
                         rs1: XReg::GP,
                         imm: 1,
                     });
-                    em.branch_to(BranchKind::Bne, s, XReg::ZERO, done.clone());
+                    em.branch_to(BranchKind::Bne, s, XReg::ZERO, done);
                     em.inst(Inst::OpImm {
                         kind: OpImmKind::Srli,
                         rd: XReg::GP,
@@ -1135,8 +1131,8 @@ impl Translator {
                     em.jal_to(XReg::ZERO, loop_l);
                 } else {
                     em.inst(chimera_obj::addi(rd, XReg::ZERO, 0));
-                    em.label(loop_l.clone());
-                    em.branch_to(BranchKind::Beq, XReg::GP, XReg::ZERO, done.clone());
+                    em.label(loop_l);
+                    em.branch_to(BranchKind::Beq, XReg::GP, XReg::ZERO, done);
                     em.inst(Inst::OpImm {
                         kind: OpImmKind::Andi,
                         rd: s,
@@ -1229,7 +1225,7 @@ mod tests {
 
     #[test]
     fn sh1add_template_shape() {
-        let mut t = Translator::new(0x9_0000, 0x8_0800);
+        let t = Translator::new(0x9_0000, 0x8_0800);
         let mut em = BlockEmitter::new();
         t.downgrade(
             &Inst::Op {
@@ -1241,7 +1237,7 @@ mod tests {
             &mut em,
         )
         .unwrap();
-        let bytes = em.finish();
+        let bytes = em.finish().unwrap();
         // slli gp, a1, 1; add a0, gp, a2; lui/addi gp restore.
         let w0 = decode(u32::from_le_bytes(bytes[0..4].try_into().unwrap()))
             .unwrap()
@@ -1259,7 +1255,7 @@ mod tests {
 
     #[test]
     fn untranslatable_for_lmul8() {
-        let mut t = Translator::new(0x9_0000, 0x8_0800);
+        let t = Translator::new(0x9_0000, 0x8_0800);
         let mut em = BlockEmitter::new();
         let r = t.downgrade(
             &Inst::Vsetvli {
@@ -1344,14 +1340,14 @@ mod tests {
             }
         }
         let base = chimera_isa::ExtSet::RV64GC.without(chimera_isa::Ext::B);
-        let mut t = Translator::new(0x9_0000, 0x8_0800);
+        let t = Translator::new(0x9_0000, 0x8_0800);
         // FNV-1a over one '0' / '1' per instruction.
         let (mut translated, mut answers) = (0, 0xcbf2_9ce4_8422_2325_u64);
         for inst in &insts {
             let can = Translator::can_downgrade(inst);
             let mut em = BlockEmitter::new();
             assert_eq!(t.downgrade(inst, &mut em).is_ok(), can, "{inst}");
-            let bytes = em.finish();
+            let bytes = em.finish().unwrap();
             // A template is base code standing for an instruction the base
             // profile lacks; a refusal emits nothing.
             assert_eq!(bytes.is_empty(), !can, "{inst}");
@@ -1371,7 +1367,7 @@ mod tests {
 
     #[test]
     fn all_vector_templates_emit() {
-        let mut t = Translator::new(0x9_0000, 0x8_0800);
+        let t = Translator::new(0x9_0000, 0x8_0800);
         let v = VReg::of;
         let cases = vec![
             Inst::Vsetvli {
@@ -1437,7 +1433,7 @@ mod tests {
             let mut em = BlockEmitter::new();
             t.downgrade(&inst, &mut em)
                 .unwrap_or_else(|e| panic!("{inst}: {e}"));
-            let bytes = em.finish();
+            let bytes = em.finish().unwrap();
             assert!(bytes.len() >= 8, "{inst} produced too little code");
             // Every emitted word decodes to a base-profile instruction.
             for chunk in bytes.chunks(4) {
@@ -1455,7 +1451,7 @@ mod tests {
 
     #[test]
     fn zb_templates_emit_base_only() {
-        let mut t = Translator::new(0x9_0000, 0x8_0800);
+        let t = Translator::new(0x9_0000, 0x8_0800);
         let cases = vec![
             Inst::Op {
                 kind: OpKind::Sh3add,
@@ -1524,7 +1520,7 @@ mod tests {
             let mut em = BlockEmitter::new();
             t.downgrade(&inst, &mut em)
                 .unwrap_or_else(|e| panic!("{inst}: {e}"));
-            for chunk in em.finish().chunks(4) {
+            for chunk in em.finish().unwrap().chunks(4) {
                 let w = u32::from_le_bytes(chunk.try_into().unwrap());
                 let d = decode(w).unwrap();
                 assert!(d.inst.runnable_on(base), "{inst} emitted {}", d.inst);

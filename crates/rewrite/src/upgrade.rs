@@ -445,7 +445,7 @@ impl Units for UpgradeUnits {
             reemit(&di.inst, di.addr, &mut em);
         }
         exit_to(vl.space_end(), &mut em);
-        Ok(em.finish_unit())
+        em.finish_unit()
     }
 }
 
@@ -464,7 +464,6 @@ fn emit_vector_loop(vl: &VecLoop, em: &mut BlockEmitter) {
     };
     let (v1, v2, v3, v4) = (VReg::of(1), VReg::of(2), VReg::of(3), VReg::of(4));
     let vacc = VReg::of(8);
-    let head = format!("vloop_{:x}", vl.head);
     // Dot kernels accumulate lane-wise in a vector register across strips
     // and reduce ONCE at loop exit: internal loop iterations are not entry
     // points (only the block head is), so mid-loop state need not match
@@ -484,7 +483,8 @@ fn emit_vector_loop(vl: &VecLoop, em: &mut BlockEmitter) {
             src: VSrc::I(0),
         });
     }
-    em.label(head.clone());
+    let head = em.new_label();
+    em.label(head);
     // gp = vl = min(counter, VLMAX).
     em.inst(Inst::Vsetvli {
         rd: XReg::GP,

@@ -361,12 +361,12 @@ fn lazy_blocks_match_static_translation() {
     // kernel actually wrote.
     let mut expected_bytes = Vec::new();
     for inst in &sites {
-        let mut translator = Translator::new(fht.spill_base, fht.abi_gp);
+        let translator = Translator::new(fht.spill_base, fht.abi_gp);
         let mut em = BlockEmitter::new();
-        emit_site_translation(inst, Mode::Downgrade, &mut translator, &mut em)
+        emit_site_translation(inst, Mode::Downgrade, &translator, &mut em)
             .expect("site is translatable");
         em.inst(Inst::Ebreak);
-        expected_bytes.extend(em.finish());
+        expected_bytes.extend(em.finish().unwrap());
     }
     let lazy_bytes = mem
         .peek(fht.target_range.1, expected_bytes.len())

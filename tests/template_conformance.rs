@@ -1,0 +1,382 @@
+//! Executed template conformance (ROADMAP item 3, step 0).
+//!
+//! What each downgrade template *computes* — not which instructions have
+//! one (`can_downgrade_is_downgrade_succeeding_on_every_table_row`) nor
+//! the bytes it emits (the golden digests). One source instruction per
+//! program, generated from the ISA tables (`VArithOp::ALL` ×
+//! `VArithOp::allows`, `OpKind::ALL`, `UnaryKind::ALL`), crossed with what
+//! a template treats specially: both element widths, boundary vector
+//! lengths, destination / source aliasing, and operands in the
+//! translation's own scratch pools. The CHBP-downgraded program on a base
+//! core must leave the same x and f register files, writable memory and
+//! vector state (`.chimera.vregs` against the hart) as the original on a
+//! core that has the extension, in `ExecMode::Reference`.
+//!
+//! The differential fuzzer only ever generates `e64, m1`; this is the
+//! executed evidence for the `e32` half of every vector template.
+
+use chimera_emu::ExecMode;
+use chimera_isa::{
+    Eew, Ext, ExtSet, FReg, FpWidth, Inst, OpImmKind, OpKind, UnaryKind, VArithOp, VReg, VSrc,
+    VType, XReg, VLEN,
+};
+use chimera_kernel::RuntimeTables;
+use chimera_obj::{Binary, DataSec, ModuleBuilder};
+use chimera_rewrite::translate::SpillLayout;
+use chimera_rewrite::{chbp_rewrite, RewriteOptions};
+use chimera_testutil::{run_under_kernel, writable_bytes, FUEL};
+
+const VLENB: usize = VLEN as usize / 8;
+/// The translation's scratch pools (`translate.rs`): an operand here is
+/// read from, and a destination here written through, its save slot.
+const X_POOL: [XReg; 5] = [XReg::T2, XReg::T3, XReg::T4, XReg::T5, XReg::T6];
+const F_SCRATCH: [FReg; 3] = [FReg::of(28), FReg::of(29), FReg::of(30)];
+
+/// Everything a program leaves behind that the two runs must agree on.
+#[derive(Debug, PartialEq)]
+struct Final {
+    x: [u64; 32],
+    f: Vec<u64>,
+    vl: u64,
+    sew_bytes: u64,
+    v: Vec<u8>,
+    mem: Vec<(String, Vec<u8>)>,
+}
+
+/// The original on `profile`, in the reference interpreter.
+fn native(bin: &Binary, profile: ExtSet) -> Final {
+    let (mut cpu, mut mem) = chimera_emu::boot(bin, profile);
+    cpu.set_mode(ExecMode::Reference);
+    chimera_emu::run_cpu(&mut cpu, &mut mem, FUEL).expect("the original exits");
+    let h = &cpu.hart;
+    Final {
+        x: h.xregs(),
+        f: (0..32).map(|i| h.get_f(FReg::of(i))).collect(),
+        vl: h.vl,
+        sew_bytes: h.vtype.map_or(0, |t| t.sew.bytes()),
+        v: (0..32).flat_map(|i| *h.get_v(VReg::of(i))).collect(),
+        mem: writable_bytes(&mut mem, bin),
+    }
+}
+
+/// The CHBP downgrade of `bin` for `target`, under the kernel on a
+/// `target` core; vector state is read from the spill section.
+fn downgraded(bin: &Binary, target: ExtSet) -> Final {
+    let rw = chbp_rewrite(bin, target, RewriteOptions::default()).expect("rewrites");
+    assert!(rw.fht.untranslated.is_empty(), "every case has a template");
+    let spill = rw.fht.spill_base;
+    let tables = RuntimeTables {
+        fht: Some(rw.fht),
+        regen: None,
+    };
+    let mut kr = run_under_kernel(rw.binary, tables, target, false);
+    assert_eq!(kr.cpu.stats.vector_insts, 0, "ran on the base core");
+    let mut slot = |offset: i32, len: usize| {
+        let addr = spill + offset as u64;
+        kr.mem.peek(addr, len).expect("the spill section is mapped")
+    };
+    let dword = |bytes: Vec<u8>| u64::from_le_bytes(bytes.try_into().unwrap());
+    Final {
+        vl: dword(slot(SpillLayout::VL, 8)),
+        sew_bytes: dword(slot(SpillLayout::SEW, 8)),
+        v: slot(SpillLayout::VREGS, 32 * VLENB),
+        x: kr.cpu.hart.xregs(),
+        f: (0..32).map(|i| kr.cpu.hart.get_f(FReg::of(i))).collect(),
+        mem: writable_bytes(&mut kr.mem, bin),
+    }
+}
+
+fn vtype(sew: Eew) -> VType {
+    let (lmul, ta, ma) = (1, true, true);
+    VType { sew, lmul, ta, ma }
+}
+
+/// One source instruction and the state it runs in.
+struct Case {
+    /// `SEW` of the `vsetvli` before the instruction under test.
+    width: Eew,
+    /// The vector length that `vsetvli` requests.
+    vl: u64,
+    /// Floating-point element data (small exact values) instead of the
+    /// integer patterns.
+    fp: bool,
+    /// A register to point at the `mem` buffer (`vle` / `vse`).
+    ptr: Option<XReg>,
+    /// A register to load with a value after the common setup.
+    set: Option<(XReg, i64)>,
+    /// The instruction under test.
+    iut: Inst,
+}
+
+/// Element `i` of source pattern `reg` at `width`: floats a few exact
+/// binary fractions apart, both signs (no zero: `vfdiv`), or integers
+/// around the sign and carry boundaries of both widths.
+fn element(width: Eew, fp: bool, reg: usize, i: usize) -> u64 {
+    let n = (reg * 8 + i) as i64;
+    if fp {
+        let v = (n - 13) as f64 * 0.75 + 0.125;
+        return match width {
+            Eew::E32 => (v as f32).to_bits() as u64,
+            _ => v.to_bits(),
+        };
+    }
+    const INTS: [u64; 8] = [
+        0x7fff_ffff_ffff_ffff,
+        0x8000_0000_0000_0000,
+        0xffff_ffff_ffff_fffe,
+        0x0000_0000_8000_0000,
+        0x0000_0001_7fff_ffff,
+        0x0123_4567_89ab_cdef,
+        3,
+        0xffff_ffff_8000_0001,
+    ];
+    INTS[(n as usize) % 8].wrapping_mul(2 * reg as u64 + 1) ^ (i as u64)
+}
+
+/// `v1..v4` loaded with patterns, every scratch-pool register and `a3` /
+/// `fa0` holding a known value, `vl` and `SEW` set as the case asks, then
+/// the instruction under test and `exit`. What the instruction wrote is
+/// read off the final state; so is whether every scratch came back.
+fn vector_program(c: &Case) -> Binary {
+    let esz = c.width.bytes() as usize;
+    let mut b = ModuleBuilder::new(false);
+    b.data_label(DataSec::Rw, "pat");
+    for reg in 0..4 {
+        for i in 0..VLENB / esz {
+            let e = element(c.width, c.fp, reg, i).to_le_bytes();
+            b.data_bytes(DataSec::Rw, &e[..esz]);
+        }
+    }
+    // Scalar fp operands in the element format (a single is NaN-boxed by
+    // its `flw`).
+    b.data_label(DataSec::Rw, "scalars");
+    for i in 0..4 {
+        b.dword(DataSec::Rw, element(c.width, true, 5, i));
+    }
+    b.data_label(DataSec::Rw, "mem");
+    for i in 0..VLENB / esz {
+        let e = element(c.width, c.fp, 4, i).to_le_bytes();
+        b.data_bytes(DataSec::Rw, &e[..esz]);
+    }
+
+    b.label("_start").la(XReg::A0, "pat");
+    b.inst(Inst::Vsetvli {
+        rd: XReg::T0,
+        rs1: XReg::ZERO,
+        vtype: vtype(Eew::E64),
+    });
+    for reg in 1..=4 {
+        b.inst(Inst::VLoad {
+            eew: Eew::E64,
+            vd: VReg::of(reg),
+            rs1: XReg::A0,
+        });
+        b.inst(chimera_obj::addi(XReg::A0, XReg::A0, VLENB as i32));
+    }
+    b.la(XReg::A0, "scalars");
+    let width = match c.width {
+        Eew::E32 => FpWidth::S,
+        _ => FpWidth::D,
+    };
+    for (i, frd) in [FReg::of(10)].into_iter().chain(F_SCRATCH).enumerate() {
+        b.inst(Inst::FLoad {
+            width,
+            frd,
+            rs1: XReg::A0,
+            offset: 8 * i as i32,
+        });
+    }
+    // Sign-extended 32-bit values: what a compiler keeps in a register it
+    // feeds an `e32` operation.
+    b.li(XReg::A3, -3);
+    for (i, r) in X_POOL.into_iter().enumerate() {
+        b.li(r, [0x1111, -7, 0x7fff_fff0, 41, -0x4000_0000][i]);
+    }
+    if let Some(r) = c.ptr {
+        b.la(r, "mem");
+    }
+    b.li(XReg::A1, c.vl as i64);
+    b.inst(Inst::Vsetvli {
+        rd: XReg::A2,
+        rs1: XReg::A1,
+        vtype: vtype(c.width),
+    });
+    if let Some((r, v)) = c.set {
+        b.li(r, v);
+    }
+    b.inst(c.iut).li(XReg::A7, 93).inst(Inst::Ecall);
+    b.build(ExtSet::RV64GCV).expect("the case assembles")
+}
+
+fn check_vector(cases: impl IntoIterator<Item = Case>) -> usize {
+    let mut n = 0;
+    for c in cases {
+        let bin = vector_program(&c);
+        let what = format!("{} at {:?}, vl = {}", c.iut, c.width, c.vl);
+        let expected = native(&bin, ExtSet::RV64GCV);
+        assert_eq!(downgraded(&bin, ExtSet::RV64GC), expected, "{what}");
+        n += 1;
+    }
+    n
+}
+
+/// Both widths × `vl` ∈ {0, 1, VLMAX − 1, VLMAX}.
+fn shapes() -> impl Iterator<Item = (Eew, u64)> {
+    [Eew::E32, Eew::E64].into_iter().flat_map(|width| {
+        let vlmax = VLENB as u64 / width.bytes();
+        [0, 1, vlmax - 1, vlmax].map(|vl| (width, vl))
+    })
+}
+
+#[test]
+fn every_varith_row_and_form_matches_the_vector_core() {
+    let v = VReg::of;
+    let mut cases = Vec::new();
+    for &op in VArithOp::ALL {
+        // (vd, vs2, src): plain, then each aliasing the form allows, then
+        // every scratch-pool operand.
+        let mut operands = vec![
+            (v(3), v(1), VSrc::V(v(2))),
+            (v(1), v(1), VSrc::V(v(2))),
+            (v(2), v(1), VSrc::V(v(2))),
+            (v(3), v(1), VSrc::X(XReg::A3)),
+            (v(1), v(1), VSrc::X(XReg::A3)),
+            (v(3), v(1), VSrc::F(FReg::of(10))),
+            (v(1), v(1), VSrc::F(FReg::of(10))),
+            (v(3), v(1), VSrc::I(-3)),
+            (v(1), v(1), VSrc::I(7)),
+        ];
+        operands.extend(X_POOL.map(|r| (v(3), v(1), VSrc::X(r))));
+        operands.extend(F_SCRATCH.map(|f| (v(3), v(1), VSrc::F(f))));
+        for (vd, vs2, src) in operands {
+            if !op.allows(src) {
+                continue;
+            }
+            // The moves encode `vs2 = v0`.
+            let v0_for_v1 = |r| {
+                if op == VArithOp::Vmv && r == v(1) {
+                    v(0)
+                } else {
+                    r
+                }
+            };
+            let (vd, vs2) = (v0_for_v1(vd), v0_for_v1(vs2));
+            let iut = Inst::VArith { op, vd, vs2, src };
+            cases.extend(shapes().map(|(width, vl)| Case {
+                width,
+                vl,
+                fp: op.is_fp(),
+                ptr: None,
+                set: None,
+                iut,
+            }));
+        }
+    }
+    assert_eq!(check_vector(cases), 156 * 8, "forms the ISA table admits");
+}
+
+#[test]
+fn vsetvli_forms_loads_stores_and_scalar_moves_match_the_vector_core() {
+    let v = VReg::of;
+    let mut cases = Vec::new();
+    for (width, vl) in shapes() {
+        let case = |iut, ptr, set| Case {
+            width,
+            vl,
+            fp: false,
+            ptr,
+            set,
+            iut,
+        };
+        // The three `vsetvli` forms, changing to either width from the
+        // current one: AVL from a register (also the destination, also a
+        // scratch), VLMAX (`rs1 = zero`), and keep-`vl` (`rd = rs1 = zero`).
+        for sew in [Eew::E32, Eew::E64] {
+            let vtype = vtype(sew);
+            let avl = [(XReg::A4, XReg::A5), (XReg::A4, XReg::A4)]
+                .into_iter()
+                .chain(X_POOL.map(|r| (XReg::A4, r)))
+                .chain(X_POOL.map(|r| (r, XReg::A5)))
+                .chain([(XReg::T3, XReg::T3), (XReg::ZERO, XReg::A5)]);
+            for (rd, rs1) in avl {
+                let iut = Inst::Vsetvli { rd, rs1, vtype };
+                cases.push(case(iut, None, Some((rs1, (vl as i64 + 2) % 10))));
+            }
+            for rd in [XReg::A4, XReg::T2, XReg::T6, XReg::ZERO] {
+                let rs1 = XReg::ZERO;
+                cases.push(case(Inst::Vsetvli { rd, rs1, vtype }, None, None));
+            }
+        }
+        for rs1 in [XReg::A0].into_iter().chain(X_POOL) {
+            let eew = width;
+            cases.push(case(Inst::VLoad { eew, vd: v(3), rs1 }, Some(rs1), None));
+            let vs3 = v(2);
+            cases.push(case(Inst::VStore { eew, vs3, rs1 }, Some(rs1), None));
+        }
+        // Element 0 of v2 is negative at both widths; the scalar written
+        // into a vector has its upper half set.
+        for r in [XReg::A4].into_iter().chain(X_POOL) {
+            cases.push(case(Inst::VMvXS { rd: r, vs2: v(2) }, None, None));
+            let set = Some((r, -0x1_2345_6789));
+            cases.push(case(Inst::VMvSX { vd: v(3), rs1: r }, None, set));
+        }
+    }
+    assert_eq!(check_vector(cases), 8 * (2 * (14 + 4) + 12 + 12));
+}
+
+/// The Zba / Zbb rows: no vector state, `RV64GC` without `B` as the base.
+#[test]
+fn every_zba_zbb_row_matches_a_core_that_has_it() {
+    let base = ExtSet::RV64GC.without(Ext::B);
+    let (a0, a1, a2, t2, t3, t4) = (XReg::A0, XReg::A1, XReg::A2, XReg::T2, XReg::T3, XReg::T4);
+    // (rd, rs1, rs2): plain; rd = rs1; rd = rs2; all one; scratch-pool
+    // registers in every position.
+    let shapes = [
+        (a0, a1, a2),
+        (a1, a1, a2),
+        (a2, a1, a2),
+        (a1, a1, a1),
+        (t2, t3, t4),
+        (t3, a1, t2),
+        (a0, t2, t2),
+        (t2, a1, a2),
+    ];
+    let mut insts = Vec::new();
+    for (rd, rs1, rs2) in shapes {
+        let b_rows = OpKind::ALL.iter().filter(|k| k.ext() == Some(Ext::B));
+        insts.extend(b_rows.map(|&kind| Inst::Op { kind, rd, rs1, rs2 }));
+        insts.extend(
+            UnaryKind::ALL
+                .iter()
+                .map(|&kind| Inst::Unary { kind, rd, rs1 }),
+        );
+        let kind = OpImmKind::Rori;
+        insts.extend([0, 17, 63].map(|imm| Inst::OpImm { kind, rd, rs1, imm }));
+    }
+    let values: [(i64, i64); 4] = [
+        (0x0123_4567_89ab_cdef, 37),
+        (i64::MIN, -1),
+        (0, 64),
+        (-0x7fff_ffff_0000_0001, 0x8000_0001),
+    ];
+    let mut n = 0;
+    for iut in &insts {
+        assert!(!iut.runnable_on(base), "{iut} is a Zba / Zbb row");
+        for (x, y) in values {
+            let mut b = ModuleBuilder::new(false);
+            // A writable section for the comparison to cover.
+            b.data_label(DataSec::Rw, "pad").dword(DataSec::Rw, 0);
+            b.label("_start");
+            for (i, r) in X_POOL.into_iter().enumerate() {
+                b.li(r, [x, y, !x, x ^ y, 5][i]);
+            }
+            b.li(a0, 99).li(a1, x).li(a2, y);
+            b.inst(*iut).li(XReg::A7, 93).inst(Inst::Ecall);
+            let bin = b.build(ExtSet::RV64GC).expect("the case assembles");
+            let expected = native(&bin, ExtSet::RV64GC);
+            assert_eq!(downgraded(&bin, base), expected, "{iut} on {x:#x}, {y:#x}");
+            n += 1;
+        }
+    }
+    assert_eq!(n, 8 * (13 + 7 + 3) * 4);
+}
