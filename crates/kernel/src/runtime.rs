@@ -15,11 +15,14 @@
 //!   paths. Each costs a full kernel round trip
 //!   ([`chimera_emu::CostModel::trap`]).
 //! * **Unrecognized extension instructions** — rewritten lazily: the kernel
-//!   translates the instruction on the spot, patches the site with a
-//!   trap-based entry, and resumes (§4.1/§4.3). These are the sources the
-//!   static pass never saw (hidden behind indirect control flow) and the
-//!   ones it batched behind an earlier trampoline of their block and left
-//!   in place, entered by an edge the CFG did not know.
+//!   asks the rewriter for the instruction's target block — the block the
+//!   static pipeline builds for a lone site, so it returns to original
+//!   code through a `jal`, not a second trap — places it after the target
+//!   section, patches the site with a trap-based entry, and resumes
+//!   (§4.1/§4.3). These are the sources the static pass never saw (hidden
+//!   behind indirect control flow) and the ones it batched behind an
+//!   earlier trampoline of their block and left in place, entered by an
+//!   edge the CFG did not know.
 //! * **Unsupported instructions** (FAM, or sources with no template, which
 //!   the rewriter leaves at their original address and lists in
 //!   `untranslated`) — reported to the scheduler as a migration request,
@@ -30,10 +33,9 @@
 //! entries and exits — is the runner's own.
 
 use chimera_emu::{Access, Cpu, Memory, Stop, Trap};
-use chimera_isa::{decode, Decoded, Inst, XReg};
-use chimera_rewrite::emitter::BlockEmitter;
+use chimera_isa::{decode, Decoded, ExtSet, XReg};
 use chimera_rewrite::translate::Translator;
-use chimera_rewrite::{ebreak_patch, emit_site_translation, FaultTable, Mode, RegenInfo};
+use chimera_rewrite::{ebreak_patch, lazy_block, FaultTable, RegenInfo, RewriteStats};
 use chimera_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -101,8 +103,8 @@ pub struct KernelRunner {
     /// Accumulated fault counters.
     pub counters: FaultCounters,
     /// The `ebreak`s lazy rewriting planted → where each continues: a
-    /// patched site at its block, a block's end at the original resume
-    /// address.
+    /// patched site at its block, and the exit of a block out of `jal`
+    /// range of its site at the original resume address.
     lazy_traps: BTreeMap<u64, u64>,
     /// Where the next lazy block goes (grows past the target section).
     lazy_cursor: Option<u64>,
@@ -334,7 +336,7 @@ impl KernelRunner {
                 //    translator context, else migration (FAM).
                 match decode(raw) {
                     Ok(d) if !d.inst.runnable_on(cpu.profile) => {
-                        if let Some(block) = self.lazy_rewrite(pc, d, mem) {
+                        if let Some(block) = self.lazy_rewrite(pc, d, cpu.profile, mem) {
                             self.counters.lazy_rewrites += 1;
                             self.tracer
                                 .record(cpu.stats.cycles, TraceEvent::LazyRewrite { pc, block });
@@ -398,38 +400,46 @@ impl KernelRunner {
         }
     }
 
-    /// Lazy rewriting (§4.1/§4.3): translate the faulting instruction now,
-    /// append the block after the target section, patch the site with a
-    /// trap entry, and let execution re-trap into it. Returns the address
-    /// of the freshly emitted block.
-    fn lazy_rewrite(&mut self, pc: u64, site: Decoded, mem: &mut Memory) -> Option<u64> {
+    /// Lazy rewriting (§4.1/§4.3): build the faulting instruction's target
+    /// block now, place it after the target section, patch the site with a
+    /// trap entry, and let execution re-trap into it. The block is the one
+    /// the static pipeline builds for a lone site, exit slot included —
+    /// [`lazy_block`], resolved by [`UnitArtifact::place_at`] at the cursor
+    /// — so it leaves through a `jal` and costs one kernel entry per
+    /// execution, not two. Returns the block's address.
+    ///
+    /// [`UnitArtifact::place_at`]: chimera_rewrite::UnitArtifact::place_at
+    fn lazy_rewrite(
+        &mut self,
+        pc: u64,
+        site: Decoded,
+        profile: ExtSet,
+        mem: &mut Memory,
+    ) -> Option<u64> {
         // No table, no translator context: the caller migrates instead.
         let (fht, translator) = (self.tables.fht.as_ref()?, self.translator?);
         // Grow region: right after the target section (the loader maps the
         // section with slack; see `Process::load`).
         let cursor = *self.lazy_cursor.get_or_insert(fht.target_range.1);
-        // The same translate/emit primitive the static pipeline uses for
-        // its site units (gp restore + downgrade), so lazily built blocks
-        // can never diverge from statically built ones.
-        let mut em = BlockEmitter::new();
-        emit_site_translation(&site.inst, Mode::Downgrade, &translator, &mut em).ok()?;
-        let resume = pc + site.len as u64;
-        // Exit: a register trampoline cannot be chosen lazily without
-        // liveness; use a trap exit (rare path, already lazy).
-        let exit_at = cursor + em.offset();
-        em.inst(Inst::Ebreak);
-        let bytes = em.finish().ok()?;
-        if mem.poke_code(cursor, &bytes).is_err() {
-            return None;
-        }
-        self.lazy_cursor = Some(cursor + bytes.len() as u64);
+        let block = lazy_block(&translator, profile, pc, site).ok()?;
+        // The table entries of a block built at run time are the runner's:
+        // resolve against a scratch table and keep what it gained (a trap
+        // exit, if the site is beyond `jal` range of the cursor).
+        let (mut code, mut scratch) = (Vec::new(), FaultTable::default());
+        block
+            .place_at(
+                cursor,
+                &mut code,
+                &mut scratch,
+                &mut RewriteStats::default(),
+            )
+            .ok()?;
+        mem.poke_code(cursor, &code).ok()?;
+        self.lazy_cursor = Some(cursor + code.len() as u64);
         // Patch the site with the pipeline's in-place trap entry.
-        if mem.poke_code(pc, &ebreak_patch(site.len)).is_err() {
-            return None;
-        }
+        mem.poke_code(pc, &ebreak_patch(site.len)).ok()?;
         self.lazy_traps.insert(pc, cursor);
-        // Exit trap returns to the instruction after the site.
-        self.lazy_traps.insert(exit_at, resume);
+        self.lazy_traps.extend(scratch.trap_exits);
         Some(cursor)
     }
 }

@@ -57,7 +57,7 @@ use crate::engine::{Entry, Frame, Placement, Reloc, RewriteEngine, Scanned, Unit
 use crate::smile::{place_smile, SmileConstraints};
 use crate::translate::{Translator, Untranslatable};
 use chimera_analysis::{disassemble, Cfg, DisasmInst, Disassembly, Liveness};
-use chimera_isa::{encode, Ext, ExtSet, Inst, XReg};
+use chimera_isa::{encode, Decoded, Ext, ExtSet, Inst, XReg};
 use chimera_obj::Binary;
 use chimera_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet};
@@ -383,26 +383,32 @@ impl Units for ChbpUnits {
     }
 }
 
-/// Emits the translation for one patch site: gp restore followed by the
-/// verbatim re-emission (empty patching) or the downgrade sequence — what
-/// `emit_block` emits for a one-instruction region, for the kernel's
-/// fault-time `lazy_rewrite`, which plants its own exit.
-pub fn emit_site_translation(
-    inst: &Inst,
-    mode: Mode,
+/// The target block of the source instruction `site`, found at `pc` at
+/// fault time on a core with profile `target`: the one-instruction region
+/// the static partition makes of a site that cannot form an 8-byte space,
+/// emitted by the same block builder. What it cannot have is liveness, so
+/// its exit slot names no dead register: a `jal` within ±1 MiB of where
+/// [`UnitArtifact::place_at`] puts the block, a trap (entered in the
+/// table `place_at` is given) beyond.
+pub fn lazy_block(
     translator: &Translator,
-    em: &mut BlockEmitter,
-) -> Result<(), Untranslatable> {
-    // Restore gp: the entry path (SMILE jalr or kernel trap) left it
-    // clobbered or the block may be entered with the spill base loaded.
-    translator.restore_gp(em);
-    match mode {
-        Mode::EmptyPatch(_) => {
-            em.inst(*inst);
-            Ok(())
-        }
-        Mode::Downgrade => translator.downgrade(inst, em),
-    }
+    target: ExtSet,
+    pc: u64,
+    site: Decoded,
+) -> Result<UnitArtifact, RewriteError> {
+    let (addr, Decoded { inst, len }) = (pc, site);
+    let region = Region::lone(DisasmInst { addr, len, inst });
+    let (dead, traditional) = (None, false);
+    let exit = |to, em: &mut BlockEmitter| {
+        em.reloc(Reloc::Exit {
+            to,
+            dead,
+            traditional,
+        });
+    };
+    let mut em = BlockEmitter::new();
+    emit_block(&region, Mode::Downgrade, target, translator, &mut em, exit)?;
+    em.finish_unit()
 }
 
 /// The in-place patch replacing a source instruction with a trap:
@@ -1047,5 +1053,52 @@ mod tests {
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
         let r = run_binary_on(&rw.binary, ExtSet::RV64GC, 10_000_000).unwrap();
         assert_eq!(r.exit_code, 140);
+    }
+
+    /// A loop whose backedge targets its own patch site iterates inside
+    /// the target block, however long the block is: past the B-type
+    /// ±4 KiB the backedge is an inverted branch over a `jal`. 30 bodies
+    /// (4,060 bytes) still encode directly and keep their bytes.
+    #[test]
+    fn long_loop_bodies_keep_their_backedge_inside_the_block() {
+        for (n, digest) in [
+            (30, Some(0xefa0_5b86_9087_559e_u64)),
+            (40, None),
+            (60, None),
+        ] {
+            let bin = asm(&format!(
+                "
+                _start:
+                    li t0, 1
+                    vsetvli t1, t0, e64, m1, ta, ma
+                    li t2, 10
+                    vmv.v.x v1, t2
+                    vmv.v.i v3, 0
+                    li s0, 3
+                loop:
+                    {}
+                    addi s0, s0, -1
+                    bnez s0, loop
+                    vmv.x.s a0, v3
+                    li a7, 93
+                    ecall
+                ",
+                "vadd.vv v3, v3, v1\n".repeat(n)
+            ));
+            let native = run_binary(&bin, 100_000).unwrap();
+            assert_eq!(native.exit_code, 30 * n as i64);
+            let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
+            let r = run_binary_on(&rw.binary, ExtSet::RV64GC, 10_000_000).unwrap();
+            assert_eq!(r.exit_code, native.exit_code, "{n} bodies");
+            if let Some(digest) = digest {
+                // FNV-1a of the target section, recorded before branches
+                // could relax.
+                let code = &rw.binary.section(".chimera.text").unwrap().data;
+                let fnv = code.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                    (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                assert_eq!(fnv, digest, "{n} bodies: {fnv:#x}");
+            }
+        }
     }
 }

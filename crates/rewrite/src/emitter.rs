@@ -17,7 +17,11 @@
 //! to format, hash or clone, and two emissions of the same template can
 //! never collide. A reference to it is patched in
 //! [`BlockEmitter::finish_unit`], where a distance the instruction cannot
-//! encode is a [`RewriteError::Layout`].
+//! encode is a [`RewriteError::Layout`]. A *backward* branch knows its
+//! distance when it is emitted — a loop whose backedge stays inside its
+//! target block can span any number of translated instructions — and
+//! relaxes to an inverted branch over a `jal` beyond ±4 KiB; a branch
+//! that encodes directly keeps the bytes it always had.
 
 use crate::chbp::RewriteError;
 use crate::engine::{Reloc, UnitArtifact};
@@ -42,19 +46,25 @@ pub(crate) struct Label(usize);
 struct Fixup {
     offset: usize,
     label: Label,
-    kind: FixKind,
+    /// The branch or `jal`, its offset not yet known.
+    inst: Inst,
 }
 
-#[derive(Debug)]
-enum FixKind {
-    Branch {
-        kind: BranchKind,
-        rs1: XReg,
-        rs2: XReg,
-    },
-    Jal {
-        rd: XReg,
-    },
+/// The word of `inst` (a branch or `jal`) aimed `rel` bytes away, if it
+/// reaches that far.
+fn aimed(inst: Inst, rel: i64) -> Option<u32> {
+    let offset = i32::try_from(rel).ok()?;
+    let inst = match inst {
+        Inst::Branch { kind, rs1, rs2, .. } => Inst::Branch {
+            kind,
+            rs1,
+            rs2,
+            offset,
+        },
+        Inst::Jal { rd, .. } => Inst::Jal { rd, offset },
+        other => other,
+    };
+    encode(&inst).ok()
 }
 
 impl BlockEmitter {
@@ -76,15 +86,7 @@ impl BlockEmitter {
         self
     }
 
-    /// Emits several instructions.
-    pub fn insts(&mut self, is: impl IntoIterator<Item = Inst>) -> &mut Self {
-        for i in is {
-            self.inst(i);
-        }
-        self
-    }
-
-    /// Emits raw pre-encoded bytes (copied original instructions).
+    /// Emits raw pre-encoded bytes (a translation emitted earlier).
     pub fn raw(&mut self, bytes: &[u8]) -> &mut Self {
         self.bytes.extend_from_slice(bytes);
         self
@@ -111,7 +113,9 @@ impl BlockEmitter {
         self
     }
 
-    /// Emits a branch to a local label (forward or backward).
+    /// Emits a branch to a local label (forward or backward). A backward
+    /// branch knows its distance: beyond the B-type ±4 KiB it becomes the
+    /// inverted branch over a `jal` (±1 MiB).
     pub(crate) fn branch_to(
         &mut self,
         kind: BranchKind,
@@ -119,20 +123,37 @@ impl BlockEmitter {
         rs2: XReg,
         label: Label,
     ) -> &mut Self {
-        self.fixup(label, FixKind::Branch { kind, rs1, rs2 })
+        let here = self.bytes.len() as i64;
+        let branch = Inst::Branch {
+            kind,
+            rs1,
+            rs2,
+            offset: 0,
+        };
+        let near = |target: usize| aimed(branch, target as i64 - here).is_some();
+        if self.labels[label.0].is_none_or(near) {
+            return self.fixup(label, branch);
+        }
+        self.inst(Inst::Branch {
+            kind: kind.inverted(),
+            rs1,
+            rs2,
+            offset: 8,
+        });
+        self.jal_to(XReg::ZERO, label)
     }
 
     /// Emits `jal rd, label` to a local label.
     pub(crate) fn jal_to(&mut self, rd: XReg, label: Label) -> &mut Self {
-        self.fixup(label, FixKind::Jal { rd })
+        self.fixup(label, Inst::Jal { rd, offset: 0 })
     }
 
-    fn fixup(&mut self, label: Label, kind: FixKind) -> &mut Self {
+    fn fixup(&mut self, label: Label, inst: Inst) -> &mut Self {
         let offset = self.bytes.len();
         self.fixups.push(Fixup {
             offset,
             label,
-            kind,
+            inst,
         });
         self.bytes.extend_from_slice(&[0; 4]);
         self
@@ -184,22 +205,10 @@ impl BlockEmitter {
         for f in &self.fixups {
             let target = self.labels[f.label.0].expect("every referenced label is bound");
             let rel = target as i64 - f.offset as i64;
-            let word = i32::try_from(rel).ok().and_then(|offset| {
-                let inst = match f.kind {
-                    FixKind::Branch { kind, rs1, rs2 } => Inst::Branch {
-                        kind,
-                        rs1,
-                        rs2,
-                        offset,
-                    },
-                    FixKind::Jal { rd } => Inst::Jal { rd, offset },
-                };
-                encode(&inst).ok()
-            });
-            let word = word.ok_or_else(|| {
+            let word = aimed(f.inst, rel).ok_or_else(|| {
                 RewriteError::Layout(format!(
-                    "local {:?} at block offset {:#x} cannot reach {rel:+} bytes",
-                    f.kind, f.offset
+                    "local `{}` at block offset {:#x} cannot reach {rel:+} bytes",
+                    f.inst, f.offset
                 ))
             })?;
             self.bytes[f.offset..f.offset + 4].copy_from_slice(&word.to_le_bytes());

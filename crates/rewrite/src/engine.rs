@@ -166,20 +166,24 @@ pub struct UnitArtifact {
 
 impl UnitArtifact {
     /// Appends the unit's bytes to `code` as placed at `addr`, resolving
-    /// its relocations there.
-    pub(crate) fn place_at(
+    /// its relocations there: slots are filled, and the entries and
+    /// counters that depend on the address go to `fht` and `stats`. The
+    /// driver's place stage calls this per unit; the kernel calls it for a
+    /// block it builds at fault time.
+    pub fn place_at(
         &self,
         addr: u64,
         code: &mut Vec<u8>,
         fht: &mut FaultTable,
         stats: &mut RewriteStats,
-    ) {
+    ) -> Result<(), RewriteError> {
         let start = code.len();
         code.extend_from_slice(&self.bytes);
         for &(offset, reloc) in &self.relocs {
             let slot = &mut code[start + offset..][..reloc.slot_len()];
-            reloc.resolve(addr + offset as u64, slot, fht, stats);
+            reloc.resolve(addr + offset as u64, slot, fht, stats)?;
         }
+        Ok(())
     }
 }
 
@@ -238,8 +242,16 @@ impl Reloc {
     /// Resolves the relocation now that it sits at `here`: fills `slot`
     /// (its reserved bytes) and enters the address-keyed table entries
     /// and distance-dependent counters. The pipeline keeps every address
-    /// within `li32`'s range, so every `auipc` reaches.
-    fn resolve(&self, here: u64, slot: &mut [u8], fht: &mut FaultTable, stats: &mut RewriteStats) {
+    /// of the output within `li32`'s range, so an `auipc` reaches all of
+    /// them; what an original `auipc` computed can lie anywhere, and one
+    /// more than 2 GiB from `here` is a [`RewriteError::Layout`].
+    fn resolve(
+        &self,
+        here: u64,
+        slot: &mut [u8],
+        fht: &mut FaultTable,
+        stats: &mut RewriteStats,
+    ) -> Result<(), RewriteError> {
         // `auipc rd` plus the low 12 bits that together reach `to`.
         let reach = |rd, to: u64| {
             let (imm20, lo) = pcrel_hi_lo(to as i64 - here as i64);
@@ -285,13 +297,18 @@ impl Reloc {
             }
             Reloc::Redirect { from } => {
                 fht.redirects.insert(from, here);
-                return;
+                return Ok(());
             }
         };
-        let word = |i: Inst| encode(&i).expect("relocation in auipc range").to_le_bytes();
-        slot[..4].copy_from_slice(&word(first));
+        let word = |i: Inst| {
+            encode(&i).map(u32::to_le_bytes).map_err(|e| {
+                RewriteError::Layout(format!("{self:?} at {here:#x} is out of reach: {e}"))
+            })
+        };
+        slot[..4].copy_from_slice(&word(first)?);
         let filler = (u32::from(ILLEGAL_HALFWORD) * 0x1_0001).to_le_bytes(); // The halfword, twice.
-        slot[4..].copy_from_slice(&second.map_or(filler, word));
+        slot[4..].copy_from_slice(&second.map_or(Ok(filler), word)?);
+        Ok(())
     }
 }
 
@@ -349,7 +366,7 @@ mod tests {
         let art = em.finish_unit().unwrap();
         let (mut code, mut fht, mut stats) =
             (Vec::new(), FaultTable::default(), Default::default());
-        art.place_at(here, &mut code, &mut fht, &mut stats);
+        art.place_at(here, &mut code, &mut fht, &mut stats).unwrap();
         (code, fht, stats)
     }
 
@@ -474,7 +491,7 @@ mod tests {
             // After a neighbour's bytes, as the place stage appends units.
             let mut code = vec![0xAA; 6];
             let (mut fht, mut stats) = (FaultTable::default(), RewriteStats::default());
-            art.place_at(base, &mut code, &mut fht, &mut stats);
+            art.place_at(base, &mut code, &mut fht, &mut stats).unwrap();
             assert_eq!(code[..6], [0xAA; 6]);
             assert_eq!(fht.redirects.get(&(ORIGINAL + 4)), Some(&(base + 4)));
             assert_eq!((fht.redirects.len(), fht.trap_exits.len()), (1, 0));

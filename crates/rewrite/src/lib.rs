@@ -29,7 +29,7 @@ pub mod translate;
 pub mod upgrade;
 
 pub use chbp::{
-    chbp_rewrite, ebreak_patch, emit_site_translation, verify_claim1, ChbpEngine, FaultTable, Mode,
+    chbp_rewrite, ebreak_patch, lazy_block, verify_claim1, ChbpEngine, FaultTable, Mode,
     RewriteError, RewriteOptions, RewriteStats, Rewritten,
 };
 pub use engine::{

@@ -338,7 +338,7 @@ fn finish(
         for _ in 0..gap / 2 {
             code.extend_from_slice(&crate::chbp::ILLEGAL_HALFWORD.to_le_bytes());
         }
-        art.place_at(addr, &mut code, &mut fht, &mut stats);
+        art.place_at(addr, &mut code, &mut fht, &mut stats)?;
         // Fragments merge in unit order, so the result is deterministic.
         fht.redirects.extend(&art.fht.redirects);
         fht.trap_exits.extend(&art.fht.trap_exits);

@@ -111,31 +111,6 @@ impl RegenEngine {
             && Translator::can_downgrade(inst)
     }
 
-    /// Sizes the slots of one span, translating as it goes: a translated
-    /// source is sized by emitting it, once, and the bytes come back (in
-    /// order) for `emit` to copy.
-    fn size_span(
-        &self,
-        insts: &[DisasmInst],
-        direct_pair: &BTreeMap<u64, u64>,
-        translator: &Translator,
-    ) -> Result<(Vec<u64>, Vec<Vec<u8>>), RewriteError> {
-        let mut sizes = Vec::with_capacity(insts.len());
-        let mut translated = Vec::new();
-        for di in insts {
-            if self.translates(&di.inst) {
-                let mut em = BlockEmitter::new();
-                translator.downgrade(&di.inst, &mut em)?;
-                let body = em.finish()?;
-                sizes.push(body.len() as u64);
-                translated.push(body);
-            } else {
-                sizes.push(self.slot_size(di, direct_pair));
-            }
-        }
-        Ok((sizes, translated))
-    }
-
     /// The relocated slot size of an instruction this run does not
     /// translate: a pure function of the instruction (+ the direct-pair
     /// set), never of its final address — variable-length sequences are
@@ -213,9 +188,25 @@ impl RewriteEngine for RegenEngine {
         // Span partition + parallel slot sizing (pure per instruction).
         let spans = inst_spans(&d, SPAN_INSTS);
         let translator = Translator::new(frame.spill_base, frame.abi_gp);
-        let sized = chimera_analysis::par::map_indexed(workers, spans.len(), |i| {
+        // A translated source is sized by emitting it, once: the bytes
+        // come back, per span and in order, for `emit` to copy.
+        type Sized = Result<(Vec<u64>, Vec<Vec<u8>>), RewriteError>;
+        let sized = chimera_analysis::par::map_indexed(workers, spans.len(), |i| -> Sized {
             let (s, e) = spans[i];
-            self.size_span(&insts[s..e], &direct_pair, &translator)
+            let mut sizes = Vec::with_capacity(e - s);
+            let mut translated = Vec::new();
+            for di in &insts[s..e] {
+                if self.translates(&di.inst) {
+                    let mut em = BlockEmitter::new();
+                    translator.downgrade(&di.inst, &mut em)?;
+                    let body = em.finish()?;
+                    sizes.push(body.len() as u64);
+                    translated.push(body);
+                } else {
+                    sizes.push(self.slot_size(di, &direct_pair));
+                }
+            }
+            Ok((sizes, translated))
         });
         let mut sizes: Vec<u64> = Vec::with_capacity(insts.len());
         let mut translations = Vec::with_capacity(spans.len());

@@ -184,3 +184,48 @@ fn bases_beyond_what_target_blocks_materialize_are_a_bad_binary() {
         );
     }
 }
+
+/// An original `auipc` may compute anything within 2 GiB of itself; its
+/// copy in a target block re-materializes that value pc-relative from the
+/// target section, which lies above the input. One that reached 2 GiB
+/// *down* is out of the copy's reach: a layout error from the place
+/// stage, not a panic in `Reloc::resolve`.
+#[test]
+fn an_auipc_value_beyond_reach_of_the_target_section_is_a_layout_error() {
+    use chimera_isa::{Eew, Inst, VReg, VType, XReg};
+    let mut b = chimera_obj::ModuleBuilder::new(false);
+    b.label("_start").inst(Inst::Vsetvli {
+        rd: XReg::T1,
+        rs1: XReg::ZERO,
+        vtype: VType {
+            sew: Eew::E64,
+            lmul: 1,
+            ta: true,
+            ma: true,
+        },
+    });
+    // Batched into the `vsetvli`'s block, and so copied.
+    b.inst(Inst::Auipc {
+        rd: XReg::A0,
+        imm20: -0x8_0000,
+    });
+    b.inst(Inst::VMvXS {
+        rd: XReg::A0,
+        vs2: VReg::of(1),
+    });
+    b.li(XReg::A7, 93).inst(Inst::Ecall);
+    let bin = b.build(ExtSet::RV64GCV).unwrap();
+    let engine = ChbpEngine {
+        target: ExtSet::RV64GC,
+        opts: RewriteOptions::default(),
+    };
+    for workers in [1, 4] {
+        let err = run(&engine, &bin, workers, &Tracer::disabled())
+            .err()
+            .expect("no auipc in the target section reaches 2 GiB below the input");
+        let RewriteError::Layout(msg) = &err else {
+            panic!("workers {workers}: expected a layout error, got {err}");
+        };
+        assert!(msg.contains("Value"), "{msg}");
+    }
+}

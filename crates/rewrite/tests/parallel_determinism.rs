@@ -16,20 +16,17 @@
 //! [`RewriteOptions::force_trap_entries`] is the §6.2 strawman, and
 //! [`RegenEngine`] covers the Safer and ARMore regeneration baselines.
 //!
-//! A final test pins the lazy/static sharing required by the ISSUE: the
-//! kernel's fault-time `lazy_rewrite` uses the pipeline's
-//! `emit_site_translation` primitive, so lazily built blocks are byte-
-//! identical to what the static transform stage would emit at the same
-//! address.
+//! A final test pins the lazy/static sharing: the kernel's fault-time
+//! `lazy_rewrite` asks the rewriter for the block of a lone site, so a
+//! lazily built block is byte-identical to the unit the static pipeline
+//! emits for the same instruction, placed at the same address.
 
-use chimera_isa::{Ext, ExtSet, Inst};
+use chimera_isa::{Ext, ExtSet};
 use chimera_kernel::RuntimeTables;
 use chimera_obj::Binary;
-use chimera_rewrite::emitter::BlockEmitter;
-use chimera_rewrite::translate::Translator;
 use chimera_rewrite::{
-    emit_site_translation, run, ChbpEngine, Flavor, IdentityEngine, Mode, RegenEngine, RegenInfo,
-    RewriteOptions, Rewritten, UpgradeEngine,
+    run, ChbpEngine, Entry, FaultTable, Flavor, Frame, IdentityEngine, Mode, RegenEngine,
+    RegenInfo, RewriteEngine, RewriteOptions, Rewritten, UpgradeEngine,
 };
 use chimera_testutil::{native_reference, run_under_kernel, scalar_loops, KernelRun};
 use chimera_trace::Tracer;
@@ -285,48 +282,80 @@ fn boxed_engine_dispatch_matches_typed_entry_points() {
     assert_eq!(via_trait.regen.unwrap_or_default(), info);
 }
 
-/// Lazy/static convergence: an `EmptyPatch`-rewritten vector program run
-/// on a base core makes the kernel lazily translate each vector site at
-/// fault time. Behaviour must match native, and — because `lazy_rewrite`
-/// calls the pipeline's own `emit_site_translation` — the lazily built
-/// blocks in memory must be byte-identical to a static re-emission of
-/// the same sites at the same addresses.
+/// Lazy/static convergence: the block the kernel builds for an instruction
+/// at fault time *is* the block the static pipeline builds for that
+/// instruction as a lone site, exit slot included. Three vector
+/// instructions, each followed by a 2-byte `ret` (no 8-byte space: a lone
+/// site), are reachable only through a table of code pointers. With the
+/// pointers stored doubled the static pass never sees them and the kernel
+/// rewrites each lazily; with the pointers visible the same text scans
+/// into three lone-site units. Placed where the kernel put its blocks,
+/// those units must be the bytes in memory.
 #[test]
 fn lazy_blocks_match_static_translation() {
-    // Straight-line vector code: each vector instruction executes exactly
-    // once, so lazy blocks are appended in program order of the sites.
     let src = "
         .data
         a: .dword 1
            .dword 2
            .dword 3
            .dword 4
+        vtab: .dword trig0
+              .dword trig1
+              .dword trig2
         .text
         _start:
             li t0, 4
             vsetvli t1, t0, e64, m1, ta, ma
             la a0, a
             vle64.v v1, (a0)
-            vmv.v.i v2, 0
-            vredsum.vs v3, v1, v2
+            la s3, vtab
+            li s5, 0
+        next:
+            slli t1, s5, 3
+            add t1, t1, s3
+            ld t2, 0(t1)
+            srli t2, t2, 1
+            jalr t2
+            addi s5, s5, 1
+            li t3, 3
+            bne s5, t3, next
             vmv.x.s a0, v3
             li a7, 93
             ecall
+        hang:
+            j hang
+        trig0:
+            vmv.v.i v2, 0
+            ret
+        trig1:
+            vredsum.vs v3, v1, v2
+            ret
+        trig2:
+            vadd.vv v3, v3, v3
+            ret
     ";
-    let bin = chimera_obj::assemble(src, chimera_obj::AsmOptions::default()).unwrap();
-    let expected = native_reference(&bin);
-    assert_eq!(expected.0, 10, "vector sum exits 10");
+    let options = chimera_obj::AsmOptions {
+        compress: true,
+        ..Default::default()
+    };
+    let visible = chimera_obj::assemble(src, options).unwrap();
+    // The program that runs: every pointer doubled, halved again by the
+    // `srli` before the call.
+    let mut hidden = visible.clone();
+    let vtab = hidden.section(".data").unwrap().addr + 32;
+    let sites: Vec<u64> = (0..3)
+        .map(|i| {
+            let at = vtab + 8 * i;
+            let site = u64::from_le_bytes(hidden.read(at, 8).unwrap().try_into().unwrap());
+            assert!(hidden.write(at, &(2 * site).to_le_bytes()));
+            site
+        })
+        .collect();
+    let expected = native_reference(&hidden);
+    assert_eq!(expected.0, 20, "2 * (1 + 2 + 3 + 4)");
 
-    // EmptyPatch(V) keeps the vector instructions verbatim in the target
-    // section; on RV64GC each one faults and is rewritten lazily.
-    let rw = chbp(
-        &bin,
-        RewriteOptions {
-            mode: Mode::EmptyPatch(Ext::V),
-            ..Default::default()
-        },
-        1,
-    );
+    let opts = RewriteOptions::default();
+    let rw = chbp(&hidden, opts, 1);
     let fht = rw.fht.clone();
     let tables = RuntimeTables {
         fht: Some(rw.fht),
@@ -339,40 +368,46 @@ fn lazy_blocks_match_static_translation() {
         mut mem,
         ..
     } = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, true);
-    assert_eq!(
-        (exit_code, stdout),
-        expected,
-        "lazy-rewritten run diverged from native"
-    );
-    let sites: Vec<Inst> = chimera_analysis::disassemble(&bin)
-        .iter()
-        .filter(|di| !di.inst.runnable_on(ExtSet::RV64GC))
-        .map(|di| di.inst)
-        .collect();
-    assert!(sites.len() >= 4, "zoo program must have several sites");
-    assert_eq!(
-        k.counters.lazy_rewrites,
-        sites.len() as u64,
-        "each site is rewritten exactly once"
-    );
+    assert_eq!((exit_code, stdout), expected, "diverged from native");
+    assert_eq!(k.counters.lazy_rewrites, 3, "each site exactly once");
+    // One kernel entry per execution of a lazily rewritten instruction —
+    // the trap into its block; the block leaves through a `jal`.
+    assert_eq!(k.counters.trap_trampolines, 3);
 
-    // Re-emit every site statically (lazy blocks grow from the end of the
-    // target section, in program order) and compare against what the
-    // kernel actually wrote.
-    let mut expected_bytes = Vec::new();
-    for inst in &sites {
-        let translator = Translator::new(fht.spill_base, fht.abi_gp);
-        let mut em = BlockEmitter::new();
-        emit_site_translation(inst, Mode::Downgrade, &translator, &mut em)
-            .expect("site is translatable");
-        em.inst(Inst::Ebreak);
-        expected_bytes.extend(em.finish().unwrap());
+    // The same text with its pointers visible: three lone-site units.
+    let engine = ChbpEngine {
+        target: ExtSet::RV64GC,
+        opts,
+    };
+    let frame = Frame {
+        spill_base: fht.spill_base,
+        abi_gp: fht.abi_gp,
+        target_base: fht.target_range.0,
+    };
+    let scanned = engine.scan(&visible, frame, 1).unwrap();
+    // Lazy blocks grow from the end of the target section, in the order
+    // the sites first ran.
+    let mut at = fht.target_range.1;
+    for site in sites {
+        let idx = scanned
+            .ranges
+            .iter()
+            .position(|&range| range == (site, site + 4))
+            .expect("the site is a unit of its own");
+        let entry = scanned.units.place(idx, at).unwrap().unwrap().entry;
+        assert!(matches!(entry, Entry::Trap { .. }), "{entry:?}");
+        let mut placed = Vec::new();
+        let (mut table, mut stats) = Default::default();
+        let unit = scanned.units.emit(idx).unwrap();
+        unit.place_at(at, &mut placed, &mut table, &mut stats)
+            .unwrap();
+        assert_eq!(stats.exit_jumps, 1, "one exit slot, a jal in range");
+        assert_eq!(table, FaultTable::default());
+        assert_eq!(
+            mem.peek(at, placed.len()).expect("lazy blocks are mapped"),
+            placed,
+            "the lazy block for {site:#x} is not the static lone-site unit"
+        );
+        at += placed.len() as u64;
     }
-    let lazy_bytes = mem
-        .peek(fht.target_range.1, expected_bytes.len())
-        .expect("lazy blocks are mapped");
-    assert_eq!(
-        lazy_bytes, expected_bytes,
-        "lazily built blocks must be byte-identical to static translation"
-    );
 }

@@ -187,7 +187,9 @@ fn vector_program(c: &Case) -> Binary {
         });
     }
     // Sign-extended 32-bit values: what a compiler keeps in a register it
-    // feeds an `e32` operation.
+    // feeds an `e32` operation. (Anything else is a known gap, DESIGN.md
+    // §6: the `e32` `vmin.vx` / `vmax.vx` templates compare against all 64
+    // bits of `rs1`.)
     b.li(XReg::A3, -3);
     for (i, r) in X_POOL.into_iter().enumerate() {
         b.li(r, [0x1111, -7, 0x7fff_fff0, 41, -0x4000_0000][i]);
