@@ -39,7 +39,9 @@
 //! source without a template or a 2-byte terminator follow it too closely)
 //! is the region of that one instruction: nothing overwritten past the
 //! site, entered through a trap, the same gp restore, translation and exit
-//! slot as any other block.
+//! slot as any other block. [`lazy_block`] builds that region for an
+//! instruction the kernel meets at fault time, with the one thing it lacks
+//! — liveness at the exit — left out of the exit slot.
 //!
 //! Exit jumps from target blocks back to original code use, in order:
 //! a plain `jal` when in range; a dead register found by traditional

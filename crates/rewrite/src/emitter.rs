@@ -20,8 +20,8 @@
 //! encode is a [`RewriteError::Layout`]. A *backward* branch knows its
 //! distance when it is emitted — a loop whose backedge stays inside its
 //! target block can span any number of translated instructions — and
-//! relaxes to an inverted branch over a `jal` beyond ±4 KiB; a branch
-//! that encodes directly keeps the bytes it always had.
+//! relaxes to an inverted branch over a `jal` beyond ±4 KiB; one that
+//! encodes directly is emitted as it stands.
 
 use crate::chbp::RewriteError;
 use crate::engine::{Reloc, UnitArtifact};

@@ -214,9 +214,9 @@ fn check_vector(cases: impl IntoIterator<Item = Case>) -> usize {
     let mut n = 0;
     for c in cases {
         let bin = vector_program(&c);
-        let what = format!("{} at {:?}, vl = {}", c.iut, c.width, c.vl);
         let expected = native(&bin, ExtSet::RV64GCV);
-        assert_eq!(downgraded(&bin, ExtSet::RV64GC), expected, "{what}");
+        let got = downgraded(&bin, ExtSet::RV64GC);
+        assert_eq!(got, expected, "{} at {:?}, vl = {}", c.iut, c.width, c.vl);
         n += 1;
     }
     n
@@ -315,8 +315,8 @@ fn vsetvli_forms_loads_stores_and_scalar_moves_match_the_vector_core() {
             let vs3 = v(2);
             cases.push(case(Inst::VStore { eew, vs3, rs1 }, Some(rs1), None));
         }
-        // Element 0 of v2 is negative at both widths; the scalar written
-        // into a vector has its upper half set.
+        // Element 0 of v2 is negative at `e32`; the scalar written into a
+        // vector has its upper half set.
         for r in [XReg::A4].into_iter().chain(X_POOL) {
             cases.push(case(Inst::VMvXS { rd: r, vs2: v(2) }, None, None));
             let set = Some((r, -0x1_2345_6789));
