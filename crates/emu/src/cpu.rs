@@ -20,8 +20,8 @@ use crate::hart::Hart;
 use crate::mem::{AccessHints, MemFault, Memory, RegionHint};
 use crate::uop::{lower_block, MicroOp};
 use chimera_isa::{
-    decode, DecodeError, Eew, Ext, ExtSet, FCmpKind, FMaKind, FOpKind, FpWidth, Inst, IntWidth,
-    LoadKind, StoreKind, VArithOp, VSrc, XReg,
+    decode, DecodeError, Eew, Ext, ExtSet, FpWidth, Inst, IntWidth, LoadKind, StoreKind, VArithOp,
+    VReg, VSrc, XReg,
 };
 use chimera_trace::{TraceEvent, Tracer, TrapKind};
 use core::fmt;
@@ -1098,16 +1098,13 @@ impl Cpu {
             } => {
                 let addr = h.get_x(rs1).wrapping_add(offset as i64 as u64);
                 let hint = &mut self.hints.load;
-                match width {
+                let bits = match width {
                     FpWidth::S => {
-                        let bits = u32::from_le_bytes(memtrap!(mem.read_hinted::<4>(hint, addr)));
-                        h.set_f(frd, 0xffff_ffff_0000_0000 | bits as u64);
+                        u32::from_le_bytes(memtrap!(mem.read_hinted::<4>(hint, addr))) as u64
                     }
-                    FpWidth::D => {
-                        let bits = u64::from_le_bytes(memtrap!(mem.read_hinted::<8>(hint, addr)));
-                        h.set_f(frd, bits);
-                    }
-                }
+                    FpWidth::D => u64::from_le_bytes(memtrap!(mem.read_hinted::<8>(hint, addr))),
+                };
+                h.set_fp(width, frd, bits);
                 self.stats.loads += 1;
             }
             Inst::FStore {
@@ -1138,7 +1135,10 @@ impl Cpu {
                 frd,
                 frs1,
                 frs2,
-            } => exec_fop(h, kind, width, frd, frs1, frs2),
+            } => {
+                let (a, b) = (h.get_fp(width, frs1), h.get_fp(width, frs2));
+                h.set_fp(width, frd, kind.eval(width, a, b));
+            }
             Inst::FCmp {
                 kind,
                 width,
@@ -1146,25 +1146,8 @@ impl Cpu {
                 frs1,
                 frs2,
             } => {
-                let r = match width {
-                    FpWidth::S => {
-                        let (a, b) = (h.get_s(frs1), h.get_s(frs2));
-                        match kind {
-                            FCmpKind::Feq => a == b,
-                            FCmpKind::Flt => a < b,
-                            FCmpKind::Fle => a <= b,
-                        }
-                    }
-                    FpWidth::D => {
-                        let (a, b) = (h.get_d(frs1), h.get_d(frs2));
-                        match kind {
-                            FCmpKind::Feq => a == b,
-                            FCmpKind::Flt => a < b,
-                            FCmpKind::Fle => a <= b,
-                        }
-                    }
-                };
-                h.set_x(rd, r as u64);
+                let (a, b) = (h.get_fp(width, frs1), h.get_fp(width, frs2));
+                h.set_x(rd, kind.eval(width, a, b));
             }
             Inst::FMvToX { width, rd, frs1 } => {
                 let v = match width {
@@ -1173,13 +1156,7 @@ impl Cpu {
                 };
                 h.set_x(rd, v);
             }
-            Inst::FMvToF { width, frd, rs1 } => {
-                let v = h.get_x(rs1);
-                match width {
-                    FpWidth::S => h.set_f(frd, 0xffff_ffff_0000_0000 | (v as u32 as u64)),
-                    FpWidth::D => h.set_f(frd, v),
-                }
-            }
+            Inst::FMvToF { width, frd, rs1 } => h.set_fp(width, frd, h.get_x(rs1)),
             Inst::FCvtToF {
                 width,
                 from,
@@ -1230,28 +1207,11 @@ impl Cpu {
                 frs1,
                 frs2,
                 frs3,
-            } => match width {
-                FpWidth::S => {
-                    let (a, b, c) = (h.get_s(frs1), h.get_s(frs2), h.get_s(frs3));
-                    let v = match kind {
-                        FMaKind::Madd => a.mul_add(b, c),
-                        FMaKind::Msub => a.mul_add(b, -c),
-                        FMaKind::Nmsub => (-a).mul_add(b, c),
-                        FMaKind::Nmadd => (-a).mul_add(b, -c),
-                    };
-                    h.set_s(frd, v);
-                }
-                FpWidth::D => {
-                    let (a, b, c) = (h.get_d(frs1), h.get_d(frs2), h.get_d(frs3));
-                    let v = match kind {
-                        FMaKind::Madd => a.mul_add(b, c),
-                        FMaKind::Msub => a.mul_add(b, -c),
-                        FMaKind::Nmsub => (-a).mul_add(b, c),
-                        FMaKind::Nmadd => (-a).mul_add(b, -c),
-                    };
-                    h.set_d(frd, v);
-                }
-            },
+            } => {
+                let (a, b) = (h.get_fp(width, frs1), h.get_fp(width, frs2));
+                let c = h.get_fp(width, frs3);
+                h.set_fp(width, frd, kind.eval(width, a, b, c));
+            }
             Inst::Vsetvli { rd, rs1, vtype } => {
                 let vlmax = Hart::vlmax(vtype);
                 let avl = if rs1 == XReg::ZERO {
@@ -1310,7 +1270,7 @@ impl Cpu {
             Inst::VMvXS { rd, vs2 } => {
                 let sew = h.vtype.map(|t| t.sew).unwrap_or(Eew::E64);
                 let v = h.v_elem(vs2, sew, 0);
-                h.set_x(rd, sext_to_u64(v, sew));
+                h.set_x(rd, sew.sext(v));
                 self.stats.vector_insts += 1;
             }
             Inst::VMvSX { vd, rs1 } => {
@@ -1397,9 +1357,7 @@ pub(crate) fn load_f(
     addr: u64,
 ) -> Result<u64, MemFault> {
     Ok(match width {
-        FpWidth::S => {
-            0xffff_ffff_0000_0000 | u32::from_le_bytes(mem.read_hinted::<4>(hint, addr)?) as u64
-        }
+        FpWidth::S => width.nan_box(u32::from_le_bytes(mem.read_hinted::<4>(hint, addr)?) as u64),
         FpWidth::D => u64::from_le_bytes(mem.read_hinted::<8>(hint, addr)?),
     })
 }
@@ -1416,56 +1374,6 @@ pub(crate) fn store_f(
     match width {
         FpWidth::S => mem.write_hinted(hint, addr, &(bits as u32).to_le_bytes()),
         FpWidth::D => mem.write_hinted(hint, addr, &bits.to_le_bytes()),
-    }
-}
-
-fn exec_fop(
-    h: &mut Hart,
-    kind: FOpKind,
-    width: FpWidth,
-    frd: chimera_isa::FReg,
-    frs1: chimera_isa::FReg,
-    frs2: chimera_isa::FReg,
-) {
-    match width {
-        FpWidth::S => {
-            let (a, b) = (h.get_s(frs1), h.get_s(frs2));
-            let v = match kind {
-                FOpKind::Add => a + b,
-                FOpKind::Sub => a - b,
-                FOpKind::Mul => a * b,
-                FOpKind::Div => a / b,
-                FOpKind::Min => a.min(b),
-                FOpKind::Max => a.max(b),
-                FOpKind::SgnJ => {
-                    f32::from_bits((a.to_bits() & 0x7fff_ffff) | (b.to_bits() & 0x8000_0000))
-                }
-                FOpKind::SgnJN => {
-                    f32::from_bits((a.to_bits() & 0x7fff_ffff) | (!b.to_bits() & 0x8000_0000))
-                }
-                FOpKind::SgnJX => f32::from_bits(a.to_bits() ^ (b.to_bits() & 0x8000_0000)),
-            };
-            h.set_s(frd, v);
-        }
-        FpWidth::D => {
-            let (a, b) = (h.get_d(frs1), h.get_d(frs2));
-            let v = match kind {
-                FOpKind::Add => a + b,
-                FOpKind::Sub => a - b,
-                FOpKind::Mul => a * b,
-                FOpKind::Div => a / b,
-                FOpKind::Min => a.min(b),
-                FOpKind::Max => a.max(b),
-                FOpKind::SgnJ => f64::from_bits(
-                    (a.to_bits() & 0x7fff_ffff_ffff_ffff) | (b.to_bits() & (1 << 63)),
-                ),
-                FOpKind::SgnJN => f64::from_bits(
-                    (a.to_bits() & 0x7fff_ffff_ffff_ffff) | (!b.to_bits() & (1 << 63)),
-                ),
-                FOpKind::SgnJX => f64::from_bits(a.to_bits() ^ (b.to_bits() & (1 << 63))),
-            };
-            h.set_d(frd, v);
-        }
     }
 }
 
@@ -1495,145 +1403,31 @@ fn fcvt_to_int(val: f64, to: IntWidth, signed: bool) -> u64 {
     }
 }
 
-fn sext_to_u64(v: u64, eew: Eew) -> u64 {
-    match eew {
-        Eew::E8 => v as u8 as i8 as i64 as u64,
-        Eew::E16 => v as u16 as i16 as i64 as u64,
-        Eew::E32 => v as u32 as i32 as i64 as u64,
-        Eew::E64 => v,
-    }
-}
-
-fn exec_varith(
-    h: &mut Hart,
-    op: VArithOp,
-    vd: chimera_isa::VReg,
-    vs2: chimera_isa::VReg,
-    src: VSrc,
-) {
+/// Executes a vector arithmetic instruction: per element, the scalar row
+/// [`VArithOp::element`] names, on operands read by the rule stated there.
+fn exec_varith(h: &mut Hart, op: VArithOp, vd: VReg, vs2: VReg, src: VSrc) {
     let Some(vtype) = h.vtype else {
         return; // No configuration yet: architecturally vl = 0.
     };
-    let sew = vtype.sew;
-    let vl = h.vl as usize;
-
-    // Scalar-or-element accessor for the second operand.
-    let src_elem = |h: &Hart, i: usize| -> u64 {
-        match src {
+    let (sew, element, vl) = (vtype.sew, op.element(), h.vl as usize);
+    if op.is_reduction() {
+        let init = match src {
+            VSrc::V(vs1) => h.v_elem(vs1, sew, 0),
+            _ => 0,
+        };
+        let fold = |acc, i| element.eval(sew, acc, h.v_elem(vs2, sew, i), 0);
+        let acc = (0..vl).fold(init, fold);
+        h.set_v_elem(vd, sew, 0, acc);
+        return;
+    }
+    for i in 0..vl {
+        let s = match src {
             VSrc::V(vs1) => h.v_elem(vs1, sew, i),
             VSrc::X(rs1) => h.get_x(rs1),
-            VSrc::F(frs1) => match sew {
-                Eew::E32 => h.get_s(frs1).to_bits() as u64,
-                _ => h.get_f(frs1),
-            },
+            VSrc::F(frs1) => sew.fp().map_or(h.get_f(frs1), |w| h.get_fp(w, frs1)),
             VSrc::I(imm) => imm as i64 as u64,
-        }
-    };
-
-    let mask = |v: u64| -> u64 {
-        match sew {
-            Eew::E8 => v as u8 as u64,
-            Eew::E16 => v as u16 as u64,
-            Eew::E32 => v as u32 as u64,
-            Eew::E64 => v,
-        }
-    };
-
-    match op {
-        VArithOp::Vredsum => {
-            // vd[0] = vs1[0] + sum(vs2[0..vl])
-            let mut acc = match src {
-                VSrc::V(vs1) => h.v_elem(vs1, sew, 0),
-                _ => 0,
-            };
-            for i in 0..vl {
-                acc = mask(acc.wrapping_add(h.v_elem(vs2, sew, i)));
-            }
-            h.set_v_elem(vd, sew, 0, acc);
-        }
-        VArithOp::Vfredusum => match sew {
-            Eew::E64 => {
-                let mut acc = match src {
-                    VSrc::V(vs1) => f64::from_bits(h.v_elem(vs1, sew, 0)),
-                    _ => 0.0,
-                };
-                for i in 0..vl {
-                    acc += f64::from_bits(h.v_elem(vs2, sew, i));
-                }
-                h.set_v_elem(vd, sew, 0, acc.to_bits());
-            }
-            Eew::E32 => {
-                let mut acc = match src {
-                    VSrc::V(vs1) => f32::from_bits(h.v_elem(vs1, sew, 0) as u32),
-                    _ => 0.0,
-                };
-                for i in 0..vl {
-                    acc += f32::from_bits(h.v_elem(vs2, sew, i) as u32);
-                }
-                h.set_v_elem(vd, sew, 0, acc.to_bits() as u64);
-            }
-            _ => {}
-        },
-        _ => {
-            for i in 0..vl {
-                let b = src_elem(h, i);
-                let a = h.v_elem(vs2, sew, i);
-                let d = h.v_elem(vd, sew, i);
-                let r = match op {
-                    VArithOp::Vadd => a.wrapping_add(b),
-                    VArithOp::Vsub => a.wrapping_sub(b),
-                    VArithOp::Vand => a & b,
-                    VArithOp::Vor => a | b,
-                    VArithOp::Vxor => a ^ b,
-                    VArithOp::Vmul => a.wrapping_mul(b),
-                    VArithOp::Vmacc => d.wrapping_add(a.wrapping_mul(b)),
-                    VArithOp::Vmin => {
-                        let (sa, sb) = (sext_to_u64(a, sew) as i64, sext_to_u64(b, sew) as i64);
-                        sa.min(sb) as u64
-                    }
-                    VArithOp::Vmax => {
-                        let (sa, sb) = (sext_to_u64(a, sew) as i64, sext_to_u64(b, sew) as i64);
-                        sa.max(sb) as u64
-                    }
-                    VArithOp::Vmv => b,
-                    VArithOp::Vfadd
-                    | VArithOp::Vfsub
-                    | VArithOp::Vfmul
-                    | VArithOp::Vfdiv
-                    | VArithOp::Vfmacc => match sew {
-                        Eew::E64 => {
-                            let (fa, fb, fd) =
-                                (f64::from_bits(a), f64::from_bits(b), f64::from_bits(d));
-                            let r = match op {
-                                VArithOp::Vfadd => fa + fb,
-                                VArithOp::Vfsub => fa - fb,
-                                VArithOp::Vfmul => fa * fb,
-                                VArithOp::Vfdiv => fa / fb,
-                                _ => fb.mul_add(fa, fd), // vfmacc: vd += vs1*vs2
-                            };
-                            r.to_bits()
-                        }
-                        Eew::E32 => {
-                            let (fa, fb, fd) = (
-                                f32::from_bits(a as u32),
-                                f32::from_bits(b as u32),
-                                f32::from_bits(d as u32),
-                            );
-                            let r = match op {
-                                VArithOp::Vfadd => fa + fb,
-                                VArithOp::Vfsub => fa - fb,
-                                VArithOp::Vfmul => fa * fb,
-                                VArithOp::Vfdiv => fa / fb,
-                                _ => fb.mul_add(fa, fd),
-                            };
-                            r.to_bits() as u64
-                        }
-                        _ => 0,
-                    },
-                    VArithOp::Vredsum | VArithOp::Vfredusum => unreachable!("handled above"),
-                };
-                h.set_v_elem(vd, sew, i, mask(r));
-            }
-        }
+        };
+        let r = element.eval(sew, h.v_elem(vs2, sew, i), s, h.v_elem(vd, sew, i));
+        h.set_v_elem(vd, sew, i, r);
     }
 }

@@ -1,7 +1,7 @@
 //! Architectural state of one hart: integer/FP/vector register files, pc,
 //! and the vector configuration established by `vsetvli`.
 
-use chimera_isa::{Eew, FReg, VReg, VType, XReg, VLEN};
+use chimera_isa::{Eew, FReg, FpWidth, VReg, VType, XReg, VLEN};
 
 /// Bytes per vector register.
 pub const VLENB: usize = (VLEN / 8) as usize;
@@ -99,22 +99,30 @@ impl Hart {
         self.set_f(r, v.to_bits());
     }
 
+    /// Reads an FP register as an operand of `width`: its value bits,
+    /// honouring NaN-boxing ([`FpWidth::unbox`]).
+    #[inline]
+    pub fn get_fp(&self, width: FpWidth, r: FReg) -> u64 {
+        width.unbox(self.get_f(r))
+    }
+
+    /// Writes value bits of `width` to an FP register, NaN-boxing a single.
+    #[inline]
+    pub fn set_fp(&mut self, width: FpWidth, r: FReg, v: u64) {
+        self.set_f(r, width.nan_box(v));
+    }
+
     /// Reads an FP register as f32, honouring NaN-boxing (an improperly
     /// boxed value reads as canonical NaN, as the spec requires).
     #[inline]
     pub fn get_s(&self, r: FReg) -> f32 {
-        let bits = self.get_f(r);
-        if bits >> 32 == 0xffff_ffff {
-            f32::from_bits(bits as u32)
-        } else {
-            f32::NAN
-        }
+        f32::from_bits(self.get_fp(FpWidth::S, r) as u32)
     }
 
     /// Writes an FP register as a NaN-boxed f32.
     #[inline]
     pub fn set_s(&mut self, r: FReg, v: f32) {
-        self.set_f(r, 0xffff_ffff_0000_0000 | v.to_bits() as u64);
+        self.set_fp(FpWidth::S, r, v.to_bits() as u64);
     }
 
     /// Borrows a vector register's bytes.

@@ -50,6 +50,27 @@ impl FpWidth {
             FpWidth::D => 0b01,
         }
     }
+
+    /// The value bits an FP register supplies as an operand of this width:
+    /// all 64 for a double; for a single the low 32 when the register is
+    /// NaN-boxed (upper 32 bits all ones), and the canonical NaN when it
+    /// is not, as the F extension requires.
+    pub const fn unbox(self, reg: u64) -> u64 {
+        match self {
+            FpWidth::S if reg >> 32 == 0xffff_ffff => reg & 0xffff_ffff,
+            FpWidth::S => 0x7fc0_0000,
+            FpWidth::D => reg,
+        }
+    }
+
+    /// The FP register bits that hold value bits `v` of this width: a
+    /// single NaN-boxed.
+    pub const fn nan_box(self, v: u64) -> u64 {
+        match self {
+            FpWidth::S => 0xffff_ffff_0000_0000 | (v & 0xffff_ffff),
+            FpWidth::D => v,
+        }
+    }
 }
 
 /// Integer width for FP↔integer conversions.
@@ -88,6 +109,26 @@ impl Eew {
     /// Element size in bits.
     pub const fn bits(self) -> u32 {
         self.bytes() as u32 * 8
+    }
+
+    /// The FP format of an element of this width (`None` for `e8` / `e16`).
+    pub const fn fp(self) -> Option<FpWidth> {
+        match self {
+            Eew::E32 => Some(FpWidth::S),
+            Eew::E64 => Some(FpWidth::D),
+            Eew::E8 | Eew::E16 => None,
+        }
+    }
+
+    /// The low element bits of `v`, sign-extended to 64.
+    pub const fn sext(self, v: u64) -> u64 {
+        let shift = 64 - self.bits();
+        ((v << shift) as i64 >> shift) as u64
+    }
+
+    /// The low element bits of `v`.
+    pub const fn truncate(self, v: u64) -> u64 {
+        v & (u64::MAX >> (64 - self.bits()))
     }
 }
 
