@@ -147,11 +147,14 @@ fn vector_program(c: &Case) -> Binary {
             b.data_bytes(DataSec::Rw, &e[..esz]);
         }
     }
-    // Scalar fp operands in the element format (a single is NaN-boxed by
-    // its `flw`).
+    // Scalar fp operands as register images, loaded by `fld`: doubles, or
+    // singles alternately NaN-boxed and not (an improperly boxed single
+    // reads as the canonical NaN).
     b.data_label(DataSec::Rw, "scalars");
     for i in 0..4 {
-        b.dword(DataSec::Rw, element(c.width, true, 5, i));
+        let boxed = c.width == Eew::E32 && i % 2 == 1;
+        let image = element(c.width, true, 5, i) | if boxed { 0xffff_ffff << 32 } else { 0 };
+        b.dword(DataSec::Rw, image);
     }
     b.data_label(DataSec::Rw, "mem");
     for i in 0..VLENB / esz {
@@ -174,25 +177,19 @@ fn vector_program(c: &Case) -> Binary {
         b.inst(chimera_obj::addi(XReg::A0, XReg::A0, VLENB as i32));
     }
     b.la(XReg::A0, "scalars");
-    let width = match c.width {
-        Eew::E32 => FpWidth::S,
-        _ => FpWidth::D,
-    };
     for (i, frd) in [FReg::of(10)].into_iter().chain(F_SCRATCH).enumerate() {
         b.inst(Inst::FLoad {
-            width,
+            width: FpWidth::D,
             frd,
             rs1: XReg::A0,
             offset: 8 * i as i32,
         });
     }
-    // Sign-extended 32-bit values: what a compiler keeps in a register it
-    // feeds an `e32` operation. (Anything else is a known gap, DESIGN.md
-    // §6: the `e32` `vmin.vx` / `vmax.vx` templates compare against all 64
-    // bits of `rs1`.)
-    b.li(XReg::A3, -3);
+    // `a3` and one pool register are not sign-extended 32-bit values: at
+    // `e32` an `x` operand is its low 32 bits.
+    b.li(XReg::A3, 0x1_0000_0005);
     for (i, r) in X_POOL.into_iter().enumerate() {
-        b.li(r, [0x1111, -7, 0x7fff_fff0, 41, -0x4000_0000][i]);
+        b.li(r, [0x1111, -7, 0x7fff_fff0, 41, 0x8000_0000][i]);
     }
     if let Some(r) = c.ptr {
         b.la(r, "mem");
