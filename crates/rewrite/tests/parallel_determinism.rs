@@ -153,10 +153,10 @@ fn regen_bit_identical_across_worker_counts() {
 
 /// The upgrade vectorizer gets the same contract from the shared driver.
 /// 24 loops: enough units for the sizing and transform fan-outs to spawn
-/// workers, a third of them constrained (padding) and a quarter left
-/// scalar (P2 beyond the default `max_padding`), so later addresses depend
-/// on earlier sizes, padding and skips. The upgraded program must also
-/// still behave like its input.
+/// workers, given room for the P2 windows so a quarter of them land behind
+/// padding, and a quarter (the f64 dots) left scalar, so later addresses
+/// depend on earlier sizes, padding and skips. The upgraded program must
+/// also still behave like its input.
 #[test]
 fn upgrade_bit_identical_across_worker_counts() {
     let programs = [
@@ -165,14 +165,17 @@ fn upgrade_bit_identical_across_worker_counts() {
     ];
     for (name, bin) in programs {
         let engine = UpgradeEngine {
-            opts: RewriteOptions::default(),
+            opts: RewriteOptions {
+                max_padding: 4 << 20,
+                ..RewriteOptions::default()
+            },
         };
         let baseline = run(&engine, &bin, 1, &Tracer::disabled()).unwrap();
         assert!(baseline.regen.is_none());
         let stats = baseline.rewritten.stats;
         assert!(stats.smile_trampolines > 0, "{name}: nothing vectorized");
         if name == "loops:24" {
-            assert_eq!(stats.smile_trampolines, 18, "{name}: P2 loops stay scalar");
+            assert_eq!(stats.smile_trampolines, 18, "{name}: f64 dots stay scalar");
             assert_eq!(stats.constrained_smiles, 6);
             assert!(stats.padding_bytes > 0);
         }

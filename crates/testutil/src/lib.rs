@@ -647,12 +647,14 @@ pub fn run_many_hart_scenario(
     (result, counters)
 }
 
-/// A base-ISA program of `n` canonical counted loops, cycling through the
-/// four kernels the upgrade vectorizer recognizes (i64 dot, f64 dot, i64
-/// map, f64 map) and assembled with compression so the loop heads differ
-/// in SMILE constraints: the f64 dot has an instruction start at
-/// `head + 6` (P3), the i64 map one at `head + 2` (P2). Exits with the
-/// low byte of a checksum over every loop's result.
+/// A base-ISA program of `n` canonical counted loops, cycling through an
+/// i64 dot, an f64 dot, an i64 map and an f64 map, and assembled with
+/// compression so the loop heads differ in SMILE constraints: the i64 map
+/// has an instruction start at `head + 2` (P2). The upgrade vectorizer
+/// recognizes three of the four kernels; the f64 dot (an instruction start
+/// at `head + 6`, P3) stays scalar, since vectorizing it would reassociate
+/// its sum. Exits with the low byte of a checksum over every loop's
+/// result.
 pub fn scalar_loops(n: usize) -> Binary {
     use std::fmt::Write;
     let mut src = String::from("    .data\n");
