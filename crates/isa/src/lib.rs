@@ -28,16 +28,18 @@
 //! [`FCmpKind`], [`FMaKind`], [`VArithOp`] — is generated from one table in
 //! `src/kinds.rs`: a row names the variant, its mnemonic (or stem), its
 //! encoding fields and the attributes consumers switch on (extension,
-//! access size, cost class, allowed vector source forms), and for the four
-//! pure integer families the value function itself. From the rows come
-//! `Kind::ALL`, `mnemonic()` / `from_mnemonic()` (`stem()` / `from_stem()`),
-//! `encoding()` / `from_encoding()` and `eval()`; [`encode`], [`decode`],
-//! `Display`, the text assembler, the emulator's cost model and every
-//! execution tier read those and keep no list of their own, so they agree
-//! by construction. What stays hand-written, and why: the [`Inst`] operand
-//! shapes and `uses_x` / `def_x` (one arm per *shape*, not per kind), and
-//! everything that needs hart state (memory, FP and vector semantics live
-//! in `chimera-emu`).
+//! access size, cost class, allowed vector source forms), the value
+//! function of every integer and FP family, and for each vector operation
+//! the scalar row that computes one of its elements ([`Element`]). From the
+//! rows come `Kind::ALL`, `mnemonic()` / `from_mnemonic()` (`stem()` /
+//! `from_stem()`), `encoding()` / `from_encoding()` and `eval()`;
+//! [`encode`], [`decode`], `Display`, the text assembler, the emulator's
+//! cost model and every execution tier — and the rewriter's vector
+//! templates and vectorizer — read those and keep no list of their own, so
+//! they agree by construction. What stays hand-written, and why: the
+//! [`Inst`] operand shapes and `uses_x` / `def_x` (one arm per *shape*, not
+//! per kind), and execution, which needs hart state (register files,
+//! `vl` / `vtype` and memory live in `chimera-emu`).
 //!
 //! ## One row per compressed form
 //!
