@@ -16,6 +16,7 @@ use chimera_emu::{Cpu, Memory, VLENB};
 use chimera_isa::{Eew, Ext, ExtSet, VReg};
 use chimera_obj::{Binary, Perms};
 use chimera_rewrite::translate::SpillLayout;
+use chimera_rewrite::FaultTable;
 use chimera_trace::{TraceEvent, Tracer};
 
 /// Extra executable slack mapped after the target section for lazy
@@ -183,17 +184,23 @@ impl Process {
     }
 
     /// Whether the task can migrate right now: pc must not be inside the
-    /// active view's target-instruction section (whose contents are not
-    /// semantically equivalent across views, §4.3). When `false`, the
-    /// scheduler delays migration and re-checks at the next safe point
-    /// (the paper inserts an exit-position probe; our kernel simply steps
-    /// until the probe condition — pc outside the section — holds).
+    /// active view's target code (the target section or a lazily built
+    /// block, not semantically equivalent across views, §4.3) or a
+    /// trampoline. When `false`, the scheduler delays migration and
+    /// re-checks at the next safe point (the paper inserts an exit-position
+    /// probe; our kernel simply steps until pc is outside target code).
     pub fn migration_safe(active: &Variant, pc: u64) -> bool {
         match &active.tables.fht {
-            Some(fht) => !fht.in_target_section(pc) && !fht.inside_trampoline(pc),
+            Some(fht) => !in_target_code(fht, pc) && !fht.inside_trampoline(pc),
             None => true,
         }
     }
+}
+
+/// Whether `pc` is in the target code of a view with table `fht`: its
+/// target section, or the slack after it where lazily built blocks run.
+pub(crate) fn in_target_code(fht: &FaultTable, pc: u64) -> bool {
+    (fht.target_range.0..fht.target_range.1 + LAZY_SLACK).contains(&pc)
 }
 
 /// Maps the executable slack lazy rewriting grows into, right after

@@ -32,6 +32,7 @@
 //! of it ([`RuntimeTables`]); what a run adds — lazily built blocks, their
 //! entries and exits — is the runner's own.
 
+use crate::process::in_target_code;
 use chimera_emu::{Access, Cpu, Memory, Stop, Trap};
 use chimera_isa::{decode, Decoded, ExtSet, XReg};
 use chimera_rewrite::translate::Translator;
@@ -168,7 +169,7 @@ impl KernelRunner {
         assert!(self.signal_ctx.is_none(), "nested signals unsupported");
         self.signal_ctx = Some(cpu.hart.clone());
         if let Some(fht) = &self.tables.fht {
-            if fht.inside_trampoline(cpu.hart.pc) || fht.in_target_section(cpu.hart.pc) {
+            if fht.inside_trampoline(cpu.hart.pc) || in_target_code(fht, cpu.hart.pc) {
                 // "Restoring gp" before the handler observes it.
                 cpu.hart.set_x(XReg::GP, fht.abi_gp);
                 self.counters.signals_gp_restored += 1;
@@ -400,13 +401,15 @@ impl KernelRunner {
         }
     }
 
-    /// Lazy rewriting (§4.1/§4.3): build the faulting instruction's target
-    /// block now, place it after the target section, patch the site with a
-    /// trap entry, and let execution re-trap into it. The block is the one
-    /// the static pipeline builds for a lone site, exit slot included —
-    /// [`lazy_block`], resolved by [`UnitArtifact::place_at`] at the cursor
-    /// — so it leaves through a `jal` and costs one kernel entry per
-    /// execution, not two. Returns the block's address.
+    /// Lazy rewriting (§4.1/§4.3): build the target block of the run the
+    /// faulting instruction starts — it and the vector instructions after
+    /// it this core lacks and a template exists for — place it after the
+    /// target section, patch the site with a trap entry, and let execution
+    /// re-trap into it. Only the site is patched: a jump into the run runs
+    /// the original bytes there and is rewritten on its own. The block is
+    /// [`lazy_block`], resolved by [`UnitArtifact::place_at`] at the cursor,
+    /// so it leaves through a `jal`: one kernel entry per execution of the
+    /// run. Returns the block's address.
     ///
     /// [`UnitArtifact::place_at`]: chimera_rewrite::UnitArtifact::place_at
     fn lazy_rewrite(
@@ -421,7 +424,19 @@ impl KernelRunner {
         // Grow region: right after the target section (the loader maps the
         // section with slack; see `Process::load`).
         let cursor = *self.lazy_cursor.get_or_insert(fht.target_range.1);
-        let block = lazy_block(&translator, profile, pc, site).ok()?;
+        let joins = |d: &Decoded| {
+            let inst = &d.inst;
+            Translator::sequenceable(inst) && Translator::can_downgrade(inst)
+        };
+        let mut run = vec![site];
+        while joins(&run[run.len() - 1]) {
+            let word = mem.peek(pc + 4 * run.len() as u64, 4);
+            match word.and_then(|b| decode(u32::from_le_bytes(b.try_into().ok()?)).ok()) {
+                Some(d) if joins(&d) && !d.inst.runnable_on(profile) => run.push(d),
+                _ => break,
+            }
+        }
+        let block = lazy_block(&translator, profile, pc, &run).ok()?;
         // The table entries of a block built at run time are the runner's:
         // resolve against a scratch table and keep what it gained (a trap
         // exit, if the site is beyond `jal` range of the cursor).

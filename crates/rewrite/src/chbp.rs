@@ -157,11 +157,6 @@ impl FaultTable {
             .next_back()
             .is_some_and(|&t| pc < t + 8)
     }
-
-    /// Whether `pc` is inside the target-instruction section.
-    pub fn in_target_section(&self, pc: u64) -> bool {
-        pc >= self.target_range.0 && pc < self.target_range.1
-    }
 }
 
 /// Rewriting statistics (Table 3 and the §6.2 breakdowns).
@@ -311,7 +306,7 @@ impl RewriteEngine for ChbpEngine {
                 continue;
             }
             let region = build_region(&d, &cfg, site, self.opts, self.target)
-                .unwrap_or_else(|| Region::lone(*site));
+                .unwrap_or_else(|| Region::lone(vec![*site]));
             let range = region.source_range();
             covered_until = range.1;
             ranges.push(range);
@@ -385,21 +380,28 @@ impl Units for ChbpUnits {
     }
 }
 
-/// The target block of the source instruction `site`, found at `pc` at
-/// fault time on a core with profile `target`: the one-instruction region
-/// the static partition makes of a site that cannot form an 8-byte space,
-/// emitted by the same block builder. What it cannot have is liveness, so
-/// its exit slot names no dead register: a `jal` within ±1 MiB of where
+/// The target block of the source instructions `run`, found from `pc` on
+/// at fault time on a core with profile `target`: the region the static
+/// partition makes of a site that cannot form an 8-byte space — entered
+/// through a trap on `pc`, nothing overwritten past it — emitted by the
+/// same block builder, and leaving after the run's last instruction. A run
+/// of one is the static lone-site unit. What it cannot have is liveness,
+/// so its exit slot names no dead register: a `jal` within ±1 MiB of where
 /// [`UnitArtifact::place_at`] puts the block, a trap (entered in the
 /// table `place_at` is given) beyond.
 pub fn lazy_block(
     translator: &Translator,
     target: ExtSet,
     pc: u64,
-    site: Decoded,
+    run: &[Decoded],
 ) -> Result<UnitArtifact, RewriteError> {
-    let (addr, Decoded { inst, len }) = (pc, site);
-    let region = Region::lone(DisasmInst { addr, len, inst });
+    let mut addr = pc;
+    let insts = run.iter().map(|&Decoded { inst, len }| {
+        let di = DisasmInst { addr, len, inst };
+        addr = di.next_addr();
+        di
+    });
+    let region = Region::lone(insts.collect());
     let (dead, traditional) = (None, false);
     let exit = |to, em: &mut BlockEmitter| {
         em.reloc(Reloc::Exit {
@@ -469,13 +471,15 @@ enum RegionTail {
 }
 
 impl Region {
-    /// The region of a site that cannot form an 8-byte space: the site
-    /// alone, nothing overwritten past it, entered through a trap.
-    fn lone(site: DisasmInst) -> Region {
+    /// The region of a site that cannot form an 8-byte space: straight-line
+    /// `insts` from the site on (the site alone, statically), nothing
+    /// overwritten past the site, entered through a trap.
+    fn lone(insts: Vec<DisasmInst>) -> Region {
+        let (site, last) = (insts[0], insts[insts.len() - 1]);
         Region {
-            insts: vec![site],
+            insts,
             space_end: site.next_addr(),
-            resume: site.next_addr(),
+            resume: last.next_addr(),
             tail: RegionTail::Fallthrough,
         }
     }
@@ -592,8 +596,9 @@ fn build_region(
     })
 }
 
-/// Emits one region's target block: gp restore, then per-instruction
-/// translation/copy, then the exit(s), each emitted by `exit` given the
+/// Emits one region's target block: gp restore, then the translation of
+/// each run and the translation or copy of every other instruction, then
+/// the exit(s), each emitted by `exit` given the
 /// original address it returns to. Marks a redirect at the copy of every
 /// instruction whose original bytes the trampoline overwrites.
 fn emit_block(
@@ -611,27 +616,33 @@ fn emit_block(
     translator.restore_gp(em);
 
     let mut deferred_branch = None;
-    // Consecutive translated vector instructions share one scratch
-    // save/restore sequence (the §4.2 batching optimization applied at the
-    // translation level). Sequences are broken at FHT entry points so a
-    // redirected erroneous jump always lands at sequence-safe code.
-    let mut in_seq = false;
-
-    for (idx, di) in region.insts.iter().enumerate() {
-        // FHT entry for overwritten instruction starts (not the site head:
-        // jumping there executes the full trampoline, which is correct).
-        let needs_entry = di.addr > site && di.addr < region.space_end;
-        let translated_vector = mode == Mode::Downgrade
+    // FHT entry for overwritten instruction starts (not the site head:
+    // jumping there executes the full trampoline, which is correct).
+    let needs_entry = |di: &DisasmInst| di.addr > site && di.addr < region.space_end;
+    // Consecutive translated vector instructions are one run
+    // ([`Translator::sequence`]). Runs break at FHT entry points, so a
+    // redirected erroneous jump always lands at the head of one.
+    let in_run = |di: &DisasmInst| {
+        mode == Mode::Downgrade
             && mode.is_source(&di.inst, target)
-            && Translator::sequenceable(&di.inst);
-        if in_seq && (needs_entry || !translated_vector) {
-            translator.seq_end(em);
-            in_seq = false;
-        }
-        if needs_entry {
+            && Translator::sequenceable(&di.inst)
+    };
+
+    let last = &region.insts[region.insts.len() - 1];
+    for part in region
+        .insts
+        .chunk_by(|a, b| in_run(a) && in_run(b) && !needs_entry(b))
+    {
+        let di = &part[0];
+        if needs_entry(di) {
             em.reloc(Reloc::Redirect { from: di.addr });
         }
-        let is_last = idx == region.insts.len() - 1;
+        if in_run(di) {
+            let run: Vec<Inst> = part.iter().map(|di| di.inst).collect();
+            translator.sequence(&run, em)?;
+            continue;
+        }
+        let is_last = std::ptr::eq(di, last);
         match di.inst {
             Inst::Branch { kind, rs1, rs2, .. }
                 if is_last && matches!(region.tail, RegionTail::Branch { .. }) =>
@@ -653,31 +664,13 @@ fn emit_block(
             // The final unconditional jump of a Jump-tail region is not
             // copied: the region exit (emitted below) performs it.
             _ if is_last && matches!(region.tail, RegionTail::Jump { .. }) => {}
+            _ if !mode.is_source(&di.inst, target) => reemit(&di.inst, di.addr, em),
+            // `build_region` admitted only sources with a template.
+            _ if mode == Mode::Downgrade => translator.downgrade(&di.inst, em)?,
             _ => {
-                if mode.is_source(&di.inst, target) {
-                    match mode {
-                        Mode::EmptyPatch(_) => {
-                            em.inst(di.inst);
-                        }
-                        // `build_region` admitted only sources with a
-                        // template.
-                        Mode::Downgrade if translated_vector => {
-                            if !in_seq {
-                                translator.seq_begin(em);
-                                in_seq = true;
-                            }
-                            translator.downgrade_in_seq(&di.inst, em)?;
-                        }
-                        Mode::Downgrade => translator.downgrade(&di.inst, em)?,
-                    }
-                } else {
-                    reemit(&di.inst, di.addr, em);
-                }
+                em.inst(di.inst);
             }
         }
-    }
-    if in_seq {
-        translator.seq_end(em);
     }
 
     // Exits.
@@ -1059,13 +1052,16 @@ mod tests {
 
     /// A loop whose backedge targets its own patch site iterates inside
     /// the target block, however long the block is: past the B-type
-    /// ±4 KiB the backedge is an inverted branch over a `jal`. 30 bodies
-    /// (4,060 bytes) still encode directly and keep their bytes.
+    /// ±4 KiB the backedge is an inverted branch over a `jal`. A body is a
+    /// vector add and a scalar one, so each add is a run of its own (a
+    /// stretch of adds would share one element loop): 20 bodies (a
+    /// 3,532-byte target section) still encode directly and keep their
+    /// bytes.
     #[test]
     fn long_loop_bodies_keep_their_backedge_inside_the_block() {
         for (n, digest) in [
-            (30, Some(0x9c28_6676_4431_36fe_u64)),
-            (40, None),
+            (20, Some(0xadc5_3793_8179_d45c_u64)),
+            (30, None),
             (60, None),
         ] {
             let bin = asm(&format!(
@@ -1085,7 +1081,7 @@ mod tests {
                     li a7, 93
                     ecall
                 ",
-                "vadd.vv v3, v3, v1\n".repeat(n)
+                "vadd.vv v3, v3, v1\naddi s1, s1, 1\n".repeat(n)
             ));
             let native = run_binary(&bin, 100_000).unwrap();
             assert_eq!(native.exit_code, 30 * n as i64);
@@ -1093,10 +1089,11 @@ mod tests {
             let r = run_binary_on(&rw.binary, ExtSet::RV64GC, 10_000_000).unwrap();
             assert_eq!(r.exit_code, native.exit_code, "{n} bodies");
             if let Some(digest) = digest {
-                // FNV-1a of the target section, recorded before branches
-                // could relax; re-recorded when the `e32` body of the
-                // `vmv.v.x` template began loading its staged scalar at
-                // element width.
+                // FNV-1a of the target section. First recorded (over 30
+                // plain adds) before branches could relax; re-recorded when
+                // the `e32` body of the `vmv.v.x` template began loading
+                // its staged scalar at element width, and for this body
+                // when vector instructions began translating by the run.
                 let code = &rw.binary.section(".chimera.text").unwrap().data;
                 let fnv = code.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
                     (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)

@@ -723,7 +723,8 @@ mod tests {
         assert_eq!(r.exit_code, 55);
         let ro = rg.rewritten.binary.section(".rodata").unwrap();
         let ptr = u64::from_le_bytes(ro.data[0..8].try_into().unwrap());
-        assert!(rg.rewritten.fht.in_target_section(ptr));
+        let (lo, hi) = rg.rewritten.fht.target_range;
+        assert!((lo..hi).contains(&ptr));
     }
 
     #[test]
@@ -745,10 +746,8 @@ mod tests {
             );
         }
         // Entry moved into the relocated section.
-        assert!(rg
-            .rewritten
-            .fht
-            .in_target_section(rg.rewritten.binary.entry));
+        let (lo, hi) = rg.rewritten.fht.target_range;
+        assert!((lo..hi).contains(&rg.rewritten.binary.entry));
     }
 
     #[test]

@@ -15,6 +15,36 @@
 //!   appended to the rewritten binary ([`SpillLayout`]), so the computation
 //!   context survives migration between cores exactly as §4.1 requires.
 //!
+//! **Runs.** Vector instructions are translated a *run* at a time: a
+//! stretch of consecutive ones [`Translator::sequence`] emits as one body
+//! (the §4.2 batching applied at the translation level). The contract:
+//!
+//! * a run is entered at its head and left at its end, nowhere else: the
+//!   block builder breaks runs at fault-table entry points, so a redirected
+//!   jump never lands on code that assumed a SEW it did not set;
+//! * the head points `gp` at the spill section and saves the scratches the
+//!   run uses — each of `t2`..`t6` a template writes or an instruction
+//!   names, and `ft8`..`ft10` when the run has an FP row; the end restores
+//!   them and `gp`;
+//! * at both ends the spill section holds the whole vector state, in the
+//!   transformation-free layout every view shares; nothing vector-valued
+//!   stays in a register across a run's end;
+//! * the element width (SEW) is dispatched once per run. From a `vsetvli`
+//!   on it is known. Before the first one it is the spilled SEW: the
+//!   instructions from the first that reads it up to that `vsetvli` are
+//!   emitted twice — an `e64` copy and an `e32` copy — behind one branch
+//!   on the spilled SEW (any value but 8 takes the `e32` copy);
+//! * a stretch of consecutive element-wise operations (no folds, no memory
+//!   operations) shares one element loop. Each operation still loads its
+//!   operands from the spilled register file and stores its result there,
+//!   except that one whose `vs2` the previous operation just wrote reads
+//!   the register still holding it. Fusing is sound because such a row
+//!   reads only element `i` of its sources and writes only element `i` of
+//!   `vd`; memory operations stay out, since fusing them would reorder
+//!   memory accesses.
+//!
+//! [`Translator::downgrade`] of one vector instruction is a run of one.
+//!
 //! A [`Translator`] is a `Copy` value — the spill base and the ABI `gp`,
 //! the only two things a template materializes that belong to the binary
 //! rather than to the instruction. Emission changes nothing in it (local
@@ -22,17 +52,16 @@
 //! regeneration scan and per kernel runner, and shared by reference.
 //!
 //! Supported downgrades: the whole modelled RVV subset at `e32`/`e64` with
-//! `m1` grouping (the element width is dispatched at runtime from the
-//! spilled `vtype`), and the Zba/Zbb subset. [`Translator::can_downgrade`]
+//! `m1` grouping, and the Zba/Zbb subset. [`Translator::can_downgrade`]
 //! is the one statement of that set: the rewriters ask it before they
 //! form a unit, and `downgrade*` ask it first and report
 //! [`Untranslatable`] for anything else, which then stays the original
 //! instruction (the kernel migrates the task when it faults).
 
-use crate::emitter::BlockEmitter;
+use crate::emitter::{BlockEmitter, Label};
 use chimera_isa::{
     BranchKind, Eew, Element, Ext, FReg, FpWidth, Inst, LoadKind, OpImmKind, OpKind, StoreKind,
-    UnaryKind, VArithOp, VReg, VSrc, XReg, VLEN,
+    UnaryKind, VReg, VSrc, XReg, VLEN,
 };
 
 /// Layout of the `.chimera.vregs` spill section.
@@ -49,8 +78,6 @@ impl SpillLayout {
     pub const VL: i32 = 0;
     /// Offset of the current element width in bytes (u64: 4 or 8).
     pub const SEW: i32 = 8;
-    /// Offset of the scalar-operand staging slot.
-    pub const RESULT: i32 = 104;
     /// Offset of the simulated vector register file.
     pub const VREGS: i32 = 128;
 
@@ -129,9 +156,8 @@ impl Translator {
         em.li32(XReg::GP, self.spill.base as i64);
     }
 
-    /// Whether `inst` is a vector instruction that can participate in a
-    /// translation *sequence* (shared scratch save/restore; the §4.2
-    /// batching optimization applied at the translation level).
+    /// Whether `inst` is a vector instruction a run can hold
+    /// ([`Translator::sequence`]).
     pub fn sequenceable(inst: &Inst) -> bool {
         matches!(
             inst,
@@ -144,94 +170,102 @@ impl Translator {
         )
     }
 
-    /// Opens a translation sequence: `gp` → spill pointer, all scratch
-    /// registers saved. Between `seq_begin` and `seq_end` only
-    /// [`Translator::downgrade_in_seq`] emissions may run.
-    pub fn seq_begin(&self, em: &mut BlockEmitter) {
+    /// Emits a run (module docs): the consecutive vector instructions `run`,
+    /// entered at the first. Refuses, emitting nothing, an instruction that
+    /// is not [`Translator::sequenceable`] or has no template.
+    pub fn sequence(&self, run: &[Inst], em: &mut BlockEmitter) -> Result<(), Untranslatable> {
+        let translatable = |i: &&Inst| Self::sequenceable(i) && Self::can_downgrade(i);
+        if let Some(&bad) = run.iter().find(|i| !translatable(i)) {
+            return Err(Untranslatable(bad));
+        }
+        let fp = run
+            .iter()
+            .any(|i| matches!(i, Inst::VArith { op, .. } if op.is_fp()));
+        let xs = X_POOL
+            .into_iter()
+            .filter(|&r| run.iter().any(|i| saves(i, r)));
+        let fs = F_SCRATCH.into_iter().filter(|_| fp);
+        let saved: Vec<(ElemReg, i32)> = xs
+            .map(|r| (ElemReg::int(r), SpillLayout::x_slot(r)))
+            .chain(fs.map(|f| (ElemReg::float(f), SpillLayout::f_slot(f))))
+            .collect();
         self.spill_gp(em);
-        for r in X_POOL {
-            em.inst(Inst::Store {
-                kind: StoreKind::Sd,
-                rs1: XReg::GP,
-                rs2: r,
-                offset: SpillLayout::x_slot(r),
-            });
+        for &(r, slot) in &saved {
+            em.inst(r.store(Eew::E64, XReg::GP, slot));
         }
-        for f in F_SCRATCH {
-            em.inst(Inst::FStore {
-                width: FpWidth::D,
-                frs2: f,
-                rs1: XReg::GP,
-                offset: SpillLayout::f_slot(f),
-            });
+        // Before the first `vsetvli` the SEW is the spilled one: loads and
+        // stores up to the first instruction that reads it are emitted
+        // once, the rest of that part once per width.
+        let set = run.iter().position(|i| matches!(i, Inst::Vsetvli { .. }));
+        let (head, tail) = run.split_at(set.unwrap_or(run.len()));
+        let reads_sew = |i: &Inst| {
+            matches!(
+                i,
+                Inst::VArith { .. } | Inst::VMvXS { .. } | Inst::VMvSX { .. }
+            )
+        };
+        let (lead, head) = head.split_at(head.iter().position(reads_sew).unwrap_or(head.len()));
+        self.body(lead, Eew::E64, em);
+        if !head.is_empty() {
+            // The one dispatch on the spilled SEW.
+            let (l32, join) = (em.new_label(), em.new_label());
+            em.inst(spill_ld(XReg::T2, SpillLayout::SEW));
+            em.inst(chimera_obj::addi(XReg::T2, XReg::T2, -8));
+            em.branch_to(BranchKind::Bne, XReg::T2, XReg::ZERO, l32);
+            self.body(head, Eew::E64, em);
+            em.jal_to(XReg::ZERO, join);
+            em.label(l32);
+            self.body(head, Eew::E32, em);
+            em.label(join);
         }
-    }
-
-    /// Closes a translation sequence: scratches restored (first-in,
-    /// last-out), `gp` re-materialized to the ABI value.
-    pub fn seq_end(&self, em: &mut BlockEmitter) {
-        for f in F_SCRATCH.iter().rev() {
-            em.inst(Inst::FLoad {
-                width: FpWidth::D,
-                frd: *f,
-                rs1: XReg::GP,
-                offset: SpillLayout::f_slot(*f),
-            });
-        }
-        for r in X_POOL.iter().rev() {
-            em.inst(Inst::Load {
-                kind: LoadKind::Ld,
-                rd: *r,
-                rs1: XReg::GP,
-                offset: SpillLayout::x_slot(*r),
-            });
+        // From its `vsetvli` on, the run knows its SEW.
+        self.body(tail, Eew::E64, em);
+        for &(r, slot) in saved.iter().rev() {
+            em.inst(r.load(Eew::E64, XReg::GP, slot));
         }
         self.restore_gp(em);
+        Ok(())
     }
 
-    /// Reads source register `src` into scratch `dst`, honouring the
-    /// sequence discipline: a scratch register's *program* value lives in
-    /// its save slot while a sequence is open.
+    /// Emits `insts` of a run under SEW `sew` (a `vsetvli` among them sets
+    /// another): a stretch of element-wise operations as one element loop,
+    /// every other instruction by its template.
+    fn body(&self, insts: &[Inst], mut sew: Eew, em: &mut BlockEmitter) {
+        let elementwise = |i: &Inst| matches!(i, Inst::VArith { op, .. } if !op.is_reduction());
+        for part in insts.chunk_by(|a, b| elementwise(a) && elementwise(b)) {
+            match part[0] {
+                Inst::Vsetvli { rd, rs1, vtype } => {
+                    sew = vtype.sew;
+                    self.vsetvli(rd, rs1, sew, em);
+                }
+                Inst::VLoad { eew, vd, rs1 } => self.vmem(true, eew, vd, rs1, em),
+                Inst::VStore { eew, vs3, rs1 } => self.vmem(false, eew, vs3, rs1, em),
+                Inst::VMvXS { rd, vs2 } => self.vmv_x_s(rd, vs2, sew, em),
+                Inst::VMvSX { vd, rs1 } => self.vmv_s_x(vd, rs1, sew, em),
+                // A stretch, or one fold.
+                _ => self.elements(part, sew, em),
+            }
+        }
+    }
+
+    /// Reads source register `src` into scratch `dst`: inside a run a
+    /// scratch register's *program* value lives in its save slot.
     fn capture_x(&self, em: &mut BlockEmitter, dst: XReg, src: XReg) {
         if X_POOL.contains(&src) {
-            em.inst(Inst::Load {
-                kind: LoadKind::Ld,
-                rd: dst,
-                rs1: XReg::GP,
-                offset: SpillLayout::x_slot(src),
-            });
+            em.inst(spill_ld(dst, SpillLayout::x_slot(src)));
         } else {
             em.inst(chimera_isa::mv(dst, src));
         }
     }
 
-    /// Delivers the value staged in the RESULT slot to destination `rd`:
-    /// a scratch destination's save slot is updated instead (the program
-    /// value materializes at `seq_end`).
-    fn deliver_rd(&self, em: &mut BlockEmitter, rd: XReg) {
-        if rd == XReg::ZERO {
-            return;
-        }
+    /// Delivers `value` to destination `rd`: a scratch destination's save
+    /// slot is updated instead (the program value materializes at the end
+    /// of the run).
+    fn deliver(&self, em: &mut BlockEmitter, rd: XReg, value: XReg) {
         if X_POOL.contains(&rd) {
-            em.inst(Inst::Load {
-                kind: LoadKind::Ld,
-                rd: XReg::T2,
-                rs1: XReg::GP,
-                offset: SpillLayout::RESULT,
-            });
-            em.inst(Inst::Store {
-                kind: StoreKind::Sd,
-                rs1: XReg::GP,
-                rs2: XReg::T2,
-                offset: SpillLayout::x_slot(rd),
-            });
-        } else {
-            em.inst(Inst::Load {
-                kind: LoadKind::Ld,
-                rd,
-                rs1: XReg::GP,
-                offset: SpillLayout::RESULT,
-            });
+            em.inst(spill_sd(value, SpillLayout::x_slot(rd)));
+        } else if rd != value && rd != XReg::ZERO {
+            em.inst(chimera_isa::mv(rd, value));
         }
     }
 
@@ -264,49 +298,18 @@ impl Translator {
         }
     }
 
-    /// Emits the downgrade of `inst` standalone: for vector instructions
-    /// this wraps the body in its own one-instruction sequence; Zba/Zbb
-    /// templates carry their own lightweight save discipline.
+    /// Emits the downgrade of `inst` standalone: a vector instruction is a
+    /// run of one; Zba/Zbb templates carry their own lightweight save
+    /// discipline.
     pub fn downgrade(&self, inst: &Inst, em: &mut BlockEmitter) -> Result<(), Untranslatable> {
+        if Self::sequenceable(inst) {
+            return self.sequence(std::slice::from_ref(inst), em);
+        }
         if !Self::can_downgrade(inst) {
             return Err(Untranslatable(*inst));
         }
-        if Self::sequenceable(inst) {
-            self.seq_begin(em);
-            self.vector_body(inst, em);
-            self.seq_end(em);
-        } else {
-            self.scalar_body(inst, em);
-        }
+        self.scalar_body(inst, em);
         Ok(())
-    }
-
-    /// Emits the downgrade of a vector `inst` inside an open sequence
-    /// (`gp` = spill pointer, scratches saved).
-    pub fn downgrade_in_seq(
-        &self,
-        inst: &Inst,
-        em: &mut BlockEmitter,
-    ) -> Result<(), Untranslatable> {
-        if !(Self::sequenceable(inst) && Self::can_downgrade(inst)) {
-            return Err(Untranslatable(*inst));
-        }
-        self.vector_body(inst, em);
-        Ok(())
-    }
-
-    /// The body of a [`Translator::sequenceable`] instruction
-    /// [`Translator::can_downgrade`] admitted.
-    fn vector_body(&self, inst: &Inst, em: &mut BlockEmitter) {
-        match *inst {
-            Inst::Vsetvli { rd, rs1, vtype } => self.vsetvli(rd, rs1, vtype.sew, em),
-            Inst::VLoad { eew, vd, rs1 } => self.vmem(true, eew, vd, rs1, em),
-            Inst::VStore { eew, vs3, rs1 } => self.vmem(false, eew, vs3, rs1, em),
-            Inst::VArith { op, vd, vs2, src } => self.varith(op, vd, vs2, src, em),
-            Inst::VMvXS { rd, vs2 } => self.vmv_x_s(rd, vs2, em),
-            Inst::VMvSX { vd, rs1 } => self.vmv_s_x(vd, rs1, em),
-            _ => unreachable!("{inst} is not sequenceable"),
-        }
     }
 
     /// The Zba/Zbb scalar templates [`Translator::can_downgrade`] admitted
@@ -322,10 +325,9 @@ impl Translator {
 
     // ----- Vector templates ------------------------------------------------
     //
-    // All bodies assume an *open sequence*: gp = spill pointer, scratches
-    // saved. Program values of scratch registers are read from their save
-    // slots (capture_x) and scratch destinations are written through their
-    // slots (deliver_rd).
+    // All bodies run inside a run: gp = spill pointer, scratches saved.
+    // Program values of scratch registers are read from their save slots
+    // and scratch destinations are written through them (deliver).
 
     fn vsetvli(&self, rd: XReg, rs1: XReg, sew: Eew, em: &mut BlockEmitter) {
         let vlmax = (VLEN as i64) / sew.bits() as i64;
@@ -333,12 +335,7 @@ impl Translator {
         // t2 = requested AVL (or VLMAX for the rs1=zero, rd!=zero form).
         if rs1 == XReg::ZERO {
             if rd == XReg::ZERO {
-                em.inst(Inst::Load {
-                    kind: LoadKind::Ld,
-                    rd: XReg::T2,
-                    rs1: XReg::GP,
-                    offset: SpillLayout::VL,
-                });
+                em.inst(spill_ld(XReg::T2, SpillLayout::VL));
             } else {
                 em.inst(chimera_obj::addi(XReg::T2, XReg::ZERO, vlmax as i32));
             }
@@ -350,311 +347,179 @@ impl Translator {
         em.branch_to(BranchKind::Bltu, XReg::T2, XReg::T3, done);
         em.inst(chimera_isa::mv(XReg::T2, XReg::T3));
         em.label(done);
-        em.inst(Inst::Store {
-            kind: StoreKind::Sd,
-            rs1: XReg::GP,
-            rs2: XReg::T2,
-            offset: SpillLayout::VL,
-        });
+        em.inst(spill_sd(XReg::T2, SpillLayout::VL));
         em.inst(chimera_obj::addi(XReg::T3, XReg::ZERO, sew.bytes() as i32));
-        em.inst(Inst::Store {
-            kind: StoreKind::Sd,
-            rs1: XReg::GP,
-            rs2: XReg::T3,
-            offset: SpillLayout::SEW,
-        });
-        em.inst(Inst::Store {
-            kind: StoreKind::Sd,
-            rs1: XReg::GP,
-            rs2: XReg::T2,
-            offset: SpillLayout::RESULT,
-        });
-        self.deliver_rd(em, rd);
+        em.inst(spill_sd(XReg::T3, SpillLayout::SEW));
+        self.deliver(em, rd, XReg::T2);
     }
 
     /// Unit-stride vector load/store between memory at `rs1` and the
     /// simulated register file.
     fn vmem(&self, is_load: bool, eew: Eew, v: VReg, rs1: XReg, em: &mut BlockEmitter) {
-        let (loop_l, done) = (em.new_label(), em.new_label());
-        let esz = eew.bytes() as i32;
         // t2 = memory cursor.
         self.capture_x(em, XReg::T2, rs1);
-        // t3 = remaining element count.
-        em.inst(Inst::Load {
-            kind: LoadKind::Ld,
-            rd: XReg::T3,
-            rs1: XReg::GP,
-            offset: SpillLayout::VL,
-        });
-        // t4 = vreg cursor.
-        em.inst(chimera_obj::addi(
-            XReg::T4,
-            XReg::GP,
-            SpillLayout::vreg_off(v),
-        ));
-        em.label(loop_l);
-        em.branch_to(BranchKind::Beq, XReg::T3, XReg::ZERO, done);
-        // t5 = the element, from the source cursor to the other one.
-        let (from, to) = if is_load {
-            (XReg::T2, XReg::T4)
-        } else {
-            (XReg::T4, XReg::T2)
-        };
-        let t5 = ElemReg::X(XReg::T5);
-        em.inst(t5.load(eew, from, 0)).inst(t5.store(eew, to, 0));
-        em.inst(chimera_obj::addi(XReg::T2, XReg::T2, esz));
-        em.inst(chimera_obj::addi(XReg::T4, XReg::T4, esz));
-        em.inst(chimera_obj::addi(XReg::T3, XReg::T3, -1));
-        em.jal_to(XReg::ZERO, loop_l);
-        em.label(done);
+        let looped = open_loop(eew, em);
+        // t5 = the element, from one side to the other.
+        let (mem, reg) = ((XReg::T2, 0), (XReg::T4, SpillLayout::vreg_off(v)));
+        let (from, to) = if is_load { (mem, reg) } else { (reg, mem) };
+        let t5 = ElemReg::int(XReg::T5);
+        em.inst(t5.load(eew, from.0, from.1))
+            .inst(t5.store(eew, to.0, to.1));
+        em.inst(chimera_obj::addi(XReg::T2, XReg::T2, eew.bytes() as i32));
+        close_loop(eew, looped, em);
     }
 
-    fn varith(&self, op: VArithOp, vd: VReg, vs2: VReg, src: VSrc, em: &mut BlockEmitter) {
-        // Stage the scalar operand (x/f/i) into RESULT.
-        match src {
-            VSrc::X(rs1) => {
-                self.capture_x(em, XReg::T2, rs1);
-                em.inst(Inst::Store {
-                    kind: StoreKind::Sd,
-                    rs1: XReg::GP,
-                    rs2: XReg::T2,
-                    offset: SpillLayout::RESULT,
-                });
-            }
-            VSrc::F(frs1) => {
-                // FP scratch sources read their program value from the
-                // save slot.
-                if F_SCRATCH.contains(&frs1) {
-                    em.inst(Inst::FLoad {
-                        width: FpWidth::D,
-                        frd: F_SCRATCH[0],
-                        rs1: XReg::GP,
-                        offset: SpillLayout::f_slot(frs1),
-                    });
-                    em.inst(Inst::FStore {
-                        width: FpWidth::D,
-                        frs2: F_SCRATCH[0],
-                        rs1: XReg::GP,
-                        offset: SpillLayout::RESULT,
-                    });
+    /// One loop over the `vl` elements for `ops` — a stretch of element-wise
+    /// operations, or one fold — at `eew` (module docs). Per element, each
+    /// operation runs the scalar row [`chimera_isa::VArithOp::element`]
+    /// names: `vs2[i]` and the result in `t5` (`ft8` for an FP row), the
+    /// second source in `t6` (`ft9`), `vd[i]` of an accumulating row and a
+    /// fold's accumulator in `t6` (`ft10`).
+    fn elements(&self, ops: &[Inst], eew: Eew, em: &mut BlockEmitter) {
+        let (t5, t6, [ft8, ft9, ft10]) = (XReg::T5, XReg::T6, F_SCRATCH);
+        let width = ElemReg::fp_width(eew);
+        let off = SpillLayout::vreg_off;
+        // A fold's accumulator starts at vs1[0] and ends in vd[0], whatever
+        // `vl` is.
+        let fold = match *ops {
+            [Inst::VArith {
+                op,
+                vd,
+                src: VSrc::V(vs1),
+                ..
+            }] if op.is_reduction() => {
+                let acc = if op.is_fp() {
+                    ElemReg::float(ft10)
                 } else {
-                    em.inst(Inst::FStore {
-                        width: FpWidth::D,
-                        frs2: frs1,
-                        rs1: XReg::GP,
-                        offset: SpillLayout::RESULT,
-                    });
+                    ElemReg::int(t6)
+                };
+                em.inst(acc.load(eew, XReg::GP, off(vs1)));
+                Some((acc, vd))
+            }
+            _ => None,
+        };
+        let looped = open_loop(eew, em);
+        // The previous operation's `vd` and the register holding its element.
+        let mut prev = None;
+        for &inst in ops {
+            let Inst::VArith { op, vd, vs2, src } = inst else {
+                continue;
+            };
+            let (a, b) = if op.is_fp() {
+                (ElemReg::float(ft8), ElemReg::float(ft9))
+            } else {
+                (ElemReg::int(t5), ElemReg::int(t6))
+            };
+            let element = op.element();
+            let x = match element {
+                Element::Move => a,
+                _ => vs2_element(vs2, a, eew, prev, em),
+            };
+            let s = match element {
+                // A fold's second operand is its accumulator.
+                Element::Fold(_) | Element::FFold(_) => a,
+                Element::Move => self.second(src, eew, a, em),
+                _ => self.second(src, eew, b, em),
+            };
+            let result = match element {
+                Element::Move => Some(s),
+                Element::Op(row) | Element::Acc(row) => {
+                    alu(row, t5, x.x(), s.x(), em);
+                    if let Element::Acc(_) = element {
+                        em.inst(b.load(eew, XReg::T4, off(vd)));
+                        em.inst(chimera_obj::add(t5, t5, t6));
+                    }
+                    Some(a)
                 }
+                Element::FOp(kind) => {
+                    let (frd, frs1, frs2) = (ft8, x.f(), s.f());
+                    em.inst(Inst::FOp {
+                        kind,
+                        width,
+                        frd,
+                        frs1,
+                        frs2,
+                    });
+                    Some(a)
+                }
+                Element::FMa(kind) => {
+                    em.inst(ElemReg::float(ft10).load(eew, XReg::T4, off(vd)));
+                    let (frd, frs1, frs2, frs3) = (ft8, s.f(), x.f(), ft10);
+                    em.inst(Inst::FMa {
+                        kind,
+                        width,
+                        frd,
+                        frs1,
+                        frs2,
+                        frs3,
+                    });
+                    Some(a)
+                }
+                Element::Fold(row) => {
+                    alu(row, t6, t6, x.x(), em);
+                    None
+                }
+                Element::FFold(kind) => {
+                    let (frd, frs1, frs2) = (ft10, ft10, x.f());
+                    em.inst(Inst::FOp {
+                        kind,
+                        width,
+                        frd,
+                        frs1,
+                        frs2,
+                    });
+                    None
+                }
+            };
+            if let Some(r) = result {
+                em.inst(r.store(eew, XReg::T4, off(vd)));
+            }
+            prev = result.map(|r| (vd, r));
+        }
+        close_loop(eew, looped, em);
+        if let Some((acc, vd)) = fold {
+            em.inst(acc.store(eew, XReg::GP, off(vd)));
+        }
+    }
+
+    /// Element `i` of an operation's second source as the operand rule
+    /// reads it, in `into` unless it can be read where it is: `vs1[i]`; a
+    /// scratch's save slot (an `x` value at element width — `lw`
+    /// sign-extends from `e32` — an `f` value as the whole register, so the
+    /// row's own NaN-box check applies); any other `x` register itself at
+    /// `e64`, sign-extended by `addiw` at `e32`; any other `f` register
+    /// itself; the immediate by `addi`.
+    fn second(&self, src: VSrc, eew: Eew, into: ElemReg, em: &mut BlockEmitter) -> ElemReg {
+        let (width, base, offset) = match src {
+            VSrc::V(vs1) => (eew, XReg::T4, SpillLayout::vreg_off(vs1)),
+            VSrc::X(r) if X_POOL.contains(&r) => (eew, XReg::GP, SpillLayout::x_slot(r)),
+            VSrc::F(f) if F_SCRATCH.contains(&f) => (Eew::E64, XReg::GP, SpillLayout::f_slot(f)),
+            VSrc::X(r) if eew == Eew::E64 => return ElemReg::int(r),
+            VSrc::F(f) => return ElemReg::float(f),
+            VSrc::X(r) => {
+                em.inst(addiw(into.x(), r));
+                return into;
             }
             VSrc::I(imm) => {
-                em.inst(chimera_obj::addi(XReg::T2, XReg::ZERO, imm as i32));
-                em.inst(Inst::Store {
-                    kind: StoreKind::Sd,
-                    rs1: XReg::GP,
-                    rs2: XReg::T2,
-                    offset: SpillLayout::RESULT,
-                });
+                em.inst(chimera_obj::addi(into.x(), XReg::ZERO, imm as i32));
+                return into;
             }
-            VSrc::V(_) => {}
-        }
-        // Dispatch on the spilled SEW.
-        let (l32, l_done) = (em.new_label(), em.new_label());
-        em.inst(Inst::Load {
-            kind: LoadKind::Ld,
-            rd: XReg::T2,
-            rs1: XReg::GP,
-            offset: SpillLayout::SEW,
-        });
-        em.inst(chimera_obj::addi(XReg::T2, XReg::T2, -8));
-        em.branch_to(BranchKind::Bne, XReg::T2, XReg::ZERO, l32);
-        self.varith_loop(op, vd, vs2, src, Eew::E64, em);
-        em.jal_to(XReg::ZERO, l_done);
-        em.label(l32);
-        self.varith_loop(op, vd, vs2, src, Eew::E32, em);
-        em.label(l_done);
-    }
-
-    /// One element-wise (or reduction) loop specialized to `eew`: per
-    /// element, the scalar row [`VArithOp::element`] names.
-    ///
-    /// Register roles inside the loop: `t2` = byte cursor, `t3` = end
-    /// offset, `t4` = element address. An element's operands — `vs2[i]`,
-    /// the other source, and `vd[i]` or the accumulator — are `t5` / `t6` /
-    /// `t6`, or `ft8` / `ft9` / `ft10` for an FP row.
-    fn varith_loop(
-        &self,
-        op: VArithOp,
-        vd: VReg,
-        vs2: VReg,
-        src: VSrc,
-        eew: Eew,
-        em: &mut BlockEmitter,
-    ) {
-        use ElemReg::{F, X};
-        let (loop_l, done) = (em.new_label(), em.new_label());
-        let (t5, t6, [ft8, ft9, ft10]) = (XReg::T5, XReg::T6, F_SCRATCH);
-        let (a, b, d) = if op.is_fp() {
-            (F(ft8), F(ft9), F(ft10))
-        } else {
-            (X(t5), X(t6), X(t6))
         };
-        let width = ElemReg::fp_width(eew);
-        // Element `i` of the other source: `vs1[i]`, or the staged scalar as
-        // the operand rule reads it — an `x` value at element width (`lw`
-        // sign-extends from `e32`), an `f` value as the whole register, so
-        // the row's own NaN-box check applies.
-        let other = |r: ElemReg| match (src, r) {
-            (VSrc::V(vs1), _) => r.load(eew, XReg::T4, SpillLayout::vreg_off(vs1)),
-            (_, X(_)) => r.load(eew, XReg::GP, SpillLayout::RESULT),
-            (_, F(_)) => r.load(Eew::E64, XReg::GP, SpillLayout::RESULT),
-        };
-        let store = |r: ElemReg| r.store(eew, XReg::T4, SpillLayout::vreg_off(vd));
-
-        // t2 = 0; t3 = vl << log2(esz).
-        em.inst(chimera_obj::addi(XReg::T2, XReg::ZERO, 0));
-        em.inst(Inst::Load {
-            kind: LoadKind::Ld,
-            rd: XReg::T3,
-            rs1: XReg::GP,
-            offset: SpillLayout::VL,
-        });
-        em.inst(Inst::OpImm {
-            kind: OpImmKind::Slli,
-            rd: XReg::T3,
-            rs1: XReg::T3,
-            imm: eew.bytes().trailing_zeros() as i32,
-        });
-        if let (true, VSrc::V(vs1)) = (op.is_reduction(), src) {
-            // The accumulator starts at vs1[0], the `.vs` scalar input.
-            em.inst(d.load(eew, XReg::GP, SpillLayout::vreg_off(vs1)));
-        }
-        em.label(loop_l);
-        em.branch_to(BranchKind::Bge, XReg::T2, XReg::T3, done);
-        // t4 = gp + cursor; element fields at static offsets from t4.
-        em.inst(chimera_obj::add(XReg::T4, XReg::GP, XReg::T2));
-        em.inst(a.load(eew, XReg::T4, SpillLayout::vreg_off(vs2)));
-        match op.element() {
-            Element::Op(row) => {
-                em.inst(other(b));
-                alu_in_seq(row, t5, t6, em);
-                em.inst(store(a));
-            }
-            Element::Acc(row) => {
-                em.inst(other(b));
-                alu_in_seq(row, t5, t6, em);
-                em.inst(d.load(eew, XReg::T4, SpillLayout::vreg_off(vd)));
-                em.inst(chimera_obj::add(t5, t5, t6)).inst(store(a));
-            }
-            Element::Move => {
-                em.inst(other(a)).inst(store(a));
-            }
-            Element::Fold(row) => alu_in_seq(row, t6, t5, em),
-            Element::FOp(kind) => {
-                let (frd, frs1, frs2) = (ft8, ft8, ft9);
-                em.inst(other(b));
-                em.inst(Inst::FOp {
-                    kind,
-                    width,
-                    frd,
-                    frs1,
-                    frs2,
-                });
-                em.inst(store(a));
-            }
-            Element::FMa(kind) => {
-                let (frd, frs1, frs2, frs3) = (ft10, ft9, ft8, ft10);
-                em.inst(other(b));
-                em.inst(d.load(eew, XReg::T4, SpillLayout::vreg_off(vd)));
-                em.inst(Inst::FMa {
-                    kind,
-                    width,
-                    frd,
-                    frs1,
-                    frs2,
-                    frs3,
-                });
-                em.inst(store(d));
-            }
-            Element::FFold(kind) => {
-                let (frd, frs1, frs2) = (ft10, ft10, ft8);
-                em.inst(Inst::FOp {
-                    kind,
-                    width,
-                    frd,
-                    frs1,
-                    frs2,
-                });
-            }
-        }
-        em.inst(chimera_obj::addi(XReg::T2, XReg::T2, eew.bytes() as i32));
-        em.jal_to(XReg::ZERO, loop_l);
-        em.label(done);
-        if op.is_reduction() {
-            // Write the accumulator to vd[0].
-            em.inst(d.store(eew, XReg::GP, SpillLayout::vreg_off(vd)));
-        }
+        em.inst(into.load(width, base, offset));
+        into
     }
 
-    fn vmv_x_s(&self, rd: XReg, vs2: VReg, em: &mut BlockEmitter) {
-        let (l32, done) = (em.new_label(), em.new_label());
-        em.inst(Inst::Load {
-            kind: LoadKind::Ld,
-            rd: XReg::T2,
-            rs1: XReg::GP,
-            offset: SpillLayout::SEW,
-        });
-        em.inst(chimera_obj::addi(XReg::T2, XReg::T2, -8));
-        em.branch_to(BranchKind::Bne, XReg::T2, XReg::ZERO, l32);
-        em.inst(Inst::Load {
-            kind: LoadKind::Ld,
-            rd: XReg::T2,
-            rs1: XReg::GP,
-            offset: SpillLayout::vreg_off(vs2),
-        });
-        em.jal_to(XReg::ZERO, done);
-        em.label(l32);
-        em.inst(Inst::Load {
-            kind: LoadKind::Lw,
-            rd: XReg::T2,
-            rs1: XReg::GP,
-            offset: SpillLayout::vreg_off(vs2),
-        });
-        em.label(done);
-        em.inst(Inst::Store {
-            kind: StoreKind::Sd,
-            rs1: XReg::GP,
-            rs2: XReg::T2,
-            offset: SpillLayout::RESULT,
-        });
-        self.deliver_rd(em, rd);
+    /// `rd = vs2[0]` at SEW `sew` (`lw` sign-extends from `e32`).
+    fn vmv_x_s(&self, rd: XReg, vs2: VReg, sew: Eew, em: &mut BlockEmitter) {
+        let to = if X_POOL.contains(&rd) { XReg::T2 } else { rd };
+        em.inst(ElemReg::int(to).load(sew, XReg::GP, SpillLayout::vreg_off(vs2)));
+        self.deliver(em, rd, to);
     }
 
-    fn vmv_s_x(&self, vd: VReg, rs1: XReg, em: &mut BlockEmitter) {
-        let (l32, done) = (em.new_label(), em.new_label());
+    /// `vd[0] = rs1` at SEW `sew`.
+    fn vmv_s_x(&self, vd: VReg, rs1: XReg, sew: Eew, em: &mut BlockEmitter) {
         self.capture_x(em, XReg::T2, rs1);
-        em.inst(Inst::Load {
-            kind: LoadKind::Ld,
-            rd: XReg::T3,
-            rs1: XReg::GP,
-            offset: SpillLayout::SEW,
-        });
-        em.inst(chimera_obj::addi(XReg::T3, XReg::T3, -8));
-        em.branch_to(BranchKind::Bne, XReg::T3, XReg::ZERO, l32);
-        em.inst(Inst::Store {
-            kind: StoreKind::Sd,
-            rs1: XReg::GP,
-            rs2: XReg::T2,
-            offset: SpillLayout::vreg_off(vd),
-        });
-        em.jal_to(XReg::ZERO, done);
-        em.label(l32);
-        em.inst(Inst::Store {
-            kind: StoreKind::Sw,
-            rs1: XReg::GP,
-            rs2: XReg::T2,
-            offset: SpillLayout::vreg_off(vd),
-        });
-        em.label(done);
+        em.inst(ElemReg::int(XReg::T2).store(sew, XReg::GP, SpillLayout::vreg_off(vd)));
     }
 
     // ----- Zba/Zbb templates ------------------------------------------------
@@ -730,12 +595,7 @@ impl Translator {
                 // Pick a scratch distinct from all operands.
                 let s = pick_scratch(&[rs1, rs2, rd]);
                 self.spill_gp(em);
-                em.inst(Inst::Store {
-                    kind: StoreKind::Sd,
-                    rs1: XReg::GP,
-                    rs2: s,
-                    offset: SpillLayout::x_slot(s),
-                });
+                em.inst(spill_sd(s, SpillLayout::x_slot(s)));
                 em.inst(Inst::OpImm {
                     kind: OpImmKind::Andi,
                     rd: s,
@@ -790,12 +650,7 @@ impl Translator {
         // rd receives gp's value first (rd != scratch by construction).
         em.inst(chimera_isa::mv(rd, XReg::GP));
         self.spill_gp(em);
-        em.inst(Inst::Load {
-            kind: LoadKind::Ld,
-            rd: scratch,
-            rs1: XReg::GP,
-            offset: SpillLayout::x_slot(scratch),
-        });
+        em.inst(spill_ld(scratch, SpillLayout::x_slot(scratch)));
         self.restore_gp(em);
     }
 
@@ -875,12 +730,7 @@ impl Translator {
                 let s = pick_scratch(&[rs1, rd]);
                 let (loop_l, done) = (em.new_label(), em.new_label());
                 self.spill_gp(em);
-                em.inst(Inst::Store {
-                    kind: StoreKind::Sd,
-                    rs1: XReg::GP,
-                    rs2: s,
-                    offset: SpillLayout::x_slot(s),
-                });
+                em.inst(spill_sd(s, SpillLayout::x_slot(s)));
                 em.inst(chimera_isa::mv(XReg::GP, rs1));
                 if kind == UnaryKind::Ctz {
                     em.inst(chimera_obj::addi(rd, XReg::ZERO, 64));
@@ -923,23 +773,13 @@ impl Translator {
                 }
                 em.label(done);
                 self.spill_gp(em);
-                em.inst(Inst::Load {
-                    kind: LoadKind::Ld,
-                    rd: s,
-                    rs1: XReg::GP,
-                    offset: SpillLayout::x_slot(s),
-                });
+                em.inst(spill_ld(s, SpillLayout::x_slot(s)));
                 self.restore_gp(em);
             }
             UnaryKind::Rev8 => {
                 let s = pick_scratch(&[rs1, rd]);
                 self.spill_gp(em);
-                em.inst(Inst::Store {
-                    kind: StoreKind::Sd,
-                    rs1: XReg::GP,
-                    rs2: s,
-                    offset: SpillLayout::x_slot(s),
-                });
+                em.inst(spill_sd(s, SpillLayout::x_slot(s)));
                 // gp = working copy, rd = result, s = byte/counter temp.
                 em.inst(chimera_isa::mv(XReg::GP, rs1));
                 em.inst(chimera_obj::addi(rd, XReg::ZERO, 0));
@@ -971,26 +811,131 @@ impl Translator {
                     });
                 }
                 self.spill_gp(em);
-                em.inst(Inst::Load {
-                    kind: LoadKind::Ld,
-                    rd: s,
-                    rs1: XReg::GP,
-                    offset: SpillLayout::x_slot(s),
-                });
+                em.inst(spill_ld(s, SpillLayout::x_slot(s)));
                 self.restore_gp(em);
             }
         }
     }
 }
 
-/// A register `varith_loop` holds an element in.
-#[derive(Debug, Clone, Copy)]
-enum ElemReg {
-    X(XReg),
-    F(FReg),
+/// Whether a run holding `inst` saves integer scratch `r`: its template
+/// writes `r`, or the instruction names `r` (whose program value the run
+/// then reads from, or writes to, the save slot).
+fn saves(inst: &Inst, r: XReg) -> bool {
+    // Each template writes a prefix of the pool: `t2` holds the SEW
+    // dispatch, the AVL, the memory cursor or `x[rd]`; `t3` the loop end or
+    // VLMAX; `t4` the cursor; `t5` / `t6` integer elements.
+    let written = match *inst {
+        Inst::VMvXS { .. } | Inst::VMvSX { .. } => 1,
+        Inst::Vsetvli { .. } => 2,
+        Inst::VArith { op, .. } if op.is_fp() => 3,
+        Inst::VLoad { .. } | Inst::VStore { .. } => 4,
+        _ => 5,
+    };
+    X_POOL[..written].contains(&r) || inst.uses_x().contains(r) || inst.def_x() == Some(r)
+}
+
+/// Opens a loop over the `vl` elements at `eew`: the cursor `t4` steps
+/// from `gp` (so element `i` of any register is at a static offset from
+/// it) to `t3`, and the whole loop is skipped when `vl` = 0. Returns the
+/// labels [`close_loop`] takes.
+fn open_loop(eew: Eew, em: &mut BlockEmitter) -> (Label, Label) {
+    let (top, done) = (em.new_label(), em.new_label());
+    let (t3, t4, gp) = (XReg::T3, XReg::T4, XReg::GP);
+    em.inst(spill_ld(t3, SpillLayout::VL));
+    em.branch_to(BranchKind::Beq, t3, XReg::ZERO, done);
+    em.inst(Inst::OpImm {
+        kind: OpImmKind::Slli,
+        rd: t3,
+        rs1: t3,
+        imm: eew.bytes().trailing_zeros() as i32,
+    });
+    em.inst(chimera_obj::add(t3, t3, gp));
+    em.inst(chimera_isa::mv(t4, gp));
+    em.label(top);
+    (top, done)
+}
+
+/// Closes a loop [`open_loop`] opened: one `addi` and one `bne` per element.
+fn close_loop(eew: Eew, (top, done): (Label, Label), em: &mut BlockEmitter) {
+    em.inst(chimera_obj::addi(XReg::T4, XReg::T4, eew.bytes() as i32));
+    em.branch_to(BranchKind::Bne, XReg::T4, XReg::T3, top);
+    em.label(done);
+}
+
+/// Element `i` of `vs2`, loaded into `a` — unless `prev`, the previous
+/// operation's `vd` and the register holding its element, just wrote it:
+/// that register then serves, an `e32` integer sign-extended into `a` the
+/// way an `lw` reload would extend it.
+fn vs2_element(
+    vs2: VReg,
+    a: ElemReg,
+    eew: Eew,
+    prev: Option<(VReg, ElemReg)>,
+    em: &mut BlockEmitter,
+) -> ElemReg {
+    match prev {
+        Some((vd, r)) if vd == vs2 && r.fp == a.fp => {
+            if a.fp || eew == Eew::E64 {
+                return r;
+            }
+            em.inst(addiw(a.x(), r.x()));
+        }
+        _ => {
+            em.inst(a.load(eew, XReg::T4, SpillLayout::vreg_off(vs2)));
+        }
+    }
+    a
+}
+
+/// `ld rd, offset(gp)`: a dword of the spill section inside a run.
+fn spill_ld(rd: XReg, offset: i32) -> Inst {
+    ElemReg::int(rd).load(Eew::E64, XReg::GP, offset)
+}
+
+/// `sd rs2, offset(gp)`.
+fn spill_sd(rs2: XReg, offset: i32) -> Inst {
+    ElemReg::int(rs2).store(Eew::E64, XReg::GP, offset)
+}
+
+/// `addiw rd, rs1, 0`: `rs1` sign-extended from 32 bits.
+fn addiw(rd: XReg, rs1: XReg) -> Inst {
+    let (kind, imm) = (OpImmKind::Addiw, 0);
+    Inst::OpImm { kind, rd, rs1, imm }
+}
+
+/// A register an element is held in: `x` or `f` register `n`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ElemReg {
+    fp: bool,
+    n: u8,
 }
 
 impl ElemReg {
+    fn int(r: XReg) -> Self {
+        ElemReg {
+            fp: false,
+            n: r.index(),
+        }
+    }
+
+    fn float(r: FReg) -> Self {
+        ElemReg {
+            fp: true,
+            n: r.index(),
+        }
+    }
+
+    /// The register of an integer row.
+    fn x(self) -> XReg {
+        XReg::of(self.n)
+    }
+
+    /// The register of an FP row.
+    fn f(self) -> FReg {
+        FReg::of(self.n)
+    }
+
     /// The FP format of an `eew` element (the templates model `e32` / `e64`).
     fn fp_width(eew: Eew) -> FpWidth {
         eew.fp().unwrap_or(FpWidth::S)
@@ -998,69 +943,63 @@ impl ElemReg {
 
     /// Loads the `eew` element at `offset(base)` (`lw` / `ld`, `flw` / `fld`).
     fn load(self, eew: Eew, base: XReg, offset: i32) -> Inst {
-        match self {
-            ElemReg::X(rd) => Inst::Load {
-                kind: if eew == Eew::E64 {
-                    LoadKind::Ld
-                } else {
-                    LoadKind::Lw
-                },
-                rd,
-                rs1: base,
-                offset,
-            },
-            ElemReg::F(frd) => Inst::FLoad {
-                width: Self::fp_width(eew),
+        let (rs1, e64) = (base, eew == Eew::E64);
+        if self.fp {
+            let (width, frd) = (Self::fp_width(eew), self.f());
+            return Inst::FLoad {
+                width,
                 frd,
-                rs1: base,
+                rs1,
                 offset,
-            },
+            };
+        }
+        let (kind, rd) = (if e64 { LoadKind::Ld } else { LoadKind::Lw }, self.x());
+        Inst::Load {
+            kind,
+            rd,
+            rs1,
+            offset,
         }
     }
 
     /// Stores the register as the `eew` element at `offset(base)`.
     fn store(self, eew: Eew, base: XReg, offset: i32) -> Inst {
-        match self {
-            ElemReg::X(rs2) => Inst::Store {
-                kind: if eew == Eew::E64 {
-                    StoreKind::Sd
-                } else {
-                    StoreKind::Sw
-                },
-                rs1: base,
-                rs2,
-                offset,
-            },
-            ElemReg::F(frs2) => Inst::FStore {
-                width: Self::fp_width(eew),
+        let (rs1, e64) = (base, eew == Eew::E64);
+        if self.fp {
+            let (width, frs2) = (Self::fp_width(eew), self.f());
+            return Inst::FStore {
+                width,
                 frs2,
-                rs1: base,
+                rs1,
                 offset,
-            },
+            };
+        }
+        let (kind, rs2) = (if e64 { StoreKind::Sd } else { StoreKind::Sw }, self.x());
+        Inst::Store {
+            kind,
+            rs1,
+            rs2,
+            offset,
         }
     }
 }
 
-/// `rd = kind(rd, rs2)` inside an open sequence. `min` / `max`, the Zbb
-/// rows an element names, are lowered for a base core that lacks them:
-/// keep `rd` under the branch that orders it first, take `rs2` otherwise.
-fn alu_in_seq(kind: OpKind, rd: XReg, rs2: XReg, em: &mut BlockEmitter) {
-    match min_max_branch(kind) {
-        Some(keep_rd) => {
-            let keep = em.new_label();
-            em.branch_to(keep_rd, rd, rs2, keep);
-            em.inst(chimera_isa::mv(rd, rs2));
-            em.label(keep);
-        }
-        None => {
-            em.inst(Inst::Op {
-                kind,
-                rd,
-                rs1: rd,
-                rs2,
-            });
-        }
+/// `rd = kind(rs1, rs2)` inside a run (`rd` ≠ `rs2`). `min` / `max`, the
+/// Zbb rows an element names, are lowered for a base core that lacks them:
+/// take `rs1`, then `rs2` unless the branch that orders `rs1` first is
+/// taken.
+fn alu(kind: OpKind, rd: XReg, rs1: XReg, rs2: XReg, em: &mut BlockEmitter) {
+    let Some(keep_rs1) = min_max_branch(kind) else {
+        em.inst(Inst::Op { kind, rd, rs1, rs2 });
+        return;
+    };
+    let keep = em.new_label();
+    if rd != rs1 {
+        em.inst(chimera_isa::mv(rd, rs1));
     }
+    em.branch_to(keep_rs1, rd, rs2, keep);
+    em.inst(chimera_isa::mv(rd, rs2));
+    em.label(keep);
 }
 
 /// The branch under which `min` / `max` (signed or unsigned) return their
@@ -1086,7 +1025,7 @@ fn pick_scratch(avoid: &[XReg]) -> XReg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_isa::decode;
+    use chimera_isa::{decode, VArithOp};
 
     #[test]
     fn sh1add_template_shape() {
