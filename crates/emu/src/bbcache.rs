@@ -44,12 +44,13 @@
 //!   `(pc, profile)` and gating runs at build time, once per block instead
 //!   of once per dynamic instruction.
 //!
-//! The cache is a pure front-end optimisation: the interpreter replays
-//! `insts` through the single `Cpu::exec` path, the engine replays the
-//! lowered `ops` with identical semantics, and cycle accounting, trap PCs
-//! and architectural results are bit-identical across all three modes (the
-//! differential suite asserts full [`crate::RunResult`] equality plus exact
-//! counter reconciliation).
+//! The cache is a pure front-end optimisation, used by every
+//! [`crate::ExecMode`] but `Reference`, which never touches it: the
+//! interpreter replays `insts` through `Cpu::exec`, the engine and the JIT
+//! run the lowered `ops` with identical semantics, and cycle accounting,
+//! trap PCs and architectural results are bit-identical across all four
+//! modes (the differential suite asserts full [`crate::RunResult`]
+//! equality plus exact counter reconciliation).
 
 use crate::uop::Uop;
 use chimera_isa::{ExtSet, Inst};
@@ -216,48 +217,19 @@ pub struct BlockCache {
     jump: Vec<Option<ChainLink>>,
     /// Counters; reset with [`BlockCache::reset_stats`].
     pub stats: CacheStats,
-    /// When false, the CPU bypasses the cache entirely (pure
-    /// fetch/decode/execute, the reference semantics).
-    pub enabled: bool,
 }
 
 impl BlockCache {
-    /// Creates an enabled, empty cache.
+    /// Creates an empty cache.
     pub fn new() -> BlockCache {
-        BlockCache {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            jump: Vec::new(),
-            stats: CacheStats::default(),
-            enabled: true,
-        }
-    }
-
-    /// Creates a disabled cache (reference interpreter semantics).
-    pub fn disabled() -> BlockCache {
-        BlockCache {
-            enabled: false,
-            ..BlockCache::new()
-        }
+        BlockCache::default()
     }
 
     /// Looks up a valid block for `(pc, profile)` given the current
-    /// fingerprint of the executable region holding `pc`. Stale blocks are
-    /// dropped (counted as an invalidation AND a miss, since the caller
-    /// must rebuild).
+    /// fingerprint of the executable region holding `pc`, with its slot id
+    /// (the engine's chain-link handle). Stale blocks are dropped (counted
+    /// as an invalidation AND a miss, since the caller must rebuild).
     pub fn lookup(
-        &mut self,
-        pc: u64,
-        profile: ExtSet,
-        fingerprint: (u64, u64),
-    ) -> Option<Arc<Block>> {
-        self.lookup_slot(pc, profile, fingerprint).map(|(_, b)| b)
-    }
-
-    /// Like [`BlockCache::lookup`], also returning the slot id (the
-    /// engine's chain-link handle).
-    pub fn lookup_slot(
         &mut self,
         pc: u64,
         profile: ExtSet,
@@ -515,12 +487,6 @@ mod tests {
         c.insert(0x1000, ExtSet::RV64GC, block(1));
         assert!(c.lookup(0x1000, ExtSet::RV64GCV, (0x1000, 1)).is_none());
         assert!(c.lookup(0x1000, ExtSet::RV64GC, (0x1000, 1)).is_some());
-    }
-
-    #[test]
-    fn disabled_cache_flag() {
-        assert!(!BlockCache::disabled().enabled);
-        assert!(BlockCache::new().enabled);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! access — the deterministic "segmentation fault" a partially executed
 //! SMILE trampoline produces.
 //!
-//! The front end (fetch + decode + gating) is memoized per basic block by
-//! [`BlockCache`] (see [`crate::bbcache`]); execution always flows through
-//! the single [`Cpu::exec`] path, so results and cycle accounting are
-//! identical with the cache on or off.
+//! The front end (fetch + decode + gating) is one function, memoized per
+//! basic block by [`BlockCache`] (see [`crate::bbcache`]) in every mode
+//! but [`ExecMode::Reference`]. [`Cpu::exec`] is the reference semantics:
+//! the engine's micro-op arms and the JIT's templates are held to it,
+//! result for result and cycle for cycle, by `tests/differential.rs` and
+//! the fuzz oracle.
 
 use crate::bbcache::{Block, BlockCache, CachedInst, ChainEdge, ChainLink};
 use crate::cost::{CostModel, ExecStats};
@@ -20,11 +22,12 @@ use crate::hart::Hart;
 use crate::mem::{AccessHints, MemFault, Memory, RegionHint};
 use crate::uop::{lower_block, MicroOp};
 use chimera_isa::{
-    decode, DecodeError, Eew, Ext, ExtSet, FpWidth, Inst, IntWidth, LoadKind, StoreKind, VArithOp,
-    VReg, VSrc, XReg,
+    decode, DecodeError, Decoded, Eew, Ext, ExtSet, FpWidth, Inst, IntWidth, LoadKind, StoreKind,
+    VArithOp, VReg, VSrc, XReg,
 };
 use chimera_trace::{TraceEvent, Tracer, TrapKind};
 use core::fmt;
+use std::sync::Arc;
 
 /// A trap delivered to the (simulated) kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,13 +83,20 @@ pub enum Stop {
     OutOfFuel,
 }
 
-/// Which front end executes instructions. All modes are bit-identical in
+/// Which front end executes instructions: a core holds exactly one
+/// ([`Cpu::set_mode`], [`Cpu::mode`]). All modes are bit-identical in
 /// results, traps, `ExecStats` (including cycles) and fuel accounting —
 /// they differ only in wall-clock speed. The differential suite asserts it.
+///
+/// Every mode but `Reference` enters blocks through one dispatcher (region
+/// fingerprint, [`BlockCache::lookup`], build on a miss); `Reference`
+/// fetches, decodes and gates each instruction with the same function the
+/// block builder uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Pure per-instruction fetch/decode/execute — the reference semantics
-    /// the other two modes must match bit for bit.
+    /// the other three modes must match bit for bit. Never touches the
+    /// decode cache.
     Reference,
     /// Decode-cached interpreter: memoized front end, per-instruction
     /// dispatch through `Cpu::exec`.
@@ -114,14 +124,12 @@ pub struct Cpu {
     pub cost: CostModel,
     /// Accumulated statistics.
     pub stats: ExecStats,
-    /// The basic-block decode cache (enabled by default; disable for the
-    /// reference fetch/decode/execute path).
+    /// The basic-block decode cache, used in every [`ExecMode`] but
+    /// `Reference`.
     pub cache: BlockCache,
-    /// When true (the default) and the cache is enabled, cached blocks run
-    /// through the lowered micro-op engine with block chaining; when false
-    /// they replay through the per-instruction interpreter. See
-    /// [`ExecMode`] / [`Cpu::set_mode`].
-    pub engine: bool,
+    /// The execution front end ([`ExecMode::Engine`] by default; see
+    /// [`Cpu::set_mode`]).
+    mode: ExecMode,
     /// Per-access-kind last-region translation hints (micro-architectural
     /// state only: hints are revalidated on every use and never change
     /// results or faults).
@@ -164,20 +172,10 @@ impl Cpu {
             cost: CostModel::default(),
             stats: ExecStats::default(),
             cache: BlockCache::new(),
-            engine: true,
+            mode: ExecMode::Engine,
             hints: AccessHints::default(),
             jit: crate::jit::JitTier::new(),
             tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Creates a core with the decode cache disabled (pure per-instruction
-    /// fetch/decode/execute — the reference semantics the cached path must
-    /// match bit for bit).
-    pub fn new_uncached(profile: ExtSet) -> Self {
-        Cpu {
-            cache: BlockCache::disabled(),
-            ..Cpu::new(profile)
         }
     }
 
@@ -187,20 +185,13 @@ impl Cpu {
     /// counters and demotion hysteresis — so no promotion state carries
     /// across a mode switch (asserted by the tiering-policy tests).
     pub fn set_mode(&mut self, mode: ExecMode) {
-        self.cache.enabled = mode != ExecMode::Reference;
-        self.engine = matches!(mode, ExecMode::Engine | ExecMode::Jit);
-        self.jit.enabled = mode == ExecMode::Jit;
+        self.mode = mode;
         self.jit.reset();
     }
 
     /// The currently selected execution front end.
     pub fn mode(&self) -> ExecMode {
-        match (self.cache.enabled, self.engine) {
-            (false, _) => ExecMode::Reference,
-            (true, false) => ExecMode::Interpreter,
-            (true, true) if self.jit.enabled => ExecMode::Jit,
-            (true, true) => ExecMode::Engine,
-        }
+        self.mode
     }
 
     /// Overrides the JIT promotion threshold: entries of a valid cached
@@ -250,21 +241,12 @@ impl Cpu {
     /// instruction per slice, is bit-identical to an unsliced run (the
     /// differential suite's yield-point transparency test gates this).
     pub fn run(&mut self, mem: &mut Memory, fuel: u64) -> Stop {
-        if !self.cache.enabled {
-            for _ in 0..fuel {
-                if let Err(t) = self.step(mem) {
-                    self.trace_trap(&t);
-                    return Stop::Trap(t);
-                }
-            }
-            return Stop::OutOfFuel;
-        }
         let mut remaining = fuel;
         while remaining > 0 {
-            let stepped = if self.engine {
-                self.step_engine(mem, remaining)
-            } else {
-                self.step_block(mem, remaining)
+            let stepped = match self.mode {
+                ExecMode::Reference => self.step(mem).map(|()| 1),
+                ExecMode::Interpreter => self.step_block(mem, remaining),
+                ExecMode::Engine | ExecMode::Jit => self.step_engine(mem, remaining),
             };
             match stepped {
                 Ok(retired) => remaining -= retired.min(remaining),
@@ -304,21 +286,27 @@ impl Cpu {
     /// On `Err`, pc is left at the trapping instruction (or at the fetch
     /// fault address for fetch faults), exactly like hardware `*epc`.
     pub fn step(&mut self, mem: &mut Memory) -> Result<(), Trap> {
-        let pc = self.hart.pc;
+        let decoded = self.fetch(mem, self.hart.pc)?;
+        self.exec(mem, decoded.inst, decoded.len as u64)
+    }
+
+    /// The front end: fetches the instruction at `pc` (the upper parcel
+    /// too for a 32-bit encoding), decodes it and gates it on the profile —
+    /// the canonical instruction's extension, plus the C extension when the
+    /// encoding was compressed. [`Cpu::step`] and the block builder share it.
+    #[inline(always)]
+    fn fetch(&mut self, mem: &mut Memory, pc: u64) -> Result<Decoded, Trap> {
+        let fetch_fault = |fault: MemFault| Trap::Mem {
+            pc: fault.addr,
+            fault,
+        };
         let lo = mem
             .fetch_u16_hinted(&mut self.hints.fetch, pc)
-            .map_err(|fault| Trap::Mem {
-                pc: fault.addr,
-                fault,
-            })?;
+            .map_err(fetch_fault)?;
         let word = if lo & 0b11 == 0b11 {
-            // 32-bit encoding: fetch the upper parcel too.
             let hi = mem
                 .fetch_u16_hinted(&mut self.hints.fetch, pc + 2)
-                .map_err(|fault| Trap::Mem {
-                    pc: fault.addr,
-                    fault,
-                })?;
+                .map_err(fetch_fault)?;
             (hi as u32) << 16 | lo as u32
         } else {
             lo as u32
@@ -329,14 +317,42 @@ impl Cpu {
             };
             Trap::Illegal { pc, raw }
         })?;
-        // Extension gating: the canonical instruction's extension, plus the
-        // C extension when the encoding was compressed.
         if !decoded.inst.runnable_on(self.profile)
             || (decoded.len == 2 && !self.profile.contains(Ext::C))
         {
             return Err(Trap::Illegal { pc, raw: word });
         }
-        self.exec(mem, decoded.inst, decoded.len as u64)
+        Ok(decoded)
+    }
+
+    /// The dispatcher every cached mode enters blocks through: the valid
+    /// block for pc (a stale one is dropped and counted), built on a miss.
+    /// `None` means pc ran one instruction uncached instead: an unmapped or
+    /// non-executable pc, so the architecturally correct fetch fault is
+    /// raised, or a first instruction whose upper parcel lies outside the
+    /// fingerprinted region, so writes to the neighbouring region are
+    /// always observed.
+    fn dispatch(&mut self, mem: &mut Memory) -> Result<Option<(u32, Arc<Block>)>, Trap> {
+        let pc = self.hart.pc;
+        let Some(fp) = mem.code_fingerprint(pc) else {
+            self.step(mem)?;
+            return Ok(None);
+        };
+        let inv_before = self.cache.stats.invalidations;
+        let looked_up = self.cache.lookup(pc, self.profile, fp);
+        if self.cache.stats.invalidations != inv_before {
+            self.tracer
+                .record(self.stats.cycles, TraceEvent::CacheInvalidate { pc });
+            self.tracer.count("emu.cache_invalidations", 1);
+        }
+        if looked_up.is_some() {
+            return Ok(looked_up);
+        }
+        let built = self.build_block(mem, pc, fp)?;
+        if built.is_none() {
+            self.step(mem)?;
+        }
+        Ok(built)
     }
 
     /// Executes up to one basic block through the decode cache, bounded by
@@ -346,32 +362,8 @@ impl Cpu {
     /// instruction still executes through [`Cpu::exec`], and any trap leaves
     /// pc exactly where the uncached path would.
     fn step_block(&mut self, mem: &mut Memory, budget: u64) -> Result<u64, Trap> {
-        let pc = self.hart.pc;
-        let Some(fp) = mem.code_fingerprint(pc) else {
-            // Unmapped or non-executable pc: fall back to a plain step so
-            // the architecturally correct fetch fault is raised.
-            self.step(mem)?;
+        let Some((_, block)) = self.dispatch(mem)? else {
             return Ok(1);
-        };
-        let inv_before = self.cache.stats.invalidations;
-        let looked_up = self.cache.lookup(pc, self.profile, fp);
-        if self.cache.stats.invalidations != inv_before {
-            self.tracer
-                .record(self.stats.cycles, TraceEvent::CacheInvalidate { pc });
-            self.tracer.count("emu.cache_invalidations", 1);
-        }
-        let block = match looked_up {
-            Some(b) => b,
-            None => match self.build_block(mem, pc, fp)? {
-                Some((_, b)) => b,
-                // First instruction's upper parcel lies outside the
-                // fingerprinted region: execute it uncached so writes to the
-                // neighbouring region are always observed.
-                None => {
-                    self.step(mem)?;
-                    return Ok(1);
-                }
-            },
         };
         let mut retired = 0u64;
         for ci in block.insts.iter() {
@@ -401,14 +393,13 @@ impl Cpu {
     /// Executes through the micro-op engine, bounded by `budget` retired
     /// instructions; returns the number retired.
     ///
-    /// The dispatcher half mirrors [`Cpu::step_block`] exactly (same
-    /// fingerprint lookup, same miss/build/invalidate counting and trace
-    /// mirroring, same uncached fallbacks), so cache counters reconcile
-    /// with the interpreter as `hits_interp == hits_engine + chained`.
-    /// Between dispatches, validated chain links jump block-to-block
-    /// directly. In [`ExecMode::Jit`] the same loop offers every block to
-    /// the JIT tier first; compiled traces account their own chained
-    /// entries as `jitted`.
+    /// Blocks the jump cache and chain links cannot supply come from
+    /// [`Cpu::dispatch`], the interpreter's dispatcher, so cache counters
+    /// reconcile with the interpreter as `hits_interp == hits_engine +
+    /// chained`. Between dispatches, validated chain links jump
+    /// block-to-block directly. In [`ExecMode::Jit`] the same loop offers
+    /// every block to the JIT tier first; compiled traces account their
+    /// own chained entries as `jitted`.
     fn step_engine(&mut self, mem: &mut Memory, budget: u64) -> Result<u64, Trap> {
         let mut retired = 0u64;
         // The slot+edge that led to the pc we're about to dispatch, so a
@@ -416,7 +407,7 @@ impl Cpu {
         let mut pending: Option<(u32, (u64, ExtSet), ChainEdge)> = None;
         // A block reached by a validated chain link, consumed (and counted)
         // by the next iteration instead of a dispatcher lookup.
-        let mut next: Option<(u32, std::sync::Arc<Block>)> = None;
+        let mut next: Option<(u32, Arc<Block>)> = None;
         while retired < budget {
             let pc = self.hart.pc;
             let (id, block) = match next.take() {
@@ -445,29 +436,8 @@ impl Cpu {
                         // Any stale entry for this pc is dead; dropping it
                         // is a no-op when the probe simply missed.
                         self.cache.jump_clear(pc);
-                        let Some(fp) = mem.code_fingerprint(pc) else {
-                            // Unmapped or non-executable pc: plain step
-                            // raises the architecturally correct fetch
-                            // fault.
-                            self.step(mem)?;
+                        let Some((id, block)) = self.dispatch(mem)? else {
                             return Ok(retired + 1);
-                        };
-                        let inv_before = self.cache.stats.invalidations;
-                        let looked_up = self.cache.lookup_slot(pc, self.profile, fp);
-                        if self.cache.stats.invalidations != inv_before {
-                            self.tracer
-                                .record(self.stats.cycles, TraceEvent::CacheInvalidate { pc });
-                            self.tracer.count("emu.cache_invalidations", 1);
-                        }
-                        let (id, block) = match looked_up {
-                            Some(ib) => ib,
-                            None => match self.build_block(mem, pc, fp)? {
-                                Some(ib) => ib,
-                                None => {
-                                    self.step(mem)?;
-                                    return Ok(retired + 1);
-                                }
-                            },
                         };
                         self.cache.jump_set(ChainLink {
                             to: id,
@@ -503,7 +473,7 @@ impl Cpu {
             // as compiled code and comes back through the dispatcher; a
             // block it declines — cold, queued, under-funded — follows
             // and trains chain links exactly as in Engine mode.
-            if self.jit.enabled {
+            if self.mode == ExecMode::Jit {
                 if let Some(ran) = crate::jit::try_enter(self, mem, budget - retired, &block, pc) {
                     retired += ran?;
                     continue;
@@ -544,7 +514,7 @@ impl Cpu {
         mem: &mut Memory,
         from: u32,
         edge: ChainEdge,
-    ) -> Option<(u32, std::sync::Arc<Block>)> {
+    ) -> Option<(u32, Arc<Block>)> {
         let link = self.cache.link_of(from, edge)?;
         if self.hart.pc != link.pc {
             // BTB miss on the indirect edge (the call site produced a
@@ -574,11 +544,7 @@ impl Cpu {
     /// which only differ in where they store the refreshed stamp. Returns
     /// the target and whether the caller must restamp; `None` means the
     /// target is gone or stale.
-    fn validate_link(
-        &self,
-        mem: &mut Memory,
-        link: ChainLink,
-    ) -> Option<(u32, std::sync::Arc<Block>, bool)> {
+    fn validate_link(&self, mem: &mut Memory, link: ChainLink) -> Option<(u32, Arc<Block>, bool)> {
         let (key, fp, block) = self.cache.slot_block(link.to)?;
         if key != (link.pc, self.profile) {
             // The slot was flushed and reused under a different key.
@@ -765,7 +731,7 @@ impl Cpu {
                 }
                 // Flattened hot ALU ops: semantics identical to the
                 // matching `OpImmKind::eval` / `OpKind::eval` row, minus
-                // the second kind dispatch.
+                // the second kind dispatch (measured: see `MicroOp::Addi`).
                 MicroOp::Addi { rd, rs1, imm } => {
                     let a = self.hart.get_x(rs1);
                     self.hart.set_x(rd, a.wrapping_add(imm as i64 as u64));
@@ -869,7 +835,7 @@ impl Cpu {
         mem: &mut Memory,
         pc: u64,
         fingerprint: (u64, u64),
-    ) -> Result<Option<(u32, std::sync::Arc<Block>)>, Trap> {
+    ) -> Result<Option<(u32, Arc<Block>)>, Trap> {
         let mut insts = Vec::new();
         let mut cur = pc;
         while insts.len() < BlockCache::max_block_insts() {
@@ -878,43 +844,11 @@ impl Cpu {
             if !insts.is_empty() && mem.code_fingerprint(cur) != Some(fingerprint) {
                 break;
             }
-            let fetch_hint = &mut self.hints.fetch;
-            let fetched = (|| {
-                let lo = mem
-                    .fetch_u16_hinted(fetch_hint, cur)
-                    .map_err(|fault| Trap::Mem {
-                        pc: fault.addr,
-                        fault,
-                    })?;
-                let word = if lo & 0b11 == 0b11 {
-                    // The upper parcel must sit in the same region as the
-                    // block fingerprint, or invalidation can't see it.
-                    if mem.code_fingerprint(cur + 2) != Some(fingerprint) {
-                        return Ok(None);
-                    }
-                    let hi =
-                        mem.fetch_u16_hinted(fetch_hint, cur + 2)
-                            .map_err(|fault| Trap::Mem {
-                                pc: fault.addr,
-                                fault,
-                            })?;
-                    (hi as u32) << 16 | lo as u32
-                } else {
-                    lo as u32
-                };
-                let decoded = decode(word).map_err(|e| {
-                    let raw = match e {
-                        DecodeError::Unrecognized(w) | DecodeError::ReservedLong(w) => w,
-                    };
-                    Trap::Illegal { pc: cur, raw }
-                })?;
-                if !decoded.inst.runnable_on(self.profile)
-                    || (decoded.len == 2 && !self.profile.contains(Ext::C))
-                {
-                    return Err(Trap::Illegal { pc: cur, raw: word });
-                }
-                Ok(Some(decoded))
-            })();
+            // A 4-byte instruction's upper parcel must sit in the same
+            // region as the block fingerprint, or invalidation can't see it.
+            let fetched = self.fetch(mem, cur).map(|d| {
+                (d.len == 2 || mem.code_fingerprint(cur + 2) == Some(fingerprint)).then_some(d)
+            });
             let decoded = match fetched {
                 Ok(Some(d)) => d,
                 // First instruction straddles out of the region: the caller

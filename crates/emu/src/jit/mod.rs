@@ -615,9 +615,6 @@ struct Trace {
 /// counters + demotion hysteresis).
 #[derive(Debug)]
 pub(crate) struct JitTier {
-    /// Whether `ExecMode::Jit` is selected. Even when set, the tier stays
-    /// inert if the host cannot map executable pages.
-    pub(crate) enabled: bool,
     arena: Option<Arena>,
     /// The host refused an executable mapping or a W^X flip once; never
     /// retried.
@@ -666,7 +663,6 @@ impl Clone for JitTier {
     /// starts re-warming.
     fn clone(&self) -> Self {
         JitTier {
-            enabled: self.enabled,
             threshold: self.threshold,
             ..JitTier::new()
         }
@@ -674,10 +670,10 @@ impl Clone for JitTier {
 }
 
 impl JitTier {
-    /// An empty, disabled tier.
+    /// An empty tier. It runs only while the core is in `ExecMode::Jit`,
+    /// and stays inert if the host cannot map executable pages.
     pub(crate) fn new() -> Self {
         JitTier {
-            enabled: false,
             arena: None,
             broken: false,
             traces: Vec::new(),

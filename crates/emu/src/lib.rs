@@ -61,7 +61,7 @@ pub use cpu::{Cpu, ExecMode, Stop, Trap};
 pub use fiber::{FiberYield, HartFiber};
 pub use hart::{Hart, VLENB};
 pub use jit::jit_available;
-pub use mem::{Access, AccessHints, DirtySpan, MasterImage, MemFault, Memory, Region, RegionHint};
+pub use mem::{Access, AccessHints, MasterImage, MemFault, Memory, Region, RegionHint};
 pub use pool::{boot_pooled, MemoryPool, PoolStats};
 pub use runner::{
     boot, boot_with_stack, run_binary, run_binary_mode, run_binary_on, run_binary_traced, run_cpu,
@@ -197,6 +197,31 @@ mod tests {
             ");
         let r = run_binary(&bin, 10_000).unwrap();
         assert_eq!(r.stdout, b"hi");
+    }
+
+    #[test]
+    fn write_with_overflowing_length_fails_in_the_guest() {
+        // `len = -1` from an address inside a region: the guest sees
+        // a0 = -1 (EFAULT) and runs on to its exit, 42.
+        let bin = asm("
+            .data
+            msg: .byte 104
+                 .byte 105
+            .text
+            _start:
+                li a7, 64
+                li a0, 1
+                la a1, msg
+                addi a1, a1, 1
+                li a2, -1
+                ecall
+                addi a0, a0, 43
+                li a7, 93
+                ecall
+            ");
+        let r = run_binary(&bin, 10_000).unwrap();
+        assert_eq!(r.exit_code, 42);
+        assert!(r.stdout.is_empty());
     }
 
     #[test]

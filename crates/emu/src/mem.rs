@@ -7,7 +7,6 @@
 //! "segmentation fault" of the paper. The emulator enforces R/W/X on every
 //! access, exactly like the MMU the paper's kernel relies on.
 
-pub use chimera_obj::DirtySpan;
 use chimera_obj::{Binary, Perms, DEFAULT_STACK_SIZE, STACK_TOP};
 use core::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -285,22 +284,12 @@ pub struct Memory {
     /// region layout changes; CPUs use it to invalidate decoded-instruction
     /// caches cheaply ("anything executable may have changed").
     code_generation: u64,
-    /// Bounded log of executable-code mutations (see [`DirtySpan`]),
-    /// coalesced on insert and queried by
-    /// [`Memory::dirty_regions_since`]. Over-approximation is allowed
-    /// (merged spans may cover untouched bytes); *losing* a span is not.
-    edits: Vec<DirtySpan>,
     /// Index of the region that satisfied the last access (locality cache).
     last_hit: usize,
     /// The master image this memory was instantiated from, if pooled;
     /// recycling restores dirtied spans from it.
     master: Option<Arc<MasterImage>>,
 }
-
-/// Cap on the edit log: past this, the two closest spans merge into their
-/// bounding span (a conservative over-approximation), keeping the log
-/// O(1) in memory for arbitrarily long self-modifying runs.
-const MAX_CODE_EDITS: usize = 128;
 
 impl Memory {
     /// Creates empty memory.
@@ -324,24 +313,13 @@ impl Memory {
                 r.name
             );
         }
-        let generation = next_generation();
-        if perms.x {
-            // Freshly mapped executable bytes are dirty in their entirety:
-            // a remap at a previously rewritten address must re-dirty every
-            // unit derived from it.
-            self.record_edit(DirtySpan {
-                start,
-                end,
-                generation,
-            });
-        }
         self.regions.push(Region {
             start,
             perms,
             backing: Backing::Owned(bytes),
             written: None,
             name: name.to_string(),
-            generation,
+            generation: next_generation(),
         });
         self.regions.sort_by_key(|r| r.start);
         self.last_hit = 0;
@@ -378,33 +356,23 @@ impl Memory {
     /// a clean copy-on-write view of the master's bytes, so the cost is
     /// O(regions) rather than O(bytes). Writes privatize the touched
     /// region; [`Memory::recycle`] later restores exactly the dirtied
-    /// spans. Executable template regions are recorded in the dirty-region
-    /// edit log with their fresh map-time generations, mirroring
-    /// [`Memory::map_bytes`].
+    /// spans. Every region draws a fresh generation, as
+    /// [`Memory::map_bytes`] does.
     pub fn instantiate_from(master: &Arc<MasterImage>) -> Memory {
         let mut m = Memory {
             regions: Vec::with_capacity(master.regions.len()),
             code_generation: 0,
-            edits: Vec::new(),
             last_hit: 0,
             master: Some(master.clone()),
         };
         for src in &master.regions {
-            let generation = next_generation();
-            if src.perms.x {
-                m.record_edit(DirtySpan {
-                    start: src.start,
-                    end: src.start + src.bytes.len() as u64,
-                    generation,
-                });
-            }
             m.regions.push(Region {
                 start: src.start,
                 perms: src.perms,
                 backing: Backing::Shared(src.bytes.clone()),
                 written: None,
                 name: src.name.clone(),
-                generation,
+                generation: next_generation(),
             });
             m.code_generation += 1;
         }
@@ -437,12 +405,12 @@ impl Memory {
     /// Restores a pooled memory to its master image so the slot can be
     /// handed to the next spawn: only the spans a run actually wrote are
     /// copied back (the written-span log makes "zeroing" proportional to
-    /// dirt, not to memory size), restored regions draw fresh generations
-    /// (their bytes changed, so no decode cache may validate stale blocks),
-    /// and the edit log is reset to the template's map-time state. Returns
-    /// the number of restored bytes, or `None` when the memory is not
-    /// recyclable — not pooled, or its region layout diverged from the
-    /// master (map/unmap happened) — in which case the caller discards it.
+    /// dirt, not to memory size), and restored regions draw fresh
+    /// generations (their bytes changed, so no decode cache may validate
+    /// stale blocks). Returns the number of restored bytes, or `None` when
+    /// the memory is not recyclable — not pooled, or its region layout
+    /// diverged from the master (map/unmap happened) — in which case the
+    /// caller discards it.
     pub fn recycle(&mut self) -> Option<u64> {
         let master = self.master.clone()?;
         if self.regions.len() != master.regions.len() {
@@ -473,23 +441,6 @@ impl Memory {
             // The restored bytes differ from what this generation was
             // stamped for; draw a fresh workspace-unique one.
             r.generation = next_generation();
-        }
-        // Reset the edit log to the template state a fresh instantiation
-        // would carry: the whole span of every executable region, stamped
-        // with its current generation.
-        self.edits.clear();
-        let spans: Vec<DirtySpan> = self
-            .regions
-            .iter()
-            .filter(|r| r.perms.x)
-            .map(|r| DirtySpan {
-                start: r.start,
-                end: r.end(),
-                generation: r.generation,
-            })
-            .collect();
-        for s in spans {
-            self.record_edit(s);
         }
         self.code_generation += 1;
         self.last_hit = 0;
@@ -544,8 +495,11 @@ impl Memory {
     }
 
     fn region_idx(&mut self, addr: u64) -> Option<usize> {
-        let r = &self.regions[self.last_hit.min(self.regions.len().saturating_sub(1))];
-        if !self.regions.is_empty() && addr >= r.start && addr < r.end() {
+        // An empty memory maps nothing: `get` is `None` and so is the result.
+        let r = self
+            .regions
+            .get(self.last_hit.min(self.regions.len().saturating_sub(1)))?;
+        if addr >= r.start && addr < r.end() {
             return Some(self.last_hit);
         }
         let idx = self
@@ -623,14 +577,8 @@ impl Memory {
         let r = &mut self.regions[idx];
         r.bytes_mut(off, off + bytes.len()).copy_from_slice(bytes);
         if r.perms.x {
-            let generation = next_generation();
-            r.generation = generation;
+            r.generation = next_generation();
             self.code_generation += 1;
-            self.record_edit(DirtySpan {
-                start: addr,
-                end: addr + bytes.len() as u64,
-                generation,
-            });
         }
         Ok(())
     }
@@ -689,14 +637,8 @@ impl Memory {
         let r = &mut self.regions[idx];
         r.bytes_mut(off, off + bytes.len()).copy_from_slice(bytes);
         if r.perms.x {
-            let generation = next_generation();
-            r.generation = generation;
+            r.generation = next_generation();
             self.code_generation += 1;
-            self.record_edit(DirtySpan {
-                start: addr,
-                end: addr + bytes.len() as u64,
-                generation,
-            });
         } else {
             hint.0 = idx as u32;
         }
@@ -704,7 +646,12 @@ impl Memory {
     }
 
     /// Fetches a 16-bit parcel with X permission through a [`RegionHint`].
-    #[inline]
+    ///
+    /// Forced inline: it runs once or twice per instruction in
+    /// `ExecMode::Reference` and per instruction of every block build, and
+    /// with a plain `#[inline]` the compiler kept it out of line, which
+    /// made the reference interpreter 16–19 % slower.
+    #[inline(always)]
     pub fn fetch_u16_hinted(&mut self, hint: &mut RegionHint, addr: u64) -> Result<u16, MemFault> {
         if let Some(r) = self.regions.get(hint.0 as usize) {
             if r.perms.x && addr >= r.start {
@@ -731,7 +678,9 @@ impl Memory {
         let idx = self.region_idx(addr)?;
         let r = &self.regions[idx];
         let off = (addr - r.start) as usize;
-        r.bytes().get(off..off + len).map(<[u8]>::to_vec)
+        r.bytes()
+            .get(off..off.checked_add(len)?)
+            .map(<[u8]>::to_vec)
     }
 
     /// Writes code bytes regardless of permissions and bumps the code
@@ -755,113 +704,27 @@ impl Memory {
             });
         }
         r.bytes_mut(off, off + bytes.len()).copy_from_slice(bytes);
-        let generation = next_generation();
-        r.generation = generation;
+        r.generation = next_generation();
         self.code_generation += 1;
-        self.record_edit(DirtySpan {
-            start: addr,
-            end: addr + bytes.len() as u64,
-            generation,
-        });
         Ok(())
     }
 
     /// Unmaps the region with the given name; `true` if found. Used by the
     /// kernel's MMView switching (per-view code sections come and go while
-    /// shared data regions stay). Unmapping an *executable* region records
-    /// its whole span as dirty with a fresh generation: the address range
-    /// may be remapped with different code, and a remap itself draws a new
-    /// workspace-unique generation, so a block cached against the old
-    /// region can never validate against the remapped one.
+    /// shared data regions stay). The address range may be remapped with
+    /// different code, but a remap draws a new workspace-unique
+    /// generation, so a block cached against the old region can never
+    /// validate against the remapped one.
     pub fn unmap(&mut self, name: &str) -> bool {
         let before = self.regions.len();
-        let mut dirty: Vec<DirtySpan> = Vec::new();
-        self.regions.retain(|r| {
-            if r.name == name {
-                if r.perms.x {
-                    dirty.push(DirtySpan {
-                        start: r.start,
-                        end: r.end(),
-                        generation: 0, // stamped below
-                    });
-                }
-                false
-            } else {
-                true
-            }
-        });
+        self.regions.retain(|r| r.name != name);
         self.last_hit = 0;
         let removed = self.regions.len() != before;
         if removed {
-            for mut span in dirty {
-                span.generation = next_generation();
-                self.record_edit(span);
-            }
-            // The address range may be remapped with different code; force
-            // decode-cache revalidation.
+            // Force decode-cache revalidation.
             self.code_generation += 1;
         }
         removed
-    }
-
-    /// A watermark for [`Memory::dirty_regions_since`]: every code
-    /// mutation from this moment on (in *any* `Memory` of the process —
-    /// generations are workspace-global) carries a larger generation.
-    pub fn generation_watermark(&self) -> u64 {
-        GENERATION_SOURCE.load(Ordering::Relaxed)
-    }
-
-    /// The executable spans mutated since `watermark` (a value previously
-    /// returned by [`Memory::generation_watermark`]), sorted by address.
-    /// Spans are coalesced conservatively: a returned span may cover some
-    /// untouched bytes, but every mutated byte since the watermark is
-    /// covered. This is the signal incremental re-rewriting keys its
-    /// dirty-unit set on.
-    pub fn dirty_regions_since(&self, watermark: u64) -> Vec<DirtySpan> {
-        let mut v: Vec<DirtySpan> = self
-            .edits
-            .iter()
-            .filter(|e| e.generation > watermark)
-            .copied()
-            .collect();
-        v.sort_by_key(|e| e.start);
-        v
-    }
-
-    /// Appends one span to the edit log. Entries fully contained in the
-    /// new span are absorbed (the new span covers them at a newer
-    /// generation, so no watermark loses visibility); partially
-    /// overlapping entries are kept separate to stay precise — merging
-    /// them would make an old wide edit (e.g. the map-time whole-region
-    /// span) swallow later pinpoint pokes and over-dirty every consumer.
-    /// Past [`MAX_CODE_EDITS`], the two closest spans merge into their
-    /// bounding span so the log stays bounded (a conservative
-    /// over-approximation; dirtiness may widen but is never lost).
-    fn record_edit(&mut self, span: DirtySpan) {
-        let mut merged = span;
-        self.edits.retain(|e| {
-            if merged.start <= e.start && e.end <= merged.end {
-                merged.generation = merged.generation.max(e.generation);
-                false
-            } else {
-                true
-            }
-        });
-        self.edits.push(merged);
-        if self.edits.len() > MAX_CODE_EDITS {
-            self.edits.sort_by_key(|e| e.start);
-            let (mut best, mut gap) = (0, u64::MAX);
-            for i in 0..self.edits.len() - 1 {
-                let g = self.edits[i + 1].start.saturating_sub(self.edits[i].end);
-                if g < gap {
-                    (best, gap) = (i, g);
-                }
-            }
-            let b = self.edits.remove(best + 1);
-            let a = &mut self.edits[best];
-            a.end = a.end.max(b.end);
-            a.generation = a.generation.max(b.generation);
-        }
     }
 
     /// The region with the given name, if mapped.
@@ -930,6 +793,26 @@ mod tests {
         let mut m = mem();
         let e = m.read::<4>(0x9000).unwrap_err();
         assert!(!e.mapped);
+    }
+
+    #[test]
+    fn empty_memory_reports_unmapped() {
+        let mut m = Memory::new();
+        let fault = MemFault {
+            addr: 0x1000,
+            access: Access::Load,
+            mapped: false,
+        };
+        assert_eq!(m.read::<8>(0x1000), Err(fault));
+        assert_eq!(m.peek(0x1000, 1), None);
+        assert_eq!(m.code_fingerprint(0x1000), None);
+    }
+
+    #[test]
+    fn peek_length_overflow_is_none() {
+        let mut m = mem();
+        assert_eq!(m.peek(0x2001, usize::MAX), None);
+        assert_eq!(m.peek(0x2001, 2), Some(vec![0, 0]));
     }
 
     #[test]
@@ -1064,89 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_regions_track_code_mutations_since_watermark() {
-        let mut m = mem();
-        let wm = m.generation_watermark();
-        assert!(m.dirty_regions_since(wm).is_empty());
-
-        // A data store is not a code mutation.
-        m.write(0x2000, &[1, 2]).unwrap();
-        assert!(m.dirty_regions_since(wm).is_empty());
-
-        // A code poke is; its span and a later-than-watermark stamp land
-        // in the query.
-        m.poke_code(0x1002, &[0xaa, 0xbb]).unwrap();
-        let d = m.dirty_regions_since(wm);
-        assert_eq!(d.len(), 1);
-        assert_eq!((d[0].start, d[0].end), (0x1002, 0x1004));
-        assert!(d[0].generation > wm);
-
-        // Advancing the watermark drains the view.
-        let wm2 = m.generation_watermark();
-        assert!(m.dirty_regions_since(wm2).is_empty());
-        // ... but the old watermark still sees the old edit.
-        assert_eq!(m.dirty_regions_since(wm).len(), 1);
-    }
-
-    #[test]
-    fn repeated_pokes_at_one_site_keep_one_edit() {
-        let mut m = mem();
-        let wm = m.generation_watermark();
-        for _ in 0..10 {
-            m.poke_code(0x1002, &[3, 4]).unwrap();
-        }
-        let d = m.dirty_regions_since(wm);
-        assert_eq!(d.len(), 1, "identical spans absorb, not accumulate: {d:?}");
-        assert_eq!((d[0].start, d[0].end), (0x1002, 0x1004));
-    }
-
-    #[test]
-    fn edit_log_stays_bounded_without_losing_dirty_bytes() {
-        let mut m = Memory::new();
-        m.map(0x1_0000, 0x20_0000, Perms::RX, ".text");
-        let wm = m.generation_watermark();
-        // Far-apart pokes (nothing coalesces on insert): the log must cap
-        // via conservative merging, never by dropping a span.
-        for i in 0..500u64 {
-            m.poke_code(0x1_0000 + i * 0x1000, &[0u8; 2]).unwrap();
-        }
-        let d = m.dirty_regions_since(wm);
-        assert!(d.len() <= MAX_CODE_EDITS, "log must stay bounded");
-        for i in 0..500u64 {
-            let a = 0x1_0000 + i * 0x1000;
-            assert!(
-                d.iter().any(|s| s.start <= a && a + 2 <= s.end),
-                "poke at {a:#x} lost from the dirty log"
-            );
-        }
-    }
-
-    #[test]
-    fn unmap_and_remap_record_dirty_spans() {
-        let mut m = Memory::new();
-        m.map(0x1000, 0x100, Perms::RX, ".text");
-        m.map(0x2000, 0x100, Perms::RW, ".data");
-        let wm = m.generation_watermark();
-        // Unmapping a data region records nothing.
-        assert!(m.unmap(".data"));
-        assert!(m.dirty_regions_since(wm).is_empty());
-        // Unmapping + remapping code dirties the whole span, with the
-        // remap's generation matching the new region's stamp.
-        assert!(m.unmap(".text"));
-        let d = m.dirty_regions_since(wm);
-        assert_eq!(d.len(), 1);
-        assert_eq!((d[0].start, d[0].end), (0x1000, 0x1100));
-        m.map(0x1000, 0x100, Perms::RX, ".text");
-        let d = m.dirty_regions_since(wm);
-        assert_eq!(d.len(), 1, "unmap+remap of the same span coalesces");
-        assert_eq!(
-            d[0].generation,
-            m.code_fingerprint(0x1000).unwrap().1,
-            "the remap edit carries the fresh region generation"
-        );
-    }
-
-    #[test]
     fn load_binary_maps_stack() {
         use chimera_isa::ExtSet;
         use chimera_obj::{Section, TEXT_BASE};
@@ -1269,14 +1069,6 @@ mod tests {
         assert_ne!(fp2, fp0);
         assert_ne!(fp2, fp1);
         assert!(m.code_generation() > g0);
-        // And the restored text span is visible to a fresh dirty query,
-        // exactly like a fresh instantiation's map-time span.
-        let d = m.dirty_regions_since(0);
-        assert!(
-            d.iter()
-                .any(|s| s.start <= bin.entry && bin.entry + 2 <= s.end),
-            "restored code span missing from the edit log: {d:?}"
-        );
     }
 
     #[test]

@@ -108,6 +108,16 @@ pub enum MicroOp {
     /// compiled RISC-V code, flattened so it dispatches in one match
     /// instead of two (the [`MicroOp`] match plus the kind match inside
     /// `OpImmKind::eval`).
+    ///
+    /// Why the seven flattened variants stay: folding them into
+    /// [`MicroOp::OpImm`] / [`MicroOp::Op`] removes 189 lines but made
+    /// `exec_steady` slower (`pipeline_e2e --seed 1 --seconds 25`,
+    /// untraced, 2-vCPU host, alternating order): `guest_mips` fell in 9 of
+    /// 10 pairs, median −7.5 % (parent 102.0 / 111.3 / 107.2 / 82.4 /
+    /// 121.4, change 74.1 / 99.2 / 99.2 / 97.8 / 105.9), and −14.8 % with
+    /// `OpImmKind::eval` at `#[inline(always)]` (parent 128.9 / 111.5 /
+    /// 119.4 / 116.8 / 119.3, change 106.3 / 106.3 / 93.8 / 92.8 / 101.7).
+    /// Every `sim_*` metric was bit-equal.
     Addi {
         /// Destination register.
         rd: XReg,

@@ -1,7 +1,7 @@
 //! Detailed ISA semantics: edge cases of the RV64 model that the rewriter
 //! and translation templates depend on.
 
-use chimera_emu::{run_binary, run_binary_on};
+use chimera_emu::{run_binary, run_binary_mode, ExecMode, RunError, Trap};
 use chimera_isa::ExtSet;
 use chimera_obj::{assemble, AsmOptions};
 
@@ -280,7 +280,8 @@ fn sltiu_seqz_idiom() {
 #[test]
 fn c_extension_gating_is_encoding_level() {
     // The same canonical instruction passes on a no-C core when encoded
-    // 4-byte, and traps when encoded compressed.
+    // 4-byte, and traps when encoded compressed — in every mode, whether
+    // the gate runs per instruction (`Reference`) or at block build.
     // Immediates small enough for the c.addi form.
     let src = "
         _start:
@@ -291,7 +292,6 @@ fn c_extension_gating_is_encoding_level() {
     ";
     let no_c = ExtSet::RV64GC.without(chimera_isa::Ext::C);
     let fat = assemble(src, AsmOptions::default()).unwrap();
-    assert_eq!(run_binary_on(&fat, no_c, 1000).unwrap().exit_code, 42);
     let slim = assemble(
         src,
         AsmOptions {
@@ -300,7 +300,22 @@ fn c_extension_gating_is_encoding_level() {
         },
     )
     .unwrap();
-    assert!(run_binary_on(&slim, no_c, 1000).is_err());
+    let text = &slim.section(".text").unwrap().data;
+    let illegal = Trap::Illegal {
+        pc: slim.entry,
+        raw: u16::from_le_bytes([text[0], text[1]]) as u32,
+    };
+    for mode in [
+        ExecMode::Reference,
+        ExecMode::Interpreter,
+        ExecMode::Engine,
+        ExecMode::Jit,
+    ] {
+        let r = run_binary_mode(&fat, no_c, 1000, mode).unwrap();
+        assert_eq!(r.exit_code, 42, "{mode:?}");
+        let err = run_binary_mode(&slim, no_c, 1000, mode).unwrap_err();
+        assert_eq!(err, RunError::Trap(illegal), "{mode:?}");
+    }
 }
 
 #[test]
@@ -332,7 +347,6 @@ fn megamorphic_jalr_stays_transparent_under_jump_cache_eviction() {
     // dispatch evicts, the block-chaining fast path keeps mispredicting,
     // and the engine must still be bit-transparent to the reference
     // interpreter — with the cache counters reconciling exactly.
-    use chimera_emu::ExecMode;
     use chimera_testutil::observe_mode;
 
     const TARGETS: usize = 2304;
@@ -352,8 +366,7 @@ fn megamorphic_jalr_stays_transparent_under_jump_cache_eviction() {
 
     let expected: i64 = ((0..TARGETS).map(|i| i % 7 + 1).sum::<usize>() & 255) as i64;
     let fuel = 10_000_000;
-    let (reference, ref_stats) =
-        observe_mode(&bin, ExtSet::RV64GC, ExecMode::Reference, false, fuel);
+    let (reference, ref_stats) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Reference, fuel);
     assert_eq!(
         reference
             .result
@@ -367,8 +380,8 @@ fn megamorphic_jalr_stays_transparent_under_jump_cache_eviction() {
         (0, 0, 0)
     );
 
-    let (interp, is) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Interpreter, true, fuel);
-    let (engine, es) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Engine, true, fuel);
+    let (interp, is) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Interpreter, fuel);
+    let (engine, es) = observe_mode(&bin, ExtSet::RV64GC, ExecMode::Engine, fuel);
     assert_eq!(interp, reference, "cached interpreter transparent");
     assert_eq!(engine, reference, "micro-op engine transparent");
 

@@ -263,12 +263,9 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
     };
 
     // ---- Family 1: the execution-mode matrix ------------------------
-    // The cache-off configuration *is* the reference interpreter
-    // (`Cpu::mode` is defined by `(cache.enabled, engine)`), so the
-    // matrix has three distinct execution front ends; "cache on vs off"
-    // is the reference-vs-cached comparison.
-    let (reference, ref_stats) =
-        observe_mode(bin, ExtSet::RV64GCV, ExecMode::Reference, false, CASE_FUEL);
+    // The reference interpreter is the only mode without the decode
+    // cache, so "cache on vs off" is the reference-vs-cached comparison.
+    let (reference, ref_stats) = observe_mode(bin, ExtSet::RV64GCV, ExecMode::Reference, CASE_FUEL);
     if (
         ref_stats.hits,
         ref_stats.misses,
@@ -299,7 +296,7 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
         let (mut obs, stats) = if mode == ExecMode::Jit {
             observe_jit(bin, ExtSet::RV64GCV, CASE_FUEL, threshold)
         } else {
-            observe_mode(bin, ExtSet::RV64GCV, mode, true, CASE_FUEL)
+            observe_mode(bin, ExtSet::RV64GCV, mode, CASE_FUEL)
         };
         let injected = match mode {
             ExecMode::Engine => inject.perturb_engine,
@@ -360,14 +357,8 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
     cov.jit_batched_execs = jit_stats[1].1.jit_execs;
 
     let tracer = Tracer::enabled();
-    let (traced, _) = observe_mode_traced(
-        bin,
-        ExtSet::RV64GCV,
-        ExecMode::Engine,
-        true,
-        CASE_FUEL,
-        &tracer,
-    );
+    let (traced, _) =
+        observe_mode_traced(bin, ExtSet::RV64GCV, ExecMode::Engine, CASE_FUEL, &tracer);
     if traced != engine_obs && traced != reference {
         // (When injection perturbed `engine_obs`, compare to reference.)
         return Err(fail("mode:engine-traced", first_diff(&reference, &traced)));
@@ -436,11 +427,9 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
         // produces.
         let (mut img, ts, te) = load_image(&base.rewritten.binary);
         let mut mrng = Prng::stream(seed, &format!("mutate:{name}"));
-        let wm = img.generation_watermark();
-        for _ in 0..3 {
-            mutate_image(&mut img, &mut mrng, ts, te);
-        }
-        let dirty = img.dirty_regions_since(wm);
+        let dirty: Vec<_> = (0..3)
+            .map(|_| mutate_image(&mut img, &mut mrng, ts, te))
+            .collect();
         let inc = run_incremental(engine.as_ref(), bin, &mut cache, &dirty, 4, &disabled)
             .map_err(|e| fail(&format!("rewrite:{name}:error"), format!("inc: {e:?}")))?;
         if inc.rewritten != base.rewritten {
@@ -458,11 +447,11 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
         } else {
             ExtSet::RV64GC
         };
-        for cache_on in [true, false] {
-            let stage = format!(
-                "rewrite:{name}:kernel-{}",
-                if cache_on { "cache" } else { "nocache" }
-            );
+        for (mode, cache) in [
+            (ExecMode::Engine, "cache"),
+            (ExecMode::Reference, "nocache"),
+        ] {
+            let stage = format!("rewrite:{name}:kernel-{cache}");
             let tables = RuntimeTables {
                 fht: Some(base.rewritten.fht.clone()),
                 regen: base.regen.clone(),
@@ -471,7 +460,7 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
                 base.rewritten.binary.clone(),
                 tables,
                 profile,
-                cache_on,
+                mode,
                 None,
                 KERNEL_FUEL,
             );
@@ -545,7 +534,7 @@ pub fn check_case(case: &FuzzCase, inject: Inject) -> Result<Coverage, Divergenc
                     handle.rewritten().binary.clone(),
                     tables,
                     ExtSet::RV64GC,
-                    true,
+                    ExecMode::Engine,
                     None,
                     KERNEL_FUEL,
                 );
@@ -656,17 +645,17 @@ fn smile_sweep(
                 fht: Some(rw.fht.clone()),
                 regen: None,
             };
-            let recover = |cache: bool| {
+            let recover = || {
                 run_under_kernel_at(
                     rw.binary.clone(),
                     tables.clone(),
                     ExtSet::RV64GC,
-                    cache,
+                    ExecMode::Engine,
                     Some(entry),
                     SMILE_FUEL,
                 )
             };
-            let rec = recover(true);
+            let rec = recover();
             if rec.kernel.counters.smile_faults == 0 {
                 return Err(fail(
                     "smile:recovery",
@@ -693,7 +682,7 @@ fn smile_sweep(
                 ));
             }
             // Recovery itself is deterministic, bit for bit.
-            let rec2 = recover(true);
+            let rec2 = recover();
             if rec2.outcome != rec.outcome
                 || rec2.stdout != rec.stdout
                 || rec2.cpu.stats != rec.cpu.stats

@@ -664,18 +664,15 @@ fn empty_patch_mode_via_kernel() {
     assert_eq!(k.run(&mut cpu, &mut mem, 1_000_000), RunOutcome::Exited(14));
 }
 
-/// The kernel's lazy-rewrite pokes flow through the same generation /
-/// dirty-region channel that incremental re-rewriting consumes: every
-/// patch severs cached blocks (cache stats), lands in
-/// `dirty_regions_since`, and is correctly classified by
-/// `run_incremental` — lazy patches mutate the *runtime image*, not the
-/// input binary, so a re-rewrite reuses every unit and still reproduces
-/// the full rewrite bit for bit; an SMC poke on a patch site, by contrast,
-/// invalidates its unit.
+/// The kernel's lazy-rewrite pokes bump region generations: every patch
+/// severs cached blocks (cache stats). Lazy patches mutate the *runtime
+/// image*, not the input binary, so `run_incremental` given their spans
+/// reuses every unit and still reproduces the full rewrite bit for bit; an
+/// SMC poke on a patch site, by contrast, invalidates its unit.
 #[test]
-fn lazy_rewrite_feeds_incremental_dirty_channel() {
-    use chimera_kernel::Tracer;
-    use chimera_rewrite::{run_cached, run_incremental, ChbpEngine};
+fn lazy_rewrites_sever_blocks_and_redo_no_input_unit() {
+    use chimera_kernel::{TraceEvent, Tracer};
+    use chimera_rewrite::{run_cached, run_incremental, ChbpEngine, DirtySpan};
 
     let bin = assemble(VEC_PROG, AsmOptions::default()).unwrap();
     let opts = RewriteOptions {
@@ -699,16 +696,12 @@ fn lazy_rewrite_feeds_incremental_dirty_channel() {
     }]);
     let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GC).unwrap();
     let entry = cpu.hart.pc;
-    let watermark = mem.generation_watermark();
-    assert!(
-        mem.dirty_regions_since(watermark).is_empty(),
-        "a freshly loaded image is clean"
-    );
 
     // EmptyPatch keeps the vector instructions verbatim in the target
     // section: on RV64GC each run of them faults and is lazily rewritten —
     // the `vsetvli`, then `vle64.v` .. `vmv.x.s`.
-    let mut k = KernelRunner::new(view.tables.clone());
+    let tracer = Tracer::enabled();
+    let mut k = KernelRunner::with_tracer(view.tables.clone(), tracer.clone());
     assert_eq!(k.run(&mut cpu, &mut mem, 1_000_000), RunOutcome::Exited(14));
     assert_eq!(k.counters.lazy_rewrites, 2, "{:?}", k.counters);
 
@@ -726,10 +719,21 @@ fn lazy_rewrite_feeds_incremental_dirty_channel() {
     );
     assert_eq!(k.counters.lazy_rewrites, 2, "{:?}", k.counters);
 
-    // Every lazy patch is visible in the dirty channel, inside the
-    // patched target section (or the [lazy] slack after it).
-    let dirty = mem.dirty_regions_since(watermark);
-    assert!(!dirty.is_empty(), "lazy rewrites must report dirty spans");
+    // Every lazy patch site lies in the patched target section.
+    let span = |mem: &mut chimera_emu::Memory, start: u64| DirtySpan {
+        start,
+        end: start + 4,
+        generation: mem.code_fingerprint(start).unwrap().1,
+    };
+    let dirty: Vec<DirtySpan> = tracer
+        .drain()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::LazyRewrite { pc, .. } => Some(span(&mut mem, pc)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(dirty.len(), 2, "{dirty:?}");
     assert!(
         dirty.iter().all(|d| d.start >= fht.target_range.0),
         "lazy patches live past the target base: {dirty:?}"
@@ -751,14 +755,47 @@ fn lazy_rewrite_feeds_incremental_dirty_channel() {
         "lazy patches invalidate no input units"
     );
 
-    // An SMC poke on a patch site, through the very same channel, does
-    // invalidate its unit — and the output still matches bit for bit.
-    let watermark = mem.generation_watermark();
+    // An SMC poke on a patch site does invalidate its unit — and the
+    // output still matches bit for bit.
     let site = *fht.trampolines.iter().next().expect("sites exist");
     mem.poke_code(site, &[0x13, 0x00, 0x00, 0x00]).unwrap();
-    let dirty = mem.dirty_regions_since(watermark);
     assert!(
-        redone_by(&mut cache, &dirty) >= 1,
+        redone_by(&mut cache, &[span(&mut mem, site)]) >= 1,
         "an SMC poke on a site must redo its unit"
     );
+}
+
+/// A `write` whose length overflows the address space from inside a
+/// region is a guest error, not a kernel panic: the guest sees a0 = -1
+/// (EFAULT) and runs on to its exit, 42.
+#[test]
+fn write_with_overflowing_length_fails_in_the_guest() {
+    let bin = assemble(
+        "
+        .data
+        msg: .byte 104
+             .byte 105
+        .text
+        _start:
+            li a7, 64
+            li a0, 1
+            la a1, msg
+            addi a1, a1, 1
+            li a2, -1
+            ecall
+            addi a0, a0, 43
+            li a7, 93
+            ecall
+        ",
+        AsmOptions::default(),
+    )
+    .unwrap();
+    let process = Process::new(vec![Variant {
+        binary: bin,
+        tables: RuntimeTables::default(),
+    }]);
+    let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GCV).unwrap();
+    let mut k = KernelRunner::new(view.tables.clone());
+    assert_eq!(k.run(&mut cpu, &mut mem, 10_000), RunOutcome::Exited(42));
+    assert!(k.stdout.is_empty());
 }

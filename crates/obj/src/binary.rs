@@ -16,13 +16,13 @@
 use chimera_isa::ExtSet;
 use core::fmt;
 
-/// One recorded executable-code mutation of a loaded image: the byte span
-/// `[start, end)` changed (or appeared, or vanished) and carries the
-/// generation stamp the mutation produced. This is the dirty-region
-/// channel between the emulator's memory (which reports the spans stamped
-/// after a caller-held watermark) and incremental re-rewriting (a rewrite
-/// unit whose source range intersects a span with `generation` newer than
-/// the unit's validation stamp is re-emitted).
+/// One executable-code mutation of a loaded image, as the caller of
+/// incremental re-rewriting reports it: the byte span `[start, end)`
+/// changed (or appeared, or vanished), stamped with the mutated region's
+/// new generation (`chimera_emu::Region::generation`, drawn from a
+/// process-global monotone source). A rewrite unit whose source range
+/// intersects a span with `generation` newer than the unit's validation
+/// stamp is re-emitted. The emulator records no spans itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirtySpan {
     /// First mutated address.

@@ -94,7 +94,7 @@ struct Planned {
 }
 
 /// One cached unit: its artifact plus the validation stamp — the newest
-/// dirty-region generation this unit has been re-validated against.
+/// dirty-span generation this unit has been re-validated against.
 /// Re-presenting an already-consumed dirty report is a no-op.
 #[derive(Clone)]
 struct CachedUnit {

@@ -2,7 +2,7 @@
 //!
 //! The incremental driver's contract: for any sequence of runtime code
 //! mutations — SMC pokes, lazy `ebreak` patches, unmap/remap cycles —
-//! reported through the emulator's dirty-region channel, an incremental
+//! reported as the spans `mutate_image` returns, an incremental
 //! re-rewrite produces output **bit-identical** to a from-scratch full
 //! rewrite of the (immutable) input binary, for every engine and every
 //! worker count. The dirty set decides how much work is saved, never
@@ -18,7 +18,7 @@ use chimera_isa::prng::Prng;
 use chimera_isa::ExtSet;
 use chimera_obj::Binary;
 use chimera_rewrite::{
-    ebreak_patch, run, run_cached, run_incremental, upgrade_rewrite, ChbpEngine, Mode,
+    ebreak_patch, run, run_cached, run_incremental, upgrade_rewrite, ChbpEngine, DirtySpan, Mode,
     RewriteEngine, RewriteOptions, UpgradeEngine,
 };
 use chimera_testutil::{engines, load_image, mutate_image, run_under_kernel, scalar_loops};
@@ -109,14 +109,10 @@ fn assert_incremental_matches_full(
 
         let (mut mem, text_start, text_end) = load_image(&primed.rewritten.binary);
         let mut rng = Prng::new(0x9e37_79b9 ^ (workers as u64) << 32 ^ bin.entry);
-        let mut watermark = mem.generation_watermark();
         for round in 0..6 {
-            for _ in 0..=rng.below(2) {
-                mutate_image(&mut mem, &mut rng, text_start, text_end);
-            }
-            let dirty = mem.dirty_regions_since(watermark);
-            assert!(!dirty.is_empty(), "mutations must report dirty spans");
-            watermark = mem.generation_watermark();
+            let dirty: Vec<DirtySpan> = (0..=rng.below(2))
+                .map(|_| mutate_image(&mut mem, &mut rng, text_start, text_end))
+                .collect();
 
             let tracer = Tracer::enabled();
             let inc = run_incremental(engine, bin, &mut cache, &dirty, workers, &tracer).unwrap();
@@ -166,9 +162,12 @@ fn consumed_dirty_reports_are_idempotent() {
         .iter()
         .next()
         .expect("matrix task has patch sites");
-    let watermark = mem.generation_watermark();
     mem.poke_code(site, &ebreak_patch(4)).unwrap();
-    let dirty = mem.dirty_regions_since(watermark);
+    let dirty = [DirtySpan {
+        start: site,
+        end: site + 4,
+        generation: mem.code_fingerprint(site).unwrap().1,
+    }];
 
     let tracer = Tracer::enabled();
     let first = run_incremental(&engine, &bin, &mut cache, &dirty, 2, &tracer).unwrap();
@@ -261,11 +260,9 @@ fn refreshed_variant_matches_native_behaviour() {
                 run_cached(engine.as_ref(), &bin, 4, &Tracer::disabled()).unwrap();
             let (mut mem, text_start, text_end) = load_image(&primed.rewritten.binary);
             let mut rng = Prng::new(0xfeed_beef ^ bin.entry);
-            let watermark = mem.generation_watermark();
-            for _ in 0..4 {
-                mutate_image(&mut mem, &mut rng, text_start, text_end);
-            }
-            let dirty = mem.dirty_regions_since(watermark);
+            let dirty: Vec<DirtySpan> = (0..4)
+                .map(|_| mutate_image(&mut mem, &mut rng, text_start, text_end))
+                .collect();
             let refreshed = run_incremental(
                 engine.as_ref(),
                 &bin,
@@ -284,7 +281,7 @@ fn refreshed_variant_matches_native_behaviour() {
                 refreshed.rewritten.binary.clone(),
                 tables,
                 ExtSet::RV64GC,
-                true,
+                chimera_emu::ExecMode::Engine,
             );
             assert_eq!(
                 (kr.exit_code, kr.stdout),

@@ -21,6 +21,7 @@
 //! lazily built block is byte-identical to the unit the static pipeline
 //! emits for the same instruction, placed at the same address.
 
+use chimera_emu::ExecMode;
 use chimera_isa::{Ext, ExtSet};
 use chimera_kernel::RuntimeTables;
 use chimera_obj::Binary;
@@ -190,7 +191,12 @@ fn upgrade_bit_identical_across_worker_counts() {
             fht: Some(baseline.rewritten.fht),
             regen: None,
         };
-        let kr = run_under_kernel(baseline.rewritten.binary, tables, ExtSet::RV64GCV, true);
+        let kr = run_under_kernel(
+            baseline.rewritten.binary,
+            tables,
+            ExtSet::RV64GCV,
+            ExecMode::Engine,
+        );
         assert_eq!(
             (kr.exit_code, kr.stdout),
             native_reference(&bin),
@@ -233,7 +239,7 @@ fn every_engine_passes_differential_check() {
                 fht: Some(rw.fht),
                 regen: None,
             };
-            let kr = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, true);
+            let kr = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, ExecMode::Engine);
             assert_eq!(
                 (kr.exit_code, kr.stdout),
                 expected,
@@ -249,7 +255,7 @@ fn every_engine_passes_differential_check() {
                 fht: Some(rw.fht),
                 regen: Some(info),
             };
-            let kr = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, true);
+            let kr = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, ExecMode::Engine);
             assert_eq!(
                 (kr.exit_code, kr.stdout),
                 expected,
@@ -370,7 +376,7 @@ fn lazy_blocks_match_static_translation() {
         kernel: k,
         mut mem,
         ..
-    } = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, true);
+    } = run_under_kernel(rw.binary, tables, ExtSet::RV64GC, ExecMode::Engine);
     assert_eq!((exit_code, stdout), expected, "diverged from native");
     assert_eq!(k.counters.lazy_rewrites, 3, "each site exactly once");
     // One kernel entry per execution of a lazily rewritten instruction —

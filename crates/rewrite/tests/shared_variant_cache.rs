@@ -9,7 +9,8 @@
 
 use chimera_isa::ExtSet;
 use chimera_rewrite::{
-    ebreak_patch, run, run_incremental, ChbpEngine, Mode, RewriteOptions, SharedVariantCache,
+    ebreak_patch, run, run_incremental, ChbpEngine, DirtySpan, Mode, RewriteOptions,
+    SharedVariantCache,
 };
 use chimera_testutil::{load_image, run_under_kernel};
 use chimera_trace::{TraceEvent, Tracer};
@@ -30,7 +31,7 @@ fn kernel_obs(handle: &chimera_rewrite::VariantHandle) -> (i64, Vec<u8>) {
         handle.rewritten().binary.clone(),
         tables,
         ExtSet::RV64GC,
-        true,
+        chimera_emu::ExecMode::Engine,
     );
     (r.exit_code, r.stdout)
 }
@@ -77,10 +78,12 @@ fn smc_in_one_process_never_invalidates_another() {
         .iter()
         .next()
         .expect("matrix task has patch sites");
-    let watermark = mem.generation_watermark();
     mem.poke_code(site, &ebreak_patch(4)).unwrap();
-    let dirty = mem.dirty_regions_since(watermark);
-    assert!(!dirty.is_empty());
+    let dirty = [DirtySpan {
+        start: site,
+        end: site + 4,
+        generation: mem.code_fingerprint(site).unwrap().1,
+    }];
 
     let a_tracer = Tracer::enabled();
     let refreshed = run_incremental(&engine, &bin, a.cache_mut(), &dirty, 2, &a_tracer).unwrap();

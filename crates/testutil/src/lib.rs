@@ -29,7 +29,7 @@ use chimera_kernel::{
     KernelRunner, ManyHartConfig, ManyHartKernel, ManyHartResult, Process, RunOutcome,
     RuntimeTables, Tracer, Variant,
 };
-use chimera_obj::Binary;
+use chimera_obj::{Binary, DirtySpan};
 use chimera_rewrite::{
     chbp_rewrite, ebreak_patch, ChbpEngine, Flavor, IdentityEngine, Mode, RegenEngine,
     RewriteEngine, RewriteOptions, Rewritten,
@@ -57,15 +57,15 @@ pub fn writable_bytes(mem: &mut Memory, bin: &Binary) -> Vec<(String, Vec<u8>)> 
         .collect()
 }
 
-/// Runs `bin` keeping the final memory, so callers can compare
+/// Runs `bin` in `mode` keeping the final memory, so callers can compare
 /// data-section bytes in addition to the [`RunResult`].
 pub fn run_keeping_mem(
     bin: &Binary,
     profile: ExtSet,
-    cache: bool,
+    mode: ExecMode,
 ) -> (Result<RunResult, RunError>, Memory) {
     let (mut cpu, mut mem) = chimera_emu::boot(bin, profile);
-    cpu.cache.enabled = cache;
+    cpu.set_mode(mode);
     let r = chimera_emu::run_cpu(&mut cpu, &mut mem, FUEL);
     (r, mem)
 }
@@ -94,23 +94,15 @@ pub struct Obs {
     pub mem: Vec<(String, Vec<u8>)>,
 }
 
-/// Runs `bin` under an explicit [`ExecMode`] and cache switch, capturing
-/// the comparable observation plus the cache counters.
+/// Runs `bin` under an explicit [`ExecMode`], capturing the comparable
+/// observation plus the cache counters.
 pub fn observe_mode(
     bin: &Binary,
     profile: ExtSet,
     mode: ExecMode,
-    cache: bool,
     fuel: u64,
 ) -> (Obs, chimera_emu::CacheStats) {
-    observe_mode_traced(
-        bin,
-        profile,
-        mode,
-        cache,
-        fuel,
-        &chimera_trace::Tracer::disabled(),
-    )
+    observe_mode_traced(bin, profile, mode, fuel, &chimera_trace::Tracer::disabled())
 }
 
 /// [`observe_mode`] with an explicit tracer attached to the CPU (for
@@ -119,13 +111,11 @@ pub fn observe_mode_traced(
     bin: &Binary,
     profile: ExtSet,
     mode: ExecMode,
-    cache: bool,
     fuel: u64,
     tracer: &chimera_trace::Tracer,
 ) -> (Obs, chimera_emu::CacheStats) {
     let (mut cpu, mut mem) = chimera_emu::boot(bin, profile);
     cpu.set_mode(mode);
-    cpu.cache.enabled = cache;
     cpu.tracer = tracer.clone();
     let result = chimera_emu::run_cpu(&mut cpu, &mut mem, fuel);
     let mem_bytes = writable_bytes(&mut mem, bin);
@@ -225,9 +215,9 @@ pub fn observe_jit(
 /// suite to assert transparency across every front end.
 pub fn run_all_modes(bin: &Binary, profile: ExtSet, fuel: u64) -> ModeMatrix {
     ModeMatrix {
-        reference: observe_mode(bin, profile, ExecMode::Reference, false, fuel),
-        interpreter: observe_mode(bin, profile, ExecMode::Interpreter, true, fuel),
-        engine: observe_mode(bin, profile, ExecMode::Engine, true, fuel),
+        reference: observe_mode(bin, profile, ExecMode::Reference, fuel),
+        interpreter: observe_mode(bin, profile, ExecMode::Interpreter, fuel),
+        engine: observe_mode(bin, profile, ExecMode::Engine, fuel),
         jit: observe_jit(bin, profile, fuel, 1),
         jit_batched: observe_jit(bin, profile, fuel, JIT_BATCHED_THRESHOLD),
     }
@@ -249,17 +239,17 @@ pub struct KernelRun {
 
 /// Runs `binary` on `profile` under the simulated kernel (normal flow may
 /// route through SMILE trampolines, trap trampolines, Safer corrections
-/// and lazy rewrites — the passive handler resolves them all), panicking
-/// unless the task exits. `cache` switches the decode cache.
+/// and lazy rewrites — the passive handler resolves them all) in `mode`,
+/// panicking unless the task exits.
 pub fn run_under_kernel(
     binary: Binary,
     tables: RuntimeTables,
     profile: ExtSet,
-    cache: bool,
+    mode: ExecMode,
 ) -> KernelRun {
     let process = Process::new(vec![Variant { binary, tables }]);
     let (mut cpu, mut mem, view) = process.load(profile).expect("view loads");
-    cpu.cache.enabled = cache;
+    cpu.set_mode(mode);
     let mut k = KernelRunner::new(view.tables.clone());
     match k.run(&mut cpu, &mut mem, FUEL) {
         RunOutcome::Exited(exit_code) => KernelRun {
@@ -269,7 +259,7 @@ pub fn run_under_kernel(
             kernel: k,
             mem,
         },
-        other => panic!("kernel run (cache={cache}) ended with {other:?}"),
+        other => panic!("kernel run ({mode:?}) ended with {other:?}"),
     }
 }
 
@@ -298,13 +288,13 @@ pub fn run_under_kernel_at(
     binary: Binary,
     tables: RuntimeTables,
     profile: ExtSet,
-    cache: bool,
+    mode: ExecMode,
     entry: Option<u64>,
     fuel: u64,
 ) -> KernelObs {
     let process = Process::new(vec![Variant { binary, tables }]);
     let (mut cpu, mut mem, view) = process.load(profile).expect("view loads");
-    cpu.cache.enabled = cache;
+    cpu.set_mode(mode);
     if let Some(pc) = entry {
         cpu.hart.pc = pc;
     }
@@ -320,8 +310,8 @@ pub fn run_under_kernel_at(
 }
 
 /// Runs a CHBP-style [`Rewritten`] (patched binary + fault table) on the
-/// base profile under the kernel.
-pub fn run_rewritten(rw: &Rewritten, cache: bool) -> KernelRun {
+/// base profile under the kernel in `mode`.
+pub fn run_rewritten(rw: &Rewritten, mode: ExecMode) -> KernelRun {
     run_under_kernel(
         rw.binary.clone(),
         RuntimeTables {
@@ -329,7 +319,7 @@ pub fn run_rewritten(rw: &Rewritten, cache: bool) -> KernelRun {
             regen: None,
         },
         ExtSet::RV64GC,
-        cache,
+        mode,
     )
 }
 
@@ -396,9 +386,11 @@ pub fn load_image(out: &Binary) -> (Memory, u64, u64) {
 
 /// Applies one random runtime code mutation to `mem` — the three kinds
 /// the kernel's real paths produce: a guest SMC poke, a lazy-rewrite
-/// `ebreak` patch, and an MMView-style unmap/remap cycle.
-pub fn mutate_image(mem: &mut Memory, rng: &mut Prng, text_start: u64, text_end: u64) {
-    match rng.below(3) {
+/// `ebreak` patch, and an MMView-style unmap/remap cycle — and returns the
+/// span it dirtied (the poked bytes, or the whole `.text` for a remap),
+/// stamped with the region's new generation.
+pub fn mutate_image(mem: &mut Memory, rng: &mut Prng, text_start: u64, text_end: u64) -> DirtySpan {
+    let (start, end) = match rng.below(3) {
         // Guest self-modification: an arbitrary small poke.
         0 => {
             let addr = text_start + rng.below((text_end - text_start - 8) / 2) * 2;
@@ -407,12 +399,14 @@ pub fn mutate_image(mem: &mut Memory, rng: &mut Prng, text_start: u64, text_end:
                 .map(|i| (rng.next_u64() >> (i % 8)) as u8)
                 .collect();
             mem.poke_code(addr, &bytes).expect("poke inside .text");
+            (addr, addr + len as u64)
         }
         // A lazy-rewrite-style patch: the kernel overwrites a site with
         // an `ebreak` trampoline.
         1 => {
             let addr = text_start + rng.below((text_end - text_start - 8) / 4) * 4;
             mem.poke_code(addr, &ebreak_patch(4)).expect("ebreak patch");
+            (addr, addr + 4)
         }
         // An MMView-style remap: unmap the code region and map the same
         // bytes back at the same address (generations must not repeat).
@@ -420,7 +414,14 @@ pub fn mutate_image(mem: &mut Memory, rng: &mut Prng, text_start: u64, text_end:
             let r = mem.region(".text").expect(".text is mapped").clone();
             assert!(mem.unmap(".text"), "unmap succeeds");
             mem.map_bytes(r.start, r.bytes().to_vec(), r.perms, ".text");
+            (r.start, r.end())
         }
+    };
+    let generation = mem.region(".text").expect(".text is mapped").generation;
+    DirtySpan {
+        start,
+        end,
+        generation,
     }
 }
 
@@ -440,7 +441,6 @@ pub fn observe_mode_sliced(
     bin: &Binary,
     profile: ExtSet,
     mode: ExecMode,
-    cache: bool,
     fuel: u64,
     slice: u64,
     hop_every: u64,
@@ -451,7 +451,6 @@ pub fn observe_mode_sliced(
     if mode == ExecMode::Jit {
         cpu.set_jit_threshold(1);
     }
-    cpu.cache.enabled = cache;
     let mut run = BareRun::new();
     let mut slices = 0u64;
     let result = loop {

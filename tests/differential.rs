@@ -70,8 +70,8 @@ fn workloads() -> Vec<(String, Binary)> {
 fn cache_on_off_identical_for_every_workload() {
     for (name, bin) in workloads() {
         for profile in [ExtSet::RV64GCV, bin.profile] {
-            let (on, mut mem_on) = run_keeping_mem(&bin, profile, true);
-            let (off, mut mem_off) = run_keeping_mem(&bin, profile, false);
+            let (on, mut mem_on) = run_keeping_mem(&bin, profile, ExecMode::Engine);
+            let (off, mut mem_off) = run_keeping_mem(&bin, profile, ExecMode::Reference);
             assert_eq!(on, off, "{name}: cache on/off diverged on {profile}");
             assert_eq!(
                 writable_bytes(&mut mem_on, &bin),
@@ -88,24 +88,24 @@ fn cache_on_off_identical_for_every_workload() {
 #[test]
 fn rewritten_matches_native_for_every_workload() {
     for (name, bin) in workloads() {
-        let (native, mut native_mem) = run_keeping_mem(&bin, ExtSet::RV64GCV, true);
+        let (native, mut native_mem) = run_keeping_mem(&bin, ExtSet::RV64GCV, ExecMode::Engine);
         let native = native.unwrap_or_else(|e| panic!("{name}: native run failed: {e}"));
         let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default())
             .unwrap_or_else(|e| panic!("{name}: rewrite failed: {e}"));
         verify_claim1(&rw, &bin).unwrap_or_else(|e| panic!("{name}: claim 1: {e}"));
         let native_data = writable_bytes(&mut native_mem, &bin);
         let mut per_cache = Vec::new();
-        for cache in [true, false] {
-            let mut kr = run_rewritten(&rw, cache);
-            assert_eq!(native.exit_code, kr.exit_code, "{name} (cache={cache})");
-            assert_eq!(native.stdout, kr.stdout, "{name} (cache={cache})");
+        for mode in [ExecMode::Engine, ExecMode::Reference] {
+            let mut kr = run_rewritten(&rw, mode);
+            assert_eq!(native.exit_code, kr.exit_code, "{name} ({mode:?})");
+            assert_eq!(native.stdout, kr.stdout, "{name} ({mode:?})");
             assert_eq!(kr.cpu.stats.vector_insts, 0, "{name}: fully downgraded");
             // The original's writable sections exist untouched (by name and
             // address) in the rewritten binary; final contents must match.
             assert_eq!(
                 native_data,
                 writable_bytes(&mut kr.mem, &bin),
-                "{name} (cache={cache}): output memory diverged"
+                "{name} ({mode:?}): output memory diverged"
             );
             per_cache.push(kr.cpu.stats);
         }
@@ -121,8 +121,8 @@ fn rewritten_matches_native_for_every_workload() {
 fn traps_identical_cache_on_off() {
     // Vector program on a base core, unrewritten: illegal instruction.
     let vec_bin = hetero::matrix_task(4, 1, true);
-    let (on, _) = run_keeping_mem(&vec_bin, ExtSet::RV64GC, true);
-    let (off, _) = run_keeping_mem(&vec_bin, ExtSet::RV64GC, false);
+    let (on, _) = run_keeping_mem(&vec_bin, ExtSet::RV64GC, ExecMode::Engine);
+    let (off, _) = run_keeping_mem(&vec_bin, ExtSet::RV64GC, ExecMode::Reference);
     assert!(on.is_err(), "vector code must trap on RV64GC");
     assert_eq!(on, off, "illegal-instruction trap diverged");
 
@@ -136,8 +136,8 @@ fn traps_identical_cache_on_off() {
             jr t0
     ";
     let bin = chimera_obj::assemble(src, chimera_obj::AsmOptions::default()).unwrap();
-    let (on, _) = run_keeping_mem(&bin, ExtSet::RV64GCV, true);
-    let (off, _) = run_keeping_mem(&bin, ExtSet::RV64GCV, false);
+    let (on, _) = run_keeping_mem(&bin, ExtSet::RV64GCV, ExecMode::Engine);
+    let (off, _) = run_keeping_mem(&bin, ExtSet::RV64GCV, ExecMode::Reference);
     assert!(on.is_err(), "fetch from data must fault");
     assert_eq!(on, off, "fetch-fault trap diverged");
 }
@@ -167,7 +167,7 @@ fn tracing_enabled_vs_disabled_identical_for_every_workload() {
     // The kernel path (SMILE recovery in the loop) is transparent too.
     let bin = hetero::matrix_task(8, 2, true);
     let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).unwrap();
-    let kr = run_rewritten(&rw, true);
+    let kr = run_rewritten(&rw, ExecMode::Engine);
     let process = Process::new(vec![Variant {
         binary: rw.binary.clone(),
         tables: RuntimeTables {
@@ -270,7 +270,7 @@ fn engine_matches_interpreter_and_reference_for_every_workload() {
             // may never introduce order-dependent state, so a repeated run
             // is bit-identical, cache counters included.
             assert_eq!(
-                observe_mode(&bin, profile, ExecMode::Engine, true, FUEL),
+                observe_mode(&bin, profile, ExecMode::Engine, FUEL),
                 m.engine,
                 "{name}: engine run not deterministic on {profile}"
             );
@@ -469,7 +469,11 @@ fn random_programs_identical_across_modes() {
 fn cache_counters_engage() {
     let bin = hetero::fib_task(10, 3);
     let (mut cpu, mut mem) = chimera_emu::boot(&bin, ExtSet::RV64GCV);
-    assert!(cpu.cache.enabled, "cache must default to enabled");
+    assert_eq!(
+        cpu.mode(),
+        ExecMode::Engine,
+        "the engine must be the default"
+    );
     let _ = chimera_emu::run_cpu(&mut cpu, &mut mem, FUEL).unwrap();
     let s = cpu.cache.stats;
     assert!(s.blocks_built > 0, "no blocks built: {s:?}");
@@ -504,22 +508,22 @@ fn slicing_and_forced_migration_are_transparent_in_every_mode() {
     for (name, bin) in zoo {
         let m = run_all_modes(&bin, bin.profile, FUEL);
         let columns = [
-            (ExecMode::Reference, false, &m.reference.0),
-            (ExecMode::Interpreter, true, &m.interpreter.0),
-            (ExecMode::Engine, true, &m.engine.0),
-            (ExecMode::Jit, true, &m.jit.0),
+            (ExecMode::Reference, &m.reference.0),
+            (ExecMode::Interpreter, &m.interpreter.0),
+            (ExecMode::Engine, &m.engine.0),
+            (ExecMode::Jit, &m.jit.0),
         ];
-        for (mode, cache, unsliced) in columns {
+        for (mode, unsliced) in columns {
             // The torture slicing: one instruction per slice, hop to a
             // new OS thread every 64 slices.
-            let tortured = observe_mode_sliced(&bin, bin.profile, mode, cache, FUEL, 1, 64);
+            let tortured = observe_mode_sliced(&bin, bin.profile, mode, FUEL, 1, 64);
             assert_eq!(
                 &tortured, unsliced,
                 "{name} ({mode:?}): 1-instruction slicing diverged"
             );
             // A mid-size odd slice with frequent hops, to catch anything
             // only triggered by multi-instruction partial slices.
-            let mid = observe_mode_sliced(&bin, bin.profile, mode, cache, FUEL, 97, 3);
+            let mid = observe_mode_sliced(&bin, bin.profile, mode, FUEL, 97, 3);
             assert_eq!(
                 &mid, unsliced,
                 "{name} ({mode:?}): 97-instruction slicing diverged"

@@ -221,7 +221,7 @@ fn vectorizing_upgrades_match_recorded_digests() {
                 regen: None,
             },
             chimera_isa::ExtSet::RV64GCV,
-            true,
+            chimera_emu::ExecMode::Engine,
         );
         let native = native.unwrap();
         assert_eq!(

@@ -69,7 +69,7 @@ fn downgraded(bin: &Binary, target: ExtSet) -> Final {
         fht: Some(rw.fht),
         regen: None,
     };
-    let mut kr = run_under_kernel(rw.binary, tables, target, false);
+    let mut kr = run_under_kernel(rw.binary, tables, target, ExecMode::Reference);
     assert_eq!(kr.cpu.stats.vector_insts, 0, "ran on the base core");
     let mut slot = |offset: i32, len: usize| {
         let addr = spill + offset as u64;
