@@ -57,7 +57,7 @@ pub use chimera_trace as trace;
 pub use chimera_workloads as workloads;
 
 pub use chimera_emu::CacheStats;
-pub use chimera_trace::{export_json, summarize, MetricsRegistry, TraceEvent, Tracer};
+pub use chimera_trace::{MetricsRegistry, TraceEvent, Tracer};
 
 use chimera_isa::ExtSet;
 use chimera_kernel::{FaultCounters, KernelRunner, Process, RunOutcome, Variant};
@@ -287,16 +287,11 @@ impl Measurement {
         }
     }
 
-    /// Publishes every field into `metrics` as `measure.*` counters
-    /// (monotonic: repeated publishes accumulate, matching runs that span
-    /// several measurements). The exit code is stored as
-    /// `measure.exit_code` and must be non-negative (every workload in
-    /// this repo exits 0..=255).
+    /// Publishes every counted field into `metrics` as `measure.*`
+    /// counters (monotonic: repeated publishes accumulate, matching runs
+    /// that span several measurements). The exit code is not a count and
+    /// is not published.
     pub fn publish(&self, metrics: &MetricsRegistry) {
-        debug_assert!(self.exit_code >= 0, "negative exit codes not published");
-        metrics
-            .counter("measure.exit_code")
-            .add(self.exit_code as u64);
         for (name, get) in MEASUREMENT_COUNTERS {
             metrics.counter(name).add(get(self));
         }

@@ -66,10 +66,11 @@ impl HartFiber {
         HartFiber { hart_id, cpu, mem }
     }
 
-    /// [`HartFiber::boot`] with an explicit guest stack size. Many-hart
-    /// schedulers pick small stacks here: the default 8 MiB is committed
-    /// eagerly per hart, and at N ≫ M scale the zeroed stack pages — not
-    /// the code or data — dominate the whole kernel's memory footprint.
+    /// [`HartFiber::boot`] with an explicit guest stack size. The stack
+    /// is committed eagerly per hart, so at N ≫ M scale its zeroed pages
+    /// — not the code or data — can dominate the whole kernel's memory
+    /// footprint: many-hart schedulers keep it at the 256 KiB default
+    /// ([`chimera_obj::DEFAULT_STACK_SIZE`]), not the 8 MiB maximum.
     /// The boot `sp` is unaffected (the stack always ends at the same
     /// top), so results only change for guests that recurse deeper than
     /// the chosen size.

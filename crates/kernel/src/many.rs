@@ -56,11 +56,12 @@ pub struct ManyHartConfig {
     pub max_slots: u64,
     /// Execution front end for every hart.
     pub mode: ExecMode,
-    /// Guest stack committed per hart. The single-hart default (8 MiB,
-    /// [`chimera_obj::STACK_SIZE`]) is the wrong trade at N ≫ M scale:
-    /// 256 harts would eagerly zero 2 GiB of stack pages per run, so the
-    /// many-hart default is 256 KiB. The stack always ends at the same
-    /// top address; only guests recursing past the chosen size notice.
+    /// Guest stack committed per hart. The default is an eager load's,
+    /// [`chimera_obj::DEFAULT_STACK_SIZE`] (256 KiB); the 8 MiB maximum
+    /// ([`chimera_obj::STACK_SIZE`]) is the wrong trade at N ≫ M scale:
+    /// 256 harts would eagerly zero 2 GiB of stack pages per run. The
+    /// stack always ends at the same top address; only guests recursing
+    /// past the chosen size notice.
     pub stack_bytes: u64,
 }
 
@@ -72,7 +73,7 @@ impl Default for ManyHartConfig {
             migrate_cost: 600,
             max_slots: 1 << 22,
             mode: ExecMode::Engine,
-            stack_bytes: 256 * 1024,
+            stack_bytes: chimera_obj::DEFAULT_STACK_SIZE,
         }
     }
 }
@@ -107,7 +108,8 @@ struct HartSlot {
     outbox: Vec<HartEvent>,
     /// Committed migrations.
     migrations: u64,
-    /// The hart's trace handle (shared seq counter with its CPU/kernel).
+    /// The hart's trace handle (the same hart id as its CPU's and kernel
+    /// runner's, so all three extend one stream).
     tracer: Tracer,
     /// The [`crate::ProcessPool`] key this hart's memory slot came from
     /// (`None` for eagerly booted harts), so [`ManyHartKernel::recycle_into`]
@@ -188,9 +190,10 @@ impl ManyHartKernel {
         ManyHartKernel::with_tracer(cfg, Tracer::disabled())
     }
 
-    /// A kernel whose harts trace into `tracer` (each hart records
-    /// through its own [`Tracer::for_hart`] stream, so fiber migration
-    /// across workers never scrambles a hart's records).
+    /// A kernel whose harts trace into `tracer`. Each hart records
+    /// through a [`Tracer::for_hart`] handle for its id, and the tracer
+    /// numbers a hart's records as they are made, so a hart's stream is
+    /// the same whichever workers ran its slices.
     pub fn with_tracer(cfg: ManyHartConfig, tracer: Tracer) -> ManyHartKernel {
         ManyHartKernel {
             pool: FiberPool::new(cfg.workers),

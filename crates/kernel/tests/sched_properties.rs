@@ -184,7 +184,7 @@ fn run_traced(machine: Machine, tasks: &[Task<'_>]) -> Observed {
     let tracer = Tracer::enabled();
     let result = run_work_stealing(machine, tasks, &tracer).expect("schedule completes");
     let records = tracer.drain();
-    assert_eq!(tracer.dropped(), 0, "the ring must hold the whole run");
+    assert_eq!(tracer.dropped(), 0, "the buffer must hold the whole run");
     let mut scheduled = BTreeMap::new();
     let mut migrated = BTreeMap::new();
     let mut steals_ok = 0;

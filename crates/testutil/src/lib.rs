@@ -34,6 +34,7 @@ use chimera_rewrite::{
     chbp_rewrite, ebreak_patch, ChbpEngine, Flavor, IdentityEngine, Mode, RegenEngine,
     RewriteEngine, RewriteOptions, Rewritten,
 };
+use chimera_trace::TraceRecord;
 use chimera_workloads::hetero;
 use std::collections::BTreeMap;
 
@@ -619,13 +620,13 @@ impl ManyHartScenario {
 /// logical host workers — and returns the result together with the
 /// tracer's counter snapshot, so gates can reconcile the result's
 /// aggregate fields (`migrations`, `delivered`) against the `many.*`
-/// trace counters.
+/// trace counters, and the drained trace records.
 pub fn run_many_hart_scenario(
     scenario: &ManyHartScenario,
     n: usize,
     workers: usize,
     quantum: u64,
-) -> (ManyHartResult, BTreeMap<String, u64>) {
+) -> (ManyHartResult, BTreeMap<String, u64>, Vec<TraceRecord>) {
     let tracer = Tracer::enabled();
     let mut kernel = ManyHartKernel::with_tracer(
         ManyHartConfig {
@@ -643,7 +644,7 @@ pub fn run_many_hart_scenario(
         .counter_snapshot()
         .into_iter()
         .collect();
-    (result, counters)
+    (result, counters, tracer.drain())
 }
 
 /// A base-ISA program of `n` canonical counted loops, cycling through an

@@ -23,20 +23,6 @@ pub enum TrapKind {
     Ecall,
 }
 
-impl TrapKind {
-    /// Short identifier for the JSON export.
-    pub fn name(self) -> &'static str {
-        match self {
-            TrapKind::Illegal => "illegal",
-            TrapKind::MemFetch => "mem_fetch",
-            TrapKind::MemLoad => "mem_load",
-            TrapKind::MemStore => "mem_store",
-            TrapKind::Breakpoint => "breakpoint",
-            TrapKind::Ecall => "ecall",
-        }
-    }
-}
-
 /// A stage of the unified `RewriteEngine` pass pipeline
 /// (`scan → transform → plan → place → link → verify`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,22 +46,8 @@ pub enum RewritePass {
     Verify,
 }
 
-impl RewritePass {
-    /// Short identifier for the JSON export.
-    pub fn name(self) -> &'static str {
-        match self {
-            RewritePass::Scan => "scan",
-            RewritePass::Plan => "plan",
-            RewritePass::Transform => "transform",
-            RewritePass::Place => "place",
-            RewritePass::Link => "link",
-            RewritePass::Verify => "verify",
-        }
-    }
-}
-
 /// One traced occurrence. Every variant carries enough payload to be
-/// useful on its own in a `results/trace-*.json` dump.
+/// useful on its own, without the records around it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// The decode cache built (and inserted) a basic block.
@@ -197,7 +169,7 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event-type tag used in JSON dumps and summaries.
+    /// The event-type tag (coverage checks count records by it).
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::BlockBuilt { .. } => "BlockBuilt",
@@ -245,8 +217,8 @@ impl TraceEvent {
 /// fiber suspended on one host worker and resumed on another keeps
 /// appending to the same `(hart, seq)` stream, so drains are stable under
 /// fiber migration. Single-hart components record through the root
-/// [`crate::Tracer`] handle, whose stream is hart 0 with one global
-/// sequence counter — for those, `seq` is a total order as before.
+/// [`crate::Tracer`] handle, which is hart 0 — for those, `seq` is the
+/// total order in which records were made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Owning guest hart (0 for the root handle).

@@ -3,23 +3,20 @@
 //! A zero-dependency tracing and metrics layer for the Chimera runtime
 //! (see DESIGN.md §"Observability").
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * **[`Tracer`]** — the handle instrumented components (the emulator's
 //!   CPU, the kernel runner, the scheduler, the rewriter) hold. Disabled —
 //!   the default everywhere — every operation is a branch over a `None`;
-//!   enabled, typed [`TraceEvent`]s flow into a [`TraceSink`]. The default
-//!   sink ([`RingSink`]) buffers records in fixed-capacity per-thread
-//!   rings and merges them under a mutex only on ring fill, thread exit,
-//!   or [`Tracer::drain`].
+//!   enabled, typed [`TraceEvent`]s go into one bounded record buffer
+//!   shared by every handle of the tracer, numbered per hart as they are
+//!   made, and [`Tracer::drain`] returns them in `(hart, seq)` order.
 //! * **[`MetricsRegistry`]** — named monotonic [`Counter`]s and
-//!   log2-bucketed [`Histogram`]s (migration, fault-handling and
-//!   rewrite-pass latencies). Handles are plain atomics after a one-time
-//!   registration, and unlike ring records they are never dropped, so they
-//!   reconcile exactly against the kernel's `FaultCounters` and the
+//!   [`Histogram`]s that keep a count and a sum (migration, fault-handling
+//!   and rewrite-pass latencies). Handles are plain atomics after a
+//!   one-time registration, and unlike records they are never dropped, so
+//!   they reconcile exactly against the kernel's `FaultCounters` and the
 //!   emulator's `CacheStats`.
-//! * **[`export_json`] / [`summarize`]** — the `results/trace-*.json`
-//!   dump format and a compact text digest.
 //!
 //! Event timestamps are *simulated* cycles from the emulator's
 //! deterministic cost model, supplied by each recording site — so traces
@@ -34,24 +31,24 @@
 #![warn(missing_docs)]
 
 mod event;
-mod json;
 mod metrics;
-mod sink;
+mod tracer;
 
 pub use event::{RewritePass, TraceEvent, TraceRecord, TrapKind};
-pub use json::{export_json, summarize};
-pub use metrics::{Counter, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
-pub use sink::{
-    HartRings, RingSink, TraceSink, Tracer, VecSink, HART_RING_CAPACITY, RING_CAPACITY,
-};
+pub use metrics::{Counter, Histogram, MetricsRegistry};
+pub use tracer::Tracer;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::mpsc;
 
     fn ev(pc: u64) -> TraceEvent {
         TraceEvent::BlockBuilt { pc, insts: 1 }
+    }
+
+    fn keys(recs: &[TraceRecord]) -> Vec<(u64, u64, u64)> {
+        recs.iter().map(|r| (r.hart, r.seq, r.cycles)).collect()
     }
 
     #[test]
@@ -83,18 +80,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_flushes_on_fill() {
-        let t = Tracer::with_sink(Arc::new(RingSink::with_capacity(4)));
-        for pc in 0..11 {
-            t.record(0, ev(pc));
-        }
-        assert_eq!(t.drain().len(), 11);
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
     fn cross_thread_records_merge_on_thread_exit() {
-        let t = Tracer::with_sink(Arc::new(RingSink::with_capacity(64)));
+        let t = Tracer::enabled();
         let mut handles = Vec::new();
         for i in 0..4u64 {
             let t2 = t.clone();
@@ -110,23 +97,28 @@ mod tests {
         t.record(0, ev(9999));
         let recs = t.drain();
         assert_eq!(recs.len(), 401);
-        // Sequence numbers are a total order: all distinct.
-        let mut seqs: Vec<u64> = recs.iter().map(|r| r.seq).collect();
-        seqs.dedup();
-        assert_eq!(seqs.len(), 401);
+        // One hart-0 stream across every thread: seqs 0..401, each once.
+        let seqs: Vec<u64> = recs.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..401).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn ring_and_vec_sinks_agree() {
-        let run = |t: &Tracer| {
-            for pc in 0..50 {
-                t.record(pc, ev(pc));
-            }
-            t.drain()
-        };
-        let ring = run(&Tracer::with_sink(Arc::new(RingSink::with_capacity(8))));
-        let vec = run(&Tracer::with_sink(Arc::new(VecSink::new())));
-        assert_eq!(ring, vec);
+    fn records_on_a_live_thread_drain() {
+        let t = Tracer::enabled();
+        let (recorded, wait_recorded) = mpsc::channel();
+        let (release, wait_release) = mpsc::channel::<()>();
+        let t2 = t.clone();
+        let worker = std::thread::spawn(move || {
+            t2.record(7, ev(7));
+            recorded.send(()).unwrap();
+            wait_release.recv().unwrap();
+        });
+        wait_recorded.recv().unwrap();
+        // The worker is still running: its record is already drainable.
+        assert_eq!(keys(&t.drain()), [(0, 0, 7)]);
+        release.send(()).unwrap();
+        worker.join().unwrap();
+        assert!(t.drain().is_empty());
     }
 
     #[test]
@@ -142,91 +134,68 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_well_formed() {
-        let t = Tracer::enabled();
-        t.record(
-            100,
-            TraceEvent::Trap {
-                pc: 0x1000,
-                kind: TrapKind::Ecall,
-            },
+    fn root_and_for_hart_zero_share_one_stream() {
+        let root = Tracer::enabled();
+        let hart0 = root.for_hart(0);
+        root.record(1, ev(1));
+        hart0.record(2, ev(2));
+        root.record(3, ev(3));
+        assert_eq!(keys(&root.drain()), [(0, 0, 1), (0, 1, 2), (0, 2, 3)]);
+    }
+
+    #[test]
+    fn two_handles_for_one_hart_extend_one_stream() {
+        // The second kernel of a churn loop on one tracer derives hart 3
+        // again; its records continue the first kernel's stream.
+        let root = Tracer::enabled();
+        let first = root.for_hart(3);
+        first.record(10, ev(10));
+        first.record(11, ev(11));
+        let second = root.for_hart(3);
+        second.record(20, ev(20));
+        second.record(21, ev(21));
+        let recs = root.drain();
+        assert_eq!(
+            keys(&recs),
+            [(3, 0, 10), (3, 1, 11), (3, 2, 20), (3, 3, 21)]
         );
-        t.record(
-            200,
-            TraceEvent::RewritePassDone {
-                pass: RewritePass::Plan,
-                nanos: 42,
-                items: 7,
-            },
-        );
-        t.count("kernel.smile_faults", 2);
-        t.observe("kernel.fault_cycles", 800);
-        let recs = t.drain();
-        let js = export_json("unit \"quoted\"", &recs, t.metrics(), t.dropped());
-        assert!(js.contains("\"type\": \"Trap\""));
-        assert!(js.contains("\"kind\": \"ecall\""));
-        assert!(js.contains("\"pass\": \"plan\""));
-        assert!(js.contains("\"kernel.smile_faults\": 2"));
-        assert!(js.contains("\\\"quoted\\\""));
-        assert!(js.contains("[512, 1]"));
-        // Balanced braces/brackets (cheap well-formedness check).
-        let opens = js.matches(['{', '[']).count();
-        let closes = js.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
-        let summary = summarize(&recs, t.metrics());
-        assert!(summary.contains("Trap"));
-        assert!(summary.contains("kernel.smile_faults"));
+        let mut unique: Vec<(u64, u64)> = recs.iter().map(|r| (r.hart, r.seq)).collect();
+        unique.dedup();
+        assert_eq!(unique.len(), recs.len(), "a (hart, seq) key repeats");
     }
 
     #[test]
     fn hart_ring_survives_cross_worker_migration() {
-        // Regression: the per-thread rings of `RingSink` assume a hart
-        // stays on one OS thread. Under the fiber scheduler a hart is
-        // suspended on one worker and resumed on another; its records
-        // must land in the *hart's* ring regardless.
-        let sink = Arc::new(HartRings::with_capacity(1024));
-        let root = Tracer::with_sink(sink.clone());
+        // Under the fiber scheduler a hart is suspended on one worker and
+        // resumed on another; its records must extend the *hart's*
+        // stream regardless of the recording thread.
+        let root = Tracer::enabled();
         let hart3 = root.for_hart(3);
         let hart5 = root.for_hart(5);
 
         // Slice 1 of each hart on worker A, slice 2 on worker B —
         // a forced cross-worker migration between the slices.
-        for (tracer, base) in [(&hart3, 0u64), (&hart5, 100)] {
-            let t = tracer.clone();
-            std::thread::spawn(move || {
-                for j in 0..10 {
-                    t.record(base + j, ev(base + j));
-                }
-            })
-            .join()
-            .unwrap();
-        }
-        for (tracer, base) in [(&hart3, 10u64), (&hart5, 110)] {
-            let t = tracer.clone();
-            std::thread::spawn(move || {
-                for j in 0..10 {
-                    t.record(base + j, ev(base + j));
-                }
-            })
-            .join()
-            .unwrap();
+        for slice in [0u64, 10] {
+            for (tracer, base) in [(&hart3, slice), (&hart5, 100 + slice)] {
+                let t = tracer.clone();
+                std::thread::spawn(move || {
+                    for j in 0..10 {
+                        t.record(base + j, ev(base + j));
+                    }
+                })
+                .join()
+                .unwrap();
+            }
         }
 
-        // Both slices landed in the same per-hart ring, in order.
-        let ring3 = sink.ring(3);
-        assert_eq!(ring3.len(), 20);
-        for (i, r) in ring3.iter().enumerate() {
-            assert_eq!((r.hart, r.seq, r.cycles), (3, i as u64, i as u64));
-        }
-        assert_eq!(sink.harts(), vec![3, 5]);
-
-        // The drain keeps each hart's stream contiguous and ordered.
+        // Each hart's stream is contiguous and in the order recorded.
         let recs = root.drain();
         assert_eq!(recs.len(), 40);
-        let keys: Vec<(u64, u64)> = recs.iter().map(|r| (r.hart, r.seq)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
+        for (i, r) in recs.iter().enumerate() {
+            let (hart, j) = if i < 20 { (3, i) } else { (5, i - 20) };
+            let base = if hart == 3 { 0 } else { 100 };
+            assert_eq!((r.hart, r.seq, r.cycles), (hart, j as u64, base + j as u64));
+        }
         assert_eq!(root.dropped(), 0);
     }
 
@@ -235,17 +204,14 @@ mod tests {
         let t = Tracer::enabled();
         let a = t.for_hart(1);
         let b = t.for_hart(2);
-        // Per-hart sequence counters are independent and start at 0.
+        // Per-hart sequence numbers are independent and start at 0.
         a.record(10, ev(1));
         b.record(20, ev(2));
         a.record(30, ev(3));
         a.count("hart.work", 1);
         b.count("hart.work", 2);
         let recs = t.drain();
-        assert_eq!(recs.len(), 3);
-        assert_eq!((recs[0].hart, recs[0].seq), (1, 0));
-        assert_eq!((recs[1].hart, recs[1].seq), (1, 1));
-        assert_eq!((recs[2].hart, recs[2].seq), (2, 0));
+        assert_eq!(keys(&recs), [(1, 0, 10), (1, 1, 30), (2, 0, 20)]);
         // Metrics are shared with the root handle.
         assert_eq!(t.metrics().unwrap().counter_value("hart.work"), Some(3));
         // Deriving from a disabled tracer stays disabled.
@@ -253,27 +219,16 @@ mod tests {
     }
 
     #[test]
-    fn hart_ring_overflow_counts_drops() {
-        let sink = Arc::new(HartRings::with_capacity(4));
-        let t = Tracer::with_sink(sink.clone()).for_hart(9);
-        for pc in 0..10 {
-            t.record(0, ev(pc));
+    fn merged_buffer_overflow_counts_drops() {
+        let cap = tracer::MAX_RECORDS as u64;
+        let t = Tracer::enabled();
+        for pc in 0..cap + 6 {
+            t.record(pc, ev(pc));
         }
         assert_eq!(t.dropped(), 6);
-        assert_eq!(sink.ring(9).len(), 4);
-    }
-
-    #[test]
-    fn merged_buffer_overflow_counts_drops() {
-        // Capacity-1 rings flush every record straight into the merged
-        // buffer; the merged cap is enormous, so emulate overflow via the
-        // ring test knob instead: record far fewer than the cap and just
-        // assert the accounting API exists and stays at zero.
-        let t = Tracer::with_sink(Arc::new(RingSink::with_capacity(1)));
-        for pc in 0..100 {
-            t.record(0, ev(pc));
-        }
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.drain().len(), 100);
+        let recs = t.drain();
+        assert_eq!(recs.len() as u64, cap);
+        // The first records made are kept; the newest six are dropped.
+        assert!(recs.iter().zip(0..).all(|(r, i)| r.cycles == i));
     }
 }

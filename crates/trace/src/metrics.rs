@@ -1,16 +1,13 @@
-//! Named monotonic counters and log2-bucketed histograms.
+//! Named monotonic counters and count-and-sum histograms.
 //!
 //! Registration (name lookup) takes a mutex; the returned [`Counter`] and
 //! [`Histogram`] handles are plain atomics, so hot sites register once and
-//! increment lock-free afterwards. The registry is shared by cloning.
+//! increment lock-free afterwards. A tracer's handles share its one
+//! registry.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Number of log2 buckets: bucket 0 holds the value 0, bucket `i >= 1`
-/// holds values in `[2^(i-1), 2^i)`; the last bucket tops out at `u64`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A monotonic counter handle (lock-free).
 #[derive(Clone)]
@@ -33,25 +30,20 @@ impl Counter {
     }
 }
 
+#[derive(Default)]
 struct HistogramInner {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-/// A log2-bucketed histogram handle (lock-free).
+/// A histogram handle that keeps the number and the sum of its
+/// observations (lock-free).
 #[derive(Clone)]
 pub struct Histogram(Arc<HistogramInner>);
-
-/// The bucket index a value lands in.
-fn bucket_of(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()) as usize
-}
 
 impl Histogram {
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        self.0.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
     }
@@ -65,35 +57,13 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.0
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                if n == 0 {
-                    return None;
-                }
-                let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
-                Some((lo, n))
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 /// A registry of named counters and histograms.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct MetricsRegistry {
-    inner: Arc<RegistryInner>,
+    counters: Mutex<BTreeMap<String, Counter>>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -111,7 +81,7 @@ impl MetricsRegistry {
 
     /// Returns (registering if new) the named counter.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock().expect("metrics poisoned");
+        let mut map = self.counters.lock().expect("metrics poisoned");
         map.entry(name.to_string())
             .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
             .clone()
@@ -119,22 +89,15 @@ impl MetricsRegistry {
 
     /// Returns (registering if new) the named histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.inner.histograms.lock().expect("metrics poisoned");
+        let mut map = self.histograms.lock().expect("metrics poisoned");
         map.entry(name.to_string())
-            .or_insert_with(|| {
-                Histogram(Arc::new(HistogramInner {
-                    buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                    count: AtomicU64::new(0),
-                    sum: AtomicU64::new(0),
-                }))
-            })
+            .or_insert_with(|| Histogram(Arc::default()))
             .clone()
     }
 
     /// The named counter's value, if it was ever registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.inner
-            .counters
+        self.counters
             .lock()
             .expect("metrics poisoned")
             .get(name)
@@ -143,25 +106,11 @@ impl MetricsRegistry {
 
     /// A sorted snapshot of every counter.
     pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
-        self.inner
-            .counters
+        self.counters
             .lock()
             .expect("metrics poisoned")
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
-    /// A sorted snapshot of every histogram:
-    /// `(name, count, sum, non-empty buckets)`.
-    #[allow(clippy::type_complexity)]
-    pub fn histogram_snapshot(&self) -> Vec<(String, u64, u64, Vec<(u64, u64)>)> {
-        self.inner
-            .histograms
-            .lock()
-            .expect("metrics poisoned")
-            .iter()
-            .map(|(k, h)| (k.clone(), h.count(), h.sum(), h.nonzero_buckets()))
             .collect()
     }
 }
@@ -169,18 +118,6 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log2_bucketing() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), 64);
-    }
 
     #[test]
     fn counters_are_shared_by_name() {
@@ -194,16 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_snapshot_reports_bounds() {
+    fn histograms_keep_count_and_sum() {
         let m = MetricsRegistry::new();
         let h = m.histogram("lat");
         h.record(0);
         h.record(5);
-        h.record(5);
-        h.record(800);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 810);
-        // 0 -> bucket 0 (lo 0); 5 -> [4,8) (lo 4); 800 -> [512,1024).
-        assert_eq!(h.nonzero_buckets(), vec![(0, 1), (4, 2), (512, 1)]);
+        m.histogram("lat").record(800);
+        assert_eq!((h.count(), h.sum()), (3, 805));
     }
 }

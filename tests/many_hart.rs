@@ -19,7 +19,7 @@ const SCALES: [(usize, u64); 2] = [(HARTS, 193), (64, 97)];
 fn standard_scenario_completes_every_execution_path() {
     let scn = ManyHartScenario::new();
     for (harts, quantum) in SCALES {
-        let (r, counters) = run_many_hart_scenario(&scn, harts, 1, quantum);
+        let (r, counters, _) = run_many_hart_scenario(&scn, harts, 1, quantum);
         assert_eq!(
             r.exited(),
             harts,
@@ -76,14 +76,21 @@ fn standard_scenario_completes_every_execution_path() {
 fn standard_scenario_is_bit_identical_across_worker_counts() {
     let scn = ManyHartScenario::new();
     for (harts, quantum) in SCALES {
-        let (base, base_counters) = run_many_hart_scenario(&scn, harts, 1, quantum);
+        let (base, base_counters, base_records) = run_many_hart_scenario(&scn, harts, 1, quantum);
         assert_eq!(base.exited(), harts, "{:?}", base.first_failure());
+        assert!(!base_records.is_empty());
         for workers in [2, 4, 8] {
-            let (r, counters) = run_many_hart_scenario(&scn, harts, workers, quantum);
+            let (r, counters, records) = run_many_hart_scenario(&scn, harts, workers, quantum);
             assert_eq!(r, base, "{harts} harts, workers={workers}: result diverged");
             assert_eq!(
                 counters, base_counters,
                 "{harts} harts, workers={workers}: trace counters diverged"
+            );
+            // Every hart's record stream — events, order and cycle stamps —
+            // is the same whichever worker ran which slice.
+            assert!(
+                records == base_records,
+                "{harts} harts, workers={workers}: trace records diverged"
             );
         }
     }
@@ -92,8 +99,8 @@ fn standard_scenario_is_bit_identical_across_worker_counts() {
 #[test]
 fn quantum_changes_slicing_but_not_architectural_results() {
     let scn = ManyHartScenario::new();
-    let (a, _) = run_many_hart_scenario(&scn, HARTS, 2, 64);
-    let (b, _) = run_many_hart_scenario(&scn, HARTS, 2, 4096);
+    let (a, ..) = run_many_hart_scenario(&scn, HARTS, 2, 64);
+    let (b, ..) = run_many_hart_scenario(&scn, HARTS, 2, 4096);
     assert_eq!(a.exited(), HARTS, "{:?}", a.first_failure());
     for (ha, hb) in a.harts.iter().zip(&b.harts) {
         assert_eq!(ha.exit, hb.exit, "hart {}", ha.hart);

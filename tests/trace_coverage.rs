@@ -409,3 +409,19 @@ fn one_run_emits_every_event_kind_and_reconciles_exactly() {
     );
     assert_eq!(tracer.dropped(), 0, "nothing may have been dropped");
 }
+
+#[test]
+fn negative_exit_code_is_measured_and_published() {
+    let bin = assemble(
+        "_start:\n    li a0, -1\n    li a7, 93\n    ecall\n",
+        AsmOptions::default(),
+    )
+    .unwrap();
+    let process = Process::new(vec![Variant::native(bin)]);
+    let tracer = Tracer::enabled();
+    let m = measure_traced(&process, ExtSet::RV64GCV, 1_000, &tracer).unwrap();
+    assert_eq!(m.exit_code, -1);
+    let metrics = tracer.metrics().expect("enabled tracer has metrics");
+    assert!(m.cycles > 0);
+    assert_eq!(metrics.counter_value("measure.cycles"), Some(m.cycles));
+}
