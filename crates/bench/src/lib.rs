@@ -1,14 +1,17 @@
-//! # chimera-bench
+//! # chimera-figures
 //!
-//! The experiment harness: one function per paper figure/table, shared by
-//! the `fig11`/`fig12`/`fig13`/`fig14`/`table1`/`table2`/`table3` binaries.
-//! Every function prints the same rows or series the paper reports (shape,
-//! not absolute silicon numbers — see EXPERIMENTS.md). Wall-clock numbers
-//! are not measured here: `bench/` (`pipeline_e2e`) is the one instrument
-//! for those.
+//! The paper's §6 evaluation: one function per experiment, each called
+//! once by the `figures` binary, which renders Figs. 11–14, Tables 1–3 and
+//! the CHBP ablation from the results. Every function returns the rows or
+//! series the paper reports (shape, not absolute silicon numbers — see
+//! EXPERIMENTS.md); `tests/paper_claims.rs` asserts those shapes at quick
+//! scale. Wall-clock numbers are not measured here: `bench/`
+//! (`pipeline_e2e`) is the one instrument for those.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::path::PathBuf;
 
 use chimera::{
     empty_patch_with, prepare_process, run_variant, InputVersion, RewriterKind, SystemKind,
@@ -17,13 +20,16 @@ use chimera::{
 use chimera_isa::ExtSet;
 use chimera_kernel::{run_work_stealing, CoreClass, Machine, Process, SchedResult, Task, Tracer};
 use chimera_obj::Binary;
+use chimera_rewrite::{default_workers, ChbpEngine, Mode, RewriteOptions};
 use chimera_workloads::blas::{sliced_kernels, BlasKind};
 use chimera_workloads::hetero::{fib_task, matrix_task};
 use chimera_workloads::speclike::{
     generate, BenchProfile, GenOptions, APP_PROFILES, SPEC_PROFILES,
 };
 
-/// Harness scale (full for the committed results, quick for CI smoke).
+/// Harness scale: every size, count and thread list an experiment reads
+/// (full for the committed results, quick for smoke runs and
+/// `tests/paper_claims.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Code-size scale for SPEC-like generation.
@@ -32,34 +38,59 @@ pub struct Scale {
     pub work_scale: f64,
     /// Task-count for scheduling sweeps.
     pub n_tasks: usize,
+    /// Code-size scale of Table 3's programs. Table 3 is static
+    /// (rewriting-time statistics only), so the full run uses the paper's
+    /// real code sizes — the > 1 MiB premise that makes exit trampolines
+    /// need long-distance register jumps.
+    pub static_size_scale: f64,
+    /// The ablation program's (code-size, dynamic-work) scale.
+    pub ablation: (f64, f64),
+    /// Fig. 14's matrix size; Fig. 14e's sgemm is twice as large.
+    pub blas_size: usize,
+    /// Fig. 14a–d's thread counts (4 + 4 cores).
+    pub fig14_threads: &'static [usize],
+    /// Fig. 14e's thread counts (32 + 32 cores).
+    pub fig14e_threads: &'static [usize],
 }
 
 impl Scale {
-    /// Full scale (a few minutes of runtime end to end).
-    pub fn full() -> Scale {
-        Scale {
-            size_scale: 1.0 / 16.0,
-            work_scale: 2.0,
-            n_tasks: 1000,
-        }
-    }
+    /// Full scale (the committed `results/`; about a minute end to end).
+    pub const FULL: Scale = Scale {
+        size_scale: 1.0 / 16.0,
+        work_scale: 2.0,
+        n_tasks: 1000,
+        static_size_scale: 1.0,
+        ablation: (1.0 / 32.0, 1.5),
+        blas_size: 24,
+        fig14_threads: &[2, 4, 6, 8],
+        fig14e_threads: &[16, 24, 32, 40, 48, 56, 64],
+    };
 
-    /// Quick scale (seconds; `--quick` and the smoke tests).
-    pub fn quick() -> Scale {
-        Scale {
-            size_scale: 1.0 / 512.0,
-            work_scale: 0.4,
-            n_tasks: 120,
-        }
-    }
+    /// Quick scale (seconds; `--quick` and the claim tests).
+    pub const QUICK: Scale = Scale {
+        size_scale: 1.0 / 512.0,
+        work_scale: 0.4,
+        n_tasks: 120,
+        static_size_scale: 1.0 / 512.0,
+        ablation: (1.0 / 512.0, 0.4),
+        blas_size: 12,
+        fig14_threads: &[2, 8],
+        fig14e_threads: &[16, 32],
+    };
 
-    /// Reads `--quick` from argv.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::quick()
-        } else {
-            Scale::full()
+    /// Parses the `figures` command line, `[--quick] <dir>`: the scale and
+    /// the output directory. `None` for anything else.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Option<(Scale, PathBuf)> {
+        let mut scale = Scale::FULL;
+        let mut dir = None;
+        for arg in args {
+            match arg.as_str() {
+                "--quick" => scale = Scale::QUICK,
+                _ if arg.starts_with('-') || dir.is_some() => return None,
+                _ => dir = Some(PathBuf::from(arg)),
+            }
         }
+        Some((scale, dir?))
     }
 }
 
@@ -72,6 +103,19 @@ pub const SYSTEMS: [SystemKind; 4] = [
     SystemKind::Melf,
     SystemKind::Chimera,
 ];
+
+/// The SPEC-like program `profile` describes, generated at the given
+/// code-size and dynamic-work scales (every experiment uses seed 42).
+fn program(profile: &BenchProfile, size_scale: f64, work_scale: f64) -> Binary {
+    generate(
+        profile,
+        GenOptions {
+            size_scale,
+            work_scale,
+            seed: 42,
+        },
+    )
+}
 
 /// Prepares the process `system` would run for a task compiled as `base`
 /// and `ext`.
@@ -125,8 +169,6 @@ pub struct Fig13Row {
     /// Fault-handling trigger counts per rewriter (Table 2), normalized
     /// per 10⁹ retired instructions.
     pub triggers_per_1e9: [f64; 4],
-    /// Native retired instructions.
-    pub native_instret: u64,
 }
 
 /// The four §6.2 rewriters in the paper's plotting order.
@@ -139,14 +181,7 @@ pub const REWRITERS: [RewriterKind; 4] = [
 
 /// Runs the §6.2 empty-patching methodology for one benchmark profile.
 pub fn fig13_row(profile: &BenchProfile, scale: Scale) -> Fig13Row {
-    let bin = generate(
-        profile,
-        GenOptions {
-            size_scale: scale.size_scale,
-            work_scale: scale.work_scale,
-            seed: 42,
-        },
-    );
+    let bin = program(profile, scale.size_scale, scale.work_scale);
     let native = chimera_emu::run_binary(&bin, FUEL).expect("native run");
     let base = native.stats.cycles as f64;
 
@@ -172,11 +207,10 @@ pub fn fig13_row(profile: &BenchProfile, scale: Scale) -> Fig13Row {
         name: profile.name,
         overhead,
         triggers_per_1e9: triggers,
-        native_instret: native.stats.instret,
     }
 }
 
-/// All Fig. 13 rows (SPEC profiles).
+/// All Fig. 13 rows (SPEC profiles; also Table 2's SPEC section).
 pub fn fig13(scale: Scale) -> Vec<Fig13Row> {
     SPEC_PROFILES.iter().map(|p| fig13_row(p, scale)).collect()
 }
@@ -206,28 +240,12 @@ pub struct Table3Row {
 }
 
 /// Computes Table 3 for one profile (downgrade rewriting, the Table 3
-/// configuration).
-///
-/// Table 3 is *static* (rewriting-time statistics only), so the full run
-/// uses the paper's real code sizes — the > 1 MiB premise that makes exit
-/// trampolines need long-distance register jumps. `--quick` keeps the
-/// sweep scale for smoke runs.
+/// configuration) at [`Scale::static_size_scale`].
 pub fn table3_row(profile: &BenchProfile, scale: Scale) -> Table3Row {
-    let full_static = scale.size_scale >= 1.0 / 64.0;
-    let bin = generate(
-        profile,
-        GenOptions {
-            size_scale: if full_static { 1.0 } else { scale.size_scale },
-            work_scale: 0.1, // Never executed; keep generation light.
-            seed: 42,
-        },
-    );
-    let rw = chimera_rewrite::chbp_rewrite(
-        &bin,
-        ExtSet::RV64GC,
-        chimera_rewrite::RewriteOptions::default(),
-    )
-    .expect("rewrite");
+    // Never executed; keep generation light.
+    let bin = program(profile, scale.static_size_scale, 0.1);
+    let rw = chimera_rewrite::chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default())
+        .expect("rewrite");
     let s = rw.stats;
     Table3Row {
         name: profile.name,
@@ -322,64 +340,60 @@ pub fn fig14_kernel(
         .collect()
 }
 
+/// One ablation row: a CHBP configuration on the vector-dense program.
+#[derive(Debug, Clone, Copy)]
+pub struct AblationRow {
+    /// The configuration.
+    pub name: &'static str,
+    /// Overhead fraction relative to the original binary.
+    pub overhead: f64,
+    /// Dead register not found: (CHBP shifting, traditional liveness).
+    pub dead_not_found: (usize, usize),
+}
+
+/// Ablates CHBP's design choices (the knobs DESIGN.md calls out):
+/// basic-block batching, exit-position shifting, and SMILE vs trap-based
+/// entry trampolines, each empty-patching the cactuBSSN-like
+/// (vector-dense) program at [`Scale::ablation`].
+pub fn ablation(scale: Scale) -> [AblationRow; 4] {
+    let (size_scale, work_scale) = scale.ablation;
+    let bin = program(&SPEC_PROFILES[4], size_scale, work_scale);
+    let native = chimera_emu::run_binary(&bin, FUEL).expect("native");
+    // Each configuration is CHBP's default with one knob turned.
+    let turn = |name, knob: fn(&mut RewriteOptions)| {
+        let mut opts = RewriteOptions {
+            mode: Mode::EmptyPatch(chimera_isa::Ext::V),
+            ..Default::default()
+        };
+        knob(&mut opts);
+        (name, opts)
+    };
+    [
+        turn("CHBP (batching + shifting)", |_| {}),
+        turn("no batching", |o| o.batching = false),
+        turn("no exit-position shifting", |o| o.exit_shifting = false),
+        turn("trap entries (strawman)", |o| o.force_trap_entries = true),
+    ]
+    .map(|(name, opts)| {
+        let engine = ChbpEngine {
+            target: ExtSet::RV64GCV,
+            opts,
+        };
+        let r = chimera_rewrite::run(&engine, &bin, default_workers(), &Tracer::disabled())
+            .expect("rewrite");
+        let s = &r.rewritten.stats;
+        let dead_not_found = (s.dead_reg_not_found_shift, s.dead_reg_not_found_traditional);
+        let m = run_variant(&r.into(), ExtSet::RV64GCV, FUEL).expect("run");
+        assert_eq!(m.exit_code, native.exit_code, "{name}");
+        AblationRow {
+            name,
+            overhead: m.cycles as f64 / native.stats.cycles as f64 - 1.0,
+            dead_not_found,
+        }
+    })
+}
+
 /// Formats a fraction as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig13_quick_smoke() {
-        let row = fig13_row(&SPEC_PROFILES[4], Scale::quick());
-        // CHBP (index 3) beats trap-based strawman (index 0).
-        assert!(row.overhead[3] <= row.overhead[0] + 1e-9, "{row:?}");
-    }
-
-    /// C1 (Chimera within 3.2 % of MELF at 100 % extension share, §6.1) as a
-    /// ratchet: at quick scale Chimera's Fig. 11 CPU time at 100 % is at
-    /// most 1.26 × MELF's. Recorded when vector runs began translating as
-    /// one body: +25.0 % (2,015,440 against 1,612,272 cycles), from +33.3 %
-    /// (2,149,152) before. Lower the bound as the gap closes.
-    #[test]
-    fn c1_downgrade_gap_ratchet() {
-        let at_100 = |system| {
-            let sweep = hetero_sweep(system, InputVersion::Ext, Scale::quick());
-            sweep[10].cpu_time as f64
-        };
-        let (melf, chimera) = (at_100(SystemKind::Melf), at_100(SystemKind::Chimera));
-        let gap = 100.0 * (chimera / melf - 1.0);
-        assert!(chimera <= 1.26 * melf, "Chimera +{gap:.1} % over MELF");
-    }
-
-    #[test]
-    fn table3_quick_smoke() {
-        let row = table3_row(&SPEC_PROFILES[4], Scale::quick());
-        assert!(row.smile > 0);
-        assert!(row.dead_not_found.0 <= row.dead_not_found.1);
-    }
-
-    #[test]
-    fn hetero_sweep_shape() {
-        let pts = hetero_sweep(SystemKind::Chimera, InputVersion::Ext, Scale::quick());
-        assert_eq!(pts.len(), 11);
-        assert_eq!(pts[3].ext_tasks, 36, "30 % of 120");
-        // Latency falls as the (faster) extension tasks dominate.
-        assert!(pts[10].latency < pts[0].latency);
-    }
-
-    #[test]
-    fn fig14_quick_smoke() {
-        let pts = fig14_kernel(BlasKind::Dgemv, 12, &[2, 4], 4, 4);
-        assert_eq!(pts.len(), 2);
-        for p in &pts {
-            // Under FIFO work stealing a base core takes a slice whatever
-            // its variant costs there, so Chimera (downgraded gemv slices)
-            // trails MELF (native scalar ones) — see EXPERIMENTS.md.
-            assert!(p.ratios.iter().all(|r| r.is_finite() && *r > 0.0), "{p:?}");
-            assert!(p.ratios[3] <= p.ratios[2], "MELF is the ideal: {p:?}");
-        }
-    }
 }
