@@ -32,9 +32,9 @@ use chimera_workloads::speclike::{
 /// `tests/paper_claims.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
-    /// Code-size scale for SPEC-like generation.
+    /// Code-size scale of the Fig. 13 / Table 2 programs.
     pub size_scale: f64,
-    /// Dynamic-work scale.
+    /// Dynamic-work scale of the Fig. 13 / Table 2 programs.
     pub work_scale: f64,
     /// Task-count for scheduling sweeps.
     pub n_tasks: usize,
@@ -396,4 +396,26 @@ pub fn ablation(scale: Scale) -> [AblationRow; 4] {
 /// Formats a fraction as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Scale;
+
+    #[test]
+    fn the_command_line_is_quick_and_one_directory() {
+        let parse = |args: &[&str]| {
+            Scale::from_args(args.iter().map(|a| a.to_string())).map(|(s, dir)| (s.n_tasks, dir))
+        };
+        assert_eq!(parse(&["out"]), Some((1000, "out".into())));
+        assert_eq!(parse(&["--quick", "out"]), Some((120, "out".into())));
+        for bad in [
+            &[][..],
+            &["--quick"],
+            &["--scalability", "out"],
+            &["a", "b"],
+        ] {
+            assert_eq!(parse(bad), None, "{bad:?}");
+        }
+    }
 }
