@@ -16,7 +16,7 @@
 //! result for result and cycle for cycle, by `tests/differential.rs` and
 //! the fuzz oracle.
 
-use crate::bbcache::{Block, BlockCache, CachedInst, ChainEdge, ChainLink};
+use crate::bbcache::{Block, BlockCache, CachedInst, JumpEntry};
 use crate::cost::{CostModel, ExecStats};
 use crate::hart::Hart;
 use crate::mem::{AccessHints, MemFault, Memory, RegionHint};
@@ -101,8 +101,9 @@ pub enum ExecMode {
     /// Decode-cached interpreter: memoized front end, per-instruction
     /// dispatch through `Cpu::exec`.
     Interpreter,
-    /// Micro-op execution engine: lowered block bodies, block-to-block
-    /// chaining, per-core memory translation hints. The default.
+    /// Micro-op execution engine: lowered block bodies, a jump cache in
+    /// front of the dispatcher, per-core memory translation hints. The
+    /// default.
     Engine,
     /// Host-code JIT tier: hot block bodies template-compiled to x86-64,
     /// published into the executable arena in batches and chained with
@@ -138,29 +139,10 @@ pub struct Cpu {
     /// resident traces, and the deterministic tiering policy.
     pub(crate) jit: crate::jit::JitTier,
     /// The trace handle (disabled by default; see `chimera_trace`). The
-    /// CPU emits [`TraceEvent::BlockBuilt`], [`TraceEvent::BlockChained`],
-    /// [`TraceEvent::CacheInvalidate`] and [`TraceEvent::Trap`] — coarse
-    /// events only, never per retired instruction, so the enabled overhead
-    /// stays bounded.
+    /// CPU emits [`TraceEvent::BlockBuilt`], [`TraceEvent::CacheInvalidate`]
+    /// and [`TraceEvent::Trap`] — coarse events only, never per retired
+    /// instruction, so the enabled overhead stays bounded.
     pub tracer: Tracer,
-}
-
-/// How a lowered block body finished (engine mode).
-enum BlockExit {
-    /// Ran off the end of the body (size-truncated block) or a conditional
-    /// branch fell through: the fall-through edge, chainable.
-    Fall,
-    /// A direct control transfer redirected (`jal`, taken branch): the
-    /// taken edge, chainable.
-    Taken,
-    /// An indirect jump (`jalr`): target is data-dependent, chained
-    /// through the one-entry-BTB edge ([`ChainEdge::Indirect`]).
-    Indirect,
-    /// A store invalidated this block's own region mid-body: bail to the
-    /// dispatcher, which revalidates before executing anything else.
-    Bail,
-    /// The fuel budget ran out mid-body.
-    Budget,
 }
 
 impl Cpu {
@@ -393,176 +375,54 @@ impl Cpu {
     /// Executes through the micro-op engine, bounded by `budget` retired
     /// instructions; returns the number retired.
     ///
-    /// Blocks the jump cache and chain links cannot supply come from
-    /// [`Cpu::dispatch`], the interpreter's dispatcher, so cache counters
-    /// reconcile with the interpreter as `hits_interp == hits_engine +
-    /// chained`. Between dispatches, validated chain links jump
-    /// block-to-block directly. In [`ExecMode::Jit`] the same loop offers
-    /// every block to the JIT tier first; compiled traces account their
-    /// own chained entries as `jitted`.
+    /// Every block entry probes the jump cache first: a validated entry
+    /// skips the fingerprint + hash lookup and counts as `chained`. A miss
+    /// goes through [`Cpu::dispatch`], the interpreter's dispatcher, and
+    /// refills the entry, so cache counters reconcile with the interpreter
+    /// as `hits_interp == hits_engine + chained`. In [`ExecMode::Jit`] the
+    /// same loop offers every block to the JIT tier first; compiled traces
+    /// account their own chained entries as `jitted`.
     fn step_engine(&mut self, mem: &mut Memory, budget: u64) -> Result<u64, Trap> {
         let mut retired = 0u64;
-        // The slot+edge that led to the pc we're about to dispatch, so a
-        // successful lookup/build installs the missing chain link.
-        let mut pending: Option<(u32, (u64, ExtSet), ChainEdge)> = None;
-        // A block reached by a validated chain link, consumed (and counted)
-        // by the next iteration instead of a dispatcher lookup.
-        let mut next: Option<(u32, Arc<Block>)> = None;
         while retired < budget {
             let pc = self.hart.pc;
-            let (id, block) = match next.take() {
-                Some(n) => {
-                    self.cache.stats.chained += 1;
-                    n
-                }
-                None => {
-                    // Jump-cache probe first: a direct-mapped hint
-                    // revalidated with the exact chain-link rules. A
-                    // validated hit is the same dispatcher hit the
-                    // interpreter counts, minus the fingerprint + hash
-                    // lookup — this is what keeps BTB misses on
-                    // megamorphic indirect call sites cheap.
-                    let hinted = self
-                        .cache
-                        .jump_hint(pc)
-                        .and_then(|link| self.validate_link(mem, link));
-                    let (id, block) = if let Some((id, block, needs_restamp)) = hinted {
-                        if needs_restamp {
-                            self.cache.jump_restamp(pc, mem.code_generation());
-                        }
-                        self.cache.stats.hits += 1;
-                        (id, block)
-                    } else {
-                        // Any stale entry for this pc is dead; dropping it
-                        // is a no-op when the probe simply missed.
-                        self.cache.jump_clear(pc);
-                        let Some((id, block)) = self.dispatch(mem)? else {
-                            return Ok(retired + 1);
-                        };
-                        self.cache.jump_set(ChainLink {
-                            to: id,
-                            pc,
-                            stamp: mem.code_generation(),
-                        });
-                        (id, block)
-                    };
-                    if let Some((from, from_key, edge)) = pending.take() {
-                        let link = ChainLink {
-                            to: id,
-                            pc,
-                            stamp: mem.code_generation(),
-                        };
-                        if self.cache.set_link(from, from_key, edge, link)
-                            && self.tracer.is_enabled()
-                        {
-                            self.tracer.record(
-                                self.stats.cycles,
-                                TraceEvent::BlockChained {
-                                    from: from_key.0,
-                                    to: pc,
-                                },
-                            );
-                            self.tracer.count("emu.blocks_chained", 1);
-                        }
-                    }
-                    (id, block)
-                }
+            let hinted = self
+                .cache
+                .jump_hint(pc)
+                .and_then(|entry| self.cache.validate_jump(entry, self.profile, mem));
+            let block = if let Some(block) = hinted {
+                self.cache.stats.chained += 1;
+                block
+            } else {
+                let Some((id, block)) = self.dispatch(mem)? else {
+                    return Ok(retired + 1);
+                };
+                self.cache.jump_set(JumpEntry {
+                    to: id,
+                    pc,
+                    stamp: mem.code_generation(),
+                });
+                block
             };
-            pending = None;
             // The JIT tier's one hook: a block it takes runs (and chains)
-            // as compiled code and comes back through the dispatcher; a
-            // block it declines — cold, queued, under-funded — follows
-            // and trains chain links exactly as in Engine mode.
+            // as compiled code; a block it declines — cold, queued,
+            // under-funded — runs in the engine. Either way the next block
+            // comes through the jump cache.
             if self.mode == ExecMode::Jit {
                 if let Some(ran) = crate::jit::try_enter(self, mem, budget - retired, &block, pc) {
                     retired += ran?;
                     continue;
                 }
             }
-            let (r, exit) = self.exec_lowered(mem, &block, budget - retired)?;
-            retired += r;
-            match exit {
-                BlockExit::Budget => return Ok(retired),
-                // A bail needs full revalidation: back through the
-                // dispatcher, unlinked.
-                BlockExit::Bail => {}
-                // Indirect targets are data-dependent, so the edge is a
-                // one-entry BTB: a pc-matching link short-circuits the
-                // dispatcher, a miss re-dispatches and retrains the link.
-                BlockExit::Taken | BlockExit::Fall | BlockExit::Indirect => {
-                    let edge = match exit {
-                        BlockExit::Taken => ChainEdge::Taken,
-                        BlockExit::Fall => ChainEdge::Fall,
-                        _ => ChainEdge::Indirect,
-                    };
-                    match self.follow_link(mem, id, edge) {
-                        Some(n) => next = Some(n),
-                        None => pending = Some((id, (pc, self.profile), edge)),
-                    }
-                }
-            }
+            retired += self.exec_lowered(mem, &block, budget - retired)?;
         }
         Ok(retired)
     }
 
-    /// Follows the chain link on one of `from`'s edges if it validates
-    /// (see [`ChainLink`] for the fast/slow path rules); severs it and
-    /// returns `None` otherwise, sending the dispatcher through the
-    /// ordinary invalidating lookup.
-    fn follow_link(
-        &mut self,
-        mem: &mut Memory,
-        from: u32,
-        edge: ChainEdge,
-    ) -> Option<(u32, Arc<Block>)> {
-        let link = self.cache.link_of(from, edge)?;
-        if self.hart.pc != link.pc {
-            // BTB miss on the indirect edge (the call site produced a
-            // different target this time). The link may still be right for
-            // other executions, so don't sever — the dispatcher retrains
-            // the prediction after its lookup. Static edges always
-            // reproduce the same target pc, so for them this is dead code.
-            return None;
-        }
-        match self.validate_link(mem, link) {
-            Some((id, block, needs_restamp)) => {
-                if needs_restamp {
-                    self.cache.restamp(from, edge, mem.code_generation());
-                }
-                Some((id, block))
-            }
-            None => {
-                self.cache.sever(from, edge);
-                None
-            }
-        }
-    }
-
-    /// Revalidates a [`ChainLink`]'s target — slot key, then the
-    /// generation-stamp fast path / fingerprint slow path (see
-    /// [`ChainLink`]). Shared by chain-edge follows and jump-cache probes,
-    /// which only differ in where they store the refreshed stamp. Returns
-    /// the target and whether the caller must restamp; `None` means the
-    /// target is gone or stale.
-    fn validate_link(&self, mem: &mut Memory, link: ChainLink) -> Option<(u32, Arc<Block>, bool)> {
-        let (key, fp, block) = self.cache.slot_block(link.to)?;
-        if key != (link.pc, self.profile) {
-            // The slot was flushed and reused under a different key.
-            return None;
-        }
-        if link.stamp == mem.code_generation() {
-            return Some((link.to, block, false));
-        }
-        // Executable bytes changed somewhere since the stamp; the target is
-        // still valid iff its own region fingerprint is unchanged.
-        if mem.code_fingerprint(link.pc) == Some(fp) {
-            return Some((link.to, block, true));
-        }
-        None
-    }
-
     /// Executes a lowered block body, bounded by `budget`; returns the
-    /// instructions retired and how the body ended.
+    /// instructions retired. A body cut short by the budget, a bail after
+    /// a store into its own region and a control transfer all leave
+    /// `self.hart.pc` at the next instruction to run.
     ///
     /// Instruction-for-instruction equivalent to the interpreter's replay
     /// loop in [`Cpu::step_block`] — same trap pcs, same budget semantics,
@@ -575,12 +435,7 @@ impl Cpu {
     /// the straight-line loop sheds four memory read-modify-writes per
     /// instruction. The budget bound is the loop bound itself (`n`), not a
     /// per-op check.
-    fn exec_lowered(
-        &mut self,
-        mem: &mut Memory,
-        block: &Block,
-        budget: u64,
-    ) -> Result<(u64, BlockExit), Trap> {
+    fn exec_lowered(&mut self, mem: &mut Memory, block: &Block, budget: u64) -> Result<u64, Trap> {
         let n = (block.ops.len() as u64).min(budget) as usize;
         let mut pc = self.hart.pc;
         let mut retired = 0u64;
@@ -631,7 +486,7 @@ impl Cpu {
                     d_cycles += u.cost as u64;
                     if mem.code_generation() != $gen_before && !block_intact(mem, block) {
                         flush!();
-                        return Ok((retired, BlockExit::Bail));
+                        return Ok(retired);
                     }
                     continue;
                 }};
@@ -657,7 +512,7 @@ impl Cpu {
                         && !block_intact(mem, block)
                     {
                         // Everything is already flushed, pc included.
-                        return Ok((retired, BlockExit::Bail));
+                        return Ok(retired);
                     }
                     continue;
                 }
@@ -671,7 +526,7 @@ impl Cpu {
                     retired += 1;
                     d_cycles += u.cost as u64;
                     flush!();
-                    return Ok((retired, BlockExit::Taken));
+                    return Ok(retired);
                 }
                 MicroOp::Jalr { rd, rs1, offset } => {
                     let target = self.hart.get_x(rs1).wrapping_add(offset as i64 as u64) & !1;
@@ -681,7 +536,7 @@ impl Cpu {
                     d_cycles += u.cost as u64;
                     self.stats.indirect_jumps += 1;
                     flush!();
-                    return Ok((retired, BlockExit::Indirect));
+                    return Ok(retired);
                 }
                 MicroOp::Branch {
                     kind,
@@ -694,17 +549,15 @@ impl Cpu {
                     let b = self.hart.get_x(rs2);
                     retired += 1;
                     self.stats.branches += 1;
-                    let exit = if kind.eval(a, b) {
+                    if kind.eval(a, b) {
                         pc = pc.wrapping_add(offset as i64 as u64);
                         d_cycles += taken_cost as u64;
-                        BlockExit::Taken
                     } else {
                         pc = next_pc;
                         d_cycles += u.cost as u64;
-                        BlockExit::Fall
-                    };
+                    }
                     flush!();
-                    return Ok((retired, exit));
+                    return Ok(retired);
                 }
                 MicroOp::Load {
                     kind,
@@ -809,11 +662,7 @@ impl Cpu {
             d_cycles += u.cost as u64;
         }
         flush!();
-        if n < block.ops.len() {
-            Ok((retired, BlockExit::Budget))
-        } else {
-            Ok((retired, BlockExit::Fall))
-        }
+        Ok(retired)
     }
 
     /// Decodes a basic block starting at `pc` and caches it.

@@ -51,15 +51,15 @@ pub enum MicroOp {
         /// `imm20 << 12`; sign-extended and added to pc at run time.
         imm: i32,
     },
-    /// `jal rd, offset` (always-taken direct jump; a chainable block end).
+    /// `jal rd, offset` (always-taken direct jump; ends the block).
     Jal {
         /// Link register.
         rd: XReg,
         /// pc-relative offset (sign-extended at execution time).
         offset: i32,
     },
-    /// `jalr rd, offset(rs1)` (indirect jump; chained through the
-    /// one-entry-BTB edge, see `crate::bbcache::ChainEdge::Indirect`).
+    /// `jalr rd, offset(rs1)` (indirect jump; ends the block, and the
+    /// jump cache finds its target like any other successor).
     Jalr {
         /// Link register.
         rd: XReg,
@@ -68,7 +68,7 @@ pub enum MicroOp {
         /// Base-relative offset (sign-extended at execution time).
         offset: i32,
     },
-    /// Conditional branch; both block-end edges are chainable.
+    /// Conditional branch; ends the block whichever way it goes.
     Branch {
         /// Comparison kind.
         kind: BranchKind,

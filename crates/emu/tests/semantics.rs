@@ -344,9 +344,9 @@ fn stack_discipline_roundtrip() {
 fn megamorphic_jalr_stays_transparent_under_jump_cache_eviction() {
     // One indirect-jump site cycling through more distinct targets than
     // the direct-mapped jump cache has entries (2304 > 2048): every
-    // dispatch evicts, the block-chaining fast path keeps mispredicting,
-    // and the engine must still be bit-transparent to the reference
-    // interpreter — with the cache counters reconciling exactly.
+    // dispatch evicts another target's entry, and the engine must still
+    // be bit-transparent to the reference interpreter — with the cache
+    // counters reconciling exactly.
     use chimera_testutil::observe_mode;
 
     const TARGETS: usize = 2304;
@@ -387,7 +387,7 @@ fn megamorphic_jalr_stays_transparent_under_jump_cache_eviction() {
 
     // Counter reconciliation under sustained eviction: every cached
     // dispatch the interpreter counts as a hit is, on the engine side,
-    // either a plain hit or a chained block transfer.
+    // either a plain hit or a jump-cache entry.
     assert_eq!(is.hits, es.hits + es.chained, "{is:?} vs {es:?}");
     assert_eq!(is.misses, es.misses, "{is:?} vs {es:?}");
     assert_eq!(is.blocks_built, es.blocks_built, "{is:?} vs {es:?}");

@@ -10,7 +10,7 @@
 
 use chimera_emu::{Cpu, ExecMode, Memory, Stop, Trap};
 use chimera_isa::{encode, BranchKind, ExtSet, Inst, OpImmKind, StoreKind, XReg};
-use chimera_obj::Perms;
+use chimera_obj::{assemble, AsmOptions, Perms};
 
 const BASE: u64 = 0x1_0000;
 
@@ -66,9 +66,11 @@ fn poke_code_between_runs_executes_new_code() {
     );
 
     assert_eq!(run_to_ecall(&mut cpu, &mut mem), 11);
-    // Second run: served from the cache.
+    // Second run: served from the cache (a dispatcher hit, or in the
+    // engine a jump-cache entry, which counts as `chained`).
     assert_eq!(run_to_ecall(&mut cpu, &mut mem), 11);
-    assert!(cpu.cache.stats.hits >= 1, "{:?}", cpu.cache.stats);
+    let s = cpu.cache.stats;
+    assert!(s.hits + s.chained >= 1, "{s:?}");
     let invalidations_before = cpu.cache.stats.invalidations;
 
     // The kernel patches the instruction (lazy-rewriting path).
@@ -180,14 +182,14 @@ fn loop_is_hit_dominated_and_cycle_identical() {
     assert!(s.blocks_built <= 4, "straight-line loop, few blocks: {s:?}");
     assert!(s.misses >= s.blocks_built, "{s:?}");
     // Re-entries are either dispatcher hits or (under the engine front
-    // end) chained follows; together they must dominate the misses.
+    // end) jump-cache entries; together they must dominate the misses.
     assert!(
         s.hits + s.chained > s.misses,
         "100 iterations must be re-entry-dominated: {s:?}"
     );
     assert!(
         s.chained > s.misses,
-        "a hot loop must run on chain links, not dispatches: {s:?}"
+        "a hot loop must run on jump-cache entries, not dispatches: {s:?}"
     );
     assert_eq!(s.invalidations, 0, "nothing was modified: {s:?}");
 
@@ -317,19 +319,22 @@ fn data_stores_do_not_invalidate() {
     assert_eq!(run_to_ecall(&mut cpu, &mut mem), 5);
     let s = cpu.cache.stats;
     assert_eq!(s.invalidations, 0, "{s:?}");
-    assert!(s.hits >= 1, "second run must reuse the block: {s:?}");
+    assert!(
+        s.hits + s.chained >= 1,
+        "second run must reuse the block: {s:?}"
+    );
 }
 
 /// Unmap-then-remap at the same address severs *everything* decoded under
-/// the old region: cached blocks AND the chain links between them. A hot
-/// loop is chained block-to-block; after the region is unmapped and new
-/// code mapped at the same base, neither a stale block nor a stale chain
-/// link may fire — the workspace-unique region generations guarantee the
-/// remapped region can never reproduce a fingerprint the old links were
+/// the old region: cached blocks AND the jump-cache entries into them. A
+/// hot loop runs on jump-cache entries; after the region is unmapped and
+/// new code mapped at the same base, neither a stale block nor a stale
+/// entry may fire — the workspace-unique region generations guarantee the
+/// remapped region can never reproduce a fingerprint the old entries were
 /// validated against.
 #[test]
 fn unmap_then_remap_severs_blocks_and_chain_links() {
-    // Two-block loop so chain links form between them.
+    // Two-block loop, so each block is entered through the jump cache.
     let loop_of = |step: i32| {
         words(&[
             addi(XReg::T0, XReg::ZERO, 50),
@@ -359,7 +364,7 @@ fn unmap_then_remap_severs_blocks_and_chain_links() {
     let warm = cpu.cache.stats;
     assert!(
         warm.chained > 0,
-        "hot loop must run on chain links: {warm:?}"
+        "hot loop must run on jump-cache entries: {warm:?}"
     );
 
     assert!(mem.unmap("gen1"));
@@ -370,12 +375,12 @@ fn unmap_then_remap_severs_blocks_and_chain_links() {
         "remap at the same address must draw a fresh workspace-unique generation"
     );
 
-    // Every stale block (and every chain link validated under gen1) must
-    // be dropped: the run executes the new bytes only.
+    // Every stale block (and every jump-cache entry validated under gen1)
+    // must be dropped: the run executes the new bytes only.
     assert_eq!(
         run_to_ecall(&mut cpu, &mut mem),
         150,
-        "stale blocks or chain links from the unmapped region survived the remap"
+        "stale blocks or jump-cache entries from the unmapped region survived the remap"
     );
     let s = cpu.cache.stats;
     assert!(
@@ -386,6 +391,91 @@ fn unmap_then_remap_severs_blocks_and_chain_links() {
         s.blocks_built > warm.blocks_built,
         "the new code must be decoded fresh: {s:?}"
     );
+}
+
+/// A vector loop: `a0` = 4 lanes x the loop count left in `t2` plus what
+/// `v1` already holds. `vadd.vv` sits mid-block, after the loop head.
+const VECTOR_LOOP: &str = "
+    .globl head
+    .globl vadd_site
+    _start:
+        li t0, 4
+        vsetvli t1, t0, e64, m1, ta, ma
+        vmv.v.i v1, 0
+        vmv.v.i v2, 1
+        li t2, 100
+    head:
+        addi t2, t2, -1
+    vadd_site:
+        vadd.vv v1, v1, v2
+        bnez t2, head
+        vmv.v.i v3, 0
+        vredsum.vs v4, v1, v3
+        vmv.x.s a0, v4
+        li a7, 93
+        ecall
+";
+
+/// A warm jump cache never serves a block decoded for another profile:
+/// the same `Cpu` and `Memory` switch to a base core (as a one-view FAM
+/// migration does) and rerun from the loop head, which must trap at the
+/// `vadd.vv` under a freshly built `(pc, profile)` key; switching back
+/// finishes the loop with the native result.
+fn profile_flip_on_warm_cache(mode: ExecMode) {
+    let bin = assemble(VECTOR_LOOP, AsmOptions::default()).expect("assembles");
+    let addr = |name: &str| bin.symbol(name).expect("symbol").addr;
+    let (mut cpu, mut mem) = chimera_emu::boot(&bin, ExtSet::RV64GCV);
+    cpu.set_mode(mode);
+    cpu.set_jit_threshold(1);
+    assert!(matches!(
+        cpu.run(&mut mem, 100_000),
+        Stop::Trap(Trap::Ecall { .. })
+    ));
+    assert_eq!(cpu.hart.get_x(XReg::A0), 400);
+    if mode == ExecMode::Jit && chimera_emu::jit_available() {
+        assert!(cpu.jit_trace_bytes(addr("head")).is_some(), "{mode:?}");
+    }
+
+    // Rerun the loop from its head, 10 more iterations on top of v1.
+    cpu.hart.pc = addr("head");
+    cpu.hart.set_x(XReg::T2, 10);
+    let mut native = (cpu.clone(), mem.clone());
+    native.0.set_mode(ExecMode::Reference);
+    assert!(matches!(
+        native.0.run(&mut native.1, 100_000),
+        Stop::Trap(Trap::Ecall { .. })
+    ));
+
+    let warm = cpu.cache.stats;
+    cpu.profile = ExtSet::RV64GC;
+    match cpu.run(&mut mem, 100_000) {
+        Stop::Trap(Trap::Illegal { pc, .. }) => assert_eq!(pc, addr("vadd_site"), "{mode:?}"),
+        other => panic!("{mode:?}: expected the vadd.vv to trap on RV64GC, got {other:?}"),
+    }
+    let s = cpu.cache.stats;
+    assert_eq!(
+        (s.misses, s.blocks_built),
+        (warm.misses + 2, warm.blocks_built + 1),
+        "{mode:?}: the loop head is built afresh for RV64GC, the vadd.vv misses: {s:?}"
+    );
+
+    cpu.profile = ExtSet::RV64GCV;
+    assert!(matches!(
+        cpu.run(&mut mem, 100_000),
+        Stop::Trap(Trap::Ecall { .. })
+    ));
+    assert_eq!(cpu.hart.get_x(XReg::A0), native.0.hart.get_x(XReg::A0));
+    assert_eq!(cpu.hart.get_x(XReg::A0), 440, "{mode:?}");
+}
+
+#[test]
+fn profile_flip_never_reuses_a_warm_engine_block() {
+    profile_flip_on_warm_cache(ExecMode::Engine);
+}
+
+#[test]
+fn profile_flip_never_reuses_a_warm_jit_block() {
+    profile_flip_on_warm_cache(ExecMode::Jit);
 }
 
 // ---- JIT-tier SMC regressions ---------------------------------------

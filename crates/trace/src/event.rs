@@ -63,16 +63,6 @@ pub enum TraceEvent {
         /// The pc whose lookup found the stale block.
         pc: u64,
     },
-    /// The execution engine chained two cached blocks: a static control-
-    /// flow edge's successor slot was recorded, so later executions follow
-    /// the link instead of dispatching. Emitted once per created link (a
-    /// cold event — follows themselves are only counted, never traced).
-    BlockChained {
-        /// Source block start pc.
-        from: u64,
-        /// Target block start pc.
-        to: u64,
-    },
     /// The JIT tier promoted a hot block body to compiled host code.
     /// Emitted once per trace when its batch is published into the
     /// executable arena — the moment the code can first run, not the
@@ -174,7 +164,6 @@ impl TraceEvent {
         match self {
             TraceEvent::BlockBuilt { .. } => "BlockBuilt",
             TraceEvent::CacheInvalidate { .. } => "CacheInvalidate",
-            TraceEvent::BlockChained { .. } => "BlockChained",
             TraceEvent::TierPromote { .. } => "TierPromote",
             TraceEvent::Trap { .. } => "Trap",
             TraceEvent::SmileFaultRecovered { .. } => "SmileFaultRecovered",
@@ -190,10 +179,9 @@ impl TraceEvent {
     }
 
     /// Every event-type tag, in a fixed order (used by coverage checks).
-    pub const KINDS: [&'static str; 14] = [
+    pub const KINDS: [&'static str; 13] = [
         "BlockBuilt",
         "CacheInvalidate",
-        "BlockChained",
         "TierPromote",
         "Trap",
         "SmileFaultRecovered",

@@ -198,7 +198,7 @@ fn tracing_enabled_vs_disabled_identical_for_every_workload() {
 /// results for every workload: exit code, stdout, register file, every
 /// stats counter (cycle accounting included), and output memory. The cache
 /// counters of the cached modes reconcile exactly: the engine turns a
-/// subset of the interpreter's dispatcher hits into chained follows
+/// subset of the interpreter's dispatcher hits into jump-cache entries
 /// (`hits_interp == hits_engine + chained_engine`) and the JIT turns a
 /// subset into in-trace chain-entry passes
 /// (`hits_interp == hits_jit + chained_jit + jitted_jit`), while misses,
@@ -219,7 +219,7 @@ fn engine_matches_interpreter_and_reference_for_every_workload() {
             assert_eq!(
                 i.hits,
                 e.hits + e.chained,
-                "{name}: chained follows must account exactly for the \
+                "{name}: jump-cache entries must account exactly for the \
                  dispatcher hits they replace: {i:?} vs {e:?}"
             );
             assert_eq!(
@@ -246,7 +246,7 @@ fn engine_matches_interpreter_and_reference_for_every_workload() {
                 );
             }
             // The generated SPEC/app programs are loopy: the engine must
-            // follow chain links and compiled traces must chain into each
+            // use its jump cache and compiled traces must chain into each
             // other, or the laws above are vacuous. (The tiny BLAS kernels
             // are straight-line: each block runs once.)
             let loopy = name.starts_with("spec:") || name.starts_with("app:");
@@ -479,7 +479,7 @@ fn cache_counters_engage() {
     assert!(s.blocks_built > 0, "no blocks built: {s:?}");
     assert!(s.misses >= s.blocks_built, "{s:?}");
     // Under the engine front end, loop re-entries are either dispatcher
-    // hits or chained follows; together they must dominate the misses.
+    // hits or jump-cache entries; together they must dominate the misses.
     assert!(
         s.hits + s.chained > s.misses,
         "loopy code must be re-entry-dominated: {s:?}"
