@@ -389,12 +389,6 @@ impl ManyHartKernel {
                 if s.status == HartStatus::Migrating {
                     s.fiber.cpu.profile = s.ext_profile;
                     s.fiber.cpu.stats.cycles += self.cfg.migrate_cost;
-                    // Reset the tiering state: cached blocks are keyed by
-                    // (pc, profile) so they cannot alias, but the JIT's
-                    // hotness/trace state is rebuilt from scratch — the
-                    // same deterministic reset every worker count sees.
-                    let mode = s.fiber.cpu.mode();
-                    s.fiber.cpu.set_mode(mode);
                     s.migrations += 1;
                     s.status = HartStatus::Runnable;
                     let cycles = s.fiber.cpu.stats.cycles;
