@@ -518,10 +518,10 @@ fn a_lazily_built_block_is_target_code() {
 /// `poke_code` the kernel issues (the ebreak site patch in `.text`, the
 /// emitted block in the `[lazy]` slack) invalidates blocks of those two
 /// regions only. A hot loop living in a third executable region keeps its
-/// cached blocks — and its chain links — across repeated lazy rewrites,
-/// so invalidations and rebuilds stay proportional to the number of
-/// rewrites, never to the hot loop's re-entry count. (These per-CPU cache
-/// stats are exactly what `Measurement::cache` publishes.)
+/// cached blocks — and its jump-cache entries — across repeated lazy
+/// rewrites, so invalidations and rebuilds stay proportional to the
+/// number of rewrites, never to the hot loop's re-entry count. (These
+/// per-CPU cache stats are exactly what `Measurement::cache` publishes.)
 #[test]
 fn lazy_rewrite_severs_only_bumped_region() {
     const ROUNDS: usize = 6;
@@ -620,10 +620,10 @@ fn lazy_rewrite_severs_only_bumped_region() {
 
     let s = cpu.cache.stats;
     // The hot loop body re-enters ~50 times per round; those re-entries
-    // ride chain links in the untouched hot region.
+    // come through the jump cache in the untouched hot region.
     assert!(
         s.chained >= 200,
-        "hot-region chains must survive the lazy rewrites: {s:?}"
+        "hot-region jump-cache entries must survive the lazy rewrites: {s:?}"
     );
     // Invalidations track the bumped regions only: ~one stale re-lookup
     // per rewrite (the patched trigger site). A validation scheme that
