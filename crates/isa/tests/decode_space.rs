@@ -12,17 +12,19 @@
 //! differently. A deliberate change to the accepted set re-records the
 //! constants and states the delta (see `WORDS`).
 //!
-//! A third digest pins `encode_compressed` from the other side — which
-//! instructions it accepts and which it refuses — over every constructor
-//! that has a compressed form (see `ENCODE_SPACE`).
+//! Two more digests pin the encoders from the other side — which
+//! instructions they accept and which they refuse: `encode_compressed`
+//! over every constructor that has a compressed form (see `ENCODE_SPACE`),
+//! and `encode` over every constructor (see `ENCODE_SPACE_32`).
 //!
 //! ≈ 1.07 G decodes and ≈ 120 M compressed encodes: seconds in release,
 //! minutes in debug, so the 32-bit half and the encode-space sweep are
 //! ignored in debug and CI runs them with `--release -- --include-ignored`.
 
 use chimera_isa::{
-    decode, encode, encode_compressed, BranchKind, DecodeError, Inst, LoadKind, OpImmKind, OpKind,
-    StoreKind, XReg,
+    decode, encode, encode_compressed, BranchKind, DecodeError, Eew, EncodeError, FCmpKind,
+    FMaKind, FOpKind, FReg, FpWidth, Inst, IntWidth, LoadKind, OpImmKind, OpKind, StoreKind,
+    UnaryKind, VArithOp, VReg, VSrc, VType, XReg,
 };
 
 /// The 32-bit space is folded in fixed slices so the digest does not
@@ -258,5 +260,270 @@ fn encode_compressed_accepts_and_refuses_as_recorded() {
         (digest, accepted),
         ENCODE_SPACE,
         "encode space moved: digest {digest:#018x} accepted {accepted}"
+    );
+}
+
+/// `(digest, instructions that encode)` of the 32-bit encode sweep below,
+/// recorded on the hand-written encoder before the 32-bit table replaced
+/// it.
+const ENCODE_SPACE_32: (u64, u64) = (0x48d5_57e9_5b69_4488, 146_771);
+
+/// The registers the 32-bit sweep puts in every register field: both ends,
+/// `ra` / `sp`, and the edges of the compressed window.
+const REGS: [u8; 8] = [0, 1, 2, 5, 8, 15, 16, 31];
+
+/// Every value within 3 of an end of a signed `bits`-wide field, or of
+/// zero, plus the `i32` extremes: each range and alignment boundary.
+fn window(bits: u32) -> Vec<i32> {
+    let half = 1i64 << (bits - 1);
+    let mut values: Vec<i32> = [-half, 0, half]
+        .iter()
+        .flat_map(|&end| end - 3..=end + 3)
+        .map(|v| v as i32)
+        .collect();
+    values.extend([i32::MIN, i32::MAX]);
+    values
+}
+
+/// What `encode` accepts — the word — and refuses — the `EncodeError`
+/// variant and value, not its `what` text — over every constructor, every
+/// kind, every register in [`REGS`] in each register field, and for each
+/// immediate the [`window`] of its field (all of `-3..=70` besides for
+/// shift amounts, every `i8` for the vector `imm5`, every supported
+/// `vtype`). A vector operation is visited with the source forms it has
+/// ([`VArithOp::allows`]); the others are not instructions. Cheap enough
+/// for debug (≈ 0.26 M encodes).
+#[test]
+fn encode_accepts_and_refuses_as_recorded() {
+    let mut digest = Digest::EMPTY.words;
+    let mut accepted = 0u64;
+    let mut fold = |inst: Inst| {
+        let (tag, value) = match encode(&inst) {
+            Ok(word) => (0, word as u64),
+            Err(EncodeError::ImmOutOfRange { value, .. }) => (1, value as u64),
+            Err(EncodeError::MisalignedOffset { value, .. }) => (2, value as u64),
+        };
+        accepted += (tag == 0) as u64;
+        digest = fnv(fnv(digest, tag), value);
+    };
+    let xs = || REGS.map(XReg::of);
+    let fs = || REGS.map(FReg::of);
+    let vs = || REGS.map(VReg::of);
+    let widths = [FpWidth::S, FpWidth::D];
+    let eews = [Eew::E8, Eew::E16, Eew::E32, Eew::E64];
+    let (i12, i20) = (window(12), window(20));
+    let shamts: Vec<i32> = (-3..=70).chain(i12.iter().copied()).collect();
+
+    for a in xs() {
+        for &imm20 in &i20 {
+            fold(Inst::Lui { rd: a, imm20 });
+            fold(Inst::Auipc { rd: a, imm20 });
+        }
+        for offset in window(21) {
+            fold(Inst::Jal { rd: a, offset });
+        }
+        for b in xs() {
+            for &offset in &i12 {
+                fold(Inst::Jalr {
+                    rd: a,
+                    rs1: b,
+                    offset,
+                });
+                for &kind in LoadKind::ALL {
+                    fold(Inst::Load {
+                        kind,
+                        rd: a,
+                        rs1: b,
+                        offset,
+                    });
+                }
+                for &kind in StoreKind::ALL {
+                    fold(Inst::Store {
+                        kind,
+                        rs1: a,
+                        rs2: b,
+                        offset,
+                    });
+                }
+            }
+            for offset in window(13) {
+                for &kind in BranchKind::ALL {
+                    fold(Inst::Branch {
+                        kind,
+                        rs1: a,
+                        rs2: b,
+                        offset,
+                    });
+                }
+            }
+            for &kind in OpImmKind::ALL {
+                for &imm in if kind.is_shift() { &shamts } else { &i12 } {
+                    fold(Inst::OpImm {
+                        kind,
+                        rd: a,
+                        rs1: b,
+                        imm,
+                    });
+                }
+            }
+            for &kind in UnaryKind::ALL {
+                fold(Inst::Unary {
+                    kind,
+                    rd: a,
+                    rs1: b,
+                });
+            }
+            for c in xs() {
+                for &kind in OpKind::ALL {
+                    fold(Inst::Op {
+                        kind,
+                        rd: a,
+                        rs1: b,
+                        rs2: c,
+                    });
+                }
+            }
+            for sew in eews {
+                for lmul in [1, 2, 4, 8] {
+                    for (ta, ma) in [(false, false), (false, true), (true, false), (true, true)] {
+                        let vtype = VType { sew, lmul, ta, ma };
+                        fold(Inst::Vsetvli {
+                            rd: a,
+                            rs1: b,
+                            vtype,
+                        });
+                    }
+                }
+            }
+        }
+        for f in fs() {
+            for width in widths {
+                for &offset in &i12 {
+                    fold(Inst::FLoad {
+                        width,
+                        frd: f,
+                        rs1: a,
+                        offset,
+                    });
+                    fold(Inst::FStore {
+                        width,
+                        frs2: f,
+                        rs1: a,
+                        offset,
+                    });
+                }
+                fold(Inst::FMvToX {
+                    width,
+                    rd: a,
+                    frs1: f,
+                });
+                fold(Inst::FMvToF {
+                    width,
+                    frd: f,
+                    rs1: a,
+                });
+                for from in [IntWidth::W, IntWidth::L] {
+                    for signed in [false, true] {
+                        fold(Inst::FCvtToF {
+                            width,
+                            from,
+                            signed,
+                            frd: f,
+                            rs1: a,
+                        });
+                        fold(Inst::FCvtToInt {
+                            width,
+                            to: from,
+                            signed,
+                            rd: a,
+                            frs1: f,
+                        });
+                    }
+                }
+                for g in fs() {
+                    for &kind in FCmpKind::ALL {
+                        fold(Inst::FCmp {
+                            kind,
+                            width,
+                            rd: a,
+                            frs1: f,
+                            frs2: g,
+                        });
+                    }
+                }
+            }
+        }
+        for v in vs() {
+            for eew in eews {
+                fold(Inst::VLoad { eew, vd: v, rs1: a });
+                fold(Inst::VStore {
+                    eew,
+                    vs3: v,
+                    rs1: a,
+                });
+            }
+            fold(Inst::VMvXS { rd: a, vs2: v });
+            fold(Inst::VMvSX { vd: v, rs1: a });
+        }
+    }
+    for d in fs() {
+        for s in fs() {
+            for to in widths {
+                fold(Inst::FCvtFF {
+                    to,
+                    frd: d,
+                    frs1: s,
+                });
+            }
+            for t in fs() {
+                for width in widths {
+                    for &kind in FOpKind::ALL {
+                        fold(Inst::FOp {
+                            kind,
+                            width,
+                            frd: d,
+                            frs1: s,
+                            frs2: t,
+                        });
+                    }
+                    for u in fs() {
+                        for &kind in FMaKind::ALL {
+                            let (frd, frs1, frs2, frs3) = (d, s, t, u);
+                            fold(Inst::FMa {
+                                kind,
+                                width,
+                                frd,
+                                frs1,
+                                frs2,
+                                frs3,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let srcs = xs()
+        .map(VSrc::X)
+        .into_iter()
+        .chain(fs().map(VSrc::F))
+        .chain(vs().map(VSrc::V))
+        .chain((i8::MIN..=i8::MAX).map(VSrc::I));
+    for src in srcs {
+        for &op in VArithOp::ALL.iter().filter(|op| op.allows(src)) {
+            for vd in vs() {
+                for vs2 in vs() {
+                    fold(Inst::VArith { op, vd, vs2, src });
+                }
+            }
+        }
+    }
+    fold(Inst::Fence);
+    fold(Inst::Ecall);
+    fold(Inst::Ebreak);
+    assert_eq!(
+        (digest, accepted),
+        ENCODE_SPACE_32,
+        "32-bit encode space moved: digest {digest:#018x} accepted {accepted}"
     );
 }
