@@ -1,7 +1,21 @@
-//! Bit-field packing helpers shared by the encoder and decoder.
+//! Bit-field helpers shared by the 32-bit and the compressed tables, and
+//! the one immediate codec both use: a `Perm`, with the 32-bit
+//! immediate formats (I, S, B, U, J, the shift amounts and `simm5`) stated
+//! beside the spec's bit names.
 //!
-//! All helpers operate on `u32`/`u16` machine words; immediates travel as
-//! sign-extended `i32` in their natural unit (bytes for offsets).
+//! Immediates travel as sign-extended `i32` in their natural unit (bytes
+//! for offsets, the raw 20-bit field for `lui` / `auipc`).
+
+use crate::encode::EncodeError;
+
+/// Documented constants of one type, one per row — `NAME = value => "doc";`
+/// — so that a field layout reads as one line beside the spec's name for it.
+macro_rules! consts {
+    ($vis:vis $T:ty: $($name:ident = $value:expr => $doc:literal;)+) => {
+        $(#[doc = $doc] $vis const $name: $T = $value;)+
+    };
+}
+pub(crate) use consts;
 
 /// Extracts bits `[lo, lo+len)` of `word`.
 #[inline]
@@ -17,95 +31,65 @@ pub fn sext(value: u32, bits: u32) -> i32 {
     ((value << shift) as i32) >> shift
 }
 
-/// Whether `value` fits in a signed `bits`-bit field.
-#[inline]
-pub fn fits_signed(value: i64, bits: u32) -> bool {
-    let min = -(1i64 << (bits - 1));
-    let max = (1i64 << (bits - 1)) - 1;
-    value >= min && value <= max
+/// An immediate permutation: the width the immediate is sign-extended from
+/// (0 for zero-extended), and `(word lo bit, width, immediate lo bit)` per
+/// run of bits. A value encodes iff gathering back what [`Perm::scatter`]
+/// placed returns it, so a format's range, alignment and sign rules are
+/// properties of its runs, not conditions written beside it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Perm(pub(crate) u32, pub(crate) &'static [(u32, u32, u32)]);
+
+// Each beside the spec's name for the bits, high to low in the word.
+consts! { pub(crate) Perm:
+    I = Perm(12, &[(20, 12, 0)])                                      => "`imm[11:0]`: loads, `jalr`, `OP-IMM`.";
+    S = Perm(12, &[(7, 5, 0), (25, 7, 5)])                            => "`imm[11:5]`, `imm[4:0]`: stores.";
+    B = Perm(13, &[(8, 4, 1), (25, 6, 5), (7, 1, 11), (31, 1, 12)])   => "`imm[12|10:5]`, `imm[4:1|11]`: branches.";
+    U = Perm(20, &[(12, 20, 0)])                                      => "`imm[31:12]`, kept as the raw field: `lui`, `auipc`.";
+    J = Perm(21, &[(21, 10, 1), (20, 1, 11), (12, 8, 12), (31, 1, 20)]) => "`imm[20|10:1|11|19:12]`: `jal`.";
+    SHAMT6 = Perm(0, &[(20, 6, 0)])                                   => "`shamt[5:0]`: the RV64 shifts.";
+    SHAMT5 = Perm(0, &[(20, 5, 0)])                                   => "`shamt[4:0]`: the `*w` shifts.";
+    IMM5 = Perm(5, &[(15, 5, 0)])                                     => "`simm5` of the `OP-V` `.vi` forms.";
 }
 
-/// Whether `value` fits in an unsigned `bits`-bit field.
-#[inline]
-pub fn fits_unsigned(value: i64, bits: u32) -> bool {
-    value >= 0 && value < (1i64 << bits)
-}
+impl Perm {
+    /// The immediate `word` carries.
+    #[inline(always)]
+    pub(crate) fn gather(self, word: u32) -> i32 {
+        let Perm(sext_from, runs) = self;
+        let mut imm = 0;
+        for &(lo, len, at) in runs {
+            imm |= field(word, lo, len) << at;
+        }
+        if sext_from == 0 {
+            imm as i32
+        } else {
+            sext(imm, sext_from)
+        }
+    }
 
-/// Packs a 12-bit I-type immediate into bits [20, 32).
-#[inline]
-pub fn itype_imm(imm: i32) -> u32 {
-    ((imm as u32) & 0xfff) << 20
-}
+    /// The word bits that carry `imm`, dropping whatever bits of it the
+    /// permutation has no place for.
+    #[inline(always)]
+    pub(crate) fn scatter(self, imm: i32) -> u32 {
+        let mut word = 0;
+        for &(lo, len, at) in self.1 {
+            word |= field(imm as u32, at, len) << lo;
+        }
+        word
+    }
 
-/// Unpacks a 12-bit I-type immediate.
-#[inline]
-pub fn itype_imm_of(word: u32) -> i32 {
-    sext(field(word, 20, 12), 12)
-}
-
-/// Packs a 12-bit S-type immediate (split across bits [7,12) and [25,32)).
-#[inline]
-pub fn stype_imm(imm: i32) -> u32 {
-    let u = imm as u32;
-    (field(u, 0, 5) << 7) | (field(u, 5, 7) << 25)
-}
-
-/// Unpacks a 12-bit S-type immediate.
-#[inline]
-pub fn stype_imm_of(word: u32) -> i32 {
-    sext(field(word, 7, 5) | (field(word, 25, 7) << 5), 12)
-}
-
-/// Packs a 13-bit B-type immediate (byte offset, bit 0 implicit zero).
-#[inline]
-pub fn btype_imm(offset: i32) -> u32 {
-    let u = offset as u32;
-    (field(u, 11, 1) << 7)
-        | (field(u, 1, 4) << 8)
-        | (field(u, 5, 6) << 25)
-        | (field(u, 12, 1) << 31)
-}
-
-/// Unpacks a 13-bit B-type immediate.
-#[inline]
-pub fn btype_imm_of(word: u32) -> i32 {
-    let v = (field(word, 8, 4) << 1)
-        | (field(word, 25, 6) << 5)
-        | (field(word, 7, 1) << 11)
-        | (field(word, 31, 1) << 12);
-    sext(v, 13)
-}
-
-/// Packs a 21-bit J-type immediate (byte offset, bit 0 implicit zero).
-#[inline]
-pub fn jtype_imm(offset: i32) -> u32 {
-    let u = offset as u32;
-    (field(u, 12, 8) << 12)
-        | (field(u, 11, 1) << 20)
-        | (field(u, 1, 10) << 21)
-        | (field(u, 20, 1) << 31)
-}
-
-/// Unpacks a 21-bit J-type immediate.
-#[inline]
-pub fn jtype_imm_of(word: u32) -> i32 {
-    let v = (field(word, 21, 10) << 1)
-        | (field(word, 20, 1) << 11)
-        | (field(word, 12, 8) << 12)
-        | (field(word, 31, 1) << 20);
-    sext(v, 21)
-}
-
-/// Packs a 20-bit U-type immediate field into bits [12, 32).
-#[inline]
-pub fn utype_imm(imm20: i32) -> u32 {
-    ((imm20 as u32) & 0xfffff) << 12
-}
-
-/// Unpacks a 20-bit U-type immediate field (the raw field, not shifted).
-#[inline]
-pub fn utype_imm_of(word: u32) -> i32 {
-    sext(field(word, 12, 20), 20)
+    /// Why `imm` does not encode, given that it does not gather back: bits
+    /// below the permutation's lowest run make it misaligned, anything
+    /// else is out of range.
+    pub(crate) fn refusal(self, imm: i32, what: &'static str) -> EncodeError {
+        let lowest = self.1.iter().map(|&(_, _, at)| at).min().unwrap_or(0);
+        let value = imm as i64;
+        if imm & ((1 << lowest) - 1) != 0 {
+            EncodeError::MisalignedOffset { what, value }
+        } else {
+            EncodeError::ImmOutOfRange { what, value }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -120,49 +104,47 @@ mod tests {
         assert_eq!(sext(0, 12), 0);
     }
 
-    #[test]
-    fn fits_bounds() {
-        assert!(fits_signed(2047, 12));
-        assert!(!fits_signed(2048, 12));
-        assert!(fits_signed(-2048, 12));
-        assert!(!fits_signed(-2049, 12));
-        assert!(fits_unsigned(4095, 12));
-        assert!(!fits_unsigned(4096, 12));
-        assert!(!fits_unsigned(-1, 12));
+    fn roundtrip(perm: Perm, values: &[i32]) {
+        for &imm in values {
+            assert_eq!(perm.gather(perm.scatter(imm)), imm, "{perm:?} {imm}");
+        }
     }
 
     #[test]
     fn itype_roundtrip() {
-        for imm in [-2048, -1, 0, 1, 2047] {
-            assert_eq!(itype_imm_of(itype_imm(imm)), imm);
-        }
+        roundtrip(I, &[-2048, -1, 0, 1, 2047]);
+        assert_eq!(I.scatter(-1), 0xfff0_0000);
     }
 
     #[test]
     fn stype_roundtrip() {
-        for imm in [-2048, -7, 0, 5, 2047] {
-            assert_eq!(stype_imm_of(stype_imm(imm)), imm);
-        }
+        roundtrip(S, &[-2048, -7, 0, 5, 2047]);
+        assert_eq!(S.scatter(0x7e5), 0x3f << 25 | 0b00101 << 7);
     }
 
     #[test]
     fn btype_roundtrip() {
-        for off in [-4096, -2, 0, 2, 4094] {
-            assert_eq!(btype_imm_of(btype_imm(off)), off);
-        }
+        roundtrip(B, &[-4096, -2, 0, 2, 4094]);
+        assert_eq!(B.scatter(0x800), 1 << 7);
+        assert!(matches!(
+            B.refusal(3, "b"),
+            EncodeError::MisalignedOffset { value: 3, .. }
+        ));
     }
 
     #[test]
     fn jtype_roundtrip() {
-        for off in [-(1 << 20), -2, 0, 2, (1 << 20) - 2] {
-            assert_eq!(jtype_imm_of(jtype_imm(off)), off);
-        }
+        roundtrip(J, &[-(1 << 20), -2, 0, 2, (1 << 20) - 2]);
+        assert_eq!(J.scatter(0x800), 1 << 20);
+        assert!(matches!(
+            J.refusal(1 << 20, "j"),
+            EncodeError::ImmOutOfRange { .. }
+        ));
     }
 
     #[test]
     fn utype_roundtrip() {
-        for imm in [-(1 << 19), -1, 0, 1, (1 << 19) - 1] {
-            assert_eq!(utype_imm_of(utype_imm(imm)), imm);
-        }
+        roundtrip(U, &[-(1 << 19), -1, 0, 1, (1 << 19) - 1]);
+        assert_eq!(U.scatter(1), 1 << 12);
     }
 }

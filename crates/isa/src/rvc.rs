@@ -12,8 +12,9 @@
 //!   `rs2 = 0`, a fixed `rd`, a whole word).
 //! * A `Slot` is a register operand field — five bits, or the three-bit
 //!   `x8..x15` window — together with the registers the form excludes there.
-//! * The immediate is a `Perm`: where each run of immediate bits sits in
-//!   the halfword, and the width it is sign-extended from. An `ImmHole`
+//! * The immediate is a `Perm` — the codec the 32-bit table uses too, in
+//!   [`bits`](crate::bits): where each run of immediate bits sits in the
+//!   halfword, and the width it is sign-extended from. An `ImmHole`
 //!   excludes zero where the form does.
 //! * The expansion is the canonical [`Inst`] the form stands for: a
 //!   `Form` (constructor and kind) and, per register operand of that
@@ -34,7 +35,7 @@
 //! `match` whose guarded arms are the rows, each a constant its arm's
 //! helpers fold to the shifts and masks a hand-written arm would hold.
 
-use crate::bits::{field, sext};
+use crate::bits::{consts, field, Perm};
 use crate::decode::DecodeError;
 use crate::inst::Inst;
 use crate::kinds::BranchKind::{Beq, Bne};
@@ -47,14 +48,6 @@ use crate::reg::XReg;
 use Form::*;
 use ImmHole::*;
 use Src::*;
-
-/// Documented constants of one type, one per row — `NAME = value => "doc";`
-/// — so that a permutation reads as one line beside the spec's name for it.
-macro_rules! consts {
-    ($T:ty: $($name:ident = $value:expr => $doc:literal;)+) => {
-        $(#[doc = $doc] const $name: $T = $value;)+
-    };
-}
 
 /// A register operand field of a compressed form: its lowest bit; its width
 /// (5 for a full register number, 3 for the `x8..x15` window, 0 when the
@@ -101,12 +94,6 @@ impl Slot {
     }
 }
 
-/// An immediate permutation: the width the immediate is sign-extended from
-/// (0 for zero-extended), and `(halfword lo bit, width, immediate lo bit)`
-/// per run of bits.
-#[derive(Debug, Clone, Copy)]
-struct Perm(u32, &'static [(u32, u32, u32)]);
-
 // Each beside the spec's name for the bits, high to low in the halfword.
 consts! { Perm:
     NO_IMM   = Perm(0, &[])                                                        => "Gathers 0, so only an expansion immediate of 0 encodes.";
@@ -122,34 +109,6 @@ consts! { Perm:
     LDSP     = Perm(0, &[(5, 2, 3), (12, 1, 5), (2, 3, 6)])                        => "`uimm[5]`, `uimm[4:3|8:6]` of `c.ldsp`.";
     SWSP     = Perm(0, &[(9, 4, 2), (7, 2, 6)])                                    => "`uimm[5:2|7:6]` of `c.swsp`.";
     SDSP     = Perm(0, &[(10, 3, 3), (7, 3, 6)])                                   => "`uimm[5:3|8:6]` of `c.sdsp`.";
-}
-
-impl Perm {
-    /// The immediate `word` carries.
-    #[inline(always)]
-    fn gather(self, word: u16) -> i32 {
-        let Perm(sext_from, runs) = self;
-        let mut imm = 0;
-        for &(lo, len, at) in runs {
-            imm |= field(word as u32, lo, len) << at;
-        }
-        if sext_from == 0 {
-            imm as i32
-        } else {
-            sext(imm, sext_from)
-        }
-    }
-
-    /// The halfword bits that carry `imm`, dropping whatever bits of it the
-    /// permutation has no place for.
-    #[inline(always)]
-    fn scatter(self, imm: i32) -> u16 {
-        let mut word = 0;
-        for &(lo, len, at) in self.1 {
-            word |= field(imm as u32, at, len) << lo;
-        }
-        word as u16
-    }
 }
 
 /// Which immediates a form excludes beyond what its permutation cannot hold.
@@ -248,7 +207,7 @@ impl Row {
             return None;
         }
         let (a, b) = (self.a.read(word)?, self.b.read(word)?);
-        let imm = self.imm.gather(word);
+        let imm = self.imm.gather(word as u32);
         if imm == 0 && self.hole == NonZero {
             return None;
         }
@@ -283,8 +242,8 @@ impl Row {
         }
         let ((quadrant, funct3), (_, bits)) = (self.group, self.fixed);
         let fixed = funct3 << 13 | quadrant | bits;
-        let word = fixed | self.a.place(a)? | self.b.place(b)? | self.imm.scatter(imm);
-        (self.imm.gather(word) == imm).then_some(word)
+        let word = fixed | self.a.place(a)? | self.b.place(b)? | self.imm.scatter(imm) as u16;
+        (self.imm.gather(word as u32) == imm).then_some(word)
     }
 }
 
