@@ -21,8 +21,8 @@
 //! valid code labels, and every SMC store patches a dedicated slot with
 //! a valid `addi` encoding.
 
-use chimera_isa::prng::Prng;
-use chimera_obj::{assemble, AsmOptions, Binary, Section};
+use chimera_isa::{encode, prng::Prng, XReg};
+use chimera_obj::{addi, assemble, AsmOptions, Binary, Section};
 
 /// The generator version a reproducer file records. Bump on any change
 /// that alters the program a given `(seed, keep)` pair produces.
@@ -390,11 +390,6 @@ pub fn generate(seed: u64) -> FuzzCase {
     }
 }
 
-/// RV64I `addi rd, rs1, imm` encoding (the SMC patch payload).
-pub fn encode_addi(rd: u32, rs1: u32, imm: i32) -> u32 {
-    ((imm as u32 & 0xfff) << 20) | (rs1 << 15) | (rd << 7) | 0x13
-}
-
 impl FuzzCase {
     /// Whether any kept op has the given class.
     pub fn has_class(&self, class: OpClass) -> bool {
@@ -538,7 +533,8 @@ impl FuzzCase {
                     // The slot executes, then this iteration patches it;
                     // the *next* iteration runs the patched encoding —
                     // the decode cache must observe the invalidation.
-                    let word = encode_addi(21, 21, *imm as i32); // s5 = x21
+                    let patch = addi(XReg::S5, XReg::S5, *imm as i32);
+                    let word = encode(&patch).expect("the patch immediate fits addi");
                     text.push_str(&format!("patch{uid}:\n    addi s5, s5, 64\n"));
                     text.push_str(&format!("    la t3, patch{uid}\n"));
                     text.push_str(&format!("    li t4, {word}\n"));

@@ -34,6 +34,7 @@
 
 use crate::chbp::{RewriteError, ILLEGAL_HALFWORD};
 use crate::engine::{Entry, Placement};
+use chimera_isa::bits::sext;
 use chimera_isa::{decode, decode_compressed, encode, Inst, XReg};
 use std::sync::OnceLock;
 
@@ -186,7 +187,7 @@ pub fn encode_smile(
         // pair (hi20, lo12) with tramp + (hi20 << 12) + lo12 == target.
         let mut found = None;
         for &lo_field in valid_p3_lo12() {
-            let lo = sign_extend_12(lo_field);
+            let lo = sext(lo_field as u32, 12);
             let rem = offset - lo as i64;
             if rem % 4096 != 0 {
                 continue;
@@ -234,10 +235,6 @@ fn p2_ok(hi20: i32) -> bool {
     (hi20 >> 4) & 0x1f == 0x1f
 }
 
-fn sign_extend_12(v: u16) -> i32 {
-    ((v as i32) << 20) >> 20
-}
-
 /// The smallest target address `>= min_target` reachable from a trampoline
 /// at `tramp_addr` under `constraints`. The target-section allocator uses
 /// this to place blocks at constraint-satisfying addresses.
@@ -255,7 +252,10 @@ pub fn next_reachable_target(
 ) -> Option<u64> {
     // The sorted lo12 candidates (sign-extended byte offsets).
     let lo_values: Vec<i32> = if constraints.p3 {
-        let mut v: Vec<i32> = valid_p3_lo12().iter().map(|&f| sign_extend_12(f)).collect();
+        let mut v: Vec<i32> = valid_p3_lo12()
+            .iter()
+            .map(|&f| sext(f as u32, 12))
+            .collect();
         v.sort_unstable();
         v
     } else {
@@ -516,7 +516,7 @@ mod tests {
 /// dereferenced it) — so the jump lands in non-executable memory: the same
 /// deterministic segmentation fault as the `gp` form.
 pub mod general_reg {
-    use super::{sign_extend_12, SmileError};
+    use super::SmileError;
     use chimera_isa::{decode, encode, Inst, XReg};
 
     /// An encoded general-register SMILE trampoline.
@@ -588,10 +588,7 @@ pub mod general_reg {
     pub fn verify_general(s: &GeneralSmile) -> Result<(), SmileError> {
         let d = decode(s.jalr).map_err(|_| SmileError::VerificationFailed { offset: 4 })?;
         match d.inst {
-            Inst::Jalr { rd, rs1, offset } if rd == s.reg && rs1 == s.reg => {
-                let _ = sign_extend_12(offset as u16 & 0xfff);
-                Ok(())
-            }
+            Inst::Jalr { rd, rs1, .. } if rd == s.reg && rs1 == s.reg => Ok(()),
             _ => Err(SmileError::VerificationFailed { offset: 4 }),
         }
     }
