@@ -497,176 +497,3 @@ mod tests {
         }
     }
 }
-
-/// The Figure-5 SMILE variant for ISAs/ABIs without a `gp`-like register:
-/// a general register already holding a *data pointer* pivots the jump.
-///
-/// The construction replaces a static memory-access pair
-///
-/// ```text
-///     lui  rX, %hi(target)      # rX = data address (upper bits)
-///     lw   rY, %lo(target)(rX)  # load through rX
-/// ```
-///
-/// with `auipc rX, hi; jalr rX, lo(rX)`. In a normal execution the pair is
-/// re-materialized inside the target block, so `rX`/`rY` end up with their
-/// original values. An erroneous jump onto the `jalr` executes it with the
-/// *unmodified* `rX` — which, on every path that could legally reach the
-/// original `lw`, holds a data-segment address (the original instruction
-/// dereferenced it) — so the jump lands in non-executable memory: the same
-/// deterministic segmentation fault as the `gp` form.
-pub mod general_reg {
-    use super::SmileError;
-    use chimera_isa::{decode, encode, Inst, XReg};
-
-    /// An encoded general-register SMILE trampoline.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct GeneralSmile {
-        /// `auipc rX, hi20`.
-        pub auipc: u32,
-        /// `jalr rX, lo12(rX)`.
-        pub jalr: u32,
-        /// The pivot register.
-        pub reg: XReg,
-    }
-
-    impl GeneralSmile {
-        /// The 8 trampoline bytes.
-        pub fn bytes(&self) -> [u8; 8] {
-            let mut out = [0u8; 8];
-            out[..4].copy_from_slice(&self.auipc.to_le_bytes());
-            out[4..].copy_from_slice(&self.jalr.to_le_bytes());
-            out
-        }
-    }
-
-    /// Recognizes the replaceable pair at `addr`: `lui rX, hi` followed by
-    /// a load through `rX`. Returns the pivot register.
-    pub fn recognize_pair(first: &Inst, second: &Inst) -> Option<XReg> {
-        let Inst::Lui { rd, .. } = *first else {
-            return None;
-        };
-        match *second {
-            Inst::Load { rs1, .. } if rs1 == rd => Some(rd),
-            Inst::FLoad { rs1, .. } if rs1 == rd => Some(rd),
-            _ => None,
-        }
-    }
-
-    /// Builds the trampoline at `tramp_addr` jumping to `target` through
-    /// `reg`.
-    pub fn encode_general_smile(
-        tramp_addr: u64,
-        target: u64,
-        reg: XReg,
-    ) -> Result<GeneralSmile, SmileError> {
-        let offset = target.wrapping_sub(tramp_addr) as i64;
-        let hi = (offset + 0x800) >> 12;
-        let lo = (offset - (hi << 12)) as i32;
-        if !(-(1i64 << 19)..(1 << 19)).contains(&hi) {
-            return Err(SmileError::Unreachable { target });
-        }
-        let auipc = encode(&Inst::Auipc {
-            rd: reg,
-            imm20: hi as i32,
-        })
-        .map_err(|_| SmileError::Unreachable { target })?;
-        let jalr = encode(&Inst::Jalr {
-            rd: reg,
-            rs1: reg,
-            offset: lo,
-        })
-        .expect("lo12 in range");
-        let s = GeneralSmile { auipc, jalr, reg };
-        verify_general(&s)?;
-        Ok(s)
-    }
-
-    /// Verifies the P1 property: the second instruction is a `jalr`
-    /// pivoting on the same register it links (so the fault handler can
-    /// recover the fault address as `reg - 4`, like the gp form).
-    pub fn verify_general(s: &GeneralSmile) -> Result<(), SmileError> {
-        let d = decode(s.jalr).map_err(|_| SmileError::VerificationFailed { offset: 4 })?;
-        match d.inst {
-            Inst::Jalr { rd, rs1, .. } if rd == s.reg && rs1 == s.reg => Ok(()),
-            _ => Err(SmileError::VerificationFailed { offset: 4 }),
-        }
-    }
-}
-
-#[cfg(test)]
-mod general_reg_tests {
-    use super::general_reg::*;
-    use chimera_isa::{ExtSet, Inst, XReg};
-    use chimera_obj::{assemble, AsmOptions};
-
-    #[test]
-    fn pair_recognition() {
-        let lui = Inst::Lui {
-            rd: XReg::A0,
-            imm20: 0x20,
-        };
-        let lw = Inst::Load {
-            kind: chimera_isa::LoadKind::Lw,
-            rd: XReg::A1,
-            rs1: XReg::A0,
-            offset: 0x10,
-        };
-        assert_eq!(recognize_pair(&lui, &lw), Some(XReg::A0));
-        // Load through a different register: not a pair.
-        let other = Inst::Load {
-            kind: chimera_isa::LoadKind::Lw,
-            rd: XReg::A1,
-            rs1: XReg::A2,
-            offset: 0,
-        };
-        assert_eq!(recognize_pair(&lui, &other), None);
-    }
-
-    #[test]
-    fn partial_execution_faults_through_data_pointer() {
-        // Build a program where a lui/lw pair is replaced by a
-        // general-register SMILE; an erroneous jump onto the jalr with the
-        // register holding a data address must raise a fetch fault.
-        let bin = assemble(
-            "
-            .data
-            value: .dword 77
-            .text
-            _start:
-                lui a0, 0x20         # will be patched: data-high materialize
-                lw a1, 0(a0)         # will be patched
-                li a7, 93
-                ecall
-            ",
-            AsmOptions::default(),
-        )
-        .unwrap();
-        let mut patched = bin.clone();
-        let data = bin.section(".data").unwrap().addr;
-        // Pretend the target block lives right after text (content
-        // irrelevant for this fault test).
-        let target = bin.section(".text").unwrap().end();
-        let s = encode_general_smile(bin.entry, target, XReg::A0).unwrap();
-        assert!(patched.write(bin.entry, &s.bytes()));
-
-        // Erroneous jump to the jalr with a0 = data pointer (as any path
-        // reaching the original lw would have).
-        let (mut cpu, mut mem) = chimera_emu::boot(&patched, ExtSet::RV64GCV);
-        cpu.hart.pc = bin.entry + 4;
-        cpu.hart.set_x(XReg::A0, data);
-        // The jalr itself retires; the *fetch* at the data-segment target
-        // is what faults (exactly like the gp form).
-        cpu.step(&mut mem).expect("the jalr executes");
-        let err = cpu.step(&mut mem).unwrap_err();
-        match err {
-            chimera_emu::Trap::Mem { fault, .. } => {
-                assert_eq!(fault.access, chimera_emu::Access::Fetch);
-                assert!(fault.mapped, "lands in the mapped data segment");
-                // Fault address recoverable: a0 - 4 = the jalr's address + 4 - 4.
-                assert_eq!(cpu.hart.get_x(XReg::A0), bin.entry + 8);
-            }
-            other => panic!("expected fetch fault, got {other:?}"),
-        }
-    }
-}
