@@ -15,7 +15,6 @@
 use crate::kinds::*;
 use crate::reg::{FReg, RegSet, VReg, XReg};
 use crate::{Ext, ExtSet};
-use core::fmt;
 
 /// Floating-point operand width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -626,186 +625,6 @@ impl Inst {
             }
             _ => None,
         }
-    }
-}
-
-impl fmt::Display for Inst {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Inst::Lui { rd, imm20 } => write!(f, "lui {rd}, {imm20:#x}"),
-            Inst::Auipc { rd, imm20 } => write!(f, "auipc {rd}, {imm20:#x}"),
-            Inst::Jal { rd, offset } => write!(f, "jal {rd}, {offset}"),
-            Inst::Jalr { rd, rs1, offset } => write!(f, "jalr {rd}, {offset}({rs1})"),
-            Inst::Branch {
-                kind,
-                rs1,
-                rs2,
-                offset,
-            } => write!(f, "{} {rs1}, {rs2}, {offset}", kind.mnemonic()),
-            Inst::Load {
-                kind,
-                rd,
-                rs1,
-                offset,
-            } => write!(f, "{} {rd}, {offset}({rs1})", kind.mnemonic()),
-            Inst::Store {
-                kind,
-                rs1,
-                rs2,
-                offset,
-            } => write!(f, "{} {rs2}, {offset}({rs1})", kind.mnemonic()),
-            Inst::OpImm { kind, rd, rs1, imm } => {
-                write!(f, "{} {rd}, {rs1}, {imm}", kind.mnemonic())
-            }
-            Inst::Op { kind, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", kind.mnemonic())
-            }
-            Inst::Unary { kind, rd, rs1 } => write!(f, "{} {rd}, {rs1}", kind.mnemonic()),
-            Inst::Fence => write!(f, "fence"),
-            Inst::Ecall => write!(f, "ecall"),
-            Inst::Ebreak => write!(f, "ebreak"),
-            Inst::FLoad {
-                width,
-                frd,
-                rs1,
-                offset,
-            } => write!(f, "fl{} {frd}, {offset}({rs1})", width_letter(width)),
-            Inst::FStore {
-                width,
-                frs2,
-                rs1,
-                offset,
-            } => write!(f, "fs{} {frs2}, {offset}({rs1})", width_letter(width)),
-            Inst::FOp {
-                kind,
-                width,
-                frd,
-                frs1,
-                frs2,
-            } => write!(
-                f,
-                "{}.{} {frd}, {frs1}, {frs2}",
-                kind.stem(),
-                width.suffix()
-            ),
-            Inst::FCmp {
-                kind,
-                width,
-                rd,
-                frs1,
-                frs2,
-            } => write!(f, "{}.{} {rd}, {frs1}, {frs2}", kind.stem(), width.suffix()),
-            Inst::FMvToX { width, rd, frs1 } => {
-                let w = match width {
-                    FpWidth::S => 'w',
-                    FpWidth::D => 'd',
-                };
-                write!(f, "fmv.x.{w} {rd}, {frs1}")
-            }
-            Inst::FMvToF { width, frd, rs1 } => {
-                let w = match width {
-                    FpWidth::S => 'w',
-                    FpWidth::D => 'd',
-                };
-                write!(f, "fmv.{w}.x {frd}, {rs1}")
-            }
-            Inst::FCvtToF {
-                width,
-                from,
-                signed,
-                frd,
-                rs1,
-            } => {
-                let i = int_suffix(from, signed);
-                write!(f, "fcvt.{}.{i} {frd}, {rs1}", width.suffix())
-            }
-            Inst::FCvtToInt {
-                width,
-                to,
-                signed,
-                rd,
-                frs1,
-            } => {
-                let i = int_suffix(to, signed);
-                write!(f, "fcvt.{i}.{} {rd}, {frs1}", width.suffix())
-            }
-            Inst::FCvtFF { to, frd, frs1 } => {
-                let from = match to {
-                    FpWidth::S => 'd',
-                    FpWidth::D => 's',
-                };
-                write!(f, "fcvt.{}.{from} {frd}, {frs1}", to.suffix())
-            }
-            Inst::FMa {
-                kind,
-                width,
-                frd,
-                frs1,
-                frs2,
-                frs3,
-            } => write!(
-                f,
-                "{}.{} {frd}, {frs1}, {frs2}, {frs3}",
-                kind.stem(),
-                width.suffix()
-            ),
-            Inst::Vsetvli { rd, rs1, vtype } => {
-                let sew = vtype.sew.bits();
-                write!(
-                    f,
-                    "vsetvli {rd}, {rs1}, e{sew}, m{}, {}, {}",
-                    vtype.lmul,
-                    if vtype.ta { "ta" } else { "tu" },
-                    if vtype.ma { "ma" } else { "mu" },
-                )
-            }
-            Inst::VLoad { eew, vd, rs1 } => write!(f, "vle{}.v {vd}, ({rs1})", eew.bits()),
-            Inst::VStore { eew, vs3, rs1 } => write!(f, "vse{}.v {vs3}, ({rs1})", eew.bits()),
-            Inst::VArith { op, vd, vs2, src } => match src {
-                VSrc::V(vs1) => {
-                    if op.is_reduction() {
-                        write!(f, "{}.vs {vd}, {vs2}, {vs1}", op.stem())
-                    } else if op == VArithOp::Vmv {
-                        write!(f, "vmv.v.v {vd}, {vs1}")
-                    } else {
-                        write!(f, "{}.vv {vd}, {vs2}, {vs1}", op.stem())
-                    }
-                }
-                VSrc::X(rs1) => {
-                    if op == VArithOp::Vmv {
-                        write!(f, "vmv.v.x {vd}, {rs1}")
-                    } else {
-                        write!(f, "{}.vx {vd}, {vs2}, {rs1}", op.stem())
-                    }
-                }
-                VSrc::F(frs1) => write!(f, "{}.vf {vd}, {vs2}, {frs1}", op.stem()),
-                VSrc::I(imm) => {
-                    if op == VArithOp::Vmv {
-                        write!(f, "vmv.v.i {vd}, {imm}")
-                    } else {
-                        write!(f, "{}.vi {vd}, {vs2}, {imm}", op.stem())
-                    }
-                }
-            },
-            Inst::VMvXS { rd, vs2 } => write!(f, "vmv.x.s {rd}, {vs2}"),
-            Inst::VMvSX { vd, rs1 } => write!(f, "vmv.s.x {vd}, {rs1}"),
-        }
-    }
-}
-
-fn width_letter(w: FpWidth) -> char {
-    match w {
-        FpWidth::S => 'w',
-        FpWidth::D => 'd',
-    }
-}
-
-fn int_suffix(w: IntWidth, signed: bool) -> &'static str {
-    match (w, signed) {
-        (IntWidth::W, true) => "w",
-        (IntWidth::W, false) => "wu",
-        (IntWidth::L, true) => "l",
-        (IntWidth::L, false) => "lu",
     }
 }
 

@@ -12,8 +12,9 @@
 //! `from_encoding()` — a `match` on the rows' constant patterns, the same
 //! jump table a hand-written decoder compiles to — plus one function per
 //! column the family declares (`ext()`, `size()`, `cost_class()`, `eval()`,
-//! …). The encoder, the decoder, `Display`, the text assembler, the cost
-//! model and all emulator tiers read these functions and nothing else, so
+//! …). The 32-bit shape table (the encoder and the decoder), the syntax
+//! table (`Display` and `parse`), the cost model and all emulator tiers
+//! read these functions and nothing else, so
 //! the lists agree by construction: adding an integer ALU instruction is
 //! one row here (plus a downgrade template in the rewriter if it belongs
 //! to an extension a base core lacks). Two rows with the same encoding are

@@ -33,10 +33,10 @@
 //! the scalar row that computes one of its elements ([`Element`]). From the
 //! rows come `Kind::ALL`, `mnemonic()` / `from_mnemonic()` (`stem()` /
 //! `from_stem()`), `encoding()` / `from_encoding()` and `eval()`;
-//! [`encode`], [`decode`], `Display`, the text assembler, the emulator's
-//! cost model and every execution tier — and the rewriter's vector
-//! templates and vectorizer — read those and keep no list of their own, so
-//! they agree by construction. What stays hand-written, and why: the
+//! [`encode`], [`decode`], `Display` and [`parse`], the emulator's cost
+//! model and every execution tier — and the rewriter's vector templates
+//! and vectorizer — read those and keep no list of their own, so they
+//! agree by construction. What stays hand-written, and why: the
 //! [`Inst`] operand shapes and `uses_x` / `def_x` (one arm per *shape*, not
 //! per kind), and execution, which needs hart state (register files,
 //! `vl` / `vtype` and memory live in `chimera-emu`).
@@ -62,6 +62,17 @@
 //! and which instructions fit two bytes (what the module builder lays out)
 //! cannot disagree.
 //!
+//! ## One spelling per 32-bit shape
+//!
+//! How each [`Inst`] constructor is written in assembly is one more table,
+//! in `src/syntax.rs`: a row gives the mnemonic as parts (literal text, the
+//! kind's name, a width or form suffix) and the operands as typed slots (a
+//! register, an immediate, `offset(rs1)`, `(rs1)`, a `vtype`). `Display`
+//! and [`parse`] are generated from it; `parse` finds a row with one lookup
+//! of the whole mnemonic and refuses a value wider than its field
+//! ([`parse_int`]) instead of truncating it. Register names are read in
+//! `src/reg.rs`, beside the names they print.
+//!
 //! `tests/decode_space.rs` pins `decode`, `encode` and `Display` over the
 //! whole 32-bit and 16-bit spaces, and what `encode` and
 //! `encode_compressed` accept and refuse over every instruction near a
@@ -80,6 +91,7 @@ pub mod prng;
 mod reg;
 pub mod rvc;
 mod shapes;
+mod syntax;
 
 pub use decode::{decode, decode_compressed, encoded_len, DecodeError, Decoded};
 pub use encode::{encode, encode_compressed, EncodeError};
@@ -87,6 +99,7 @@ pub use ext::{Ext, ExtSet};
 pub use inst::*;
 pub use kinds::*;
 pub use reg::{FReg, RegSet, VReg, XReg};
+pub use syntax::{mnemonics, parse, parse_int, SyntaxError};
 
 /// The vector register width in bits our machine model uses (matching the
 /// SpacemiT K1 in the paper's testbed).

@@ -8,6 +8,27 @@
 
 use core::fmt;
 
+const X_NAMES: [&str; 32] = [
+    "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
+    "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
+    "t5", "t6",
+];
+
+const F_NAMES: [&str; 32] = [
+    "ft0", "ft1", "ft2", "ft3", "ft4", "ft5", "ft6", "ft7", "fs0", "fs1", "fa0", "fa1", "fa2",
+    "fa3", "fa4", "fa5", "fa6", "fa7", "fs2", "fs3", "fs4", "fs5", "fs6", "fs7", "fs8", "fs9",
+    "fs10", "fs11", "ft8", "ft9", "ft10", "ft11",
+];
+
+/// The index `name` gives a register: its position in `names`, or the
+/// number after `prefix`.
+fn from_name(names: &[&str], prefix: char, name: &str) -> Option<u8> {
+    match names.iter().position(|&n| n == name) {
+        Some(i) => Some(i as u8),
+        None => name.strip_prefix(prefix)?.parse().ok().filter(|&i| i < 32),
+    }
+}
+
 /// An integer (`x`) register, `x0`..`x31`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct XReg(u8);
@@ -120,12 +141,16 @@ impl XReg {
 
     /// The psABI name of the register (e.g. `a0`, `gp`).
     pub const fn abi_name(self) -> &'static str {
-        const NAMES: [&str; 32] = [
-            "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3",
-            "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
-            "t3", "t4", "t5", "t6",
-        ];
-        NAMES[self.0 as usize]
+        X_NAMES[self.0 as usize]
+    }
+
+    /// The register an assembler names: its psABI name, `x0`..`x31`, or
+    /// `fp` (`s0`).
+    pub fn from_name(name: &str) -> Option<XReg> {
+        match name {
+            "fp" => Some(XReg::S0),
+            _ => from_name(&X_NAMES, 'x', name).map(XReg),
+        }
     }
 
     /// All 32 integer registers in index order.
@@ -226,12 +251,12 @@ impl FReg {
 
     /// The psABI name of the register (e.g. `fa0`, `ft3`).
     pub const fn abi_name(self) -> &'static str {
-        const NAMES: [&str; 32] = [
-            "ft0", "ft1", "ft2", "ft3", "ft4", "ft5", "ft6", "ft7", "fs0", "fs1", "fa0", "fa1",
-            "fa2", "fa3", "fa4", "fa5", "fa6", "fa7", "fs2", "fs3", "fs4", "fs5", "fs6", "fs7",
-            "fs8", "fs9", "fs10", "fs11", "ft8", "ft9", "ft10", "ft11",
-        ];
-        NAMES[self.0 as usize]
+        F_NAMES[self.0 as usize]
+    }
+
+    /// The register an assembler names: its psABI name or `f0`..`f31`.
+    pub fn from_name(name: &str) -> Option<FReg> {
+        from_name(&F_NAMES, 'f', name).map(FReg)
     }
 
     /// All 32 floating-point registers in index order.
@@ -276,6 +301,11 @@ impl VReg {
     /// The register's numeric index (0..=31).
     pub const fn index(self) -> u8 {
         self.0
+    }
+
+    /// The register an assembler names: `v0`..`v31`.
+    pub fn from_name(name: &str) -> Option<VReg> {
+        from_name(&[], 'v', name).map(VReg)
     }
 
     /// All 32 vector registers in index order.

@@ -25,8 +25,8 @@ macro_rules! assert_bijective {
 
 #[test]
 fn every_family_is_a_bijection_and_names_are_unique_across_families() {
-    // The assembler tries the families one after another, so a name may
-    // belong to one family only.
+    // The syntax table maps each printed name to one instruction, so a
+    // name may belong to one family only.
     let mnemonics = [
         assert_bijective!(BranchKind, mnemonic, from_mnemonic),
         assert_bijective!(LoadKind, mnemonic, from_mnemonic),
