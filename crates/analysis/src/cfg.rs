@@ -1,9 +1,16 @@
-//! Basic blocks and the control-flow graph over a [`Disassembly`].
+//! Basic blocks and the control-flow graph over a [`Disassembly`], and
+//! the two rules every analysis shares: where control goes after one
+//! instruction ([`successors`]) and where a basic block starts
+//! ([`Disassembly::starts_block`]).
 //!
-//! Successor edges are *known* edges only: an indirect jump (`jalr`)
-//! contributes no successors and is flagged on the block, so downstream
-//! analyses (liveness) can be conservative there — the same conservatism
-//! that limits traditional dead-register search (§4.2, Challenge 2).
+//! A successor edge is either *known* — to a recognized instruction, which
+//! then starts a block — or it makes the block's successor set unknown: an
+//! indirect jump (`jalr`), an `ebreak`, and any direct or fallthrough
+//! successor the disassembler did not recognize. Downstream analyses
+//! (liveness) are conservative there — the same conservatism that limits
+//! traditional dead-register search (§4.2, Challenge 2). Code the
+//! disassembler could not decode is what the kernel rewrites lazily and
+//! runs later, so no edge into it is ever dropped.
 
 use crate::disasm::{DisasmInst, Disassembly, InstTable};
 use chimera_isa::{Inst, XReg};
@@ -12,7 +19,8 @@ use std::ops::Range;
 /// How a basic block ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Terminator {
-    /// Falls through to the next block.
+    /// Falls through to the next address (an `ecall` included), whether
+    /// or not an instruction is recognized there.
     Fallthrough,
     /// Conditional branch: taken target + fallthrough.
     Branch,
@@ -28,8 +36,16 @@ pub enum Terminator {
         /// fallthrough).
         is_call: bool,
     },
-    /// `ecall` / `ebreak` / end of recognized code.
+    /// `ebreak`: control does not continue in this code.
     Stop,
+}
+
+impl Terminator {
+    /// Whether control can go somewhere the successor addresses do not
+    /// name (an indirect jump's targets, wherever an `ebreak` leads).
+    pub(crate) fn leaves_unknown(self) -> bool {
+        matches!(self, Terminator::Indirect { .. } | Terminator::Stop)
+    }
 }
 
 /// A basic block: a run of consecutive instructions of the disassembly.
@@ -44,6 +60,8 @@ pub struct BasicBlock {
     /// Known successors (block ids); only the first `n_succs` are valid.
     succs: [u32; 2],
     n_succs: u8,
+    /// Whether control can also go somewhere no block covers.
+    unknown: bool,
     /// How the block ends.
     pub terminator: Terminator,
 }
@@ -65,13 +83,12 @@ impl BasicBlock {
         &self.succs[..self.n_succs as usize]
     }
 
-    /// Whether the block's successor set is incomplete (indirect control
-    /// flow); liveness must assume everything is live after it.
+    /// Whether the block's successor set is incomplete — it ends in an
+    /// indirect jump or an `ebreak`, or a successor address is not a
+    /// recognized instruction; liveness must assume everything is live
+    /// after it.
     pub fn has_unknown_succs(&self) -> bool {
-        matches!(
-            self.terminator,
-            Terminator::Indirect { .. } | Terminator::Stop
-        )
+        self.unknown
     }
 }
 
@@ -114,43 +131,34 @@ impl Cfg {
         Some(&self.blocks[self.block_of[idx] as usize])
     }
 
-    /// Builds the CFG from a disassembly.
+    /// Builds the CFG from a disassembly: blocks end before every
+    /// instruction [`Disassembly::starts_block`] names.
     pub fn build(d: &Disassembly) -> Cfg {
         let insts = &d.insts[..];
-        // Leaders: targets of direct control flow, data-referenced
-        // addresses and instructions after terminators (marked as the
-        // scan reaches the terminator); the first instruction and any
-        // instruction after an address discontinuity start a block too.
-        let mut leader = vec![false; insts.len()];
+        let mut marked = vec![false; insts.len()];
         for &t in d.targets.iter().chain(&d.data_refs) {
             if let Some(i) = d.insts.index_of(t) {
-                leader[i] = true;
+                marked[i] = true;
             }
         }
 
         let mut blocks: Vec<BasicBlock> = Vec::new();
         let mut block_of = vec![0u32; insts.len()];
         let mut first = 0;
-        for (i, di) in insts.iter().enumerate() {
-            if di.inst.is_terminator() {
-                if let Some(next) = d.insts.index_of(di.next_addr()) {
-                    leader[next] = true;
-                }
-            }
+        for i in 0..insts.len() {
             block_of[i] = blocks.len() as u32;
-            let ends = insts
-                .get(i + 1)
-                .is_none_or(|next| next.addr != di.next_addr() || leader[i + 1]);
-            if ends {
+            let next = i + 1;
+            if next == insts.len() || starts_block(&d.insts, next, marked[next]) {
                 blocks.push(BasicBlock {
                     start: insts[first].addr,
-                    end: di.next_addr(),
+                    end: insts[i].next_addr(),
                     insts: first as u32..i as u32 + 1,
                     succs: [0; 2],
                     n_succs: 0,
+                    unknown: false,
                     terminator: Terminator::Stop,
                 });
-                first = i + 1;
+                first = next;
             }
         }
 
@@ -161,19 +169,32 @@ impl Cfg {
             pred_starts: Vec::new(),
             pred_ids: Vec::new(),
         };
-        // Successor edges, kept only where the target starts a block; the
+        // Successor edges. Every recognized successor address starts a
+        // block; one that is not recognized makes the set unknown. The
         // per-target edge counts become the CSR row starts.
         let mut pred_starts = vec![0u32; cfg.blocks.len() + 1];
         for b in 0..cfg.blocks.len() {
             let last = &insts[cfg.blocks[b].range().end - 1];
-            let (targets, terminator) = successors(last, d);
-            let ids = targets.map(|t| cfg.block_at(t?));
+            let (targets, terminator) = successors(last);
+            let ids = targets.map(|t| t.map(|t| cfg.block_at(t).ok_or(t)));
             let block = &mut cfg.blocks[b];
             block.terminator = terminator;
+            block.unknown = terminator.leaves_unknown();
             for id in ids.into_iter().flatten() {
-                block.succs[block.n_succs as usize] = id as u32;
-                block.n_succs += 1;
-                pred_starts[id + 1] += 1;
+                match id {
+                    Ok(id) => {
+                        block.succs[block.n_succs as usize] = id as u32;
+                        block.n_succs += 1;
+                        pred_starts[id + 1] += 1;
+                    }
+                    Err(t) => {
+                        debug_assert!(
+                            d.at(t).is_none(),
+                            "{t:#x} is recognized but starts no block"
+                        );
+                        block.unknown = true;
+                    }
+                }
             }
         }
         for b in 0..cfg.blocks.len() {
@@ -193,13 +214,15 @@ impl Cfg {
     }
 }
 
-/// The successor *addresses* of a block ending in `last` (before pruning
-/// to block starts), and how it ends.
-fn successors(last: &DisasmInst, d: &Disassembly) -> ([Option<u64>; 2], Terminator) {
-    let next = last.next_addr();
-    match last.inst {
+/// Where control can go after `di`: up to two successor addresses
+/// (recognized or not), and how the instruction passes control on. An
+/// indirect jump's targets and whatever follows an `ebreak` are not
+/// among them: the [`Terminator`] says they are unknown.
+pub(crate) fn successors(di: &DisasmInst) -> ([Option<u64>; 2], Terminator) {
+    let next = di.next_addr();
+    match di.inst {
         Inst::Jal { rd, .. } => {
-            let target = last.inst.direct_target(last.addr).expect("jal target");
+            let target = di.inst.direct_target(di.addr).expect("jal target");
             let is_call = rd != XReg::ZERO;
             (
                 [Some(target), is_call.then_some(next)],
@@ -214,13 +237,53 @@ fn successors(last: &DisasmInst, d: &Disassembly) -> ([Option<u64>; 2], Terminat
             )
         }
         Inst::Branch { .. } => {
-            let target = last.inst.direct_target(last.addr).expect("branch target");
+            let target = di.inst.direct_target(di.addr).expect("branch target");
             ([Some(target), Some(next)], Terminator::Branch)
         }
         Inst::Ebreak => ([None, None], Terminator::Stop),
-        // Fallthrough, if the next instruction is recognized.
-        _ if d.at(next).is_some() => ([Some(next), None], Terminator::Fallthrough),
-        _ => ([None, None], Terminator::Stop),
+        _ => ([Some(next), None], Terminator::Fallthrough),
+    }
+}
+
+/// The block-boundary rule, given whether instruction `i`'s address is a
+/// direct target or a data reference (`marked`): `i` starts a block when
+/// it is marked, first, not contiguous with the instruction before it, or
+/// reachable from an instruction other than that one's plain fallthrough
+/// — after a terminator, or from another decode stream whose instruction
+/// ends where `i` starts.
+fn starts_block(insts: &InstTable, i: usize, marked: bool) -> bool {
+    let addr = insts[i].addr;
+    if marked || i == 0 || insts[i - 1].next_addr() != addr {
+        return true;
+    }
+    [2u64, 4].into_iter().any(|len| {
+        let ends_here = addr.checked_sub(len).and_then(|a| insts.index_of(a));
+        ends_here.is_some_and(|k| {
+            insts[k].len as u64 == len && (k != i - 1 || insts[k].inst.is_terminator())
+        })
+    })
+}
+
+impl Disassembly {
+    /// Whether the instruction at index `i` starts a basic block: the one
+    /// block-boundary rule [`Cfg::build`] applies to every instruction and
+    /// the rewriter to the instructions after a patch site.
+    pub fn starts_block(&self, i: usize) -> bool {
+        let addr = self.insts[i].addr;
+        let marked = |set: &[u64]| set.binary_search(&addr).is_ok();
+        starts_block(
+            &self.insts,
+            i,
+            marked(&self.targets) || marked(&self.data_refs),
+        )
+    }
+
+    /// The index of the last instruction of the basic block holding the
+    /// instruction at index `i`.
+    pub fn block_end(&self, i: usize) -> usize {
+        (i + 1..self.insts.len())
+            .find(|&next| self.starts_block(next))
+            .map_or(self.insts.len() - 1, |next| next - 1)
     }
 }
 

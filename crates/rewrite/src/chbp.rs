@@ -58,7 +58,7 @@ use crate::emitter::BlockEmitter;
 use crate::engine::{Entry, Frame, Placement, Reloc, RewriteEngine, Scanned, UnitArtifact, Units};
 use crate::smile::{place_smile, SmileConstraints};
 use crate::translate::{Translator, Untranslatable};
-use chimera_analysis::{disassemble, Cfg, DisasmInst, Disassembly, Liveness};
+use chimera_analysis::{disassemble, DisasmInst, Disassembly, Liveness};
 use chimera_isa::{encode, Decoded, Ext, ExtSet, Inst, XReg};
 use chimera_obj::Binary;
 use chimera_trace::Tracer;
@@ -268,30 +268,34 @@ struct ChbpUnits {
     units: Vec<Region>,
 }
 
-impl RewriteEngine for ChbpEngine {
-    fn target_section(&self) -> Option<&'static str> {
-        Some(".chimera.text")
-    }
+/// The unit partition of a disassembly.
+struct Partition {
+    /// One region per unit, in address order.
+    units: Vec<Region>,
+    /// Source instructions left at their original addresses.
+    untranslated: BTreeSet<u64>,
+    /// Source instructions found.
+    sources: usize,
+}
 
-    fn scan(&self, input: &Binary, frame: Frame, _: usize) -> Result<Scanned, RewriteError> {
-        let d = disassemble(input);
-        let cfg = Cfg::build(&d);
-        let liveness = Liveness::compute(&cfg);
-
-        // Collect patch sites: source instructions in address order.
-        let sources: Vec<DisasmInst> = d
-            .iter()
-            .filter(|di| self.opts.mode.is_source(&di.inst, self.target))
-            .copied()
-            .collect();
-
-        // Sequential unit partition: a unit covers the sources it
-        // translated, so the ranges come out ascending and disjoint.
-        let mut units: Vec<Region> = Vec::new();
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        let mut untranslated = BTreeSet::new();
+impl ChbpEngine {
+    /// Partitions `d` into units: one region per batched block, from its
+    /// first source instruction on.
+    fn partition(&self, d: &Disassembly) -> Partition {
+        let mut p = Partition {
+            units: Vec::new(),
+            untranslated: BTreeSet::new(),
+            sources: 0,
+        };
+        // Sequential walk over the patch sites — source instructions in
+        // address order: a unit covers the sources it translated, so the
+        // ranges come out ascending and disjoint.
         let mut covered_until: u64 = 0;
-        for site in &sources {
+        let sites = d
+            .iter()
+            .filter(|di| self.opts.mode.is_source(&di.inst, self.target));
+        for site in sites {
+            p.sources += 1;
             if site.addr < covered_until {
                 // A preceding region's block already translates it. Inside
                 // that region's overwritten space the FHT redirect covers
@@ -301,23 +305,54 @@ impl RewriteEngine for ChbpEngine {
                 continue;
             }
             if self.opts.mode.leaves_untranslated(&site.inst, self.target) {
-                untranslated.insert(site.addr);
+                p.untranslated.insert(site.addr);
                 covered_until = site.next_addr();
                 continue;
             }
-            let region = build_region(&d, &cfg, site, self.opts, self.target)
+            let region = build_region(d, site, self.opts, self.target)
                 .unwrap_or_else(|| Region::lone(vec![*site]));
-            let range = region.source_range();
-            covered_until = range.1;
-            ranges.push(range);
-            units.push(region);
+            covered_until = region.source_range().1;
+            p.units.push(region);
         }
+        p
+    }
 
+    /// The liveness the scan solves for `d`: rooted at the original
+    /// addresses its units exit to — the only places emission asks about,
+    /// directly or by shifting an exit forward from one — so it analyses
+    /// what those exits reach and nothing else.
+    pub fn exit_liveness(&self, d: &Disassembly) -> Liveness {
+        exit_liveness(d, &self.partition(d).units)
+    }
+}
+
+/// Liveness rooted at `units`' exits.
+fn exit_liveness(d: &Disassembly, units: &[Region]) -> Liveness {
+    let exits = units.iter().flat_map(|r| {
+        let (after, taken) = r.exits();
+        after.into_iter().chain(taken)
+    });
+    Liveness::rooted(&d.insts, exits)
+}
+
+impl RewriteEngine for ChbpEngine {
+    fn target_section(&self) -> Option<&'static str> {
+        Some(".chimera.text")
+    }
+
+    fn scan(&self, input: &Binary, frame: Frame, _: usize) -> Result<Scanned, RewriteError> {
+        let d = disassemble(input);
+        let Partition {
+            units,
+            untranslated,
+            sources,
+        } = self.partition(&d);
+        let liveness = exit_liveness(&d, &units);
         Ok(Scanned {
-            ranges,
+            ranges: units.iter().map(Region::source_range).collect(),
             profile: self.target,
             total_insts: d.insts.len(),
-            source_insts: sources.len(),
+            source_insts: sources,
             untranslated,
             units: Arc::new(ChbpUnits {
                 target: self.target,
@@ -500,6 +535,22 @@ impl Region {
         (start, self.space_end.max(last.addr + last.len as u64))
     }
 
+    /// The original addresses the block exits to: the one after its last
+    /// instruction (`resume`, or a jump tail's target; none after an
+    /// indirect jump), and a branch tail's taken target unless that is
+    /// the site itself, where a loop backedge iterates inside the block.
+    fn exits(&self) -> (Option<u64>, Option<u64>) {
+        match self.tail {
+            RegionTail::Fallthrough => (Some(self.resume), None),
+            RegionTail::Branch { taken } => (
+                Some(self.resume),
+                (taken != self.insts[0].addr).then_some(taken),
+            ),
+            RegionTail::Jump { target } => (Some(target), None),
+            RegionTail::IndirectJump => (None, None),
+        }
+    }
+
     /// Which interior trampoline offsets were original instruction starts.
     fn constraints(&self) -> SmileConstraints {
         SmileConstraints::of(self.insts[0].addr, self.insts.iter().map(|di| di.addr))
@@ -512,13 +563,11 @@ impl Region {
 /// instruction's original address.
 fn build_region(
     d: &Disassembly,
-    cfg: &Cfg,
     site: &DisasmInst,
     opts: RewriteOptions,
     target: ExtSet,
 ) -> Option<Region> {
-    let block = cfg.block_containing(site.addr)?;
-    let block_last = cfg.insts(block).last().expect("blocks are non-empty");
+    let block_last = &d.insts[d.block_end(d.insts.index_of(site.addr)?)];
     let mut insts: Vec<DisasmInst> = Vec::new();
     let mut addr = site.addr;
     let space_min = site.addr + 8;
@@ -647,18 +696,15 @@ fn emit_block(
             Inst::Branch { kind, rs1, rs2, .. }
                 if is_last && matches!(region.tail, RegionTail::Branch { .. }) =>
             {
-                let RegionTail::Branch { taken } = region.tail else {
-                    unreachable!()
-                };
-                if taken == site {
+                if let (_, Some(taken)) = region.exits() {
+                    let label = em.new_label();
+                    em.branch_to(kind, rs1, rs2, label);
+                    deferred_branch = Some((taken, label));
+                } else {
                     // A loop backedge to the patch site: iterate inside
                     // the target block instead of re-entering through the
                     // trampoline.
                     em.branch_to(kind, rs1, rs2, block_head);
-                } else {
-                    let label = em.new_label();
-                    em.branch_to(kind, rs1, rs2, label);
-                    deferred_branch = Some((taken, label));
                 }
             }
             // The final unconditional jump of a Jump-tail region is not
@@ -674,10 +720,8 @@ fn emit_block(
     }
 
     // Exits.
-    match region.tail {
-        RegionTail::Fallthrough | RegionTail::Branch { .. } => exit(region.resume, em),
-        RegionTail::Jump { target } => exit(target, em),
-        RegionTail::IndirectJump => {}
+    if let (Some(after), _) = region.exits() {
+        exit(after, em);
     }
     if let Some((taken, label)) = deferred_branch {
         em.label(label);

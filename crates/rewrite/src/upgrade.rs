@@ -311,7 +311,6 @@ impl RewriteEngine for UpgradeEngine {
     fn scan(&self, input: &Binary, frame: Frame, _: usize) -> Result<Scanned, RewriteError> {
         let d = disassemble(input);
         let cfg = Cfg::build(&d);
-        let liveness = Liveness::compute(&cfg);
         let recognized: Vec<VecLoop> = cfg
             .blocks
             .iter()
@@ -323,6 +322,9 @@ impl RewriteEngine for UpgradeEngine {
             .into_iter()
             .filter(|vl| vl.space_end() >= vl.head + 8)
             .collect();
+        // A unit's repair block exits to its loop's `space_end`: the only
+        // place emission asks about liveness.
+        let liveness = Liveness::rooted(&d.insts, loops.iter().map(VecLoop::space_end));
         Ok(Scanned {
             ranges: loops.iter().map(|vl| (vl.head, vl.exit)).collect(),
             profile: TARGET,

@@ -1,19 +1,25 @@
 //! An independent oracle for `chimera-analysis`.
 //!
 //! The crate stores its results densely (slot table, block index ranges,
-//! per-block gen/kill summaries, a predecessor worklist). The oracle here
-//! shares none of that: a tree-based recursive descent over
-//! `Binary::read_*`, a leader scan over the plain instruction list, and a
-//! per-*instruction* backward fixpoint swept to convergence. Every fact
-//! the rewriter consumes — the instruction set, block starts, successor
-//! sets, `has_unknown_succs`, `live_in`, `dead_register_at` — must agree,
-//! over the crate's own 128 seeded programs, the whole workload zoo and
-//! 64 fuzzer cases (compressed, straddle-split and SMC shapes included).
+//! one local block-boundary rule, a liveness worklist over the forward
+//! closure of a root set). The oracle here shares none of that: a
+//! tree-based recursive descent over `Binary::read_*`, a leader scan over
+//! the plain instruction list repeated until every recognized successor
+//! starts a block, and a per-*instruction* backward fixpoint swept to
+//! convergence over the whole program. Every fact the rewriter consumes —
+//! the instruction set, block starts and ends, successor sets,
+//! `has_unknown_succs`, `live_in`, `dead_register_at` — must agree, over
+//! the crate's own 128 seeded programs, the whole workload zoo and 64
+//! fuzzer cases (compressed, straddle-split and SMC shapes included); so
+//! must a solve rooted at seeded random root sets, wherever it analyses.
+//! CHBP's scan roots its solve at its units' exits: on the zoo that
+//! closure stays a small fraction of the program.
 
 use chimera_analysis::{disassemble, Cfg, DisasmInst, Liveness};
 use chimera_isa::prng::Prng;
-use chimera_isa::{decode, Inst, RegSet, XReg};
+use chimera_isa::{decode, Ext, ExtSet, Inst, RegSet, XReg};
 use chimera_obj::{assemble, AsmOptions, Binary, SymKind};
+use chimera_rewrite::{ChbpEngine, Mode, RewriteOptions};
 use chimera_workloads::speclike::{generate, GenOptions, APP_PROFILES, SPEC_PROFILES};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -68,7 +74,23 @@ struct NaiveBlock {
     unknown: bool,
 }
 
-/// Leader scan over the address-sorted instruction list.
+/// The successor addresses of a block ending in `last`, and whether its
+/// successors are unknown regardless of them (`jalr`, `ebreak`).
+fn naive_succs(last: &DisasmInst) -> (Vec<u64>, bool) {
+    let (next, target) = (last.next_addr(), last.inst.direct_target(last.addr));
+    let (succs, unknown) = match last.inst {
+        Inst::Jal { rd, .. } => (vec![target, (rd != XReg::ZERO).then_some(next)], false),
+        Inst::Jalr { rd, .. } => (vec![(rd != XReg::ZERO).then_some(next)], true),
+        Inst::Branch { .. } => (vec![target, Some(next)], false),
+        Inst::Ebreak => (vec![], true),
+        _ => (vec![Some(next)], false),
+    };
+    (succs.into_iter().flatten().collect(), unknown)
+}
+
+/// Leader scan over the address-sorted instruction list, repeated until
+/// every recognized successor of a block starts a block (a fallthrough
+/// into another decode stream included).
 fn naive_blocks(insts: &[DisasmInst], data_refs: &BTreeSet<u64>) -> BTreeMap<u64, NaiveBlock> {
     let known: BTreeSet<u64> = insts.iter().map(|di| di.addr).collect();
     let mut leaders = data_refs.clone();
@@ -81,27 +103,38 @@ fn naive_blocks(insts: &[DisasmInst], data_refs: &BTreeSet<u64>) -> BTreeMap<u64
             leaders.insert(di.next_addr());
         }
     }
+    loop {
+        let starts: Vec<usize> = (0..insts.len())
+            .filter(|&i| leaders.contains(&insts[i].addr))
+            .collect();
+        let ends = starts
+            .iter()
+            .skip(1)
+            .map(|&s| s - 1)
+            .chain([insts.len() - 1]);
+        let mut grew = false;
+        for end in ends {
+            for s in naive_succs(&insts[end]).0 {
+                grew |= known.contains(&s) && leaders.insert(s);
+            }
+        }
+        if !grew {
+            break;
+        }
+    }
     let starts: Vec<usize> = (0..insts.len())
         .filter(|&i| leaders.contains(&insts[i].addr))
         .collect();
     let mut blocks = BTreeMap::new();
     for (n, &first) in starts.iter().enumerate() {
         let end = starts.get(n + 1).copied().unwrap_or(insts.len());
-        let last = &insts[end - 1];
-        let (next, target) = (last.next_addr(), last.inst.direct_target(last.addr));
-        let (succs, unknown) = match last.inst {
-            Inst::Jal { rd, .. } => (vec![target, (rd != XReg::ZERO).then_some(next)], false),
-            Inst::Jalr { rd, .. } => (vec![(rd != XReg::ZERO).then_some(next)], true),
-            Inst::Branch { .. } => (vec![target, Some(next)], false),
-            Inst::Ebreak => (vec![], true),
-            _ => (vec![Some(next)], !known.contains(&next)),
-        };
-        // An edge exists only to an address that starts a block.
-        let is_start = |a: &u64| leaders.contains(a) && known.contains(a);
-        let succs = succs.into_iter().flatten().filter(is_start).collect();
+        let (succs, unknown) = naive_succs(&insts[end - 1]);
+        // An edge goes to every recognized successor; one that is not
+        // recognized makes the set unknown.
+        let unknown = unknown || succs.iter().any(|s| !known.contains(s));
         let block = NaiveBlock {
             insts: first..end,
-            succs,
+            succs: succs.into_iter().filter(|s| known.contains(s)).collect(),
             unknown,
         };
         blocks.insert(insts[first].addr, block);
@@ -142,7 +175,9 @@ fn naive_liveness(insts: &[DisasmInst], blocks: &BTreeMap<u64, NaiveBlock>) -> V
 }
 
 /// Compares the crate's analyses of `bin` with the oracle's, fact for
-/// fact; returns (blocks, transfer evaluations).
+/// fact — the whole-program solve at every instruction, and solves rooted
+/// at seeded random root sets at every instruction they analyse; returns
+/// (instructions, transfer evaluations) of the whole-program solve.
 fn check(what: &str, bin: &Binary) -> (usize, usize) {
     let d = disassemble(bin);
     let (naive, data_refs) = naive_disasm(bin);
@@ -165,17 +200,55 @@ fn check(what: &str, bin: &Binary) -> (usize, usize) {
         );
         assert_eq!(b.has_unknown_succs(), nb.unknown, "{what}: {at:#x} unknown");
         assert_eq!(cfg.block_containing(b.end() - 1).unwrap().start, at);
+        assert_eq!(
+            d.block_end(nb.insts.start),
+            nb.insts.end - 1,
+            "{what}: {at:#x}"
+        );
     }
 
+    let live = naive_liveness(&insts, &blocks);
     let l = Liveness::compute(&cfg);
+    assert_eq!(
+        l.analysed(),
+        insts.len(),
+        "{what}: every instruction is a root"
+    );
     let pinned = [XReg::ZERO, XReg::SP, XReg::GP, XReg::TP];
-    for (di, &live) in insts.iter().zip(&naive_liveness(&insts, &blocks)) {
+    for (di, &live) in insts.iter().zip(&live) {
         let at = di.addr;
         assert_eq!(l.live_in(at), live, "{what}: live-in at {at:#x}");
         let dead = XReg::caller_saved().find(|&r| !live.contains(r) && !pinned.contains(&r));
         assert_eq!(l.dead_register_at(at), dead, "{what}: dead reg at {at:#x}");
     }
-    (cfg.blocks.len(), l.transfer_evals())
+
+    let mut rng = Prng::stream(0x5eed, what);
+    for _ in 0..4 {
+        let picks = rng.range_usize(1, 9);
+        let roots: Vec<u64> = (0..picks)
+            .map(|_| insts[rng.range_usize(0, insts.len())].addr)
+            .collect();
+        let rooted = Liveness::rooted(&d.insts, roots.iter().copied());
+        for &r in &roots {
+            assert!(rooted.is_analysed(r), "{what}: root {r:#x} analysed");
+        }
+        let analysed = insts
+            .iter()
+            .zip(&live)
+            .filter(|(di, _)| rooted.is_analysed(di.addr));
+        let mut n = 0;
+        for (di, &live) in analysed {
+            let at = di.addr;
+            assert_eq!(
+                rooted.live_in(at),
+                live,
+                "{what}: rooted live-in at {at:#x}"
+            );
+            n += 1;
+        }
+        assert_eq!(n, rooted.analysed(), "{what}: roots {roots:x?}");
+    }
+    (insts.len(), l.transfer_evals())
 }
 
 /// The generator of `chimera-analysis`'s own seeded tests (kept in step
@@ -215,17 +288,45 @@ fn seeded_programs_agree_with_the_oracle() {
 }
 
 /// The zoo, plus the deterministic work guard that stands in for a timing
-/// assert: the worklist may evaluate each block's transfer a handful of
-/// times, never once per round of a whole-program sweep.
+/// assert: the worklist may evaluate each instruction's transfer a handful
+/// of times, never once per round of a whole-program sweep.
 #[test]
 fn zoo_agrees_with_the_oracle_within_the_work_bound() {
     for p in SPEC_PROFILES.iter().chain(APP_PROFILES) {
-        let (blocks, evals) = check(p.name, &generate(p, GenOptions::default()));
+        let (insts, evals) = check(p.name, &generate(p, GenOptions::default()));
         assert!(
-            (blocks..=4 * blocks).contains(&evals),
-            "{}: {evals} transfer evaluations for {blocks} blocks",
+            (insts..=4 * insts).contains(&evals),
+            "{}: {evals} transfer evaluations for {insts} instructions",
             p.name
         );
+    }
+}
+
+/// CHBP's scan solves liveness rooted at its units' exits. On every zoo
+/// profile, downgraded for the base core and empty-patched alike, the
+/// solve evaluates at most one transfer per ten disassembled instructions.
+#[test]
+fn chbp_exit_liveness_stays_within_a_tenth_of_the_zoo() {
+    let modes = [
+        (ExtSet::RV64GC, Mode::Downgrade),
+        (ExtSet::RV64GCV, Mode::EmptyPatch(Ext::V)),
+    ];
+    for p in SPEC_PROFILES.iter().chain(APP_PROFILES) {
+        let d = disassemble(&generate(p, GenOptions::default()));
+        for (target, mode) in modes {
+            let opts = RewriteOptions {
+                mode,
+                ..Default::default()
+            };
+            let l = ChbpEngine { target, opts }.exit_liveness(&d);
+            let (evals, insts) = (l.transfer_evals(), d.insts.len());
+            assert!(l.analysed() > 0, "{} {mode:?}: the units exit", p.name);
+            assert!(
+                10 * evals <= insts,
+                "{} {mode:?}: {evals} transfer evaluations for {insts} instructions",
+                p.name
+            );
+        }
     }
 }
 
