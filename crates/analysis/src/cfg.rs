@@ -1,7 +1,7 @@
 //! Basic blocks and the control-flow graph over a [`Disassembly`], and
 //! the two rules every analysis shares: where control goes after one
-//! instruction ([`successors`]) and where a basic block starts
-//! ([`Disassembly::starts_block`]).
+//! instruction (`successors`) and where a basic block starts
+//! (`starts_block`, which [`Disassembly::block_end`] walks).
 //!
 //! A successor edge is either *known* — to a recognized instruction, which
 //! then starts a block — or it makes the block's successor set unknown: an
@@ -131,8 +131,8 @@ impl Cfg {
         Some(&self.blocks[self.block_of[idx] as usize])
     }
 
-    /// Builds the CFG from a disassembly: blocks end before every
-    /// instruction [`Disassembly::starts_block`] names.
+    /// Builds the CFG from a disassembly: a block ends before every
+    /// instruction the block-boundary rule says starts one.
     pub fn build(d: &Disassembly) -> Cfg {
         let insts = &d.insts[..];
         let mut marked = vec![false; insts.len()];
@@ -149,14 +149,15 @@ impl Cfg {
             block_of[i] = blocks.len() as u32;
             let next = i + 1;
             if next == insts.len() || starts_block(&d.insts, next, marked[next]) {
+                let terminator = successors(&insts[i]).1;
                 blocks.push(BasicBlock {
                     start: insts[first].addr,
                     end: insts[i].next_addr(),
                     insts: first as u32..i as u32 + 1,
                     succs: [0; 2],
                     n_succs: 0,
-                    unknown: false,
-                    terminator: Terminator::Stop,
+                    unknown: terminator.leaves_unknown(),
+                    terminator,
                 });
                 first = next;
             }
@@ -175,11 +176,10 @@ impl Cfg {
         let mut pred_starts = vec![0u32; cfg.blocks.len() + 1];
         for b in 0..cfg.blocks.len() {
             let last = &insts[cfg.blocks[b].range().end - 1];
-            let (targets, terminator) = successors(last);
-            let ids = targets.map(|t| t.map(|t| cfg.block_at(t).ok_or(t)));
+            let ids = successors(last)
+                .0
+                .map(|t| t.map(|t| cfg.block_at(t).ok_or(t)));
             let block = &mut cfg.blocks[b];
-            block.terminator = terminator;
-            block.unknown = terminator.leaves_unknown();
             for id in ids.into_iter().flatten() {
                 match id {
                     Ok(id) => {
@@ -247,10 +247,9 @@ pub(crate) fn successors(di: &DisasmInst) -> ([Option<u64>; 2], Terminator) {
 
 /// The block-boundary rule, given whether instruction `i`'s address is a
 /// direct target or a data reference (`marked`): `i` starts a block when
-/// it is marked, first, not contiguous with the instruction before it, or
-/// reachable from an instruction other than that one's plain fallthrough
-/// — after a terminator, or from another decode stream whose instruction
-/// ends where `i` starts.
+/// it is marked, is the first, is not contiguous with the instruction
+/// before it, or follows an instruction that ends where `i` starts and is
+/// a terminator or belongs to another decode stream.
 fn starts_block(insts: &InstTable, i: usize, marked: bool) -> bool {
     let addr = insts[i].addr;
     if marked || i == 0 || insts[i - 1].next_addr() != addr {
@@ -265,24 +264,16 @@ fn starts_block(insts: &InstTable, i: usize, marked: bool) -> bool {
 }
 
 impl Disassembly {
-    /// Whether the instruction at index `i` starts a basic block: the one
-    /// block-boundary rule [`Cfg::build`] applies to every instruction and
-    /// the rewriter to the instructions after a patch site.
-    pub fn starts_block(&self, i: usize) -> bool {
-        let addr = self.insts[i].addr;
-        let marked = |set: &[u64]| set.binary_search(&addr).is_ok();
-        starts_block(
-            &self.insts,
-            i,
-            marked(&self.targets) || marked(&self.data_refs),
-        )
-    }
-
     /// The index of the last instruction of the basic block holding the
-    /// instruction at index `i`.
+    /// instruction at index `i`: the block-boundary rule [`Cfg::build`]
+    /// applies to every instruction, walked forward from `i` alone.
     pub fn block_end(&self, i: usize) -> usize {
+        let marked = |addr: u64| {
+            let find = |set: &[u64]| set.binary_search(&addr).is_ok();
+            find(&self.targets) || find(&self.data_refs)
+        };
         (i + 1..self.insts.len())
-            .find(|&next| self.starts_block(next))
+            .find(|&next| starts_block(&self.insts, next, marked(self.insts[next].addr)))
             .map_or(self.insts.len() - 1, |next| next - 1)
     }
 }

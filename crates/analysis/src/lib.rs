@@ -6,14 +6,18 @@
 //! register [`Liveness`] — the "traditional" dead-register search that
 //! CHBP's exit-position shifting improves on.
 //!
-//! The rewriter runs all three on the whole binary before its first
-//! instruction executes, so they are stored densely and addressed by
-//! *index*: a [`Disassembly`] is one address-sorted instruction vector
+//! The rewriter disassembles the whole binary before its first
+//! instruction executes, so the results are stored densely and addressed
+//! by *index*: a [`Disassembly`] is one address-sorted instruction vector
 //! plus a per-byte slot table over `.text` ([`InstTable`], O(1) lookup by
-//! address); a [`Cfg`] block is an index range into that vector with
-//! block-id successors and CSR predecessors; [`Liveness`] is one
-//! [`RegSet`] per instruction index, reached through per-block gen/kill
-//! summaries and a predecessor worklist. Each analysis has one,
+//! address). Where a basic block starts is one local rule: [`Cfg::build`]
+//! applies it to every instruction (a block is an index range with
+//! block-id successors and CSR predecessors), the rewriter only to the
+//! instructions after a patch site ([`Disassembly::block_end`]). [`Liveness`] is solved per instruction over the forward closure
+//! of the addresses that will be asked about ([`Liveness::rooted`]) —
+//! CHBP's units' exits, a small fraction of the program — or of every
+//! instruction ([`Liveness::compute`]); an edge to code the disassembler
+//! did not recognize makes everything live. Each analysis has one,
 //! sequential, implementation; [`par`] serves the rewrite pipeline's
 //! per-unit stages only.
 

@@ -12,8 +12,9 @@
 //! The callers are the rewrite pipeline's per-unit stages (scan's
 //! translatability check, transform, incremental re-emission,
 //! regeneration slot sizing). The analyses themselves are
-//! sequential: at ~75 ns per instruction there is nothing for a fan-out
-//! to win.
+//! sequential: a launch disassembles at ~75 ns per instruction and solves
+//! liveness only over what its exits reach, so there is nothing for a
+//! fan-out to win.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

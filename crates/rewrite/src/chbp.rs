@@ -49,6 +49,14 @@
 //! a dead register appears); and finally a trap-based exit. The two failure
 //! counters feed Table 3.
 //!
+//! **Analyse only what the exits reach.** Liveness is read at the units'
+//! exits and nowhere else: at each exit address (`Region::exits`) and, when
+//! shifting, at the at most 16 fallthroughs after it. So the scan builds no
+//! control-flow graph: `build_region` finds a site's block end with the
+//! analysis crate's block-boundary rule ([`Disassembly::block_end`]), and
+//! [`ChbpEngine::exit_liveness`] solves liveness rooted at the exits, over
+//! the code they reach — a few percent of a program.
+//!
 //! A block is emitted once, before it has an address. The liveness half of
 //! the exit decision is made then; the distance half, the other pc-relative
 //! pairs and the table entries keyed by block addresses are left as
