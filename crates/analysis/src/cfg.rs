@@ -252,15 +252,20 @@ pub(crate) fn successors(di: &DisasmInst) -> ([Option<u64>; 2], Terminator) {
 /// a terminator or belongs to another decode stream.
 fn starts_block(insts: &InstTable, i: usize, marked: bool) -> bool {
     let addr = insts[i].addr;
-    if marked || i == 0 || insts[i - 1].next_addr() != addr {
+    if marked || i == 0 {
         return true;
     }
-    [2u64, 4].into_iter().any(|len| {
-        let ends_here = addr.checked_sub(len).and_then(|a| insts.index_of(a));
-        ends_here.is_some_and(|k| {
-            insts[k].len as u64 == len && (k != i - 1 || insts[k].inst.is_terminator())
-        })
-    })
+    let prev = &insts[i - 1];
+    if prev.next_addr() != addr || prev.inst.is_terminator() {
+        return true;
+    }
+    // Another stream's instruction ending here starts before `prev` and
+    // overlaps it, so it can only be a 4-byte one beside a 2-byte `prev`,
+    // at most two places before it in address order.
+    prev.len == 2
+        && (insts[..i - 1].iter().rev())
+            .take_while(|k| k.addr + 4 >= addr)
+            .any(|k| k.addr + 4 == addr && k.len == 4)
 }
 
 impl Disassembly {
