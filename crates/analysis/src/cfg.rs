@@ -358,6 +358,41 @@ mod tests {
         assert_eq!(entry.succs(), [g.block_at(bin.entry + 8).unwrap() as u32]);
     }
 
+    /// Three decode streams: the bytes of a 4-byte `addi` at `+0` decode
+    /// as `c.j` from `+1` and as `c.lw` from `+2`. The `addi` and the
+    /// `c.lw` both fall through to `+4`, so `+4` starts a block although
+    /// the `c.lw` before it is contiguous and the `addi` ends there from
+    /// two places back in address order.
+    #[test]
+    fn three_streams_meeting_start_a_block() {
+        let (mut bin, _) = cfg("_start:\n addi sp, zero, 1034\n ecall\n ebreak\n");
+        let base = bin.entry;
+        let text = bin.section(".text").unwrap();
+        assert_eq!(
+            (text.addr, &text.data[..4]),
+            (base, &[0x13, 0x01, 0xa0, 0x40][..])
+        );
+        for off in [1, 2] {
+            bin.symbols.push(chimera_obj::Symbol {
+                name: format!("f{off}"),
+                addr: base + off,
+                size: 0,
+                kind: chimera_obj::SymKind::Func,
+            });
+        }
+        let d = disassemble(&bin);
+        let got: Vec<(u64, u8)> = d.iter().map(|di| (di.addr - base, di.len)).collect();
+        assert_eq!(got, [(0, 4), (1, 2), (2, 2), (4, 4), (8, 4)]);
+        let g = Cfg::build(&d);
+        let next = g.block_at(base + 4).expect("+4 starts a block");
+        assert_eq!(g.blocks[g.block_at(base).unwrap()].succs(), [next as u32]);
+        assert_eq!(
+            g.blocks[g.block_at(base + 2).unwrap()].succs(),
+            [next as u32]
+        );
+        assert_eq!(d.block_end(2), 2);
+    }
+
     #[test]
     fn block_containing_interior_address() {
         let (bin, g) = cfg("
