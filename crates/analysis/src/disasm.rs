@@ -97,6 +97,11 @@ pub struct Disassembly {
     /// Code addresses discovered in data sections (indirect-jump landing
     /// pads the rewriter must preserve). Sorted.
     pub data_refs: Vec<u64>,
+    /// Indices into [`Self::insts`] of the instructions that belong to an
+    /// extension ([`Inst::ext`] is `Some`), recorded as they are decoded.
+    /// Sorted, so they are in address order. A rewriter that picks its
+    /// sources by extension walks these instead of every instruction.
+    pub ext_sites: Vec<usize>,
 }
 
 impl Disassembly {
@@ -133,6 +138,8 @@ pub fn disassemble(binary: &Binary) -> Disassembly {
     // closing pass rewrites every slot to address-order index + 1.
     let mut slots = vec![0u32; code.len()];
     let mut found: Vec<DisasmInst> = Vec::new();
+    // Discovery indices of the extension instructions among `found`.
+    let mut ext_found: Vec<usize> = Vec::new();
     let mut out = Disassembly::default();
     let mut worklist: VecDeque<u64> = VecDeque::new();
 
@@ -181,6 +188,9 @@ pub fn disassemble(binary: &Binary) -> Disassembly {
             };
             let (len, inst) = (dec.len, dec.inst);
             let di = DisasmInst { addr, len, inst };
+            if inst.ext().is_some() {
+                ext_found.push(found.len());
+            }
             found.push(di);
             slots[off] = found.len() as u32;
 
@@ -217,16 +227,22 @@ pub fn disassemble(binary: &Binary) -> Disassembly {
         }
     }
 
-    // Discovery order -> address order: the slot table *is* the sort.
-    let mut insts = Vec::with_capacity(found.len());
+    // Discovery order -> address order: the slot table *is* the sort. A
+    // compaction without a branch per byte: every slot writes its discovery
+    // index at the cursor, and only an instruction's slot advances it.
+    let mut order = vec![0u32; found.len() + 1];
+    let mut n = 0;
     for slot in slots.iter_mut() {
-        if *slot != 0 && *slot != QUEUED {
-            insts.push(found[*slot as usize - 1]);
-            *slot = insts.len() as u32;
-        } else {
-            *slot = 0;
-        }
+        let decoded = slot.wrapping_sub(1) < QUEUED - 1;
+        order[n] = slot.wrapping_sub(1);
+        n += decoded as usize;
+        *slot = n as u32 * decoded as u32;
     }
+    let insts: Vec<DisasmInst> = order[..n].iter().map(|&i| found[i as usize]).collect();
+    out.ext_sites = (ext_found.iter())
+        .map(|&i| slots[(found[i].addr - base) as usize] as usize - 1)
+        .collect();
+    out.ext_sites.sort_unstable();
     for set in [&mut out.undecodable, &mut out.targets, &mut out.data_refs] {
         set.sort_unstable();
         set.dedup();
@@ -464,6 +480,65 @@ mod tests {
         for (got, want) in blocks.iter().zip(recorded) {
             assert_eq!((got.0, got.1, &got.2[..]), want);
         }
+    }
+
+    /// An odd and an even decode stream that overlap, each holding a
+    /// vector instruction: the odd one is the entry, so it is decoded
+    /// first although its vector instruction sits at the higher address.
+    /// `ext_sites` holds address-order indices, not discovery order.
+    #[test]
+    fn extension_sites_are_address_order_indices() {
+        use chimera_isa::{encode, FReg, Inst, OpImmKind, VArithOp, VReg, VSrc};
+        // `vfadd.vf v15, v8, f3`: its bytes 1..4 are the low three bytes
+        // of `vadd.vv v3, v0, v5` (opcode `OP-V`, `vs2 = v0`).
+        let vfadd = Inst::VArith {
+            op: VArithOp::Vfadd,
+            vd: VReg::of(15),
+            vs2: VReg::of(8),
+            src: VSrc::F(FReg::of(3)),
+        };
+        let addi = Inst::OpImm {
+            kind: OpImmKind::Addi,
+            rd: XReg::A0,
+            rs1: XReg::A0,
+            imm: 1,
+        };
+        let mut code = Vec::new();
+        code.extend(encode(&addi).unwrap().to_le_bytes()); // 0: even entry
+        code.extend(encode(&vfadd).unwrap().to_le_bytes()); // 4
+                                                            // 8: `c.ebreak` ends the even stream; its first byte completes the
+                                                            // odd stream's `vadd.vv` at 5, and from 9 the odd stream reads a
+                                                            // reserved `funct3 = 100` quadrant-0 halfword.
+        code.extend([0x02, 0x90, 0x80, 0x00]);
+
+        let mut bin = assemble("_start:\n ecall\n", AsmOptions::default()).unwrap();
+        let text = bin.section_mut(".text").unwrap();
+        let base = text.addr;
+        text.data = code;
+        bin.entry = base + 5;
+        bin.symbols.push(chimera_obj::Symbol {
+            name: "even".into(),
+            addr: base,
+            size: 0,
+            kind: SymKind::Func,
+        });
+        let d = disassemble(&bin);
+        let got: Vec<(u64, Inst)> = d.iter().map(|di| (di.addr - base, di.inst)).collect();
+        let vadd = Inst::VArith {
+            op: VArithOp::Vadd,
+            vd: VReg::of(3),
+            vs2: VReg::of(0),
+            src: VSrc::V(VReg::of(5)),
+        };
+        assert_eq!(
+            got,
+            [(0, addi), (4, vfadd), (5, vadd), (8, Inst::Ebreak)],
+            "{got:?}"
+        );
+        assert_eq!(d.undecodable, [base + 9]);
+        // Discovered as [vadd, addi, vfadd, ebreak]: discovery indices 0
+        // and 2 are address-order indices 2 and 1.
+        assert_eq!(d.ext_sites, [1, 2]);
     }
 
     #[test]

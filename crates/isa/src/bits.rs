@@ -19,14 +19,14 @@ pub(crate) use consts;
 
 /// Extracts bits `[lo, lo+len)` of `word`.
 #[inline]
-pub fn field(word: u32, lo: u32, len: u32) -> u32 {
+pub const fn field(word: u32, lo: u32, len: u32) -> u32 {
     (word >> lo) & ((1u32 << len) - 1)
 }
 
 /// Sign-extends the low `bits` bits of `value`.
 #[inline]
-pub fn sext(value: u32, bits: u32) -> i32 {
-    debug_assert!((1..=32).contains(&bits));
+pub const fn sext(value: u32, bits: u32) -> i32 {
+    debug_assert!(1 <= bits && bits <= 32);
     let shift = 32 - bits;
     ((value << shift) as i32) >> shift
 }
@@ -54,11 +54,13 @@ consts! { pub(crate) Perm:
 impl Perm {
     /// The immediate `word` carries.
     #[inline(always)]
-    pub(crate) fn gather(self, word: u32) -> i32 {
+    pub(crate) const fn gather(self, word: u32) -> i32 {
         let Perm(sext_from, runs) = self;
-        let mut imm = 0;
-        for &(lo, len, at) in runs {
+        let (mut imm, mut i) = (0, 0);
+        while i < runs.len() {
+            let (lo, len, at) = runs[i];
             imm |= field(word, lo, len) << at;
+            i += 1;
         }
         if sext_from == 0 {
             imm as i32

@@ -15,7 +15,7 @@
 
 use crate::inst::Inst;
 pub use crate::rvc::decode_compressed;
-use crate::shapes;
+use crate::{rvc, shapes};
 use core::fmt;
 
 /// A successfully decoded instruction plus its encoded length in bytes.
@@ -78,7 +78,10 @@ pub fn encoded_len(halfword: u16) -> u8 {
 /// address; for a compressed instruction only the low 16 bits are used.
 pub fn decode(word: u32) -> Result<Decoded, DecodeError> {
     if word & 0b11 != 0b11 {
-        return decode_compressed(word as u16).map(|inst| Decoded { inst, len: 2 });
+        return match rvc::expansion(word as u16) {
+            Some(inst) => Ok(Decoded { inst, len: 2 }),
+            None => Err(DecodeError::Unrecognized(word & 0xffff)),
+        };
     }
     if word & 0b11111 == 0b11111 {
         // 48-bit+ reserved prefix (covers both `011111` 48-bit and

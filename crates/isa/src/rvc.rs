@@ -69,7 +69,7 @@ consts! { Slot:
 impl Slot {
     /// The register `word` names here, unless the form excludes it.
     #[inline(always)]
-    fn read(self, word: u16) -> Option<XReg> {
+    const fn read(self, word: u16) -> Option<XReg> {
         let Slot(lo, bits, excluded) = self;
         let raw = field(word as u32, lo, bits) as u8;
         let reg = if bits == 3 {
@@ -77,7 +77,11 @@ impl Slot {
         } else {
             XReg::of(raw)
         };
-        (excluded >> reg.index() & 1 == 0).then_some(reg)
+        if excluded >> reg.index() & 1 == 0 {
+            Some(reg)
+        } else {
+            None
+        }
     }
 
     /// The field bits that name `reg`, unless the field cannot.
@@ -134,6 +138,20 @@ enum Src {
     SP,
 }
 
+impl Src {
+    /// The register this source gives when the slots hold `a` and `b`.
+    #[inline(always)]
+    const fn reg(self, a: XReg, b: XReg) -> XReg {
+        match self {
+            A => a,
+            B => b,
+            X0 => XReg::ZERO,
+            RA => XReg::RA,
+            SP => XReg::SP,
+        }
+    }
+}
+
 /// Generates [`Form`] — the constructor and kind of a form's canonical
 /// expansion — with [`build`] and its inverse [`parts`] from one row per
 /// [`Inst`] constructor some form expands to. A row's braces are that
@@ -148,7 +166,7 @@ macro_rules! forms {
 
         /// The expansion `form` with its registers and immediate filled in.
         #[inline(always)]
-        fn build(form: Form, [$x, $y, $z]: [XReg; 3], $imm: i32) -> Inst {
+        const fn build(form: Form, [$x, $y, $z]: [XReg; 3], $imm: i32) -> Inst {
             match form { $($form $(($kind))? => Inst::$form $fields,)+ }
         }
 
@@ -202,13 +220,16 @@ impl Row {
     /// The group is compared the way [`decode_compressed`] matches it, so
     /// that inside a row's arm there the comparison folds away.
     #[inline(always)]
-    pub fn decode(self, word: u16) -> Option<Inst> {
-        if (word & 0b11, word >> 13) != self.group || word & self.fixed.0 != self.fixed.1 {
+    pub const fn decode(self, word: u16) -> Option<Inst> {
+        let ((quadrant, funct3), (mask, bits)) = (self.group, self.fixed);
+        if word & 0b11 != quadrant || word >> 13 != funct3 || word & mask != bits {
             return None;
         }
-        let (a, b) = (self.a.read(word)?, self.b.read(word)?);
+        let (Some(a), Some(b)) = (self.a.read(word), self.b.read(word)) else {
+            return None;
+        };
         let imm = self.imm.gather(word as u32);
-        if imm == 0 && self.hole == NonZero {
+        if imm == 0 && matches!(self.hole, NonZero) {
             return None;
         }
         Some(build(self.form, self.regs(a, b), imm))
@@ -216,14 +237,9 @@ impl Row {
 
     /// The expansion's registers when the slots hold `a` and `b`.
     #[inline(always)]
-    fn regs(self, a: XReg, b: XReg) -> [XReg; 3] {
-        self.srcs.map(|src| match src {
-            A => a,
-            B => b,
-            X0 => XReg::ZERO,
-            RA => XReg::RA,
-            SP => XReg::SP,
-        })
+    const fn regs(self, a: XReg, b: XReg) -> [XReg; 3] {
+        let [x, y, z] = self.srcs;
+        [x.reg(a, b), y.reg(a, b), z.reg(a, b)]
     }
 
     /// The word of this form that expands to `build(self.form, regs, imm)`,
@@ -258,7 +274,10 @@ macro_rules! rvc {
         /// expansion. Total: a word no row accepts — reserved, HINT,
         /// outside the modelled subset, or not a 16-bit encoding at all
         /// (`bits[1:0] = 11`) — is [`DecodeError::Unrecognized`].
-        pub fn decode_compressed(word: u16) -> Result<Inst, DecodeError> {
+        ///
+        /// [`decode`](crate::decode()) does not call this: it reads
+        /// [`expansion`], the table this function fills at compile time.
+        pub const fn decode_compressed(word: u16) -> Result<Inst, DecodeError> {
             match (word & 0b11, word >> 13) {
                 $(($quadrant, $funct3)
                     if let Some(inst) = rvc!(@row $name $quadrant $funct3 $fixed $a $b $imm $hole
@@ -342,4 +361,41 @@ rvc! {
     "c.add"      (0b10, 0b100) (0x1000, 0x1000)   R7_NOT_X0     R2_NOT_X0  NO_IMM    Any             => Op(Add)      [A, A, B]    "`add rd, rd, rs2`; `rd = x0` is a HINT.";
     "c.swsp"     (0b10, 0b110) REST               R2            NONE       SWSP      Any             => Store(Sw)    [SP, A, X0]  "`sw rs2, uimm(sp)`.";
     "c.sdsp"     (0b10, 0b111) REST               R2            NONE       SDSP      Any             => Store(Sd)    [SP, A, X0]  "`sd rs2, uimm(sp)`.";
+}
+
+/// The number of compressed halfwords: quadrants 0–2, 14 bits above each.
+const HALFWORDS: usize = 3 << 14;
+
+/// The position of compressed `word` in [`EXPANSIONS`]: its quadrant above
+/// the 14 bits over it, so that quadrant 3 (`bits[1:0] = 11`) is past the
+/// end.
+#[inline(always)]
+const fn position(word: u16) -> usize {
+    ((word & 0b11) as usize) << 14 | (word >> 2) as usize
+}
+
+/// [`decode_compressed`] of every compressed halfword, by [`position`],
+/// evaluated while compiling: the rows stay the one source of truth, and
+/// [`decode`](crate::decode()) pays one load for what costs a dozen
+/// data-dependent branches through the `match`. 384 KiB of read-only data;
+/// a process maps the pages its code's halfwords touch.
+static EXPANSIONS: [Option<Inst>; HALFWORDS] = {
+    let mut table = [None; HALFWORDS];
+    let mut i = 0;
+    while i < HALFWORDS {
+        let word = ((i & 0x3fff) << 2 | i >> 14) as u16;
+        table[i] = match decode_compressed(word) {
+            Ok(inst) => Some(inst),
+            Err(_) => None,
+        };
+        i += 1;
+    }
+    table
+};
+
+/// The expansion of compressed `word` (`bits[1:0] != 11`), from
+/// [`EXPANSIONS`]: `decode_compressed(word).ok()`.
+#[inline(always)]
+pub(crate) fn expansion(word: u16) -> Option<Inst> {
+    EXPANSIONS[position(word)]
 }

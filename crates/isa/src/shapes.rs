@@ -49,6 +49,7 @@ use crate::encode::EncodeError;
 use crate::inst::{Eew, FpWidth, Inst, IntWidth, VSrc, VType};
 use crate::kinds::*;
 use crate::reg::{FReg, VReg, XReg};
+use std::hint::select_unpredictable;
 
 /// A run of word bits: its lowest bit and its width.
 #[derive(Debug, Clone, Copy)]
@@ -171,12 +172,8 @@ keys! {
         opcode | FUNCT3.place(funct3) | FUNCT7.place(funct7) | RS2.place(selector)
     };
     // A shift row keys on the immediate bits above its shift amount, every
-    // other row on zero.
-    OpImmKind: |w| {
-        let (opcode, funct3) = (OPCODE.read(w), FUNCT3.read(w));
-        let above = shamt_bits(opcode, funct3).map_or(0, |bits| w >> (20 + bits));
-        OpImmKind::from_encoding((opcode, funct3, above))
-    }, |k| {
+    // other row on zero: decoding reads `OP_IMM_KEYS`, which says so.
+    OpImmKind: |w| OP_IMM_KEYS[op_imm_key(w)], |k| {
         let (opcode, funct3, above) = k.encoding();
         opcode | FUNCT3.place(funct3) | above << (20 + k.shamt_bits().unwrap_or(0))
     };
@@ -200,6 +197,45 @@ keys! {
         FUNCT6.place(funct6) | FUNCT3.place(category)
     };
 }
+
+/// The bits [`OP_IMM_KEYS`] is indexed by: bit 3 of the opcode (set in
+/// `OP-IMM-32`, clear in `OP-IMM`), `funct3`, and `imm[11:5]`, which holds
+/// whatever a row keys on above its shift amount.
+#[inline(always)]
+const fn op_imm_key(word: u32) -> usize {
+    ((word >> 3 & 1) << 10 | FUNCT3.read(word) << 7 | FUNCT7.read(word)) as usize
+}
+
+/// The `OpImmKind` of every `OP-IMM` / `OP-IMM-32` word, by [`op_imm_key`],
+/// built from [`OpImmKind::ALL`] at compile time. A row that takes an
+/// I-immediate fills every `imm[11:5]`; a 6-bit shift fills both values of
+/// `imm[5]`, its shift amount's top bit; a 5-bit shift fills one entry.
+/// `None` is a word no row keys on — a `Unary` row's, or unrecognized.
+/// One load replaces a branch on `funct3` that program order mispredicts.
+static OP_IMM_KEYS: [Option<OpImmKind>; 1 << 11] = {
+    let mut table = [None; 1 << 11];
+    let mut k = 0;
+    while k < OpImmKind::ALL.len() {
+        let kind = OpImmKind::ALL[k];
+        let (opcode, funct3, above) = kind.encoding();
+        let word = opcode | FUNCT3.place(funct3);
+        let mut imm = 0;
+        while imm < 1 << 7 {
+            let keyed = match kind.shamt_bits() {
+                Some(bits) => imm >> (bits - 5) == above,
+                None => true,
+            };
+            let entry = &mut table[op_imm_key(word | FUNCT7.place(imm))];
+            if keyed {
+                assert!(entry.is_none(), "two OP-IMM rows share a key");
+                *entry = Some(kind);
+            }
+            imm += 1;
+        }
+        k += 1;
+    }
+    table
+};
 
 /// A field that takes a few values, each with its bits.
 #[derive(Debug, Clone, Copy)]
@@ -258,7 +294,8 @@ impl Codec<i32> for Perm {
 }
 
 /// The `OP-IMM` / `OP-IMM-32` immediate: a shift amount as wide as
-/// [`shamt_bits`] says for the word's opcode and `funct3`, else I. Encoding
+/// [`shamt_bits`] says for the word's opcode and `funct3`, else I. Decoding
+/// gathers both and selects one, without a branch on the word. Encoding
 /// scatters through I, so a shift amount too wide spills into the key's
 /// bits and does not gather back.
 #[derive(Debug, Clone, Copy)]
@@ -278,7 +315,11 @@ impl ShiftOrI {
 impl Codec<i32> for ShiftOrI {
     #[inline(always)]
     fn get(self, word: u32) -> Option<i32> {
-        Some(Self::perm(word).gather(word))
+        // `funct3 = x01` is a shift; `OP-IMM-32` (opcode bit 3) has 5 bits.
+        let shift = FUNCT3.read(word) & 0b011 == 0b001;
+        let shamt = word >> 20 & 63 >> (word >> 3 & 1);
+        let imm = select_unpredictable(shift, shamt as i32, I.gather(word));
+        Some(imm)
     }
 
     #[inline(always)]

@@ -22,9 +22,9 @@
 //! ignored in debug and CI runs them with `--release -- --include-ignored`.
 
 use chimera_isa::{
-    decode, encode, encode_compressed, BranchKind, DecodeError, Eew, EncodeError, FCmpKind,
-    FMaKind, FOpKind, FReg, FpWidth, Inst, IntWidth, LoadKind, OpImmKind, OpKind, StoreKind,
-    UnaryKind, VArithOp, VReg, VSrc, VType, XReg,
+    decode, decode_compressed, encode, encode_compressed, BranchKind, DecodeError, Decoded, Eew,
+    EncodeError, FCmpKind, FMaKind, FOpKind, FReg, FpWidth, Inst, IntWidth, LoadKind, OpImmKind,
+    OpKind, StoreKind, UnaryKind, VArithOp, VReg, VSrc, VType, XReg,
 };
 
 /// The 32-bit space is folded in fixed slices so the digest does not
@@ -168,6 +168,19 @@ fn every_halfword_decodes_reencodes_and_prints_as_recorded() {
         d.fold(half as u32, true);
     }
     d.check("RVC", HALFWORDS);
+}
+
+/// `decode` reads a compressed halfword's expansion from a table that
+/// `decode_compressed` fills at compile time: the two agree on every
+/// halfword, in what they accept and in the error they return.
+#[test]
+fn decode_reads_what_decode_compressed_computes_for_every_halfword() {
+    for half in (0..=u16::MAX).filter(|h| h & 0b11 != 0b11) {
+        let expected = decode_compressed(half).map(|inst| Decoded { inst, len: 2 });
+        assert_eq!(decode(half as u32), expected, "halfword {half:#06x}");
+        // The upper halfword of the fetched word plays no part.
+        assert_eq!(decode(0xffff_0000 | half as u32), expected, "{half:#06x}");
+    }
 }
 
 /// `(digest, instructions that compress)` of the encode-space sweep below,

@@ -297,10 +297,12 @@ impl ChbpEngine {
         };
         // Sequential walk over the patch sites — source instructions in
         // address order: a unit covers the sources it translated, so the
-        // ranges come out ascending and disjoint.
+        // ranges come out ascending and disjoint. Every source belongs to
+        // an extension, so the walk reads the disassembly's extension
+        // sites, not every instruction.
         let mut covered_until: u64 = 0;
-        let sites = d
-            .iter()
+        let sites = (d.ext_sites.iter())
+            .map(|&i| &d.insts[i])
             .filter(|di| self.opts.mode.is_source(&di.inst, self.target));
         for site in sites {
             p.sources += 1;
@@ -1151,6 +1153,32 @@ mod tests {
                     (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
                 });
                 assert_eq!(fnv, digest, "{n} bodies: {fnv:#x}");
+            }
+        }
+    }
+
+    /// `partition` walks the disassembly's extension sites, not every
+    /// instruction: under each mode CHBP runs, every instruction the mode
+    /// takes as a source over the whole zoo is one of them. A mode whose
+    /// sources could be base instructions fails here, not by skipping them.
+    #[test]
+    fn every_source_is_an_extension_site() {
+        use chimera_workloads::speclike::{generate, GenOptions, APP_PROFILES, SPEC_PROFILES};
+        let modes = [
+            (ExtSet::RV64GC, Mode::Downgrade),
+            (ExtSet::RV64GCV, Mode::EmptyPatch(Ext::V)),
+        ];
+        for p in SPEC_PROFILES.iter().chain(APP_PROFILES) {
+            let d = disassemble(&generate(p, GenOptions::default()));
+            for (target, mode) in modes {
+                let sources: Vec<usize> = (0..d.insts.len())
+                    .filter(|&i| mode.is_source(&d.insts[i].inst, target))
+                    .collect();
+                assert!(!sources.is_empty(), "{} {mode:?}: has sources", p.name);
+                let outside: Vec<&usize> = (sources.iter())
+                    .filter(|i| d.ext_sites.binary_search(i).is_err())
+                    .collect();
+                assert!(outside.is_empty(), "{} {mode:?}: {outside:?}", p.name);
             }
         }
     }

@@ -13,9 +13,11 @@
 //! fuzzer cases (compressed, straddle-split and SMC shapes included); so
 //! must a solve rooted at seeded random root sets, wherever it analyses.
 //! CHBP's scan roots its solve at its units' exits: on the zoo that
-//! closure stays a small fraction of the program.
+//! closure stays a small fraction of the program. The disassembly half —
+//! instruction set, `data_refs`, extension sites — also runs over the two
+//! MB-sized `launch_cold` programs (in release).
 
-use chimera_analysis::{disassemble, Cfg, DisasmInst, Liveness};
+use chimera_analysis::{disassemble, Cfg, DisasmInst, Disassembly, Liveness};
 use chimera_isa::prng::Prng;
 use chimera_isa::{decode, Ext, ExtSet, Inst, RegSet, XReg};
 use chimera_obj::{assemble, AsmOptions, Binary, SymKind};
@@ -174,16 +176,29 @@ fn naive_liveness(insts: &[DisasmInst], blocks: &BTreeMap<u64, NaiveBlock>) -> V
     live
 }
 
-/// Compares the crate's analyses of `bin` with the oracle's, fact for
-/// fact — the whole-program solve at every instruction, and solves rooted
-/// at seeded random root sets at every instruction they analyse; returns
-/// (instructions, transfer evaluations) of the whole-program solve.
-fn check(what: &str, bin: &Binary) -> (usize, usize) {
+/// Compares the crate's disassembly of `bin` with the oracle's: the
+/// instruction set, `data_refs` and the extension sites. Returns the
+/// disassembly, the oracle's instructions and its data references.
+fn check_disasm(what: &str, bin: &Binary) -> (Disassembly, Vec<DisasmInst>, BTreeSet<u64>) {
     let d = disassemble(bin);
     let (naive, data_refs) = naive_disasm(bin);
     let insts: Vec<DisasmInst> = naive.values().copied().collect();
     assert_eq!(&d.insts[..], &insts[..], "{what}: instruction set");
     assert_eq!(d.data_refs, Vec::from_iter(data_refs.clone()), "{what}");
+    let ext_sites: Vec<usize> = (0..insts.len())
+        .filter(|&i| insts[i].inst.ext().is_some())
+        .collect();
+    assert_eq!(d.ext_sites, ext_sites, "{what}: extension sites");
+    (d, insts, data_refs)
+}
+
+/// Compares the crate's analyses of `bin` with the oracle's, fact for
+/// fact — the disassembly, the whole-program solve at every instruction,
+/// and solves rooted at seeded random root sets at every instruction they
+/// analyse; returns (instructions, transfer evaluations) of the
+/// whole-program solve.
+fn check(what: &str, bin: &Binary) -> (usize, usize) {
+    let (d, insts, data_refs) = check_disasm(what, bin);
 
     let cfg = Cfg::build(&d);
     let blocks = naive_blocks(&insts, &data_refs);
@@ -327,6 +342,25 @@ fn chbp_exit_liveness_stays_within_a_tenth_of_the_zoo() {
                 p.name
             );
         }
+    }
+}
+
+/// `pipeline_e2e`'s two MB-sized `launch_cold` programs (the profiles,
+/// scales and code seed of `rewrite_golden`), through the disassembly
+/// half of the oracle. Seconds in release, minutes in debug — CI runs it
+/// with `--release -- --include-ignored`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "MB-sized inputs: run in release")]
+fn launch_cold_disassembly_agrees_with_the_oracle() {
+    for (name, size_scale) in [("omnetpp_r", 0.5), ("cactuBSSN_r", 0.25)] {
+        let p = SPEC_PROFILES.iter().find(|p| p.name == name).unwrap();
+        let opts = GenOptions {
+            size_scale,
+            work_scale: 0.01,
+            seed: 42,
+        };
+        let (d, ..) = check_disasm(name, &generate(p, opts));
+        assert!(!d.ext_sites.is_empty(), "{name}: has extension sites");
     }
 }
 
