@@ -1,8 +1,11 @@
 //! Instruction decoding: machine words into canonical [`Inst`] values.
 //! [`decode`] sorts a word by its length bits and hands a 32-bit word to
-//! the decoder generated from the shape table (`shapes.rs`), a compressed
-//! one to the decoder generated from the form table in [`crate::rvc`];
-//! this module holds the sorting and the result and error types.
+//! the decoder generated from the shape table (`shapes.rs`). A compressed
+//! one is a single load: the form table in [`crate::rvc`] generates
+//! [`decode_compressed`], a `const fn`, and the compiler evaluates it over
+//! every compressed halfword into a static table, so decoding a program's
+//! mix of RVC forms takes no branch on the halfword's bits. This module
+//! holds the sorting and the result and error types.
 //!
 //! Anything outside the modelled subset decodes to
 //! [`DecodeError::Unrecognized`]; the emulator turns that into an

@@ -60,7 +60,8 @@
 //! [`decode_compressed`] and [`encode_compressed`] are both generated from
 //! it — which halfwords are illegal (what SMILE's P3 constraint stands on)
 //! and which instructions fit two bytes (what the module builder lays out)
-//! cannot disagree.
+//! cannot disagree. [`decode`] reads a compressed halfword from a table
+//! the compiler fills by running `decode_compressed` over every halfword.
 //!
 //! ## One spelling per 32-bit shape
 //!

@@ -34,6 +34,14 @@
 //! so `addi sp, sp, 16` compresses to the former. Both functions are one
 //! `match` whose guarded arms are the rows, each a constant its arm's
 //! helpers fold to the shifts and masks a hand-written arm would hold.
+//!
+//! Decoding is a `const fn` (so are the slot, permutation and expansion
+//! helpers it calls), and the compiler runs it over all 49,152 compressed
+//! halfwords into `EXPANSIONS`, a static table of `Option<Inst>`:
+//! [`decode`](crate::decode()) reads a halfword's expansion with one load.
+//! The table is computed from the rows, not written beside them, so it has
+//! no second source of truth to drift from. Run in program order, the
+//! `match` mispredicted on about every other halfword.
 
 use crate::bits::{consts, field, Perm};
 use crate::decode::DecodeError;
@@ -275,8 +283,8 @@ macro_rules! rvc {
         /// outside the modelled subset, or not a 16-bit encoding at all
         /// (`bits[1:0] = 11`) — is [`DecodeError::Unrecognized`].
         ///
-        /// [`decode`](crate::decode()) does not call this: it reads
-        /// [`expansion`], the table this function fills at compile time.
+        /// [`decode`](crate::decode()) does not call this: it reads the
+        /// table this function fills at compile time (see the module docs).
         pub const fn decode_compressed(word: u16) -> Result<Inst, DecodeError> {
             match (word & 0b11, word >> 13) {
                 $(($quadrant, $funct3)

@@ -22,7 +22,9 @@
 //! * One codec per field of the constructor: a register slot `X` / `F` /
 //!   `V` at a bit position; `Key`, the kind's own key through
 //!   `from_encoding()` / `encoding()` (where each family's key sits in the
-//!   word is stated once, in `keys!`); an immediate `Perm` (I, S, B, U, J
+//!   word is stated once, in `keys!`; `OpImmKind` decodes through
+//!   `OP_IMM_KEYS`, a 2,048-entry table built from its rows at compile
+//!   time, because its key's width depends on `funct3`); an immediate `Perm` (I, S, B, U, J
 //!   and the shift amounts, each beside the spec's bit names in
 //!   [`bits`](crate::bits)); or a `Tab` of the few values a width, element
 //!   width or sign takes.
@@ -30,7 +32,9 @@
 //!   does not: `VArith`'s source form and `vmv.v.*`'s `vs2 = v0`.
 //!
 //! Decoding matches the fixed bits, has every codec read its field — any
-//! may refuse — checks the guard and builds the instruction. Encoding ORs
+//! may refuse — checks the guard and builds the instruction. The `OP-IMM`
+//! codecs take no branch on `funct3`: the kind is one table load and the
+//! immediate (`ShiftOrI`) a select between the two gathers. Encoding ORs
 //! the fixed and canonical bits with every codec's bits and accepts iff
 //! each field that can lose bits gathers back the value it started from:
 //! an immediate (`MisalignedOffset` when the value has bits below the
