@@ -503,12 +503,13 @@ mod tests {
             rs1: XReg::A0,
             imm: 1,
         };
+        // The even stream: `addi` at 0, `vfadd.vf` at 4, and at 8 a
+        // `c.ebreak` whose first byte completes the odd stream's `vadd.vv`
+        // at 5; from 9 the odd stream reads a reserved halfword (quadrant
+        // 0, `funct3 = 100`).
         let mut code = Vec::new();
-        code.extend(encode(&addi).unwrap().to_le_bytes()); // 0: even entry
-        code.extend(encode(&vfadd).unwrap().to_le_bytes()); // 4
-                                                            // 8: `c.ebreak` ends the even stream; its first byte completes the
-                                                            // odd stream's `vadd.vv` at 5, and from 9 the odd stream reads a
-                                                            // reserved `funct3 = 100` quadrant-0 halfword.
+        code.extend(encode(&addi).unwrap().to_le_bytes());
+        code.extend(encode(&vfadd).unwrap().to_le_bytes());
         code.extend([0x02, 0x90, 0x80, 0x00]);
 
         let mut bin = assemble("_start:\n ecall\n", AsmOptions::default()).unwrap();

@@ -24,10 +24,10 @@
 //!   `from_encoding()` / `encoding()` (where each family's key sits in the
 //!   word is stated once, in `keys!`; `OpImmKind` decodes through
 //!   `OP_IMM_KEYS`, a 2,048-entry table built from its rows at compile
-//!   time, because its key's width depends on `funct3`); an immediate `Perm` (I, S, B, U, J
-//!   and the shift amounts, each beside the spec's bit names in
-//!   [`bits`](crate::bits)); or a `Tab` of the few values a width, element
-//!   width or sign takes.
+//!   time, because how wide its key is depends on `funct3`); an immediate
+//!   `Perm` (I, S, B, U, J and the shift amounts, each beside the spec's
+//!   bit names in [`bits`](crate::bits)); or a `Tab` of the few values a
+//!   width, element width or sign takes.
 //! * An optional guard over the fields that decoding checks and encoding
 //!   does not: `VArith`'s source form and `vmv.v.*`'s `vs2 = v0`.
 //!
