@@ -9,21 +9,23 @@
 //! access — the deterministic "segmentation fault" a partially executed
 //! SMILE trampoline produces.
 //!
-//! The front end (fetch + decode + gating) is one function, memoized per
-//! basic block by [`BlockCache`] (see [`crate::bbcache`]) in every mode
-//! but [`ExecMode::Reference`]. [`Cpu::exec`] is the reference semantics:
-//! the engine's micro-op arms and the JIT's templates are held to it,
-//! result for result and cycle for cycle, by `tests/differential.rs` and
-//! the fuzz oracle.
+//! The front end's gate (decode + extension gating) is one function,
+//! `decode_gated`: [`Cpu::step`] feeds it fetched parcels, and the block
+//! builder feeds it parcels read from the region's bytes and memoizes the
+//! result per basic block in [`BlockCache`] (see [`crate::bbcache`]) in
+//! every mode but [`ExecMode::Reference`]. [`Cpu::exec`] is the reference
+//! semantics: the engine's micro-op arms and the JIT's templates are held
+//! to it, result for result and cycle for cycle, by `tests/differential.rs`
+//! and the fuzz oracle.
 
-use crate::bbcache::{Block, BlockCache, CachedInst, JumpEntry};
+use crate::bbcache::{Block, BlockCache, JumpEntry};
 use crate::cost::{CostModel, ExecStats};
 use crate::hart::Hart;
 use crate::mem::{AccessHints, MemFault, Memory, RegionHint};
-use crate::uop::{lower_block, MicroOp};
+use crate::uop::{lower, MicroOp, Uop};
 use chimera_isa::{
-    decode, DecodeError, Decoded, Eew, Ext, ExtSet, FpWidth, Inst, IntWidth, LoadKind, StoreKind,
-    VArithOp, VReg, VSrc, XReg,
+    decode, Decoded, Eew, Ext, ExtSet, FpWidth, Inst, IntWidth, LoadKind, StoreKind, VArithOp,
+    VReg, VSrc, XReg,
 };
 use chimera_trace::{TraceEvent, Tracer, TrapKind};
 use core::fmt;
@@ -90,8 +92,8 @@ pub enum Stop {
 ///
 /// Every mode but `Reference` enters blocks through one dispatcher (region
 /// fingerprint, [`BlockCache::lookup`], build on a miss); `Reference`
-/// fetches, decodes and gates each instruction with the same function the
-/// block builder uses.
+/// fetches each instruction and decodes and gates it with the same
+/// function the block builder uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Pure per-instruction fetch/decode/execute — the reference semantics
@@ -143,6 +145,9 @@ pub struct Cpu {
     /// and [`TraceEvent::Trap`] — coarse events only, never per retired
     /// instruction, so the enabled overhead stays bounded.
     pub tracer: Tracer,
+    /// The block builder's micro-op buffer, reused across builds (each
+    /// build copies it into the block's exact-size body).
+    build_buf: Vec<Uop>,
 }
 
 impl Cpu {
@@ -158,6 +163,7 @@ impl Cpu {
             hints: AccessHints::default(),
             jit: crate::jit::JitTier::new(),
             tracer: Tracer::disabled(),
+            build_buf: Vec::new(),
         }
     }
 
@@ -272,10 +278,9 @@ impl Cpu {
         self.exec(mem, decoded.inst, decoded.len as u64)
     }
 
-    /// The front end: fetches the instruction at `pc` (the upper parcel
-    /// too for a 32-bit encoding), decodes it and gates it on the profile —
-    /// the canonical instruction's extension, plus the C extension when the
-    /// encoding was compressed. [`Cpu::step`] and the block builder share it.
+    /// The uncached front end: fetches the instruction at `pc` (the upper
+    /// parcel too for a 32-bit encoding) and passes it through
+    /// `decode_gated`, the gate the block builder uses.
     #[inline(always)]
     fn fetch(&mut self, mem: &mut Memory, pc: u64) -> Result<Decoded, Trap> {
         let fetch_fault = |fault: MemFault| Trap::Mem {
@@ -293,30 +298,21 @@ impl Cpu {
         } else {
             lo as u32
         };
-        let decoded = decode(word).map_err(|e| {
-            let raw = match e {
-                DecodeError::Unrecognized(w) | DecodeError::ReservedLong(w) => w,
-            };
-            Trap::Illegal { pc, raw }
-        })?;
-        if !decoded.inst.runnable_on(self.profile)
-            || (decoded.len == 2 && !self.profile.contains(Ext::C))
-        {
-            return Err(Trap::Illegal { pc, raw: word });
-        }
-        Ok(decoded)
+        decode_gated(word, pc, self.profile)
     }
 
     /// The dispatcher every cached mode enters blocks through: the valid
     /// block for pc (a stale one is dropped and counted), built on a miss.
-    /// `None` means pc ran one instruction uncached instead: an unmapped or
-    /// non-executable pc, so the architecturally correct fetch fault is
-    /// raised, or a first instruction whose upper parcel lies outside the
+    /// `None` means pc ran one instruction uncached instead, through
+    /// [`Cpu::step`]: an unmapped or non-executable pc, so the
+    /// architecturally correct fetch fault is raised; a first instruction
+    /// that does not decode or is gated off, so the trap is `step`'s own;
+    /// or a first instruction whose upper parcel lies outside the
     /// fingerprinted region, so writes to the neighbouring region are
     /// always observed.
     fn dispatch(&mut self, mem: &mut Memory) -> Result<Option<(u32, Arc<Block>)>, Trap> {
         let pc = self.hart.pc;
-        let Some(fp) = mem.code_fingerprint(pc) else {
+        let Some((fp, code)) = mem.code_from(pc) else {
             self.step(mem)?;
             return Ok(None);
         };
@@ -330,7 +326,7 @@ impl Cpu {
         if looked_up.is_some() {
             return Ok(looked_up);
         }
-        let built = self.build_block(mem, pc, fp)?;
+        let built = self.build_block(pc, fp, code);
         if built.is_none() {
             self.step(mem)?;
         }
@@ -348,16 +344,12 @@ impl Cpu {
             return Ok(1);
         };
         let mut retired = 0u64;
-        for ci in block.insts.iter() {
+        for u in block.ops.iter() {
             if retired >= budget {
                 break;
             }
-            let gen_before = if ci.is_store {
-                mem.code_generation()
-            } else {
-                0
-            };
-            self.exec(mem, ci.inst, ci.len)?;
+            let gen_before = if u.is_store { mem.code_generation() } else { 0 };
+            self.exec(mem, u.inst(), u.len as u64)?;
             retired += 1;
             // A store may have rewritten code — including the rest of THIS
             // block. The global generation is the cheap filter; when it
@@ -365,7 +357,7 @@ impl Cpu {
             // intact (stores to *other* executable regions can't change
             // these bytes). Otherwise bail to the dispatcher, which
             // revalidates before executing anything else.
-            if ci.is_store && mem.code_generation() != gen_before && !block_intact(mem, &block) {
+            if u.is_store && mem.code_generation() != gen_before && !block_intact(mem, &block) {
                 break;
             }
         }
@@ -665,98 +657,79 @@ impl Cpu {
         Ok(retired)
     }
 
-    /// Decodes a basic block starting at `pc` and caches it.
+    /// Decodes a basic block starting at `pc` from `code`, the bytes of
+    /// the executable region holding `pc` from `pc` to the region end
+    /// (fingerprinted `fingerprint`), and caches it.
     ///
-    /// The block ends at the first control-transfer or system instruction
-    /// (included), at [`BlockCache::max_block_insts`], at the region edge,
-    /// or just before the first undecodable/ill-gated instruction. If the
-    /// *first* instruction already faults, nothing is cached and the trap
-    /// is returned with [`Cpu::step`]'s exact semantics (lazy rewriting may
-    /// legalise those bytes later, so they must stay uncached).
+    /// One pass: each instruction is read from `code`, decoded and gated
+    /// by `decode_gated` (the gate [`Cpu::step`] uses) and lowered
+    /// straight into the reused `build_buf`, which is copied once into the
+    /// block's body. The block ends at the first control-transfer or
+    /// system instruction (included), at [`BlockCache::max_block_insts`],
+    /// at the region end, or just before the first instruction that does
+    /// not decode or is gated off.
     ///
-    /// A 4-byte instruction whose upper parcel straddles into a *different*
-    /// region is never cached either — the block's fingerprint only covers
-    /// the region holding its start pc, so a write to the neighbour region
-    /// would not invalidate it. `Ok(None)` tells the caller to execute the
-    /// first instruction uncached instead.
+    /// A 4-byte instruction whose upper parcel lies past the region end is
+    /// never cached — the block's fingerprint only covers the region
+    /// holding its start pc, so a write to the neighbour region would not
+    /// invalidate it — and the block ends before it. When the *first*
+    /// instruction cannot be cached for any of these reasons nothing is
+    /// built and `None` tells the caller to run it uncached with
+    /// [`Cpu::step`], which raises its trap, if any, with the exact
+    /// uncached semantics (lazy rewriting may legalise those bytes later,
+    /// so they must stay uncached).
     fn build_block(
         &mut self,
-        mem: &mut Memory,
         pc: u64,
         fingerprint: (u64, u64),
-    ) -> Result<Option<(u32, Arc<Block>)>, Trap> {
-        let mut insts = Vec::new();
-        let mut cur = pc;
-        while insts.len() < BlockCache::max_block_insts() {
-            // Stop at the region edge (or if an interleaved build ever saw
-            // the region change — impossible today, checked for free).
-            if !insts.is_empty() && mem.code_fingerprint(cur) != Some(fingerprint) {
-                break;
-            }
-            // A 4-byte instruction's upper parcel must sit in the same
-            // region as the block fingerprint, or invalidation can't see it.
-            let fetched = self.fetch(mem, cur).map(|d| {
-                (d.len == 2 || mem.code_fingerprint(cur + 2) == Some(fingerprint)).then_some(d)
-            });
-            let decoded = match fetched {
-                Ok(Some(d)) => d,
-                // First instruction straddles out of the region: the caller
-                // must run it uncached.
-                Ok(None) if insts.is_empty() => return Ok(None),
-                // A later one: truncate; the next dispatch re-fingerprints
-                // at the straddling pc and takes the uncached path there.
-                Ok(None) => break,
-                // First instruction faults: surface it, uncached.
-                Err(t) if insts.is_empty() => return Err(t),
-                // Later instruction faults: truncate; the dispatcher will
-                // re-derive the fault when (if) pc actually gets there.
-                Err(_) => break,
+        code: &[u8],
+    ) -> Option<(u32, Arc<Block>)> {
+        let parcel = |off: usize| {
+            code.get(off..off + 2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]]))
+        };
+        self.build_buf.clear();
+        let mut off = 0;
+        while self.build_buf.len() < BlockCache::max_block_insts() {
+            // The region end, for the instruction or its upper parcel.
+            let Some(lo) = parcel(off) else { break };
+            let word = if lo & 0b11 == 0b11 {
+                let Some(hi) = parcel(off + 2) else { break };
+                (hi as u32) << 16 | lo as u32
+            } else {
+                lo as u32
             };
-            let inst = decoded.inst;
-            let len = decoded.len as u64;
-            let is_terminator = matches!(
-                inst,
-                Inst::Jal { .. }
-                    | Inst::Jalr { .. }
-                    | Inst::Branch { .. }
-                    | Inst::Ecall
-                    | Inst::Ebreak
-            );
-            insts.push(CachedInst {
-                inst,
-                len,
-                is_store: matches!(
-                    inst,
-                    Inst::Store { .. } | Inst::FStore { .. } | Inst::VStore { .. }
-                ),
-            });
-            cur += len;
-            if is_terminator {
+            // A later instruction that traps ends the block; the
+            // dispatcher re-derives the trap when (if) pc gets there.
+            let Ok(Decoded { inst, len }) = decode_gated(word, pc + off as u64, self.profile)
+            else {
+                break;
+            };
+            self.build_buf.push(lower(inst, len, &self.cost));
+            off += len as usize;
+            if inst.is_terminator() {
                 break;
             }
         }
-        // Lower the micro-op body at build time in every mode, so
-        // interpreter and engine runs build byte-identical blocks (and the
-        // `blocks_built` counters reconcile trivially).
-        let ops = lower_block(&insts, &self.cost);
+        if self.build_buf.is_empty() {
+            return None;
+        }
         let block = Block {
-            insts,
-            ops,
+            ops: self.build_buf.as_slice().into(),
             region_start: fingerprint.0,
             region_gen: fingerprint.1,
         };
-        let (id, cached) = self.cache.insert(pc, self.profile, block);
         if self.tracer.is_enabled() {
             self.tracer.record(
                 self.stats.cycles,
                 TraceEvent::BlockBuilt {
                     pc,
-                    insts: cached.insts.len() as u64,
+                    insts: block.ops.len() as u64,
                 },
             );
             self.tracer.count("emu.blocks_built", 1);
         }
-        Ok(Some((id, cached)))
+        Some(self.cache.insert(pc, self.profile, block))
     }
 
     /// Executes a decoded instruction (pc at `self.hart.pc`, length `len`).
@@ -1080,6 +1053,20 @@ impl Cpu {
         self.stats.cycles += self.cost.cost(&inst, vl_words, taken);
         Ok(())
     }
+}
+
+/// Decodes `word`, the instruction at `pc`, and gates it on `profile`: the
+/// canonical instruction's extension, plus the C extension when the
+/// encoding was compressed. The front end's one gate — [`Cpu::step`]'s
+/// fetch and the block builder both call it, so a block's first
+/// instruction traps exactly as the uncached step does.
+#[inline(always)]
+fn decode_gated(word: u32, pc: u64, profile: ExtSet) -> Result<Decoded, Trap> {
+    let decoded = decode(word).map_err(|e| Trap::Illegal { pc, raw: e.raw() })?;
+    if !decoded.inst.runnable_on(profile) || (decoded.len == 2 && !profile.contains(Ext::C)) {
+        return Err(Trap::Illegal { pc, raw: word });
+    }
+    Ok(decoded)
 }
 
 /// Whether `block`'s own region fingerprint is still current — the

@@ -743,6 +743,17 @@ impl Memory {
         r.perms.x.then_some((r.start, r.generation))
     }
 
+    /// The executable region holding `addr`, resolved once for a whole
+    /// block build: its [`Memory::code_fingerprint`] and its bytes from
+    /// `addr` to the region end. `None` when `addr` is unmapped or not
+    /// executable.
+    pub(crate) fn code_from(&mut self, addr: u64) -> Option<((u64, u64), &[u8])> {
+        let idx = self.region_idx(addr)?;
+        let r = &self.regions[idx];
+        let code = &r.bytes()[(addr - r.start) as usize..];
+        r.perms.x.then_some(((r.start, r.generation), code))
+    }
+
     /// Convenience typed accessors.
     pub fn read_u64(&mut self, addr: u64) -> Result<u64, MemFault> {
         Ok(u64::from_le_bytes(self.read::<8>(addr)?))
@@ -854,6 +865,17 @@ mod tests {
         assert!(m.code_fingerprint(0x1000).is_some()); // RX .text
         assert!(m.code_fingerprint(0x2000).is_none()); // RW .data
         assert!(m.code_fingerprint(0x9000).is_none()); // unmapped
+    }
+
+    #[test]
+    fn code_from_is_the_fingerprint_and_the_bytes_to_the_region_end() {
+        let mut m = mem();
+        let fp = m.code_fingerprint(0x1003);
+        let (got_fp, code) = m.code_from(0x1003).unwrap();
+        assert_eq!((Some(got_fp), code), (fp, &[4, 5, 6, 7, 8][..]));
+        assert!(m.code_from(0x1008).is_none()); // one past the end
+        assert!(m.code_from(0x2000).is_none()); // RW .data
+        assert!(m.code_from(0x9000).is_none()); // unmapped
     }
 
     #[test]

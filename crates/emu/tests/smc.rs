@@ -8,7 +8,7 @@
 //! cached run must remain bit-identical to the uncached reference
 //! interpreter.
 
-use chimera_emu::{Cpu, ExecMode, Memory, Stop, Trap};
+use chimera_emu::{Access, Cpu, ExecMode, ExecStats, MemFault, Memory, Stop, Trap};
 use chimera_isa::{encode, BranchKind, ExtSet, Inst, OpImmKind, StoreKind, XReg};
 use chimera_obj::{assemble, AsmOptions, Perms};
 
@@ -859,5 +859,166 @@ fn severed_successor_is_unlinked_and_relinked() {
             3,
             "t={threshold}: only the successor recompiles"
         );
+    }
+}
+
+/// One region-edge case: the executable regions, the core, and what every
+/// mode must observe.
+struct EdgeCase {
+    name: &'static str,
+    profile: ExtSet,
+    /// `(start, bytes)`, each mapped RX.
+    regions: Vec<(u64, Vec<u8>)>,
+    /// The reference run's stop.
+    stop: Stop,
+    /// What every cached mode's cache must show.
+    cache: EdgeCache,
+}
+
+/// What every mode must observe of a run: the stop, the cycle accounting,
+/// the register file.
+type EdgeRun = (Stop, ExecStats, [u64; 32]);
+
+/// `(blocks_built, misses, instructions in the block at BASE)`.
+type EdgeCache = (u64, u64, Option<usize>);
+
+/// Runs `case` from `BASE` in `mode`.
+fn run_edge(case: &EdgeCase, mode: ExecMode) -> (EdgeRun, EdgeCache) {
+    let mut cpu = Cpu::new(case.profile);
+    cpu.set_mode(mode);
+    cpu.set_jit_threshold(1);
+    let mut mem = Memory::new();
+    for (i, (start, bytes)) in case.regions.iter().enumerate() {
+        mem.map_bytes(*start, bytes.clone(), Perms::RX, &format!(".text{i}"));
+    }
+    cpu.hart.pc = BASE;
+    let stop = cpu.run(&mut mem, 1_000);
+    let s = cpu.cache.stats;
+    let fp = mem.code_fingerprint(BASE).unwrap();
+    let first = cpu.cache.lookup(BASE, case.profile, fp);
+    (
+        (stop, cpu.stats, cpu.hart.xregs()),
+        (s.blocks_built, s.misses, first.map(|(_, b)| b.ops.len())),
+    )
+}
+
+/// The block builder reads a block from its region's bytes and stops at
+/// the region end, at an instruction that does not decode or is gated off,
+/// and at the 64-instruction cap; a first instruction it cannot cache runs
+/// uncached through `Cpu::step`. Each of those edges must leave every
+/// cached mode observing exactly the reference run: the trap (pc and raw
+/// bits included), `ExecStats` and the register file — and must build and
+/// miss the same blocks in all three cached modes.
+#[test]
+fn region_edges_and_first_instruction_traps_match_the_reference() {
+    let addi_word = encode(&addi(XReg::A0, XReg::A0, 1)).unwrap();
+    let lo_parcel = (addi_word as u16).to_le_bytes().to_vec();
+    let c_addi = chimera_isa::encode_compressed(&addi(XReg::A0, XReg::A0, 1)).unwrap();
+    let illegal = 0x0000_007b; // custom-3: no decoding
+    assert!(chimera_isa::decode(illegal).is_err());
+    let vadd = chimera_isa::parse("vadd.vv", &["v1", "v2", "v3"]).unwrap();
+    let vadd_word = encode(&vadd).unwrap();
+    let cat = |parts: &[&[u8]]| parts.concat();
+    let seven = words(&[addi(XReg::A0, XReg::ZERO, 7)]);
+    let fetch_fault = |addr| {
+        Stop::Trap(Trap::Mem {
+            pc: addr,
+            fault: MemFault {
+                addr,
+                access: Access::Fetch,
+                mapped: false,
+            },
+        })
+    };
+    let mut long = vec![addi(XReg::A0, XReg::A0, 1); 64];
+    long.push(Inst::Ecall);
+    let cases = [
+        EdgeCase {
+            name: "upper parcel unmapped, first instruction",
+            profile: ExtSet::RV64GC,
+            regions: vec![(BASE, lo_parcel.clone())],
+            stop: fetch_fault(BASE + 2),
+            cache: (0, 1, None),
+        },
+        EdgeCase {
+            name: "upper parcel unmapped, later instruction",
+            profile: ExtSet::RV64GC,
+            regions: vec![(BASE, cat(&[&seven, &lo_parcel]))],
+            stop: fetch_fault(BASE + 6),
+            cache: (1, 2, Some(1)),
+        },
+        EdgeCase {
+            name: "compressed instruction in the region's last halfword",
+            profile: ExtSet::RV64GC,
+            regions: vec![
+                (BASE, cat(&[&seven, &c_addi.to_le_bytes()])),
+                (BASE + 6, words(&[Inst::Ecall])),
+            ],
+            stop: Stop::Trap(Trap::Ecall { pc: BASE + 6 }),
+            cache: (2, 2, Some(2)),
+        },
+        EdgeCase {
+            name: "illegal first instruction",
+            profile: ExtSet::RV64GC,
+            regions: vec![(BASE, illegal.to_le_bytes().to_vec())],
+            stop: Stop::Trap(Trap::Illegal {
+                pc: BASE,
+                raw: illegal,
+            }),
+            cache: (0, 1, None),
+        },
+        EdgeCase {
+            name: "illegal later instruction",
+            profile: ExtSet::RV64GC,
+            regions: vec![(BASE, cat(&[&seven, &illegal.to_le_bytes()]))],
+            stop: Stop::Trap(Trap::Illegal {
+                pc: BASE + 4,
+                raw: illegal,
+            }),
+            cache: (1, 2, Some(1)),
+        },
+        EdgeCase {
+            name: "vector first instruction on RV64GC",
+            profile: ExtSet::RV64GC,
+            regions: vec![(BASE, words(&[vadd, Inst::Ecall]))],
+            stop: Stop::Trap(Trap::Illegal {
+                pc: BASE,
+                raw: vadd_word,
+            }),
+            cache: (0, 1, None),
+        },
+        EdgeCase {
+            name: "the same bytes on RV64GCV",
+            profile: ExtSet::RV64GCV,
+            regions: vec![(BASE, words(&[vadd, Inst::Ecall]))],
+            stop: Stop::Trap(Trap::Ecall { pc: BASE + 4 }),
+            cache: (1, 1, Some(2)),
+        },
+        EdgeCase {
+            name: "compressed first instruction on RV64I",
+            profile: ExtSet::RV64I,
+            regions: vec![(BASE, cat(&[&c_addi.to_le_bytes(), &words(&[Inst::Ecall])]))],
+            stop: Stop::Trap(Trap::Illegal {
+                pc: BASE,
+                raw: c_addi.into(),
+            }),
+            cache: (0, 1, None),
+        },
+        EdgeCase {
+            name: "64 straight-line instructions fill a block: the ecall starts the next",
+            profile: ExtSet::RV64GC,
+            regions: vec![(BASE, words(&long))],
+            stop: Stop::Trap(Trap::Ecall { pc: BASE + 256 }),
+            cache: (2, 2, Some(64)),
+        },
+    ];
+    for case in &cases {
+        let (reference, _) = run_edge(case, ExecMode::Reference);
+        assert_eq!(reference.0, case.stop, "{}: reference", case.name);
+        for mode in [ExecMode::Interpreter, ExecMode::Engine, ExecMode::Jit] {
+            let (got, cache) = run_edge(case, mode);
+            assert_eq!(got, reference, "{}: {mode:?}", case.name);
+            assert_eq!(cache, case.cache, "{}: {mode:?} (built, misses)", case.name);
+        }
     }
 }
