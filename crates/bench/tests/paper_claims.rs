@@ -83,15 +83,17 @@ fn fam_downgrade_latency_curve_turns() {
 
 /// C1 (Chimera within 3.2 % of MELF at 100 % extension share, §6.1) as a
 /// ratchet: at quick scale Chimera's Fig. 11 CPU time at 100 % is at
-/// most 1.26 × MELF's. Recorded when vector runs began translating as
-/// one body: +25.0 % (2,015,440 against 1,612,272 cycles), from +33.3 %
-/// (2,149,152) before. Lower the bound as the gap closes.
+/// most 1.195 × MELF's. Recorded when a downgraded stretch began holding
+/// its elements in registers and fusing its leading loads: +19.1 %
+/// (1,920,080 against 1,612,272 cycles), from +25.0 % (2,015,440) when
+/// vector runs began translating as one body and +33.3 % (2,149,152)
+/// before. Lower the bound as the gap closes.
 #[test]
 fn c1_downgrade_gap_ratchet() {
     let at_100 = |system| ext_sweep(system)[10].cpu_time as f64;
     let (melf, chimera) = (at_100(SystemKind::Melf), at_100(SystemKind::Chimera));
     let gap = 100.0 * (chimera / melf - 1.0);
-    assert!(chimera <= 1.26 * melf, "Chimera +{gap:.1} % over MELF");
+    assert!(chimera <= 1.195 * melf, "Chimera +{gap:.1} % over MELF");
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //!   field for `lui`/`auipc`).
 
 use crate::kinds::*;
-use crate::reg::{FReg, RegSet, VReg, XReg};
+use crate::reg::{FReg, RegSet, VReg, VRegSet, XReg};
 use crate::{Ext, ExtSet};
 
 /// Floating-point operand width.
@@ -615,6 +615,41 @@ impl Inst {
         }
     }
 
+    /// The vector registers the instruction *reads*: a store's data, a
+    /// source of an operation (not the `v0` a move encodes as `vs2`), the
+    /// destination of an accumulating row (`vmacc`, `vfmacc`), and the
+    /// destination of `vmv.s.x`, whose other elements carry through.
+    pub fn uses_v(&self) -> VRegSet {
+        let mut v = VRegSet::EMPTY;
+        match *self {
+            Inst::VStore { vs3, .. } => v.insert(vs3),
+            Inst::VArith { op, vd, vs2, src } => {
+                let element = op.element();
+                if element != Element::Move {
+                    v.insert(vs2);
+                }
+                if let VSrc::V(vs1) = src {
+                    v.insert(vs1);
+                }
+                if matches!(element, Element::Acc(_) | Element::FMa(_)) {
+                    v.insert(vd);
+                }
+            }
+            Inst::VMvXS { vs2, .. } => v.insert(vs2),
+            Inst::VMvSX { vd, .. } => v.insert(vd),
+            _ => {}
+        }
+        v
+    }
+
+    /// The vector register the instruction *writes*, if any.
+    pub fn def_v(&self) -> Option<VReg> {
+        match *self {
+            Inst::VLoad { vd, .. } | Inst::VArith { vd, .. } | Inst::VMvSX { vd, .. } => Some(vd),
+            _ => None,
+        }
+    }
+
     /// The statically known control-flow target of a direct jump or branch,
     /// given the instruction's own address. `None` for non-control-flow
     /// instructions and for indirect jumps.
@@ -693,6 +728,49 @@ mod tests {
         };
         assert_eq!(st.def_x(), None);
         assert_eq!(st.uses_x().iter().collect::<Vec<_>>(), [XReg::SP, XReg::A0]);
+    }
+
+    #[test]
+    fn vector_defs_and_uses() {
+        let v = VReg::of;
+        let uses = |i: Inst| i.uses_v().iter().collect::<Vec<_>>();
+        let (vd, vs2) = (v(3), v(1));
+        let macc = Inst::VArith {
+            op: VArithOp::Vmacc,
+            vd,
+            vs2,
+            src: VSrc::V(v(2)),
+        };
+        assert_eq!(
+            (uses(macc), macc.def_v()),
+            (vec![v(1), v(2), v(3)], Some(vd))
+        );
+        // A move reads its source, not the `v0` it encodes as `vs2`.
+        let (op, vs2) = (VArithOp::Vmv, VReg::V0);
+        let mv = Inst::VArith {
+            op,
+            vd,
+            vs2,
+            src: VSrc::X(XReg::A0),
+        };
+        assert_eq!((uses(mv), mv.def_v()), (vec![], Some(vd)));
+        let fold = Inst::VArith {
+            op: VArithOp::Vredsum,
+            vd,
+            vs2: v(1),
+            src: VSrc::V(v(4)),
+        };
+        assert_eq!(uses(fold), [v(1), v(4)]);
+        let (eew, rs1) = (crate::Eew::E64, XReg::A0);
+        let load = Inst::VLoad { eew, vd, rs1 };
+        assert_eq!((uses(load), load.def_v()), (vec![], Some(vd)));
+        let store = Inst::VStore { eew, vs3: vd, rs1 };
+        assert_eq!((uses(store), store.def_v()), (vec![vd], None));
+        let to_x = Inst::VMvXS { rd: rs1, vs2: vd };
+        assert_eq!((uses(to_x), to_x.def_v()), (vec![vd], None));
+        // `vmv.s.x` writes element 0; the others carry through.
+        let to_v = Inst::VMvSX { vd, rs1 };
+        assert_eq!((uses(to_v), to_v.def_v()), (vec![vd], Some(vd)));
     }
 
     #[test]

@@ -186,14 +186,20 @@ impl Process {
     /// Whether the task can migrate right now: pc must not be inside the
     /// active view's target code (the target section or a lazily built
     /// block, not semantically equivalent across views, §4.3) or a
-    /// trampoline. When `false`, the scheduler delays migration and
-    /// re-checks at the next safe point (the paper inserts an exit-position
-    /// probe; our kernel simply steps until pc is outside target code).
+    /// trampoline, and must be in one of its executable sections — a SMILE
+    /// `jalr` leaves pc at a data address whose fetch fault the kernel is
+    /// yet to redirect, with `gp` still holding the return address. When
+    /// `false`, the scheduler delays migration and re-checks at the next
+    /// safe point (the paper inserts an exit-position probe; our kernel
+    /// simply steps until pc is outside target code).
     pub fn migration_safe(active: &Variant, pc: u64) -> bool {
-        match &active.tables.fht {
-            Some(fht) => !in_target_code(fht, pc) && !fht.inside_trampoline(pc),
-            None => true,
-        }
+        let sections = &active.binary.sections;
+        let fetchable = sections.iter().any(|s| s.perms.x && s.contains(pc));
+        fetchable
+            && match &active.tables.fht {
+                Some(fht) => !in_target_code(fht, pc) && !fht.inside_trampoline(pc),
+                None => true,
+            }
     }
 }
 

@@ -416,6 +416,11 @@ fn emit_vector_loop(vl: &VecLoop, em: &mut BlockEmitter) {
     };
     let (v1, v2, v3, v4) = (VReg::of(1), VReg::of(2), VReg::of(3), VReg::of(4));
     let vacc = VReg::of(8);
+    // A counter of 0 wraps in the scalar do-while; `counter − 1` would wrap
+    // too and strip-mine 2^64 − 1 elements. The repair block runs that
+    // iteration instead.
+    let skip = em.new_label();
+    em.branch_to(BranchKind::Beq, vl.counter, XReg::ZERO, skip);
     // A dot accumulates lane-wise in a vector register across strips and
     // reduces ONCE at loop exit: internal loop iterations are not entry
     // points (only the block head is), so mid-loop state need not match
@@ -504,6 +509,7 @@ fn emit_vector_loop(vl: &VecLoop, em: &mut BlockEmitter) {
         em.inst(Inst::VMvXS { rd: prod, vs2: v3 });
         em.inst(chimera_obj::add(acc, acc, prod));
     }
+    em.label(skip);
 }
 
 /// `counter -= vl; ptrs += vl * 8` using `gp` (holding `vl`) as scratch;
@@ -762,6 +768,33 @@ mod tests {
             assert_eq!(native.0[XReg::A0.index() as usize], exit, "{src}");
             assert_eq!(upgraded, native, "{src}");
         }
+    }
+
+    /// A dot loop entered with its counter at 0 (ROADMAP item 1(b)): the
+    /// scalar do-while wraps it and faults at its first load, through an
+    /// unmapped pointer. The vector block must not strip-mine `0 − 1`
+    /// elements first: it skips to the repair block, whose replay of that
+    /// load faults on the same address with every register as the scalar
+    /// loop leaves it, and no vector instruction retired.
+    #[test]
+    fn a_counter_of_zero_skips_the_vector_loop() {
+        let src = SCALAR_DOT
+            .replace("la t0, a", "li t0, 8")
+            .replace("la t1, b", "li t1, 16")
+            .replace("li t2, 6", "li t2, 0");
+        let bin = assemble(&src, AsmOptions::default()).unwrap();
+        let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
+        assert_eq!(rw.stats.smile_trampolines, 1);
+        let fault = |bin: &Binary| {
+            let (mut cpu, mut mem) = chimera_emu::boot(bin, ExtSet::RV64GCV);
+            let r = chimera_emu::run_cpu(&mut cpu, &mut mem, 100_000);
+            let Err(RunError::Trap(chimera_emu::Trap::Mem { fault, .. })) = r else {
+                panic!("the loop faults: {r:?}")
+            };
+            (fault.addr, cpu.hart.xregs(), cpu.stats.vector_insts)
+        };
+        let (native, upgraded) = (fault(&bin), fault(&rw.binary));
+        assert_eq!(upgraded, (8, native.1, 0));
     }
 
     #[test]

@@ -20,11 +20,11 @@ use chimera_isa::{
     Eew, Ext, ExtSet, FReg, FpWidth, Inst, OpImmKind, OpKind, UnaryKind, VArithOp, VReg, VSrc,
     VType, XReg, VLEN,
 };
-use chimera_kernel::RuntimeTables;
+use chimera_kernel::{RunOutcome, RuntimeTables};
 use chimera_obj::{Binary, DataSec, ModuleBuilder};
 use chimera_rewrite::translate::SpillLayout;
 use chimera_rewrite::{chbp_rewrite, RewriteOptions};
-use chimera_testutil::{run_under_kernel, writable_bytes, FUEL};
+use chimera_testutil::{run_under_kernel, run_under_kernel_at, writable_bytes, FUEL};
 
 const VLENB: usize = VLEN as usize / 8;
 /// The translation's scratch pools (`translate.rs`): an operand here is
@@ -102,6 +102,12 @@ struct Case {
     fp: bool,
     /// A register to point at the `mem` buffer (`vle` / `vse`).
     ptr: Option<XReg>,
+    /// A register to point at `pat`, the patterns `v1..v4` start from.
+    pat: Option<XReg>,
+    /// Whether every `x` register the setup leaves alone (not `zero`, `sp`,
+    /// `gp`, `tp`, a pointer or the `set` register) holds a distinct value
+    /// when the instructions under test run.
+    fill: bool,
     /// A register to load with a value after the common setup.
     set: Option<(XReg, i64)>,
     /// The instructions under test: one, or a run.
@@ -193,8 +199,28 @@ fn vector_program(c: &Case) -> Binary {
     for (i, r) in X_POOL.into_iter().enumerate() {
         b.li(r, [0x1111, -7, 0x7fff_fff0, 41, 0x8000_0000][i]);
     }
+    if c.fill {
+        let kept = [
+            XReg::ZERO,
+            XReg::SP,
+            XReg::GP,
+            XReg::TP,
+            XReg::A3,
+            XReg::A5,
+            XReg::A6,
+        ];
+        let filled = XReg::all().filter(|r| {
+            !kept.contains(r) && !X_POOL.contains(r) && ![c.ptr, c.pat].contains(&Some(*r))
+        });
+        for r in filled {
+            b.li(r, 0x5eed_0000 + 0x101 * r.index() as i64);
+        }
+    }
     if let Some(r) = c.ptr {
         b.la(r, "mem");
+    }
+    if let Some(r) = c.pat {
+        b.la(r, "pat");
     }
     b.li(XReg::A1, c.vl as i64);
     b.inst(Inst::Vsetvli {
@@ -273,6 +299,8 @@ fn every_varith_row_and_form_matches_the_vector_core() {
                 vl,
                 fp: op.is_fp(),
                 ptr: None,
+                pat: None,
+                fill: false,
                 set: None,
                 run: vec![iut],
             }));
@@ -394,6 +422,8 @@ fn runs_match_the_vector_core() {
                     vl,
                     fp,
                     ptr,
+                    pat: None,
+                    fill: false,
                     set,
                     run,
                 });
@@ -402,6 +432,186 @@ fn runs_match_the_vector_core() {
     }
     assert_eq!(runs.len(), 5 * (25 + 10) + 3 + 2);
     assert_eq!(check_vector(cases), runs.len() * 2 * 3 * 2);
+}
+
+/// Stretches whose elements the loop holds in registers (ROADMAP item 4),
+/// built at the case's width so that their leading loads join the loop: a
+/// leading `vle` whose `vd` the stretch writes again, two leading loads
+/// into one `vd`, destinations that alias their own sources, and two long
+/// bodies (the `speclike` vector loop and an FP chain over four live
+/// sources) that borrow `x` and `f` registers. Each at both widths and every boundary `vl`, right after
+/// the `vsetvli` (one loop) and behind a scalar instruction (the SEW
+/// dispatch: the `e64` copy fuses the loads, the `e32` copy loops over
+/// them first at `e64`), with every `x` register the run may borrow
+/// holding a distinct value — a borrowed register left unrestored shows in
+/// the compared `x` file.
+#[test]
+fn stretches_held_in_registers_match_the_vector_core() {
+    use VArithOp::*;
+    let v = VReg::of;
+    let varith = |op, vd, vs2, src| Inst::VArith { op, vd, vs2, src };
+    let vv = |op, vd, vs2, vs1| varith(op, vd, vs2, VSrc::V(v(vs1)));
+    let (mem, pat) = (XReg::A4, XReg::A7);
+    let runs = |width: Eew| {
+        let vle = |vd, rs1| Inst::VLoad {
+            eew: width,
+            vd: v(vd),
+            rs1,
+        };
+        let (v1, v2, v3, v4, v5, v6, v7) = (v(1), v(2), v(3), v(4), v(5), v(6), v(7));
+        [
+            (
+                false,
+                vec![vle(3, mem), vv(Vadd, v3, v3, 1), vv(Vmul, v5, v3, 2)],
+            ),
+            (
+                false,
+                vec![vle(3, mem), vv(Vmin, v5, v3, 1), vv(Vadd, v3, v5, 3)],
+            ),
+            (
+                true,
+                vec![vle(3, mem), vv(Vfadd, v3, v3, 1), vv(Vfmul, v5, v3, 2)],
+            ),
+            (
+                false,
+                vec![
+                    vle(3, mem),
+                    vle(3, pat),
+                    vv(Vadd, v4, v3, 1),
+                    vv(Vxor, v3, v4, 3),
+                ],
+            ),
+            (true, vec![vle(3, pat), vle(3, mem), vv(Vfmacc, v4, v3, 3)]),
+            (
+                false,
+                vec![
+                    vv(Vadd, v1, v1, 1),
+                    vv(Vmacc, v1, v1, 1),
+                    vv(Vmax, v1, v1, 1),
+                ],
+            ),
+            (
+                false,
+                vec![
+                    vle(1, mem),
+                    vv(Vmacc, v1, v1, 1),
+                    vv(Vmin, v2, v2, 1),
+                    vv(Vsub, v1, v2, 1),
+                ],
+            ),
+            (
+                true,
+                vec![
+                    vle(1, mem),
+                    vv(Vfmul, v1, v1, 1),
+                    vv(Vfmacc, v1, v1, 1),
+                    vv(Vfsub, v2, v1, 2),
+                ],
+            ),
+            (
+                false,
+                vec![
+                    vle(1, mem),
+                    varith(Vmv, v2, v(0), VSrc::X(XReg::A3)),
+                    vv(Vmul, v3, v1, 2),
+                    vv(Vadd, v6, v3, 1),
+                    vv(Vxor, v7, v6, 2),
+                    vv(Vmacc, v3, v6, 7),
+                    vv(Vsub, v6, v3, 1),
+                    vv(Vand, v7, v6, 2),
+                    vv(Vor, v6, v7, 1),
+                    vv(Vmul, v3, v6, 3),
+                    varith(Vadd, v3, v3, VSrc::I(5)),
+                    varith(Vmv, v4, v(0), VSrc::I(0)),
+                    vv(Vredsum, v5, v3, 4),
+                ],
+            ),
+            (
+                true,
+                vec![
+                    vle(1, mem),
+                    vv(Vfadd, v5, v1, 2),
+                    vv(Vfmul, v6, v3, 4),
+                    vv(Vfsub, v7, v1, 3),
+                    vv(Vfadd, v(8), v2, 4),
+                    vv(Vfmacc, v5, v6, 7),
+                    vv(Vfmacc, v(8), v1, 2),
+                    varith(Vfmul, v6, v3, VSrc::F(FReg::of(10))),
+                    vv(Vfsub, v7, v5, 8),
+                ],
+            ),
+        ]
+    };
+    let mut cases = Vec::new();
+    for (width, vl) in shapes() {
+        for (fp, run) in runs(width) {
+            for set in [None, Some((XReg::S1, 1))] {
+                let (ptr, pat, fill) = (Some(mem), Some(pat), true);
+                let run = run.clone();
+                cases.push(Case {
+                    width,
+                    vl,
+                    fp,
+                    ptr,
+                    pat,
+                    fill,
+                    set,
+                    run,
+                });
+            }
+        }
+    }
+    assert_eq!(check_vector(cases), 8 * 10 * 2);
+}
+
+/// A load that joins a stretch's loop and faults on its last element: the
+/// fused loop has by then computed the stretch's first elements, which the
+/// unfused run would not have. The kernel ends the guest on a data fault
+/// either way — the vector core's `vle` and the downgraded loop stop on the
+/// same unmapped address — so nothing the guest could observe differs.
+#[test]
+fn a_fused_load_faulting_on_its_last_element_ends_the_guest_either_way() {
+    let vlmax = VLENB as i64 / 8;
+    let end = chimera_obj::STACK_TOP;
+    let mut b = ModuleBuilder::new(false);
+    b.data_label(DataSec::Rw, "pad").dword(DataSec::Rw, 0);
+    b.label("_start").li(XReg::A4, end as i64 - 8 * (vlmax - 1));
+    let (vd, vs2, src) = (VReg::of(2), VReg::of(1), VSrc::V(VReg::of(1)));
+    b.li(XReg::A1, vlmax).inst(Inst::Vsetvli {
+        rd: XReg::A2,
+        rs1: XReg::A1,
+        vtype: vtype(Eew::E64),
+    });
+    b.inst(Inst::VLoad {
+        eew: Eew::E64,
+        vd: VReg::of(1),
+        rs1: XReg::A4,
+    });
+    b.inst(Inst::VArith {
+        op: VArithOp::Vadd,
+        vd,
+        vs2,
+        src,
+    });
+    b.li(XReg::A7, 93).inst(Inst::Ecall);
+    let bin = b.build(ExtSet::RV64GCV).expect("the case assembles");
+    let outcome = |bin: Binary, tables, profile| {
+        run_under_kernel_at(bin, tables, profile, ExecMode::Reference, None, FUEL).outcome
+    };
+    let native = outcome(bin.clone(), RuntimeTables::default(), ExtSet::RV64GCV);
+    let rw = chbp_rewrite(&bin, ExtSet::RV64GC, RewriteOptions::default()).expect("rewrites");
+    let tables = RuntimeTables {
+        fht: Some(rw.fht),
+        regen: None,
+    };
+    let downgraded = outcome(rw.binary, tables, ExtSet::RV64GC);
+    let fault = format!("Load fault at {end:#x} (unmapped)");
+    for o in [native, downgraded] {
+        assert!(
+            matches!(&o, RunOutcome::Fatal(m) if m.ends_with(&fault)),
+            "{o:?}"
+        );
+    }
 }
 
 #[test]
@@ -414,6 +624,8 @@ fn vsetvli_forms_loads_stores_and_scalar_moves_match_the_vector_core() {
             vl,
             fp: false,
             ptr,
+            pat: None,
+            fill: false,
             set,
             run: vec![iut],
         };
