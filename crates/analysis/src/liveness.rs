@@ -191,7 +191,7 @@ impl Liveness {
                 succ_ins.fold(RegSet::EMPTY, |acc, &s| acc.union(live_in[s as usize]))
             };
             let (uses, def) = use_def(&insts[node.inst as usize].inst);
-            let live = RegSet(uses | (out.0 & !def));
+            let live = RegSet::from_bits(uses | (out.0 & !def));
             if live != live_in[v] {
                 live_in[v] = live;
                 for &p in &preds[pred_starts[v] as usize..pred_starts[v + 1] as usize] {
