@@ -83,17 +83,19 @@ fn fam_downgrade_latency_curve_turns() {
 
 /// C1 (Chimera within 3.2 % of MELF at 100 % extension share, §6.1) as a
 /// ratchet: at quick scale Chimera's Fig. 11 CPU time at 100 % is at
-/// most 1.195 × MELF's. Recorded when a downgraded stretch began holding
-/// its elements in registers and fusing its leading loads: +19.1 %
-/// (1,920,080 against 1,612,272 cycles), from +25.0 % (2,015,440) when
-/// vector runs began translating as one body and +33.3 % (2,149,152)
+/// most 1.158 × MELF's. Recorded when a downgraded loop block became one
+/// run, entered at an interior fault-table entry through an entry head,
+/// and a fold began joining its stretch's element loop: +15.3 %
+/// (1,859,184 against 1,612,272 cycles), from +19.1 % (1,920,080) when a
+/// stretch began holding its elements in registers, +25.0 % (2,015,440)
+/// when vector runs began translating as one body and +33.3 % (2,149,152)
 /// before. Lower the bound as the gap closes.
 #[test]
 fn c1_downgrade_gap_ratchet() {
     let at_100 = |system| ext_sweep(system)[10].cpu_time as f64;
     let (melf, chimera) = (at_100(SystemKind::Melf), at_100(SystemKind::Chimera));
     let gap = 100.0 * (chimera / melf - 1.0);
-    assert!(chimera <= 1.195 * melf, "Chimera +{gap:.1} % over MELF");
+    assert!(chimera <= 1.158 * melf, "Chimera +{gap:.1} % over MELF");
 }
 
 #[test]

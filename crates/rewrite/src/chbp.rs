@@ -657,9 +657,10 @@ fn build_region(
 
 /// Emits one region's target block: gp restore, then the translation of
 /// each run and the translation or copy of every other instruction, then
-/// the exit(s), each emitted by `exit` given the
-/// original address it returns to. Marks a redirect at the copy of every
-/// instruction whose original bytes the trampoline overwrites.
+/// the exit(s), each emitted by `exit` given the original address it
+/// returns to, then the entry heads the runs ask for. Marks a redirect at
+/// the copy of every instruction whose original bytes the trampoline
+/// overwrites (inside a run, at its head or its entry head).
 fn emit_block(
     region: &Region,
     mode: Mode,
@@ -678,9 +679,10 @@ fn emit_block(
     // FHT entry for overwritten instruction starts (not the site head:
     // jumping there executes the full trampoline, which is correct).
     let needs_entry = |di: &DisasmInst| di.addr > site && di.addr < region.space_end;
-    // Consecutive translated vector instructions are one run
-    // ([`Translator::sequence`]). Runs break at FHT entry points, so a
-    // redirected erroneous jump always lands at the head of one.
+    // Consecutive translated vector instructions are translated together
+    // ([`Translator::sequence`]), FHT entry points among them included: a
+    // redirected erroneous jump lands at a run's head or at an entry head
+    // emitted after the exits.
     let in_run = |di: &DisasmInst| {
         mode == Mode::Downgrade
             && mode.is_source(&di.inst, target)
@@ -688,18 +690,20 @@ fn emit_block(
     };
 
     let last = &region.insts[region.insts.len() - 1];
-    for part in region
-        .insts
-        .chunk_by(|a, b| in_run(a) && in_run(b) && !needs_entry(b))
-    {
+    let mut heads = Vec::new();
+    for part in region.insts.chunk_by(|a, b| in_run(a) && in_run(b)) {
         let di = &part[0];
-        if needs_entry(di) {
-            em.reloc(Reloc::Redirect { from: di.addr });
-        }
         if in_run(di) {
             let run: Vec<Inst> = part.iter().map(|di| di.inst).collect();
-            translator.sequence(&run, em)?;
+            let entries: Vec<(usize, u64)> = (part.iter().enumerate())
+                .filter(|(_, di)| needs_entry(di))
+                .map(|(at, di)| (at, di.addr))
+                .collect();
+            heads.extend(translator.sequence(&run, &entries, em)?);
             continue;
+        }
+        if needs_entry(di) {
+            em.reloc(Reloc::Redirect { from: di.addr });
         }
         let is_last = std::ptr::eq(di, last);
         match di.inst {
@@ -736,6 +740,9 @@ fn emit_block(
     if let Some((taken, label)) = deferred_branch {
         em.label(label);
         exit(taken, em);
+    }
+    for head in heads {
+        translator.entry_head(head, em);
     }
     Ok(())
 }

@@ -13,12 +13,13 @@ use chimera_isa::ExtSet;
 use chimera_kernel::{KernelRunner, RunOutcome};
 use chimera_workloads::speclike::{generate, GenOptions, SPEC_PROFILES};
 
-/// `launch_cold`'s `omnetpp_r` at 1/4 of its size, downgraded by Chimera
+/// `launch_cold`'s `omnetpp_r` at 1/2 of its size, downgraded by Chimera
 /// and run on a base core as the benchmark runs it: indirect-call heavy,
 /// one pass over the code, so most blocks that get hot enough to compile
 /// run only a few dozen times afterwards. (At 1/16 it compiled only 71
 /// traces once a stretch of downgraded vector operations shared one
-/// element loop.)
+/// element loop; at 1/4, 75 traces and 14 toggles once a downgraded loop
+/// block was one run with its fold inside the element loop.)
 #[test]
 fn cold_code_shares_wx_toggles() {
     let profile = SPEC_PROFILES
@@ -30,7 +31,7 @@ fn cold_code_shares_wx_toggles() {
         ext_version: Some(generate(
             profile,
             GenOptions {
-                size_scale: 1.0 / 4.0,
+                size_scale: 1.0 / 2.0,
                 work_scale: 0.01,
                 seed: 42,
             },

@@ -15,9 +15,13 @@
 //! writable memory and stdout — must equal the native run's. A migration
 //! that skips `sync_vectors_to_spill` fails here: the downgraded code then
 //! computes on a stale spilled register file.
+//!
+//! The same programs also take an erroneous jump to every fault-table
+//! redirect, with either SEW set beforehand, and must end as the native run
+//! jumped to the same address does.
 
 use chimera_emu::{Cpu, ExecMode, Memory};
-use chimera_isa::{ExtSet, FReg, VReg, VLEN};
+use chimera_isa::{Eew, ExtSet, FReg, VReg, VType, VLEN};
 use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Tracer, Variant};
 use chimera_obj::{assemble, AsmOptions, Binary};
 use chimera_rewrite::translate::SpillLayout;
@@ -226,4 +230,79 @@ fn gemv_migrates_at_every_safe_step() {
 #[test]
 fn speclike_vector_loop_migrates_at_every_safe_step() {
     check("speclike vector loop", &speclike_vector_loop());
+}
+
+/// The state at exit after a jump to `entry` with SEW `sew`: the native
+/// view runs on an extension core until it first reaches `entry`, takes
+/// `sew` there (its `vl` fits either width) and, when `through_table`,
+/// migrates to a base core, whose view holds a trampoline's bytes at
+/// `entry`: the kernel redirects the fault to the run's entry head.
+fn jump(
+    process: &Process,
+    bin: &Binary,
+    spill: u64,
+    entry: u64,
+    sew: Eew,
+    through_table: bool,
+) -> Final {
+    let (mut cpu, mut mem, view) = process.load(ExtSet::RV64GCV).expect("loads");
+    cpu.set_mode(ExecMode::Reference);
+    let mut k = KernelRunner::new(view.tables.clone());
+    while cpu.hart.pc != entry {
+        let outcome = k.run(&mut cpu, &mut mem, 1);
+        assert!(
+            matches!(outcome, RunOutcome::OutOfFuel),
+            "{entry:#x} is reached: {outcome:?}"
+        );
+    }
+    let (lmul, ta, ma) = (1, true, true);
+    cpu.hart.vtype = Some(VType { sew, lmul, ta, ma });
+    if through_table {
+        let tracer = Tracer::disabled();
+        assert!(process.migrate(&mut cpu, &mut mem, &mut k, ExtSet::RV64GC, 0, &tracer));
+    }
+    let faults = k.counters.total();
+    let RunOutcome::Exited(exit) = k.run(&mut cpu, &mut mem, FUEL) else {
+        panic!("the run from {entry:#x} exits")
+    };
+    assert!(
+        !through_table || k.counters.total() > faults,
+        "{entry:#x} faults into the table"
+    );
+    state(exit, &k, &cpu, &mut mem, bin, spill)
+}
+
+/// Every redirect of `bin`'s downgrade, entered at both SEWs, against the
+/// native run entered alike. Entry heads that skip their SEW dispatch
+/// fail at `e32`.
+fn check_jumps(name: &str, bin: &Binary) {
+    let rw = chbp_rewrite(bin, ExtSet::RV64GC, RewriteOptions::default()).expect("rewrites");
+    let (spill, entries) = (
+        rw.fht.spill_base,
+        rw.fht.redirects.keys().copied().collect::<Vec<_>>(),
+    );
+    assert!(!entries.is_empty(), "{name} has redirects");
+    let downgraded = Variant {
+        binary: rw.binary,
+        tables: RuntimeTables {
+            fht: Some(rw.fht),
+            regen: None,
+        },
+    };
+    let process = Process::new(vec![Variant::native(bin.clone()), downgraded]);
+    for entry in entries {
+        for sew in [Eew::E32, Eew::E64] {
+            let expected = jump(&process, bin, spill, entry, sew, false);
+            let got = jump(&process, bin, spill, entry, sew, true);
+            assert_eq!(got, expected, "{name}: jump to {entry:#x} at {sew:?}");
+        }
+    }
+}
+
+#[test]
+fn erroneous_jumps_through_entry_heads_match_native() {
+    check_jumps("matrix_task(16, 2, true)", &matrix_task(16, 2, true));
+    let gemv = gemv(16, 16, 0, 16, Precision::Double, true);
+    check_jumps("gemv(16, 16, 0, 16, Double, true)", &gemv);
+    check_jumps("speclike vector loop", &speclike_vector_loop());
 }

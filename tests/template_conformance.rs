@@ -60,10 +60,12 @@ fn native(bin: &Binary, profile: ExtSet) -> Final {
 }
 
 /// The CHBP downgrade of `bin` for `target`, under the kernel on a
-/// `target` core; vector state is read from the spill section.
-fn downgraded(bin: &Binary, target: ExtSet) -> Final {
+/// `target` core; vector state is read from the spill section. The fault
+/// table must redirect `entry`.
+fn downgraded(bin: &Binary, target: ExtSet, entry: Option<u64>) -> Final {
     let rw = chbp_rewrite(bin, target, RewriteOptions::default()).expect("rewrites");
     assert!(rw.fht.untranslated.is_empty(), "every case has a template");
+    assert!(entry.is_none_or(|e| rw.fht.redirects.contains_key(&e)));
     let spill = rw.fht.spill_base;
     let tables = RuntimeTables {
         fht: Some(rw.fht),
@@ -112,6 +114,9 @@ struct Case {
     set: Option<(XReg, i64)>,
     /// The instructions under test: one, or a run.
     run: Vec<Inst>,
+    /// An erroneous jump into the block `vsetvli` (at this SEW); `run`, at
+    /// this position of it, instead of running `run` in line.
+    enter: Option<(Eew, usize)>,
 }
 
 /// Element `i` of source pattern `reg` at `width`: floats a few exact
@@ -231,6 +236,18 @@ fn vector_program(c: &Case) -> Binary {
     if let Some((r, v)) = c.set {
         b.li(r, v);
     }
+    if let Some((sew, at)) = c.enter {
+        // The block's `vsetvli` is its site; the jump's target is known
+        // only at run time, so the partition overwrites its second
+        // instruction with the trampoline all the same.
+        b.la(XReg::RA, "block")
+            .inst(chimera_obj::addi(XReg::RA, XReg::RA, 4 * at as i32));
+        let (rd, rs1, offset) = (XReg::ZERO, XReg::RA, 0);
+        b.inst(Inst::Jalr { rd, rs1, offset });
+        b.label("block").global("block");
+        let (rd, rs1, vtype) = (XReg::A2, XReg::A1, vtype(sew));
+        b.inst(Inst::Vsetvli { rd, rs1, vtype });
+    }
     for &inst in &c.run {
         b.inst(inst);
     }
@@ -243,10 +260,16 @@ fn check_vector(cases: impl IntoIterator<Item = Case>) -> usize {
     for c in cases {
         let bin = vector_program(&c);
         let expected = native(&bin, ExtSet::RV64GCV);
-        let got = downgraded(&bin, ExtSet::RV64GC);
+        // A jump to the block's second instruction takes its entry head.
+        let entry = match c.enter {
+            Some((_, 1)) => Some(bin.symbol("block").expect("a global").addr + 4),
+            _ => None,
+        };
+        let got = downgraded(&bin, ExtSet::RV64GC, entry);
         let run: Vec<String> = c.run.iter().map(Inst::to_string).collect();
-        let (run, width, vl, set) = (run.join("; "), c.width, c.vl, c.set);
-        assert_eq!(got, expected, "{run} at {width:?}, vl = {vl}, set {set:?}");
+        let (run, width, vl, set, enter) = (run.join("; "), c.width, c.vl, c.set, c.enter);
+        let case = format!("{run} at {width:?}, vl = {vl}, set {set:?}, enter {enter:?}");
+        assert_eq!(got, expected, "{case}");
         n += 1;
     }
     n
@@ -303,6 +326,7 @@ fn every_varith_row_and_form_matches_the_vector_core() {
                 fill: false,
                 set: None,
                 run: vec![iut],
+                enter: None,
             }));
         }
     }
@@ -426,6 +450,7 @@ fn runs_match_the_vector_core() {
                     fill: false,
                     set,
                     run,
+                    enter: None,
                 });
             }
         }
@@ -557,11 +582,186 @@ fn stretches_held_in_registers_match_the_vector_core() {
                     fill,
                     set,
                     run,
+                    enter: None,
                 });
             }
         }
     }
     assert_eq!(check_vector(cases), 8 * 10 * 2);
+}
+
+/// Folds that join the stretch before them (ROADMAP item 4): every `Fold`
+/// and `FFold` row after stretches that write its `vs1`, its `vs2`, both,
+/// neither, or lead with a load into `vs2`, with `vd` fresh or aliasing
+/// `vs1` or `vs2`, and `vmv.x.s` after. An FP row whose stretch writes
+/// `vs1` stays a fold of its own; it must still be right. Each at both
+/// widths and every boundary `vl`, where the run knows its SEW and where it
+/// dispatches on the spilled one.
+#[test]
+fn folds_joining_their_stretch_match_the_vector_core() {
+    use VArithOp::*;
+    let v = VReg::of;
+    let vv = |op, vd, vs2, vs1| Inst::VArith {
+        op,
+        vd: v(vd),
+        vs2: v(vs2),
+        src: VSrc::V(v(vs1)),
+    };
+    let mem = XReg::A4;
+    let folds = VArithOp::ALL.iter().filter(|op| op.is_reduction());
+    let mut cases = Vec::new();
+    for &fold in folds {
+        let (fp, op) = (fold.is_fp(), if fold.is_fp() { Vfmul } else { Vadd });
+        for (width, vl) in shapes() {
+            let vle = Inst::VLoad {
+                eew: width,
+                vd: v(3),
+                rs1: mem,
+            };
+            // The fold reads `vs2 = v3` and `vs1 = v4`.
+            let stretches = [
+                vec![vv(op, 4, 1, 2)],
+                vec![vv(op, 3, 1, 2)],
+                vec![vv(op, 3, 1, 2), vv(op, 4, 2, 1)],
+                vec![vv(op, 5, 1, 2)],
+                vec![vle, vv(op, 5, 3, 1)],
+            ];
+            for stretch in stretches {
+                for vd in [6, 4, 3] {
+                    for set in [None, Some((XReg::S1, 1))] {
+                        let mut run = stretch.clone();
+                        run.push(vv(fold, vd, 3, 4));
+                        run.push(Inst::VMvXS {
+                            rd: XReg::A5,
+                            vs2: v(vd),
+                        });
+                        cases.push(Case {
+                            width,
+                            vl,
+                            fp,
+                            ptr: Some(mem),
+                            pat: None,
+                            fill: false,
+                            set,
+                            run,
+                            enter: None,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(check_vector(cases), 2 * 8 * 5 * 3 * 2);
+}
+
+/// Erroneous jumps into a downgraded loop block (ROADMAP item 4): the block
+/// `vsetvli; run` entered at each interior position, with the SEW and `vl`
+/// the jump finds (both widths × every boundary `vl`) crossed with the
+/// SEW of the block's own `vsetvli`. The second instruction's bytes hold
+/// the trampoline, so the jump there goes through the fault table to the
+/// run's entry head: straight into the run's code for the SEW it was
+/// emitted for, through the entry's own copy for the other, which
+/// rejoins the run at its next `vsetvli` or end. A jump further in finds
+/// the instruction's own bytes, which the kernel's lazy rewriter
+/// translates. Runs: the `speclike` loop body, with its fold inside the
+/// element loop; an FP stretch with its fold and a store; a second
+/// `vsetvli` inside the run; and a `vsetvli` at the entry. An entry head
+/// that skips its SEW dispatch fails the first three.
+#[test]
+fn erroneous_jumps_into_a_run_match_the_vector_core() {
+    use VArithOp::*;
+    let v = VReg::of;
+    let varith = |op, vd, vs2, src| Inst::VArith {
+        op,
+        vd: v(vd),
+        vs2: v(vs2),
+        src,
+    };
+    let vv = |op, vd, vs2, vs1| varith(op, vd, vs2, VSrc::V(v(vs1)));
+    let mem = XReg::A4;
+    // Loads and stores at the SEW the jump finds: the hot code fuses them
+    // where it has that SEW, the entry's copy where it does not.
+    let runs = |width: Eew| {
+        let vle = |vd| Inst::VLoad {
+            eew: width,
+            vd: v(vd),
+            rs1: mem,
+        };
+        let (rd, rs1) = (XReg::A2, XReg::A1);
+        let vsetvli = |sew| Inst::Vsetvli {
+            rd,
+            rs1,
+            vtype: vtype(sew),
+        };
+        let vmv_x_s = Inst::VMvXS {
+            rd: XReg::A5,
+            vs2: v(5),
+        };
+        [
+            (
+                false,
+                vec![
+                    vle(1),
+                    varith(Vmv, 2, 0, VSrc::X(XReg::A3)),
+                    vv(Vmul, 3, 1, 2),
+                    vv(Vmacc, 3, 1, 2),
+                    varith(Vadd, 3, 3, VSrc::I(5)),
+                    varith(Vmv, 4, 0, VSrc::I(0)),
+                    vv(Vredsum, 5, 3, 4),
+                    vmv_x_s,
+                ],
+            ),
+            (
+                true,
+                vec![
+                    vle(1),
+                    vv(Vfmul, 3, 1, 2),
+                    vv(Vfadd, 5, 3, 1),
+                    vv(Vfredusum, 6, 5, 4),
+                    Inst::VStore {
+                        eew: width,
+                        vs3: v(6),
+                        rs1: mem,
+                    },
+                ],
+            ),
+            (
+                false,
+                vec![
+                    vv(Vadd, 3, 1, 2),
+                    vsetvli(Eew::E32),
+                    vv(Vmul, 4, 3, 1),
+                    vv(Vredsum, 5, 4, 3),
+                    vmv_x_s,
+                ],
+            ),
+            (
+                false,
+                vec![vsetvli(Eew::E64), vv(Vmacc, 3, 1, 2), vv(Vredsum, 5, 3, 4)],
+            ),
+        ]
+    };
+    let mut cases = Vec::new();
+    for hot in [Eew::E32, Eew::E64] {
+        for (width, vl) in shapes() {
+            for (fp, run) in runs(width) {
+                for at in 1..=run.len() {
+                    cases.push(Case {
+                        width,
+                        vl,
+                        fp,
+                        ptr: Some(mem),
+                        pat: None,
+                        fill: true,
+                        set: None,
+                        run: run.clone(),
+                        enter: Some((hot, at)),
+                    });
+                }
+            }
+        }
+    }
+    assert_eq!(check_vector(cases), 2 * (8 + 5 + 5 + 3) * 8);
 }
 
 /// A load that joins a stretch's loop and faults on its last element: the
@@ -628,6 +828,7 @@ fn vsetvli_forms_loads_stores_and_scalar_moves_match_the_vector_core() {
             fill: false,
             set,
             run: vec![iut],
+            enter: None,
         };
         // The three `vsetvli` forms, changing to either width from the
         // current one: AVL from a register (also the destination, also a
@@ -715,7 +916,11 @@ fn every_zba_zbb_row_matches_a_core_that_has_it() {
             b.inst(*iut).li(XReg::A7, 93).inst(Inst::Ecall);
             let bin = b.build(ExtSet::RV64GC).expect("the case assembles");
             let expected = native(&bin, ExtSet::RV64GC);
-            assert_eq!(downgraded(&bin, base), expected, "{iut} on {x:#x}, {y:#x}");
+            assert_eq!(
+                downgraded(&bin, base, None),
+                expected,
+                "{iut} on {x:#x}, {y:#x}"
+            );
             n += 1;
         }
     }
