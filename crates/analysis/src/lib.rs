@@ -12,8 +12,8 @@
 //! plus a per-byte slot table over `.text` ([`InstTable`], O(1) lookup by
 //! address). Where a basic block starts is one local rule: [`Cfg::build`]
 //! applies it to every instruction (a block is an index range with
-//! block-id successors and CSR predecessors), the rewriter only to the
-//! instructions after a patch site ([`Disassembly::block_end`]). [`Liveness`] is solved per instruction over the forward closure
+//! block-id successors and CSR predecessors), the rewriters only forward
+//! from a patch site or a loop head ([`Disassembly::block_end`]). [`Liveness`] is solved per instruction over the forward closure
 //! of the addresses that will be asked about ([`Liveness::rooted`]) —
 //! CHBP's units' exits, a small fraction of the program — or of every
 //! instruction ([`Liveness::compute`]); an edge to code the disassembler

@@ -753,3 +753,86 @@ mod element_semantics {
         assert_eq!((r.cases, r.digest), (15184, 0xbbbb_dfdb_7cdb_f903));
     }
 }
+
+/// A vector access whose `vl` elements reach past one register's
+/// `VLENB` bytes needs a register group, which is not modelled: `vle64.v`
+/// and `vse64.v` at `e32` with `vl` = 8 (EMUL 2), and `vadd.vv` at
+/// `e64, m2` with `vl` = 8. Each is an illegal instruction at its own pc,
+/// raised before it changes anything, in the reference and engine tiers
+/// alike (the emulator panicked slicing the register before).
+#[test]
+fn vector_accesses_past_one_register_trap_as_illegal() {
+    use chimera_emu::{boot, Cpu, Memory, Stop, VLENB};
+    use chimera_isa::{FReg, VReg};
+    let setup = "
+        .globl buf
+        .globl site
+        .data
+        buf: .dword 1
+             .dword 2
+             .dword 3
+             .dword 4
+             .dword 5
+             .dword 6
+             .dword 7
+             .dword 8
+        .text
+        _start:
+            la a4, buf
+            li t0, 8
+            vsetvli t1, zero, e64, m1, ta, ma
+            vle64.v v1, (a4)
+            vmv.v.i v2, 7
+    ";
+    let cases = [
+        ("vsetvli t1, t0, e32, m1, ta, ma", "vle64.v v1, (a4)"),
+        ("vsetvli t1, t0, e32, m1, ta, ma", "vse64.v v2, (a4)"),
+        ("vsetvli t1, t0, e64, m2, ta, ma", "vadd.vv v2, v4, v6"),
+    ];
+    /// Everything the trapping instruction could change.
+    fn state(cpu: &Cpu, mem: &mut Memory, buf: u64) -> impl PartialEq + std::fmt::Debug {
+        let h = &cpu.hart;
+        let v: Vec<[u8; VLENB]> = (0..32).map(|r| *h.get_v(VReg::of(r))).collect();
+        let f: Vec<u64> = (0..32).map(|r| h.get_f(FReg::of(r))).collect();
+        let data = mem.peek(buf, 64).unwrap();
+        (
+            h.xregs(),
+            f,
+            v,
+            h.pc,
+            h.vl,
+            h.vtype,
+            cpu.stats.instret,
+            data,
+        )
+    }
+    for (vsetvli, access) in cases {
+        let src = format!("{setup}\n {vsetvli}\n site: {access}\n li a7, 93\n ecall\n");
+        let bin = assemble(&src, AsmOptions::default()).unwrap();
+        let (site, buf) = (
+            bin.symbol("site").unwrap().addr,
+            bin.symbol("buf").unwrap().addr,
+        );
+        let text = bin.section(".text").unwrap();
+        let off = (site - text.addr) as usize;
+        let raw = u32::from_le_bytes(text.data[off..off + 4].try_into().unwrap());
+        for mode in [ExecMode::Reference, ExecMode::Engine] {
+            let (mut cpu, mut mem) = boot(&bin, ExtSet::RV64GCV);
+            cpu.set_mode(mode);
+            // Run up to the access, then into it.
+            let before = loop {
+                if cpu.hart.pc == site {
+                    break state(&cpu, &mut mem, buf);
+                }
+                assert_eq!(cpu.run(&mut mem, 1), Stop::OutOfFuel, "{access} {mode:?}");
+            };
+            let stop = cpu.run(&mut mem, 100);
+            assert_eq!(
+                stop,
+                Stop::Trap(Trap::Illegal { pc: site, raw }),
+                "{access} {mode:?}"
+            );
+            assert_eq!(state(&cpu, &mut mem, buf), before, "{access} {mode:?}");
+        }
+    }
+}

@@ -621,12 +621,6 @@ impl VArithOp {
         matches!(self.element(), Fold(_) | FFold(_))
     }
 
-    /// The operation whose element `element` is, if there is one: the
-    /// column read backwards.
-    pub fn from_element(element: Element) -> Option<VArithOp> {
-        Self::ALL.iter().copied().find(|op| op.element() == element)
-    }
-
     /// Whether the operation has the source form of `src` (`.vv` / `.vx` /
     /// `.vf` / `.vi`); a form it lacks is a reserved encoding.
     pub const fn allows(self, src: VSrc) -> bool {

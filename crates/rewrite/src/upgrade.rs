@@ -4,11 +4,18 @@
 //!
 //! General binary auto-vectorization is an open problem; like the paper's
 //! prototype, this module batches the operations of base instructions into
-//! vector instructions where it can *prove* the transformation: canonical
-//! counted loops — a single-block self-loop of unit-stride loads, one
-//! arithmetic kernel, pointer bumps, a down-counting trip register and a
-//! `bnez` backedge (the shape compilers and BLAS kernels emit, and what our
-//! workload generators produce).
+//! vector instructions only where it can *prove* the transformation. It
+//! proves one kernel, the i64 dot `acc += a[i] * b[i]` of a canonical
+//! counted loop: unit-stride loads, a `mul` and an `add`, pointer bumps, a
+//! down-counting trip register and a `bnez` backedge (the shape compilers
+//! and BLAS kernels emit, and what our workload generators produce). The
+//! kernel stores nothing, so no strip reads what another wrote and no
+//! aliasing between its arrays can change the result; a loop that stores
+//! stays scalar.
+//!
+//! A loop is found with the block rule every rewriter shares
+//! ([`Disassembly::block_end`]): a conditional branch whose direct target
+//! is an earlier instruction whose basic block ends at the branch.
 //!
 //! The vectorized target block is *state-parametric*: it strip-mines from
 //! the live register state (pointers, remaining count, accumulator), so
@@ -21,68 +28,58 @@
 //!
 //! The vector block leaves the last iteration to the scalar loop: it falls
 //! into the repair block with one trip left, so the registers the body only
-//! uses as temporaries — its loads, a dot's product, a map's result — end
-//! as the scalar loop leaves them, whether or not anything reads them after
-//! the loop (liveness could not say: it tracks no FP registers, and an
-//! indirect call after the loop makes every integer register live).
+//! uses as temporaries — its loads and the product — end as the scalar loop
+//! leaves them, whether or not anything reads them after the loop
+//! (liveness could not say: an indirect call after the loop makes every
+//! integer register live).
 
 use crate::chbp::{emit_exit, reemit, RewriteError, RewriteOptions, Rewritten};
 use crate::emitter::BlockEmitter;
 use crate::engine::{Frame, Placement, Reloc, RewriteEngine, Scanned, UnitArtifact, Units};
 use crate::smile::{place_smile, SmileConstraints};
-use chimera_analysis::{
-    disassemble, BasicBlock, Cfg, DisasmInst, Disassembly, Liveness, Terminator,
-};
+use chimera_analysis::{disassemble, DisasmInst, Disassembly, Liveness};
 use chimera_isa::{
-    BranchKind, Eew, Element, ExtSet, FOpKind, FReg, FpWidth, Inst, LoadKind, OpImmKind, OpKind,
-    StoreKind, VArithOp, VReg, VSrc, VType, XReg,
+    BranchKind, Eew, ExtSet, Inst, LoadKind, OpImmKind, OpKind, VArithOp, VReg, VSrc, VType, XReg,
 };
 use chimera_obj::Binary;
 use chimera_trace::Tracer;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The arithmetic kernel of a recognized loop. There is no f64 dot: no
-/// lane-parallel order of `vfmacc` and a reduction rounds the way a scalar
-/// `fmadd.d` chain does, so such a loop stays scalar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    /// `acc += a[i] * b[i]` (i64 dot via `mul prod` + `add acc`): `vmacc`
-    /// per strip, reduced once at the exit (integer addition reassociates).
-    Dot { acc: XReg, prod: XReg },
-    /// `c[i] = a[i] op b[i]` (i64 map via `add`/`sub`/`and`/..., f64 map via
-    /// `fadd.d`/`fsub.d`/`fmul.d`): the vector row whose element is `op`,
-    /// stored through `ptr_c`.
-    Map { op: VArithOp, ptr_c: XReg },
-}
-
-/// A recognized vectorizable loop.
+/// A recognized dot loop. There is no f64 dot: no lane-parallel order of
+/// `vfmacc` and a reduction rounds the way a scalar `fmadd.d` chain does,
+/// so such a loop stays scalar.
 #[derive(Debug, Clone)]
 struct VecLoop {
     /// Loop-head address (trampoline site).
     head: u64,
     /// Address control reaches when the loop exits (branch fallthrough).
     exit: u64,
-    /// The two load pointers, bumped by 8 (a map's store pointer is in
-    /// its kernel).
+    /// The two load pointers, bumped by 8.
     ptr_a: XReg,
     ptr_b: XReg,
     /// Down-counting trip register.
     counter: XReg,
-    /// The kernel.
-    kernel: Kernel,
+    /// `acc += prod` after `mul prod`: `vmacc` per strip, reduced once at
+    /// the exit (integer addition reassociates).
+    acc: XReg,
+    prod: XReg,
     /// All instructions of the loop block, in order (for the repair block).
     insts: Vec<DisasmInst>,
 }
 
-/// Attempts to recognize the canonical loop shape in a self-loop block.
-fn recognize(cfg: &Cfg, block: &BasicBlock) -> Option<VecLoop> {
-    let insts = cfg.insts(block);
-    // Must be a conditional self-loop: `bnez counter, head`.
-    if block.terminator != Terminator::Branch {
-        return None;
-    }
-    let last = insts.last()?;
+/// Recognizes the dot in `insts`, a basic block whose last instruction
+/// branches back to its first. The body is exactly `ld xa, 0(pa)`,
+/// `ld xb, 0(pb)`, `mul prod, xa, xb`, `add acc, acc, prod`,
+/// `addi pa, pa, 8`, `addi pb, pb, 8` and `addi counter, counter, -1`
+/// ahead of `bnez counter`, in an order that loads through each pointer
+/// before bumping it and computes both loads before the product and the
+/// product before the sum. Every register is written once, and neither
+/// `zero` nor `gp` (the trampoline's and the vector loop's scratch), so
+/// the roles are distinct and one trip is exactly `acc += *pa * *pb;
+/// pa += 8; pb += 8; counter -= 1`.
+fn recognize(insts: &[DisasmInst]) -> Option<VecLoop> {
+    let (last, body) = insts.split_last()?;
     let Inst::Branch {
         kind: BranchKind::Bne,
         rs1: counter,
@@ -92,180 +89,83 @@ fn recognize(cfg: &Cfg, block: &BasicBlock) -> Option<VecLoop> {
     else {
         return None;
     };
-    if last.inst.direct_target(last.addr)? != block.start {
-        return None;
-    }
-    let exit = last.next_addr();
-
-    // Classify the body.
-    let mut floads: Vec<(FReg, XReg)> = Vec::new();
-    let mut fstores: Vec<(FReg, XReg)> = Vec::new();
-    let mut iloads: Vec<(XReg, XReg)> = Vec::new();
-    let mut istores: Vec<(XReg, XReg)> = Vec::new();
-    let mut bumps: BTreeMap<XReg, i32> = BTreeMap::new();
-    let mut dec: Option<XReg> = None;
-    let mut fop: Option<(FOpKind, FReg, FReg, FReg)> = None;
-    let mut imul: Option<(XReg, XReg, XReg)> = None;
-    let mut iacc: Option<(XReg, XReg)> = None;
-    let mut iop: Option<(OpKind, XReg, XReg, XReg)> = None;
-
-    for di in &insts[..insts.len() - 1] {
-        match di.inst {
-            Inst::FLoad {
-                width: FpWidth::D,
-                frd,
-                rs1,
-                offset: 0,
-            } => floads.push((frd, rs1)),
-            Inst::FStore {
-                width: FpWidth::D,
-                frs2,
-                rs1,
-                offset: 0,
-            } => fstores.push((frs2, rs1)),
+    let bit = |r: XReg| 1u32 << r.index();
+    let mut written = bit(XReg::ZERO) | bit(XReg::GP);
+    let mut loads: Vec<(XReg, XReg)> = Vec::new();
+    let mut bumps = Vec::new();
+    let (mut prod, mut acc, mut dec) = (None, None, false);
+    for di in body {
+        let rd = match di.inst {
             Inst::Load {
                 kind: LoadKind::Ld,
                 rd,
                 rs1,
                 offset: 0,
-            } => iloads.push((rd, rs1)),
-            Inst::Store {
-                kind: StoreKind::Sd,
-                rs1,
-                rs2,
-                offset: 0,
-            } => istores.push((rs2, rs1)),
+            } if written & bit(rs1) == 0 => {
+                loads.push((rd, rs1));
+                rd
+            }
             Inst::OpImm {
                 kind: OpImmKind::Addi,
                 rd,
                 rs1,
-                imm,
+                imm: 8,
             } if rd == rs1 => {
-                if imm == 8 {
-                    bumps.insert(rd, imm);
-                } else if imm == -1 && dec.is_none() {
-                    dec = Some(rd);
-                } else {
-                    return None;
-                }
+                bumps.push(rd);
+                rd
             }
-            Inst::FOp {
-                kind: k @ (FOpKind::Add | FOpKind::Sub | FOpKind::Mul),
-                width: FpWidth::D,
-                frd,
-                frs1,
-                frs2,
-            } if fop.is_none() => fop = Some((k, frd, frs1, frs2)),
+            Inst::OpImm {
+                kind: OpImmKind::Addi,
+                rd,
+                rs1,
+                imm: -1,
+            } if rd == rs1 && rd == counter => {
+                dec = true;
+                rd
+            }
             Inst::Op {
                 kind: OpKind::Mul,
                 rd,
                 rs1,
                 rs2,
-            } if imul.is_none() => imul = Some((rd, rs1, rs2)),
+            } if prod.is_none()
+                && matches!(loads[..], [(xa, _), (xb, _)]
+                    if (rs1, rs2) == (xa, xb) || (rs2, rs1) == (xa, xb)) =>
+            {
+                prod = Some(rd);
+                rd
+            }
             Inst::Op {
                 kind: OpKind::Add,
                 rd,
                 rs1,
                 rs2,
-            } if rd == rs1 && iacc.is_none() => iacc = Some((rd, rs2)),
-            Inst::Op {
-                kind: k @ (OpKind::Add | OpKind::Sub | OpKind::And | OpKind::Or | OpKind::Xor),
-                rd,
-                rs1,
-                rs2,
-            } if iop.is_none() => iop = Some((k, rd, rs1, rs2)),
+            } if rd == rs1 && acc.is_none() && prod == Some(rs2) => {
+                acc = Some(rd);
+                rd
+            }
             _ => return None,
+        };
+        if written & bit(rd) != 0 {
+            return None;
         }
+        written |= bit(rd);
     }
-    let counter_ok = dec == Some(counter);
-    if !counter_ok {
+    let (&[(_, ptr_a), (_, ptr_b)], Some(acc), Some(prod), true) = (&loads[..], acc, prod, dec)
+    else {
         return None;
-    }
-
-    // Kernel shapes.
-    // f64 map: fld a, fld b, fop dst, fsd dst.
-    if let (2, 1, Some((op, dst, s1, s2))) = (floads.len(), fstores.len(), fop) {
-        let (mut fa, mut pa) = floads[0];
-        let (mut fb, mut pb) = floads[1];
-        if s1 == fb && s2 == fa {
-            // Normalize operand order (matters for non-commutative ops).
-            std::mem::swap(&mut fa, &mut fb);
-            std::mem::swap(&mut pa, &mut pb);
-        }
-        let (sv, pc) = fstores[0];
-        let ok = sv == dst && s1 == fa && s2 == fb;
-        if ok
-            && bumps.contains_key(&pa)
-            && bumps.contains_key(&pb)
-            && bumps.contains_key(&pc)
-            && bumps.len() == 3
-        {
-            return Some(VecLoop {
-                head: block.start,
-                exit,
-                ptr_a: pa,
-                ptr_b: pb,
-                counter,
-                kernel: Kernel::Map {
-                    op: VArithOp::from_element(Element::FOp(op))?,
-                    ptr_c: pc,
-                },
-                insts: insts.to_vec(),
-            });
-        }
-        return None;
-    }
-    // i64 dot: ld a, ld b, mul prod, add acc.
-    if let (2, 0, Some((prod, m1, m2)), Some((acc, addend))) =
-        (iloads.len(), istores.len(), imul, iacc)
-    {
-        let (xa, pa) = iloads[0];
-        let (xb, pb) = iloads[1];
-        let ok = addend == prod && ((m1 == xa && m2 == xb) || (m1 == xb && m2 == xa));
-        if ok && bumps.contains_key(&pa) && bumps.contains_key(&pb) && bumps.len() == 2 {
-            return Some(VecLoop {
-                head: block.start,
-                exit,
-                ptr_a: pa,
-                ptr_b: pb,
-                counter,
-                kernel: Kernel::Dot { acc, prod },
-                insts: insts.to_vec(),
-            });
-        }
-        return None;
-    }
-    // i64 map: ld a, ld b, op dst, sd dst.
-    if let (2, 1, Some((op, dst, s1, s2))) = (iloads.len(), istores.len(), iop) {
-        let (mut xa, mut pa) = iloads[0];
-        let (mut xb, mut pb) = iloads[1];
-        if s1 == xb && s2 == xa {
-            std::mem::swap(&mut xa, &mut xb);
-            std::mem::swap(&mut pa, &mut pb);
-        }
-        let (sv, pc) = istores[0];
-        let ok = sv == dst && s1 == xa && s2 == xb;
-        if ok
-            && bumps.contains_key(&pa)
-            && bumps.contains_key(&pb)
-            && bumps.contains_key(&pc)
-            && bumps.len() == 3
-        {
-            return Some(VecLoop {
-                head: block.start,
-                exit,
-                ptr_a: pa,
-                ptr_b: pb,
-                counter,
-                kernel: Kernel::Map {
-                    op: VArithOp::from_element(Element::Op(op))?,
-                    ptr_c: pc,
-                },
-                insts: insts.to_vec(),
-            });
-        }
-    }
-    None
+    };
+    let bumped = |p| bumps.contains(&p);
+    (bumps.len() == 2 && ptr_a != ptr_b && bumped(ptr_a) && bumped(ptr_b)).then(|| VecLoop {
+        head: insts[0].addr,
+        exit: last.next_addr(),
+        ptr_a,
+        ptr_b,
+        counter,
+        acc,
+        prod,
+        insts: insts.to_vec(),
+    })
 }
 
 /// Upgrades a base-ISA binary: recognized loops are vectorized behind SMILE
@@ -310,11 +210,12 @@ impl RewriteEngine for UpgradeEngine {
 
     fn scan(&self, input: &Binary, frame: Frame, _: usize) -> Result<Scanned, RewriteError> {
         let d = disassemble(input);
-        let cfg = Cfg::build(&d);
-        let recognized: Vec<VecLoop> = cfg
-            .blocks
-            .iter()
-            .filter_map(|b| recognize(&cfg, b))
+        let recognized: Vec<VecLoop> = (d.insts.iter().enumerate())
+            .filter(|(_, br)| matches!(br.inst, Inst::Branch { .. }))
+            .filter_map(|(j, br)| {
+                let h = d.insts.index_of(br.inst.direct_target(br.addr)?)?;
+                (h < j && d.block_end(h) == j).then(|| recognize(&d.insts[h..=j]))?
+            })
             .collect();
         let source_insts = recognized.iter().map(|l| l.insts.len()).sum();
         // A loop too small to hold the 8-byte trampoline stays scalar.
@@ -421,24 +322,21 @@ fn emit_vector_loop(vl: &VecLoop, em: &mut BlockEmitter) {
     // iteration instead.
     let skip = em.new_label();
     em.branch_to(BranchKind::Beq, vl.counter, XReg::ZERO, skip);
-    // A dot accumulates lane-wise in a vector register across strips and
+    // The dot accumulates lane-wise in a vector register across strips and
     // reduces ONCE at loop exit: internal loop iterations are not entry
     // points (only the block head is), so mid-loop state need not match
-    // the scalar invariant.
-    if let Kernel::Dot { .. } = vl.kernel {
-        // vacc = 0 across all VLMAX lanes.
-        em.inst(Inst::Vsetvli {
-            rd: XReg::GP,
-            rs1: XReg::ZERO,
-            vtype: vt,
-        });
-        em.inst(Inst::VArith {
-            op: VArithOp::Vmv,
-            vd: vacc,
-            vs2: VReg::V0,
-            src: VSrc::I(0),
-        });
-    }
+    // the scalar invariant. vacc = 0 across all VLMAX lanes.
+    em.inst(Inst::Vsetvli {
+        rd: XReg::GP,
+        rs1: XReg::ZERO,
+        vtype: vt,
+    });
+    em.inst(Inst::VArith {
+        op: VArithOp::Vmv,
+        vd: vacc,
+        vs2: VReg::V0,
+        src: VSrc::I(0),
+    });
     // gp = the iterations left to the vector loop.
     let left = chimera_obj::addi(XReg::GP, vl.counter, -1);
     em.inst(left);
@@ -450,71 +348,21 @@ fn emit_vector_loop(vl: &VecLoop, em: &mut BlockEmitter) {
         rs1: XReg::GP,
         vtype: vt,
     });
-    em.inst(Inst::VLoad {
-        eew: Eew::E64,
-        vd: v1,
-        rs1: vl.ptr_a,
-    });
-    em.inst(Inst::VLoad {
-        eew: Eew::E64,
-        vd: v2,
-        rs1: vl.ptr_b,
-    });
-    match vl.kernel {
-        // vacc[i] += a[i] * b[i]; reduced once after the loop.
-        Kernel::Dot { .. } => {
-            em.inst(Inst::VArith {
-                op: VArithOp::Vmacc,
-                vd: vacc,
-                vs2: v1,
-                src: VSrc::V(v2),
-            });
-        }
-        Kernel::Map { op, ptr_c } => {
-            em.inst(Inst::VArith {
-                op,
-                vd: v3,
-                vs2: v1,
-                src: VSrc::V(v2),
-            });
-            em.inst(Inst::VStore {
-                eew: Eew::E64,
-                vs3: v3,
-                rs1: ptr_c,
-            });
-        }
+    for (vd, rs1) in [(v1, vl.ptr_a), (v2, vl.ptr_b)] {
+        em.inst(Inst::VLoad {
+            eew: Eew::E64,
+            vd,
+            rs1,
+        });
     }
-    bump_pointers(vl, em);
-    em.inst(left);
-    em.branch_to(BranchKind::Bne, XReg::GP, XReg::ZERO, head);
-    // Post-loop: fold the vector accumulator into the scalar one.
-    if let Kernel::Dot { acc, prod } = vl.kernel {
-        em.inst(Inst::Vsetvli {
-            rd: XReg::GP,
-            rs1: XReg::ZERO,
-            vtype: vt,
-        });
-        em.inst(Inst::VArith {
-            op: VArithOp::Vmv,
-            vd: v4,
-            vs2: VReg::V0,
-            src: VSrc::I(0),
-        });
-        em.inst(Inst::VArith {
-            op: VArithOp::Vredsum,
-            vd: v3,
-            vs2: vacc,
-            src: VSrc::V(v4),
-        });
-        em.inst(Inst::VMvXS { rd: prod, vs2: v3 });
-        em.inst(chimera_obj::add(acc, acc, prod));
-    }
-    em.label(skip);
-}
-
-/// `counter -= vl; ptrs += vl * 8` using `gp` (holding `vl`) as scratch;
-/// leaves `gp` = vl * 8 (clobbered — the caller restores before exit).
-fn bump_pointers(vl: &VecLoop, em: &mut BlockEmitter) {
+    // vacc[i] += a[i] * b[i].
+    em.inst(Inst::VArith {
+        op: VArithOp::Vmacc,
+        vd: vacc,
+        vs2: v1,
+        src: VSrc::V(v2),
+    });
+    // counter -= vl; pointers += vl * 8, leaving gp = vl * 8.
     em.inst(Inst::Op {
         kind: OpKind::Sub,
         rd: vl.counter,
@@ -529,15 +377,39 @@ fn bump_pointers(vl: &VecLoop, em: &mut BlockEmitter) {
     });
     em.inst(chimera_obj::add(vl.ptr_a, vl.ptr_a, XReg::GP));
     em.inst(chimera_obj::add(vl.ptr_b, vl.ptr_b, XReg::GP));
-    if let Kernel::Map { ptr_c, .. } = vl.kernel {
-        em.inst(chimera_obj::add(ptr_c, ptr_c, XReg::GP));
-    }
+    em.inst(left);
+    em.branch_to(BranchKind::Bne, XReg::GP, XReg::ZERO, head);
+    // Post-loop: fold the vector accumulator into the scalar one.
+    em.inst(Inst::Vsetvli {
+        rd: XReg::GP,
+        rs1: XReg::ZERO,
+        vtype: vt,
+    });
+    em.inst(Inst::VArith {
+        op: VArithOp::Vmv,
+        vd: v4,
+        vs2: VReg::V0,
+        src: VSrc::I(0),
+    });
+    em.inst(Inst::VArith {
+        op: VArithOp::Vredsum,
+        vd: v3,
+        vs2: vacc,
+        src: VSrc::V(v4),
+    });
+    em.inst(Inst::VMvXS {
+        rd: vl.prod,
+        vs2: v3,
+    });
+    em.inst(chimera_obj::add(vl.acc, vl.acc, vl.prod));
+    em.label(skip);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use chimera_emu::{run_binary_on, RunError};
+    use chimera_isa::FReg;
     use chimera_obj::{assemble, AsmOptions};
 
     const SCALAR_DOT: &str = "
@@ -573,6 +445,33 @@ mod tests {
             ecall
     ";
 
+    /// Exit code or trap, x and f registers, writable bytes.
+    type ExitState = (Result<i64, RunError>, [u64; 32], Vec<u64>, Vec<Vec<u8>>);
+
+    /// Everything a run of `bin` on a vector core leaves where it stops,
+    /// with the bytes of every writable section of `input` (an upgraded
+    /// binary adds its own spill section).
+    fn exit_state(bin: &Binary, input: &Binary) -> ExitState {
+        let (mut cpu, mut mem) = chimera_emu::boot(bin, ExtSet::RV64GCV);
+        let r = chimera_emu::run_cpu(&mut cpu, &mut mem, 100_000).map(|r| r.exit_code);
+        let f = (0..32).map(|i| cpu.hart.get_f(FReg::of(i))).collect();
+        let writable = input.sections.iter().filter(|s| s.perms.w);
+        let data = writable.map(|s| mem.peek(s.addr, s.data.len()).unwrap());
+        (r, cpu.hart.xregs(), f, data.collect())
+    }
+
+    /// Upgrades `src` and checks that it is left scalar and still exits
+    /// with `exit`.
+    fn assert_stays_scalar(src: &str, exit: i64) {
+        let bin = assemble(src, AsmOptions::default()).unwrap();
+        let native = chimera_emu::run_binary(&bin, 100_000).unwrap();
+        assert_eq!(native.exit_code, exit, "{src}");
+        let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
+        let r = run_binary_on(&rw.binary, ExtSet::RV64GCV, 100_000).unwrap();
+        let upgraded = (r.exit_code, rw.stats.smile_trampolines);
+        assert_eq!(upgraded, (exit, 0), "(exit, trampolines) of {src}");
+    }
+
     #[test]
     fn integer_dot_loop_vectorizes() {
         let bin = assemble(SCALAR_DOT, AsmOptions::default()).unwrap();
@@ -604,122 +503,10 @@ mod tests {
         ));
     }
 
+    /// Maps `c[i] = a[i] op b[i]` stay scalar, i64 and f64 alike: a loop
+    /// that stores could alias one of its loads.
     #[test]
-    fn map_loop_vectorizes() {
-        let bin = assemble(
-            "
-            .data
-            a: .dword 10
-               .dword 20
-               .dword 30
-               .dword 40
-               .dword 50
-            b: .dword 1
-               .dword 2
-               .dword 3
-               .dword 4
-               .dword 5
-            c: .zero 40
-            .text
-            _start:
-                la t0, a
-                la t1, b
-                la t3, c
-                li t2, 5
-            loop:
-                ld a1, 0(t0)
-                ld a2, 0(t1)
-                sub a3, a1, a2
-                sd a3, 0(t3)
-                addi t0, t0, 8
-                addi t1, t1, 8
-                addi t3, t3, 8
-                addi t2, t2, -1
-                bnez t2, loop
-                ld a0, -8(t3)     # c[4] = 50 - 5 = 45
-                li a7, 93
-                ecall
-            ",
-            AsmOptions::default(),
-        )
-        .unwrap();
-        let native = chimera_emu::run_binary(&bin, 100_000).unwrap();
-        assert_eq!(native.exit_code, 45);
-        let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
-        assert_eq!(rw.stats.smile_trampolines, 1);
-        let r = run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
-        assert_eq!(r.exit_code, 45);
-    }
-
-    /// An f64 dot stays scalar: lane-wise `vfmacc` and a reduction would
-    /// reassociate the sum. `1e16 + 1 - 1e16 + 5` is 5 in the scalar
-    /// `fmadd.d` chain (each `1` is absorbed into `1e16` and cancelled with
-    /// it) and was 4 when the loop vectorized.
-    #[test]
-    fn fp_dot_loop_stays_scalar() {
-        let bin = assemble(
-            "
-            .data
-            a: .double 1e16
-               .double 1.0
-               .double -1e16
-               .double 1.0
-               .double 1.0
-               .double 1.0
-               .double 1.0
-               .double 1.0
-            b: .double 1.0
-               .double 1.0
-               .double 1.0
-               .double 1.0
-               .double 1.0
-               .double 1.0
-               .double 1.0
-               .double 1.0
-            .text
-            _start:
-                la t0, a
-                la t1, b
-                li t2, 8
-                fmv.d.x fa0, zero
-            loop:
-                fld ft0, 0(t0)
-                fld ft1, 0(t1)
-                fmadd.d fa0, ft0, ft1, fa0
-                addi t0, t0, 8
-                addi t1, t1, 8
-                addi t2, t2, -1
-                bnez t2, loop
-                fcvt.l.d a0, fa0
-                li a7, 93
-                ecall
-            ",
-            AsmOptions::default(),
-        )
-        .unwrap();
-        let native = chimera_emu::run_binary(&bin, 100_000).unwrap();
-        assert_eq!(native.exit_code, 5);
-        let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
-        assert_eq!(rw.stats.smile_trampolines, 0);
-        let r = run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
-        assert_eq!(r.exit_code, 5);
-    }
-
-    /// The x and f register files at `exit` of `bin` on `profile`.
-    fn exit_registers(bin: &Binary, profile: ExtSet) -> ([u64; 32], Vec<u64>) {
-        let (mut cpu, mut mem) = chimera_emu::boot(bin, profile);
-        let r = chimera_emu::run_cpu(&mut cpu, &mut mem, 100_000).unwrap();
-        let f = (0..32).map(|i| cpu.hart.get_f(FReg::of(i))).collect();
-        (r.xregs, f)
-    }
-
-    /// A loop's temporaries end as the scalar loop leaves them. The map
-    /// loop reads its last result back from `a3` (it exited 0 upgraded
-    /// when the vector block left the temporaries stale); the dots and the
-    /// f64 map leave loads, products and results that nothing reads, and
-    /// every register must still agree.
-    #[test]
-    fn vectorized_loops_leave_every_register_as_the_scalar_loop_does() {
+    fn loops_that_store_stay_scalar() {
         let map = "
             .data
             a: .dword 10
@@ -759,23 +546,190 @@ mod tests {
             .replace("sub a3, a1, a2", "fsub.d fa3, fa1, fa2")
             .replace("sd a3", "fsd fa3")
             .replace("mv a0, a3", "fcvt.l.d a0, fa3");
-        for (src, exit) in [(map, 45), (SCALAR_DOT, 217), (&fmap[..], 45)] {
-            let bin = assemble(src, AsmOptions::default()).unwrap();
-            let native = exit_registers(&bin, ExtSet::RV64GCV);
+        assert_stays_scalar(map, 45);
+        assert_stays_scalar(&fmap, 45);
+    }
+
+    /// `c[i] = a[i] + b[i]` with `c` one element ahead of `a`, so each
+    /// trip reads what the one before it stored: `a[7]` is 71. A strip
+    /// that loads `a` before storing `c` read 26 when the map vectorized.
+    #[test]
+    fn a_store_one_element_ahead_of_a_load_stays_scalar() {
+        let src = "
+            .data
+            a: .dword 1
+               .dword 2
+               .dword 3
+               .dword 4
+               .dword 5
+               .dword 6
+               .dword 7
+               .dword 8
+            b: .dword 10
+               .dword 10
+               .dword 10
+               .dword 10
+               .dword 10
+               .dword 10
+               .dword 10
+            .text
+            _start:
+                la t0, a
+                la t1, b
+                addi t3, t0, 8
+                li t2, 7
+            loop:
+                ld a1, 0(t0)
+                ld a2, 0(t1)
+                add a3, a1, a2
+                sd a3, 0(t3)
+                addi t0, t0, 8
+                addi t1, t1, 8
+                addi t3, t3, 8
+                addi t2, t2, -1
+                bnez t2, loop
+                la t0, a
+                ld a0, 56(t0)
+                li a7, 93
+                ecall
+        ";
+        assert_stays_scalar(src, 71);
+    }
+
+    /// Dot loops that differ from the proven shape in one way each stay
+    /// scalar, with the exit each had when it vectorized: a pointer bumped
+    /// before its load (229), a sum that reads the previous trip's product
+    /// (290), a second `add` into the accumulator (223), both loads
+    /// through one pointer (232), and a head that is not the start of the
+    /// block its backedge ends (a branch enters the body at `mid`).
+    #[test]
+    fn dot_loops_the_recognizer_cannot_prove_stay_scalar() {
+        let bump_first = SCALAR_DOT
+            .replace("ld a1, 0(t0)", "addi t0, t0, 8\n ld a1, 0(t0)")
+            .replacen("addi t0, t0, 8\n            addi t1", "addi t1", 1);
+        let stale_product = SCALAR_DOT.replace(
+            "mul a3, a1, a2\n            add a0, a0, a3",
+            "add a0, a0, a3\n mul a3, a1, a2",
+        );
+        let second_add = SCALAR_DOT.replace("add a0, a0, a3", "add a0, a0, a3\n add a0, a0, a1");
+        let one_pointer = SCALAR_DOT.replace("ld a2, 0(t1)", "ld a2, 0(t0)");
+        let mid_entry = SCALAR_DOT
+            .replace("li a0, 0", "li a0, 0\n beqz t2, mid")
+            .replace("ld a2, 0(t1)", "mid: ld a2, 0(t1)");
+        assert_stays_scalar(&bump_first, 274);
+        assert_stays_scalar(&stale_product, 145);
+        assert_stays_scalar(&second_add, 238);
+        assert_stays_scalar(&one_pointer, 91);
+        assert_stays_scalar(&mid_entry, 217);
+    }
+
+    /// An f64 dot stays scalar: lane-wise `vfmacc` and a reduction would
+    /// reassociate the sum. `1e16 + 1 - 1e16 + 5` is 5 in the scalar
+    /// `fmadd.d` chain (each `1` is absorbed into `1e16` and cancelled with
+    /// it) and was 4 when the loop vectorized.
+    #[test]
+    fn fp_dot_loop_stays_scalar() {
+        let src = "
+            .data
+            a: .double 1e16
+               .double 1.0
+               .double -1e16
+               .double 1.0
+               .double 1.0
+               .double 1.0
+               .double 1.0
+               .double 1.0
+            b: .double 1.0
+               .double 1.0
+               .double 1.0
+               .double 1.0
+               .double 1.0
+               .double 1.0
+               .double 1.0
+               .double 1.0
+            .text
+            _start:
+                la t0, a
+                la t1, b
+                li t2, 8
+                fmv.d.x fa0, zero
+            loop:
+                fld ft0, 0(t0)
+                fld ft1, 0(t1)
+                fmadd.d fa0, ft0, ft1, fa0
+                addi t0, t0, 8
+                addi t1, t1, 8
+                addi t2, t2, -1
+                bnez t2, loop
+                fcvt.l.d a0, fa0
+                li a7, 93
+                ecall
+        ";
+        assert_stays_scalar(src, 5);
+    }
+
+    /// A loop's temporaries end as the scalar loop leaves them, and so
+    /// does everything else: over every strip-mining edge — trip counts 0
+    /// (the guard compilers put before a do-while skips the loop), 1 (no
+    /// strip), VLMAX − 1, VLMAX, VLMAX + 1 and 3·VLMAX + 1, on elements
+    /// whose products wrap — the upgraded dot leaves every x and f
+    /// register and every writable byte as the native run does.
+    #[test]
+    fn vectorized_loops_leave_every_register_as_the_scalar_loop_does() {
+        use std::fmt::Write;
+        let vlmax = chimera_isa::VLEN as usize / 64;
+        for n in [0, 1, vlmax - 1, vlmax, vlmax + 1, 3 * vlmax + 1] {
+            let mut src = String::from(".data\n");
+            for (label, seed) in [
+                ("a", 0x0123_4567_89ab_cdefi64),
+                ("b", -0x0765_4321_0fed_cba9),
+            ] {
+                writeln!(src, "{label}:").unwrap();
+                for i in 0..=n as i64 {
+                    writeln!(src, "    .dword {}", seed.wrapping_mul(i * i + 3)).unwrap();
+                }
+            }
+            writeln!(
+                src,
+                "out: .dword 0
+                .text
+                _start:
+                    la t0, a
+                    la t1, b
+                    li t2, {n}
+                    li a0, 5
+                    beqz t2, done
+                loop:
+                    ld a1, 0(t0)
+                    ld a2, 0(t1)
+                    mul a3, a1, a2
+                    add a0, a0, a3
+                    addi t0, t0, 8
+                    addi t1, t1, 8
+                    addi t2, t2, -1
+                    bnez t2, loop
+                done:
+                    la t3, out
+                    sd a0, 0(t3)
+                    li a7, 93
+                    ecall"
+            )
+            .unwrap();
+            let bin = assemble(&src, AsmOptions::default()).unwrap();
             let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
-            assert_eq!(rw.stats.smile_trampolines, 1, "{src}");
-            let upgraded = exit_registers(&rw.binary, ExtSet::RV64GCV);
-            assert_eq!(native.0[XReg::A0.index() as usize], exit, "{src}");
-            assert_eq!(upgraded, native, "{src}");
+            assert_eq!(rw.stats.smile_trampolines, 1, "n = {n}");
+            let native = exit_state(&bin, &bin);
+            assert!(native.0.is_ok(), "n = {n}: {native:?}");
+            assert_eq!(exit_state(&rw.binary, &bin), native, "n = {n}");
         }
     }
 
-    /// A dot loop entered with its counter at 0 (ROADMAP item 1(b)): the
-    /// scalar do-while wraps it and faults at its first load, through an
-    /// unmapped pointer. The vector block must not strip-mine `0 − 1`
-    /// elements first: it skips to the repair block, whose replay of that
-    /// load faults on the same address with every register as the scalar
-    /// loop leaves it, and no vector instruction retired.
+    /// A dot loop entered with its counter at 0: the scalar do-while wraps
+    /// it and faults at its first load, through an unmapped pointer. The
+    /// vector block must not strip-mine `0 − 1` elements first: it skips
+    /// to the repair block, whose replay of that load faults on the same
+    /// address with every register as the scalar loop leaves it, and no
+    /// vector instruction retired.
     #[test]
     fn a_counter_of_zero_skips_the_vector_loop() {
         let src = SCALAR_DOT
@@ -799,8 +753,7 @@ mod tests {
 
     #[test]
     fn non_canonical_loops_left_alone() {
-        let bin = assemble(
-            "
+        let src = "
             _start:
                 li t0, 5
                 li a0, 0
@@ -810,13 +763,7 @@ mod tests {
                 bnez t0, loop
                 li a7, 93
                 ecall
-            ",
-            AsmOptions::default(),
-        )
-        .unwrap();
-        let rw = upgrade_rewrite(&bin, RewriteOptions::default()).unwrap();
-        assert_eq!(rw.stats.smile_trampolines, 0);
-        let r = run_binary_on(&rw.binary, chimera_isa::ExtSet::RV64GCV, 100_000).unwrap();
-        assert_eq!(r.exit_code, 15);
+        ";
+        assert_stays_scalar(src, 15);
     }
 }

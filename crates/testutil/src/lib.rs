@@ -648,13 +648,14 @@ pub fn run_many_hart_scenario(
 }
 
 /// A base-ISA program of `n` canonical counted loops, cycling through an
-/// i64 dot, an f64 dot, an i64 map and an f64 map, and assembled with
-/// compression so the loop heads differ in SMILE constraints: the i64 map
-/// has an instruction start at `head + 2` (P2). The upgrade vectorizer
-/// recognizes three of the four kernels; the f64 dot (an instruction start
-/// at `head + 6`, P3) stays scalar, since vectorizing it would reassociate
-/// its sum. Exits with the low byte of a checksum over every loop's
-/// result.
+/// i64 dot, an f64 dot, a second i64 dot on compressible registers and an
+/// f64 map, and assembled with compression so the loop heads differ in
+/// SMILE constraints: the second dot's `c.ld` puts an instruction start at
+/// `head + 2` (P2). The upgrade vectorizer recognizes both i64 dots. The
+/// f64 dot (an instruction start at `head + 6`, P3) stays scalar, since
+/// vectorizing it would reassociate its sum, and so does the f64 map, a
+/// loop that stores. Exits with the low byte of a checksum over every
+/// loop's result.
 pub fn scalar_loops(n: usize) -> Binary {
     use std::fmt::Write;
     let mut src = String::from("    .data\n");
@@ -670,7 +671,7 @@ pub fn scalar_loops(n: usize) -> Binary {
             writeln!(src, "        .double {:.1}", (i + 1) as f64 * scale).unwrap();
         }
     }
-    src.push_str("    c: .zero 64\n    fc: .zero 64\n    .text\n    _start:\n        li s2, 0\n");
+    src.push_str("    fc: .zero 64\n    .text\n    _start:\n        li s2, 0\n");
     for i in 0..n {
         let body = match i % 4 {
             0 => {
@@ -711,20 +712,18 @@ pub fn scalar_loops(n: usize) -> Binary {
                 "
         la a4, a
         la a5, b
-        la a3, c
         li t2, 8
+        li a0, 0
     lN:
         ld a1, 0(a4)
         ld a2, 0(a5)
-        sub a0, a1, a2
-        sd a0, 0(a3)
+        mul a3, a1, a2
+        add a0, a0, a3
         addi a4, a4, 8
         addi a5, a5, 8
-        addi a3, a3, 8
         addi t2, t2, -1
         bnez t2, lN
-        ld t5, -8(a3)
-        add s2, s2, t5"
+        add s2, s2, a0"
             }
             _ => {
                 "

@@ -180,16 +180,17 @@ fn vectorizable() -> Vec<(&'static str, Binary, RewriteOptions)> {
         v.push((name, scalar, opts));
     }
     // Eight hand-assembled loops, two of each shape, whose layout is
-    // order-dependent: the i64 dots take a plain SMILE, the f64 dots are
-    // not recognized (they would reassociate), the i64 maps have an
-    // instruction start at `head + 2` (P2: reachable only ~2 MiB up, beyond
-    // the default `max_padding`, so they are left scalar) and the f64 maps
-    // land behind whatever came before. (A recognized loop has at least
-    // seven instructions, so "shorter than 8 bytes" cannot be assembled;
-    // the padding budget is the reachable leave-scalar outcome.)
+    // order-dependent: the first i64 dots take a plain SMILE, the f64 dots
+    // are not recognized (they would reassociate) and neither are the f64
+    // maps (they store), and the i64 dots on compressible registers have
+    // an instruction start at `head + 2` (P2: reachable only ~2 MiB up,
+    // beyond the default `max_padding`, so they are left scalar). (A
+    // recognized loop has eight instructions, so "shorter than 8 bytes"
+    // cannot be assembled; the padding budget is the reachable
+    // leave-scalar outcome.)
     v.push(("loops_8", scalar_loops(8), opts));
     // Room for the P2 window: every recognized loop is placed, the first
-    // i64 map behind ~2 MiB of padding.
+    // compressed dot behind ~2 MiB of padding.
     let roomy = RewriteOptions {
         max_padding: 4 << 20,
         ..opts
@@ -201,9 +202,11 @@ fn vectorizable() -> Vec<(&'static str, Binary, RewriteOptions)> {
 /// Upgrades that actually vectorize: digests recorded on commit 92b47ad,
 /// when `upgrade_rewrite` still had its own layout and linker. The
 /// `dgemv12_*` and `loops_8*` rows were re-recorded when the f64 dot kernel
-/// was deleted (its loops now stay scalar), and every row that vectorizes
+/// was deleted (its loops now stay scalar), every row that vectorizes
 /// (`matrix_*`, `loops_8*`) when the vector block began leaving the last
-/// iteration to the scalar loop.
+/// iteration to the scalar loop, and the `loops_8*` rows when the map
+/// kernels were deleted and `scalar_loops`' i64 map became a compressed
+/// dot.
 #[test]
 fn vectorizing_upgrades_match_recorded_digests() {
     let programs = vectorizable();
@@ -250,8 +253,8 @@ const UPGRADE_VECTORIZING: &[(&str, (usize, usize), u64)] = &[
     ("matrix_64x4", (1, 0), 0xbba1bc935c9c47a0),
     ("dgemv12_slice0", (0, 0), 0x2c900720ae9e9074),
     ("dgemv12_slice1", (0, 0), 0x9a27794eb83f0924),
-    ("loops_8", (4, 0), 0xa02a7b269d3ae6f4),
-    ("loops_8_roomy", (6, 2), 0x857cd904b65e64e6),
+    ("loops_8", (2, 0), 0xc7e0aa12b8827be5),
+    ("loops_8_roomy", (4, 2), 0x9e6bf7e67717b4a1),
 ];
 
 #[rustfmt::skip]
