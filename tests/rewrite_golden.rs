@@ -289,3 +289,97 @@ const LAUNCH_COLD: &[(&str, [u64; 6])] = &[
     ("omnetpp_r", [0x7a7378280408a917, 0xa2b0005c0ee10183, 0x090cda478a237a4d, 0x9ff246992ac8cac9, 0x8af39ecca18cbb20, 0x36db986cd66d154a]),
     ("cactuBSSN_r", [0x099dfe2efda31716, 0x7e9fd50b93e6787a, 0x58021ec5e5351047, 0xc22fd96289cad8cb, 0xaf25310090d6ac52, 0xea04017279c53475]),
 ];
+
+/// The Zba / Zbb downgrade templates, which neither table above reaches:
+/// every golden engine and every `pipeline_e2e` workload targets
+/// `RV64GC`, which includes `B`, so none of them downgrades a Zb row. One
+/// digest per row over the bytes `Translator::downgrade` emits for it
+/// (fixed spill base and ABI `gp`) in every register shape of
+/// `template_conformance.rs`'s `every_zba_zbb_row_matches_a_core_that_has_it`
+/// and for `rori` at the immediates 0, 17 and 63. Recorded on commit
+/// 1d10d8b, before the templates became rows of assembly text.
+#[test]
+fn zb_templates_match_recorded_digests() {
+    use chimera_isa::{Ext, Inst, OpImmKind, OpKind, UnaryKind, XReg};
+    use chimera_rewrite::emitter::BlockEmitter;
+    use chimera_rewrite::translate::Translator;
+    let t = Translator::new(0x12_3458, 0x1_1800);
+    let (a0, a1, a2, t2, t3, t4) = (XReg::A0, XReg::A1, XReg::A2, XReg::T2, XReg::T3, XReg::T4);
+    let zero = XReg::ZERO;
+    let shapes = [
+        (a0, a1, a2),
+        (a1, a1, a2),
+        (a2, a1, a2),
+        (a1, a1, a1),
+        (t2, t3, t4),
+        (t3, a1, t2),
+        (a0, t2, t2),
+        (t2, a1, a2),
+        (zero, a1, a2),
+        (a0, zero, zero),
+    ];
+    // One digest per row, in table order; `rori` folds its three immediates.
+    let mut actual: Vec<(&str, Fnv)> = Vec::new();
+    for (rd, rs1, rs2) in shapes {
+        let ops = OpKind::ALL.iter().filter(|k| k.ext() == Some(Ext::B));
+        let ops = ops.map(|&kind| (kind.mnemonic(), Inst::Op { kind, rd, rs1, rs2 }));
+        let unary = UnaryKind::ALL.iter();
+        let unary = unary.map(|&kind| (kind.mnemonic(), Inst::Unary { kind, rd, rs1 }));
+        let kind = OpImmKind::Rori;
+        let rori = [0, 17, 63].map(|imm| ("rori", Inst::OpImm { kind, rd, rs1, imm }));
+        for (name, inst) in ops.chain(unary).chain(rori) {
+            let row = match actual.iter().position(|(n, _)| *n == name) {
+                Some(row) => row,
+                None => {
+                    actual.push((name, Fnv(0xcbf2_9ce4_8422_2325)));
+                    actual.len() - 1
+                }
+            };
+            let mut em = BlockEmitter::new();
+            t.downgrade(&inst, &mut em)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let bytes = em.finish().expect("a template resolves its labels");
+            let h = &mut actual[row].1;
+            write!(h, "{}:", bytes.len()).unwrap();
+            h.bytes(&bytes);
+        }
+    }
+    let mut table = String::new();
+    for (name, h) in &actual {
+        writeln!(table, "    (\"{name}\", {:#018x}),", h.0).unwrap();
+    }
+    assert_eq!(
+        actual.len(),
+        ZB_TEMPLATES.len(),
+        "row roster; actual table:\n{table}"
+    );
+    for ((name, a), (gname, g)) in actual.iter().zip(ZB_TEMPLATES) {
+        assert_eq!(name, gname, "row order; actual table:\n{table}");
+        assert_eq!(a.0, *g, "the {name} template moved; actual table:\n{table}");
+    }
+}
+
+#[rustfmt::skip]
+const ZB_TEMPLATES: &[(&str, u64)] = &[
+    ("sh1add", 0x339549d7c6b6da23),
+    ("sh2add", 0xa5dd981885b5d743),
+    ("sh3add", 0xa1b042f8a82d3023),
+    ("add.uw", 0x3cfc2fe9d0f644d7),
+    ("andn", 0x97fe135dbc318c8d),
+    ("orn", 0x4ee0ab1046ac02ed),
+    ("xnor", 0x7fc918a35c6b7bed),
+    ("min", 0xda0d5d09e2737aee),
+    ("minu", 0x8bc953da06c1152e),
+    ("max", 0x1cf3ec7525a27ece),
+    ("maxu", 0x5c2af40d06b0264e),
+    ("rol", 0x05e57744db7040af),
+    ("ror", 0x633fd528bf6d81af),
+    ("clz", 0x88620570bb800011),
+    ("ctz", 0x3cc5851a8215f6b8),
+    ("cpop", 0x81acb7f3d537e7d9),
+    ("sext.b", 0x3f89e5ef9d20077c),
+    ("sext.h", 0xc2259bab338eff7c),
+    ("zext.h", 0x39f261cc8c00d37c),
+    ("rev8", 0xa5898842377305c1),
+    ("rori", 0x56a63f16582dcb08),
+];
