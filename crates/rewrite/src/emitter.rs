@@ -148,7 +148,9 @@ impl BlockEmitter {
         self.fixup(label, Inst::Jal { rd, offset: 0 })
     }
 
-    fn fixup(&mut self, label: Label, inst: Inst) -> &mut Self {
+    /// Emits `inst`, a branch or `jal`, aimed at `label` as it stands: a
+    /// branch [`BlockEmitter::branch_to`] would not relax.
+    pub(crate) fn fixup(&mut self, label: Label, inst: Inst) -> &mut Self {
         let offset = self.bytes.len();
         self.fixups.push(Fixup {
             offset,
