@@ -20,9 +20,9 @@ use chimera_isa::{
     Eew, Ext, ExtSet, FReg, FpWidth, Inst, OpImmKind, OpKind, UnaryKind, VArithOp, VReg, VSrc,
     VType, XReg, VLEN,
 };
-use chimera_kernel::{RunOutcome, RuntimeTables};
+use chimera_kernel::{KernelRunner, Process, RunOutcome, RuntimeTables, Tracer, Variant};
 use chimera_obj::{Binary, DataSec, ModuleBuilder};
-use chimera_rewrite::translate::SpillLayout;
+use chimera_rewrite::translate::{SpillLayout, Translator};
 use chimera_rewrite::{chbp_rewrite, RewriteOptions};
 use chimera_testutil::{run_under_kernel, run_under_kernel_at, writable_bytes, FUEL};
 
@@ -872,7 +872,9 @@ fn every_zba_zbb_row_matches_a_core_that_has_it() {
     let base = ExtSet::RV64GC.without(Ext::B);
     let (a0, a1, a2, t2, t3, t4) = (XReg::A0, XReg::A1, XReg::A2, XReg::T2, XReg::T3, XReg::T4);
     // (rd, rs1, rs2): plain; rd = rs1; rd = rs2; all one; scratch-pool
-    // registers in every position.
+    // registers in every position; `zero` as the destination and as both
+    // sources (the `clz` / `ctz` / `cpop` loops' zero exit, `rori`'s `mv`).
+    let zero = XReg::ZERO;
     let shapes = [
         (a0, a1, a2),
         (a1, a1, a2),
@@ -882,6 +884,8 @@ fn every_zba_zbb_row_matches_a_core_that_has_it() {
         (t3, a1, t2),
         (a0, t2, t2),
         (t2, a1, a2),
+        (zero, a1, a2),
+        (a0, zero, zero),
     ];
     let mut insts = Vec::new();
     for (rd, rs1, rs2) in shapes {
@@ -924,5 +928,86 @@ fn every_zba_zbb_row_matches_a_core_that_has_it() {
             n += 1;
         }
     }
-    assert_eq!(n, 8 * (13 + 7 + 3) * 4);
+    assert_eq!(n, 10 * (13 + 7 + 3) * 4);
+}
+
+/// An instruction that writes `gp` has no template. Every template either
+/// re-materializes `gp` or reaches the spill section through it, so a
+/// downgraded `sh1add gp, t0, t1` left the ABI `gp` (71,680) where the
+/// original leaves 29, and a downgraded `vsetvli gp, t0, e64` faulted in
+/// the run's epilogue, restoring its scratches through the clobbered
+/// pointer. Such an instruction stays untranslated, in the fault table's
+/// `untranslated` set: started on a base core, the rewritten program
+/// faults on it, the kernel migrates the task to a core that has the
+/// extension, and it exits as the original does there.
+#[test]
+fn instructions_that_write_gp_stay_untranslated() {
+    let (gp, t0, t1, v1) = (XReg::GP, XReg::T0, XReg::T1, VReg::of(1));
+    let b_rows = OpKind::ALL.iter().filter(|k| k.ext() == Some(Ext::B));
+    let mut probes: Vec<Inst> = b_rows
+        .map(|&kind| Inst::Op {
+            kind,
+            rd: gp,
+            rs1: t0,
+            rs2: t1,
+        })
+        .collect();
+    probes.extend(UnaryKind::ALL.iter().map(|&kind| Inst::Unary {
+        kind,
+        rd: gp,
+        rs1: t1,
+    }));
+    let (kind, rd, rs1) = (OpImmKind::Rori, gp, t0);
+    probes.extend([0, 3].map(|imm| Inst::OpImm { kind, rd, rs1, imm }));
+    let vtype = vtype(Eew::E64);
+    probes.push(Inst::Vsetvli { rd, rs1, vtype });
+    probes.push(Inst::VMvXS { rd, vs2: v1 });
+    for probe in probes {
+        assert!(!Translator::can_downgrade(&probe), "{probe}");
+        let vector = probe.ext() == Some(Ext::V);
+        let (base, core) = match vector {
+            true => (ExtSet::RV64GC, ExtSet::RV64GCV),
+            false => (ExtSet::RV64GC.without(Ext::B), ExtSet::RV64GC),
+        };
+        let mut b = ModuleBuilder::new(false);
+        b.label("_start").li(t0, 12).li(t1, 5);
+        if vector {
+            // `v1` = 5, through the downgraded run before the probe.
+            let rd = XReg::ZERO;
+            b.inst(Inst::Vsetvli { rd, rs1, vtype });
+            b.inst(Inst::VMvSX { vd: v1, rs1: t1 });
+        }
+        b.label("probe").global("probe").inst(probe);
+        b.inst(chimera_isa::mv(XReg::A0, gp));
+        b.li(XReg::A7, 93).inst(Inst::Ecall);
+        let bin = b.build(core).expect("the probe assembles");
+        let at = bin.symbol("probe").expect("exported").addr;
+        let native = chimera_emu::run_binary_on(&bin, core, FUEL).expect("the original exits");
+        let rw = chbp_rewrite(&bin, base, RewriteOptions::default()).expect("rewrites");
+        assert!(rw.fht.untranslated.contains(&at), "{probe}");
+        let tables = RuntimeTables {
+            fht: Some(rw.fht),
+            regen: None,
+        };
+        let downgraded = Variant {
+            binary: rw.binary,
+            tables,
+        };
+        let process = Process::new(vec![Variant::native(bin), downgraded]);
+        let (mut cpu, mut mem, view) = process.load(base).expect("the base view loads");
+        cpu.set_mode(ExecMode::Reference);
+        let mut k = KernelRunner::new(view.tables.clone());
+        let exit = loop {
+            match k.run(&mut cpu, &mut mem, FUEL) {
+                RunOutcome::Exited(code) => break code,
+                RunOutcome::NeedsMigration { pc } if pc == at => {
+                    let tracer = &Tracer::disabled();
+                    let moved = process.migrate(&mut cpu, &mut mem, &mut k, core, 0, tracer);
+                    assert!(moved, "{probe}: the task migrates");
+                }
+                other => panic!("{probe}: {other:?}"),
+            }
+        };
+        assert_eq!(exit, native.exit_code, "{probe}");
+    }
 }
